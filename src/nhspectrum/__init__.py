@@ -27,7 +27,6 @@ from .charsums import (
 )
 from .field import FieldCtx, InconsistencyError, ReducibleModulusError, make_context
 from .ness import (
-    NHParams,
     Spectrum,
     ddt_entry,
     derivative,
@@ -57,7 +56,6 @@ __all__ = [
     "FieldCtx",
     "IdentityReport",
     "InconsistencyError",
-    "NHParams",
     "ReducibleModulusError",
     "SolutionCensus",
     "Spectrum",

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import solution_census as census_mod
 from . import charsums, ness, rng, spectrum
-from .field import FieldCtx, InconsistencyError, make_context
+from .field import LOG_TABLE_MAX_Q, FieldCtx, InconsistencyError, make_context
 
 COMMANDS = (
     "spectrum",
@@ -173,7 +173,7 @@ def _census_records(ctx: FieldCtx, u: int, seed: int) -> tuple[list[dict], bool]
     q = ctx.q
     total_pairs = (q - 1) * q
     pair_count = min(200, total_pairs)
-    pair_ids = rng.sample_distinct(list(range(total_pairs)), pair_count, seed)
+    pair_ids = rng.sample_distinct(range(total_pairs), pair_count, seed)
     records = []
     ok = True
     for pid in pair_ids:
@@ -222,9 +222,10 @@ def _theorem_records(ctx: FieldCtx, u: int, seed: int) -> tuple[list[dict], bool
 
 
 def _scan_records(ctx: FieldCtx, u: int, seed: int) -> tuple[list[dict], bool]:
-    theorem = spectrum.verify_theorem_record(ctx, u)
+    ddt = ness.ddt_table(ctx, u)
+    theorem = spectrum.verify_theorem_record(ctx, u, ddt=ddt)
     lemmas_ok = all(rep.passed for rep in charsums.section2_identities(ctx, u))
-    props_ok = census_mod.verify_predictions(ctx, u)["ok"]
+    props_ok = census_mod.verify_predictions(ctx, u, ddt=ddt)["ok"]
     match = bool(theorem["match"] and lemmas_ok and props_ok)
     rec = {
         "n": ctx.n, "modulus": ctx.modulus_str, "u": theorem["u"],
@@ -323,6 +324,11 @@ def run(config: RunConfig, out: Optional[io.TextIOBase] = None,
     err = err if err is not None else sys.stderr
     try:
         ctx = make_context(config.n, config.modulus)
+        if ctx.q > LOG_TABLE_MAX_Q:
+            raise UsageError(
+                f"n = {config.n} is not supported yet: the discrete-log tables"
+                f" stop at q = {LOG_TABLE_MAX_Q} (n = 9)"
+            )
         us = resolve_u(ctx, config.u_spec, config.seed)
         _require_scope_for_command(ctx, config.command, us)
     except (UsageError, ValueError) as exc:

@@ -8,9 +8,12 @@ constants behave as expected: ``0`` is zero, ``1`` is one and ``2`` is
 minus one.
 
 A :class:`FieldCtx` is immutable after construction and safe to share
-between threads.  The optional acceleration tables (digit matrix, discrete
-logs, pairwise-sum table) are published lazily under a lock and never
-mutated afterwards; everything else is a pure function of ``(ctx, args)``.
+between threads.  Its tables (digit matrix, discrete logs, pairwise-sum
+table) are each built once on first use and are read-only afterwards.  A
+table is a pure function of the modulus, so two threads that race to build
+one build equal arrays and either may be kept.  Multiplication, powers,
+inverses and the quadratic character always read the discrete-log tables;
+polynomial multiplication only finds the generator and builds them.
 
 Text format for elements and moduli: a compact string of base-3 digits,
 lowest degree first.  ``"120"`` is ``1 + 2x`` in a degree-3 field, and the
@@ -19,14 +22,14 @@ default degree-3 modulus ``x^3 + 2x + 1`` prints as ``"1201"``.
 
 from __future__ import annotations
 
-import threading
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 P = 3
 
-# Lazy-table ceilings.  Discrete logs need q-1 sequential multiplications,
+# Table ceilings.  Discrete logs need q-1 sequential multiplications,
 # pairwise sum tables need q*q ints; both stay cheap up to these sizes.
 LOG_TABLE_MAX_Q = P**9
 PAIR_TABLE_MAX_Q = P**7
@@ -155,18 +158,10 @@ class FieldCtx:
                 raise ReducibleModulusError(_poly_str(mod), _poly_str(witness))
         self.modulus: tuple[int, ...] = tuple(mod)
 
-        # x^(n+k) mod modulus for k = 0..n-2, as digit tuples; lets mul fold
+        # x^(n+k) mod modulus for k = 0..n-2, as digit tuples; lets _mul_poly fold
         # a degree-(2n-2) product back into range without long division.
         self._reduction_rows = self._build_reduction_rows()
-
-        self._lock = threading.Lock()
-        self._dig: Optional[np.ndarray] = None
         self._p3 = (P ** np.arange(n, dtype=np.int64))
-        self._log: Optional[np.ndarray] = None
-        self._alog: Optional[np.ndarray] = None
-        self._pair_add: Optional[np.ndarray] = None
-        self._neg_tab: Optional[np.ndarray] = None
-
         self.generator = self._find_generator()
 
     # -- construction helpers ------------------------------------------------
@@ -198,10 +193,43 @@ class FieldCtx:
             rows.append(tuple(shifted))
         return tuple(rows)
 
+    def _mul_poly(self, a: int, b: int) -> int:
+        n = self.n
+        da = _idx_digits(a, n)
+        db = _idx_digits(b, n)
+        prod = [0] * (2 * n - 1)
+        for i, ai in enumerate(da):
+            if ai:
+                for j, bj in enumerate(db):
+                    prod[i + j] += ai * bj
+        res = prod[:n]
+        for k in range(n, 2 * n - 1):
+            c = prod[k] % P
+            if c:
+                row = self._reduction_rows[k - n]
+                for j in range(n):
+                    res[j] += c * row[j]
+        out = 0
+        m = 1
+        for j in range(n):
+            out += (res[j] % P) * m
+            m *= P
+        return out
+
+    def _pow_poly(self, a: int, e: int) -> int:
+        """Square-and-multiply over _mul_poly, for the generator search."""
+        result = 1
+        while e:
+            if e & 1:
+                result = self._mul_poly(result, a)
+            a = self._mul_poly(a, a)
+            e >>= 1
+        return result
+
     def _find_generator(self) -> int:
         cofactors = [(self.q - 1) // p for p in _factorize(self.q - 1)]
         for g in range(2, self.q):
-            if all(self.pow(g, c) != 1 for c in cofactors):
+            if all(self._pow_poly(g, c) != 1 for c in cofactors):
                 return g
         raise InconsistencyError("no primitive element found")  # unreachable
 
@@ -232,63 +260,33 @@ class FieldCtx:
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        if self._log is not None:
-            return int(
-                self._alog[(int(self._log[a]) + int(self._log[b])) % (self.q - 1)]
-            )
-        return self._mul_poly(a, b)
-
-    def _mul_poly(self, a: int, b: int) -> int:
-        n = self.n
-        da = _idx_digits(a, n)
-        db = _idx_digits(b, n)
-        prod = [0] * (2 * n - 1)
-        for i, ai in enumerate(da):
-            if ai:
-                for j, bj in enumerate(db):
-                    prod[i + j] += ai * bj
-        res = prod[:n]
-        for k in range(n, 2 * n - 1):
-            c = prod[k] % P
-            if c:
-                row = self._reduction_rows[k - n]
-                for j in range(n):
-                    res[j] += c * row[j]
-        out = 0
-        m = 1
-        for j in range(n):
-            out += (res[j] % P) * m
-            m *= P
-        return out
+        log, alog = self._log_tables
+        return int(alog[(int(log[a]) + int(log[b])) % (self.q - 1)])
 
     def pow(self, a: int, e: int) -> int:
-        """Square-and-multiply; 0**0 == 1 by convention."""
+        """a**e through the discrete logs; 0**0 == 1 by convention."""
         if e < 0:
             raise ValueError("exponent must be nonnegative")
         if a == 0:
             return 1 if e == 0 else 0
-        if self._log is not None:
-            return int(self._alog[(int(self._log[a]) * e) % (self.q - 1)])
-        result = 1
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        log, alog = self._log_tables
+        return int(alog[(int(log[a]) * e) % (self.q - 1)])
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("zero has no multiplicative inverse")
-        return self.pow(a, self.q - 2)
+        log, alog = self._log_tables
+        return int(alog[-int(log[a]) % (self.q - 1)])
 
     def chi(self, a: int) -> int:
-        """Quadratic character: +1 on nonzero squares, -1 on nonsquares, 0 at 0."""
-        c = self.pow(a, (self.q - 1) // 2)
-        if c == 0:
+        """Quadratic character: +1 on nonzero squares, -1 on nonsquares, 0 at 0.
+
+        The generator is a nonsquare, so a is a square exactly when its
+        discrete log is even.
+        """
+        if a == 0:
             return 0
-        return 1 if c == 1 else -1
+        return 1 - 2 * (int(self._log_tables[0][a]) & 1)
 
     def sqrt_canonical(self, a: int) -> int:
         """The square root r of a with chi(r) == +1.
@@ -339,69 +337,49 @@ class FieldCtx:
     def __repr__(self) -> str:  # pragma: no cover
         return f"FieldCtx(n={self.n}, modulus={self.modulus_str!r})"
 
-    # -- lazy tables ------------------------------------------------------------
+    # -- tables ------------------------------------------------------------------
+
+    @cached_property
+    def _digits(self) -> np.ndarray:
+        idx = np.arange(self.q, dtype=np.int64)
+        cols = [((idx // P**i) % P).astype(np.int8) for i in range(self.n)]
+        return _frozen(np.stack(cols, axis=1))
+
+    @cached_property
+    def _log_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """(log, alog): log[g**k] == k for nonzero elements, alog[k] == g**k."""
+        if self.q > LOG_TABLE_MAX_Q:
+            raise RuntimeError(
+                f"discrete-log tables kept for q <= {LOG_TABLE_MAX_Q}; "
+                f"multiplicative ops unavailable at q = {self.q}"
+            )
+        alog = np.empty(self.q - 1, dtype=np.int64)
+        log = np.zeros(self.q, dtype=np.int64)
+        e = 1
+        for k in range(self.q - 1):
+            alog[k] = e
+            log[e] = k
+            e = self._mul_poly(e, self.generator)
+        if e != 1:
+            raise InconsistencyError("generator order check failed")
+        return _frozen(log), _frozen(alog)
+
+    @cached_property
+    def _pair_add(self) -> np.ndarray:
+        dg = self._digits
+        acc = np.zeros((self.q, self.q), dtype=np.int32)
+        for i in range(self.n):
+            col = dg[:, i].astype(np.int32)
+            acc += ((col[:, None] + col[None, :]) % P) * (P**i)
+        return _frozen(acc)
 
     def digit_table(self) -> np.ndarray:
         """(q, n) int8 array: base-3 digits of every element index."""
-        t = self._dig
-        if t is None:
-            with self._lock:
-                if self._dig is None:
-                    idx = np.arange(self.q, dtype=np.int64)
-                    cols = [((idx // P**i) % P).astype(np.int8) for i in range(self.n)]
-                    self._dig = np.stack(cols, axis=1)
-                t = self._dig
-        return t
-
-    def _log_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._log is None:
-            if self.q > LOG_TABLE_MAX_Q:
-                raise RuntimeError(
-                    f"discrete-log tables kept for q <= {LOG_TABLE_MAX_Q}; "
-                    f"scan-layer ops unavailable at q = {self.q}"
-                )
-            with self._lock:
-                if self._log is None:
-                    alog = np.empty(self.q - 1, dtype=np.int64)
-                    log = np.zeros(self.q, dtype=np.int64)
-                    e = 1
-                    for k in range(self.q - 1):
-                        alog[k] = e
-                        log[e] = k
-                        e = self._mul_poly(e, self.generator)
-                    if e != 1:
-                        raise InconsistencyError("generator order check failed")
-                    # publish together, after both are filled
-                    self._alog = alog
-                    self._log = log
-        return self._log, self._alog  # type: ignore[return-value]
+        return self._digits
 
     def pair_add_table(self) -> Optional[np.ndarray]:
         """(q, q) table of element sums, or None above the size ceiling."""
-        if self.q > PAIR_TABLE_MAX_Q:
-            return None
-        t = self._pair_add
-        if t is None:
-            with self._lock:
-                if self._pair_add is None:
-                    dg = self.digit_table()
-                    acc = np.zeros((self.q, self.q), dtype=np.int32)
-                    for i in range(self.n):
-                        col = dg[:, i].astype(np.int32)
-                        acc += ((col[:, None] + col[None, :]) % P) * (P**i)
-                    self._pair_add = acc
-                t = self._pair_add
-        return t
-
-    def neg_table(self) -> np.ndarray:
-        t = self._neg_tab
-        if t is None:
-            with self._lock:
-                if self._neg_tab is None:
-                    dg = self.digit_table()
-                    self._neg_tab = (((P - dg) % P) @ self._p3).astype(np.int64)
-                t = self._neg_tab
-        return t
+        return self._pair_add if self.q <= PAIR_TABLE_MAX_Q else None
 
     # -- vectorised arithmetic on index arrays ----------------------------------
 
@@ -410,16 +388,13 @@ class FieldCtx:
         s = (dg[np.asarray(a)] + dg[np.asarray(b)]) % P
         return s @ self._p3
 
-    def neg_vec(self, a) -> np.ndarray:
-        return self.neg_table()[np.asarray(a)]
-
     def sub_vec(self, a, b) -> np.ndarray:
         dg = self.digit_table()
         s = (dg[np.asarray(a)] - dg[np.asarray(b)]) % P
         return s @ self._p3
 
     def mul_vec(self, a, b) -> np.ndarray:
-        log, alog = self._log_tables()
+        log, alog = self._log_tables
         a, b = np.broadcast_arrays(np.asarray(a), np.asarray(b))
         out = np.zeros(a.shape, dtype=np.int64)
         nz = (a != 0) & (b != 0)
@@ -429,7 +404,7 @@ class FieldCtx:
     def pow_vec(self, a, e: int) -> np.ndarray:
         if e < 0:
             raise ValueError("exponent must be nonnegative")
-        log, alog = self._log_tables()
+        log, alog = self._log_tables
         a = np.asarray(a)
         if e == 0:
             return np.ones(a.shape, dtype=np.int64)
@@ -438,20 +413,19 @@ class FieldCtx:
         out[nz] = alog[(log[a[nz]] * e) % (self.q - 1)]
         return out
 
-    def inv_vec(self, a) -> np.ndarray:
-        a = np.asarray(a)
-        if np.any(a == 0):
-            raise ZeroDivisionError("zero has no multiplicative inverse")
-        return self.pow_vec(a, self.q - 2)
-
     def chi_vec(self, a) -> np.ndarray:
         """Quadratic character of every entry, values in {-1, 0, +1}."""
-        log, _ = self._log_tables()
+        log, _ = self._log_tables
         a = np.asarray(a)
         out = np.zeros(a.shape, dtype=np.int64)
         nz = a != 0
         out[nz] = 1 - 2 * (log[a[nz]] & 1)
         return out
+
+
+def _frozen(table: np.ndarray) -> np.ndarray:
+    table.flags.writeable = False
+    return table
 
 
 def make_context(n: int, modulus: Optional[PolyLike] = None) -> FieldCtx:

@@ -22,32 +22,10 @@ def exponents(ctx: FieldCtx) -> tuple[int, int]:
     return (ctx.q - 1) // 2 - 1, ctx.q - 2
 
 
-@dataclass(frozen=True)
-class NHParams:
-    """Parameter bundle for one f_u; exponents derived from the context."""
-
-    u: int
-    d1: int
-    d2: int
-
-    @classmethod
-    def for_context(cls, ctx: FieldCtx, u: int) -> "NHParams":
-        d1, d2 = exponents(ctx)
-        return cls(u=u, d1=d1, d2=d2)
-
-
 def f_eval(ctx: FieldCtx, u: int, x: int) -> int:
     """u * x^d1 + x^d2 by plain exponentiation (f(0) = 0)."""
     d1, d2 = exponents(ctx)
     return ctx.add(ctx.mul(u, ctx.pow(x, d1)), ctx.pow(x, d2))
-
-
-def f_eval_inverse_form(ctx: FieldCtx, u: int, x: int) -> int:
-    """(u * x^((q-1)/2) + 1) / x for x != 0; algebraically equal to f_eval."""
-    if x == 0:
-        return 0
-    s = ctx.pow(x, (ctx.q - 1) // 2)
-    return ctx.mul(ctx.add(ctx.mul(u, s), 1), ctx.inv(x))
 
 
 def f_table(ctx: FieldCtx, u: int) -> np.ndarray:
@@ -98,7 +76,7 @@ def ddt_table(ctx: FieldCtx, u: int) -> np.ndarray:
     pair = ctx.pair_add_table()
     if pair is not None:
         fxa = ftab[pair]                       # [a, x] -> f(a + x)
-        neg_f = ctx.neg_table()[ftab]
+        neg_f = ctx.sub_vec(0, ftab)
         diffs = pair[fxa, np.broadcast_to(neg_f, fxa.shape)]
         offsets = (np.arange(ctx.q, dtype=np.int64) * ctx.q)[:, None]
         flat = np.bincount((diffs + offsets).ravel(), minlength=ctx.q * ctx.q)
@@ -138,9 +116,14 @@ class Spectrum:
         }
 
 
-def spectrum_bruteforce(ctx: FieldCtx, u: int) -> Spectrum:
-    """Differential spectrum by exhaustive DDT accumulation; any u."""
-    table = ddt_table(ctx, u)[1:, :]
+def spectrum_bruteforce(ctx: FieldCtx, u: int, ddt: np.ndarray | None = None) -> Spectrum:
+    """Differential spectrum by exhaustive DDT accumulation; any u.
+
+    ``ddt`` is ``ddt_table(ctx, u)`` when the caller has already built it.
+    """
+    if ddt is None:
+        ddt = ddt_table(ctx, u)
+    table = ddt[1:, :]
     counts = np.bincount(table.ravel())
     last = int(np.flatnonzero(counts)[-1])
     return Spectrum(tuple(int(c) for c in counts[: last + 1]), source="brute-force")

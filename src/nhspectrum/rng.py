@@ -16,6 +16,8 @@ fixed (seed, pool) always yields the same subset in the same order.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from .field import FieldCtx
 
 MASK64 = (1 << 64) - 1
@@ -43,8 +45,12 @@ class SplitMix64:
         return self.next_u64() % bound
 
 
-def sample_distinct(pool: list, count: int, seed: int) -> list:
-    """count distinct items from pool, in deterministic draw order."""
+def sample_distinct(pool: Sequence, count: int, seed: int) -> list:
+    """count distinct items from pool, in deterministic draw order.
+
+    Only ``len(pool)`` and ``pool[i]`` are used, so a ``range`` stands in
+    for a list of consecutive ints without building it.
+    """
     if count < 1:
         raise ValueError("sample size must be >= 1")
     if count > len(pool):

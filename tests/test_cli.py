@@ -5,6 +5,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from nhspectrum.cli import RunConfig, SPECTRUM_COLUMNS, resolve_u, run
 from nhspectrum.field import make_context
 from nhspectrum.spectrum import u0_nonf3_elements
@@ -16,6 +18,11 @@ def _run(command, n=3, u="all", fmt="json", seed=0, jobs=1, modulus=None):
                        output_format=fmt, seed=seed, jobs=jobs)
     status = run(config, out=out, err=err)
     return status, out.getvalue(), err.getvalue()
+
+
+def _cli_subprocess(*args):
+    return subprocess.run([sys.executable, "-m", "nhspectrum.cli", *args],
+                          capture_output=True, text=True, timeout=120)
 
 
 def _json_lines(text):
@@ -48,6 +55,23 @@ def test_usage_error_reducible_modulus():
 def test_usage_error_out_of_scope_u_names_class():
     status, _, err = _run("verify-theorem", u="gen^0")
     assert status == 2 and "F3" in err
+
+
+@pytest.mark.parametrize("command, n, u, status", [
+    ("verify-lemmas", 3, "sample:1:1", 0),
+    ("verify-lemmas", 5, "sample:1:1", 0),
+    ("verify-lemmas", 7, "sample:1:1", 0),
+    ("verify-lemmas", 9, "sample:1:1", 0),
+    ("verify-lemmas", 11, "sample:1:1", 2),
+    ("verify-lemmas", 13, "sample:1:1", 2),
+    ("spectrum", 11, "gen^1", 2),
+])
+def test_exit_status_matrix_every_n(command, n, u, status):
+    proc = _cli_subprocess("--n", str(n), "--command", command, "--u", u)
+    assert proc.returncode == status, proc.stderr
+    if status == 2:
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 def test_usage_error_bad_u_spec():
@@ -174,10 +198,6 @@ def test_jobs_do_not_change_output():
 
 
 def test_console_entry_point_runs():
-    proc = subprocess.run(
-        [sys.executable, "-m", "nhspectrum.cli", "--n", "3", "--command",
-         "verify-theorem", "--u", "sample:2:9"],
-        capture_output=True, text=True,
-    )
+    proc = _cli_subprocess("--n", "3", "--command", "verify-theorem", "--u", "sample:2:9")
     assert proc.returncode == 0, proc.stderr
     assert len(proc.stdout.splitlines()) == 2

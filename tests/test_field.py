@@ -1,10 +1,12 @@
 """Field-layer checks: construction, axioms, character, canonical roots."""
 
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from nhspectrum.field import (
@@ -352,10 +354,12 @@ def test_vector_ops_match_scalar_random_n5(f5):
 
 
 def test_mul_log_path_agrees_with_poly_path(f3):
-    f3._log_tables()  # force table path for mul()
     for a in f3.elements():
         for b in f3.elements():
-            assert f3.mul(a, b) == f3._mul_poly(a, b)
+            expected = f3.element_from_coeffs(
+                _poly_mul_mod(f3, _poly_from_index(f3, a), _poly_from_index(f3, b))
+            )
+            assert f3.mul(a, b) == expected
 
 
 def test_pair_add_table_consistency(f3):
@@ -371,3 +375,97 @@ def test_context_determinism():
     b = make_context(5)
     assert a.modulus == b.modulus
     assert a.generator == b.generator
+
+
+# ---------------------------------------------------------------------------
+# tables: first touch, concurrent first touch, other moduli
+# ---------------------------------------------------------------------------
+
+FIRST_CALLS = {
+    "pair_add_table": lambda ctx: ctx.pair_add_table(),
+    "digit_table": lambda ctx: ctx.digit_table(),
+    "chi": lambda ctx: ctx.chi(5),
+    "mul": lambda ctx: ctx.mul(5, 7),
+    "chi_vec": lambda ctx: ctx.chi_vec(np.arange(ctx.q)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIRST_CALLS))
+def test_first_call_on_fresh_context_returns(name):
+    ctx = make_context(3)
+    result = []
+    worker = threading.Thread(target=lambda: result.append(FIRST_CALLS[name](ctx)), daemon=True)
+    worker.start()
+    worker.join(timeout=10)
+    assert not worker.is_alive(), f"{name}() on a fresh context did not return in 10 s"
+    assert len(result) == 1 and result[0] is not None
+
+
+def test_concurrent_first_touch_builds_identical_tables():
+    ctx = make_context(5)
+    barrier = threading.Barrier(4)
+    results = [None] * 4
+
+    def touch(i):
+        barrier.wait(timeout=10)
+        results[i] = (ctx.pair_add_table(), ctx.digit_table(), ctx.chi_vec(np.arange(ctx.q)),
+                      [ctx.mul(a, 7) for a in range(ctx.q)])
+
+    workers = [threading.Thread(target=touch, args=(i,), daemon=True) for i in range(4)]
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(w.is_alive() for w in workers)
+    pair, digits, chi, muls = results[0]
+    for other in results[1:]:
+        assert np.array_equal(other[0], pair)
+        assert np.array_equal(other[1], digits)
+        assert np.array_equal(other[2], chi)
+        assert other[3] == muls
+    assert int(pair[5, 7]) == ctx.add(5, 7)
+
+
+def test_tables_are_read_only(f3):
+    for table in (f3.digit_table(), f3.pair_add_table()):
+        with pytest.raises(ValueError):
+            table[1, 1] = 0
+
+
+@st.composite
+def irreducible_moduli(draw):
+    n = draw(st.sampled_from((3, 5)))
+    low = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    modulus = low + [1]
+    assume(irreducible_witness(modulus) is None)
+    return modulus
+
+
+@given(modulus=irreducible_moduli(), data=st.data())
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+def test_ops_match_oracles_for_any_modulus(modulus, data):
+    ctx = make_context(len(modulus) - 1, modulus)
+    assert ctx.modulus == tuple(modulus)
+    elem = st.integers(0, ctx.q - 1)
+    for _ in range(10):
+        a, b = data.draw(elem), data.draw(elem)
+        expected = ctx.element_from_coeffs(
+            _poly_mul_mod(ctx, _poly_from_index(ctx, a), _poly_from_index(ctx, b))
+        )
+        assert ctx.mul(a, b) == expected
+        if a:
+            assert ctx.inv(a) == _euclid_inverse(ctx, a)
+            # Euler's criterion by repeated oracle multiplication
+            power = [1] + [0] * (ctx.n - 1)
+            for _ in range((ctx.q - 1) // 2):
+                power = _poly_mul_mod(ctx, power, _poly_from_index(ctx, a))
+            euler = ctx.element_from_coeffs(power)
+            assert euler in (1, 2)
+            assert ctx.chi(a) == (1 if euler == 1 else -1)
+        else:
+            assert ctx.chi(a) == 0

@@ -1,0 +1,55 @@
+"""Golden stdout: every command in every format, byte for byte.
+
+``tests/data/golden_stdout.json`` maps each case to the sha256 of the
+stdout that ``cli.run`` wrote for it when the file was recorded.  A change
+that keeps the program's output must keep every digest.  To record the
+file again (only when an output change is intended):
+
+    PYTHONPATH=src python tests/test_golden.py > tests/data/golden_stdout.json
+"""
+
+import hashlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from nhspectrum.cli import COMMANDS, RunConfig, run
+
+GOLDEN = Path(__file__).parent / "data" / "golden_stdout.json"
+
+# (n, --u, --seed) per setting; every command runs in every format at each.
+SETTINGS = ((3, "all", 0), (5, "sample:2:7", 9))
+FORMATS = ("json", "csv", "text")
+
+
+def case_id(command: str, n: int, u_spec: str, seed: int, fmt: str) -> str:
+    return f"{command}|n={n}|u={u_spec}|seed={seed}|{fmt}"
+
+
+def cases() -> list[tuple[str, int, str, int, str]]:
+    return [(command, n, u_spec, seed, fmt)
+            for n, u_spec, seed in SETTINGS
+            for command in COMMANDS
+            for fmt in FORMATS]
+
+
+def stdout_digest(command: str, n: int, u_spec: str, seed: int, fmt: str) -> tuple[int, str]:
+    out, err = io.StringIO(), io.StringIO()
+    config = RunConfig(n=n, modulus=None, u_spec=u_spec, command=command,
+                       output_format=fmt, seed=seed, jobs=1)
+    status = run(config, out=out, err=err)
+    return status, hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", cases(), ids=lambda c: case_id(*c))
+def test_stdout_matches_golden(case):
+    expected = json.loads(GOLDEN.read_text())[case_id(*case)]
+    status, digest = stdout_digest(*case)
+    assert status == 0
+    assert digest == expected
+
+
+if __name__ == "__main__":
+    print(json.dumps({case_id(*c): stdout_digest(*c)[1] for c in cases()}, indent=1, sort_keys=True))

@@ -13,27 +13,10 @@ def test_exponents_n3(f3):
     assert ness.exponents(f3) == (12, 25)
 
 
-def test_params_derive_exponents(f5):
-    params = ness.NHParams.for_context(f5, 7)
-    assert (params.d1, params.d2) == ((f5.q - 1) // 2 - 1, f5.q - 2)
-    assert params.u == 7
-
-
 def test_f_at_zero_and_one(f3):
     for u in f3.elements():
         assert ness.f_eval(f3, u, 0) == 0
         assert ness.f_eval(f3, u, 1) == f3.add(u, 1)
-
-
-def test_f_inverse_form_matches_pow_form(f3, f5):
-    for a in range(f3.q):
-        for u in (0, 5, 11):
-            assert ness.f_eval(f3, u, a) == ness.f_eval_inverse_form(f3, u, a)
-    rng = random.Random(29)
-    for _ in range(50):
-        u = rng.randrange(f5.q)
-        x = rng.randrange(f5.q)
-        assert ness.f_eval(f5, u, x) == ness.f_eval_inverse_form(f5, u, x)
 
 
 def test_f_table_matches_scalar(f5):

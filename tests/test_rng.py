@@ -49,6 +49,14 @@ def test_sample_distinct_deterministic():
     assert sample_distinct(pool, 10, seed=8) != first
 
 
+def test_sample_distinct_range_pool_equals_list():
+    for size in (1, 50, 26 * 27):
+        for seed in (0, 7, 11, 2024):
+            count = min(size, 20)
+            assert (sample_distinct(range(size), count, seed)
+                    == sample_distinct(list(range(size)), count, seed))
+
+
 def test_sample_distinct_bounds():
     with pytest.raises(ValueError):
         sample_distinct([1, 2, 3], 4, seed=0)
