@@ -28,7 +28,6 @@ from .charsums import (
 from .field import FieldCtx, InconsistencyError, ReducibleModulusError, make_context
 from .ness import (
     Spectrum,
-    ddt_entry,
     derivative,
     differential_uniformity,
     f_eval,
@@ -66,7 +65,6 @@ __all__ = [
     "char_sum",
     "classify_u",
     "closed_form_inputs",
-    "ddt_entry",
     "derivative",
     "differential_uniformity",
     "epsilon",

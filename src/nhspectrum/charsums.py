@@ -49,11 +49,6 @@ def sqrt_term(ctx: FieldCtx, u: int) -> int:
     return ctx.sqrt_canonical(ctx.sub(1, ctx.mul(u, u)))
 
 
-def phi_value(ctx: FieldCtx, u: int) -> int:
-    """phi = 1 + sqrt(1 - u^2); never zero, and chi((u+1) * phi) == -1."""
-    return ctx.add(1, sqrt_term(ctx, u))
-
-
 # ---------------------------------------------------------------------------
 # generic character sums
 # ---------------------------------------------------------------------------

@@ -157,14 +157,15 @@ def _spectrum_records(ctx: FieldCtx, u: int, seed: int) -> tuple[list[dict], boo
 
 
 def _ddt_records(ctx: FieldCtx, u: int, seed: int) -> tuple[list[dict], bool]:
-    table = ness.ddt_table(ctx, u)
+    # delta(a, .) is a permutation of row 1 when a is a square, of row g otherwise
+    rows = ness.ddt_rows(ctx, u)
+    width = max(int(row.max()) for row in rows) + 1
+    hist_1, hist_g = ([int(c) for c in np.bincount(row, minlength=width)] for row in rows)
     records = []
-    width = int(table[1:].max()) + 1
     for a in range(1, ctx.q):
-        hist = np.bincount(table[a], minlength=width)
         records.append({
             "n": ctx.n, "modulus": ctx.modulus_str, "u": ctx.format_element(u),
-            "a": ctx.format_element(a), "delta_hist": [int(c) for c in hist],
+            "a": ctx.format_element(a), "delta_hist": hist_1 if ctx.chi(a) == 1 else hist_g,
         })
     return records, True
 
@@ -222,10 +223,10 @@ def _theorem_records(ctx: FieldCtx, u: int, seed: int) -> tuple[list[dict], bool
 
 
 def _scan_records(ctx: FieldCtx, u: int, seed: int) -> tuple[list[dict], bool]:
-    ddt = ness.ddt_table(ctx, u)
-    theorem = spectrum.verify_theorem_record(ctx, u, ddt=ddt)
+    rows = ness.ddt_rows(ctx, u)
+    theorem = spectrum.verify_theorem_record(ctx, u, rows=rows)
     lemmas_ok = all(rep.passed for rep in charsums.section2_identities(ctx, u))
-    props_ok = census_mod.verify_predictions(ctx, u, ddt=ddt)["ok"]
+    props_ok = census_mod.verify_predictions(ctx, u, rows=rows)["ok"]
     match = bool(theorem["match"] and lemmas_ok and props_ok)
     rec = {
         "n": ctx.n, "modulus": ctx.modulus_str, "u": theorem["u"],

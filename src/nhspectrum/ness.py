@@ -1,11 +1,16 @@
 """The Ness-Helleseth binomial over GF(3^n) and its difference distribution.
 
 With q = 3^n, the function is f_u(x) = u x^d1 + x^d2 for d1 = (q-1)/2 - 1
-and d2 = q - 2.  For nonzero x both exponents collapse to cheap forms:
-x^d2 is 1/x and x^d1 is x^((q-1)/2) / x, so f_u(x) = (u s + 1) / x where
-s = x^((q-1)/2) is the quadratic character of x read as the field element
-1 or -1.  Scans use that shape through the discrete-log tables; the generic
-power path stays available as the slow oracle.
+and d2 = q - 2.  `f_table` evaluates it over the whole field with two
+`pow_vec` gathers through the discrete-log tables; the scalar `f_eval`
+is its oracle.
+
+For nonzero x, x^d2 = 1/x and x^d1 = chi(x)/x, so f_u(x) = (u chi(x) + 1)/x
+and f_u(c x) = f_u(x)/c for every nonzero square c.  Substituting x -> c x
+in f_u(x + c a) - f_u(x) = b gives delta(c a, b) = delta(a, c b), so the
+rows a = 1 and a = g (the generator, a nonsquare) determine the whole
+DDT.  `ddt_rows` counts those two with the row kernel `ddt_row`;
+`ddt_table` counts every row and is kept as the oracle for that lemma.
 """
 
 from __future__ import annotations
@@ -15,6 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import FieldCtx
+
+DDTRows = tuple[np.ndarray, np.ndarray]  # (delta(1, .), delta(g, .)), see ddt_rows
 
 
 def exponents(ctx: FieldCtx) -> tuple[int, int]:
@@ -42,16 +49,6 @@ def derivative(ctx: FieldCtx, u: int, a: int, x: int) -> int:
     return ctx.sub(f_eval(ctx, u, ctx.add(x, a)), f_eval(ctx, u, x))
 
 
-def ddt_entry(ctx: FieldCtx, u: int, a: int, b: int) -> int:
-    """Number of x with f_u(x + a) - f_u(x) = b, counted over the field."""
-    if a == 0:
-        raise ValueError("DDT rows are indexed by nonzero a")
-    ftab = f_table(ctx, u)
-    x = np.arange(ctx.q, dtype=np.int64)
-    diffs = ctx.sub_vec(ftab[ctx.add_vec(x, np.int64(a))], ftab)
-    return int((diffs == b).sum())
-
-
 def ddt_entry_naive(ctx: FieldCtx, u: int, a: int, b: int) -> int:
     """Scalar per-x count; the oracle for the vectorised accumulation."""
     if a == 0:
@@ -70,17 +67,21 @@ def ddt_row(ctx: FieldCtx, u: int, a: int, ftab: np.ndarray | None = None) -> np
     return np.bincount(diffs, minlength=ctx.q)
 
 
-def ddt_table(ctx: FieldCtx, u: int) -> np.ndarray:
-    """(q, q) array of delta(a, b); row a = 0 is filled but not part of the DDT."""
+def ddt_rows(ctx: FieldCtx, u: int) -> DDTRows:
+    """delta(1, .) and delta(g, .), the two rows that determine the DDT.
+
+    Scaling lemma: a square a reads row 1 at a b, a nonsquare a reads row g at (a/g) b.
+    """
     ftab = f_table(ctx, u)
-    pair = ctx.pair_add_table()
-    if pair is not None:
-        fxa = ftab[pair]                       # [a, x] -> f(a + x)
-        neg_f = ctx.sub_vec(0, ftab)
-        diffs = pair[fxa, np.broadcast_to(neg_f, fxa.shape)]
-        offsets = (np.arange(ctx.q, dtype=np.int64) * ctx.q)[:, None]
-        flat = np.bincount((diffs + offsets).ravel(), minlength=ctx.q * ctx.q)
-        return flat.reshape(ctx.q, ctx.q)
+    return ddt_row(ctx, u, 1, ftab), ddt_row(ctx, u, ctx.generator, ftab)
+
+
+def ddt_table(ctx: FieldCtx, u: int) -> np.ndarray:
+    """(q, q) array of delta(a, b), one `ddt_row` per a; the oracle for `ddt_rows`.
+
+    Row a = 0 is filled (delta(0, 0) = q) but is not part of the DDT.
+    """
+    ftab = f_table(ctx, u)
     out = np.zeros((ctx.q, ctx.q), dtype=np.int64)
     out[0, 0] = ctx.q
     for a in range(1, ctx.q):
@@ -116,17 +117,18 @@ class Spectrum:
         }
 
 
-def spectrum_bruteforce(ctx: FieldCtx, u: int, ddt: np.ndarray | None = None) -> Spectrum:
-    """Differential spectrum by exhaustive DDT accumulation; any u.
+def spectrum_bruteforce(ctx: FieldCtx, u: int, rows: DDTRows | None = None) -> Spectrum:
+    """Differential spectrum by counting the DDT rows a = 1 and a = g; any u.
 
-    ``ddt`` is ``ddt_table(ctx, u)`` when the caller has already built it.
+    Each of the two rows stands for the (q-1)/2 rows of its square class,
+    each a permutation of it.  ``rows`` is ``ddt_rows(ctx, u)`` when the
+    caller has already built it.
     """
-    if ddt is None:
-        ddt = ddt_table(ctx, u)
-    table = ddt[1:, :]
-    counts = np.bincount(table.ravel())
-    last = int(np.flatnonzero(counts)[-1])
-    return Spectrum(tuple(int(c) for c in counts[: last + 1]), source="brute-force")
+    if rows is None:
+        rows = ddt_rows(ctx, u)
+    width = max(int(row.max()) for row in rows) + 1
+    counts = (ctx.q - 1) // 2 * sum(np.bincount(row, minlength=width) for row in rows)
+    return Spectrum(tuple(int(c) for c in counts), source="brute-force")
 
 
 def differential_uniformity(ctx: FieldCtx, u: int) -> int:

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import charsums
 from .field import FieldCtx, InconsistencyError
-from .ness import ddt_table, derivative
+from .ness import DDTRows, ddt_entry_naive, ddt_rows
 
 CASE_IDS = ("I", "II", "III", "IV")
 CASE_TAU = {"I": (1, 1), "II": (1, -1), "III": (-1, 1), "IV": (-1, -1)}
@@ -169,11 +169,6 @@ def case_solutions(ctx: FieldCtx, u: int, a: int, b: int, case_id: str) -> CaseO
     return CaseOutcome(case_id=case_id, desired=desired)
 
 
-def observed_solutions(ctx: FieldCtx, u: int, a: int, b: int) -> list[int]:
-    """All x with f_u(x + a) - f_u(x) = b, by direct scan (the oracle)."""
-    return [x for x in ctx.elements() if derivative(ctx, u, a, x) == b]
-
-
 # ---------------------------------------------------------------------------
 # sign-vector prediction
 # ---------------------------------------------------------------------------
@@ -282,7 +277,7 @@ def census(ctx: FieldCtx, u: int, a: int, b: int) -> SolutionCensus:
     else:
         cases = tuple(case_solutions(ctx, u, a, b, cid) for cid in CASE_IDS)
     predicted = n1 + sum(c.count for c in cases)
-    observed = len(observed_solutions(ctx, u, a, b))
+    observed = ddt_entry_naive(ctx, u, a, b)
     result = SolutionCensus(
         a=a,
         b=b,
@@ -321,17 +316,23 @@ def mismatch_record(ctx: FieldCtx, u: int, a: int, b: int, predicted: int, obser
 # ---------------------------------------------------------------------------
 
 
+def _sign_vectors(ctx: FieldCtx, u: int) -> tuple[dict[int, np.ndarray], np.ndarray, np.ndarray]:
+    """Over every z: chi(g_i(z)) for i = 1..5, chi(z^2 - u^2), and z in {1 +- u}."""
+    charsums.require_scope(ctx, u)
+    z = np.arange(ctx.q, dtype=np.int64)
+    signs = {gid: ctx.chi_vec(charsums.g_values(ctx, u, gid)) for gid in charsums.G_IDS}
+    chi_z2mu2 = ctx.chi_vec(ctx.sub_vec(ctx.mul_vec(z, z), np.int64(ctx.mul(u, u))))
+    one_pm_u = (z == ctx.add(1, u)) | (z == ctx.sub(1, u))
+    return signs, chi_z2mu2, one_pm_u
+
+
 def prediction_by_z(ctx: FieldCtx, u: int) -> np.ndarray:
     """Predicted N for every z in F* (slot z = 0 covers b = 0 and is 0).
 
     Also enforces that exactly one condition fires at every nonzero z.
     """
-    charsums.require_scope(ctx, u)
     q = ctx.q
-    z = np.arange(q, dtype=np.int64)
-    signs = {gid: ctx.chi_vec(charsums.g_values(ctx, u, gid)) for gid in charsums.G_IDS}
-    chi_z2mu2 = ctx.chi_vec(ctx.sub_vec(ctx.mul_vec(z, z), np.int64(ctx.mul(u, u))))
-    one_pm_u = (z == ctx.add(1, u)) | (z == ctx.sub(1, u))
+    signs, chi_z2mu2, one_pm_u = _sign_vectors(ctx, u)
 
     pred = np.zeros(q, dtype=np.int64)
     fired = np.zeros(q, dtype=np.int64)
@@ -366,12 +367,8 @@ def census_components_by_z(ctx: FieldCtx, u: int) -> dict[str, np.ndarray]:
     N1 depends on (a, b) only through z here because u is outside GF(3):
     the two special-point targets are ab = 1 +- u regardless of chi(a).
     """
-    charsums.require_scope(ctx, u)
-    q = ctx.q
-    z = np.arange(q, dtype=np.int64)
-    signs = {gid: ctx.chi_vec(charsums.g_values(ctx, u, gid)) for gid in charsums.G_IDS}
-    chi_z2mu2 = ctx.chi_vec(ctx.sub_vec(ctx.mul_vec(z, z), np.int64(ctx.mul(u, u))))
-    n1 = ((z == ctx.add(1, u)) | (z == ctx.sub(1, u))).astype(np.int64)
+    signs, chi_z2mu2, one_pm_u = _sign_vectors(ctx, u)
+    n1 = one_pm_u.astype(np.int64)
     n_i = ((signs[1] == 1) & (signs[2] == 1)).astype(np.int64)
     n_iv = ((signs[1] == 1) & (signs[3] == 1)).astype(np.int64)
     n_ii_iii = np.where(
@@ -384,17 +381,20 @@ def census_components_by_z(ctx: FieldCtx, u: int) -> dict[str, np.ndarray]:
     return {"n1": n1, "n_i": n_i, "n_ii_iii": n_ii_iii, "n_iv": n_iv}
 
 
-def verify_predictions(ctx: FieldCtx, u: int, ddt: np.ndarray | None = None) -> dict:
-    """Compare predictions against the full DDT for every (a, b).
+def verify_predictions(ctx: FieldCtx, u: int, rows: DDTRows | None = None) -> dict:
+    """Compare predictions against the DDT for every (a, b).
 
     Checks, for each pair: the proposition prediction, the case-vector sum,
-    and membership of the case vector in the admissible table.  Returns a
-    summary with any mismatch records (vectorised; exhaustive over pairs).
+    and membership of the case vector in the admissible table.  All three
+    depend only on z = a b, and so does delta(a, b) within a square class of
+    a (`ness.ddt_rows`), so the pairs with a = 1 and a = g cover every pair.
+    ``rows`` is ``ddt_rows(ctx, u)`` when already built.  Returns a summary
+    with one mismatch record per failing representative pair.
     """
     charsums.require_scope(ctx, u)
     q = ctx.q
-    if ddt is None:
-        ddt = ddt_table(ctx, u)
+    if rows is None:
+        rows = ddt_rows(ctx, u)
     pred_z = prediction_by_z(ctx, u)
     comp = census_components_by_z(ctx, u)
     totals_z = comp["n1"] + comp["n_i"] + comp["n_ii_iii"] + comp["n_iv"]
@@ -408,12 +408,9 @@ def verify_predictions(ctx: FieldCtx, u: int, ddt: np.ndarray | None = None) -> 
 
     bs = np.arange(q, dtype=np.int64)
     mismatches: list[dict] = []
-    pairs = 0
-    for a in range(1, q):
+    for a, observed in zip((1, ctx.generator), rows):
         zrow = ctx.mul_vec(np.int64(a), bs)
         predicted = pred_z[zrow]
-        observed = ddt[a]
-        pairs += q
         ok = (
             (predicted == observed)
             & (totals_z[zrow] == observed)
@@ -425,7 +422,7 @@ def verify_predictions(ctx: FieldCtx, u: int, ddt: np.ndarray | None = None) -> 
             )
     return {
         "u": ctx.format_element(u),
-        "pairs": pairs,
+        "pairs": (q - 1) * q,  # each representative row stands for (q - 1)/2 rows
         "mismatches": mismatches,
         "ok": not mismatches,
     }

@@ -22,11 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import charsums
 from .field import FieldCtx, InconsistencyError
-from .ness import Spectrum
+from .ness import DDTRows, Spectrum
 
 CLASS_F3 = "F3"
 CLASS_U0 = "U0_nonF3"
@@ -166,17 +164,17 @@ def spectrum_closed_form(ctx: FieldCtx, u: int) -> Spectrum:
     return Spectrum((w0, w1, w2, w3, w4), source="closed-form")
 
 
-def verify_theorem_record(ctx: FieldCtx, u: int, ddt: np.ndarray | None = None) -> dict:
+def verify_theorem_record(ctx: FieldCtx, u: int, rows: DDTRows | None = None) -> dict:
     """Closed form vs brute force for one u, as a JSON-ready record.
 
-    ``ddt`` is ``ddt_table(ctx, u)`` when the caller has already built it.
+    ``rows`` is ``ddt_rows(ctx, u)`` when the caller has already built it.
     """
     from .ness import spectrum_bruteforce  # local import keeps module load light
 
     cls = classify_u(ctx, u)
     ins = closed_form_inputs(ctx, u)
     closed = spectrum_closed_form(ctx, u)
-    brute = spectrum_bruteforce(ctx, u, ddt=ddt)
+    brute = spectrum_bruteforce(ctx, u, rows=rows)
     return {
         "u": ctx.format_element(u),
         "class": cls.label,

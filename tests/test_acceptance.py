@@ -166,7 +166,8 @@ def test_criterion_7_structural_invariants(f3, f5, scope3, scope5):
                 failures.append((ctx.n, u, "divisibility"))
             if cs.table_a_chi(ctx, u) != cs.table_a_expected(ctx, u):
                 failures.append((ctx.n, u, "sign table"))
-            if ctx.chi(ctx.mul(ctx.add(u, 1), cs.phi_value(ctx, u))) != -1:
+            phi = ctx.add(1, cs.sqrt_term(ctx, u))
+            if ctx.chi(ctx.mul(ctx.add(u, 1), phi)) != -1:
                 failures.append((ctx.n, u, "chi((u+1) phi)"))
     _criterion(7, "counting identities, divisibility, sign table, chi((u+1)phi) = -1",
                failures)

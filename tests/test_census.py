@@ -289,6 +289,23 @@ def test_exactly_one_condition_and_predictions_sampled_n7(f7):
     assert report["ok"], report["mismatches"][:3]
 
 
+def test_verify_predictions_reports_a_raised_cell(f3):
+    u = u0_nonf3_elements(f3)[0]
+    row_1, row_g = ness.ddt_rows(f3, u)
+    b = 5
+    raised = row_1.copy()
+    raised[b] += 1
+    report = cn.verify_predictions(f3, u, rows=(raised, row_g))
+    assert report["ok"] is False
+    assert report["pairs"] == (f3.q - 1) * f3.q
+    (rec,) = report["mismatches"]
+    assert rec == cn.mismatch_record(
+        f3, u, 1, b, cn.predict_solution_count(f3, u, 1, b),
+        ness.ddt_entry_naive(f3, u, 1, b) + 1,
+    )
+    assert (rec["a"], rec["b"]) == (f3.format_element(1), f3.format_element(b))
+
+
 def test_mismatch_record_shape(f3):
     u = u0_nonf3_elements(f3)[0]
     rec = cn.mismatch_record(f3, u, 4, 9, 2, 3)

@@ -121,7 +121,7 @@ def test_set_a_contains_all_g_roots(f3):
 def test_phi_never_zero_and_sign_product(f3, f5):
     for ctx in (f3, f5):
         for u in scope_us(ctx):
-            phi = cs.phi_value(ctx, u)
+            phi = ctx.add(1, cs.sqrt_term(ctx, u))
             assert phi != 0
             assert ctx.chi(ctx.mul(ctx.add(u, 1), phi)) == -1
 
@@ -190,7 +190,7 @@ def test_identity_fixed_values(f3):
 def test_g_product_sum_examples(f3):
     for u in scope_us(f3):
         assert cs.g_product_sum(f3, u, (2, 3)) == -2
-        phi = cs.phi_value(f3, u)
+        phi = f3.add(1, cs.sqrt_term(f3, u))
         assert cs.g_product_sum(f3, u, (4, 5)) == -f3.chi(phi)
         assert cs.g_product_sum(f3, u, (2, 3, 4)) == -2
 

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from nhspectrum import ness
 from nhspectrum.cli import RunConfig, SPECTRUM_COLUMNS, resolve_u, run
 from nhspectrum.field import make_context
 from nhspectrum.spectrum import u0_nonf3_elements
@@ -178,6 +179,25 @@ def test_scan_combines_everything():
     assert status == 0
     for rec in _json_lines(out):
         assert rec["lemmas_pass"] and rec["propositions_pass"] and rec["match"]
+
+
+def test_scan_fails_on_a_wrong_ddt_row(monkeypatch):
+    true_rows = ness.ddt_rows
+
+    def raised_rows(ctx, u):
+        row_1, row_g = true_rows(ctx, u)
+        row_1 = row_1.copy()
+        row_1[5] += 1
+        return row_1, row_g
+
+    monkeypatch.setattr(ness, "ddt_rows", raised_rows)
+    status, out, err = _run("scan", u="sample:1:13")
+    assert status == 1
+    rec, = _json_lines(out)
+    assert rec["propositions_pass"] is False and rec["match"] is False
+    assert _json_lines(err) == [
+        {"status": "fail", "command": "scan", "n": 3, "records": 1}
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ def test_derivative_rejects_zero_direction(f3):
     with pytest.raises(ValueError):
         ness.derivative(f3, 5, 0, 1)
     with pytest.raises(ValueError):
-        ness.ddt_entry(f3, 5, 0, 1)
+        ness.ddt_row(f3, 5, 0)
 
 
 def test_ddt_row_sums_to_q(f3, f5):
@@ -59,13 +59,13 @@ def test_ddt_row_sums_to_q(f3, f5):
             assert int(ness.ddt_row(ctx, u, a).sum()) == ctx.q
 
 
-def test_ddt_entry_matches_naive_n3(f3):
+def test_ddt_row_matches_naive_n3(f3):
     rng = random.Random(37)
     for u in (u0_nonf3_elements(f3)[0], 1, 0):
         for _ in range(40):
             a = rng.randrange(1, f3.q)
             b = rng.randrange(f3.q)
-            assert ness.ddt_entry(f3, u, a, b) == ness.ddt_entry_naive(f3, u, a, b)
+            assert int(ness.ddt_row(f3, u, a)[b]) == ness.ddt_entry_naive(f3, u, a, b)
 
 
 def test_ddt_table_matches_naive_rows_n3(f3):
@@ -79,7 +79,7 @@ def test_ddt_table_matches_naive_rows_n3(f3):
 def test_ddt_zero_output_column_empty_in_scope(f3):
     for u in u0_nonf3_elements(f3):
         for a in range(1, f3.q):
-            assert ness.ddt_entry(f3, u, a, 0) == 0
+            assert int(ness.ddt_row(f3, u, a)[0]) == 0
 
 
 def test_special_point_hit_present(f3):
@@ -88,7 +88,45 @@ def test_special_point_hit_present(f3):
         for a in (1, 4, 9):
             chi_a = 1 if f3.chi(a) == 1 else 2
             b = f3.mul(f3.inv(a), f3.add(1, f3.mul(u, chi_a)))
-            assert ness.ddt_entry(f3, u, a, b) >= 1
+            assert int(ness.ddt_row(f3, u, a)[b]) >= 1
+
+
+def _lemma_index(ctx):
+    """[a, b] -> the column of row 1 (chi(a) = 1) or of row g that holds delta(a, b)."""
+    a = np.arange(ctx.q, dtype=np.int64)
+    square = ctx.chi_vec(a) == 1
+    scale = np.where(square, a, ctx.mul_vec(a, np.int64(ctx.inv(ctx.generator))))
+    return square, ctx.mul_vec(scale[:, None], a[None, :])
+
+
+def _lemma_us(f3, f5, f7):
+    yield from ((f3, u) for u in f3.elements())
+    yield from ((f5, u) for u in f5.elements())
+    rng = random.Random(53)
+    yield from ((f7, u) for u in rng.sample(range(f7.q), 4))
+
+
+def test_two_rows_expand_to_full_table(f3, f5, f7):
+    """Every u at n = 3 and 5 (GF(3), U10, U11 and U0 alike), 4 seeded u at n = 7.
+
+    The expanded rows must equal the full table, and the two-row spectrum
+    the histogram of the full table.
+    """
+    index = {}
+    for ctx, u in _lemma_us(f3, f5, f7):
+        if ctx.n not in index:
+            index[ctx.n] = _lemma_index(ctx)
+        square, cols = index[ctx.n]
+        row_1, row_g = ness.ddt_rows(ctx, u)
+        expanded = np.where(square[:, None], row_1[cols], row_g[cols])
+        table = ness.ddt_table(ctx, u)
+        for a in range(1, ctx.q):
+            assert np.array_equal(expanded[a], table[a]), (ctx.n, u, a)
+
+        counts = np.bincount(table[1:].ravel())
+        last = int(np.flatnonzero(counts)[-1])
+        expected = tuple(int(c) for c in counts[: last + 1])
+        assert ness.spectrum_bruteforce(ctx, u).omegas == expected, (ctx.n, u)
 
 
 def test_spectrum_counting_identities_every_u_n3(f3):
