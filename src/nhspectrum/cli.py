@@ -37,7 +37,7 @@ import numpy as np
 
 from . import solution_census as census_mod
 from . import charsums, ness, rng, spectrum
-from .field import LOG_TABLE_MAX_Q, FieldCtx, InconsistencyError, make_context
+from .field import FieldCtx, InconsistencyError, make_context
 
 COMMANDS = (
     "spectrum",
@@ -175,12 +175,13 @@ def _census_records(ctx: FieldCtx, u: int, seed: int) -> tuple[list[dict], bool]
     total_pairs = (q - 1) * q
     pair_count = min(200, total_pairs)
     pair_ids = rng.sample_distinct(range(total_pairs), pair_count, seed)
+    rows = ness.ddt_rows(ctx, u)
     records = []
     ok = True
     for pid in pair_ids:
         a = pid // q + 1
         b = pid % q
-        c = census_mod.census(ctx, u, a, b)
+        c = census_mod.census(ctx, u, a, b, rows=rows)
         consistent = c.consistent and census_mod.predict_solution_count(ctx, u, a, b) == c.observed_total
         ok &= consistent
         records.append({
@@ -325,11 +326,6 @@ def run(config: RunConfig, out: Optional[io.TextIOBase] = None,
     err = err if err is not None else sys.stderr
     try:
         ctx = make_context(config.n, config.modulus)
-        if ctx.q > LOG_TABLE_MAX_Q:
-            raise UsageError(
-                f"n = {config.n} is not supported yet: the discrete-log tables"
-                f" stop at q = {LOG_TABLE_MAX_Q} (n = 9)"
-            )
         us = resolve_u(ctx, config.u_spec, config.seed)
         _require_scope_for_command(ctx, config.command, us)
     except (UsageError, ValueError) as exc:

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import charsums
 from .field import FieldCtx, InconsistencyError
-from .ness import DDTRows, ddt_entry_naive, ddt_rows
+from .ness import DDTRows, ddt_rows
 
 CASE_IDS = ("I", "II", "III", "IV")
 CASE_TAU = {"I": (1, 1), "II": (1, -1), "III": (-1, 1), "IV": (-1, -1)}
@@ -260,13 +260,15 @@ class SolutionCensus:
         return self.predicted_total == self.observed_total
 
 
-def census(ctx: FieldCtx, u: int, a: int, b: int) -> SolutionCensus:
+def census(ctx: FieldCtx, u: int, a: int, b: int, rows: DDTRows | None = None) -> SolutionCensus:
     """Count solutions every way at once and check the admissible patterns.
 
     ``predicted_total`` is the special-point count plus desired case roots;
-    ``observed_total`` comes from scanning the derivative equation.  The
-    (N1, N_I, N_II + N_III, N_IV) vector must appear in the admissible
-    table with exactly the predicted total.
+    ``observed_total`` is delta(a, b), read from the two DDT rows through
+    the scaling lemma (`ness.ddt_rows`): row 1 at a b for a square a, row g
+    at (a/g) b otherwise.  ``rows`` is ``ddt_rows(ctx, u)`` when already
+    built.  The (N1, N_I, N_II + N_III, N_IV) vector must appear in the
+    admissible table with exactly the predicted total.
     """
     charsums.require_scope(ctx, u)
     if a == 0:
@@ -277,11 +279,17 @@ def census(ctx: FieldCtx, u: int, a: int, b: int) -> SolutionCensus:
     else:
         cases = tuple(case_solutions(ctx, u, a, b, cid) for cid in CASE_IDS)
     predicted = n1 + sum(c.count for c in cases)
-    observed = ddt_entry_naive(ctx, u, a, b)
+    if rows is None:
+        rows = ddt_rows(ctx, u)
+    z = ctx.mul(a, b)
+    if ctx.chi(a) == 1:
+        observed = int(rows[0][z])
+    else:
+        observed = int(rows[1][ctx.mul(z, ctx.inv(ctx.generator))])
     result = SolutionCensus(
         a=a,
         b=b,
-        z=ctx.mul(a, b),
+        z=z,
         n1=n1,
         cases=cases,
         predicted_total=predicted,
@@ -316,23 +324,27 @@ def mismatch_record(ctx: FieldCtx, u: int, a: int, b: int, predicted: int, obser
 # ---------------------------------------------------------------------------
 
 
-def _sign_vectors(ctx: FieldCtx, u: int) -> tuple[dict[int, np.ndarray], np.ndarray, np.ndarray]:
-    """Over every z: chi(g_i(z)) for i = 1..5, chi(z^2 - u^2), and z in {1 +- u}."""
+SignVectors = tuple[np.ndarray, np.ndarray, np.ndarray]  # see _sign_vectors
+
+
+def _sign_vectors(ctx: FieldCtx, u: int) -> SignVectors:
+    """Over every z: chi(g_i(z)) for i = 1..5 (`charsums.g_sign_matrix`),
+    chi(z^2 - u^2), and z in {1 +- u}."""
     charsums.require_scope(ctx, u)
     z = np.arange(ctx.q, dtype=np.int64)
-    signs = {gid: ctx.chi_vec(charsums.g_values(ctx, u, gid)) for gid in charsums.G_IDS}
     chi_z2mu2 = ctx.chi_vec(ctx.sub_vec(ctx.mul_vec(z, z), np.int64(ctx.mul(u, u))))
     one_pm_u = (z == ctx.add(1, u)) | (z == ctx.sub(1, u))
-    return signs, chi_z2mu2, one_pm_u
+    return charsums.g_sign_matrix(ctx, u), chi_z2mu2, one_pm_u
 
 
-def prediction_by_z(ctx: FieldCtx, u: int) -> np.ndarray:
+def prediction_by_z(ctx: FieldCtx, u: int, vectors: SignVectors | None = None) -> np.ndarray:
     """Predicted N for every z in F* (slot z = 0 covers b = 0 and is 0).
 
     Also enforces that exactly one condition fires at every nonzero z.
+    ``vectors`` is ``_sign_vectors(ctx, u)`` when the caller has built it.
     """
     q = ctx.q
-    signs, chi_z2mu2, one_pm_u = _sign_vectors(ctx, u)
+    signs, chi_z2mu2, one_pm_u = vectors if vectors is not None else _sign_vectors(ctx, u)
 
     pred = np.zeros(q, dtype=np.int64)
     fired = np.zeros(q, dtype=np.int64)
@@ -344,7 +356,7 @@ def prediction_by_z(ctx: FieldCtx, u: int) -> np.ndarray:
             if cond.get("one_pm_u", False):
                 mask &= one_pm_u
             for gid, want in cond.get("s", {}).items():
-                mask &= signs[gid] == want
+                mask &= signs[gid - 1] == want
             if "chi_z2mu2" in cond:
                 mask &= chi_z2mu2 == cond["chi_z2mu2"]
             fired += mask
@@ -361,20 +373,24 @@ def prediction_by_z(ctx: FieldCtx, u: int) -> np.ndarray:
     return pred
 
 
-def census_components_by_z(ctx: FieldCtx, u: int) -> dict[str, np.ndarray]:
+def census_components_by_z(
+    ctx: FieldCtx, u: int, vectors: SignVectors | None = None
+) -> dict[str, np.ndarray]:
     """(N1, N_I, N_II + N_III, N_IV) for every z in F*, from closed forms.
 
     N1 depends on (a, b) only through z here because u is outside GF(3):
     the two special-point targets are ab = 1 +- u regardless of chi(a).
+    ``vectors`` is ``_sign_vectors(ctx, u)`` when the caller has built it.
     """
-    signs, chi_z2mu2, one_pm_u = _sign_vectors(ctx, u)
+    signs, chi_z2mu2, one_pm_u = vectors if vectors is not None else _sign_vectors(ctx, u)
+    s1, s2, s3, s4, s5 = signs
     n1 = one_pm_u.astype(np.int64)
-    n_i = ((signs[1] == 1) & (signs[2] == 1)).astype(np.int64)
-    n_iv = ((signs[1] == 1) & (signs[3] == 1)).astype(np.int64)
+    n_i = ((s1 == 1) & (s2 == 1)).astype(np.int64)
+    n_iv = ((s1 == 1) & (s3 == 1)).astype(np.int64)
     n_ii_iii = np.where(
-        (signs[4] == 1) & (signs[5] == 1),
+        (s4 == 1) & (s5 == 1),
         2,
-        np.where((signs[4] == 0) & (chi_z2mu2 == 1), 1, 0),
+        np.where((s4 == 0) & (chi_z2mu2 == 1), 1, 0),
     ).astype(np.int64)
     for arr in (n1, n_i, n_iv, n_ii_iii):
         arr[0] = 0
@@ -395,8 +411,9 @@ def verify_predictions(ctx: FieldCtx, u: int, rows: DDTRows | None = None) -> di
     q = ctx.q
     if rows is None:
         rows = ddt_rows(ctx, u)
-    pred_z = prediction_by_z(ctx, u)
-    comp = census_components_by_z(ctx, u)
+    vectors = _sign_vectors(ctx, u)
+    pred_z = prediction_by_z(ctx, u, vectors)
+    comp = census_components_by_z(ctx, u, vectors)
     totals_z = comp["n1"] + comp["n_i"] + comp["n_ii_iii"] + comp["n_iv"]
 
     keys_z = (

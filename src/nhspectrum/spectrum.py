@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import charsums
 from .field import FieldCtx, InconsistencyError
 from .ness import DDTRows, Spectrum
@@ -63,8 +65,11 @@ def classify_u(ctx: FieldCtx, u: int) -> UClass:
 
 
 def u0_nonf3_elements(ctx: FieldCtx) -> list[int]:
-    """Every in-scope u, in enumeration order."""
-    return [u for u in ctx.elements() if charsums.in_theorem_scope(ctx, u)]
+    """Every in-scope u, in enumeration order (`charsums.in_theorem_scope` over the field)."""
+    x = np.arange(ctx.q, dtype=np.int64)
+    mask = ctx.chi_vec(ctx.add_vec(x, np.int64(1))) != ctx.chi_vec(ctx.sub_vec(x, np.int64(1)))
+    mask[:3] = False  # GF(3)
+    return np.flatnonzero(mask).tolist()
 
 
 # ---------------------------------------------------------------------------

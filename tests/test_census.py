@@ -203,12 +203,13 @@ def test_special_point_rows_exclude_cases_i_iv(f3):
 def test_census_exhaustive_n3(f3):
     for u in u0_nonf3_elements(f3):
         ddt = ness.ddt_table(f3, u)
+        rows = ness.ddt_rows(f3, u)
         for a in range(1, f3.q):
             for b in range(f3.q):
-                c = cn.census(f3, u, a, b)
+                c = cn.census(f3, u, a, b, rows=rows)
                 predicted = cn.predict_solution_count(f3, u, a, b)
                 assert c.predicted_total == c.observed_total == predicted
-                assert c.observed_total == int(ddt[a, b])
+                assert c.observed_total == int(ddt[a, b]) == ness.ddt_entry_naive(f3, u, a, b)
                 assert c.table_key in cn.TABLE_IV_ROWS
 
 

@@ -1,10 +1,13 @@
 """Character sums, the classifier family, the sign table and the identity suite."""
 
+import itertools
 import random
 
+import numpy as np
 import pytest
 
 from nhspectrum import charsums as cs
+from nhspectrum.rng import sample_u0_nonf3
 from nhspectrum.spectrum import u0_nonf3_elements
 
 
@@ -108,6 +111,17 @@ def test_g_values_match_scalar(f5):
         vec = cs.g_values(f5, u, gid)
         for z in range(0, f5.q, 11):
             assert int(vec[z]) == cs.g_eval(f5, u, gid, z)
+
+
+def test_sign_matrix_sums_match_field_products(f3, f5):
+    subsets = [gids for k in range(1, 6) for gids in itertools.combinations(cs.G_IDS, k)]
+    assert len(subsets) == 31
+    for ctx, us in ((f3, scope_us(f3)), (f5, sample_u0_nonf3(f5, 4, seed=5))):
+        for u in us:
+            signs = cs.g_sign_matrix(ctx, u)
+            assert signs.shape == (5, ctx.q) and signs.dtype == np.int8
+            for gids in subsets:
+                assert cs.g_sign_product_sum(signs, gids) == cs.g_product_sum(ctx, u, gids), gids
 
 
 def test_set_a_contains_all_g_roots(f3):

@@ -63,9 +63,10 @@ def test_usage_error_out_of_scope_u_names_class():
     ("verify-lemmas", 5, "sample:1:1", 0),
     ("verify-lemmas", 7, "sample:1:1", 0),
     ("verify-lemmas", 9, "sample:1:1", 0),
-    ("verify-lemmas", 11, "sample:1:1", 2),
-    ("verify-lemmas", 13, "sample:1:1", 2),
-    ("spectrum", 11, "gen^1", 2),
+    ("verify-lemmas", 11, "sample:1:1", 0),
+    ("verify-lemmas", 13, "sample:1:1", 0),
+    ("spectrum", 11, "gen^1", 0),
+    ("verify-theorem", 11, "sample:1:3", 0),
 ])
 def test_exit_status_matrix_every_n(command, n, u, status):
     proc = _cli_subprocess("--n", str(n), "--command", command, "--u", u)
@@ -73,6 +74,9 @@ def test_exit_status_matrix_every_n(command, n, u, status):
     if status == 2:
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    if command == "verify-theorem":
+        records = _json_lines(proc.stdout)
+        assert len(records) == 1 and records[0]["match"] is True
 
 
 def test_usage_error_bad_u_spec():

@@ -362,6 +362,29 @@ def test_mul_log_path_agrees_with_poly_path(f3):
             assert f3.mul(a, b) == expected
 
 
+def _random_irreducible(n, seed):
+    rnd = random.Random(seed)
+    while True:
+        modulus = [rnd.randrange(3) for _ in range(n)] + [1]
+        if irreducible_witness(modulus) is None:
+            return modulus
+
+
+@pytest.mark.parametrize("n, modulus", [
+    (3, None), (5, None), (7, None), (5, _random_irreducible(5, seed=2024)),
+], ids=["n3", "n5", "n7", "n5-random-modulus"])
+def test_log_tables_by_doubling_match_oracle(n, modulus):
+    ctx = make_context(n, modulus)
+    log, alog = ctx._log_tables
+    g = _poly_from_index(ctx, ctx.generator)
+    assert int(alog[0]) == 1
+    for k in range(ctx.q - 1):
+        # the k = q - 2 step is the order check: g * g**(q-2) == 1
+        step = ctx.element_from_coeffs(_poly_mul_mod(ctx, _poly_from_index(ctx, int(alog[k])), g))
+        assert step == (int(alog[k + 1]) if k + 1 < ctx.q - 1 else 1), k
+    assert np.array_equal(log[alog], np.arange(ctx.q - 1))
+
+
 def test_pair_add_table_consistency(f3):
     pair = f3.pair_add_table()
     assert pair is not None

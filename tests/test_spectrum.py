@@ -14,6 +14,13 @@ from nhspectrum.field import InconsistencyError
 # ---------------------------------------------------------------------------
 
 
+def test_scope_enumeration_matches_scalar_predicate(f3, f5, f7):
+    for ctx in (f3, f5, f7):
+        us = sp.u0_nonf3_elements(ctx)
+        assert us == [u for u in ctx.elements() if cs.in_theorem_scope(ctx, u)]
+        assert all(type(u) is int for u in us)
+
+
 def test_classify_base_field_flag(f3):
     cls = sp.classify_u(f3, 0)
     assert cls.label == "F3"
