@@ -8,18 +8,36 @@ constants behave as expected: ``0`` is zero, ``1`` is one and ``2`` is
 minus one.
 
 A :class:`FieldCtx` is immutable after construction and safe to share
-between threads.  Its tables (digit matrix, discrete logs, pairwise-sum
-table) are each built once on first use and are read-only afterwards.  A
-table is a pure function of the modulus, so two threads that race to build
-one build equal arrays and either may be kept.  Multiplication, powers,
-inverses and the quadratic character always read the discrete-log tables;
-polynomial multiplication only finds the generator and builds the n x n
-matrices that the log-table build multiplies by.
+between threads.  Its tables are each built once on first use and are
+read-only afterwards.  A table is a pure function of the modulus, so two
+threads that race to build one build equal arrays and either may be kept.
+Scalar multiplication, powers, inverses and the quadratic character read the
+discrete-log tables; scalar addition works digit by digit.  The scalar ops
+are the reference the ``*_vec`` kernels are tested against.  Polynomial
+multiplication only finds the generator and the matrix of g that the
+log-table build starts from.
+
+The ``*_vec`` kernels are gathers from small tables:
+
+* Addition works on bit planes (Boothby & Bradshaw, "Bitslicing and the
+  Method of Four Russians over larger finite fields", 2009).  Bit i of
+  ``ones[a]`` (``twos[a]``) is set when digit i of a is 1 (2), so a sum is a
+  few bitwise operations on uint16 masks, and ``value[m]`` (2^n entries)
+  turns the planes of the result back into an index.  Subtraction is the
+  same with the planes of b swapped, because negation swaps them.
+* Multiplication reads ``alog[log[a] + log[b]]``.  Zero has the sentinel
+  log 2q - 3 and the antilog table runs on to 4q - 5 entries, periodic up
+  to index 2q - 4 and zero beyond, so no zero mask and no reduction mod
+  q - 1 is needed.
+* The quadratic character is one int8 table.
 
 The log tables are built by doubling.  Multiplication by g^m is a GF(3)-linear
 map on digit vectors, so once the digit rows of g^0 .. g^(m-1) are known, one
-matrix product with the matrix of g^m gives g^m .. g^(2m-1).  That is
-ceil(log2 q) numpy steps instead of q - 1 scalar multiplications.
+matrix product with the n x n matrix of g^m gives g^m .. g^(2m-1), and
+squaring that matrix gives the matrix of g^(2m).  That is ceil(log2 q) numpy
+steps instead of q - 1 scalar multiplications.  No op reads the (q, n) digit
+table or the q x q pair-add table; they are built only on request
+(``digit_table``, ``pair_add_table``), for inspection and benchmarking.
 
 Text format for elements and moduli: a compact string of base-3 digits,
 lowest degree first.  ``"120"`` is ``1 + 2x`` in a degree-3 field, and the
@@ -36,8 +54,9 @@ import numpy as np
 P = 3
 
 # Table ceiling.  Pairwise sum tables need q*q ints and stay cheap up to this
-# size.  The digit and log tables are O(q) (int8 digits, int64 logs: about
-# 20 MB and 26 MB at n = 13) and have no ceiling.
+# size.  Every other table is O(q) and has no ceiling: at n = 13 the int32
+# log pair takes about 32 MB, the uint16 bit planes 6.4 MB, the int8
+# character 1.6 MB and the int8 digit table 20 MB.
 PAIR_TABLE_MAX_Q = P**7
 
 PolyLike = Union[str, Sequence[int]]
@@ -143,8 +162,10 @@ class FieldCtx:
     """GF(3^n) with a verified irreducible modulus and primitive element.
 
     All scalar operations accept and return element indices (ints).  The
-    ``*_vec`` methods operate on numpy index arrays and exist for
-    full-field scans; they give bit-identical results to the scalar path.
+    ``*_vec`` methods operate on numpy index arrays (or scalars, broadcast)
+    and exist for full-field scans; they give bit-identical results to the
+    scalar path.  Sums come back as int64, products and powers as int32 and
+    characters as int8.
     """
 
     def __init__(self, n: int, modulus: Optional[PolyLike] = None):
@@ -351,32 +372,68 @@ class FieldCtx:
         return _frozen(np.stack(cols, axis=1))
 
     @cached_property
+    def _planes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(ones, twos, value): the bit planes of every element and their inverse.
+
+        ``value[m]`` is the sum of 3**i over the set bits of m, so an element
+        is ``value[ones] + 2 * value[twos]``.  Built by tripling: the elements
+        below 3**(i+1) are those below 3**i with digit i equal to 0, 1 and 2.
+        """
+        ones = np.zeros(1, dtype=np.uint16)
+        twos = np.zeros(1, dtype=np.uint16)
+        value = np.zeros(1, dtype=np.int64)
+        for i in range(self.n):
+            bit = np.uint16(1 << i)
+            ones = np.concatenate([ones, ones | bit, ones])
+            twos = np.concatenate([twos, twos, twos | bit])
+            value = np.concatenate([value, value + P**i])
+        return _frozen(ones), _frozen(twos), _frozen(value)
+
+    @cached_property
     def _log_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """(log, alog): log[g**k] == k for nonzero elements, alog[k] == g**k.
 
-        Built by doubling (see the module docstring).  Entries of a digit-row
-        product are at most 4n = 52, so the rows stay int8.
+        Zero has the sentinel log 2q - 3, and alog has 4q - 5 entries: g**(k
+        mod (q - 1)) up to k = 2q - 4 and 0 beyond, so alog[log[a] + log[b]]
+        is a * b for every pair, zero included.  Built by doubling (see the
+        module docstring).
         """
         q, n = self.q, self.n
         powers = np.zeros((q - 1, n), dtype=np.int8)
         powers[0, 0] = 1
-        g_m, m = self.generator, 1
+        # row j: the digits of g**m * x**j; its square is the matrix of g**(2m).
+        # Entries of an int8 digit-row product are at most 4n = 52 before the mod.
+        mat = np.array([_idx_digits(self._mul_poly(self.generator, P**j), n) for j in range(n)],
+                       dtype=np.int8)
+        m = 1
         while m < q - 1:
             step = min(m, q - 1 - m)
-            # row j: the digits of g**m * x**j
-            mat = np.array([_idx_digits(self._mul_poly(g_m, P**j), n) for j in range(n)],
-                           dtype=np.int8)
             block = powers[m:m + step]
             np.matmul(powers[:step], mat, out=block)
             block %= P
-            g_m = self._mul_poly(g_m, g_m)
+            mat = np.matmul(mat, mat) % P
             m += step
-        alog = self._index(powers)
-        if self._mul_poly(int(alog[-1]), self.generator) != 1:
+        # element index of every digit row, by Horner's rule one column at a time
+        cycle = powers[:, -1].astype(np.int32)
+        for i in range(n - 2, -1, -1):
+            cycle *= P
+            cycle += powers[:, i]
+        if self._mul_poly(int(cycle[-1]), self.generator) != 1:
             raise InconsistencyError("generator order check failed")
-        log = np.zeros(q, dtype=np.int64)
-        log[alog] = np.arange(q - 1, dtype=np.int64)
+        log = np.empty(q, dtype=np.int32)
+        log[cycle] = np.arange(q - 1, dtype=np.int32)
+        log[0] = 2 * q - 3
+        alog = np.zeros(4 * q - 5, dtype=np.int32)
+        alog[:q - 1] = cycle
+        alog[q - 1:2 * q - 3] = cycle[:q - 2]
         return _frozen(log), _frozen(alog)
+
+    @cached_property
+    def _chi_table(self) -> np.ndarray:
+        """int8 quadratic character of every element (see `chi`)."""
+        chi = (1 - 2 * (self._log_tables[0] & 1)).astype(np.int8)
+        chi[0] = 0
+        return _frozen(chi)
 
     @cached_property
     def _pair_add(self) -> np.ndarray:
@@ -397,36 +454,33 @@ class FieldCtx:
 
     # -- vectorised arithmetic on index arrays ----------------------------------
 
-    def _index(self, digits: np.ndarray) -> np.ndarray:
-        """Element index of every digit row, by Horner's rule one column at a time.
-
-        Only index-shaped int64 arrays are made, never a (rows, n) int64 copy.
-        """
-        out = digits[..., -1].astype(np.int64)
-        for i in range(self.n - 2, -1, -1):
-            out *= P
-            out += digits[..., i]
-        return out
-
     def add_vec(self, a, b) -> np.ndarray:
-        dg = self.digit_table()
-        s = dg[np.asarray(a)] + dg[np.asarray(b)]
-        s %= P
-        return self._index(s)
+        ones, twos, _ = self._planes
+        a, b = np.asarray(a), np.asarray(b)
+        return self._plane_sum(ones[a], twos[a], ones[b], twos[b])
 
     def sub_vec(self, a, b) -> np.ndarray:
-        dg = self.digit_table()
-        s = dg[np.asarray(a)] - dg[np.asarray(b)]
-        s %= P
-        return self._index(s)
+        """a + (-b): negation swaps the two planes of b."""
+        ones, twos, _ = self._planes
+        a, b = np.asarray(a), np.asarray(b)
+        return self._plane_sum(ones[a], twos[a], twos[b], ones[b])
+
+    def _plane_sum(self, a1, a2, b1, b2) -> np.ndarray:
+        """Element index of the digit-wise sum mod 3 of two plane pairs.
+
+        Boothby & Bradshaw (2009): with t = (a1 | b2) ^ (a2 | b1), the sum has
+        ones plane (a2 | b2) ^ t and twos plane (a1 | b1) ^ t.
+        """
+        value = self._planes[2]
+        t = (a1 | b2) ^ (a2 | b1)
+        out = value[(a1 | b1) ^ t]
+        out *= 2
+        out += value[(a2 | b2) ^ t]
+        return out
 
     def mul_vec(self, a, b) -> np.ndarray:
         log, alog = self._log_tables
-        a, b = np.broadcast_arrays(np.asarray(a), np.asarray(b))
-        out = np.zeros(a.shape, dtype=np.int64)
-        nz = (a != 0) & (b != 0)
-        out[nz] = alog[(log[a[nz]] + log[b[nz]]) % (self.q - 1)]
-        return out
+        return alog[log[np.asarray(a)] + log[np.asarray(b)]]
 
     def pow_vec(self, a, e: int) -> np.ndarray:
         if e < 0:
@@ -434,20 +488,13 @@ class FieldCtx:
         log, alog = self._log_tables
         a = np.asarray(a)
         if e == 0:
-            return np.ones(a.shape, dtype=np.int64)
-        out = np.zeros(a.shape, dtype=np.int64)
-        nz = a != 0
-        out[nz] = alog[(log[a[nz]] * e) % (self.q - 1)]
-        return out
+            return np.ones(a.shape, dtype=alog.dtype)
+        k = (log[a].astype(np.int64) * e) % (self.q - 1)
+        return alog[np.where(a == 0, 2 * self.q - 3, k)]
 
     def chi_vec(self, a) -> np.ndarray:
         """Quadratic character of every entry, values in {-1, 0, +1}."""
-        log, _ = self._log_tables
-        a = np.asarray(a)
-        out = np.zeros(a.shape, dtype=np.int64)
-        nz = a != 0
-        out[nz] = 1 - 2 * (log[a[nz]] & 1)
-        return out
+        return self._chi_table[np.asarray(a)]
 
 
 def _frozen(table: np.ndarray) -> np.ndarray:

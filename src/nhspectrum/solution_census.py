@@ -346,8 +346,8 @@ def prediction_by_z(ctx: FieldCtx, u: int, vectors: SignVectors | None = None) -
     q = ctx.q
     signs, chi_z2mu2, one_pm_u = vectors if vectors is not None else _sign_vectors(ctx, u)
 
-    pred = np.zeros(q, dtype=np.int64)
-    fired = np.zeros(q, dtype=np.int64)
+    pred = np.zeros(q, dtype=np.int8)
+    fired = np.zeros(q, dtype=np.int8)
     for count, conds in SOLUTION_CONDITIONS.items():
         for cond in conds:
             if cond.get("b_zero", False):
@@ -384,14 +384,14 @@ def census_components_by_z(
     """
     signs, chi_z2mu2, one_pm_u = vectors if vectors is not None else _sign_vectors(ctx, u)
     s1, s2, s3, s4, s5 = signs
-    n1 = one_pm_u.astype(np.int64)
-    n_i = ((s1 == 1) & (s2 == 1)).astype(np.int64)
-    n_iv = ((s1 == 1) & (s3 == 1)).astype(np.int64)
+    n1 = one_pm_u.astype(np.int8)
+    n_i = ((s1 == 1) & (s2 == 1)).astype(np.int8)
+    n_iv = ((s1 == 1) & (s3 == 1)).astype(np.int8)
     n_ii_iii = np.where(
         (s4 == 1) & (s5 == 1),
-        2,
-        np.where((s4 == 0) & (chi_z2mu2 == 1), 1, 0),
-    ).astype(np.int64)
+        np.int8(2),
+        ((s4 == 0) & (chi_z2mu2 == 1)).astype(np.int8),
+    )
     for arr in (n1, n_i, n_iv, n_ii_iii):
         arr[0] = 0
     return {"n1": n1, "n_i": n_i, "n_ii_iii": n_ii_iii, "n_iv": n_iv}
@@ -419,7 +419,7 @@ def verify_predictions(ctx: FieldCtx, u: int, rows: DDTRows | None = None) -> di
     keys_z = (
         comp["n1"] * 27 + comp["n_i"] * 9 + comp["n_ii_iii"] * 3 + comp["n_iv"]
     )
-    admissible = np.full(54, -1, dtype=np.int64)
+    admissible = np.full(54, -1, dtype=np.int8)
     for (k1, ki, k23, kiv), total in TABLE_IV_ROWS.items():
         admissible[k1 * 27 + ki * 9 + k23 * 3 + kiv] = total
 

@@ -323,34 +323,63 @@ def test_parse_rejects_garbage(f3):
         f3.parse_element("1201")  # too many digits for n=3
 
 
+def _binary_kernels(ctx):
+    """(name, vector kernel, scalar oracle) for the three binary ops."""
+    return [("add", ctx.add_vec, ctx.add), ("sub", ctx.sub_vec, ctx.sub),
+            ("mul", ctx.mul_vec, ctx.mul)]
+
+
+POW_EXPONENTS = (0, 1, 2, 13, 25, 26, 27, 1000)
+
+
 def test_vector_ops_match_scalar_exhaustive_n3(f3):
     q = f3.q
     A = np.repeat(np.arange(q), q)
     B = np.tile(np.arange(q), q)
-    add = f3.add_vec(A, B)
-    sub = f3.sub_vec(A, B)
-    mul = f3.mul_vec(A, B)
-    for i in range(q * q):
-        a, b = int(A[i]), int(B[i])
-        assert int(add[i]) == f3.add(a, b)
-        assert int(sub[i]) == f3.sub(a, b)
-        assert int(mul[i]) == f3.mul(a, b)
-    chi = f3.chi_vec(np.arange(q))
-    pw = f3.pow_vec(np.arange(q), 13)
+    elems = np.arange(q)
+    for name, vec, scalar in _binary_kernels(f3):
+        assert vec(A, B).tolist() == [scalar(int(a), int(b)) for a, b in zip(A, B)], name
+        for c in range(q):
+            right = [scalar(a, c) for a in range(q)]
+            left = [scalar(c, a) for a in range(q)]
+            # a scalar on either side: numpy scalar, plain int, 0-d array
+            for const in (np.int64(c), c, np.asarray(c)):
+                assert vec(elems, const).tolist() == right, (name, c)
+                assert vec(const, elems).tolist() == left, (name, c)
+            for a in range(q):
+                out = vec(np.asarray(a), np.asarray(c))
+                assert np.shape(out) == () and int(out) == scalar(a, c), (name, a, c)
+    assert f3.chi_vec(elems).tolist() == [f3.chi(a) for a in range(q)]
     for a in range(q):
-        assert int(chi[a]) == f3.chi(a)
-        assert int(pw[a]) == f3.pow(a, 13)
+        for x in (a, np.int64(a), np.asarray(a)):
+            assert np.shape(f3.chi_vec(x)) == () and int(f3.chi_vec(x)) == f3.chi(a)
+    for e in POW_EXPONENTS:
+        assert f3.pow_vec(elems, e).tolist() == [f3.pow(a, e) for a in range(q)], e
+        for a in range(q):
+            out = f3.pow_vec(np.asarray(a), e)
+            assert np.shape(out) == () and int(out) == f3.pow(a, e), (a, e)
+
+
+def _check_vector_ops_random(ctx):
+    rng = np.random.default_rng(23)
+    A = rng.integers(0, ctx.q, size=1000)
+    B = rng.integers(0, ctx.q, size=1000)
+    A[:3] = B[3:6] = 0  # zero on each side
+    pairs = [(int(a), int(b)) for a, b in zip(A, B)]
+    for name, vec, scalar in _binary_kernels(ctx):
+        assert vec(A, B).tolist() == [scalar(a, b) for a, b in pairs], name
+        assert vec(A, np.int64(B[7])).tolist() == [scalar(a, int(B[7])) for a, _ in pairs], name
+    assert ctx.chi_vec(A).tolist() == [ctx.chi(a) for a, _ in pairs]
+    for e in POW_EXPONENTS + (ctx.q - 2, ctx.q - 1, (ctx.q + 1) // 4):
+        assert ctx.pow_vec(A, e).tolist() == [ctx.pow(a, e) for a, _ in pairs], e
 
 
 def test_vector_ops_match_scalar_random_n5(f5):
-    rng = np.random.default_rng(23)
-    A = rng.integers(0, f5.q, size=1000)
-    B = rng.integers(0, f5.q, size=1000)
-    add = f5.add_vec(A, B)
-    mul = f5.mul_vec(A, B)
-    for i in range(0, 1000, 7):
-        assert int(add[i]) == f5.add(int(A[i]), int(B[i]))
-        assert int(mul[i]) == f5.mul(int(A[i]), int(B[i]))
+    _check_vector_ops_random(f5)
+
+
+def test_vector_ops_match_scalar_random_n7(f7):
+    _check_vector_ops_random(f7)
 
 
 def test_mul_log_path_agrees_with_poly_path(f3):
@@ -382,7 +411,47 @@ def test_log_tables_by_doubling_match_oracle(n, modulus):
         # the k = q - 2 step is the order check: g * g**(q-2) == 1
         step = ctx.element_from_coeffs(_poly_mul_mod(ctx, _poly_from_index(ctx, int(alog[k])), g))
         assert step == (int(alog[k + 1]) if k + 1 < ctx.q - 1 else 1), k
-    assert np.array_equal(log[alog], np.arange(ctx.q - 1))
+    q = ctx.q
+    assert np.array_equal(log[alog[:q - 1]], np.arange(q - 1))
+    # the zero sentinel: log 0 is 2q - 3, alog repeats up to 2q - 4 and reads 0 beyond
+    assert int(log[0]) == 2 * q - 3
+    assert len(alog) == 4 * q - 5
+    assert np.array_equal(alog[q - 1:2 * q - 3], alog[:q - 2])
+    assert not alog[2 * q - 3:].any()
+
+
+@pytest.mark.parametrize("n, modulus", [
+    (3, None), (5, None), (7, None), (5, _random_irreducible(5, seed=2025)),
+], ids=["n3", "n5", "n7", "n5-random-modulus"])
+def test_bit_planes_match_digit_table(n, modulus):
+    ctx = make_context(n, modulus)
+    ones, twos, value = ctx._planes
+    digits = ctx.digit_table()
+    bits = 1 << np.arange(n)
+    assert ones.dtype == twos.dtype == np.uint16
+    assert np.array_equal(ones, ((digits == 1) * bits).sum(axis=1))
+    assert np.array_equal(twos, ((digits == 2) * bits).sum(axis=1))
+    assert len(value) == 2**n
+    assert value.tolist() == [sum(3**i for i in range(n) if m >> i & 1) for m in range(2**n)]
+    assert np.array_equal(value[ones] + 2 * value[twos], np.arange(ctx.q))
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9, 11])
+def test_mul_vec_zero_sentinel_edges(n):
+    ctx = make_context(n)
+    q = ctx.q
+    g_last = ctx.pow(ctx.generator, q - 2)  # log q - 2, the largest: logs sum to 2q - 4
+    xs = np.array([0, 1, 2, ctx.generator, g_last, q - 1], dtype=np.int64)
+    zeros = np.zeros_like(xs)
+    assert not ctx.mul_vec(zeros, xs).any()
+    assert not ctx.mul_vec(xs, zeros).any()
+    assert int(ctx.mul_vec(np.int64(0), np.int64(0))) == 0
+    assert not ctx.mul_vec(np.int64(0), np.arange(q)).any()
+    expected = ctx.element_from_coeffs(
+        _poly_mul_mod(ctx, _poly_from_index(ctx, g_last), _poly_from_index(ctx, g_last))
+    )
+    assert int(ctx.mul_vec(np.int64(g_last), np.int64(g_last))) == expected
+    assert ctx.mul_vec(xs, xs).tolist() == [ctx.mul(int(x), int(x)) for x in xs]
 
 
 def test_pair_add_table_consistency(f3):
@@ -410,6 +479,9 @@ FIRST_CALLS = {
     "chi": lambda ctx: ctx.chi(5),
     "mul": lambda ctx: ctx.mul(5, 7),
     "chi_vec": lambda ctx: ctx.chi_vec(np.arange(ctx.q)),
+    "add_vec": lambda ctx: ctx.add_vec(np.arange(ctx.q), np.int64(5)),
+    "sub_vec": lambda ctx: ctx.sub_vec(np.arange(ctx.q), np.arange(ctx.q)[::-1]),
+    "mul_vec": lambda ctx: ctx.mul_vec(np.arange(ctx.q), np.int64(7)),
 }
 
 
@@ -431,8 +503,10 @@ def test_concurrent_first_touch_builds_identical_tables():
 
     def touch(i):
         barrier.wait(timeout=10)
-        results[i] = (ctx.pair_add_table(), ctx.digit_table(), ctx.chi_vec(np.arange(ctx.q)),
-                      [ctx.mul(a, 7) for a in range(ctx.q)])
+        elems = np.arange(ctx.q)
+        results[i] = (ctx.pair_add_table(), ctx.digit_table(), ctx.chi_vec(elems),
+                      [ctx.mul(a, 7) for a in range(ctx.q)], ctx.add_vec(elems, np.int64(7)),
+                      ctx.sub_vec(elems, elems[::-1]), ctx.mul_vec(elems, elems[::-1]))
 
     workers = [threading.Thread(target=touch, args=(i,), daemon=True) for i in range(4)]
     old_interval = sys.getswitchinterval()
@@ -445,19 +519,35 @@ def test_concurrent_first_touch_builds_identical_tables():
     finally:
         sys.setswitchinterval(old_interval)
     assert not any(w.is_alive() for w in workers)
-    pair, digits, chi, muls = results[0]
+    first = results[0]
     for other in results[1:]:
-        assert np.array_equal(other[0], pair)
-        assert np.array_equal(other[1], digits)
-        assert np.array_equal(other[2], chi)
-        assert other[3] == muls
+        for mine, theirs in zip(other, first):
+            assert np.array_equal(mine, theirs)
+    pair, _, _, _, adds, subs, muls = first
     assert int(pair[5, 7]) == ctx.add(5, 7)
+    q = ctx.q
+    assert adds.tolist() == [ctx.add(a, 7) for a in range(q)]
+    assert subs.tolist() == [ctx.sub(a, q - 1 - a) for a in range(q)]
+    assert muls.tolist() == [ctx.mul(a, q - 1 - a) for a in range(q)]
 
 
 def test_tables_are_read_only(f3):
-    for table in (f3.digit_table(), f3.pair_add_table()):
+    tables = (f3.digit_table(), f3.pair_add_table(), *f3._planes, *f3._log_tables,
+              f3._chi_table)
+    for table in tables:
         with pytest.raises(ValueError):
-            table[1, 1] = 0
+            table[(1,) * table.ndim] = 0
+
+
+def test_production_paths_never_build_the_digit_table():
+    from nhspectrum import charsums, ness, spectrum
+
+    ctx = make_context(5)
+    u = spectrum.u0_nonf3_elements(ctx)[0]
+    ness.ddt_rows(ctx, u)
+    spectrum.verify_theorem_record(ctx, u)
+    charsums.section2_identities(ctx, u)
+    assert "_digits" not in ctx.__dict__
 
 
 @st.composite
@@ -492,3 +582,14 @@ def test_ops_match_oracles_for_any_modulus(modulus, data):
             assert ctx.chi(a) == (1 if euler == 1 else -1)
         else:
             assert ctx.chi(a) == 0
+        # the kernels against the scalar ops just pinned to the oracles
+        assert int(ctx.mul_vec(a, b)) == expected
+        assert int(ctx.add_vec(a, b)) == ctx.add(a, b)
+        assert int(ctx.sub_vec(a, b)) == ctx.sub(a, b)
+        assert int(ctx.chi_vec(a)) == ctx.chi(a)
+        e = data.draw(st.integers(0, 3 * ctx.q))
+        assert int(ctx.pow_vec(a, e)) == ctx.pow(a, e)
+    elems = np.arange(ctx.q)
+    for vec, scalar in ((ctx.add_vec, ctx.add), (ctx.sub_vec, ctx.sub), (ctx.mul_vec, ctx.mul)):
+        assert vec(elems, np.int64(b)).tolist() == [scalar(x, b) for x in range(ctx.q)]
+    assert ctx.chi_vec(elems).tolist() == [ctx.chi(x) for x in range(ctx.q)]
