@@ -16,9 +16,8 @@ from .solution_census import (
 )
 from .charsums import (
     IdentityReport,
+    ScopedU,
     char_sum,
-    g_eval,
-    g_product_sum,
     in_theorem_scope,
     quadratic_char_sum,
     section2_identities,
@@ -28,6 +27,7 @@ from .charsums import (
 from .field import FieldCtx, InconsistencyError, ReducibleModulusError, make_context
 from .ness import (
     Spectrum,
+    ddt_rows,
     derivative,
     differential_uniformity,
     f_eval,
@@ -56,6 +56,7 @@ __all__ = [
     "IdentityReport",
     "InconsistencyError",
     "ReducibleModulusError",
+    "ScopedU",
     "SolutionCensus",
     "Spectrum",
     "SplitMix64",
@@ -65,12 +66,11 @@ __all__ = [
     "char_sum",
     "classify_u",
     "closed_form_inputs",
+    "ddt_rows",
     "derivative",
     "differential_uniformity",
     "epsilon",
     "f_eval",
-    "g_eval",
-    "g_product_sum",
     "gamma3",
     "gamma4",
     "in_theorem_scope",

@@ -16,17 +16,20 @@ of the g_i reduce the differential spectrum to two character sums.  This
 module evaluates all such sums exactly, over every z of the field, and
 checks them against their known closed forms.  Since chi is multiplicative
 (chi(0) = 0), every such sum is a sum of products of the five sign vectors
-chi(g_i(z)) (`g_sign_matrix`); `g_product_sum` multiplies the polynomials in
-the field instead and is kept as the oracle.
+chi(g_i(z)) (`ScopedU.signs`); the tests keep the polynomials evaluated one
+z at a time and multiplied in the field as the oracle.  `ScopedU` holds
+one in-scope u and everything derived from it, each built once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import ness
 from .field import FieldCtx
 
 G_IDS = (1, 2, 3, 4, 5)
@@ -39,17 +42,48 @@ def in_theorem_scope(ctx: FieldCtx, u: int) -> bool:
     return ctx.chi(ctx.add(u, 1)) != ctx.chi(ctx.sub(u, 1))
 
 
-def require_scope(ctx: FieldCtx, u: int) -> None:
-    if not in_theorem_scope(ctx, u):
-        raise ValueError(
-            f"u = {ctx.format_element(u)} needs chi(u+1) != chi(u-1) and u outside GF(3)"
-        )
+@dataclass(frozen=True)
+class ScopedU:
+    """One u with `in_theorem_scope(ctx, u)`, else construction raises ValueError.
 
+    The other fields are built on first use and kept: one object per u
+    builds each of them at most once.
+    """
 
-def sqrt_term(ctx: FieldCtx, u: int) -> int:
-    """Canonical root of 1 - u^2 (a square whenever u is in scope)."""
-    require_scope(ctx, u)
-    return ctx.sqrt_canonical(ctx.sub(1, ctx.mul(u, u)))
+    ctx: FieldCtx
+    u: int
+
+    def __post_init__(self):
+        if not in_theorem_scope(self.ctx, self.u):
+            raise ValueError(f"u = {self.ctx.format_element(self.u)} needs "
+                             "chi(u+1) != chi(u-1) and u outside GF(3)")
+
+    @cached_property
+    def r(self) -> int:
+        """Canonical root of 1 - u^2 (a square whenever u is in scope)."""
+        return self.ctx.sqrt_canonical(self.ctx.sub(1, self.ctx.mul(self.u, self.u)))
+
+    @cached_property
+    def signs(self) -> np.ndarray:
+        """(5, q) int8 array: row i - 1 is chi(g_i(z)) for every z."""
+        return np.stack([self.ctx.chi_vec(g_values(self, gid)).astype(np.int8) for gid in G_IDS])
+
+    @cached_property
+    def chi_z2mu2(self) -> np.ndarray:
+        """chi(z^2 - u^2) for every z."""
+        ctx, z = self.ctx, np.arange(self.ctx.q, dtype=np.int64)
+        return ctx.chi_vec(ctx.sub_vec(ctx.mul_vec(z, z), np.int64(ctx.mul(self.u, self.u))))
+
+    @cached_property
+    def one_pm_u(self) -> np.ndarray:
+        """Boolean mask of z in {1 + u, 1 - u}."""
+        z = np.arange(self.ctx.q, dtype=np.int64)
+        return (z == self.ctx.add(1, self.u)) | (z == self.ctx.sub(1, self.u))
+
+    @cached_property
+    def rows(self) -> ness.DDTRows:
+        """`ness.ddt_rows`: delta(1, .) and delta(g, .)."""
+        return ness.ddt_rows(self.ctx, self.u)
 
 
 # ---------------------------------------------------------------------------
@@ -58,14 +92,19 @@ def sqrt_term(ctx: FieldCtx, u: int) -> int:
 
 
 def char_sum(ctx: FieldCtx, coeffs: Sequence[int]) -> int:
-    """Exact sum of chi(poly(z)) over all z; coeffs lowest degree first."""
+    """Exact sum of chi(poly(z)) over all z; coeffs lowest degree first.
+
+    Horner's rule from the scalar leading coefficient; zero coefficients add nothing.
+    """
     if not any(coeffs):
         raise ValueError("character sum of the zero polynomial is not defined")
     zs = np.arange(ctx.q, dtype=np.int64)
-    acc = np.full(ctx.q, coeffs[-1], dtype=np.int64)
+    acc = np.int64(coeffs[-1])
     for c in reversed(coeffs[:-1]):
-        acc = ctx.add_vec(ctx.mul_vec(acc, zs), np.int64(c))
-    return int(ctx.chi_vec(acc).sum())
+        acc = ctx.mul_vec(acc, zs)
+        if c:
+            acc = ctx.add_vec(acc, np.int64(c))
+    return int(np.broadcast_to(ctx.chi_vec(acc), zs.shape).sum())
 
 
 def quadratic_char_sum(ctx: FieldCtx, a2: int, a1: int, a0: int) -> int:
@@ -84,25 +123,10 @@ def quadratic_char_sum(ctx: FieldCtx, a2: int, a1: int, a0: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def g_eval(ctx: FieldCtx, u: int, gid: int, z: int) -> int:
-    require_scope(ctx, u)
-    if gid == 1:
-        return ctx.mul(ctx.neg(ctx.add(u, 1)), z)
-    if gid == 2:
-        return ctx.mul(z, ctx.sub(z, ctx.add(1, u)))
-    if gid == 3:
-        return ctx.mul(z, ctx.sub(z, ctx.sub(1, u)))
-    if gid == 4:
-        return ctx.add(ctx.sub(ctx.mul(z, z), z), ctx.mul(u, u))
-    if gid == 5:
-        r = sqrt_term(ctx, u)
-        return ctx.mul(ctx.neg(ctx.add(1, r)), ctx.sub(ctx.add(z, 1), r))
-    raise ValueError(f"gid must be 1..5, got {gid}")
-
-
-def g_values(ctx: FieldCtx, u: int, gid: int) -> np.ndarray:
-    """g_gid(z) for every z in the field, as one index array."""
-    require_scope(ctx, u)
+def g_values(su: ScopedU, gid: int) -> np.ndarray:
+    """g_gid(z) for every z in the field, as one index array; the tests
+    evaluate each z with the scalar ops as the oracle."""
+    ctx, u = su.ctx, su.u
     z = np.arange(ctx.q, dtype=np.int64)
     if gid == 1:
         return ctx.mul_vec(np.int64(ctx.neg(ctx.add(u, 1))), z)
@@ -113,36 +137,18 @@ def g_values(ctx: FieldCtx, u: int, gid: int) -> np.ndarray:
     if gid == 4:
         return ctx.add_vec(ctx.sub_vec(ctx.mul_vec(z, z), z), np.int64(ctx.mul(u, u)))
     if gid == 5:
-        r = sqrt_term(ctx, u)
         return ctx.mul_vec(
-            np.int64(ctx.neg(ctx.add(1, r))), ctx.sub_vec(ctx.add_vec(z, np.int64(1)), np.int64(r))
+            np.int64(ctx.neg(ctx.add(1, su.r))),
+            ctx.sub_vec(ctx.add_vec(z, np.int64(1)), np.int64(su.r)),
         )
     raise ValueError(f"gid must be 1..5, got {gid}")
 
 
-def g_sign_matrix(ctx: FieldCtx, u: int) -> np.ndarray:
-    """(5, q) int8 array: row i - 1 is chi(g_i(z)) for every z."""
-    return np.stack([ctx.chi_vec(g_values(ctx, u, gid)).astype(np.int8) for gid in G_IDS])
-
-
 def g_sign_product_sum(signs: np.ndarray, gids: Iterable[int]) -> int:
-    """`g_product_sum` from the rows of `g_sign_matrix`: chi(x y) = chi(x) chi(y)."""
+    """Sum over z of chi(prod of the selected g_i) from the rows of `ScopedU.signs`,
+    as chi(x y) = chi(x) chi(y)."""
     rows = signs[np.asarray(tuple(gids)) - 1]
     return int(np.prod(rows, axis=0, dtype=np.int64).sum())
-
-
-def g_product_sum(ctx: FieldCtx, u: int, gids: Iterable[int]) -> int:
-    """Exact sum over z of chi of the product of the selected g polynomials.
-
-    Multiplies the polynomials in the field; the oracle for `g_sign_product_sum`.
-    """
-    gids = tuple(gids)
-    if not gids:
-        raise ValueError("need at least one polynomial id")
-    prod = g_values(ctx, u, gids[0])
-    for gid in gids[1:]:
-        prod = ctx.mul_vec(prod, g_values(ctx, u, gid))
-    return int(ctx.chi_vec(prod).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -150,9 +156,9 @@ def g_product_sum(ctx: FieldCtx, u: int, gids: Iterable[int]) -> int:
 # ---------------------------------------------------------------------------
 
 
-def set_a_points(ctx: FieldCtx, u: int) -> tuple[int, int, int, int, int]:
+def set_a_points(su: ScopedU) -> tuple[int, int, int, int, int]:
     """A = {0, 1+u, 1-u, -1+r, -1-r}: all zeros of the g family."""
-    r = sqrt_term(ctx, u)
+    ctx, u, r = su.ctx, su.u, su.r
     return (
         0,
         ctx.add(1, u),
@@ -162,15 +168,15 @@ def set_a_points(ctx: FieldCtx, u: int) -> tuple[int, int, int, int, int]:
     )
 
 
-def table_a_chi(ctx: FieldCtx, u: int) -> list[list[int]]:
+def table_a_chi(su: ScopedU) -> list[list[int]]:
     """chi(g_i(x)) for x in A (rows) and i = 1..5 (columns), by evaluation."""
-    return [[ctx.chi(g_eval(ctx, u, gid, x)) for gid in G_IDS] for x in set_a_points(ctx, u)]
+    return su.signs[:, list(set_a_points(su))].T.tolist()
 
 
-def table_a_expected(ctx: FieldCtx, u: int) -> list[list[int]]:
+def table_a_expected(su: ScopedU) -> list[list[int]]:
     """The same grid from its closed-form entries in terms of u and r."""
+    ctx, u, r = su.ctx, su.u, su.r
     chi, mul, add, sub, neg = ctx.chi, ctx.mul, ctx.add, ctx.sub, ctx.neg
-    r = sqrt_term(ctx, u)
     u2 = mul(u, u)
     up1, um1 = add(u, 1), sub(u, 1)
     chi_u2pu = chi(add(u2, u))      # chi(u^2 + u)
@@ -228,23 +234,19 @@ class IdentityReport:
         return {"identity": self.name, "lhs": self.lhs, "rhs": self.rhs, "pass": self.passed}
 
 
-def section2_identities(ctx: FieldCtx, u: int) -> list[IdentityReport]:
+def section2_identities(su: ScopedU) -> list[IdentityReport]:
     """All 18 closed-form identities for the g-family character sums.
 
     Single-product sums come first, then the paired sums whose individual
     values depend on u but whose totals do not (or collapse to one chi).
     """
-    require_scope(ctx, u)
-    r = sqrt_term(ctx, u)
-    phi = ctx.add(1, r)
-    chi_phi = ctx.chi(phi)
+    ctx, u, r = su.ctx, su.u, su.r
+    chi_phi = ctx.chi(ctx.add(1, r))
     chi_r1pu = ctx.chi(ctx.add(ctx.add(r, 1), u))  # chi(r + 1 + u)
     chi_r1mu = ctx.chi(ctx.sub(ctx.add(r, 1), u))  # chi(r + 1 - u)
 
-    signs = g_sign_matrix(ctx, u)
-
     def s(*gids: int) -> int:
-        return g_sign_product_sum(signs, gids)
+        return g_sign_product_sum(su.signs, gids)
 
     checks: list[tuple[str, int, int]] = [
         ("g1g2", s(1, 2), -1),

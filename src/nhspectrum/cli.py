@@ -87,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", default="json", choices=("json", "csv", "text"),
                         dest="output_format")
     parser.add_argument("--seed", type=int, default=0, help="seed for sample resolution")
-    parser.add_argument("--jobs", type=int, default=1, help="worker threads for sweeps")
+    parser.add_argument("--jobs", type=int, default=1, help="worker threads for sweeps, >= 1")
     return parser
 
 
@@ -143,14 +143,13 @@ def _spectrum_records(ctx: FieldCtx, u: int, seed: int) -> tuple[list[dict], boo
     cls = spectrum.classify_u(ctx, u)
     base = {"n": ctx.n, "modulus": ctx.modulus_str, "u": ctx.format_element(u),
             "class": cls.label}
-    brute = ness.spectrum_bruteforce(ctx, u)
     if cls.in_theorem_scope:
-        ins = spectrum.closed_form_inputs(ctx, u)
-        closed = spectrum.spectrum_closed_form(ctx, u)
-        match = closed.omegas == brute.omegas
-        rec = dict(base, epsilon=ins.epsilon, gamma3=ins.gamma3, gamma4=ins.gamma4,
-                   omegas=list(closed.omegas), source="closed-form", match=match)
-        return [rec], match
+        theorem = spectrum.verify_theorem_record(charsums.ScopedU(ctx, u))
+        rec = dict(base, epsilon=theorem["epsilon"], gamma3=theorem["gamma3"],
+                   gamma4=theorem["gamma4"], omegas=theorem["closed_form"],
+                   source="closed-form", match=theorem["match"])
+        return [rec], theorem["match"]
+    brute = ness.spectrum_bruteforce(ctx, ness.ddt_rows(ctx, u))
     rec = dict(base, epsilon=None, gamma3=None, gamma4=None,
                omegas=list(brute.omegas), source="brute-force", match=None)
     return [rec], True
@@ -175,14 +174,14 @@ def _census_records(ctx: FieldCtx, u: int, seed: int) -> tuple[list[dict], bool]
     total_pairs = (q - 1) * q
     pair_count = min(200, total_pairs)
     pair_ids = rng.sample_distinct(range(total_pairs), pair_count, seed)
-    rows = ness.ddt_rows(ctx, u)
+    su = charsums.ScopedU(ctx, u)
     records = []
     ok = True
     for pid in pair_ids:
         a = pid // q + 1
         b = pid % q
-        c = census_mod.census(ctx, u, a, b, rows=rows)
-        consistent = c.consistent and census_mod.predict_solution_count(ctx, u, a, b) == c.observed_total
+        c = census_mod.census(su, a, b)
+        consistent = c.consistent and census_mod.predict_solution_count(su, a, b) == c.observed_total
         ok &= consistent
         records.append({
             "n": ctx.n, "modulus": ctx.modulus_str, "u": ctx.format_element(u),
@@ -197,7 +196,7 @@ def _census_records(ctx: FieldCtx, u: int, seed: int) -> tuple[list[dict], bool]
 
 
 def _lemma_records(ctx: FieldCtx, u: int, seed: int) -> tuple[list[dict], bool]:
-    reports = charsums.section2_identities(ctx, u)
+    reports = charsums.section2_identities(charsums.ScopedU(ctx, u))
     records = [
         dict({"n": ctx.n, "modulus": ctx.modulus_str, "u": ctx.format_element(u)},
              **rep.to_json_dict())
@@ -207,7 +206,7 @@ def _lemma_records(ctx: FieldCtx, u: int, seed: int) -> tuple[list[dict], bool]:
 
 
 def _proposition_records(ctx: FieldCtx, u: int, seed: int) -> tuple[list[dict], bool]:
-    report = census_mod.verify_predictions(ctx, u)
+    report = census_mod.verify_predictions(charsums.ScopedU(ctx, u))
     rec = {
         "n": ctx.n, "modulus": ctx.modulus_str, "u": report["u"],
         "pairs": report["pairs"], "mismatches": len(report["mismatches"]),
@@ -218,16 +217,16 @@ def _proposition_records(ctx: FieldCtx, u: int, seed: int) -> tuple[list[dict], 
 
 
 def _theorem_records(ctx: FieldCtx, u: int, seed: int) -> tuple[list[dict], bool]:
-    rec = spectrum.verify_theorem_record(ctx, u)
+    rec = spectrum.verify_theorem_record(charsums.ScopedU(ctx, u))
     rec = dict({"n": ctx.n, "modulus": ctx.modulus_str}, **rec)
     return [rec], rec["match"]
 
 
 def _scan_records(ctx: FieldCtx, u: int, seed: int) -> tuple[list[dict], bool]:
-    rows = ness.ddt_rows(ctx, u)
-    theorem = spectrum.verify_theorem_record(ctx, u, rows=rows)
-    lemmas_ok = all(rep.passed for rep in charsums.section2_identities(ctx, u))
-    props_ok = census_mod.verify_predictions(ctx, u, rows=rows)["ok"]
+    su = charsums.ScopedU(ctx, u)
+    theorem = spectrum.verify_theorem_record(su)
+    lemmas_ok = all(rep.passed for rep in charsums.section2_identities(su))
+    props_ok = census_mod.verify_predictions(su)["ok"]
     match = bool(theorem["match"] and lemmas_ok and props_ok)
     rec = {
         "n": ctx.n, "modulus": ctx.modulus_str, "u": theorem["u"],
@@ -325,6 +324,8 @@ def run(config: RunConfig, out: Optional[io.TextIOBase] = None,
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     try:
+        if config.jobs < 1:
+            raise UsageError(f"--jobs must be at least 1, got {config.jobs}")
         ctx = make_context(config.n, config.modulus)
         us = resolve_u(ctx, config.u_spec, config.seed)
         _require_scope_for_command(ctx, config.command, us)
@@ -333,9 +334,10 @@ def run(config: RunConfig, out: Optional[io.TextIOBase] = None,
         return USAGE_ERROR
 
     builder = BUILDERS[config.command]
+    workers = min(config.jobs, len(us), os.cpu_count() or 1)
     try:
-        if config.jobs > 1:
-            with ThreadPoolExecutor(max_workers=config.jobs) as pool:
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(lambda u: builder(ctx, u, config.seed), us))
         else:
             results = [builder(ctx, u, config.seed) for u in us]

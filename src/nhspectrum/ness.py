@@ -9,8 +9,8 @@ For nonzero x, x^d2 = 1/x and x^d1 = chi(x)/x, so f_u(x) = (u chi(x) + 1)/x
 and f_u(c x) = f_u(x)/c for every nonzero square c.  Substituting x -> c x
 in f_u(x + c a) - f_u(x) = b gives delta(c a, b) = delta(a, c b), so the
 rows a = 1 and a = g (the generator, a nonsquare) determine the whole
-DDT.  `ddt_rows` counts those two with the row kernel `ddt_row`;
-`ddt_table` counts every row and is kept as the oracle for that lemma.
+DDT.  `ddt_rows` counts those two with the row kernel `ddt_row`; the tests
+count every row into the full q x q table as the oracle for that lemma.
 """
 
 from __future__ import annotations
@@ -49,19 +49,10 @@ def derivative(ctx: FieldCtx, u: int, a: int, x: int) -> int:
     return ctx.sub(f_eval(ctx, u, ctx.add(x, a)), f_eval(ctx, u, x))
 
 
-def ddt_entry_naive(ctx: FieldCtx, u: int, a: int, b: int) -> int:
-    """Scalar per-x count; the oracle for the vectorised accumulation."""
+def ddt_row(ctx: FieldCtx, ftab: np.ndarray, a: int) -> np.ndarray:
+    """delta(a, b) for every b, as one histogram pass over x; ftab is `f_table`."""
     if a == 0:
         raise ValueError("DDT rows are indexed by nonzero a")
-    return sum(1 for x in ctx.elements() if derivative(ctx, u, a, x) == b)
-
-
-def ddt_row(ctx: FieldCtx, u: int, a: int, ftab: np.ndarray | None = None) -> np.ndarray:
-    """delta(a, b) for every b, as one histogram pass over x."""
-    if a == 0:
-        raise ValueError("DDT rows are indexed by nonzero a")
-    if ftab is None:
-        ftab = f_table(ctx, u)
     x = np.arange(ctx.q, dtype=np.int64)
     diffs = ctx.sub_vec(ftab[ctx.add_vec(x, np.int64(a))], ftab)
     return np.bincount(diffs, minlength=ctx.q)
@@ -73,20 +64,7 @@ def ddt_rows(ctx: FieldCtx, u: int) -> DDTRows:
     Scaling lemma: a square a reads row 1 at a b, a nonsquare a reads row g at (a/g) b.
     """
     ftab = f_table(ctx, u)
-    return ddt_row(ctx, u, 1, ftab), ddt_row(ctx, u, ctx.generator, ftab)
-
-
-def ddt_table(ctx: FieldCtx, u: int) -> np.ndarray:
-    """(q, q) array of delta(a, b), one `ddt_row` per a; the oracle for `ddt_rows`.
-
-    Row a = 0 is filled (delta(0, 0) = q) but is not part of the DDT.
-    """
-    ftab = f_table(ctx, u)
-    out = np.zeros((ctx.q, ctx.q), dtype=np.int64)
-    out[0, 0] = ctx.q
-    for a in range(1, ctx.q):
-        out[a] = ddt_row(ctx, u, a, ftab)
-    return out
+    return ddt_row(ctx, ftab, 1), ddt_row(ctx, ftab, ctx.generator)
 
 
 @dataclass(frozen=True)
@@ -117,15 +95,12 @@ class Spectrum:
         }
 
 
-def spectrum_bruteforce(ctx: FieldCtx, u: int, rows: DDTRows | None = None) -> Spectrum:
-    """Differential spectrum by counting the DDT rows a = 1 and a = g; any u.
+def spectrum_bruteforce(ctx: FieldCtx, rows: DDTRows) -> Spectrum:
+    """Differential spectrum from the DDT rows a = 1 and a = g (`ddt_rows`); any u.
 
     Each of the two rows stands for the (q-1)/2 rows of its square class,
-    each a permutation of it.  ``rows`` is ``ddt_rows(ctx, u)`` when the
-    caller has already built it.
+    each a permutation of it.
     """
-    if rows is None:
-        rows = ddt_rows(ctx, u)
     width = max(int(row.max()) for row in rows) + 1
     counts = (ctx.q - 1) // 2 * sum(np.bincount(row, minlength=width) for row in rows)
     return Spectrum(tuple(int(c) for c in counts), source="brute-force")
@@ -133,4 +108,4 @@ def spectrum_bruteforce(ctx: FieldCtx, u: int, rows: DDTRows | None = None) -> S
 
 def differential_uniformity(ctx: FieldCtx, u: int) -> int:
     """Largest DDT entry over a != 0."""
-    return spectrum_bruteforce(ctx, u).uniformity
+    return spectrum_bruteforce(ctx, ddt_rows(ctx, u)).uniformity

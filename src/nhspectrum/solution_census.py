@@ -14,17 +14,21 @@ solution).  For in-scope u the resulting count is determined entirely by
 the signs of the five classifier polynomials at z = a b, which yields a
 0..4 prediction without solving anything; this module computes both routes
 and the machinery to compare them against direct counting.
+
+The rules in `SOLUTION_CONDITIONS` are compiled at import into
+`PREDICTION_TABLE`, which both predictions read; the tests keep a direct
+interpreter of the rules as the oracle for every entry.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import charsums
+from .charsums import ScopedU
 from .field import FieldCtx, InconsistencyError
-from .ness import DDTRows, ddt_rows
 
 CASE_IDS = ("I", "II", "III", "IV")
 CASE_TAU = {"I": (1, 1), "II": (1, -1), "III": (-1, 1), "IV": (-1, -1)}
@@ -88,6 +92,47 @@ SOLUTION_CONDITIONS: dict[int, list[dict]] = {
         {"s": {1: -1, 2: 1, 3: 1, 4: 1, 5: -1}},
     ],
 }
+
+
+NO_RULE = -1
+SEVERAL_RULES = -2
+
+
+def condition_key(signs, one_pm_u, chi_z2mu2):
+    """Index into `PREDICTION_TABLE`, for one z or elementwise: mixed radix over
+    s1..s5 in {-1, 0, 1}, z in {1 +- u} in {0, 1}, chi(z^2 - u^2) in {-1, 0, 1}."""
+    key = np.int16(0)
+    for s in signs:
+        key = key * 3 + (s + 1)
+    return (key * 2 + one_pm_u) * 3 + (chi_z2mu2 + 1)
+
+
+def _compile_conditions() -> np.ndarray:
+    """The count whose single rule fires at each key, else NO_RULE or SEVERAL_RULES.
+
+    The b = 0 rule is left out: b = 0 predicts 0 before any key is formed.
+    """
+    *signs, one_pm_u, chi_z2mu2 = np.array(
+        list(itertools.product(*[(-1, 0, 1)] * 5, (0, 1), (-1, 0, 1))), dtype=np.int8
+    ).T
+    pred, fired = np.zeros((2, len(one_pm_u)), dtype=np.int8)
+    for count, conds in SOLUTION_CONDITIONS.items():
+        for cond in conds:
+            if cond.get("b_zero", False):
+                continue
+            mask = (one_pm_u == 1) | (not cond.get("one_pm_u", False))
+            for gid, want in cond.get("s", {}).items():
+                mask &= signs[gid - 1] == want
+            if "chi_z2mu2" in cond:
+                mask &= chi_z2mu2 == cond["chi_z2mu2"]
+            fired += mask
+            pred[mask] = count
+    table = np.select([fired == 1, fired == 0], [pred, NO_RULE], SEVERAL_RULES).astype(np.int8)
+    table.flags.writeable = False
+    return table
+
+
+PREDICTION_TABLE = _compile_conditions()
 
 
 # ---------------------------------------------------------------------------
@@ -174,59 +219,29 @@ def case_solutions(ctx: FieldCtx, u: int, a: int, b: int, case_id: str) -> CaseO
 # ---------------------------------------------------------------------------
 
 
-def g_signs(ctx: FieldCtx, u: int, z: int) -> tuple[int, int, int, int, int]:
+def g_signs(su: ScopedU, z: int) -> tuple[int, int, int, int, int]:
     """(chi(g1(z)), ..., chi(g5(z)))."""
-    return tuple(ctx.chi(charsums.g_eval(ctx, u, gid, z)) for gid in charsums.G_IDS)
+    return tuple(int(s) for s in su.signs[:, z])
 
 
-def _condition_matches(
-    cond: dict, *, b_zero: bool, one_pm_u: bool, signs: tuple[int, ...], chi_z2mu2: int
-) -> bool:
-    if cond.get("b_zero", False) != b_zero:
-        return False
-    if b_zero:
-        return True
-    if cond.get("one_pm_u", False) and not one_pm_u:
-        return False
-    for gid, want in cond.get("s", {}).items():
-        if signs[gid - 1] != want:
-            return False
-    if "chi_z2mu2" in cond and chi_z2mu2 != cond["chi_z2mu2"]:
-        return False
-    return True
+def _predict(su: ScopedU, zs: np.ndarray) -> np.ndarray:
+    """`PREDICTION_TABLE` at each z of zs; raises InconsistencyError naming u,
+    z and the signs at the first z where not exactly one rule fires."""
+    pred = PREDICTION_TABLE[condition_key(su.signs[:, zs], su.one_pm_u[zs], su.chi_z2mu2[zs])]
+    bad = np.flatnonzero(pred < 0)
+    if bad.size:
+        z = int(zs[bad[0]])
+        what = "no condition" if pred[bad[0]] == NO_RULE else "several conditions"
+        raise InconsistencyError(f"{what} matched at u={su.ctx.format_element(su.u)} "
+                                 f"z={su.ctx.format_element(z)} signs={g_signs(su, z)}")
+    return pred
 
 
-def matching_conditions(ctx: FieldCtx, u: int, a: int, b: int) -> list[tuple[int, int]]:
-    """All (count, condition index) pairs matching (a, b); must be exactly one."""
-    charsums.require_scope(ctx, u)
+def predict_solution_count(su: ScopedU, a: int, b: int) -> int:
+    """N(a, b) from the signs at z = a b alone; raises if not exactly one rule fires."""
     if a == 0:
         raise ValueError("a must be nonzero")
-    z = ctx.mul(a, b)
-    b_zero = b == 0
-    one_pm_u = z in (ctx.add(1, u), ctx.sub(1, u))
-    signs = g_signs(ctx, u, z)
-    chi_z2mu2 = ctx.chi(ctx.sub(ctx.mul(z, z), ctx.mul(u, u)))
-    out = []
-    for count, conds in SOLUTION_CONDITIONS.items():
-        for idx, cond in enumerate(conds):
-            if _condition_matches(
-                cond, b_zero=b_zero, one_pm_u=one_pm_u, signs=signs, chi_z2mu2=chi_z2mu2
-            ):
-                out.append((count, idx))
-    return out
-
-
-def predict_solution_count(ctx: FieldCtx, u: int, a: int, b: int) -> int:
-    """N(a, b) from the sign vector alone; raises if not exactly one rule fires."""
-    hits = matching_conditions(ctx, u, a, b)
-    if len(hits) != 1:
-        z = ctx.mul(a, b)
-        raise InconsistencyError(
-            f"{len(hits)} conditions matched at u={ctx.format_element(u)} "
-            f"a={ctx.format_element(a)} b={ctx.format_element(b)} "
-            f"z={ctx.format_element(z)} signs={g_signs(ctx, u, z)} hits={hits}"
-        )
-    return hits[0][0]
+    return int(_predict(su, np.array([su.ctx.mul(a, b)]))[0]) if b else 0
 
 
 # ---------------------------------------------------------------------------
@@ -260,17 +275,16 @@ class SolutionCensus:
         return self.predicted_total == self.observed_total
 
 
-def census(ctx: FieldCtx, u: int, a: int, b: int, rows: DDTRows | None = None) -> SolutionCensus:
+def census(su: ScopedU, a: int, b: int) -> SolutionCensus:
     """Count solutions every way at once and check the admissible patterns.
 
     ``predicted_total`` is the special-point count plus desired case roots;
-    ``observed_total`` is delta(a, b), read from the two DDT rows through
-    the scaling lemma (`ness.ddt_rows`): row 1 at a b for a square a, row g
-    at (a/g) b otherwise.  ``rows`` is ``ddt_rows(ctx, u)`` when already
-    built.  The (N1, N_I, N_II + N_III, N_IV) vector must appear in the
-    admissible table with exactly the predicted total.
+    ``observed_total`` is delta(a, b), read from the two DDT rows `su.rows`
+    through the scaling lemma (`ness.ddt_rows`): row 1 at a b for a square
+    a, row g at (a/g) b otherwise.  The (N1, N_I, N_II + N_III, N_IV) vector
+    must appear in the admissible table with exactly the predicted total.
     """
-    charsums.require_scope(ctx, u)
+    ctx, u = su.ctx, su.u
     if a == 0:
         raise ValueError("a must be nonzero")
     n1 = special_point_solutions(ctx, u, a, b)
@@ -279,13 +293,11 @@ def census(ctx: FieldCtx, u: int, a: int, b: int, rows: DDTRows | None = None) -
     else:
         cases = tuple(case_solutions(ctx, u, a, b, cid) for cid in CASE_IDS)
     predicted = n1 + sum(c.count for c in cases)
-    if rows is None:
-        rows = ddt_rows(ctx, u)
     z = ctx.mul(a, b)
     if ctx.chi(a) == 1:
-        observed = int(rows[0][z])
+        observed = int(su.rows[0][z])
     else:
-        observed = int(rows[1][ctx.mul(z, ctx.inv(ctx.generator))])
+        observed = int(su.rows[1][ctx.mul(z, ctx.inv(ctx.generator))])
     result = SolutionCensus(
         a=a,
         b=b,
@@ -305,15 +317,16 @@ def census(ctx: FieldCtx, u: int, a: int, b: int, rows: DDTRows | None = None) -
     return result
 
 
-def mismatch_record(ctx: FieldCtx, u: int, a: int, b: int, predicted: int, observed: int) -> dict:
+def mismatch_record(su: ScopedU, a: int, b: int, predicted: int, observed: int) -> dict:
     """JSON-ready triage record for a prediction that missed."""
+    ctx = su.ctx
     z = ctx.mul(a, b)
     return {
-        "u": ctx.format_element(u),
+        "u": ctx.format_element(su.u),
         "a": ctx.format_element(a),
         "b": ctx.format_element(b),
         "z": ctx.format_element(z),
-        "chi_signature": list(g_signs(ctx, u, z)),
+        "chi_signature": list(g_signs(su, z)),
         "predicted": predicted,
         "observed": observed,
     }
@@ -324,96 +337,51 @@ def mismatch_record(ctx: FieldCtx, u: int, a: int, b: int, predicted: int, obser
 # ---------------------------------------------------------------------------
 
 
-SignVectors = tuple[np.ndarray, np.ndarray, np.ndarray]  # see _sign_vectors
-
-
-def _sign_vectors(ctx: FieldCtx, u: int) -> SignVectors:
-    """Over every z: chi(g_i(z)) for i = 1..5 (`charsums.g_sign_matrix`),
-    chi(z^2 - u^2), and z in {1 +- u}."""
-    charsums.require_scope(ctx, u)
-    z = np.arange(ctx.q, dtype=np.int64)
-    chi_z2mu2 = ctx.chi_vec(ctx.sub_vec(ctx.mul_vec(z, z), np.int64(ctx.mul(u, u))))
-    one_pm_u = (z == ctx.add(1, u)) | (z == ctx.sub(1, u))
-    return charsums.g_sign_matrix(ctx, u), chi_z2mu2, one_pm_u
-
-
-def prediction_by_z(ctx: FieldCtx, u: int, vectors: SignVectors | None = None) -> np.ndarray:
+def prediction_by_z(su: ScopedU) -> np.ndarray:
     """Predicted N for every z in F* (slot z = 0 covers b = 0 and is 0).
 
-    Also enforces that exactly one condition fires at every nonzero z.
-    ``vectors`` is ``_sign_vectors(ctx, u)`` when the caller has built it.
+    One key per z and one gather from `PREDICTION_TABLE`; raises unless
+    exactly one condition fires at every nonzero z.
     """
-    q = ctx.q
-    signs, chi_z2mu2, one_pm_u = vectors if vectors is not None else _sign_vectors(ctx, u)
-
-    pred = np.zeros(q, dtype=np.int8)
-    fired = np.zeros(q, dtype=np.int8)
-    for count, conds in SOLUTION_CONDITIONS.items():
-        for cond in conds:
-            if cond.get("b_zero", False):
-                continue
-            mask = np.ones(q, dtype=bool)
-            if cond.get("one_pm_u", False):
-                mask &= one_pm_u
-            for gid, want in cond.get("s", {}).items():
-                mask &= signs[gid - 1] == want
-            if "chi_z2mu2" in cond:
-                mask &= chi_z2mu2 == cond["chi_z2mu2"]
-            fired += mask
-            pred[mask] = count
-    fired[0] = 1  # z = 0 only arises from b = 0, which predicts 0
-    if not np.all(fired == 1):
-        offender = int(np.flatnonzero(fired != 1)[0])
-        raise InconsistencyError(
-            f"{int(fired[offender])} conditions matched at "
-            f"u={ctx.format_element(u)} z={ctx.format_element(offender)} "
-            f"signs={g_signs(ctx, u, offender)}"
-        )
-    pred[0] = 0
+    pred = np.zeros(su.ctx.q, dtype=np.int8)  # z = 0 only arises from b = 0: 0
+    pred[1:] = _predict(su, np.arange(1, su.ctx.q))
     return pred
 
 
-def census_components_by_z(
-    ctx: FieldCtx, u: int, vectors: SignVectors | None = None
-) -> dict[str, np.ndarray]:
+def census_components_by_z(su: ScopedU) -> dict[str, np.ndarray]:
     """(N1, N_I, N_II + N_III, N_IV) for every z in F*, from closed forms.
 
     N1 depends on (a, b) only through z here because u is outside GF(3):
     the two special-point targets are ab = 1 +- u regardless of chi(a).
-    ``vectors`` is ``_sign_vectors(ctx, u)`` when the caller has built it.
     """
-    signs, chi_z2mu2, one_pm_u = vectors if vectors is not None else _sign_vectors(ctx, u)
-    s1, s2, s3, s4, s5 = signs
-    n1 = one_pm_u.astype(np.int8)
+    s1, s2, s3, s4, s5 = su.signs
+    n1 = su.one_pm_u.astype(np.int8)
     n_i = ((s1 == 1) & (s2 == 1)).astype(np.int8)
     n_iv = ((s1 == 1) & (s3 == 1)).astype(np.int8)
     n_ii_iii = np.where(
         (s4 == 1) & (s5 == 1),
         np.int8(2),
-        ((s4 == 0) & (chi_z2mu2 == 1)).astype(np.int8),
+        ((s4 == 0) & (su.chi_z2mu2 == 1)).astype(np.int8),
     )
     for arr in (n1, n_i, n_iv, n_ii_iii):
         arr[0] = 0
     return {"n1": n1, "n_i": n_i, "n_ii_iii": n_ii_iii, "n_iv": n_iv}
 
 
-def verify_predictions(ctx: FieldCtx, u: int, rows: DDTRows | None = None) -> dict:
+def verify_predictions(su: ScopedU) -> dict:
     """Compare predictions against the DDT for every (a, b).
 
     Checks, for each pair: the proposition prediction, the case-vector sum,
     and membership of the case vector in the admissible table.  All three
     depend only on z = a b, and so does delta(a, b) within a square class of
     a (`ness.ddt_rows`), so the pairs with a = 1 and a = g cover every pair.
-    ``rows`` is ``ddt_rows(ctx, u)`` when already built.  Returns a summary
-    with one mismatch record per failing representative pair.
+    Returns a summary with one mismatch record per failing representative
+    pair.
     """
-    charsums.require_scope(ctx, u)
+    ctx = su.ctx
     q = ctx.q
-    if rows is None:
-        rows = ddt_rows(ctx, u)
-    vectors = _sign_vectors(ctx, u)
-    pred_z = prediction_by_z(ctx, u, vectors)
-    comp = census_components_by_z(ctx, u, vectors)
+    pred_z = prediction_by_z(su)
+    comp = census_components_by_z(su)
     totals_z = comp["n1"] + comp["n_i"] + comp["n_ii_iii"] + comp["n_iv"]
 
     keys_z = (
@@ -425,7 +393,7 @@ def verify_predictions(ctx: FieldCtx, u: int, rows: DDTRows | None = None) -> di
 
     bs = np.arange(q, dtype=np.int64)
     mismatches: list[dict] = []
-    for a, observed in zip((1, ctx.generator), rows):
+    for a, observed in zip((1, ctx.generator), su.rows):
         zrow = ctx.mul_vec(np.int64(a), bs)
         predicted = pred_z[zrow]
         ok = (
@@ -435,10 +403,10 @@ def verify_predictions(ctx: FieldCtx, u: int, rows: DDTRows | None = None) -> di
         )
         for b in np.flatnonzero(~ok):
             mismatches.append(
-                mismatch_record(ctx, u, a, int(b), int(predicted[b]), int(observed[b]))
+                mismatch_record(su, a, int(b), int(predicted[b]), int(observed[b]))
             )
     return {
-        "u": ctx.format_element(u),
+        "u": ctx.format_element(su.u),
         "pairs": (q - 1) * q,  # each representative row stands for (q - 1)/2 rows
         "mismatches": mismatches,
         "ok": not mismatches,

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import charsums
 from .field import FieldCtx, InconsistencyError
-from .ness import DDTRows, Spectrum
+from .ness import Spectrum, spectrum_bruteforce
 
 CLASS_F3 = "F3"
 CLASS_U0 = "U0_nonF3"
@@ -77,49 +77,35 @@ def u0_nonf3_elements(ctx: FieldCtx) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def gamma3(ctx: FieldCtx, u: int) -> int:
-    """-chi(u+1) * sum_z chi(z^3 - z^2 + u^2 z); the scan-friendly form."""
-    charsums.require_scope(ctx, u)
+def gamma3(su: charsums.ScopedU) -> int:
+    """-chi(u+1) * sum_z chi(z^3 - z^2 + u^2 z); the defining form sum_z chi(g1 g4)
+    is the oracle in the tests."""
+    ctx, u = su.ctx, su.u
     u2 = ctx.mul(u, u)
     return -ctx.chi(ctx.add(u, 1)) * charsums.char_sum(ctx, [0, u2, ctx.neg(1), 1])
 
 
-def gamma3_from_products(ctx: FieldCtx, u: int) -> int:
-    """sum_z chi(g1 g4); the defining form, kept as the oracle."""
-    return charsums.g_product_sum(ctx, u, (1, 4))
-
-
-def gamma4(ctx: FieldCtx, u: int) -> int:
-    """-chi(u+1) * sum_z chi(z^5 - (u^2+1) z^2 + (u^2 - u^4) z)."""
-    charsums.require_scope(ctx, u)
+def gamma4(su: charsums.ScopedU) -> int:
+    """-chi(u+1) * sum_z chi(z^5 - (u^2+1) z^2 + (u^2 - u^4) z); the defining form
+    sum_z chi(g1 g2 g3 g4) is the oracle in the tests."""
+    ctx, u = su.ctx, su.u
     u2 = ctx.mul(u, u)
     u4 = ctx.mul(u2, u2)
     coeffs = [0, ctx.sub(u2, u4), ctx.neg(ctx.add(u2, 1)), 0, 0, 1]
     return -ctx.chi(ctx.add(u, 1)) * charsums.char_sum(ctx, coeffs)
 
 
-def gamma4_from_products(ctx: FieldCtx, u: int) -> int:
-    """sum_z chi(g1 g2 g3 g4); the defining form, kept as the oracle."""
-    return charsums.g_product_sum(ctx, u, (1, 2, 3, 4))
-
-
-def epsilon(ctx: FieldCtx, u: int) -> int:
+def epsilon(su: charsums.ScopedU) -> int:
     """1 when z = 1+u (resp. 1-u) carries three solutions, else 0.
 
     That happens exactly when chi(u) sides with chi(u+1) and
     chi((u+1) r + (u-1)^2) = -1, or chi(u) sides with chi(u-1) and
     chi((1-u) r + (u+1)^2) = -1, with r the canonical root of 1 - u^2.
     """
-    charsums.require_scope(ctx, u)
-    r = charsums.sqrt_term(ctx, u)
-    chi_u = ctx.chi(u)
-    up1 = ctx.add(u, 1)
-    um1 = ctx.sub(u, 1)
-    if chi_u == ctx.chi(up1):
-        probe = ctx.add(ctx.mul(up1, r), ctx.mul(um1, um1))
-        return 1 if ctx.chi(probe) == -1 else 0
-    probe = ctx.add(ctx.mul(ctx.sub(1, u), r), ctx.mul(up1, up1))
-    return 1 if ctx.chi(probe) == -1 else 0
+    ctx, u, r = su.ctx, su.u, su.r
+    up1, um1 = ctx.add(u, 1), ctx.sub(u, 1)
+    lead, square = (up1, um1) if ctx.chi(u) == ctx.chi(up1) else (ctx.neg(um1), up1)
+    return int(ctx.chi(ctx.add(ctx.mul(lead, r), ctx.mul(square, square))) == -1)
 
 
 @dataclass(frozen=True)
@@ -129,19 +115,10 @@ class ClosedFormInputs:
     gamma3: int
     gamma4: int
     epsilon: int
-    sqrt_term: int
-    phi: int
 
 
-def closed_form_inputs(ctx: FieldCtx, u: int) -> ClosedFormInputs:
-    r = charsums.sqrt_term(ctx, u)
-    return ClosedFormInputs(
-        gamma3=gamma3(ctx, u),
-        gamma4=gamma4(ctx, u),
-        epsilon=epsilon(ctx, u),
-        sqrt_term=r,
-        phi=ctx.add(1, r),
-    )
+def closed_form_inputs(su: charsums.ScopedU) -> ClosedFormInputs:
+    return ClosedFormInputs(gamma3=gamma3(su), gamma4=gamma4(su), epsilon=epsilon(su))
 
 
 # ---------------------------------------------------------------------------
@@ -156,9 +133,8 @@ def _exact_div(num: int, den: int, what: str) -> int:
     return quot
 
 
-def spectrum_closed_form(ctx: FieldCtx, u: int) -> Spectrum:
+def spectrum_closed_form(ctx: FieldCtx, ins: ClosedFormInputs) -> Spectrum:
     """The five-entry spectrum [omega0..omega4] from (epsilon, gamma3, gamma4)."""
-    ins = closed_form_inputs(ctx, u)
     q = ctx.q
     e, g3, g4 = ins.epsilon, ins.gamma3, ins.gamma4
     w0 = (q - 1) * (-1 + e + _exact_div(15 * q - 17 - g4, 32, "omega0"))
@@ -169,20 +145,15 @@ def spectrum_closed_form(ctx: FieldCtx, u: int) -> Spectrum:
     return Spectrum((w0, w1, w2, w3, w4), source="closed-form")
 
 
-def verify_theorem_record(ctx: FieldCtx, u: int, rows: DDTRows | None = None) -> dict:
-    """Closed form vs brute force for one u, as a JSON-ready record.
-
-    ``rows`` is ``ddt_rows(ctx, u)`` when the caller has already built it.
-    """
-    from .ness import spectrum_bruteforce  # local import keeps module load light
-
-    cls = classify_u(ctx, u)
-    ins = closed_form_inputs(ctx, u)
-    closed = spectrum_closed_form(ctx, u)
-    brute = spectrum_bruteforce(ctx, u, rows=rows)
+def verify_theorem_record(su: charsums.ScopedU) -> dict:
+    """Closed form vs brute force for one u, as a JSON-ready record."""
+    ctx = su.ctx
+    ins = closed_form_inputs(su)
+    closed = spectrum_closed_form(ctx, ins)
+    brute = spectrum_bruteforce(ctx, su.rows)
     return {
-        "u": ctx.format_element(u),
-        "class": cls.label,
+        "u": ctx.format_element(su.u),
+        "class": CLASS_U0,
         "epsilon": ins.epsilon,
         "gamma3": ins.gamma3,
         "gamma4": ins.gamma4,

@@ -1,0 +1,152 @@
+"""Deliberately slow, independent references the fast paths are tested against.
+
+None of this is library code: each function recomputes by a different
+route what a production function computes, and the tests compare the two.
+
+  * `ddt_entry_naive` counts x one at a time; `ddt_table` counts every row
+    a of the DDT, the oracle for the two rows and the scaling lemma.
+  * `g_eval` evaluates one classifier polynomial at one z with the scalar
+    ops, the oracle for `g_values` and the sign matrix.
+  * `g_product_sum` multiplies the classifier polynomials in the field
+    before taking chi; `gamma3_from_products` and `gamma4_from_products`
+    are the defining forms of the two character sums.
+  * `matching_conditions` interprets `SOLUTION_CONDITIONS` rule by rule on
+    the signs from `g_eval`, the oracle for `PREDICTION_TABLE`.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable
+
+import numpy as np
+
+from nhspectrum import ness
+from nhspectrum.charsums import G_IDS, ScopedU, g_values
+from nhspectrum.field import FieldCtx
+from nhspectrum.solution_census import SOLUTION_CONDITIONS
+
+
+# ---------------------------------------------------------------------------
+# the DDT
+# ---------------------------------------------------------------------------
+
+
+def ddt_entry_naive(ctx: FieldCtx, u: int, a: int, b: int) -> int:
+    """Scalar per-x count; the oracle for the vectorised accumulation."""
+    if a == 0:
+        raise ValueError("DDT rows are indexed by nonzero a")
+    return sum(1 for x in ctx.elements() if ness.derivative(ctx, u, a, x) == b)
+
+
+def ddt_table(ctx: FieldCtx, u: int) -> np.ndarray:
+    """(q, q) array of delta(a, b), one `ness.ddt_row` per a; the oracle for `ness.ddt_rows`.
+
+    Row a = 0 is filled (delta(0, 0) = q) but is not part of the DDT.
+    """
+    ftab = ness.f_table(ctx, u)
+    out = np.zeros((ctx.q, ctx.q), dtype=np.int64)
+    out[0, 0] = ctx.q
+    for a in range(1, ctx.q):
+        out[a] = ness.ddt_row(ctx, ftab, a)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# character sums
+# ---------------------------------------------------------------------------
+
+
+def g_eval(su: ScopedU, gid: int, z: int) -> int:
+    """g_gid(z) by scalar field ops."""
+    ctx, u = su.ctx, su.u
+    if gid == 1:
+        return ctx.mul(ctx.neg(ctx.add(u, 1)), z)
+    if gid == 2:
+        return ctx.mul(z, ctx.sub(z, ctx.add(1, u)))
+    if gid == 3:
+        return ctx.mul(z, ctx.sub(z, ctx.sub(1, u)))
+    if gid == 4:
+        return ctx.add(ctx.sub(ctx.mul(z, z), z), ctx.mul(u, u))
+    if gid == 5:
+        return ctx.mul(ctx.neg(ctx.add(1, su.r)), ctx.sub(ctx.add(z, 1), su.r))
+    raise ValueError(f"gid must be 1..5, got {gid}")
+
+
+def g_signs(su: ScopedU, z: int) -> tuple[int, ...]:
+    """(chi(g1(z)), ..., chi(g5(z))) by scalar evaluation."""
+    return tuple(su.ctx.chi(g_eval(su, gid, z)) for gid in G_IDS)
+
+
+def g_product_sum(su: ScopedU, gids: Iterable[int]) -> int:
+    """Exact sum over z of chi of the product of the selected g polynomials.
+
+    Multiplies the polynomials in the field; the oracle for `g_sign_product_sum`.
+    """
+    gids = tuple(gids)
+    if not gids:
+        raise ValueError("need at least one polynomial id")
+    prod = g_values(su, gids[0])
+    for gid in gids[1:]:
+        prod = su.ctx.mul_vec(prod, g_values(su, gid))
+    return int(su.ctx.chi_vec(prod).sum())
+
+
+def gamma3_from_products(su: ScopedU) -> int:
+    """sum_z chi(g1 g4); the defining form of gamma3."""
+    return g_product_sum(su, (1, 4))
+
+
+def gamma4_from_products(su: ScopedU) -> int:
+    """sum_z chi(g1 g2 g3 g4); the defining form of gamma4."""
+    return g_product_sum(su, (1, 2, 3, 4))
+
+
+# ---------------------------------------------------------------------------
+# the proposition rules
+# ---------------------------------------------------------------------------
+
+
+def condition_matches(
+    cond: dict, *, b_zero: bool, one_pm_u: bool, signs: tuple[int, ...], chi_z2mu2: int
+) -> bool:
+    """Whether one rule of `SOLUTION_CONDITIONS` fires on the given inputs."""
+    if cond.get("b_zero", False) != b_zero:
+        return False
+    if b_zero:
+        return True
+    if cond.get("one_pm_u", False) and not one_pm_u:
+        return False
+    for gid, want in cond.get("s", {}).items():
+        if signs[gid - 1] != want:
+            return False
+    if "chi_z2mu2" in cond and chi_z2mu2 != cond["chi_z2mu2"]:
+        return False
+    return True
+
+
+def fired_conditions(
+    *, b_zero: bool, one_pm_u: bool, signs: tuple[int, ...], chi_z2mu2: int
+) -> list[tuple[int, int]]:
+    """All (count, condition index) pairs whose rule fires on the given inputs."""
+    return [
+        (count, idx)
+        for count, conds in SOLUTION_CONDITIONS.items()
+        for idx, cond in enumerate(conds)
+        if condition_matches(
+            cond, b_zero=b_zero, one_pm_u=one_pm_u, signs=signs, chi_z2mu2=chi_z2mu2
+        )
+    ]
+
+
+def matching_conditions(su: ScopedU, a: int, b: int) -> list[tuple[int, int]]:
+    """All (count, condition index) pairs matching (a, b); must be exactly one."""
+    ctx, u = su.ctx, su.u
+    if a == 0:
+        raise ValueError("a must be nonzero")
+    z = ctx.mul(a, b)
+    return fired_conditions(
+        b_zero=b == 0,
+        one_pm_u=z in (ctx.add(1, u), ctx.sub(1, u)),
+        signs=g_signs(su, z),
+        chi_z2mu2=ctx.chi(ctx.sub(ctx.mul(z, z), ctx.mul(u, u))),
+    )

@@ -8,11 +8,18 @@ import random
 
 import pytest
 
+import oracles
 from nhspectrum import charsums as cs
 from nhspectrum import ness
 from nhspectrum import solution_census as cn
 from nhspectrum import spectrum as sp
 from nhspectrum.rng import sample_u0_nonf3
+
+
+def _closed_and_brute(ctx, u):
+    su = cs.ScopedU(ctx, u)
+    closed = sp.spectrum_closed_form(ctx, sp.closed_form_inputs(su))
+    return closed, ness.spectrum_bruteforce(ctx, su.rows)
 
 
 def _criterion(num, description, failures):
@@ -41,8 +48,7 @@ def test_criterion_1_theorem_equals_bruteforce_exhaustive(f3, f5, scope3, scope5
     failures = []
     for ctx, scope in ((f3, scope3), (f5, scope5)):
         for u in scope:
-            closed = sp.spectrum_closed_form(ctx, u).omegas
-            brute = ness.spectrum_bruteforce(ctx, u).omegas
+            closed, brute = (spec.omegas for spec in _closed_and_brute(ctx, u))
             if closed != brute:
                 failures.append((ctx.n, u, closed, brute))
     _criterion(1, "closed form == brute force for every in-scope u at n=3 and n=5",
@@ -52,8 +58,7 @@ def test_criterion_1_theorem_equals_bruteforce_exhaustive(f3, f5, scope3, scope5
 def test_criterion_2_theorem_equals_bruteforce_sampled_n7(f7, sampled7):
     failures = []
     for u in sampled7:
-        closed = sp.spectrum_closed_form(f7, u).omegas
-        brute = ness.spectrum_bruteforce(f7, u).omegas
+        closed, brute = (spec.omegas for spec in _closed_and_brute(f7, u))
         if closed != brute:
             failures.append((u, closed, brute))
     _criterion(2, "closed form == brute force for 20 seeded u at n=7", failures)
@@ -70,15 +75,15 @@ def test_criterion_3_paper_example_reproduction(f3, f5, f7, scope3, scope5):
         triple, expected = targets[ctx.n]
         hits = []
         for u in scope:
-            ins = sp.closed_form_inputs(ctx, u)
+            ins = sp.closed_form_inputs(cs.ScopedU(ctx, u))
             if (ins.epsilon, ins.gamma3, ins.gamma4) == triple:
-                hits.append(u)
+                hits.append((u, ins))
         if not hits:
             failures.append((ctx.n, "triple not realised", triple))
             continue
-        for u in hits[:1]:
-            if sp.spectrum_closed_form(ctx, u).omegas != expected:
-                failures.append((ctx.n, u, sp.spectrum_closed_form(ctx, u).omegas))
+        for u, ins in hits[:1]:
+            if sp.spectrum_closed_form(ctx, ins).omegas != expected:
+                failures.append((ctx.n, u, sp.spectrum_closed_form(ctx, ins).omegas))
     _criterion(3, "the three published example spectra are reproduced exactly",
                failures)
 
@@ -87,7 +92,7 @@ def test_criterion_4_identity_suite(f3, f5, f7, scope3, scope5, sampled7):
     failures = []
     for ctx, us in ((f3, scope3), (f5, scope5), (f7, sampled7)):
         for u in us:
-            for rep in cs.section2_identities(ctx, u):
+            for rep in cs.section2_identities(cs.ScopedU(ctx, u)):
                 if not rep.passed:
                     failures.append((ctx.n, u, rep))
     # degree-2 closed form: exhaustive at n=3, 1000 random triples at n=5
@@ -110,11 +115,12 @@ def test_criterion_4_identity_suite(f3, f5, f7, scope3, scope5, sampled7):
 def test_criterion_5_census_correctness(f3, f5, scope3):
     failures = []
     for u in scope3:  # exhaustive per-pair census at n=3
-        ddt = ness.ddt_table(f3, u)
+        ddt = oracles.ddt_table(f3, u)
+        su = cs.ScopedU(f3, u)
         for a in range(1, f3.q):
             for b in range(f3.q):
-                c = cn.census(f3, u, a, b)
-                hits = cn.matching_conditions(f3, u, a, b)
+                c = cn.census(su, a, b)
+                hits = oracles.matching_conditions(su, a, b)
                 ok = (
                     c.predicted_total == c.observed_total == int(ddt[a, b])
                     and len(hits) == 1
@@ -124,7 +130,7 @@ def test_criterion_5_census_correctness(f3, f5, scope3):
                 if not ok:
                     failures.append((3, u, a, b))
     for u in sample_u0_nonf3(f5, 10, seed=77):  # all pairs, vectorised, at n=5
-        report = cn.verify_predictions(f5, u)
+        report = cn.verify_predictions(cs.ScopedU(f5, u))
         if not report["ok"]:
             failures.append((5, u, report["mismatches"][:3]))
     _criterion(5, "predictions match direct counts for every (a, b); patterns admissible",
@@ -150,9 +156,10 @@ def test_criterion_7_structural_invariants(f3, f5, scope3, scope5):
     for ctx, scope in ((f3, scope3), (f5, scope5)):
         q = ctx.q
         for u in scope:
-            ins = sp.closed_form_inputs(ctx, u)
-            closed = sp.spectrum_closed_form(ctx, u)
-            brute = ness.spectrum_bruteforce(ctx, u)
+            su = cs.ScopedU(ctx, u)
+            ins = sp.closed_form_inputs(su)
+            closed = sp.spectrum_closed_form(ctx, ins)
+            brute = ness.spectrum_bruteforce(ctx, su.rows)
             if not (closed.counting_identities_hold(q) and brute.counting_identities_hold(q)):
                 failures.append((ctx.n, u, "counting identities"))
             divisibility = (
@@ -164,9 +171,9 @@ def test_criterion_7_structural_invariants(f3, f5, scope3, scope5):
             )
             if not divisibility:
                 failures.append((ctx.n, u, "divisibility"))
-            if cs.table_a_chi(ctx, u) != cs.table_a_expected(ctx, u):
+            if cs.table_a_chi(su) != cs.table_a_expected(su):
                 failures.append((ctx.n, u, "sign table"))
-            phi = ctx.add(1, cs.sqrt_term(ctx, u))
+            phi = ctx.add(1, su.r)
             if ctx.chi(ctx.mul(ctx.add(u, 1), phi)) != -1:
                 failures.append((ctx.n, u, "chi((u+1) phi)"))
     _criterion(7, "counting identities, divisibility, sign table, chi((u+1)phi) = -1",

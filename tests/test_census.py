@@ -1,11 +1,14 @@
 """Per-pair solution counting: special points, case quadratics, predictions."""
 
+import itertools
 import random
 
 import pytest
 
+import oracles
 from nhspectrum import solution_census as cn
 from nhspectrum import ness
+from nhspectrum.charsums import ScopedU
 from nhspectrum.field import InconsistencyError
 from nhspectrum.rng import sample_u0_nonf3
 from nhspectrum.spectrum import u0_nonf3_elements
@@ -145,9 +148,10 @@ def test_case_rejects_degenerate_inputs(f3):
 def test_case_i_iv_sign_conditions(f3):
     # N_I = 1 iff s2 = 1 and s1 = 1; N_IV = 1 iff s3 = 1 and s1 = 1
     for u in u0_nonf3_elements(f3):
+        su = ScopedU(f3, u)
         for a in range(1, f3.q, 2):
             for b in range(1, f3.q, 3):
-                s = cn.g_signs(f3, u, f3.mul(a, b))
+                s = oracles.g_signs(su, f3.mul(a, b))
                 n_i = cn.case_solutions(f3, u, a, b, "I").count
                 n_iv = cn.case_solutions(f3, u, a, b, "IV").count
                 assert n_i == int(s[0] == 1 and s[1] == 1)
@@ -157,10 +161,11 @@ def test_case_i_iv_sign_conditions(f3):
 def test_case_ii_iii_sum_sign_conditions(f3):
     # N_II + N_III: 2 iff s4 = s5 = 1; 1 iff s4 = 0 and chi(z^2-u^2) = 1; else 0
     for u in u0_nonf3_elements(f3):
+        su = ScopedU(f3, u)
         for a in range(1, f3.q, 2):
             for b in range(1, f3.q, 3):
                 z = f3.mul(a, b)
-                s = cn.g_signs(f3, u, z)
+                s = oracles.g_signs(su, z)
                 chi_z2mu2 = f3.chi(f3.sub(f3.mul(z, z), f3.mul(u, u)))
                 total = (
                     cn.case_solutions(f3, u, a, b, "II").count
@@ -177,10 +182,11 @@ def test_case_ii_iii_sum_sign_conditions(f3):
 def test_degenerate_case_quadratic_blocks_i_and_iv(f3):
     # s4 = 0 forces chi((u+1) z) = -1, hence s1 = 1... and N_I = N_IV = 0
     for u in u0_nonf3_elements(f3):
+        su = ScopedU(f3, u)
+        comp = cn.census_components_by_z(su)
         for z in f3.elements():
-            if z and cn.g_signs(f3, u, z)[3] == 0:
-                s = cn.g_signs(f3, u, z)
-                comp = cn.census_components_by_z(f3, u)
+            if z and oracles.g_signs(su, z)[3] == 0:
+                s = oracles.g_signs(su, z)
                 assert s[0] == -1  # chi(g1) = -1, i.e. chi((u+1)/z) = +1
                 assert comp["n_i"][z] == 0 and comp["n_iv"][z] == 0
 
@@ -188,7 +194,7 @@ def test_degenerate_case_quadratic_blocks_i_and_iv(f3):
 def test_special_point_rows_exclude_cases_i_iv(f3):
     # z = 1 +- u: N1 = 1 while N_I = N_IV = 0 and N_II + N_III != 1
     for u in u0_nonf3_elements(f3):
-        comp = cn.census_components_by_z(f3, u)
+        comp = cn.census_components_by_z(ScopedU(f3, u))
         for z in (f3.add(1, u), f3.sub(1, u)):
             assert comp["n1"][z] == 1
             assert comp["n_i"][z] == 0 and comp["n_iv"][z] == 0
@@ -202,20 +208,20 @@ def test_special_point_rows_exclude_cases_i_iv(f3):
 
 def test_census_exhaustive_n3(f3):
     for u in u0_nonf3_elements(f3):
-        ddt = ness.ddt_table(f3, u)
-        rows = ness.ddt_rows(f3, u)
+        ddt = oracles.ddt_table(f3, u)
+        su = ScopedU(f3, u)
         for a in range(1, f3.q):
             for b in range(f3.q):
-                c = cn.census(f3, u, a, b, rows=rows)
-                predicted = cn.predict_solution_count(f3, u, a, b)
+                c = cn.census(su, a, b)
+                predicted = cn.predict_solution_count(su, a, b)
                 assert c.predicted_total == c.observed_total == predicted
-                assert c.observed_total == int(ddt[a, b]) == ness.ddt_entry_naive(f3, u, a, b)
+                assert c.observed_total == int(ddt[a, b]) == oracles.ddt_entry_naive(f3, u, a, b)
                 assert c.table_key in cn.TABLE_IV_ROWS
 
 
 def test_census_totals_match_case_sum(f3):
     u = u0_nonf3_elements(f3)[0]
-    c = cn.census(f3, u, 4, 9)
+    c = cn.census(ScopedU(f3, u), 4, 9)
     assert c.predicted_total == c.n1 + sum(o.count for o in c.cases)
     assert c.z == f3.mul(4, 9)
 
@@ -232,88 +238,133 @@ def test_table_iv_rows_are_the_admissible_vectors():
 def test_full_pattern_with_four_solutions_occurs(f3):
     seen = set()
     for u in u0_nonf3_elements(f3):
+        su = ScopedU(f3, u)
         for a in range(1, f3.q):
             for b in range(1, f3.q):
-                seen.add(cn.census(f3, u, a, b).table_key)
+                seen.add(cn.census(su, a, b).table_key)
     assert (0, 1, 2, 1) in seen  # the four-solution row
     assert (1, 0, 0, 0) in seen
 
 
 def test_predict_b_zero_is_zero(f3):
     for u in u0_nonf3_elements(f3):
+        su = ScopedU(f3, u)
         for a in range(1, f3.q):
-            assert cn.predict_solution_count(f3, u, a, 0) == 0
+            assert cn.predict_solution_count(su, a, 0) == 0
 
 
 def test_predict_requires_scope_and_nonzero_a(f3):
     with pytest.raises(ValueError):
-        cn.predict_solution_count(f3, 1, 2, 3)
+        cn.predict_solution_count(ScopedU(f3, 1), 2, 3)
     u = u0_nonf3_elements(f3)[0]
     with pytest.raises(ValueError):
-        cn.predict_solution_count(f3, u, 0, 3)
+        cn.predict_solution_count(ScopedU(f3, u), 0, 3)
 
 
 def test_exactly_one_condition_matches_n3(f3):
     for u in u0_nonf3_elements(f3):
+        su = ScopedU(f3, u)
         for a in range(1, f3.q):
             for b in range(f3.q):
-                assert len(cn.matching_conditions(f3, u, a, b)) == 1
+                assert len(oracles.matching_conditions(su, a, b)) == 1
+
+
+def test_prediction_table_equals_rule_interpreter():
+    """Every one of the 3^5 * 2 * 3 keys: the count where exactly one rule
+    fires, NO_RULE where none does and SEVERAL_RULES where more than one does."""
+    keys = list(itertools.product(*[(-1, 0, 1)] * 5, (False, True), (-1, 0, 1)))
+    assert len(keys) == len(cn.PREDICTION_TABLE) == 1458
+    seen = set()
+    for *signs, one_pm_u, chi_z2mu2 in keys:
+        key = int(cn.condition_key(tuple(signs), one_pm_u, chi_z2mu2))
+        hits = oracles.fired_conditions(
+            b_zero=False, one_pm_u=one_pm_u, signs=tuple(signs), chi_z2mu2=chi_z2mu2
+        )
+        if len(hits) == 1:
+            expected = hits[0][0]
+        else:
+            expected = cn.NO_RULE if not hits else cn.SEVERAL_RULES
+        assert int(cn.PREDICTION_TABLE[key]) == expected, (signs, one_pm_u, chi_z2mu2, hits)
+        seen.add(key)
+    assert seen == set(range(1458))
 
 
 def test_prediction_by_z_matches_scalar(f3):
-    for u in u0_nonf3_elements(f3)[:4]:
-        pred = cn.prediction_by_z(f3, u)
+    for u in u0_nonf3_elements(f3):
+        su = ScopedU(f3, u)
+        pred = cn.prediction_by_z(su)
         for a in range(1, f3.q):
             for b in range(f3.q):
-                assert int(pred[f3.mul(a, b)] if b else 0) == cn.predict_solution_count(
-                    f3, u, a, b
-                )
+                scalar = cn.predict_solution_count(su, a, b)
+                assert int(pred[f3.mul(a, b)] if b else 0) == scalar
+                (hit,) = oracles.matching_conditions(su, a, b)
+                assert hit[0] == scalar
+
+
+def test_prediction_names_the_key_without_a_rule(f3, monkeypatch):
+    su = ScopedU(f3, u0_nonf3_elements(f3)[0])
+    z = 7
+    key = int(cn.condition_key(cn.g_signs(su, z), bool(su.one_pm_u[z]), int(su.chi_z2mu2[z])))
+    table = cn.PREDICTION_TABLE.copy()
+    table[key] = cn.NO_RULE
+    monkeypatch.setattr(cn, "PREDICTION_TABLE", table)
+    with pytest.raises(InconsistencyError, match="no condition matched") as vector:
+        cn.prediction_by_z(su)
+    with pytest.raises(InconsistencyError, match="no condition matched") as scalar:
+        cn.predict_solution_count(su, 1, z)
+    for exc in (vector, scalar):
+        message = str(exc.value)
+        assert f"u={f3.format_element(su.u)}" in message
+        assert f"signs={cn.g_signs(su, z)}" in message
+    assert f"z={f3.format_element(z)}" in str(scalar.value)
 
 
 def test_verify_predictions_clean_n3(f3):
     for u in u0_nonf3_elements(f3):
-        report = cn.verify_predictions(f3, u)
+        report = cn.verify_predictions(ScopedU(f3, u))
         assert report["ok"] and report["pairs"] == (f3.q - 1) * f3.q
 
 
 def test_verify_predictions_sampled_n5(f5):
     for u in sample_u0_nonf3(f5, 3, seed=99):
-        report = cn.verify_predictions(f5, u)
+        report = cn.verify_predictions(ScopedU(f5, u))
         assert report["ok"], report["mismatches"][:3]
 
 
 def test_exactly_one_condition_and_predictions_sampled_n7(f7):
     for u in sample_u0_nonf3(f7, 2, seed=101):
-        cn.prediction_by_z(f7, u)  # raises unless exactly one rule fires per z
+        cn.prediction_by_z(ScopedU(f7, u))  # raises unless exactly one rule fires per z
     u = sample_u0_nonf3(f7, 1, seed=103)[0]
-    report = cn.verify_predictions(f7, u)
+    report = cn.verify_predictions(ScopedU(f7, u))
     assert report["ok"], report["mismatches"][:3]
 
 
-def test_verify_predictions_reports_a_raised_cell(f3):
+def test_verify_predictions_reports_a_raised_cell(f3, monkeypatch):
     u = u0_nonf3_elements(f3)[0]
     row_1, row_g = ness.ddt_rows(f3, u)
     b = 5
     raised = row_1.copy()
     raised[b] += 1
-    report = cn.verify_predictions(f3, u, rows=(raised, row_g))
+    monkeypatch.setattr(ness, "ddt_rows", lambda ctx, u: (raised, row_g))
+    su = ScopedU(f3, u)
+    report = cn.verify_predictions(su)
     assert report["ok"] is False
     assert report["pairs"] == (f3.q - 1) * f3.q
     (rec,) = report["mismatches"]
     assert rec == cn.mismatch_record(
-        f3, u, 1, b, cn.predict_solution_count(f3, u, 1, b),
-        ness.ddt_entry_naive(f3, u, 1, b) + 1,
+        su, 1, b, cn.predict_solution_count(su, 1, b),
+        oracles.ddt_entry_naive(f3, u, 1, b) + 1,
     )
     assert (rec["a"], rec["b"]) == (f3.format_element(1), f3.format_element(b))
 
 
 def test_mismatch_record_shape(f3):
     u = u0_nonf3_elements(f3)[0]
-    rec = cn.mismatch_record(f3, u, 4, 9, 2, 3)
+    rec = cn.mismatch_record(ScopedU(f3, u), 4, 9, 2, 3)
     assert set(rec) == {"u", "a", "b", "z", "chi_signature", "predicted", "observed"}
     assert len(rec["chi_signature"]) == 5
 
 
 def test_census_rejects_out_of_scope_u(f3):
     with pytest.raises(ValueError):
-        cn.census(f3, 0, 1, 1)
+        cn.census(ScopedU(f3, 0), 1, 1)

@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+import oracles
 from nhspectrum import charsums as cs
 from nhspectrum.rng import sample_u0_nonf3
 from nhspectrum.spectrum import u0_nonf3_elements
@@ -33,6 +34,24 @@ def test_char_sum_linear_balanced(f3, f5):
 def test_char_sum_z2_plus_one(f3, f5):
     for ctx in (f3, f5):
         assert cs.char_sum(ctx, [1, 0, 1]) == -1  # nonzero discriminant
+
+
+def test_char_sum_matches_scalar_horner(f3):
+    """Random coefficients with many zeros, constants and zero leading terms
+    included, against chi of the polynomial evaluated one z at a time."""
+    rng = random.Random(59)
+    for degree in range(6):
+        for _ in range(8):
+            coeffs = [rng.choice((0, 0, rng.randrange(f3.q))) for _ in range(degree + 1)]
+            if not any(coeffs):
+                coeffs[rng.randrange(degree + 1)] = rng.randrange(1, f3.q)
+            expected = 0
+            for z in f3.elements():
+                value = 0
+                for c in reversed(coeffs):
+                    value = f3.add(f3.mul(value, z), c)
+                expected += f3.chi(value)
+            assert cs.char_sum(f3, coeffs) == expected, coeffs
 
 
 def test_char_sum_rejects_zero_poly(f3):
@@ -83,34 +102,35 @@ def test_quadratic_closed_form_random_n7(f7):
 def test_scope_excludes_base_field(f3):
     for u in (0, 1, 2):
         assert not cs.in_theorem_scope(f3, u)
-        with pytest.raises(ValueError):
-            cs.g_eval(f3, u, 1, 5)
+        with pytest.raises(ValueError, match="outside GF"):
+            cs.ScopedU(f3, u)
 
 
 def test_scope_members_have_square_1_minus_u2(f3, f5):
     for ctx in (f3, f5):
         for u in scope_us(ctx):
             assert ctx.chi(ctx.sub(1, ctx.mul(u, u))) == 1
-            r = cs.sqrt_term(ctx, u)
+            r = cs.ScopedU(ctx, u).r
             assert ctx.mul(r, r) == ctx.sub(1, ctx.mul(u, u))
             assert ctx.chi(r) == 1
 
 
 def test_g_eval_examples(f3):
     for u in scope_us(f3):
-        assert cs.g_eval(f3, u, 1, 0) == 0
-        assert cs.g_eval(f3, u, 2, f3.add(1, u)) == 0
-        assert cs.g_eval(f3, u, 4, 0) == f3.mul(u, u)
-        r = cs.sqrt_term(f3, u)
-        assert cs.g_eval(f3, u, 5, f3.sub(r, 1)) == 0
+        su = cs.ScopedU(f3, u)
+        assert oracles.g_eval(su, 1, 0) == 0
+        assert oracles.g_eval(su, 2, f3.add(1, u)) == 0
+        assert oracles.g_eval(su, 4, 0) == f3.mul(u, u)
+        assert oracles.g_eval(su, 5, f3.sub(su.r, 1)) == 0
 
 
 def test_g_values_match_scalar(f5):
-    u = scope_us(f5)[0]
+    su = cs.ScopedU(f5, scope_us(f5)[0])
     for gid in cs.G_IDS:
-        vec = cs.g_values(f5, u, gid)
+        vec = cs.g_values(su, gid)
         for z in range(0, f5.q, 11):
-            assert int(vec[z]) == cs.g_eval(f5, u, gid, z)
+            assert int(vec[z]) == oracles.g_eval(su, gid, z)
+            assert su.signs[gid - 1, z] == f5.chi(int(vec[z]))
 
 
 def test_sign_matrix_sums_match_field_products(f3, f5):
@@ -118,24 +138,26 @@ def test_sign_matrix_sums_match_field_products(f3, f5):
     assert len(subsets) == 31
     for ctx, us in ((f3, scope_us(f3)), (f5, sample_u0_nonf3(f5, 4, seed=5))):
         for u in us:
-            signs = cs.g_sign_matrix(ctx, u)
+            su = cs.ScopedU(ctx, u)
+            signs = su.signs
             assert signs.shape == (5, ctx.q) and signs.dtype == np.int8
             for gids in subsets:
-                assert cs.g_sign_product_sum(signs, gids) == cs.g_product_sum(ctx, u, gids), gids
+                assert cs.g_sign_product_sum(signs, gids) == oracles.g_product_sum(su, gids), gids
 
 
 def test_set_a_contains_all_g_roots(f3):
     for u in scope_us(f3):
-        points = set(cs.set_a_points(f3, u))
+        su = cs.ScopedU(f3, u)
+        points = set(cs.set_a_points(su))
         for gid in cs.G_IDS:
-            roots = {z for z in f3.elements() if cs.g_eval(f3, u, gid, z) == 0}
+            roots = {z for z in f3.elements() if oracles.g_eval(su, gid, z) == 0}
             assert roots <= points, (u, gid, roots, points)
 
 
 def test_phi_never_zero_and_sign_product(f3, f5):
     for ctx in (f3, f5):
         for u in scope_us(ctx):
-            phi = ctx.add(1, cs.sqrt_term(ctx, u))
+            phi = ctx.add(1, cs.ScopedU(ctx, u).r)
             assert phi != 0
             assert ctx.chi(ctx.mul(ctx.add(u, 1), phi)) == -1
 
@@ -147,18 +169,19 @@ def test_phi_never_zero_and_sign_product(f3, f5):
 
 def test_table_a_first_row(f3):
     for u in scope_us(f3):
-        assert cs.table_a_chi(f3, u)[0] == [0, 0, 0, 1, -1]
+        assert cs.table_a_chi(cs.ScopedU(f3, u))[0] == [0, 0, 0, 1, -1]
 
 
 def test_table_a_matches_symbolic_entries(f3, f5):
     for ctx in (f3, f5):
         for u in scope_us(ctx):
-            assert cs.table_a_chi(ctx, u) == cs.table_a_expected(ctx, u), u
+            su = cs.ScopedU(ctx, u)
+            assert cs.table_a_chi(su) == cs.table_a_expected(su), u
 
 
 def test_table_a_spot_entries(f3):
     for u in scope_us(f3):
-        grid = cs.table_a_chi(f3, u)
+        grid = cs.table_a_chi(cs.ScopedU(f3, u))
         assert grid[1][0] == -1  # g1 at 1+u
         assert grid[3][3] == 0  # g4 at -1+sqrt(1-u^2)
 
@@ -167,7 +190,7 @@ def test_product_expansion_over_a_vanishes(f3, f5):
     for ctx in (f3, f5):
         for u in scope_us(ctx):
             total = 0
-            for row in cs.table_a_chi(ctx, u):
+            for row in cs.table_a_chi(cs.ScopedU(ctx, u)):
                 term = 1
                 for v in row:
                     term *= 1 + v
@@ -182,19 +205,19 @@ def test_product_expansion_over_a_vanishes(f3, f5):
 
 def test_identity_suite_all_pass_n3(f3):
     for u in scope_us(f3):
-        reports = cs.section2_identities(f3, u)
+        reports = cs.section2_identities(cs.ScopedU(f3, u))
         assert len(reports) == 18
         assert all(rep.passed for rep in reports), [r for r in reports if not r.passed]
 
 
 def test_identity_suite_all_pass_n5(f5):
     for u in scope_us(f5):
-        assert all(rep.passed for rep in cs.section2_identities(f5, u))
+        assert all(rep.passed for rep in cs.section2_identities(cs.ScopedU(f5, u)))
 
 
 def test_identity_fixed_values(f3):
     for u in scope_us(f3):
-        by_name = {rep.name: rep for rep in cs.section2_identities(f3, u)}
+        by_name = {rep.name: rep for rep in cs.section2_identities(cs.ScopedU(f3, u))}
         assert by_name["g1g2"].lhs == -1
         assert by_name["g2g3"].lhs == -2
         assert by_name["g1g4+g1g2g3"].lhs == 0
@@ -203,15 +226,16 @@ def test_identity_fixed_values(f3):
 
 def test_g_product_sum_examples(f3):
     for u in scope_us(f3):
-        assert cs.g_product_sum(f3, u, (2, 3)) == -2
-        phi = f3.add(1, cs.sqrt_term(f3, u))
-        assert cs.g_product_sum(f3, u, (4, 5)) == -f3.chi(phi)
-        assert cs.g_product_sum(f3, u, (2, 3, 4)) == -2
+        su = cs.ScopedU(f3, u)
+        assert oracles.g_product_sum(su, (2, 3)) == -2
+        phi = f3.add(1, su.r)
+        assert oracles.g_product_sum(su, (4, 5)) == -f3.chi(phi)
+        assert oracles.g_product_sum(su, (2, 3, 4)) == -2
 
 
 def test_identity_report_json_shape(f3):
     u = scope_us(f3)[0]
-    rec = cs.section2_identities(f3, u)[0].to_json_dict()
+    rec = cs.section2_identities(cs.ScopedU(f3, u))[0].to_json_dict()
     assert set(rec) == {"identity", "lhs", "rhs", "pass"}
     assert rec["pass"] is True
 
@@ -225,7 +249,7 @@ def test_two_probe_values_have_opposite_signs(f3, f5):
     # chi(u^2 - 1 + r) != chi(u^2 - 1 - r), neither zero
     for ctx in (f3, f5):
         for u in scope_us(ctx):
-            r = cs.sqrt_term(ctx, u)
+            r = cs.ScopedU(ctx, u).r
             base = ctx.sub(ctx.mul(u, u), 1)
             left = ctx.chi(ctx.add(base, r))
             right = ctx.chi(ctx.sub(base, r))

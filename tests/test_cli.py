@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from nhspectrum import ness
+from nhspectrum import charsums, cli, ness
 from nhspectrum.cli import RunConfig, SPECTRUM_COLUMNS, resolve_u, run
 from nhspectrum.field import make_context
 from nhspectrum.spectrum import u0_nonf3_elements
@@ -70,13 +70,25 @@ def test_usage_error_out_of_scope_u_names_class():
 ])
 def test_exit_status_matrix_every_n(command, n, u, status):
     proc = _cli_subprocess("--n", str(n), "--command", command, "--u", u)
+    _assert_status(proc, status)
+    if command == "verify-theorem":
+        records = _json_lines(proc.stdout)
+        assert len(records) == 1 and records[0]["match"] is True
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_exit_status_matrix_jobs_below_one(jobs):
+    proc = _cli_subprocess("--n", "3", "--command", "verify-theorem", "--u", "all",
+                           "--jobs", jobs)
+    _assert_status(proc, 2)
+    assert "--jobs" in proc.stderr
+
+
+def _assert_status(proc, status):
     assert proc.returncode == status, proc.stderr
     if status == 2:
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
-    if command == "verify-theorem":
-        records = _json_lines(proc.stdout)
-        assert len(records) == 1 and records[0]["match"] is True
 
 
 def test_usage_error_bad_u_spec():
@@ -219,6 +231,64 @@ def test_jobs_do_not_change_output():
     solo = _run("verify-theorem", u="all", jobs=1)
     multi = _run("verify-theorem", u="all", jobs=4)
     assert solo == multi
+
+
+@pytest.mark.parametrize("jobs, u, cpus, workers", [
+    (10000, "all", 4, 4),       # capped at the CPU count
+    (10000, "sample:3:1", 8, 3),  # capped at the number of u
+    (2, "all", 8, 2),
+    (3, "all", None, None),     # unknown CPU count: serial
+    (8, "gen^1", 8, None),      # one u: serial
+    (1, "all", 8, None),
+])
+def test_jobs_pool_size(monkeypatch, jobs, u, cpus, workers):
+    sizes = []
+
+    class SerialPool:
+        """Stands in for ThreadPoolExecutor: records max_workers, starts no thread."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    status, out, _ = _run("spectrum", u=u, jobs=jobs)
+    assert status == 0
+    assert sizes == ([] if workers is None else [workers])
+    assert out == _run("spectrum", u=u, jobs=1)[1]
+
+
+@pytest.mark.parametrize("command, signs_per_u", [("scan", 1), ("verify-theorem", 0)])
+def test_one_build_per_u(monkeypatch, command, signs_per_u):
+    """Two character sums (gamma3, gamma4), at most one sign matrix and one
+    f table per u; verify-theorem needs no sign matrix."""
+    counts = {"char_sum": 0, "g_values": 0, "f_table": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(charsums, "char_sum")
+    counted(charsums, "g_values")  # called once per row of a sign matrix only
+    counted(ness, "f_table")
+    k = 4
+    status, out, _ = _run(command, n=5, u=f"sample:{k}:1")
+    assert status == 0 and len(_json_lines(out)) == k
+    assert counts == {"char_sum": 2 * k, "g_values": 5 * signs_per_u * k, "f_table": k}
 
 
 def test_console_entry_point_runs():

@@ -545,8 +545,8 @@ def test_production_paths_never_build_the_digit_table():
     ctx = make_context(5)
     u = spectrum.u0_nonf3_elements(ctx)[0]
     ness.ddt_rows(ctx, u)
-    spectrum.verify_theorem_record(ctx, u)
-    charsums.section2_identities(ctx, u)
+    spectrum.verify_theorem_record(charsums.ScopedU(ctx, u))
+    charsums.section2_identities(charsums.ScopedU(ctx, u))
     assert "_digits" not in ctx.__dict__
 
 

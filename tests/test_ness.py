@@ -5,7 +5,9 @@ import random
 import numpy as np
 import pytest
 
+import oracles
 from nhspectrum import ness
+from nhspectrum.charsums import ScopedU
 from nhspectrum.spectrum import classify_u, u0_nonf3_elements
 
 
@@ -50,45 +52,49 @@ def test_derivative_rejects_zero_direction(f3):
     with pytest.raises(ValueError):
         ness.derivative(f3, 5, 0, 1)
     with pytest.raises(ValueError):
-        ness.ddt_row(f3, 5, 0)
+        ness.ddt_row(f3, ness.f_table(f3, 5), 0)
 
 
 def test_ddt_row_sums_to_q(f3, f5):
     for ctx, u in ((f3, 7), (f5, 19)):
+        ftab = ness.f_table(ctx, u)
         for a in (1, 2, ctx.q - 1):
-            assert int(ness.ddt_row(ctx, u, a).sum()) == ctx.q
+            assert int(ness.ddt_row(ctx, ftab, a).sum()) == ctx.q
 
 
 def test_ddt_row_matches_naive_n3(f3):
     rng = random.Random(37)
     for u in (u0_nonf3_elements(f3)[0], 1, 0):
+        ftab = ness.f_table(f3, u)
         for _ in range(40):
             a = rng.randrange(1, f3.q)
             b = rng.randrange(f3.q)
-            assert int(ness.ddt_row(f3, u, a)[b]) == ness.ddt_entry_naive(f3, u, a, b)
+            assert int(ness.ddt_row(f3, ftab, a)[b]) == oracles.ddt_entry_naive(f3, u, a, b)
 
 
 def test_ddt_table_matches_naive_rows_n3(f3):
     u = u0_nonf3_elements(f3)[1]
-    table = ness.ddt_table(f3, u)
+    table = oracles.ddt_table(f3, u)
     for a in (1, 5, 20):
         for b in range(f3.q):
-            assert int(table[a, b]) == ness.ddt_entry_naive(f3, u, a, b)
+            assert int(table[a, b]) == oracles.ddt_entry_naive(f3, u, a, b)
 
 
 def test_ddt_zero_output_column_empty_in_scope(f3):
     for u in u0_nonf3_elements(f3):
+        ftab = ness.f_table(f3, u)
         for a in range(1, f3.q):
-            assert int(ness.ddt_row(f3, u, a)[0]) == 0
+            assert int(ness.ddt_row(f3, ftab, a)[0]) == 0
 
 
 def test_special_point_hit_present(f3):
     # b = (1 + u chi(a)) / a picks up the x = 0 solution
     for u in u0_nonf3_elements(f3):
+        ftab = ness.f_table(f3, u)
         for a in (1, 4, 9):
             chi_a = 1 if f3.chi(a) == 1 else 2
             b = f3.mul(f3.inv(a), f3.add(1, f3.mul(u, chi_a)))
-            assert int(ness.ddt_row(f3, u, a)[b]) >= 1
+            assert int(ness.ddt_row(f3, ftab, a)[b]) >= 1
 
 
 def _lemma_index(ctx):
@@ -117,21 +123,21 @@ def test_two_rows_expand_to_full_table(f3, f5, f7):
         if ctx.n not in index:
             index[ctx.n] = _lemma_index(ctx)
         square, cols = index[ctx.n]
-        row_1, row_g = ness.ddt_rows(ctx, u)
-        expanded = np.where(square[:, None], row_1[cols], row_g[cols])
-        table = ness.ddt_table(ctx, u)
+        rows = ness.ddt_rows(ctx, u)
+        expanded = np.where(square[:, None], rows[0][cols], rows[1][cols])
+        table = oracles.ddt_table(ctx, u)
         for a in range(1, ctx.q):
             assert np.array_equal(expanded[a], table[a]), (ctx.n, u, a)
 
         counts = np.bincount(table[1:].ravel())
         last = int(np.flatnonzero(counts)[-1])
         expected = tuple(int(c) for c in counts[: last + 1])
-        assert ness.spectrum_bruteforce(ctx, u).omegas == expected, (ctx.n, u)
+        assert ness.spectrum_bruteforce(ctx, rows).omegas == expected, (ctx.n, u)
 
 
 def test_spectrum_counting_identities_every_u_n3(f3):
     for u in f3.elements():
-        spec = ness.spectrum_bruteforce(f3, u)
+        spec = ness.spectrum_bruteforce(f3, ness.ddt_rows(f3, u))
         assert spec.counting_identities_hold(f3.q)
         assert spec.omegas[-1] > 0
 
@@ -139,7 +145,7 @@ def test_spectrum_counting_identities_every_u_n3(f3):
 def test_spectrum_rows_divisible_in_scope(f3, f5):
     for ctx in (f3, f5):
         for u in u0_nonf3_elements(ctx)[:6]:
-            spec = ness.spectrum_bruteforce(ctx, u)
+            spec = ness.spectrum_bruteforce(ctx, ness.ddt_rows(ctx, u))
             for i, w in enumerate(spec.omegas):
                 if i >= 1:
                     assert w % (ctx.q - 1) == 0
@@ -158,15 +164,16 @@ def test_example_spectrum_reachable_n3(f3):
 
     spectra = set()
     for u in u0_nonf3_elements(f3):
-        ins = closed_form_inputs(f3, u)
+        su = ScopedU(f3, u)
+        ins = closed_form_inputs(su)
         if (ins.epsilon, ins.gamma3, ins.gamma4) == (0, -4, 4):
-            spectra.add(ness.spectrum_bruteforce(f3, u).omegas)
+            spectra.add(ness.spectrum_bruteforce(f3, su.rows).omegas)
     assert spectra == {(286, 208, 156, 26, 26)}
 
 
 def test_spectrum_record_shape(f3):
     u = 5
-    rec = ness.spectrum_bruteforce(f3, u).to_record(f3, u)
+    rec = ness.spectrum_bruteforce(f3, ness.ddt_rows(f3, u)).to_record(f3, u)
     assert set(rec) == {"n", "modulus", "u", "source", "omegas"}
     assert rec["source"] == "brute-force"
     assert rec["u"] == f3.format_element(u)
@@ -174,7 +181,7 @@ def test_spectrum_record_shape(f3):
 
 def test_ddt_table_row_zero_excluded_from_spectrum(f3):
     u = 8
-    table = ness.ddt_table(f3, u)
-    spec = ness.spectrum_bruteforce(f3, u)
+    table = oracles.ddt_table(f3, u)
+    spec = ness.spectrum_bruteforce(f3, ness.ddt_rows(f3, u))
     counts = np.bincount(table[1:].ravel())
     assert tuple(int(c) for c in counts) == spec.omegas

@@ -2,11 +2,16 @@
 
 import pytest
 
+import oracles
 from nhspectrum import charsums as cs
 from nhspectrum import ness
 from nhspectrum import spectrum as sp
 from nhspectrum import solution_census as cn
 from nhspectrum.field import InconsistencyError
+
+
+def closed_form(ctx, u):
+    return sp.spectrum_closed_form(ctx, sp.closed_form_inputs(cs.ScopedU(ctx, u)))
 
 
 # ---------------------------------------------------------------------------
@@ -71,23 +76,38 @@ def test_scope_list_matches_classifier(f3):
 def test_gamma_dual_forms_agree(f3, f5):
     for ctx in (f3, f5):
         for u in sp.u0_nonf3_elements(ctx):
-            assert sp.gamma3(ctx, u) == sp.gamma3_from_products(ctx, u)
-            assert sp.gamma4(ctx, u) == sp.gamma4_from_products(ctx, u)
+            su = cs.ScopedU(ctx, u)
+            assert sp.gamma3(su) == oracles.gamma3_from_products(su)
+            assert sp.gamma4(su) == oracles.gamma4_from_products(su)
 
 
 def test_gamma_example_values_reachable(f3, f5):
-    g3_values = {sp.gamma3(f3, u) for u in sp.u0_nonf3_elements(f3)}
-    g4_values = {sp.gamma4(f3, u) for u in sp.u0_nonf3_elements(f3)}
+    g3_values = {sp.gamma3(cs.ScopedU(f3, u)) for u in sp.u0_nonf3_elements(f3)}
+    g4_values = {sp.gamma4(cs.ScopedU(f3, u)) for u in sp.u0_nonf3_elements(f3)}
     assert -4 in g3_values and 4 in g4_values
-    g4_n5 = {sp.gamma4(f5, u) for u in sp.u0_nonf3_elements(f5)}
+    g4_n5 = {sp.gamma4(cs.ScopedU(f5, u)) for u in sp.u0_nonf3_elements(f5)}
     assert 12 in g4_n5
 
 
 def test_gamma_requires_scope(f3):
     with pytest.raises(ValueError):
-        sp.gamma3(f3, 1)
+        sp.gamma3(cs.ScopedU(f3, 1))
     with pytest.raises(ValueError):
-        sp.gamma4(f3, 0)
+        sp.gamma4(cs.ScopedU(f3, 0))
+
+
+def test_gamma_within_hasse_and_weil_bounds(f3, f5, f7):
+    """|gamma3| <= 2 sqrt(q) (Hasse, genus 1) and |gamma4| <= 4 sqrt(q)
+    (Weil, genus 2), compared exactly as gamma3^2 <= 4q and gamma4^2 <= 16q."""
+    for ctx in (f3, f5, f7):
+        worst3 = worst4 = 0
+        for u in sp.u0_nonf3_elements(ctx):
+            su = cs.ScopedU(ctx, u)
+            g3, g4 = sp.gamma3(su), sp.gamma4(su)
+            assert g3 * g3 <= 4 * ctx.q, (ctx.n, u, g3)
+            assert g4 * g4 <= 16 * ctx.q, (ctx.n, u, g4)
+            worst3, worst4 = max(worst3, g3 * g3), max(worst4, g4 * g4)
+        assert (worst3, worst4) == {3: (16, 16), 5: (784, 400), 7: (8464, 11664)}[ctx.n]
 
 
 # ---------------------------------------------------------------------------
@@ -96,8 +116,8 @@ def test_gamma_requires_scope(f3):
 
 
 def test_epsilon_values_reachable(f3, f5):
-    eps3 = {sp.epsilon(f3, u) for u in sp.u0_nonf3_elements(f3)}
-    eps5 = {sp.epsilon(f5, u) for u in sp.u0_nonf3_elements(f5)}
+    eps3 = {sp.epsilon(cs.ScopedU(f3, u)) for u in sp.u0_nonf3_elements(f3)}
+    eps5 = {sp.epsilon(cs.ScopedU(f5, u)) for u in sp.u0_nonf3_elements(f5)}
     assert 0 in eps3
     assert 1 in eps5
 
@@ -107,19 +127,21 @@ def test_epsilon_equals_three_solution_indicator(f3, f5):
     # i.e. carries chi(g4) = chi(g5) = 1 on top of the special-point hit.
     for ctx in (f3, f5):
         for u in sp.u0_nonf3_elements(ctx):
+            su = cs.ScopedU(ctx, u)
             hits = 0
             for z in (ctx.add(1, u), ctx.sub(1, u)):
-                s = cn.g_signs(ctx, u, z)
+                s = oracles.g_signs(su, z)
                 if s[3] == 1 and s[4] == 1:
                     hits += 1
-            assert sp.epsilon(ctx, u) == hits
+            assert sp.epsilon(su) == hits
 
 
 def test_epsilon_matches_census_at_special_rows(f3):
     for u in sp.u0_nonf3_elements(f3):
-        pred = cn.prediction_by_z(f3, u)
+        su = cs.ScopedU(f3, u)
+        pred = cn.prediction_by_z(su)
         three_rows = sum(int(pred[z]) == 3 for z in (f3.add(1, u), f3.sub(1, u)))
-        assert sp.epsilon(f3, u) == three_rows
+        assert sp.epsilon(su) == three_rows
 
 
 # ---------------------------------------------------------------------------
@@ -129,24 +151,24 @@ def test_epsilon_matches_census_at_special_rows(f3):
 
 def test_closed_form_matches_bruteforce_n3(f3):
     for u in sp.u0_nonf3_elements(f3):
-        closed = sp.spectrum_closed_form(f3, u)
-        brute = ness.spectrum_bruteforce(f3, u)
+        closed = closed_form(f3, u)
+        brute = ness.spectrum_bruteforce(f3, ness.ddt_rows(f3, u))
         assert closed.omegas == brute.omegas
 
 
 def test_closed_form_frozen_paper_examples(f3, f5):
     by_triple_3 = {}
     for u in sp.u0_nonf3_elements(f3):
-        ins = sp.closed_form_inputs(f3, u)
+        ins = sp.closed_form_inputs(cs.ScopedU(f3, u))
         by_triple_3[(ins.epsilon, ins.gamma3, ins.gamma4)] = sp.spectrum_closed_form(
-            f3, u
+            f3, ins
         ).omegas
     assert by_triple_3[(0, -4, 4)] == (286, 208, 156, 26, 26)
 
     for u in sp.u0_nonf3_elements(f5):
-        ins = sp.closed_form_inputs(f5, u)
+        ins = sp.closed_form_inputs(cs.ScopedU(f5, u))
         if (ins.epsilon, ins.gamma3, ins.gamma4) == (1, -4, 12):
-            assert sp.spectrum_closed_form(f5, u).omegas == (
+            assert sp.spectrum_closed_form(f5, ins).omegas == (
                 27346, 11616, 14278, 3630, 1936,
             )
             break
@@ -157,14 +179,14 @@ def test_closed_form_frozen_paper_examples(f3, f5):
 def test_closed_form_counting_identities(f3, f5):
     for ctx in (f3, f5):
         for u in sp.u0_nonf3_elements(ctx):
-            assert sp.spectrum_closed_form(ctx, u).counting_identities_hold(ctx.q)
+            assert closed_form(ctx, u).counting_identities_hold(ctx.q)
 
 
 def test_closed_form_divisibility(f3, f5):
     for ctx in (f3, f5):
         q = ctx.q
         for u in sp.u0_nonf3_elements(ctx):
-            ins = sp.closed_form_inputs(ctx, u)
+            ins = sp.closed_form_inputs(cs.ScopedU(ctx, u))
             assert (15 * q - 17 - ins.gamma4) % 32 == 0
             assert (3 * q + 3 + 2 * ins.gamma3 + ins.gamma4) % 16 == 0
             assert (q - 7 - ins.gamma3) % 4 == 0
@@ -175,28 +197,28 @@ def test_closed_form_divisibility(f3, f5):
 def test_closed_form_last_entry_positive(f3, f5):
     for ctx in (f3, f5):
         for u in sp.u0_nonf3_elements(ctx):
-            assert sp.spectrum_closed_form(ctx, u).omegas[4] > 0
+            assert closed_form(ctx, u).omegas[4] > 0
 
 
 def test_closed_form_source_label(f3):
     u = sp.u0_nonf3_elements(f3)[0]
-    assert sp.spectrum_closed_form(f3, u).source == "closed-form"
+    assert closed_form(f3, u).source == "closed-form"
 
 
 def test_closed_form_rejects_out_of_scope(f3):
     for u in (0, 1, 2):
         with pytest.raises(ValueError):
-            sp.spectrum_closed_form(f3, u)
+            closed_form(f3, u)
     outside = next(
         u for u in f3.elements() if sp.classify_u(f3, u).label in ("U10", "U11")
     )
     with pytest.raises(ValueError):
-        sp.spectrum_closed_form(f3, outside)
+        closed_form(f3, outside)
 
 
 def test_verify_theorem_record_shape(f3):
     u = sp.u0_nonf3_elements(f3)[0]
-    rec = sp.verify_theorem_record(f3, u)
+    rec = sp.verify_theorem_record(cs.ScopedU(f3, u))
     assert set(rec) == {
         "u", "class", "epsilon", "gamma3", "gamma4",
         "closed_form", "brute_force", "match",
