@@ -17,9 +17,7 @@ from .solution_census import (
 from .charsums import (
     IdentityReport,
     ScopedU,
-    char_sum,
     in_theorem_scope,
-    quadratic_char_sum,
     section2_identities,
     set_a_points,
     table_a_chi,
@@ -63,7 +61,6 @@ __all__ = [
     "UClass",
     "case_solutions",
     "census",
-    "char_sum",
     "classify_u",
     "closed_form_inputs",
     "ddt_rows",
@@ -76,7 +73,6 @@ __all__ = [
     "in_theorem_scope",
     "make_context",
     "predict_solution_count",
-    "quadratic_char_sum",
     "sample_u0_nonf3",
     "section2_identities",
     "set_a_points",

@@ -12,27 +12,35 @@ phi = 1 + r.  The classifier family in one variable z is
 
 The signs chi(g_i(z)) at z = a*b classify how many x solve the derivative
 equation of the Ness-Helleseth function at (a, b); sums of chi over products
-of the g_i reduce the differential spectrum to two character sums.  This
-module evaluates all such sums exactly, over every z of the field, and
-checks them against their known closed forms.  Since chi is multiplicative
-(chi(0) = 0), every such sum is a sum of products of the five sign vectors
-chi(g_i(z)) (`ScopedU.signs`); the tests keep the polynomials evaluated one
-z at a time and multiplied in the field as the oracle.  `ScopedU` holds
-one in-scope u and everything derived from it, each built once.
+of the g_i reduce the differential spectrum to two character sums.
+
+Every g_i splits over the field, and its zeros lie in the five-point set
+A = {0, 1+u, 1-u, -1+r, -1-r} (`set_a_points`).  Since chi is
+multiplicative (chi(0) = 0), chi(g_i(z)) is chi of the leading coefficient
+times the product of chi(z - a) over the zeros a of g_i.  So `ScopedU.signs`
+is built from five translates of the character table and never evaluates a
+polynomial, and every character sum of a product of the g_i is a sum of
+products of its rows (`g_sign_product_sum`).  The tests keep the polynomials
+evaluated over the field, one z at a time and as whole-field products, as
+the oracle.  `ScopedU` holds one in-scope u and everything derived from it,
+each built once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from . import ness
-from .field import FieldCtx
+from .field import FieldCtx, built_once
 
 G_IDS = (1, 2, 3, 4, 5)
+
+# The zeros of g1..g5 as positions in `set_a_points`; each g_i is its
+# leading coefficient times the product of (z - a) over them.
+G_ZEROS = ((0,), (0, 1), (0, 2), (3, 4), (3,))
 
 
 def in_theorem_scope(ctx: FieldCtx, u: int) -> bool:
@@ -40,6 +48,11 @@ def in_theorem_scope(ctx: FieldCtx, u: int) -> bool:
     if u in (0, 1, 2):
         return False
     return ctx.chi(ctx.add(u, 1)) != ctx.chi(ctx.sub(u, 1))
+
+
+def _chi_translate(ctx: FieldCtx, a: int) -> np.ndarray:
+    """chi(z - a) for every z, as int8."""
+    return ctx.chi_vec(ctx.sub_vec(np.arange(ctx.q, dtype=np.int64), np.int64(a)))
 
 
 @dataclass(frozen=True)
@@ -58,90 +71,41 @@ class ScopedU:
             raise ValueError(f"u = {self.ctx.format_element(self.u)} needs "
                              "chi(u+1) != chi(u-1) and u outside GF(3)")
 
-    @cached_property
+    @built_once
     def r(self) -> int:
         """Canonical root of 1 - u^2 (a square whenever u is in scope)."""
         return self.ctx.sqrt_canonical(self.ctx.sub(1, self.ctx.mul(self.u, self.u)))
 
-    @cached_property
+    @built_once
     def signs(self) -> np.ndarray:
-        """(5, q) int8 array: row i - 1 is chi(g_i(z)) for every z."""
-        return np.stack([self.ctx.chi_vec(g_values(self, gid)).astype(np.int8) for gid in G_IDS])
+        """(5, q) int8 array: row i - 1 is chi(g_i(z)) for every z, as
+        chi(lead of g_i) times the product of chi(z - a) over its zeros a."""
+        ctx = self.ctx
+        leads = (ctx.neg(ctx.add(self.u, 1)), 1, 1, 1, ctx.neg(ctx.add(1, self.r)))
+        at = [_chi_translate(ctx, a) for a in set_a_points(self)]
+        return np.stack([ctx.chi(lead) * np.prod([at[k] for k in zeros], axis=0, dtype=np.int8)
+                         for lead, zeros in zip(leads, G_ZEROS)])
 
-    @cached_property
+    @built_once
     def chi_z2mu2(self) -> np.ndarray:
-        """chi(z^2 - u^2) for every z."""
-        ctx, z = self.ctx, np.arange(self.ctx.q, dtype=np.int64)
-        return ctx.chi_vec(ctx.sub_vec(ctx.mul_vec(z, z), np.int64(ctx.mul(self.u, self.u))))
+        """chi(z^2 - u^2) = chi(z - u) chi(z + u) for every z."""
+        return _chi_translate(self.ctx, self.u) * _chi_translate(self.ctx, self.ctx.neg(self.u))
 
-    @cached_property
+    @built_once
     def one_pm_u(self) -> np.ndarray:
         """Boolean mask of z in {1 + u, 1 - u}."""
         z = np.arange(self.ctx.q, dtype=np.int64)
         return (z == self.ctx.add(1, self.u)) | (z == self.ctx.sub(1, self.u))
 
-    @cached_property
+    @built_once
     def rows(self) -> ness.DDTRows:
         """`ness.ddt_rows`: delta(1, .) and delta(g, .)."""
         return ness.ddt_rows(self.ctx, self.u)
 
 
 # ---------------------------------------------------------------------------
-# generic character sums
-# ---------------------------------------------------------------------------
-
-
-def char_sum(ctx: FieldCtx, coeffs: Sequence[int]) -> int:
-    """Exact sum of chi(poly(z)) over all z; coeffs lowest degree first.
-
-    Horner's rule from the scalar leading coefficient; zero coefficients add nothing.
-    """
-    if not any(coeffs):
-        raise ValueError("character sum of the zero polynomial is not defined")
-    zs = np.arange(ctx.q, dtype=np.int64)
-    acc = np.int64(coeffs[-1])
-    for c in reversed(coeffs[:-1]):
-        acc = ctx.mul_vec(acc, zs)
-        if c:
-            acc = ctx.add_vec(acc, np.int64(c))
-    return int(np.broadcast_to(ctx.chi_vec(acc), zs.shape).sum())
-
-
-def quadratic_char_sum(ctx: FieldCtx, a2: int, a1: int, a0: int) -> int:
-    """Closed form for sum of chi(a2 z^2 + a1 z + a0): -chi(a2) when the
-    discriminant a1^2 - 4 a0 a2 is nonzero, else (q-1) chi(a2)."""
-    if a2 == 0:
-        raise ValueError("leading coefficient must be nonzero")
-    d = ctx.sub(ctx.mul(a1, a1), ctx.mul(a0, a2))  # 4 == 1 in characteristic 3
-    if d != 0:
-        return -ctx.chi(a2)
-    return (ctx.q - 1) * ctx.chi(a2)
-
-
-# ---------------------------------------------------------------------------
 # the g family
 # ---------------------------------------------------------------------------
-
-
-def g_values(su: ScopedU, gid: int) -> np.ndarray:
-    """g_gid(z) for every z in the field, as one index array; the tests
-    evaluate each z with the scalar ops as the oracle."""
-    ctx, u = su.ctx, su.u
-    z = np.arange(ctx.q, dtype=np.int64)
-    if gid == 1:
-        return ctx.mul_vec(np.int64(ctx.neg(ctx.add(u, 1))), z)
-    if gid == 2:
-        return ctx.mul_vec(z, ctx.sub_vec(z, np.int64(ctx.add(1, u))))
-    if gid == 3:
-        return ctx.mul_vec(z, ctx.sub_vec(z, np.int64(ctx.sub(1, u))))
-    if gid == 4:
-        return ctx.add_vec(ctx.sub_vec(ctx.mul_vec(z, z), z), np.int64(ctx.mul(u, u)))
-    if gid == 5:
-        return ctx.mul_vec(
-            np.int64(ctx.neg(ctx.add(1, su.r))),
-            ctx.sub_vec(ctx.add_vec(z, np.int64(1)), np.int64(su.r)),
-        )
-    raise ValueError(f"gid must be 1..5, got {gid}")
 
 
 def g_sign_product_sum(signs: np.ndarray, gids: Iterable[int]) -> int:
@@ -169,7 +133,7 @@ def set_a_points(su: ScopedU) -> tuple[int, int, int, int, int]:
 
 
 def table_a_chi(su: ScopedU) -> list[list[int]]:
-    """chi(g_i(x)) for x in A (rows) and i = 1..5 (columns), by evaluation."""
+    """chi(g_i(x)) for x in A (rows) and i = 1..5 (columns), read off `ScopedU.signs`."""
     return su.signs[:, list(set_a_points(su))].T.tolist()
 
 

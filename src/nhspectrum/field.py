@@ -10,7 +10,8 @@ minus one.
 A :class:`FieldCtx` is immutable after construction and safe to share
 between threads.  Its tables are each built once on first use and are
 read-only afterwards.  A table is a pure function of the modulus, so two
-threads that race to build one build equal arrays and either may be kept.
+threads that race to build one build equal arrays and either may be kept;
+that is why `built_once` takes no lock.
 Scalar multiplication, powers, inverses and the quadratic character read the
 discrete-log tables; scalar addition works digit by digit.  The scalar ops
 are the reference the ``*_vec`` kernels are tested against.  Polynomial
@@ -46,7 +47,6 @@ default degree-3 modulus ``x^3 + 2x + 1`` prints as ``"1201"``.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -76,6 +76,31 @@ class ReducibleModulusError(ValueError):
 
 class InconsistencyError(RuntimeError):
     """An internal cross-check failed; this always indicates a bug."""
+
+
+class built_once:
+    """A lazy attribute: the method runs on first access and its value is
+    stored in the instance ``__dict__``, where later reads find it first.
+
+    Unlike the standard ``cached_property``, which before Python 3.12 holds
+    one lock per attribute across all instances, it takes no lock, so
+    threads building the same attribute on different instances run at
+    once.  Two threads that race on one instance both build it; the values
+    are equal and the last one stored is kept.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 # ---------------------------------------------------------------------------
@@ -365,13 +390,13 @@ class FieldCtx:
 
     # -- tables ------------------------------------------------------------------
 
-    @cached_property
+    @built_once
     def _digits(self) -> np.ndarray:
         idx = np.arange(self.q, dtype=np.int64)
         cols = [((idx // P**i) % P).astype(np.int8) for i in range(self.n)]
         return _frozen(np.stack(cols, axis=1))
 
-    @cached_property
+    @built_once
     def _planes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(ones, twos, value): the bit planes of every element and their inverse.
 
@@ -389,7 +414,7 @@ class FieldCtx:
             value = np.concatenate([value, value + P**i])
         return _frozen(ones), _frozen(twos), _frozen(value)
 
-    @cached_property
+    @built_once
     def _log_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """(log, alog): log[g**k] == k for nonzero elements, alog[k] == g**k.
 
@@ -428,14 +453,14 @@ class FieldCtx:
         alog[q - 1:2 * q - 3] = cycle[:q - 2]
         return _frozen(log), _frozen(alog)
 
-    @cached_property
+    @built_once
     def _chi_table(self) -> np.ndarray:
         """int8 quadratic character of every element (see `chi`)."""
         chi = (1 - 2 * (self._log_tables[0] & 1)).astype(np.int8)
         chi[0] = 0
         return _frozen(chi)
 
-    @cached_property
+    @built_once
     def _pair_add(self) -> np.ndarray:
         dg = self._digits
         acc = np.zeros((self.q, self.q), dtype=np.int32)

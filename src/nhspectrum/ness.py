@@ -85,15 +85,6 @@ class Spectrum:
             and sum(i * w for i, w in enumerate(self.omegas)) == total
         )
 
-    def to_record(self, ctx: FieldCtx, u: int) -> dict:
-        return {
-            "n": ctx.n,
-            "modulus": ctx.modulus_str,
-            "u": ctx.format_element(u),
-            "source": self.source,
-            "omegas": list(self.omegas),
-        }
-
 
 def spectrum_bruteforce(ctx: FieldCtx, rows: DDTRows) -> Spectrum:
     """Differential spectrum from the DDT rows a = 1 and a = g (`ddt_rows`); any u.

@@ -14,8 +14,12 @@ For in-scope u the spectrum is a closed function of two character sums,
          = -chi(u+1) * sum_z chi(z^5 - (u^2+1) z^2 + (u^2-u^4) z),
 
 plus an indicator epsilon marking whether z = 1 +- u contributes a row with
-three solutions.  All five omega values divide out exactly in integers; any
-remainder is raised as an inconsistency rather than rounded away.
+three solutions.  Both sums are read off the sign matrix `ScopedU.signs`
+as products of its rows; the tests check them against the g polynomials
+multiplied in the field and against the reduced cubic and quintic summed
+by Horner's rule.  Each sum must meet its Weil bound, and all five omega
+values must divide out exactly in integers; any failure is raised as an
+inconsistency rather than rounded away.
 """
 
 from __future__ import annotations
@@ -78,21 +82,13 @@ def u0_nonf3_elements(ctx: FieldCtx) -> list[int]:
 
 
 def gamma3(su: charsums.ScopedU) -> int:
-    """-chi(u+1) * sum_z chi(z^3 - z^2 + u^2 z); the defining form sum_z chi(g1 g4)
-    is the oracle in the tests."""
-    ctx, u = su.ctx, su.u
-    u2 = ctx.mul(u, u)
-    return -ctx.chi(ctx.add(u, 1)) * charsums.char_sum(ctx, [0, u2, ctx.neg(1), 1])
+    """sum_z chi(g1 g4), from two rows of the sign matrix."""
+    return charsums.g_sign_product_sum(su.signs, (1, 4))
 
 
 def gamma4(su: charsums.ScopedU) -> int:
-    """-chi(u+1) * sum_z chi(z^5 - (u^2+1) z^2 + (u^2 - u^4) z); the defining form
-    sum_z chi(g1 g2 g3 g4) is the oracle in the tests."""
-    ctx, u = su.ctx, su.u
-    u2 = ctx.mul(u, u)
-    u4 = ctx.mul(u2, u2)
-    coeffs = [0, ctx.sub(u2, u4), ctx.neg(ctx.add(u2, 1)), 0, 0, 1]
-    return -ctx.chi(ctx.add(u, 1)) * charsums.char_sum(ctx, coeffs)
+    """sum_z chi(g1 g2 g3 g4), from four rows of the sign matrix."""
+    return charsums.g_sign_product_sum(su.signs, (1, 2, 3, 4))
 
 
 def epsilon(su: charsums.ScopedU) -> int:
@@ -118,7 +114,19 @@ class ClosedFormInputs:
 
 
 def closed_form_inputs(su: charsums.ScopedU) -> ClosedFormInputs:
-    return ClosedFormInputs(gamma3=gamma3(su), gamma4=gamma4(su), epsilon=epsilon(su))
+    """gamma3, gamma4 and epsilon, each sum checked against its Weil bound.
+
+    g1 g4 is -(u+1) z (z + 1 - r)(z + 1 + r), three distinct zeros, so
+    gamma3^2 <= 4q (Hasse); the quintic of gamma4 has the five distinct zeros
+    of A (genus 2), so gamma4^2 <= 16q.  Compared in integers, never rounded.
+    """
+    q = su.ctx.q
+    ins = ClosedFormInputs(gamma3=gamma3(su), gamma4=gamma4(su), epsilon=epsilon(su))
+    for name, value, bound in (("gamma3", ins.gamma3, 4 * q), ("gamma4", ins.gamma4, 16 * q)):
+        if value * value > bound:
+            raise InconsistencyError(f"u={su.ctx.format_element(su.u)}: {name} = {value} "
+                                     f"breaks its Weil bound {name}^2 <= {bound}")
+    return ins
 
 
 # ---------------------------------------------------------------------------

@@ -6,22 +6,28 @@ route what a production function computes, and the tests compare the two.
   * `ddt_entry_naive` counts x one at a time; `ddt_table` counts every row
     a of the DDT, the oracle for the two rows and the scaling lemma.
   * `g_eval` evaluates one classifier polynomial at one z with the scalar
-    ops, the oracle for `g_values` and the sign matrix.
+    ops; `g_values` evaluates it over the whole field with the vector ops.
+    Both are oracles for the sign matrix, which the library builds from
+    the zeros of the polynomials instead.
   * `g_product_sum` multiplies the classifier polynomials in the field
     before taking chi; `gamma3_from_products` and `gamma4_from_products`
     are the defining forms of the two character sums.
+  * `char_sum` sums chi of any polynomial by Horner's rule over the field,
+    and `quadratic_char_sum` is the degree-2 closed form it is checked
+    against; `gamma3_from_cubic` and `gamma4_from_quintic` are the two
+    sums in their reduced one-polynomial forms.
   * `matching_conditions` interprets `SOLUTION_CONDITIONS` rule by rule on
     the signs from `g_eval`, the oracle for `PREDICTION_TABLE`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from nhspectrum import ness
-from nhspectrum.charsums import G_IDS, ScopedU, g_values
+from nhspectrum.charsums import G_IDS, ScopedU
 from nhspectrum.field import FieldCtx
 from nhspectrum.solution_census import SOLUTION_CONDITIONS
 
@@ -56,6 +62,33 @@ def ddt_table(ctx: FieldCtx, u: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def char_sum(ctx: FieldCtx, coeffs: Sequence[int]) -> int:
+    """Exact sum of chi(poly(z)) over all z; coeffs lowest degree first.
+
+    Horner's rule from the scalar leading coefficient; zero coefficients add nothing.
+    """
+    if not any(coeffs):
+        raise ValueError("character sum of the zero polynomial is not defined")
+    zs = np.arange(ctx.q, dtype=np.int64)
+    acc = np.int64(coeffs[-1])
+    for c in reversed(coeffs[:-1]):
+        acc = ctx.mul_vec(acc, zs)
+        if c:
+            acc = ctx.add_vec(acc, np.int64(c))
+    return int(np.broadcast_to(ctx.chi_vec(acc), zs.shape).sum())
+
+
+def quadratic_char_sum(ctx: FieldCtx, a2: int, a1: int, a0: int) -> int:
+    """Closed form for sum of chi(a2 z^2 + a1 z + a0): -chi(a2) when the
+    discriminant a1^2 - 4 a0 a2 is nonzero, else (q-1) chi(a2)."""
+    if a2 == 0:
+        raise ValueError("leading coefficient must be nonzero")
+    d = ctx.sub(ctx.mul(a1, a1), ctx.mul(a0, a2))  # 4 == 1 in characteristic 3
+    if d != 0:
+        return -ctx.chi(a2)
+    return (ctx.q - 1) * ctx.chi(a2)
+
+
 def g_eval(su: ScopedU, gid: int, z: int) -> int:
     """g_gid(z) by scalar field ops."""
     ctx, u = su.ctx, su.u
@@ -69,6 +102,26 @@ def g_eval(su: ScopedU, gid: int, z: int) -> int:
         return ctx.add(ctx.sub(ctx.mul(z, z), z), ctx.mul(u, u))
     if gid == 5:
         return ctx.mul(ctx.neg(ctx.add(1, su.r)), ctx.sub(ctx.add(z, 1), su.r))
+    raise ValueError(f"gid must be 1..5, got {gid}")
+
+
+def g_values(su: ScopedU, gid: int) -> np.ndarray:
+    """g_gid(z) for every z in the field, as one index array, by the vector ops."""
+    ctx, u = su.ctx, su.u
+    z = np.arange(ctx.q, dtype=np.int64)
+    if gid == 1:
+        return ctx.mul_vec(np.int64(ctx.neg(ctx.add(u, 1))), z)
+    if gid == 2:
+        return ctx.mul_vec(z, ctx.sub_vec(z, np.int64(ctx.add(1, u))))
+    if gid == 3:
+        return ctx.mul_vec(z, ctx.sub_vec(z, np.int64(ctx.sub(1, u))))
+    if gid == 4:
+        return ctx.add_vec(ctx.sub_vec(ctx.mul_vec(z, z), z), np.int64(ctx.mul(u, u)))
+    if gid == 5:
+        return ctx.mul_vec(
+            np.int64(ctx.neg(ctx.add(1, su.r))),
+            ctx.sub_vec(ctx.add_vec(z, np.int64(1)), np.int64(su.r)),
+        )
     raise ValueError(f"gid must be 1..5, got {gid}")
 
 
@@ -99,6 +152,23 @@ def gamma3_from_products(su: ScopedU) -> int:
 def gamma4_from_products(su: ScopedU) -> int:
     """sum_z chi(g1 g2 g3 g4); the defining form of gamma4."""
     return g_product_sum(su, (1, 2, 3, 4))
+
+
+def gamma3_from_cubic(su: ScopedU) -> int:
+    """-chi(u+1) * sum_z chi(z^3 - z^2 + u^2 z), as g1 g4 = -(u+1) times the cubic."""
+    ctx, u = su.ctx, su.u
+    u2 = ctx.mul(u, u)
+    return -ctx.chi(ctx.add(u, 1)) * char_sum(ctx, [0, u2, ctx.neg(1), 1])
+
+
+def gamma4_from_quintic(su: ScopedU) -> int:
+    """-chi(u+1) * sum_z chi(z^5 - (u^2+1) z^2 + (u^2 - u^4) z): g1 g2 g3 g4 is
+    -(u+1) z^2 times this quintic, and chi(z^2) = 1 away from z = 0."""
+    ctx, u = su.ctx, su.u
+    u2 = ctx.mul(u, u)
+    u4 = ctx.mul(u2, u2)
+    coeffs = [0, ctx.sub(u2, u4), ctx.neg(ctx.add(u2, 1)), 0, 0, 1]
+    return -ctx.chi(ctx.add(u, 1)) * char_sum(ctx, coeffs)
 
 
 # ---------------------------------------------------------------------------

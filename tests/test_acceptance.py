@@ -99,14 +99,14 @@ def test_criterion_4_identity_suite(f3, f5, f7, scope3, scope5, sampled7):
     for a2 in range(1, f3.q):
         for a1 in range(f3.q):
             for a0 in range(f3.q):
-                if cs.quadratic_char_sum(f3, a2, a1, a0) != cs.char_sum(f3, [a0, a1, a2]):
+                if oracles.quadratic_char_sum(f3, a2, a1, a0) != oracles.char_sum(f3, [a0, a1, a2]):
                     failures.append((3, "quadratic", a2, a1, a0))
     rng = random.Random(1234)
     for _ in range(1000):
         a2 = rng.randrange(1, f5.q)
         a1 = rng.randrange(f5.q)
         a0 = rng.randrange(f5.q)
-        if cs.quadratic_char_sum(f5, a2, a1, a0) != cs.char_sum(f5, [a0, a1, a2]):
+        if oracles.quadratic_char_sum(f5, a2, a1, a0) != oracles.char_sum(f5, [a0, a1, a2]):
             failures.append((5, "quadratic", a2, a1, a0))
     _criterion(4, "all 18 character-sum identities and the degree-2 closed form",
                failures)

@@ -2,12 +2,15 @@
 
 import itertools
 import random
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 import oracles
 from nhspectrum import charsums as cs
+from nhspectrum import ness
 from nhspectrum.rng import sample_u0_nonf3
 from nhspectrum.spectrum import u0_nonf3_elements
 
@@ -23,17 +26,17 @@ def scope_us(ctx):
 
 def test_char_sum_of_square(f3, f5):
     for ctx in (f3, f5):
-        assert cs.char_sum(ctx, [0, 0, 1]) == ctx.q - 1  # z^2
+        assert oracles.char_sum(ctx, [0, 0, 1]) == ctx.q - 1  # z^2
 
 
 def test_char_sum_linear_balanced(f3, f5):
     for ctx in (f3, f5):
-        assert cs.char_sum(ctx, [0, 1]) == 0  # z
+        assert oracles.char_sum(ctx, [0, 1]) == 0  # z
 
 
 def test_char_sum_z2_plus_one(f3, f5):
     for ctx in (f3, f5):
-        assert cs.char_sum(ctx, [1, 0, 1]) == -1  # nonzero discriminant
+        assert oracles.char_sum(ctx, [1, 0, 1]) == -1  # nonzero discriminant
 
 
 def test_char_sum_matches_scalar_horner(f3):
@@ -51,27 +54,27 @@ def test_char_sum_matches_scalar_horner(f3):
                 for c in reversed(coeffs):
                     value = f3.add(f3.mul(value, z), c)
                 expected += f3.chi(value)
-            assert cs.char_sum(f3, coeffs) == expected, coeffs
+            assert oracles.char_sum(f3, coeffs) == expected, coeffs
 
 
 def test_char_sum_rejects_zero_poly(f3):
     with pytest.raises(ValueError):
-        cs.char_sum(f3, [0, 0, 0])
+        oracles.char_sum(f3, [0, 0, 0])
 
 
 def test_quadratic_closed_form_cases(f3, f5):
     for ctx in (f3, f5):
-        assert cs.quadratic_char_sum(ctx, 1, 0, 0) == ctx.q - 1  # d = 0
-        assert cs.quadratic_char_sum(ctx, 1, 0, 1) == -1
+        assert oracles.quadratic_char_sum(ctx, 1, 0, 0) == ctx.q - 1  # d = 0
+        assert oracles.quadratic_char_sum(ctx, 1, 0, 1) == -1
     with pytest.raises(ValueError):
-        cs.quadratic_char_sum(f3, 0, 1, 1)
+        oracles.quadratic_char_sum(f3, 0, 1, 1)
 
 
 def test_quadratic_closed_form_exhaustive_n3(f3):
     for a2 in range(1, f3.q):
         for a1 in range(f3.q):
             for a0 in range(f3.q):
-                assert cs.quadratic_char_sum(f3, a2, a1, a0) == cs.char_sum(
+                assert oracles.quadratic_char_sum(f3, a2, a1, a0) == oracles.char_sum(
                     f3, [a0, a1, a2]
                 )
 
@@ -82,7 +85,7 @@ def test_quadratic_closed_form_random_n5(f5):
         a2 = rng.randrange(1, f5.q)
         a1 = rng.randrange(f5.q)
         a0 = rng.randrange(f5.q)
-        assert cs.quadratic_char_sum(f5, a2, a1, a0) == cs.char_sum(f5, [a0, a1, a2])
+        assert oracles.quadratic_char_sum(f5, a2, a1, a0) == oracles.char_sum(f5, [a0, a1, a2])
 
 
 def test_quadratic_closed_form_random_n7(f7):
@@ -91,7 +94,7 @@ def test_quadratic_closed_form_random_n7(f7):
         a2 = rng.randrange(1, f7.q)
         a1 = rng.randrange(f7.q)
         a0 = rng.randrange(f7.q)
-        assert cs.quadratic_char_sum(f7, a2, a1, a0) == cs.char_sum(f7, [a0, a1, a2])
+        assert oracles.quadratic_char_sum(f7, a2, a1, a0) == oracles.char_sum(f7, [a0, a1, a2])
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +118,26 @@ def test_scope_members_have_square_1_minus_u2(f3, f5):
             assert ctx.chi(r) == 1
 
 
+def test_lazy_fields_build_concurrently(monkeypatch, f5):
+    """Two threads build `rows` for two different u at once.  Each build waits
+    for the other at a barrier, which breaks if a lock shared by all
+    instances lets only one build run at a time."""
+    barrier = threading.Barrier(2, timeout=5)
+    original = ness.ddt_rows
+
+    def waiting(ctx, u):
+        barrier.wait()
+        return original(ctx, u)
+
+    monkeypatch.setattr(ness, "ddt_rows", waiting)
+    sus = [cs.ScopedU(f5, u) for u in scope_us(f5)[:2]]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        built = list(pool.map(lambda su: su.rows, sus))
+    for su, rows in zip(sus, built):
+        assert su.rows is rows  # kept, not rebuilt
+        assert all(np.array_equal(a, b) for a, b in zip(rows, original(f5, su.u)))
+
+
 def test_g_eval_examples(f3):
     for u in scope_us(f3):
         su = cs.ScopedU(f3, u)
@@ -127,10 +150,30 @@ def test_g_eval_examples(f3):
 def test_g_values_match_scalar(f5):
     su = cs.ScopedU(f5, scope_us(f5)[0])
     for gid in cs.G_IDS:
-        vec = cs.g_values(su, gid)
+        vec = oracles.g_values(su, gid)
         for z in range(0, f5.q, 11):
             assert int(vec[z]) == oracles.g_eval(su, gid, z)
             assert su.signs[gid - 1, z] == f5.chi(int(vec[z]))
+
+
+def test_sign_matrix_matches_scalar_signs(scope_cases):
+    """The sign matrix, built from the zeros of the g family, equals chi of
+    every g_i evaluated one z at a time."""
+    for ctx, us in scope_cases:
+        for u in us:
+            su = cs.ScopedU(ctx, u)
+            expected = np.array([oracles.g_signs(su, z) for z in ctx.elements()]).T
+            assert np.array_equal(su.signs, expected), (ctx.n, u)
+
+
+def test_chi_z2mu2_matches_evaluation(scope_cases):
+    """chi(z - u) chi(z + u) equals chi of z^2 - u^2 computed in the field."""
+    for ctx, us in scope_cases:
+        for u in us[:10]:
+            su = cs.ScopedU(ctx, u)
+            z = np.arange(ctx.q, dtype=np.int64)
+            expected = ctx.chi_vec(ctx.sub_vec(ctx.mul_vec(z, z), np.int64(ctx.mul(u, u))))
+            assert np.array_equal(su.chi_z2mu2, expected), (ctx.n, u)
 
 
 def test_sign_matrix_sums_match_field_products(f3, f5):
@@ -146,12 +189,15 @@ def test_sign_matrix_sums_match_field_products(f3, f5):
 
 
 def test_set_a_contains_all_g_roots(f3):
+    """The five points of A are distinct, and each g_i vanishes exactly on
+    the points `G_ZEROS` lists for it."""
     for u in scope_us(f3):
         su = cs.ScopedU(f3, u)
-        points = set(cs.set_a_points(su))
-        for gid in cs.G_IDS:
+        points = cs.set_a_points(su)
+        assert len(set(points)) == 5
+        for gid, zeros in zip(cs.G_IDS, cs.G_ZEROS):
             roots = {z for z in f3.elements() if oracles.g_eval(su, gid, z) == 0}
-            assert roots <= points, (u, gid, roots, points)
+            assert roots == {points[k] for k in zeros}, (u, gid, roots, points)
 
 
 def test_phi_never_zero_and_sign_product(f3, f5):
@@ -262,4 +308,4 @@ def test_odd_cubic_sum_vanishes(f3, f5):
         for u in scope_us(ctx):
             u2 = ctx.mul(u, u)
             coeffs = [0, ctx.sub(1, u2), 0, u2]
-            assert cs.char_sum(ctx, coeffs) == 0
+            assert oracles.char_sum(ctx, coeffs) == 0

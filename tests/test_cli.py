@@ -2,12 +2,15 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from nhspectrum import charsums, cli, ness
+from nhspectrum import charsums, cli, ness, spectrum
+from nhspectrum import solution_census as census_mod
 from nhspectrum.cli import RunConfig, SPECTRUM_COLUMNS, resolve_u, run
 from nhspectrum.field import make_context
 from nhspectrum.spectrum import u0_nonf3_elements
@@ -21,9 +24,15 @@ def _run(command, n=3, u="all", fmt="json", seed=0, jobs=1, modulus=None):
     return status, out.getvalue(), err.getvalue()
 
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
 def _cli_subprocess(*args):
+    """Run the CLI in a child interpreter that imports the package from `src`."""
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
     return subprocess.run([sys.executable, "-m", "nhspectrum.cli", *args],
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=path))
 
 
 def _json_lines(text):
@@ -267,28 +276,34 @@ def test_jobs_pool_size(monkeypatch, jobs, u, cpus, workers):
     assert out == _run("spectrum", u=u, jobs=1)[1]
 
 
-@pytest.mark.parametrize("command, signs_per_u", [("scan", 1), ("verify-theorem", 0)])
-def test_one_build_per_u(monkeypatch, command, signs_per_u):
-    """Two character sums (gamma3, gamma4), at most one sign matrix and one
-    f table per u; verify-theorem needs no sign matrix."""
-    counts = {"char_sum": 0, "g_values": 0, "f_table": 0}
+@pytest.mark.parametrize("command, f_tables_per_u", [
+    ("scan", 1), ("verify-theorem", 1), ("spectrum", 1), ("census", 1),
+    ("verify-lemmas", 0), ("verify-propositions", 1),
+])
+def test_one_build_per_u(monkeypatch, command, f_tables_per_u):
+    """Every scope command builds one sign matrix per u, runs no Horner pass
+    (no `char_sum` anywhere in the library) and builds at most one f table;
+    verify-lemmas reads no DDT."""
+    counts = {"signs": 0, "char_sum": 0, "f_table": 0}
 
-    def counted(module, name):
-        original = getattr(module, name)
+    def counted(owner, attr, key):
+        original = getattr(owner, attr)
 
         def wrapper(*args):
-            counts[name] += 1
+            counts[key] += 1
             return original(*args)
 
-        monkeypatch.setattr(module, name, wrapper)
+        monkeypatch.setattr(owner, attr, wrapper)
 
-    counted(charsums, "char_sum")
-    counted(charsums, "g_values")  # called once per row of a sign matrix only
-    counted(ness, "f_table")
+    counted(charsums.ScopedU.signs, "func", "signs")
+    for module in (charsums, spectrum, census_mod, ness):
+        if hasattr(module, "char_sum"):
+            counted(module, "char_sum", "char_sum")
+    counted(ness, "f_table", "f_table")
     k = 4
     status, out, _ = _run(command, n=5, u=f"sample:{k}:1")
-    assert status == 0 and len(_json_lines(out)) == k
-    assert counts == {"char_sum": 2 * k, "g_values": 5 * signs_per_u * k, "f_table": k}
+    assert status == 0 and len({rec["u"] for rec in _json_lines(out)}) == k
+    assert counts == {"signs": k, "char_sum": 0, "f_table": f_tables_per_u * k}
 
 
 def test_console_entry_point_runs():

@@ -171,14 +171,6 @@ def test_example_spectrum_reachable_n3(f3):
     assert spectra == {(286, 208, 156, 26, 26)}
 
 
-def test_spectrum_record_shape(f3):
-    u = 5
-    rec = ness.spectrum_bruteforce(f3, ness.ddt_rows(f3, u)).to_record(f3, u)
-    assert set(rec) == {"n", "modulus", "u", "source", "omegas"}
-    assert rec["source"] == "brute-force"
-    assert rec["u"] == f3.format_element(u)
-
-
 def test_ddt_table_row_zero_excluded_from_spectrum(f3):
     u = 8
     table = oracles.ddt_table(f3, u)

@@ -73,12 +73,15 @@ def test_scope_list_matches_classifier(f3):
 # ---------------------------------------------------------------------------
 
 
-def test_gamma_dual_forms_agree(f3, f5):
-    for ctx in (f3, f5):
-        for u in sp.u0_nonf3_elements(ctx):
+def test_gamma_dual_forms_agree(scope_cases):
+    """gamma3 and gamma4 from the sign matrix equal the g polynomials multiplied
+    in the field and the reduced cubic and quintic summed by Horner's rule."""
+    for ctx, us in scope_cases:
+        for u in us:
             su = cs.ScopedU(ctx, u)
-            assert sp.gamma3(su) == oracles.gamma3_from_products(su)
-            assert sp.gamma4(su) == oracles.gamma4_from_products(su)
+            g3, g4 = sp.gamma3(su), sp.gamma4(su)
+            assert g3 == oracles.gamma3_from_products(su) == oracles.gamma3_from_cubic(su)
+            assert g4 == oracles.gamma4_from_products(su) == oracles.gamma4_from_quintic(su)
 
 
 def test_gamma_example_values_reachable(f3, f5):
@@ -154,6 +157,20 @@ def test_closed_form_matches_bruteforce_n3(f3):
         closed = closed_form(f3, u)
         brute = ness.spectrum_bruteforce(f3, ness.ddt_rows(f3, u))
         assert closed.omegas == brute.omegas
+
+
+@pytest.mark.parametrize("name, patched", [("gamma3", 12), ("gamma4", 36)])
+def test_closed_form_inputs_check_weil_bounds(monkeypatch, f3, name, patched):
+    """At q = 27 the triple (eps, gamma3, gamma4) = (0, -4, 4) is realised.
+    Moving gamma3 to 12 (144 > 4q) or gamma4 to 36 (1296 > 16q) keeps every
+    divisibility of the closed form, so only the bound check can catch it."""
+    u = next(u for u in sp.u0_nonf3_elements(f3)
+             if sp.closed_form_inputs(cs.ScopedU(f3, u)) == sp.ClosedFormInputs(-4, 4, 0))
+    bad = {"gamma3": -4, "gamma4": 4, "epsilon": 0, name: patched}
+    sp.spectrum_closed_form(f3, sp.ClosedFormInputs(**bad))  # divides out exactly
+    monkeypatch.setattr(sp, name, lambda su: patched)
+    with pytest.raises(InconsistencyError, match=f"u={f3.format_element(u)}: {name} = {patched}"):
+        sp.closed_form_inputs(cs.ScopedU(f3, u))
 
 
 def test_closed_form_frozen_paper_examples(f3, f5):
