@@ -17,17 +17,18 @@ of the g_i reduce the differential spectrum to two character sums.
 Every g_i splits over the field, and its zeros lie in the five-point set
 A = {0, 1+u, 1-u, -1+r, -1-r} (`set_a_points`).  Since chi is
 multiplicative (chi(0) = 0), chi(g_i(z)) is chi of the leading coefficient
-times the product of chi(z - a) over the zeros a of g_i.  So `ScopedU.signs`
-is built from five translates of the character table and never evaluates a
-polynomial, and every character sum of a product of the g_i is a sum of
-products of its rows (`g_sign_product_sum`).  The tests keep the polynomials
-evaluated over the field, one z at a time and as whole-field products, as
-the oracle.  `ScopedU` holds one in-scope u and everything derived from it,
-each built once.
+times the product of chi(z - a) over the zeros a of g_i.  So
+`ScopedU.sign_key`, the sign vector of each z as one of 243 keys, comes from
+five translates of the character table, and every character sum of a
+product of the g_i is a dot product of the key histogram with
+`SIGN_PATTERNS` (`g_sign_product_sum`).  The tests keep the polynomials
+evaluated over the field as the oracle.  `ScopedU` holds one in-scope u and
+everything derived from it, each built once.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -42,6 +43,11 @@ G_IDS = (1, 2, 3, 4, 5)
 # leading coefficient times the product of (z - a) over them.
 G_ZEROS = ((0,), (0, 1), (0, 2), (3, 4), (3,))
 
+# Row k is the sign vector (s1, ..., s5) with `ScopedU.sign_key` k: the
+# digits s_i + 1 of k in base 3, s1 most significant.
+SIGN_PATTERNS = np.array(list(itertools.product((-1, 0, 1), repeat=5)), dtype=np.int8)
+SIGN_PATTERNS.flags.writeable = False
+
 
 def in_theorem_scope(ctx: FieldCtx, u: int) -> bool:
     """True when u is outside GF(3) and chi(u+1) != chi(u-1)."""
@@ -52,7 +58,7 @@ def in_theorem_scope(ctx: FieldCtx, u: int) -> bool:
 
 def _chi_translate(ctx: FieldCtx, a: int) -> np.ndarray:
     """chi(z - a) for every z, as int8."""
-    return ctx.chi_vec(ctx.sub_vec(np.arange(ctx.q, dtype=np.int64), np.int64(a)))
+    return ctx.chi_vec(ctx.translate(ctx.neg(a)))
 
 
 @dataclass(frozen=True)
@@ -77,25 +83,27 @@ class ScopedU:
         return self.ctx.sqrt_canonical(self.ctx.sub(1, self.ctx.mul(self.u, self.u)))
 
     @built_once
-    def signs(self) -> np.ndarray:
-        """(5, q) int8 array: row i - 1 is chi(g_i(z)) for every z, as
+    def sign_key(self) -> np.ndarray:
+        """int16 per z: the row of `SIGN_PATTERNS` holding chi(g_i(z)), i = 1..5, each
         chi(lead of g_i) times the product of chi(z - a) over its zeros a."""
         ctx = self.ctx
         leads = (ctx.neg(ctx.add(self.u, 1)), 1, 1, 1, ctx.neg(ctx.add(1, self.r)))
         at = [_chi_translate(ctx, a) for a in set_a_points(self)]
-        return np.stack([ctx.chi(lead) * np.prod([at[k] for k in zeros], axis=0, dtype=np.int8)
-                         for lead, zeros in zip(leads, G_ZEROS)])
+        key = np.zeros(ctx.q, dtype=np.int16)
+        for lead, zeros in zip(leads, G_ZEROS):
+            key *= 3
+            key += ctx.chi(lead) * np.prod([at[k] for k in zeros], axis=0, dtype=np.int8) + 1
+        return key
+
+    @built_once
+    def sign_hist(self) -> np.ndarray:
+        """How many z carry each sign key, 243 counts."""
+        return np.bincount(self.sign_key, minlength=len(SIGN_PATTERNS))
 
     @built_once
     def chi_z2mu2(self) -> np.ndarray:
         """chi(z^2 - u^2) = chi(z - u) chi(z + u) for every z."""
         return _chi_translate(self.ctx, self.u) * _chi_translate(self.ctx, self.ctx.neg(self.u))
-
-    @built_once
-    def one_pm_u(self) -> np.ndarray:
-        """Boolean mask of z in {1 + u, 1 - u}."""
-        z = np.arange(self.ctx.q, dtype=np.int64)
-        return (z == self.ctx.add(1, self.u)) | (z == self.ctx.sub(1, self.u))
 
     @built_once
     def rows(self) -> ness.DDTRows:
@@ -108,11 +116,11 @@ class ScopedU:
 # ---------------------------------------------------------------------------
 
 
-def g_sign_product_sum(signs: np.ndarray, gids: Iterable[int]) -> int:
-    """Sum over z of chi(prod of the selected g_i) from the rows of `ScopedU.signs`,
-    as chi(x y) = chi(x) chi(y)."""
-    rows = signs[np.asarray(tuple(gids)) - 1]
-    return int(np.prod(rows, axis=0, dtype=np.int64).sum())
+def g_sign_product_sum(hist: np.ndarray, gids: Iterable[int]) -> int:
+    """Sum over z of chi(prod of the selected g_i), from the sign-key histogram
+    `ScopedU.sign_hist`, as chi(x y) = chi(x) chi(y)."""
+    columns = SIGN_PATTERNS[:, np.asarray(tuple(gids)) - 1]
+    return int(hist @ np.prod(columns, axis=1, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +141,8 @@ def set_a_points(su: ScopedU) -> tuple[int, int, int, int, int]:
 
 
 def table_a_chi(su: ScopedU) -> list[list[int]]:
-    """chi(g_i(x)) for x in A (rows) and i = 1..5 (columns), read off `ScopedU.signs`."""
-    return su.signs[:, list(set_a_points(su))].T.tolist()
+    """chi(g_i(x)) for x in A (rows) and i = 1..5 (columns), decoded from `ScopedU.sign_key`."""
+    return SIGN_PATTERNS[su.sign_key[list(set_a_points(su))]].tolist()
 
 
 def table_a_expected(su: ScopedU) -> list[list[int]]:
@@ -210,7 +218,7 @@ def section2_identities(su: ScopedU) -> list[IdentityReport]:
     chi_r1mu = ctx.chi(ctx.sub(ctx.add(r, 1), u))  # chi(r + 1 - u)
 
     def s(*gids: int) -> int:
-        return g_sign_product_sum(su.signs, gids)
+        return g_sign_product_sum(su.sign_hist, gids)
 
     checks: list[tuple[str, int, int]] = [
         ("g1g2", s(1, 2), -1),

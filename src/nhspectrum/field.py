@@ -14,18 +14,21 @@ threads that race to build one build equal arrays and either may be kept;
 that is why `built_once` takes no lock.
 Scalar multiplication, powers, inverses and the quadratic character read the
 discrete-log tables; scalar addition works digit by digit.  The scalar ops
-are the reference the ``*_vec`` kernels are tested against.  Polynomial
+are the reference the vector kernels are tested against.  Polynomial
 multiplication only finds the generator and the matrix of g that the
 log-table build starts from.
 
-The ``*_vec`` kernels are gathers from small tables:
+The vector kernels (``translate``, ``sub_vec``, ``mul_vec``, ``chi_vec``)
+are gathers from small tables:
 
 * Addition works on bit planes (Boothby & Bradshaw, "Bitslicing and the
   Method of Four Russians over larger finite fields", 2009).  Bit i of
   ``ones[a]`` (``twos[a]``) is set when digit i of a is 1 (2), so a sum is a
   few bitwise operations on uint16 masks, and ``value[m]`` (2^n entries)
-  turns the planes of the result back into an index.  Subtraction is the
-  same with the planes of b swapped, because negation swaps them.
+  turns the planes of the result back into an index.  ``translate(c)``
+  adds c to every element and reads ``ones`` and ``twos`` themselves as
+  the planes of z.  Subtraction swaps the planes of b, because negation
+  swaps them.
 * Multiplication reads ``alog[log[a] + log[b]]``.  Zero has the sentinel
   log 2q - 3 and the antilog table runs on to 4q - 5 entries, periodic up
   to index 2q - 4 and zero beyond, so no zero mask and no reduction mod
@@ -187,10 +190,10 @@ class FieldCtx:
     """GF(3^n) with a verified irreducible modulus and primitive element.
 
     All scalar operations accept and return element indices (ints).  The
-    ``*_vec`` methods operate on numpy index arrays (or scalars, broadcast)
+    vector kernels operate on numpy index arrays (or scalars, broadcast)
     and exist for full-field scans; they give bit-identical results to the
-    scalar path.  Sums come back as int64, products and powers as int32 and
-    characters as int8.
+    scalar path.  Sums come back as int64, products as int32 and characters
+    as int8.
     """
 
     def __init__(self, n: int, modulus: Optional[PolyLike] = None):
@@ -479,10 +482,10 @@ class FieldCtx:
 
     # -- vectorised arithmetic on index arrays ----------------------------------
 
-    def add_vec(self, a, b) -> np.ndarray:
+    def translate(self, c: int) -> np.ndarray:
+        """z + c for every element z: the plane tables are the planes of z."""
         ones, twos, _ = self._planes
-        a, b = np.asarray(a), np.asarray(b)
-        return self._plane_sum(ones[a], twos[a], ones[b], twos[b])
+        return self._plane_sum(ones, twos, ones[c], twos[c])
 
     def sub_vec(self, a, b) -> np.ndarray:
         """a + (-b): negation swaps the two planes of b."""
@@ -506,16 +509,6 @@ class FieldCtx:
     def mul_vec(self, a, b) -> np.ndarray:
         log, alog = self._log_tables
         return alog[log[np.asarray(a)] + log[np.asarray(b)]]
-
-    def pow_vec(self, a, e: int) -> np.ndarray:
-        if e < 0:
-            raise ValueError("exponent must be nonnegative")
-        log, alog = self._log_tables
-        a = np.asarray(a)
-        if e == 0:
-            return np.ones(a.shape, dtype=alog.dtype)
-        k = (log[a].astype(np.int64) * e) % (self.q - 1)
-        return alog[np.where(a == 0, 2 * self.q - 3, k)]
 
     def chi_vec(self, a) -> np.ndarray:
         """Quadratic character of every entry, values in {-1, 0, +1}."""

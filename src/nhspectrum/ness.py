@@ -1,12 +1,12 @@
 """The Ness-Helleseth binomial over GF(3^n) and its difference distribution.
 
 With q = 3^n, the function is f_u(x) = u x^d1 + x^d2 for d1 = (q-1)/2 - 1
-and d2 = q - 2.  `f_table` evaluates it over the whole field with two
-`pow_vec` gathers through the discrete-log tables; the scalar `f_eval`
-is its oracle.
+and d2 = q - 2.  For nonzero x, x^d2 = 1/x and x^d1 = chi(x)/x, so
+f_u(x) = (1 + u chi(x))/x.  `f_table` evaluates that shape over the whole
+field with one gather from the antilog table; the scalar `f_eval`, by
+plain exponentiation, is its oracle.
 
-For nonzero x, x^d2 = 1/x and x^d1 = chi(x)/x, so f_u(x) = (u chi(x) + 1)/x
-and f_u(c x) = f_u(x)/c for every nonzero square c.  Substituting x -> c x
+Also f_u(c x) = f_u(x)/c for every nonzero square c.  Substituting x -> c x
 in f_u(x + c a) - f_u(x) = b gives delta(c a, b) = delta(a, c b), so the
 rows a = 1 and a = g (the generator, a nonsquare) determine the whole
 DDT.  `ddt_rows` counts those two with the row kernel `ddt_row`; the tests
@@ -36,10 +36,13 @@ def f_eval(ctx: FieldCtx, u: int, x: int) -> int:
 
 
 def f_table(ctx: FieldCtx, u: int) -> np.ndarray:
-    """f_u over the whole field as one index array."""
-    d1, d2 = exponents(ctx)
-    x = np.arange(ctx.q, dtype=np.int64)
-    return ctx.add_vec(ctx.mul_vec(np.int64(u), ctx.pow_vec(x, d1)), ctx.pow_vec(x, d2))
+    """f_u over the whole field, alog[log(1/x) + log(1 + u chi(x))]: squares have even
+    logs, and the zero sentinel (x = 0, or 1 +- u = 0 for u in GF(3)) reads f = 0."""
+    log, alog = ctx._log_tables
+    neglog = -log % (ctx.q - 1)
+    neglog[0] = 2 * ctx.q - 3
+    lead = log[[ctx.add(1, u), ctx.sub(1, u)]]
+    return alog[neglog + lead[log & 1]]
 
 
 def derivative(ctx: FieldCtx, u: int, a: int, x: int) -> int:
@@ -53,8 +56,7 @@ def ddt_row(ctx: FieldCtx, ftab: np.ndarray, a: int) -> np.ndarray:
     """delta(a, b) for every b, as one histogram pass over x; ftab is `f_table`."""
     if a == 0:
         raise ValueError("DDT rows are indexed by nonzero a")
-    x = np.arange(ctx.q, dtype=np.int64)
-    diffs = ctx.sub_vec(ftab[ctx.add_vec(x, np.int64(a))], ftab)
+    diffs = ctx.sub_vec(ftab[ctx.translate(a)], ftab)
     return np.bincount(diffs, minlength=ctx.q)
 
 

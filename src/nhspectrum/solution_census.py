@@ -15,19 +15,20 @@ the signs of the five classifier polynomials at z = a b, which yields a
 0..4 prediction without solving anything; this module computes both routes
 and the machinery to compare them against direct counting.
 
-The rules in `SOLUTION_CONDITIONS` are compiled at import into
-`PREDICTION_TABLE`, which both predictions read; the tests keep a direct
-interpreter of the rules as the oracle for every entry.
+At import, the rules in `SOLUTION_CONDITIONS` compile into
+`PREDICTION_TABLE` and the closed forms of the case counts into
+`CASE_TABLE`, both indexed by the condition key of z, so a full-field check
+is one key vector and two gathers.  The tests keep an interpreter of the
+rules and the scalar `census` as the oracles for every entry.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .charsums import ScopedU
+from .charsums import SIGN_PATTERNS, ScopedU
 from .field import FieldCtx, InconsistencyError
 
 CASE_IDS = ("I", "II", "III", "IV")
@@ -96,43 +97,57 @@ SOLUTION_CONDITIONS: dict[int, list[dict]] = {
 
 NO_RULE = -1
 SEVERAL_RULES = -2
+NOT_ADMISSIBLE = -1
+
+B_ZERO_KEY = len(SIGN_PATTERNS) * 2 * 3  # z = 0 (b = 0), after every key of a nonzero z
+CASE_COLUMNS = ("n1", "n_i", "n_ii_iii", "n_iv", "total")
 
 
-def condition_key(signs, one_pm_u, chi_z2mu2):
-    """Index into `PREDICTION_TABLE`, for one z or elementwise: mixed radix over
-    s1..s5 in {-1, 0, 1}, z in {1 +- u} in {0, 1}, chi(z^2 - u^2) in {-1, 0, 1}."""
-    key = np.int16(0)
-    for s in signs:
-        key = key * 3 + (s + 1)
-    return (key * 2 + one_pm_u) * 3 + (chi_z2mu2 + 1)
+def condition_key(sign_key, one_pm_u, chi_z2mu2):
+    """Row of the compiled tables for a nonzero z, scalar or elementwise: mixed
+    radix over the sign key, z in {1 +- u} in {0, 1} and chi(z^2 - u^2) in {-1, 0, 1}."""
+    return (sign_key * 2 + one_pm_u) * 3 + (chi_z2mu2 + 1)
 
 
-def _compile_conditions() -> np.ndarray:
-    """The count whose single rule fires at each key, else NO_RULE or SEVERAL_RULES.
-
-    The b = 0 rule is left out: b = 0 predicts 0 before any key is formed.
+def _compile_conditions() -> tuple[np.ndarray, np.ndarray]:
+    """Per key: the count whose single rule fires, else NO_RULE or SEVERAL_RULES;
+    and (N1, N_I, N_II + N_III, N_IV) by their closed forms, then the total in
+    TABLE_IV_ROWS or NOT_ADMISSIBLE.  N1 depends on z alone because u is
+    outside GF(3): the special-point targets are a b = 1 +- u whatever chi(a) is.
     """
-    *signs, one_pm_u, chi_z2mu2 = np.array(
-        list(itertools.product(*[(-1, 0, 1)] * 5, (0, 1), (-1, 0, 1))), dtype=np.int8
-    ).T
-    pred, fired = np.zeros((2, len(one_pm_u)), dtype=np.int8)
+    key = np.arange(B_ZERO_KEY + 1)
+    b_zero = key == B_ZERO_KEY
+    key[b_zero] = condition_key(len(SIGN_PATTERNS) // 2, 0, 0)  # b = 0: every input 0
+    signs = SIGN_PATTERNS[key // 6].T
+    one_pm_u, chi_z2mu2 = key // 3 % 2, key % 3 - 1
+    pred, fired = np.zeros((2, len(key)), dtype=np.int8)
     for count, conds in SOLUTION_CONDITIONS.items():
         for cond in conds:
-            if cond.get("b_zero", False):
-                continue
-            mask = (one_pm_u == 1) | (not cond.get("one_pm_u", False))
+            mask = b_zero == cond.get("b_zero", False)
+            if cond.get("one_pm_u", False):
+                mask &= one_pm_u == 1
             for gid, want in cond.get("s", {}).items():
                 mask &= signs[gid - 1] == want
             if "chi_z2mu2" in cond:
                 mask &= chi_z2mu2 == cond["chi_z2mu2"]
             fired += mask
             pred[mask] = count
-    table = np.select([fired == 1, fired == 0], [pred, NO_RULE], SEVERAL_RULES).astype(np.int8)
-    table.flags.writeable = False
-    return table
+    s1, s2, s3, s4, s5 = signs
+    cases = np.stack([
+        one_pm_u,
+        (s1 == 1) & (s2 == 1),
+        np.where((s4 == 1) & (s5 == 1), 2, (s4 == 0) & (chi_z2mu2 == 1)),
+        (s1 == 1) & (s3 == 1),
+    ], axis=1)
+    totals = [TABLE_IV_ROWS.get(tuple(row), NOT_ADMISSIBLE) for row in cases.tolist()]
+    tables = (np.select([fired == 1, fired == 0], [pred, NO_RULE], SEVERAL_RULES).astype(np.int8),
+              np.column_stack([cases, totals]).astype(np.int8))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
-PREDICTION_TABLE = _compile_conditions()
+PREDICTION_TABLE, CASE_TABLE = _compile_conditions()
 
 
 # ---------------------------------------------------------------------------
@@ -221,13 +236,20 @@ def case_solutions(ctx: FieldCtx, u: int, a: int, b: int, case_id: str) -> CaseO
 
 def g_signs(su: ScopedU, z: int) -> tuple[int, int, int, int, int]:
     """(chi(g1(z)), ..., chi(g5(z)))."""
-    return tuple(int(s) for s in su.signs[:, z])
+    return tuple(SIGN_PATTERNS[su.sign_key[z]].tolist())
 
 
-def _predict(su: ScopedU, zs: np.ndarray) -> np.ndarray:
-    """`PREDICTION_TABLE` at each z of zs; raises InconsistencyError naming u,
+def condition_keys(su: ScopedU, zs: np.ndarray) -> np.ndarray:
+    """The row of the compiled tables for each z of zs; z = 0 reads B_ZERO_KEY."""
+    one_pm_u = (zs == su.ctx.add(1, su.u)) | (zs == su.ctx.sub(1, su.u))
+    keys = condition_key(su.sign_key[zs], one_pm_u, su.chi_z2mu2[zs])
+    return np.where(zs == 0, B_ZERO_KEY, keys)
+
+
+def _predict(su: ScopedU, zs: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """`PREDICTION_TABLE` at the keys of zs; raises InconsistencyError naming u,
     z and the signs at the first z where not exactly one rule fires."""
-    pred = PREDICTION_TABLE[condition_key(su.signs[:, zs], su.one_pm_u[zs], su.chi_z2mu2[zs])]
+    pred = PREDICTION_TABLE[keys]
     bad = np.flatnonzero(pred < 0)
     if bad.size:
         z = int(zs[bad[0]])
@@ -238,10 +260,11 @@ def _predict(su: ScopedU, zs: np.ndarray) -> np.ndarray:
 
 
 def predict_solution_count(su: ScopedU, a: int, b: int) -> int:
-    """N(a, b) from the signs at z = a b alone; raises if not exactly one rule fires."""
+    """N(a, b) from the key of z = a b alone; raises if not exactly one rule fires."""
     if a == 0:
         raise ValueError("a must be nonzero")
-    return int(_predict(su, np.array([su.ctx.mul(a, b)]))[0]) if b else 0
+    zs = np.array([su.ctx.mul(a, b)])
+    return int(_predict(su, zs, condition_keys(su, zs))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -338,41 +361,21 @@ def mismatch_record(su: ScopedU, a: int, b: int, predicted: int, observed: int) 
 
 
 def prediction_by_z(su: ScopedU) -> np.ndarray:
-    """Predicted N for every z in F* (slot z = 0 covers b = 0 and is 0).
+    """Predicted N for every z (slot z = 0 covers b = 0 and is 0).
 
     One key per z and one gather from `PREDICTION_TABLE`; raises unless
-    exactly one condition fires at every nonzero z.
+    exactly one condition fires at every z.
     """
-    pred = np.zeros(su.ctx.q, dtype=np.int8)  # z = 0 only arises from b = 0: 0
-    pred[1:] = _predict(su, np.arange(1, su.ctx.q))
-    return pred
-
-
-def census_components_by_z(su: ScopedU) -> dict[str, np.ndarray]:
-    """(N1, N_I, N_II + N_III, N_IV) for every z in F*, from closed forms.
-
-    N1 depends on (a, b) only through z here because u is outside GF(3):
-    the two special-point targets are ab = 1 +- u regardless of chi(a).
-    """
-    s1, s2, s3, s4, s5 = su.signs
-    n1 = su.one_pm_u.astype(np.int8)
-    n_i = ((s1 == 1) & (s2 == 1)).astype(np.int8)
-    n_iv = ((s1 == 1) & (s3 == 1)).astype(np.int8)
-    n_ii_iii = np.where(
-        (s4 == 1) & (s5 == 1),
-        np.int8(2),
-        ((s4 == 0) & (su.chi_z2mu2 == 1)).astype(np.int8),
-    )
-    for arr in (n1, n_i, n_iv, n_ii_iii):
-        arr[0] = 0
-    return {"n1": n1, "n_i": n_i, "n_ii_iii": n_ii_iii, "n_iv": n_iv}
+    zs = np.arange(su.ctx.q)
+    return _predict(su, zs, condition_keys(su, zs))
 
 
 def verify_predictions(su: ScopedU) -> dict:
     """Compare predictions against the DDT for every (a, b).
 
-    Checks, for each pair: the proposition prediction, the case-vector sum,
-    and membership of the case vector in the admissible table.  All three
+    Checks, for each pair, that the proposition prediction and the total of
+    the case vector both equal delta(a, b), the total being NOT_ADMISSIBLE
+    unless the vector is in the admissible table (`CASE_TABLE`).  Both
     depend only on z = a b, and so does delta(a, b) within a square class of
     a (`ness.ddt_rows`), so the pairs with a = 1 and a = g cover every pair.
     Returns a summary with one mismatch record per failing representative
@@ -380,27 +383,16 @@ def verify_predictions(su: ScopedU) -> dict:
     """
     ctx = su.ctx
     q = ctx.q
-    pred_z = prediction_by_z(su)
-    comp = census_components_by_z(su)
-    totals_z = comp["n1"] + comp["n_i"] + comp["n_ii_iii"] + comp["n_iv"]
+    zs = np.arange(q)
+    keys = condition_keys(su, zs)
+    pred_z = _predict(su, zs, keys)
+    totals_z = CASE_TABLE[keys, CASE_COLUMNS.index("total")]
 
-    keys_z = (
-        comp["n1"] * 27 + comp["n_i"] * 9 + comp["n_ii_iii"] * 3 + comp["n_iv"]
-    )
-    admissible = np.full(54, -1, dtype=np.int8)
-    for (k1, ki, k23, kiv), total in TABLE_IV_ROWS.items():
-        admissible[k1 * 27 + ki * 9 + k23 * 3 + kiv] = total
-
-    bs = np.arange(q, dtype=np.int64)
     mismatches: list[dict] = []
     for a, observed in zip((1, ctx.generator), su.rows):
-        zrow = ctx.mul_vec(np.int64(a), bs)
+        zrow = ctx.mul_vec(np.int64(a), zs)
         predicted = pred_z[zrow]
-        ok = (
-            (predicted == observed)
-            & (totals_z[zrow] == observed)
-            & (admissible[keys_z[zrow]] == totals_z[zrow])
-        )
+        ok = (predicted == observed) & (totals_z[zrow] == observed)
         for b in np.flatnonzero(~ok):
             mismatches.append(
                 mismatch_record(su, a, int(b), int(predicted[b]), int(observed[b]))

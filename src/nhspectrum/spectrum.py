@@ -14,12 +14,12 @@ For in-scope u the spectrum is a closed function of two character sums,
          = -chi(u+1) * sum_z chi(z^5 - (u^2+1) z^2 + (u^2-u^4) z),
 
 plus an indicator epsilon marking whether z = 1 +- u contributes a row with
-three solutions.  Both sums are read off the sign matrix `ScopedU.signs`
-as products of its rows; the tests check them against the g polynomials
+three solutions.  Both sums are read off the sign-key histogram
+`ScopedU.sign_hist`; the tests check them against the g polynomials
 multiplied in the field and against the reduced cubic and quintic summed
 by Horner's rule.  Each sum must meet its Weil bound, and all five omega
 values must divide out exactly in integers; any failure is raised as an
-inconsistency rather than rounded away.
+inconsistency naming u rather than rounded away.
 """
 
 from __future__ import annotations
@@ -70,8 +70,7 @@ def classify_u(ctx: FieldCtx, u: int) -> UClass:
 
 def u0_nonf3_elements(ctx: FieldCtx) -> list[int]:
     """Every in-scope u, in enumeration order (`charsums.in_theorem_scope` over the field)."""
-    x = np.arange(ctx.q, dtype=np.int64)
-    mask = ctx.chi_vec(ctx.add_vec(x, np.int64(1))) != ctx.chi_vec(ctx.sub_vec(x, np.int64(1)))
+    mask = ctx.chi_vec(ctx.translate(1)) != ctx.chi_vec(ctx.translate(2))  # u + 1, u - 1
     mask[:3] = False  # GF(3)
     return np.flatnonzero(mask).tolist()
 
@@ -82,13 +81,13 @@ def u0_nonf3_elements(ctx: FieldCtx) -> list[int]:
 
 
 def gamma3(su: charsums.ScopedU) -> int:
-    """sum_z chi(g1 g4), from two rows of the sign matrix."""
-    return charsums.g_sign_product_sum(su.signs, (1, 4))
+    """sum_z chi(g1 g4), from the sign-key histogram."""
+    return charsums.g_sign_product_sum(su.sign_hist, (1, 4))
 
 
 def gamma4(su: charsums.ScopedU) -> int:
-    """sum_z chi(g1 g2 g3 g4), from four rows of the sign matrix."""
-    return charsums.g_sign_product_sum(su.signs, (1, 2, 3, 4))
+    """sum_z chi(g1 g2 g3 g4), from the sign-key histogram."""
+    return charsums.g_sign_product_sum(su.sign_hist, (1, 2, 3, 4))
 
 
 def epsilon(su: charsums.ScopedU) -> int:
@@ -157,7 +156,10 @@ def verify_theorem_record(su: charsums.ScopedU) -> dict:
     """Closed form vs brute force for one u, as a JSON-ready record."""
     ctx = su.ctx
     ins = closed_form_inputs(su)
-    closed = spectrum_closed_form(ctx, ins)
+    try:
+        closed = spectrum_closed_form(ctx, ins)
+    except InconsistencyError as exc:
+        raise InconsistencyError(f"u={ctx.format_element(su.u)}: {exc}") from exc
     brute = spectrum_bruteforce(ctx, su.rows)
     return {
         "u": ctx.format_element(su.u),

@@ -7,11 +7,12 @@ route what a production function computes, and the tests compare the two.
     a of the DDT, the oracle for the two rows and the scaling lemma.
   * `g_eval` evaluates one classifier polynomial at one z with the scalar
     ops; `g_values` evaluates it over the whole field with the vector ops.
-    Both are oracles for the sign matrix, which the library builds from
-    the zeros of the polynomials instead.
+    Both are oracles for the sign key, which the library builds from the
+    zeros of the polynomials instead.
   * `g_product_sum` multiplies the classifier polynomials in the field
-    before taking chi; `gamma3_from_products` and `gamma4_from_products`
-    are the defining forms of the two character sums.
+    before taking chi, the oracle for the sums over the sign-key
+    histogram; `gamma3_from_products` and `gamma4_from_products` are the
+    defining forms of the two character sums.
   * `char_sum` sums chi of any polynomial by Horner's rule over the field,
     and `quadratic_char_sum` is the degree-2 closed form it is checked
     against; `gamma3_from_cubic` and `gamma4_from_quintic` are the two
@@ -74,7 +75,7 @@ def char_sum(ctx: FieldCtx, coeffs: Sequence[int]) -> int:
     for c in reversed(coeffs[:-1]):
         acc = ctx.mul_vec(acc, zs)
         if c:
-            acc = ctx.add_vec(acc, np.int64(c))
+            acc = ctx.translate(c)[acc]
     return int(np.broadcast_to(ctx.chi_vec(acc), zs.shape).sum())
 
 
@@ -116,11 +117,11 @@ def g_values(su: ScopedU, gid: int) -> np.ndarray:
     if gid == 3:
         return ctx.mul_vec(z, ctx.sub_vec(z, np.int64(ctx.sub(1, u))))
     if gid == 4:
-        return ctx.add_vec(ctx.sub_vec(ctx.mul_vec(z, z), z), np.int64(ctx.mul(u, u)))
+        return ctx.translate(ctx.mul(u, u))[ctx.sub_vec(ctx.mul_vec(z, z), z)]
     if gid == 5:
         return ctx.mul_vec(
             np.int64(ctx.neg(ctx.add(1, su.r))),
-            ctx.sub_vec(ctx.add_vec(z, np.int64(1)), np.int64(su.r)),
+            ctx.sub_vec(ctx.translate(1), np.int64(su.r)),
         )
     raise ValueError(f"gid must be 1..5, got {gid}")
 

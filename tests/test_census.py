@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 import oracles
@@ -179,11 +180,21 @@ def test_case_ii_iii_sum_sign_conditions(f3):
                     assert total == 0
 
 
+def _case_rows(su):
+    """`CASE_TABLE` at the condition key of every z, by column name; each z
+    is also checked against the scalar census of (1, z)."""
+    rows = cn.CASE_TABLE[cn.condition_keys(su, np.arange(su.ctx.q))]
+    for z, row in enumerate(rows.tolist()):
+        c = cn.census(su, 1, z)
+        assert tuple(row) == (*c.table_key, c.predicted_total), (su.u, z)
+    return dict(zip(cn.CASE_COLUMNS, rows.T))
+
+
 def test_degenerate_case_quadratic_blocks_i_and_iv(f3):
     # s4 = 0 forces chi((u+1) z) = -1, hence s1 = 1... and N_I = N_IV = 0
     for u in u0_nonf3_elements(f3):
         su = ScopedU(f3, u)
-        comp = cn.census_components_by_z(su)
+        comp = _case_rows(su)
         for z in f3.elements():
             if z and oracles.g_signs(su, z)[3] == 0:
                 s = oracles.g_signs(su, z)
@@ -194,7 +205,7 @@ def test_degenerate_case_quadratic_blocks_i_and_iv(f3):
 def test_special_point_rows_exclude_cases_i_iv(f3):
     # z = 1 +- u: N1 = 1 while N_I = N_IV = 0 and N_II + N_III != 1
     for u in u0_nonf3_elements(f3):
-        comp = cn.census_components_by_z(ScopedU(f3, u))
+        comp = _case_rows(ScopedU(f3, u))
         for z in (f3.add(1, u), f3.sub(1, u)):
             assert comp["n1"][z] == 1
             assert comp["n_i"][z] == 0 and comp["n_iv"][z] == 0
@@ -269,24 +280,49 @@ def test_exactly_one_condition_matches_n3(f3):
                 assert len(oracles.matching_conditions(su, a, b)) == 1
 
 
+def _table_keys():
+    """(key, inputs) for all 3^5 * 2 * 3 keys of a nonzero z, then the b = 0 key."""
+    for sign_key, signs in enumerate(itertools.product((-1, 0, 1), repeat=5)):
+        for one_pm_u, chi_z2mu2 in itertools.product((False, True), (-1, 0, 1)):
+            key = int(cn.condition_key(sign_key, one_pm_u, chi_z2mu2))
+            yield key, dict(b_zero=False, one_pm_u=one_pm_u, signs=signs, chi_z2mu2=chi_z2mu2)
+    yield cn.B_ZERO_KEY, dict(b_zero=True, one_pm_u=False, signs=(0,) * 5, chi_z2mu2=0)
+
+
 def test_prediction_table_equals_rule_interpreter():
-    """Every one of the 3^5 * 2 * 3 keys: the count where exactly one rule
+    """Every key, the b = 0 key included: the count where exactly one rule
     fires, NO_RULE where none does and SEVERAL_RULES where more than one does."""
-    keys = list(itertools.product(*[(-1, 0, 1)] * 5, (False, True), (-1, 0, 1)))
-    assert len(keys) == len(cn.PREDICTION_TABLE) == 1458
-    seen = set()
-    for *signs, one_pm_u, chi_z2mu2 in keys:
-        key = int(cn.condition_key(tuple(signs), one_pm_u, chi_z2mu2))
-        hits = oracles.fired_conditions(
-            b_zero=False, one_pm_u=one_pm_u, signs=tuple(signs), chi_z2mu2=chi_z2mu2
-        )
+    keys = [key for key, _ in _table_keys()]
+    assert sorted(keys) == list(range(len(cn.PREDICTION_TABLE))) and len(keys) == 1459
+    for key, inputs in _table_keys():
+        hits = oracles.fired_conditions(**inputs)
         if len(hits) == 1:
             expected = hits[0][0]
         else:
             expected = cn.NO_RULE if not hits else cn.SEVERAL_RULES
-        assert int(cn.PREDICTION_TABLE[key]) == expected, (signs, one_pm_u, chi_z2mu2, hits)
-        seen.add(key)
-    assert seen == set(range(1458))
+        assert int(cn.PREDICTION_TABLE[key]) == expected, (inputs, hits)
+    assert cn.PREDICTION_TABLE[cn.B_ZERO_KEY] == 0
+
+
+def test_case_table_matches_closed_forms():
+    """Every key, the b = 0 key included: (N1, N_I, N_II + N_III, N_IV) from
+    their closed forms in the signs, and the total of that vector in
+    TABLE_IV_ROWS, NOT_ADMISSIBLE where it is not a row there."""
+    assert cn.CASE_TABLE.shape == (1459, len(cn.CASE_COLUMNS))
+    inadmissible = 0
+    for key, inputs in _table_keys():
+        s1, s2, s3, s4, s5 = inputs["signs"]
+        if s4 == 1 and s5 == 1:
+            n_ii_iii = 2
+        else:
+            n_ii_iii = int(s4 == 0 and inputs["chi_z2mu2"] == 1)
+        vector = (int(inputs["one_pm_u"]), int(s1 == 1 and s2 == 1), n_ii_iii,
+                  int(s1 == 1 and s3 == 1))
+        total = cn.TABLE_IV_ROWS.get(vector, cn.NOT_ADMISSIBLE)
+        inadmissible += total == cn.NOT_ADMISSIBLE
+        assert cn.CASE_TABLE[key].tolist() == [*vector, total], (inputs, vector)
+    assert cn.CASE_TABLE[cn.B_ZERO_KEY].tolist() == [0, 0, 0, 0, 0]
+    assert inadmissible > 0
 
 
 def test_prediction_by_z_matches_scalar(f3):
@@ -304,7 +340,7 @@ def test_prediction_by_z_matches_scalar(f3):
 def test_prediction_names_the_key_without_a_rule(f3, monkeypatch):
     su = ScopedU(f3, u0_nonf3_elements(f3)[0])
     z = 7
-    key = int(cn.condition_key(cn.g_signs(su, z), bool(su.one_pm_u[z]), int(su.chi_z2mu2[z])))
+    key = int(cn.condition_keys(su, np.array([z]))[0])
     table = cn.PREDICTION_TABLE.copy()
     table[key] = cn.NO_RULE
     monkeypatch.setattr(cn, "PREDICTION_TABLE", table)

@@ -11,7 +11,6 @@ import pytest
 import oracles
 from nhspectrum import charsums as cs
 from nhspectrum import ness
-from nhspectrum.rng import sample_u0_nonf3
 from nhspectrum.spectrum import u0_nonf3_elements
 
 
@@ -153,17 +152,19 @@ def test_g_values_match_scalar(f5):
         vec = oracles.g_values(su, gid)
         for z in range(0, f5.q, 11):
             assert int(vec[z]) == oracles.g_eval(su, gid, z)
-            assert su.signs[gid - 1, z] == f5.chi(int(vec[z]))
+            assert cs.SIGN_PATTERNS[su.sign_key[z], gid - 1] == f5.chi(int(vec[z]))
 
 
 def test_sign_matrix_matches_scalar_signs(scope_cases):
-    """The sign matrix, built from the zeros of the g family, equals chi of
-    every g_i evaluated one z at a time."""
+    """The sign key, built from the zeros of the g family and decoded by
+    `SIGN_PATTERNS`, equals chi of every g_i evaluated one z at a time."""
+    assert cs.SIGN_PATTERNS.tolist() == [list(s) for s in itertools.product((-1, 0, 1), repeat=5)]
     for ctx, us in scope_cases:
         for u in us:
             su = cs.ScopedU(ctx, u)
-            expected = np.array([oracles.g_signs(su, z) for z in ctx.elements()]).T
-            assert np.array_equal(su.signs, expected), (ctx.n, u)
+            assert su.sign_key.shape == (ctx.q,) and su.sign_key.dtype == np.int16
+            expected = np.array([oracles.g_signs(su, z) for z in ctx.elements()])
+            assert np.array_equal(cs.SIGN_PATTERNS[su.sign_key], expected), (ctx.n, u)
 
 
 def test_chi_z2mu2_matches_evaluation(scope_cases):
@@ -176,16 +177,18 @@ def test_chi_z2mu2_matches_evaluation(scope_cases):
             assert np.array_equal(su.chi_z2mu2, expected), (ctx.n, u)
 
 
-def test_sign_matrix_sums_match_field_products(f3, f5):
+def test_sign_matrix_sums_match_field_products(scope_cases):
+    """Every product of the g family, summed over the 243-bin sign-key
+    histogram, equals chi of the polynomials multiplied in the field."""
     subsets = [gids for k in range(1, 6) for gids in itertools.combinations(cs.G_IDS, k)]
     assert len(subsets) == 31
-    for ctx, us in ((f3, scope_us(f3)), (f5, sample_u0_nonf3(f5, 4, seed=5))):
+    for ctx, us in scope_cases:
         for u in us:
             su = cs.ScopedU(ctx, u)
-            signs = su.signs
-            assert signs.shape == (5, ctx.q) and signs.dtype == np.int8
+            hist = su.sign_hist
+            assert hist.shape == (len(cs.SIGN_PATTERNS),) and int(hist.sum()) == ctx.q
             for gids in subsets:
-                assert cs.g_sign_product_sum(signs, gids) == oracles.g_product_sum(su, gids), gids
+                assert cs.g_sign_product_sum(hist, gids) == oracles.g_product_sum(su, gids), gids
 
 
 def test_set_a_contains_all_g_roots(f3):

@@ -12,7 +12,7 @@ import pytest
 from nhspectrum import charsums, cli, ness, spectrum
 from nhspectrum import solution_census as census_mod
 from nhspectrum.cli import RunConfig, SPECTRUM_COLUMNS, resolve_u, run
-from nhspectrum.field import make_context
+from nhspectrum.field import FieldCtx, make_context
 from nhspectrum.spectrum import u0_nonf3_elements
 
 
@@ -225,6 +225,19 @@ def test_scan_fails_on_a_wrong_ddt_row(monkeypatch):
     ]
 
 
+def test_closed_form_divisibility_failure_names_u(monkeypatch):
+    """gamma3 = -2 is inside the Hasse bound at q = 27 but leaves omega1
+    fractional; the inconsistency record names the first u it hit."""
+    monkeypatch.setattr(spectrum, "gamma3", lambda su: -2)
+    status, out, err = _run("verify-theorem", u="all")
+    assert status == 1 and out == ""
+    (rec,) = _json_lines(err)
+    ctx = make_context(3)
+    first = ctx.format_element(u0_nonf3_elements(ctx)[0])
+    assert rec["status"] == "inconsistency"
+    assert rec["detail"].startswith(f"u={first}: omega1: ")
+
+
 # ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------
@@ -276,15 +289,22 @@ def test_jobs_pool_size(monkeypatch, jobs, u, cpus, workers):
     assert out == _run("spectrum", u=u, jobs=1)[1]
 
 
+# Whole-field translates per u: 5 for the sign key, 2 for chi(z^2 - u^2)
+# where the command reads it, and 2 for the DDT rows where it reads them.
+TRANSLATES_PER_U = {"scan": 9, "verify-theorem": 7, "spectrum": 7, "census": 9,
+                    "verify-lemmas": 5, "verify-propositions": 9}
+
+
 @pytest.mark.parametrize("command, f_tables_per_u", [
     ("scan", 1), ("verify-theorem", 1), ("spectrum", 1), ("census", 1),
     ("verify-lemmas", 0), ("verify-propositions", 1),
 ])
 def test_one_build_per_u(monkeypatch, command, f_tables_per_u):
-    """Every scope command builds one sign matrix per u, runs no Horner pass
-    (no `char_sum` anywhere in the library) and builds at most one f table;
-    verify-lemmas reads no DDT."""
-    counts = {"signs": 0, "char_sum": 0, "f_table": 0}
+    """Every scope command builds one sign key per u, runs no Horner pass
+    (no `char_sum` anywhere in the library), builds at most one f table and
+    makes no whole-field translate beyond those it reads (2 more per run
+    for the scope mask); verify-lemmas reads no DDT."""
+    counts = {"sign_key": 0, "char_sum": 0, "f_table": 0, "translate": 0}
 
     def counted(owner, attr, key):
         original = getattr(owner, attr)
@@ -295,7 +315,8 @@ def test_one_build_per_u(monkeypatch, command, f_tables_per_u):
 
         monkeypatch.setattr(owner, attr, wrapper)
 
-    counted(charsums.ScopedU.signs, "func", "signs")
+    counted(charsums.ScopedU.sign_key, "func", "sign_key")
+    counted(FieldCtx, "translate", "translate")
     for module in (charsums, spectrum, census_mod, ness):
         if hasattr(module, "char_sum"):
             counted(module, "char_sum", "char_sum")
@@ -303,7 +324,8 @@ def test_one_build_per_u(monkeypatch, command, f_tables_per_u):
     k = 4
     status, out, _ = _run(command, n=5, u=f"sample:{k}:1")
     assert status == 0 and len({rec["u"] for rec in _json_lines(out)}) == k
-    assert counts == {"signs": k, "char_sum": 0, "f_table": f_tables_per_u * k}
+    assert counts == {"sign_key": k, "char_sum": 0, "f_table": f_tables_per_u * k,
+                      "translate": TRANSLATES_PER_U[command] * k + 2}
 
 
 def test_console_entry_point_runs():

@@ -21,11 +21,17 @@ def test_f_at_zero_and_one(f3):
         assert ness.f_eval(f3, u, 1) == f3.add(u, 1)
 
 
-def test_f_table_matches_scalar(f5):
-    for u in (0, 1, 17):
-        tab = ness.f_table(f5, u)
-        for x in range(0, f5.q, 13):
-            assert int(tab[x]) == ness.f_eval(f5, u, x)
+def test_f_table_matches_scalar(f3, f5, f7):
+    """The one-gather f table equals f_eval by plain exponentiation at every x:
+    every u at n = 3 (GF(3) included, where 1 + u or 1 - u is 0), and u in
+    GF(3) plus seeded u at n = 5 and 7."""
+    rng = random.Random(53)
+    cases = [(f3, range(f3.q))] + [(ctx, [0, 1, 2, *rng.sample(range(3, ctx.q), 4)])
+                                   for ctx in (f5, f7)]
+    for ctx, us in cases:
+        for u in us:
+            expected = [ness.f_eval(ctx, u, x) for x in ctx.elements()]
+            assert ness.f_table(ctx, u).tolist() == expected, (ctx.n, u)
 
 
 def test_derivative_endpoints(f3):

@@ -74,8 +74,9 @@ def test_scope_list_matches_classifier(f3):
 
 
 def test_gamma_dual_forms_agree(scope_cases):
-    """gamma3 and gamma4 from the sign matrix equal the g polynomials multiplied
-    in the field and the reduced cubic and quintic summed by Horner's rule."""
+    """gamma3 and gamma4 from the sign-key histogram equal the g polynomials
+    multiplied in the field and the reduced cubic and quintic summed by
+    Horner's rule."""
     for ctx, us in scope_cases:
         for u in us:
             su = cs.ScopedU(ctx, u)
