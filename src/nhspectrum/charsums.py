@@ -19,7 +19,7 @@ A = {0, 1+u, 1-u, -1+r, -1-r} (`set_a_points`).  Since chi is
 multiplicative (chi(0) = 0), chi(g_i(z)) is chi of the leading coefficient
 times the product of chi(z - a) over the zeros a of g_i.  So
 `ScopedU.sign_key`, the sign vector of each z as one of 243 keys, comes from
-five translates of the character table, and every character sum of a
+the character table and four of its translates, and every character sum of a
 product of the g_i is a dot product of the key histogram with
 `SIGN_PATTERNS` (`g_sign_product_sum`).  The tests keep the polynomials
 evaluated over the field as the oracle.  `ScopedU` holds one in-scope u and
@@ -57,8 +57,8 @@ def in_theorem_scope(ctx: FieldCtx, u: int) -> bool:
 
 
 def _chi_translate(ctx: FieldCtx, a: int) -> np.ndarray:
-    """chi(z - a) for every z, as int8."""
-    return ctx.chi_vec(ctx.translate(ctx.neg(a)))
+    """chi(z - a) for every z, as int8; the character table itself at a = 0."""
+    return ctx.chi_vec(ctx.translate(ctx.neg(a))) if a else ctx._chi_table
 
 
 @dataclass(frozen=True)
@@ -143,46 +143,6 @@ def set_a_points(su: ScopedU) -> tuple[int, int, int, int, int]:
 def table_a_chi(su: ScopedU) -> list[list[int]]:
     """chi(g_i(x)) for x in A (rows) and i = 1..5 (columns), decoded from `ScopedU.sign_key`."""
     return SIGN_PATTERNS[su.sign_key[list(set_a_points(su))]].tolist()
-
-
-def table_a_expected(su: ScopedU) -> list[list[int]]:
-    """The same grid from its closed-form entries in terms of u and r."""
-    ctx, u, r = su.ctx, su.u, su.r
-    chi, mul, add, sub, neg = ctx.chi, ctx.mul, ctx.add, ctx.sub, ctx.neg
-    u2 = mul(u, u)
-    up1, um1 = add(u, 1), sub(u, 1)
-    chi_u2pu = chi(add(u2, u))      # chi(u^2 + u)
-    chi_umu2 = chi(sub(u, u2))      # chi(u - u^2)
-    row_0 = [0, 0, 0, 1, -1]
-    row_1pu = [
-        -1,
-        0,
-        -chi_u2pu,
-        chi_umu2,
-        -chi(add(mul(up1, r), mul(um1, um1))),
-    ]
-    row_1mu = [
-        -1,
-        chi_umu2,
-        0,
-        -chi_u2pu,
-        -chi(add(mul(sub(1, u), r), mul(up1, up1))),
-    ]
-    row_m1pr = [
-        -1,
-        -chi(u) * chi(add(sub(u, 1), r)),
-        chi(u) * chi(add(neg(add(1, u)), r)),
-        0,
-        0,
-    ]
-    row_m1mr = [
-        -1,
-        chi(u) * chi(add(sub(1, u), r)),
-        -chi(u) * chi(add(add(1, u), r)),
-        0,
-        chi(sub(sub(u2, 1), r)),
-    ]
-    return [row_0, row_1pu, row_1mu, row_m1pr, row_m1mr]
 
 
 # ---------------------------------------------------------------------------

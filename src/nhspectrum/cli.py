@@ -324,6 +324,14 @@ def run(config: RunConfig, out: Optional[io.TextIOBase] = None,
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     try:
+        return _run_checked(config, out, err)
+    except InconsistencyError as exc:  # in set-up (the field certificate) or a builder
+        err.write(json.dumps({"status": "inconsistency", "detail": str(exc)}) + "\n")
+        return VERIFICATION_ERROR
+
+
+def _run_checked(config: RunConfig, out: io.TextIOBase, err: io.TextIOBase) -> int:
+    try:
         if config.jobs < 1:
             raise UsageError(f"--jobs must be at least 1, got {config.jobs}")
         ctx = make_context(config.n, config.modulus)
@@ -335,15 +343,11 @@ def run(config: RunConfig, out: Optional[io.TextIOBase] = None,
 
     builder = BUILDERS[config.command]
     workers = min(config.jobs, len(us), os.cpu_count() or 1)
-    try:
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(lambda u: builder(ctx, u, config.seed), us))
-        else:
-            results = [builder(ctx, u, config.seed) for u in us]
-    except InconsistencyError as exc:
-        err.write(json.dumps({"status": "inconsistency", "detail": str(exc)}) + "\n")
-        return VERIFICATION_ERROR
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(lambda u: builder(ctx, u, config.seed), us))
+    else:
+        results = [builder(ctx, u, config.seed) for u in us]
 
     records: list[dict] = []
     all_ok = True

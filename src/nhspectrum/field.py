@@ -15,8 +15,10 @@ that is why `built_once` takes no lock.
 Scalar multiplication, powers, inverses and the quadratic character read the
 discrete-log tables; scalar addition works digit by digit.  The scalar ops
 are the reference the vector kernels are tested against.  Polynomial
-multiplication only finds the generator and the matrix of g that the
-log-table build starts from.
+multiplication only builds the matrices the log-table build starts from and
+finds the generator of a supplied modulus, which trial division checks
+first.  The default field of each n is tabled (`DEFAULT_FIELDS`), so its
+set-up does no search.
 
 The vector kernels (``translate``, ``sub_vec``, ``mul_vec``, ``chi_vec``)
 are gathers from small tables:
@@ -35,13 +37,27 @@ are gathers from small tables:
   q - 1 is needed.
 * The quadratic character is one int8 table.
 
-The log tables are built by doubling.  Multiplication by g^m is a GF(3)-linear
-map on digit vectors, so once the digit rows of g^0 .. g^(m-1) are known, one
-matrix product with the n x n matrix of g^m gives g^m .. g^(2m-1), and
-squaring that matrix gives the matrix of g^(2m).  That is ceil(log2 q) numpy
-steps instead of q - 1 scalar multiplications.  No op reads the (q, n) digit
-table or the q x q pair-add table; they are built only on request
-(``digit_table``, ``pair_add_table``), for inspection and benchmarking.
+The log tables are built in two stages, baby steps and giant steps, with
+R = 3^max(0, (n - 5) // 2) giant rows (1 for n <= 5, 81 at n = 13) of
+S = ceil((q - 1) / R) powers each:
+
+* Baby steps, by doubling.  Multiplication by g^m is a GF(3)-linear map on
+  digit vectors, so once the digit rows of g^0 .. g^(m-1) are known, one
+  matrix product with the n x n matrix of g^m gives g^m .. g^(2m-1), and
+  squaring that matrix gives the matrix of g^(2m).  That is ceil(log2 S)
+  numpy steps for g^0 .. g^(S-1).
+* Giant steps, Four Russians style.  Row i is c = g^S times row i - 1, and
+  with h = ceil(n / 2), c z = c (z mod 3^h) + c x^h (z div 3^h): two index
+  tables of 3^h and 3^(n-h) entries, built once from the matrix of c, and
+  one plane sum per element.
+
+The build certifies the field: g^0 .. g^(q-2) must be q - 1 distinct nonzero
+elements, else it raises `InconsistencyError`.  That is enough: if the
+powers of g cover every nonzero residue of GF(3)[x]/(f), then -1 = g^k with
+k >= 1, so g is a unit, every nonzero residue is a unit, f is irreducible
+and g is primitive.  No op reads the (q, n) digit table or the q x q
+pair-add table; they are built only on request (``digit_table``,
+``pair_add_table``), for inspection and benchmarking.
 
 Text format for elements and moduli: a compact string of base-3 digits,
 lowest degree first.  ``"120"`` is ``1 + 2x`` in a degree-3 field, and the
@@ -61,6 +77,19 @@ P = 3
 # log pair takes about 32 MB, the uint16 bit planes 6.4 MB, the int8
 # character 1.6 MB and the int8 digit table 20 MB.
 PAIR_TABLE_MAX_Q = P**7
+
+# The default field per n: (modulus digits, generator).  The modulus is the
+# first monic irreducible of degree n in base-3 counter order and the
+# generator the smallest primitive element modulo it.  Nothing is trusted:
+# the log-table build certifies both on every fresh context.
+DEFAULT_FIELDS: dict[int, tuple[str, int]] = {
+    3: ("1201", 3),
+    5: ("120001", 3),
+    7: ("20100001", 5),
+    9: ("1012000001", 3),
+    11: ("201000000001", 5),
+    13: ("12000000000001", 3),
+}
 
 PolyLike = Union[str, Sequence[int]]
 
@@ -157,15 +186,6 @@ def irreducible_witness(poly: Sequence[int]) -> Optional[list[int]]:
     return None
 
 
-def smallest_irreducible(n: int) -> tuple[int, ...]:
-    """First monic irreducible of degree n in base-3 counter order."""
-    for idx in range(P**n):
-        cand = _idx_digits(idx, n) + [1]
-        if irreducible_witness(cand) is None:
-            return tuple(cand)
-    raise InconsistencyError(f"no irreducible of degree {n} found")  # unreachable
-
-
 def _factorize(m: int) -> list[int]:
     """Prime factors of m (distinct), trial division."""
     out = []
@@ -192,8 +212,8 @@ class FieldCtx:
     All scalar operations accept and return element indices (ints).  The
     vector kernels operate on numpy index arrays (or scalars, broadcast)
     and exist for full-field scans; they give bit-identical results to the
-    scalar path.  Sums come back as int64, products as int32 and characters
-    as int8.
+    scalar path.  Sums and products come back as int32 and characters as
+    int8: a sum kernel allocates and writes half the bytes of an int64 one.
     """
 
     def __init__(self, n: int, modulus: Optional[PolyLike] = None):
@@ -204,19 +224,16 @@ class FieldCtx:
         self.n = n
         self.q = P**n
 
-        if modulus is None:
-            mod = smallest_irreducible(n)
-        else:
-            mod = self._coerce_modulus(modulus)
+        tabled, generator = DEFAULT_FIELDS[n]
+        mod = self._coerce_modulus(tabled if modulus is None else modulus)
+        if modulus is not None:
             witness = irreducible_witness(mod)
             if witness is not None:
                 raise ReducibleModulusError(_poly_str(mod), _poly_str(witness))
         self.modulus: tuple[int, ...] = tuple(mod)
 
-        # x^(n+k) mod modulus for k = 0..n-2, as digit tuples; lets _mul_poly fold
-        # a degree-(2n-2) product back into range without long division.
-        self._reduction_rows = self._build_reduction_rows()
-        self.generator = self._find_generator()
+        self._shifts = self._build_shifts()
+        self.generator = generator if modulus is None else self._find_generator()
 
     # -- construction helpers ------------------------------------------------
 
@@ -234,41 +251,27 @@ class FieldCtx:
             )
         return digits
 
-    def _build_reduction_rows(self) -> tuple[tuple[int, ...], ...]:
+    def _build_shifts(self) -> np.ndarray:
+        """(2n - 1, n) int8: the digits of x**0 .. x**(2n - 2) mod the modulus."""
         n = self.n
-        base = tuple((-d) % P for d in self.modulus[:n])  # x^n mod modulus
-        rows = [base]
-        for _ in range(n - 2):
-            prev = rows[-1]
-            shifted = [0] + list(prev[: n - 1])
-            carry = prev[n - 1]
-            if carry:
-                shifted = [(s + carry * b) % P for s, b in zip(shifted, base)]
-            rows.append(tuple(shifted))
-        return tuple(rows)
+        rows = [[int(i == j) for j in range(n)] for i in range(n)]
+        top = [(-d) % P for d in self.modulus[:n]]  # x**n
+        for _ in range(n - 1):
+            prev = rows[-1]  # times x: shift up, fold the carry back in as x**n
+            rows.append([(s + prev[-1] * t) % P for s, t in zip([0] + prev[:-1], top)])
+        return np.array(rows, dtype=np.int8)
+
+    def _mul_matrix(self, a: int) -> np.ndarray:
+        """(n, n) int8: row j holds the digits of a * x**j, the digits of a
+        times the rows of x**j .. x**(j + n - 1) in `_shifts`."""
+        # windows[j, col, k] = _shifts[j + k, col]
+        windows = np.lib.stride_tricks.sliding_window_view(self._shifts, self.n, axis=0)
+        return windows @ np.array(_idx_digits(a, self.n), dtype=np.int8) % P
 
     def _mul_poly(self, a: int, b: int) -> int:
-        n = self.n
-        da = _idx_digits(a, n)
-        db = _idx_digits(b, n)
-        prod = [0] * (2 * n - 1)
-        for i, ai in enumerate(da):
-            if ai:
-                for j, bj in enumerate(db):
-                    prod[i + j] += ai * bj
-        res = prod[:n]
-        for k in range(n, 2 * n - 1):
-            c = prod[k] % P
-            if c:
-                row = self._reduction_rows[k - n]
-                for j in range(n):
-                    res[j] += c * row[j]
-        out = 0
-        m = 1
-        for j in range(n):
-            out += (res[j] % P) * m
-            m *= P
-        return out
+        """a * b: the product polynomial, reduced through the rows of `_shifts`."""
+        product = np.convolve(_idx_digits(a, self.n), _idx_digits(b, self.n))
+        return int(product @ self._shifts % P @ P**np.arange(self.n))
 
     def _pow_poly(self, a: int, e: int) -> int:
         """Square-and-multiply over _mul_poly, for the generator search."""
@@ -395,9 +398,7 @@ class FieldCtx:
 
     @built_once
     def _digits(self) -> np.ndarray:
-        idx = np.arange(self.q, dtype=np.int64)
-        cols = [((idx // P**i) % P).astype(np.int8) for i in range(self.n)]
-        return _frozen(np.stack(cols, axis=1))
+        return _frozen(_digit_rows(self.n))
 
     @built_once
     def _planes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -409,7 +410,7 @@ class FieldCtx:
         """
         ones = np.zeros(1, dtype=np.uint16)
         twos = np.zeros(1, dtype=np.uint16)
-        value = np.zeros(1, dtype=np.int64)
+        value = np.zeros(1, dtype=np.int32)
         for i in range(self.n):
             bit = np.uint16(1 << i)
             ones = np.concatenate([ones, ones | bit, ones])
@@ -423,33 +424,50 @@ class FieldCtx:
 
         Zero has the sentinel log 2q - 3, and alog has 4q - 5 entries: g**(k
         mod (q - 1)) up to k = 2q - 4 and 0 beyond, so alog[log[a] + log[b]]
-        is a * b for every pair, zero included.  Built by doubling (see the
-        module docstring).
+        is a * b for every pair, zero included.  Built by baby and giant
+        steps and certified (see the module docstring).
         """
         q, n = self.q, self.n
-        powers = np.zeros((q - 1, n), dtype=np.int8)
+        giant = P**max(0, (n - 5) // 2)
+        baby = -(-(q - 1) // giant)
+        powers = np.zeros((baby, n), dtype=np.int8)
         powers[0, 0] = 1
         # row j: the digits of g**m * x**j; its square is the matrix of g**(2m).
         # Entries of an int8 digit-row product are at most 4n = 52 before the mod.
-        mat = np.array([_idx_digits(self._mul_poly(self.generator, P**j), n) for j in range(n)],
-                       dtype=np.int8)
+        mat = self._mul_matrix(self.generator)
         m = 1
-        while m < q - 1:
-            step = min(m, q - 1 - m)
+        while m < baby:
+            step = min(m, baby - m)
             block = powers[m:m + step]
             np.matmul(powers[:step], mat, out=block)
             block %= P
             mat = np.matmul(mat, mat) % P
             m += step
-        # element index of every digit row, by Horner's rule one column at a time
-        cycle = powers[:, -1].astype(np.int32)
-        for i in range(n - 2, -1, -1):
-            cycle *= P
-            cycle += powers[:, i]
-        if self._mul_poly(int(cycle[-1]), self.generator) != 1:
-            raise InconsistencyError("generator order check failed")
-        log = np.empty(q, dtype=np.int32)
+        blocks = np.empty((giant, baby), dtype=np.int64)
+        blocks[0] = _row_index(powers)
+        if giant > 1:
+            # c z = c (z mod 3^h) + c x^h (z div 3^h) for c = g**baby: the planes
+            # of both terms come from two small index tables
+            ones, twos, _ = self._planes
+            c_mat = self._mul_matrix(self._mul_poly(int(blocks[0, -1]), self.generator))
+            h = (n + 1) // 2
+            digits = _digit_rows(h)  # n - h <= h: its head holds the high digits too
+            low = _row_index(digits @ c_mat[:h] % P)
+            high = _row_index(digits[:P**(n - h), :n - h] @ c_mat[h:] % P)
+            # int64 planes: their sums index `value` with no conversion
+            low1, low2, high1, high2 = (plane[table].astype(np.int64)
+                                        for table in (low, high) for plane in (ones, twos))
+            for i in range(1, giant):
+                z_high = blocks[i - 1] // P**h
+                z_low = blocks[i - 1] - z_high * P**h
+                blocks[i] = self._plane_sum(low1[z_low], low2[z_low], high1[z_high], high2[z_high])
+        cycle = blocks.ravel()[:q - 1]
+        log = np.full(q, -1, dtype=np.int32)
         log[cycle] = np.arange(q - 1, dtype=np.int32)
+        if (log[1:] < 0).any():
+            generator = self.format_element(self.generator)
+            raise InconsistencyError(f"modulus {self.modulus_str!r} with generator {generator!r}:"
+                                     " the powers of the generator miss a nonzero element")
         log[0] = 2 * q - 3
         alog = np.zeros(4 * q - 5, dtype=np.int32)
         alog[:q - 1] = cycle
@@ -515,11 +533,25 @@ class FieldCtx:
         return self._chi_table[np.asarray(a)]
 
 
+def _digit_rows(k: int) -> np.ndarray:
+    """(3**k, k) int8: the base-3 digits of 0 .. 3**k - 1, least significant first."""
+    return (np.arange(P**k)[:, None] // P**np.arange(k) % P).astype(np.int8)
+
+
+def _row_index(rows: np.ndarray) -> np.ndarray:
+    """int32 element index of each digit row, by Horner's rule one column at a time."""
+    out = rows[:, -1].astype(np.int32)
+    for i in range(rows.shape[1] - 2, -1, -1):
+        out *= P
+        out += rows[:, i]
+    return out
+
+
 def _frozen(table: np.ndarray) -> np.ndarray:
     table.flags.writeable = False
     return table
 
 
 def make_context(n: int, modulus: Optional[PolyLike] = None) -> FieldCtx:
-    """Build GF(3^n); default modulus is the smallest monic irreducible."""
+    """Build GF(3^n); the default modulus and generator come from `DEFAULT_FIELDS`."""
     return FieldCtx(n, modulus)

@@ -388,11 +388,11 @@ def verify_predictions(su: ScopedU) -> dict:
     pred_z = _predict(su, zs, keys)
     totals_z = CASE_TABLE[keys, CASE_COLUMNS.index("total")]
 
+    g_z = ctx.mul_vec(np.int64(ctx.generator), zs)  # z = g b on the row a = g
+    rows = ((1, pred_z, totals_z), (ctx.generator, pred_z[g_z], totals_z[g_z]))
     mismatches: list[dict] = []
-    for a, observed in zip((1, ctx.generator), su.rows):
-        zrow = ctx.mul_vec(np.int64(a), zs)
-        predicted = pred_z[zrow]
-        ok = (predicted == observed) & (totals_z[zrow] == observed)
+    for (a, predicted, totals), observed in zip(rows, su.rows):
+        ok = (predicted == observed) & (totals == observed)
         for b in np.flatnonzero(~ok):
             mismatches.append(
                 mismatch_record(su, a, int(b), int(predicted[b]), int(observed[b]))

@@ -17,8 +17,13 @@ route what a production function computes, and the tests compare the two.
     and `quadratic_char_sum` is the degree-2 closed form it is checked
     against; `gamma3_from_cubic` and `gamma4_from_quintic` are the two
     sums in their reduced one-polynomial forms.
+  * `table_a_expected` writes the signs of the g family on the five-point
+    set A in closed form, the oracle for `charsums.table_a_chi`.
   * `matching_conditions` interprets `SOLUTION_CONDITIONS` rule by rule on
     the signs from `g_eval`, the oracle for `PREDICTION_TABLE`.
+  * `smallest_irreducible` searches for the first monic irreducible of
+    degree n by trial division, the oracle for the moduli in
+    `field.DEFAULT_FIELDS`.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import numpy as np
 
 from nhspectrum import ness
 from nhspectrum.charsums import G_IDS, ScopedU
-from nhspectrum.field import FieldCtx
+from nhspectrum.field import FieldCtx, irreducible_witness
 from nhspectrum.solution_census import SOLUTION_CONDITIONS
 
 
@@ -131,6 +136,46 @@ def g_signs(su: ScopedU, z: int) -> tuple[int, ...]:
     return tuple(su.ctx.chi(g_eval(su, gid, z)) for gid in G_IDS)
 
 
+def table_a_expected(su: ScopedU) -> list[list[int]]:
+    """The grid of `charsums.table_a_chi` from its closed-form entries in terms of u and r."""
+    ctx, u, r = su.ctx, su.u, su.r
+    chi, mul, add, sub, neg = ctx.chi, ctx.mul, ctx.add, ctx.sub, ctx.neg
+    u2 = mul(u, u)
+    up1, um1 = add(u, 1), sub(u, 1)
+    chi_u2pu = chi(add(u2, u))      # chi(u^2 + u)
+    chi_umu2 = chi(sub(u, u2))      # chi(u - u^2)
+    row_0 = [0, 0, 0, 1, -1]
+    row_1pu = [
+        -1,
+        0,
+        -chi_u2pu,
+        chi_umu2,
+        -chi(add(mul(up1, r), mul(um1, um1))),
+    ]
+    row_1mu = [
+        -1,
+        chi_umu2,
+        0,
+        -chi_u2pu,
+        -chi(add(mul(sub(1, u), r), mul(up1, up1))),
+    ]
+    row_m1pr = [
+        -1,
+        -chi(u) * chi(add(sub(u, 1), r)),
+        chi(u) * chi(add(neg(add(1, u)), r)),
+        0,
+        0,
+    ]
+    row_m1mr = [
+        -1,
+        chi(u) * chi(add(sub(1, u), r)),
+        -chi(u) * chi(add(add(1, u), r)),
+        0,
+        chi(sub(sub(u2, 1), r)),
+    ]
+    return [row_0, row_1pu, row_1mu, row_m1pr, row_m1mr]
+
+
 def g_product_sum(su: ScopedU, gids: Iterable[int]) -> int:
     """Exact sum over z of chi of the product of the selected g polynomials.
 
@@ -221,3 +266,17 @@ def matching_conditions(su: ScopedU, a: int, b: int) -> list[tuple[int, int]]:
         signs=g_signs(su, z),
         chi_z2mu2=ctx.chi(ctx.sub(ctx.mul(z, z), ctx.mul(u, u))),
     )
+
+
+# ---------------------------------------------------------------------------
+# the field
+# ---------------------------------------------------------------------------
+
+
+def smallest_irreducible(n: int) -> tuple[int, ...]:
+    """First monic irreducible of degree n in base-3 counter order."""
+    for idx in range(3**n):
+        cand = [idx // 3**i % 3 for i in range(n)] + [1]
+        if irreducible_witness(cand) is None:
+            return tuple(cand)
+    raise AssertionError(f"no irreducible of degree {n} found")  # unreachable

@@ -171,7 +171,7 @@ def test_criterion_7_structural_invariants(f3, f5, scope3, scope5):
             )
             if not divisibility:
                 failures.append((ctx.n, u, "divisibility"))
-            if cs.table_a_chi(su) != cs.table_a_expected(su):
+            if cs.table_a_chi(su) != oracles.table_a_expected(su):
                 failures.append((ctx.n, u, "sign table"))
             phi = ctx.add(1, su.r)
             if ctx.chi(ctx.mul(ctx.add(u, 1), phi)) != -1:

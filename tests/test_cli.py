@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from nhspectrum import charsums, cli, ness, spectrum
+from nhspectrum import charsums, cli, field, ness, spectrum
 from nhspectrum import solution_census as census_mod
 from nhspectrum.cli import RunConfig, SPECTRUM_COLUMNS, resolve_u, run
 from nhspectrum.field import FieldCtx, make_context
@@ -238,6 +238,18 @@ def test_closed_form_divisibility_failure_names_u(monkeypatch):
     assert rec["detail"].startswith(f"u={first}: omega1: ")
 
 
+def test_set_up_inconsistency_is_a_record(monkeypatch):
+    """A tabled generator that fails the log-table certificate stops the run
+    in set-up (the scope mask builds the tables): exit 1, one stderr record."""
+    modulus, _ = field.DEFAULT_FIELDS[5]
+    monkeypatch.setitem(field.DEFAULT_FIELDS, 5, (modulus, 2))
+    status, out, err = _run("verify-theorem", n=5, u="all")
+    assert status == 1 and out == ""
+    (rec,) = _json_lines(err)
+    assert rec["status"] == "inconsistency"
+    assert rec["detail"].startswith(f"modulus {modulus!r} with generator '20000':")
+
+
 # ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------
@@ -289,10 +301,11 @@ def test_jobs_pool_size(monkeypatch, jobs, u, cpus, workers):
     assert out == _run("spectrum", u=u, jobs=1)[1]
 
 
-# Whole-field translates per u: 5 for the sign key, 2 for chi(z^2 - u^2)
-# where the command reads it, and 2 for the DDT rows where it reads them.
-TRANSLATES_PER_U = {"scan": 9, "verify-theorem": 7, "spectrum": 7, "census": 9,
-                    "verify-lemmas": 5, "verify-propositions": 9}
+# Whole-field translates per u: 4 for the sign key (chi(z - 0) is the
+# character table itself), 2 for chi(z^2 - u^2) where the command reads it,
+# and 2 for the DDT rows where it reads them.
+TRANSLATES_PER_U = {"scan": 8, "verify-theorem": 6, "spectrum": 6, "census": 8,
+                    "verify-lemmas": 4, "verify-propositions": 8}
 
 
 @pytest.mark.parametrize("command, f_tables_per_u", [

@@ -9,12 +9,15 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import oracles
+from nhspectrum import cli, field
 from nhspectrum.field import (
+    DEFAULT_FIELDS,
     FieldCtx,
+    InconsistencyError,
     ReducibleModulusError,
     irreducible_witness,
     make_context,
-    smallest_irreducible,
 )
 
 # ---------------------------------------------------------------------------
@@ -142,7 +145,68 @@ def test_n5_context_size(f5):
 
 def test_smallest_irreducible_has_no_witness():
     for n in (3, 5, 7):
-        assert irreducible_witness(list(smallest_irreducible(n))) is None
+        assert irreducible_witness(list(oracles.smallest_irreducible(n))) is None
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13])
+def test_default_fields_are_the_searched_fields(n):
+    """The tabled modulus is the first irreducible in counter order, the tabled
+    generator is what the search finds for that modulus passed explicitly,
+    and both contexts build the same log tables."""
+    modulus, generator = DEFAULT_FIELDS[n]
+    assert modulus == "".join(map(str, oracles.smallest_irreducible(n)))
+    tabled, searched = make_context(n), make_context(n, modulus)
+    assert tabled.modulus == searched.modulus
+    assert tabled.generator == searched.generator == generator
+    for mine, theirs in zip(tabled._log_tables, searched._log_tables):
+        assert np.array_equal(mine, theirs)
+
+
+def _patched_generator(monkeypatch, n):
+    """A --modulus field (not the tabled one) whose generator search returns 2."""
+    monkeypatch.setattr(FieldCtx, "_find_generator", lambda self: 2)
+    return make_context(n, _random_irreducible(n, seed=n))
+
+
+def _patched_table_reducible(monkeypatch, n):
+    """The tabled field of n with its modulus replaced by x^n + x, divisible by x."""
+    monkeypatch.setitem(DEFAULT_FIELDS, n, ("01" + "0" * (n - 2) + "1", DEFAULT_FIELDS[n][1]))
+    ctx = make_context(n)
+    assert irreducible_witness(list(ctx.modulus)) == [0, 1]
+    return ctx
+
+
+@pytest.mark.parametrize("n", [5, 9])
+@pytest.mark.parametrize("patch", [_patched_generator, _patched_table_reducible],
+                         ids=["generator-2", "reducible-table-modulus"])
+def test_log_build_certifies_the_field(monkeypatch, patch, n):
+    """g = 2 has order 2 and a reducible modulus has fewer than q - 1 units:
+    either way the powers of g miss a nonzero element and the first mul raises."""
+    ctx = patch(monkeypatch, n)
+    with pytest.raises(InconsistencyError, match="the powers of the generator miss"):
+        ctx.mul(3, 3)
+
+
+def test_default_field_set_up_does_no_search(monkeypatch):
+    counts = {"witness": 0, "generator": 0}
+    witness, find_generator = field.irreducible_witness, FieldCtx._find_generator
+
+    def counted_witness(poly):
+        counts["witness"] += 1
+        return witness(poly)
+
+    def counted_generator(self):
+        counts["generator"] += 1
+        return find_generator(self)
+
+    monkeypatch.setattr(field, "irreducible_witness", counted_witness)
+    monkeypatch.setattr(FieldCtx, "_find_generator", counted_generator)
+    for n in (3, 7, 9):
+        cli.resolve_u(make_context(n), "all")
+        cli.resolve_u(make_context(n), "sample:3:1")
+    assert counts == {"witness": 0, "generator": 0}
+    make_context(5, DEFAULT_FIELDS[5][0])
+    assert counts == {"witness": 1, "generator": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -393,25 +457,46 @@ def _random_irreducible(n, seed):
             return modulus
 
 
-@pytest.mark.parametrize("n, modulus", [
-    (3, None), (5, None), (7, None), (5, _random_irreducible(5, seed=2024)),
-], ids=["n3", "n5", "n7", "n5-random-modulus"])
-def test_log_tables_by_doubling_match_oracle(n, modulus):
-    ctx = make_context(n, modulus)
+def _check_log_steps(ctx, ks):
+    """alog[k + 1] == alog[k] * g by the polynomial oracle for every k in ks,
+    k < q - 1, then the zero-sentinel layout of both tables."""
+    q = ctx.q
     log, alog = ctx._log_tables
     g = _poly_from_index(ctx, ctx.generator)
     assert int(alog[0]) == 1
-    for k in range(ctx.q - 1):
-        # the k = q - 2 step is the order check: g * g**(q-2) == 1
+    for k in ks:
+        # k = q - 2 closes the cycle: g * g**(q-2) == 1 == alog[q - 1]
         step = ctx.element_from_coeffs(_poly_mul_mod(ctx, _poly_from_index(ctx, int(alog[k])), g))
-        assert step == (int(alog[k + 1]) if k + 1 < ctx.q - 1 else 1), k
-    q = ctx.q
+        assert step == int(alog[k + 1]), k
+    assert int(alog[q - 1]) == 1
     assert np.array_equal(log[alog[:q - 1]], np.arange(q - 1))
     # the zero sentinel: log 0 is 2q - 3, alog repeats up to 2q - 4 and reads 0 beyond
     assert int(log[0]) == 2 * q - 3
     assert len(alog) == 4 * q - 5
     assert np.array_equal(alog[q - 1:2 * q - 3], alog[:q - 2])
     assert not alog[2 * q - 3:].any()
+
+
+@pytest.mark.parametrize("n, modulus", [
+    (3, None), (5, None), (7, None), (9, None), (5, _random_irreducible(5, seed=2024)),
+    (7, _random_irreducible(7, seed=2024)),
+], ids=["n3", "n5", "n7", "n9", "n5-random-modulus", "n7-random-modulus"])
+def test_log_tables_by_doubling_match_oracle(n, modulus):
+    """Every step of the cycle: at n = 7 and 9 that spans 3 and 9 giant rows."""
+    ctx = make_context(n, modulus)
+    _check_log_steps(ctx, range(ctx.q - 1))
+
+
+@pytest.mark.parametrize("n", [11, 13])
+def test_log_tables_giant_steps_match_oracle(n):
+    """Every block boundary k = i S - 1 of the R giant rows, the wrap at
+    k = q - 2 and 64 seeded k, with R and S worked out here from n."""
+    q = 3**n
+    giant = 3**((n - 5) // 2)
+    baby = -(-(q - 1) // giant)
+    ks = {i * baby - 1 for i in range(1, giant)} | {q - 2}
+    ks |= set(random.Random(n).sample(range(q - 1), 64))
+    _check_log_steps(make_context(n), sorted(ks))
 
 
 @pytest.mark.parametrize("n, modulus", [
