@@ -27,7 +27,6 @@ from .ness import (
     Spectrum,
     ddt_rows,
     derivative,
-    differential_uniformity,
     f_eval,
     spectrum_bruteforce,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "closed_form_inputs",
     "ddt_rows",
     "derivative",
-    "differential_uniformity",
     "epsilon",
     "f_eval",
     "gamma3",

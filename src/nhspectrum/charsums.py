@@ -17,13 +17,14 @@ of the g_i reduce the differential spectrum to two character sums.
 Every g_i splits over the field, and its zeros lie in the five-point set
 A = {0, 1+u, 1-u, -1+r, -1-r} (`set_a_points`).  Since chi is
 multiplicative (chi(0) = 0), chi(g_i(z)) is chi of the leading coefficient
-times the product of chi(z - a) over the zeros a of g_i.  So
-`ScopedU.sign_key`, the sign vector of each z as one of 243 keys, comes from
-the character table and four of its translates, and every character sum of a
-product of the g_i is a dot product of the key histogram with
-`SIGN_PATTERNS` (`g_sign_product_sum`).  The tests keep the polynomials
-evaluated over the field as the oracle.  `ScopedU` holds one in-scope u and
-everything derived from it, each built once.
+times the product of chi(z - a) over the zeros a of g_i.  A sixth sign,
+chi(g0(z)) with g0(z) = z, rides along.  So `ScopedU.sign_key`, the sign
+vector (s0, ..., s5) of each z as one of 729 keys, comes from the character
+table and four of its translates; every character sum of a product of the
+g_i is a dot product of the key histogram with `SIGN_PATTERNS`
+(`g_sign_product_sum`), and the census reads the same key.  The tests keep
+the polynomials evaluated over the field as the oracle.  `ScopedU` holds one
+in-scope u and everything derived from it, each built once.
 """
 
 from __future__ import annotations
@@ -39,13 +40,14 @@ from .field import FieldCtx, built_once
 
 G_IDS = (1, 2, 3, 4, 5)
 
-# The zeros of g1..g5 as positions in `set_a_points`; each g_i is its
-# leading coefficient times the product of (z - a) over them.
-G_ZEROS = ((0,), (0, 1), (0, 2), (3, 4), (3,))
+# The zeros of g0(z) = z and g1..g5 as positions in `set_a_points`; each
+# g_i is its leading coefficient times the product of (z - a) over them.
+G_ZEROS = ((0,), (0,), (0, 1), (0, 2), (3, 4), (3,))
 
-# Row k is the sign vector (s1, ..., s5) with `ScopedU.sign_key` k: the
-# digits s_i + 1 of k in base 3, s1 most significant.
-SIGN_PATTERNS = np.array(list(itertools.product((-1, 0, 1), repeat=5)), dtype=np.int8)
+# Row k is the sign vector (s0, ..., s5), s_i = chi(g_i(z)), with
+# `ScopedU.sign_key` k: the digits s_i + 1 of k in base 3, s0 most
+# significant.  Column i is g_i.
+SIGN_PATTERNS = np.array(list(itertools.product((-1, 0, 1), repeat=6)), dtype=np.int8)
 SIGN_PATTERNS.flags.writeable = False
 
 
@@ -84,10 +86,10 @@ class ScopedU:
 
     @built_once
     def sign_key(self) -> np.ndarray:
-        """int16 per z: the row of `SIGN_PATTERNS` holding chi(g_i(z)), i = 1..5, each
+        """int16 per z: the row of `SIGN_PATTERNS` holding chi(g_i(z)), i = 0..5, each
         chi(lead of g_i) times the product of chi(z - a) over its zeros a."""
         ctx = self.ctx
-        leads = (ctx.neg(ctx.add(self.u, 1)), 1, 1, 1, ctx.neg(ctx.add(1, self.r)))
+        leads = (1, ctx.neg(ctx.add(self.u, 1)), 1, 1, 1, ctx.neg(ctx.add(1, self.r)))
         at = [_chi_translate(ctx, a) for a in set_a_points(self)]
         key = np.zeros(ctx.q, dtype=np.int16)
         for lead, zeros in zip(leads, G_ZEROS):
@@ -97,13 +99,8 @@ class ScopedU:
 
     @built_once
     def sign_hist(self) -> np.ndarray:
-        """How many z carry each sign key, 243 counts."""
+        """How many z carry each sign key, 729 counts."""
         return np.bincount(self.sign_key, minlength=len(SIGN_PATTERNS))
-
-    @built_once
-    def chi_z2mu2(self) -> np.ndarray:
-        """chi(z^2 - u^2) = chi(z - u) chi(z + u) for every z."""
-        return _chi_translate(self.ctx, self.u) * _chi_translate(self.ctx, self.ctx.neg(self.u))
 
     @built_once
     def rows(self) -> ness.DDTRows:
@@ -118,9 +115,10 @@ class ScopedU:
 
 def g_sign_product_sum(hist: np.ndarray, gids: Iterable[int]) -> int:
     """Sum over z of chi(prod of the selected g_i), from the sign-key histogram
-    `ScopedU.sign_hist`, as chi(x y) = chi(x) chi(y)."""
-    columns = SIGN_PATTERNS[:, np.asarray(tuple(gids)) - 1]
-    return int(hist @ np.prod(columns, axis=1, dtype=np.int64))
+    `ScopedU.sign_hist`, as chi(x y) = chi(x) chi(y).  Products of signs fit
+    in int8; the dot product with the int64 histogram sums in int64."""
+    columns = SIGN_PATTERNS[:, list(gids)]
+    return int(hist @ np.prod(columns, axis=1, dtype=np.int8))
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +140,7 @@ def set_a_points(su: ScopedU) -> tuple[int, int, int, int, int]:
 
 def table_a_chi(su: ScopedU) -> list[list[int]]:
     """chi(g_i(x)) for x in A (rows) and i = 1..5 (columns), decoded from `ScopedU.sign_key`."""
-    return SIGN_PATTERNS[su.sign_key[list(set_a_points(su))]].tolist()
+    return SIGN_PATTERNS[su.sign_key[list(set_a_points(su))], 1:].tolist()
 
 
 # ---------------------------------------------------------------------------

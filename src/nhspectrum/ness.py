@@ -97,8 +97,3 @@ def spectrum_bruteforce(ctx: FieldCtx, rows: DDTRows) -> Spectrum:
     width = max(int(row.max()) for row in rows) + 1
     counts = (ctx.q - 1) // 2 * sum(np.bincount(row, minlength=width) for row in rows)
     return Spectrum(tuple(int(c) for c in counts), source="brute-force")
-
-
-def differential_uniformity(ctx: FieldCtx, u: int) -> int:
-    """Largest DDT entry over a != 0."""
-    return spectrum_bruteforce(ctx, ddt_rows(ctx, u)).uniformity

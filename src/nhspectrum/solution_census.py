@@ -11,14 +11,15 @@ with t_a = chi(x + a) and t_0 = chi(x) frozen to one of the four sign
 patterns (the cases I..IV below).  A root only counts when its actual
 character signs reproduce the pattern that produced it (a "desired"
 solution).  For in-scope u the resulting count is determined entirely by
-the signs of the five classifier polynomials at z = a b, which yields a
-0..4 prediction without solving anything; this module computes both routes
-and the machinery to compare them against direct counting.
+the signs of the five classifier polynomials and of z itself at z = a b,
+which yields a 0..4 prediction without solving anything; this module
+computes both routes and the machinery to compare them against direct
+counting.
 
 At import, the rules in `SOLUTION_CONDITIONS` compile into
 `PREDICTION_TABLE` and the closed forms of the case counts into
-`CASE_TABLE`, both indexed by the condition key of z, so a full-field check
-is one key vector and two gathers.  The tests keep an interpreter of the
+`CASE_TABLE`, both indexed by the sign key of z (`ScopedU.sign_key`), so a
+full-field check is two gathers.  The tests keep an interpreter of the
 rules and the scalar `census` as the oracles for every entry.
 """
 
@@ -54,6 +55,8 @@ TABLE_IV_ROWS: dict[tuple[int, int, int, int], int] = {
 # restricts to z in {1+u, 1-u}; "chi_z2mu2" pins chi(z^2 - u^2) (used only
 # when s4 = 0, i.e. z = -1 +- sqrt(1-u^2)); "b_zero" is the b = 0 row.
 # Exactly one condition across all counts must match any given (a, b).
+# `rule_inputs` derives the last three from the signs: b_zero from s0,
+# one_pm_u from s0, s2 and s3, and chi_z2mu2 from s0 and s5.
 SOLUTION_CONDITIONS: dict[int, list[dict]] = {
     4: [
         {"s": {1: 1, 2: 1, 3: 1, 4: 1, 5: 1}},
@@ -99,46 +102,51 @@ NO_RULE = -1
 SEVERAL_RULES = -2
 NOT_ADMISSIBLE = -1
 
-B_ZERO_KEY = len(SIGN_PATTERNS) * 2 * 3  # z = 0 (b = 0), after every key of a nonzero z
 CASE_COLUMNS = ("n1", "n_i", "n_ii_iii", "n_iv", "total")
 
 
-def condition_key(sign_key, one_pm_u, chi_z2mu2):
-    """Row of the compiled tables for a nonzero z, scalar or elementwise: mixed
-    radix over the sign key, z in {1 +- u} in {0, 1} and chi(z^2 - u^2) in {-1, 0, 1}."""
-    return (sign_key * 2 + one_pm_u) * 3 + (chi_z2mu2 + 1)
+def rule_inputs(signs) -> dict:
+    """b_zero, one_pm_u and chi_z2mu2 from the signs (s0, ..., s5) of z,
+    scalars or elementwise.  g1 = -(u+1) z, so b = 0 exactly when s0 = 0;
+    g2 and g3 vanish only at 0 and 1 +- u.  Where s4 = 0, z + 1 = +-r, so
+    z^2 - u^2 = -z (z + 1) and chi(z^2 - u^2) = -+chi(z) (n is odd): s5 at
+    z = -1 - r, the zero of g4 where g5 is not 0, and -s0 at z = -1 + r.
+    """
+    s0, _, s2, s3, _, s5 = signs
+    return {"b_zero": s0 == 0, "one_pm_u": (s0 != 0) & (s2 * s3 == 0),
+            "chi_z2mu2": np.where(s5 != 0, s5, -s0)}
 
 
 def _compile_conditions() -> tuple[np.ndarray, np.ndarray]:
-    """Per key: the count whose single rule fires, else NO_RULE or SEVERAL_RULES;
-    and (N1, N_I, N_II + N_III, N_IV) by their closed forms, then the total in
-    TABLE_IV_ROWS or NOT_ADMISSIBLE.  N1 depends on z alone because u is
-    outside GF(3): the special-point targets are a b = 1 +- u whatever chi(a) is.
+    """Per sign key: the count whose single rule fires, else NO_RULE or
+    SEVERAL_RULES; and (N1, N_I, N_II + N_III, N_IV) by their closed forms
+    (all 0 for z = 0, the b = 0 row), then the total in TABLE_IV_ROWS or
+    NOT_ADMISSIBLE.  N1 depends on z alone because u is outside GF(3): the
+    special-point targets are a b = 1 +- u whatever chi(a) is.
     """
-    key = np.arange(B_ZERO_KEY + 1)
-    b_zero = key == B_ZERO_KEY
-    key[b_zero] = condition_key(len(SIGN_PATTERNS) // 2, 0, 0)  # b = 0: every input 0
-    signs = SIGN_PATTERNS[key // 6].T
-    one_pm_u, chi_z2mu2 = key // 3 % 2, key % 3 - 1
-    pred, fired = np.zeros((2, len(key)), dtype=np.int8)
+    signs = SIGN_PATTERNS.T
+    inputs = rule_inputs(signs)
+    b_zero, one_pm_u, chi_z2mu2 = inputs["b_zero"], inputs["one_pm_u"], inputs["chi_z2mu2"]
+    pred, fired = np.zeros((2, len(SIGN_PATTERNS)), dtype=np.int8)
     for count, conds in SOLUTION_CONDITIONS.items():
         for cond in conds:
             mask = b_zero == cond.get("b_zero", False)
             if cond.get("one_pm_u", False):
-                mask &= one_pm_u == 1
+                mask &= one_pm_u
             for gid, want in cond.get("s", {}).items():
-                mask &= signs[gid - 1] == want
+                mask &= signs[gid] == want
             if "chi_z2mu2" in cond:
                 mask &= chi_z2mu2 == cond["chi_z2mu2"]
             fired += mask
             pred[mask] = count
-    s1, s2, s3, s4, s5 = signs
+    _, s1, s2, s3, s4, s5 = signs
     cases = np.stack([
         one_pm_u,
         (s1 == 1) & (s2 == 1),
         np.where((s4 == 1) & (s5 == 1), 2, (s4 == 0) & (chi_z2mu2 == 1)),
         (s1 == 1) & (s3 == 1),
     ], axis=1)
+    cases[b_zero] = 0
     totals = [TABLE_IV_ROWS.get(tuple(row), NOT_ADMISSIBLE) for row in cases.tolist()]
     tables = (np.select([fired == 1, fired == 0], [pred, NO_RULE], SEVERAL_RULES).astype(np.int8),
               np.column_stack([cases, totals]).astype(np.int8))
@@ -236,20 +244,13 @@ def case_solutions(ctx: FieldCtx, u: int, a: int, b: int, case_id: str) -> CaseO
 
 def g_signs(su: ScopedU, z: int) -> tuple[int, int, int, int, int]:
     """(chi(g1(z)), ..., chi(g5(z)))."""
-    return tuple(SIGN_PATTERNS[su.sign_key[z]].tolist())
+    return tuple(SIGN_PATTERNS[su.sign_key[z], 1:].tolist())
 
 
-def condition_keys(su: ScopedU, zs: np.ndarray) -> np.ndarray:
-    """The row of the compiled tables for each z of zs; z = 0 reads B_ZERO_KEY."""
-    one_pm_u = (zs == su.ctx.add(1, su.u)) | (zs == su.ctx.sub(1, su.u))
-    keys = condition_key(su.sign_key[zs], one_pm_u, su.chi_z2mu2[zs])
-    return np.where(zs == 0, B_ZERO_KEY, keys)
-
-
-def _predict(su: ScopedU, zs: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """`PREDICTION_TABLE` at the keys of zs; raises InconsistencyError naming u,
-    z and the signs at the first z where not exactly one rule fires."""
-    pred = PREDICTION_TABLE[keys]
+def _predict(su: ScopedU, zs: np.ndarray) -> np.ndarray:
+    """`PREDICTION_TABLE` at the sign keys of zs; raises InconsistencyError naming
+    u, z and the signs at the first z where not exactly one rule fires."""
+    pred = PREDICTION_TABLE[su.sign_key[zs]]
     bad = np.flatnonzero(pred < 0)
     if bad.size:
         z = int(zs[bad[0]])
@@ -260,11 +261,10 @@ def _predict(su: ScopedU, zs: np.ndarray, keys: np.ndarray) -> np.ndarray:
 
 
 def predict_solution_count(su: ScopedU, a: int, b: int) -> int:
-    """N(a, b) from the key of z = a b alone; raises if not exactly one rule fires."""
+    """N(a, b) from the sign key of z = a b alone; raises if not exactly one rule fires."""
     if a == 0:
         raise ValueError("a must be nonzero")
-    zs = np.array([su.ctx.mul(a, b)])
-    return int(_predict(su, zs, condition_keys(su, zs))[0])
+    return int(_predict(su, np.array([su.ctx.mul(a, b)]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -363,11 +363,10 @@ def mismatch_record(su: ScopedU, a: int, b: int, predicted: int, observed: int) 
 def prediction_by_z(su: ScopedU) -> np.ndarray:
     """Predicted N for every z (slot z = 0 covers b = 0 and is 0).
 
-    One key per z and one gather from `PREDICTION_TABLE`; raises unless
+    One gather from `PREDICTION_TABLE` at the sign keys; raises unless
     exactly one condition fires at every z.
     """
-    zs = np.arange(su.ctx.q)
-    return _predict(su, zs, condition_keys(su, zs))
+    return _predict(su, np.arange(su.ctx.q))
 
 
 def verify_predictions(su: ScopedU) -> dict:
@@ -384,9 +383,8 @@ def verify_predictions(su: ScopedU) -> dict:
     ctx = su.ctx
     q = ctx.q
     zs = np.arange(q)
-    keys = condition_keys(su, zs)
-    pred_z = _predict(su, zs, keys)
-    totals_z = CASE_TABLE[keys, CASE_COLUMNS.index("total")]
+    pred_z = _predict(su, zs)
+    totals_z = CASE_TABLE[su.sign_key, CASE_COLUMNS.index("total")]
 
     g_z = ctx.mul_vec(np.int64(ctx.generator), zs)  # z = g b on the row a = g
     rows = ((1, pred_z, totals_z), (ctx.generator, pred_z[g_z], totals_z[g_z]))

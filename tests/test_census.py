@@ -9,7 +9,7 @@ import pytest
 import oracles
 from nhspectrum import solution_census as cn
 from nhspectrum import ness
-from nhspectrum.charsums import ScopedU
+from nhspectrum.charsums import SIGN_PATTERNS, ScopedU
 from nhspectrum.field import InconsistencyError
 from nhspectrum.rng import sample_u0_nonf3
 from nhspectrum.spectrum import u0_nonf3_elements
@@ -181,9 +181,9 @@ def test_case_ii_iii_sum_sign_conditions(f3):
 
 
 def _case_rows(su):
-    """`CASE_TABLE` at the condition key of every z, by column name; each z
-    is also checked against the scalar census of (1, z)."""
-    rows = cn.CASE_TABLE[cn.condition_keys(su, np.arange(su.ctx.q))]
+    """`CASE_TABLE` at the sign key of every z, by column name; each z is
+    also checked against the scalar census of (1, z)."""
+    rows = cn.CASE_TABLE[su.sign_key]
     for z, row in enumerate(rows.tolist()):
         c = cn.census(su, 1, z)
         assert tuple(row) == (*c.table_key, c.predicted_total), (su.u, z)
@@ -280,20 +280,36 @@ def test_exactly_one_condition_matches_n3(f3):
                 assert len(oracles.matching_conditions(su, a, b)) == 1
 
 
+def test_rule_inputs_match_evaluation(scope_cases):
+    """At every z, s0 = 0 exactly when z = 0, and the rule inputs derived from
+    the sign key equal their definitions evaluated in the field: b = 0, z in
+    {1 +- u} and, at both zeros of g4, chi(z^2 - u^2)."""
+    for ctx, us in scope_cases:
+        for u in us:
+            su = ScopedU(ctx, u)
+            signs = SIGN_PATTERNS[su.sign_key]
+            derived = cn.rule_inputs(signs.T)
+            one_pm_u = (ctx.add(1, u), ctx.sub(1, u))
+            assert np.count_nonzero(signs[:, 4] == 0) == 2, (ctx.n, u)
+            for z in ctx.elements():
+                assert (signs[z, 0] == 0) == (z == 0) == derived["b_zero"][z], (ctx.n, u, z)
+                assert derived["one_pm_u"][z] == (z in one_pm_u), (ctx.n, u, z)
+                if signs[z, 4] == 0:
+                    chi = ctx.chi(ctx.sub(ctx.mul(z, z), ctx.mul(u, u)))
+                    assert derived["chi_z2mu2"][z] == chi, (ctx.n, u, z)
+
+
 def _table_keys():
-    """(key, inputs) for all 3^5 * 2 * 3 keys of a nonzero z, then the b = 0 key."""
-    for sign_key, signs in enumerate(itertools.product((-1, 0, 1), repeat=5)):
-        for one_pm_u, chi_z2mu2 in itertools.product((False, True), (-1, 0, 1)):
-            key = int(cn.condition_key(sign_key, one_pm_u, chi_z2mu2))
-            yield key, dict(b_zero=False, one_pm_u=one_pm_u, signs=signs, chi_z2mu2=chi_z2mu2)
-    yield cn.B_ZERO_KEY, dict(b_zero=True, one_pm_u=False, signs=(0,) * 5, chi_z2mu2=0)
+    """(key, inputs) for all 3^6 sign keys, the rule inputs derived from the signs."""
+    for key, signs in enumerate(itertools.product((-1, 0, 1), repeat=6)):
+        derived = {name: value.item() for name, value in cn.rule_inputs(np.array(signs)).items()}
+        yield key, dict(derived, signs=signs[1:])
 
 
 def test_prediction_table_equals_rule_interpreter():
-    """Every key, the b = 0 key included: the count where exactly one rule
-    fires, NO_RULE where none does and SEVERAL_RULES where more than one does."""
-    keys = [key for key, _ in _table_keys()]
-    assert sorted(keys) == list(range(len(cn.PREDICTION_TABLE))) and len(keys) == 1459
+    """Every key: the count where exactly one rule fires, NO_RULE where none
+    does and SEVERAL_RULES where more than one does; every key of z = 0 is 0."""
+    assert len(cn.PREDICTION_TABLE) == len(list(_table_keys())) == 729
     for key, inputs in _table_keys():
         hits = oracles.fired_conditions(**inputs)
         if len(hits) == 1:
@@ -301,17 +317,21 @@ def test_prediction_table_equals_rule_interpreter():
         else:
             expected = cn.NO_RULE if not hits else cn.SEVERAL_RULES
         assert int(cn.PREDICTION_TABLE[key]) == expected, (inputs, hits)
-    assert cn.PREDICTION_TABLE[cn.B_ZERO_KEY] == 0
+        if inputs["b_zero"]:
+            assert cn.PREDICTION_TABLE[key] == 0
 
 
 def test_case_table_matches_closed_forms():
-    """Every key, the b = 0 key included: (N1, N_I, N_II + N_III, N_IV) from
-    their closed forms in the signs, and the total of that vector in
-    TABLE_IV_ROWS, NOT_ADMISSIBLE where it is not a row there."""
-    assert cn.CASE_TABLE.shape == (1459, len(cn.CASE_COLUMNS))
+    """Every key: (N1, N_I, N_II + N_III, N_IV) from their closed forms in the
+    signs, and the total of that vector in TABLE_IV_ROWS, NOT_ADMISSIBLE where
+    it is not a row there; every key of z = 0 (b = 0) reads all 0."""
+    assert cn.CASE_TABLE.shape == (729, len(cn.CASE_COLUMNS))
     inadmissible = 0
     for key, inputs in _table_keys():
         s1, s2, s3, s4, s5 = inputs["signs"]
+        if inputs["b_zero"]:
+            assert cn.CASE_TABLE[key].tolist() == [0, 0, 0, 0, 0], inputs
+            continue
         if s4 == 1 and s5 == 1:
             n_ii_iii = 2
         else:
@@ -321,7 +341,6 @@ def test_case_table_matches_closed_forms():
         total = cn.TABLE_IV_ROWS.get(vector, cn.NOT_ADMISSIBLE)
         inadmissible += total == cn.NOT_ADMISSIBLE
         assert cn.CASE_TABLE[key].tolist() == [*vector, total], (inputs, vector)
-    assert cn.CASE_TABLE[cn.B_ZERO_KEY].tolist() == [0, 0, 0, 0, 0]
     assert inadmissible > 0
 
 
@@ -340,7 +359,7 @@ def test_prediction_by_z_matches_scalar(f3):
 def test_prediction_names_the_key_without_a_rule(f3, monkeypatch):
     su = ScopedU(f3, u0_nonf3_elements(f3)[0])
     z = 7
-    key = int(cn.condition_keys(su, np.array([z]))[0])
+    key = int(su.sign_key[z])
     table = cn.PREDICTION_TABLE.copy()
     table[key] = cn.NO_RULE
     monkeypatch.setattr(cn, "PREDICTION_TABLE", table)

@@ -302,10 +302,10 @@ def test_jobs_pool_size(monkeypatch, jobs, u, cpus, workers):
 
 
 # Whole-field translates per u: 4 for the sign key (chi(z - 0) is the
-# character table itself), 2 for chi(z^2 - u^2) where the command reads it,
-# and 2 for the DDT rows where it reads them.
-TRANSLATES_PER_U = {"scan": 8, "verify-theorem": 6, "spectrum": 6, "census": 8,
-                    "verify-lemmas": 4, "verify-propositions": 8}
+# character table itself), which the census reads as well, and 2 for the
+# DDT rows where the command reads them.
+TRANSLATES_PER_U = {"scan": 6, "verify-theorem": 6, "spectrum": 6, "census": 6,
+                    "verify-lemmas": 4, "verify-propositions": 6}
 
 
 @pytest.mark.parametrize("command, f_tables_per_u", [
