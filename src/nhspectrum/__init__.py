@@ -17,24 +17,19 @@ from .solution_census import (
 from .charsums import (
     IdentityReport,
     ScopedU,
-    in_theorem_scope,
+    classify_u,
     section2_identities,
     set_a_points,
-    table_a_chi,
 )
 from .field import FieldCtx, InconsistencyError, ReducibleModulusError, make_context
 from .ness import (
     Spectrum,
     ddt_rows,
-    derivative,
-    f_eval,
     spectrum_bruteforce,
 )
 from .rng import SplitMix64, sample_u0_nonf3
 from .spectrum import (
     ClosedFormInputs,
-    UClass,
-    classify_u,
     closed_form_inputs,
     epsilon,
     gamma3,
@@ -57,18 +52,14 @@ __all__ = [
     "SolutionCensus",
     "Spectrum",
     "SplitMix64",
-    "UClass",
     "case_solutions",
     "census",
     "classify_u",
     "closed_form_inputs",
     "ddt_rows",
-    "derivative",
     "epsilon",
-    "f_eval",
     "gamma3",
     "gamma4",
-    "in_theorem_scope",
     "make_context",
     "predict_solution_count",
     "sample_u0_nonf3",
@@ -77,7 +68,6 @@ __all__ = [
     "special_point_solutions",
     "spectrum_bruteforce",
     "spectrum_closed_form",
-    "table_a_chi",
     "u0_nonf3_elements",
     "verify_predictions",
     "verify_theorem_record",

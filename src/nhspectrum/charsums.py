@@ -20,18 +20,19 @@ multiplicative (chi(0) = 0), chi(g_i(z)) is chi of the leading coefficient
 times the product of chi(z - a) over the zeros a of g_i.  A sixth sign,
 chi(g0(z)) with g0(z) = z, rides along.  So `ScopedU.sign_key`, the sign
 vector (s0, ..., s5) of each z as one of 729 keys, comes from the character
-table and four of its translates; every character sum of a product of the
-g_i is a dot product of the key histogram with `SIGN_PATTERNS`
-(`g_sign_product_sum`), and the census reads the same key.  The tests keep
-the polynomials evaluated over the field as the oracle.  `ScopedU` holds one
-in-scope u and everything derived from it, each built once.
+table and four of its translates.  Every character sum of a product of the
+g_i is a dot product of the key histogram with one column of
+`SIGN_PRODUCTS`, so one matrix-vector product gives all 32
+(`ScopedU.product_sums`), and the census reads the same key.  The tests
+keep the polynomials evaluated over the field as the oracle.  `ScopedU`
+holds one in-scope u (`classify_u` is the scope rule) and everything
+derived from it, each built once.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -51,11 +52,37 @@ SIGN_PATTERNS = np.array(list(itertools.product((-1, 0, 1), repeat=6)), dtype=np
 SIGN_PATTERNS.flags.writeable = False
 
 
-def in_theorem_scope(ctx: FieldCtx, u: int) -> bool:
-    """True when u is outside GF(3) and chi(u+1) != chi(u-1)."""
+def _sign_products() -> np.ndarray:
+    """729 x 32 int8: column m is the product of the columns g_i of
+    `SIGN_PATTERNS` over the set bits i - 1 of m (column 0 is all ones).
+    Each g_i doubles the columns: the old ones, then the old ones times g_i."""
+    products = np.ones((len(SIGN_PATTERNS), 1), dtype=np.int8)
+    for gid in G_IDS:
+        products = np.hstack([products, products * SIGN_PATTERNS[:, [gid]]])
+    products.flags.writeable = False
+    return products
+
+
+# Row k, column m: chi of the product of the g_i selected by m at a z with
+# sign key k, as chi(x y) = chi(x) chi(y).
+SIGN_PRODUCTS = _sign_products()
+
+CLASS_F3 = "F3"
+CLASS_U0 = "U0_nonF3"
+CLASS_U10 = "U10"
+CLASS_U11 = "U11"
+
+
+def classify_u(ctx: FieldCtx, u: int) -> str:
+    """The class label of u, from the character pattern of (u-1, u, u+1);
+    members of GF(3) are labelled F3 regardless of pattern.  The theorem's
+    scope is `CLASS_U0`: u outside GF(3) and chi(u+1) != chi(u-1)."""
     if u in (0, 1, 2):
-        return False
-    return ctx.chi(ctx.add(u, 1)) != ctx.chi(ctx.sub(u, 1))
+        return CLASS_F3
+    chi_p = ctx.chi(ctx.add(u, 1))
+    if chi_p != ctx.chi(ctx.sub(u, 1)):
+        return CLASS_U0
+    return CLASS_U10 if ctx.chi(u) != chi_p else CLASS_U11
 
 
 def _chi_translate(ctx: FieldCtx, a: int) -> np.ndarray:
@@ -65,7 +92,7 @@ def _chi_translate(ctx: FieldCtx, a: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ScopedU:
-    """One u with `in_theorem_scope(ctx, u)`, else construction raises ValueError.
+    """One u of class `CLASS_U0`, else construction raises ValueError.
 
     The other fields are built on first use and kept: one object per u
     builds each of them at most once.
@@ -75,7 +102,7 @@ class ScopedU:
     u: int
 
     def __post_init__(self):
-        if not in_theorem_scope(self.ctx, self.u):
+        if classify_u(self.ctx, self.u) != CLASS_U0:
             raise ValueError(f"u = {self.ctx.format_element(self.u)} needs "
                              "chi(u+1) != chi(u-1) and u outside GF(3)")
 
@@ -98,9 +125,15 @@ class ScopedU:
         return key
 
     @built_once
-    def sign_hist(self) -> np.ndarray:
-        """How many z carry each sign key, 729 counts."""
-        return np.bincount(self.sign_key, minlength=len(SIGN_PATTERNS))
+    def product_sums(self) -> np.ndarray:
+        """Sum over z of chi of the product of the g_i selected by m, for each
+        column m of `SIGN_PRODUCTS`: the sign-key histogram (how many z carry
+        each of the 729 keys) times the table; int64, exact."""
+        return np.bincount(self.sign_key, minlength=len(SIGN_PRODUCTS)) @ SIGN_PRODUCTS
+
+    def product_sum(self, *gids: int) -> int:
+        """Sum over z of chi(prod of the selected g_i): bit gid - 1 per g_i."""
+        return int(self.product_sums[sum(1 << (gid - 1) for gid in gids)])
 
     @built_once
     def rows(self) -> ness.DDTRows:
@@ -109,20 +142,7 @@ class ScopedU:
 
 
 # ---------------------------------------------------------------------------
-# the g family
-# ---------------------------------------------------------------------------
-
-
-def g_sign_product_sum(hist: np.ndarray, gids: Iterable[int]) -> int:
-    """Sum over z of chi(prod of the selected g_i), from the sign-key histogram
-    `ScopedU.sign_hist`, as chi(x y) = chi(x) chi(y).  Products of signs fit
-    in int8; the dot product with the int64 histogram sums in int64."""
-    columns = SIGN_PATTERNS[:, list(gids)]
-    return int(hist @ np.prod(columns, axis=1, dtype=np.int8))
-
-
-# ---------------------------------------------------------------------------
-# the five-point set A and the sign table on it
+# the five-point set A
 # ---------------------------------------------------------------------------
 
 
@@ -136,11 +156,6 @@ def set_a_points(su: ScopedU) -> tuple[int, int, int, int, int]:
         ctx.add(ctx.neg(1), r),
         ctx.sub(ctx.neg(1), r),
     )
-
-
-def table_a_chi(su: ScopedU) -> list[list[int]]:
-    """chi(g_i(x)) for x in A (rows) and i = 1..5 (columns), decoded from `ScopedU.sign_key`."""
-    return SIGN_PATTERNS[su.sign_key[list(set_a_points(su))], 1:].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -174,9 +189,7 @@ def section2_identities(su: ScopedU) -> list[IdentityReport]:
     chi_phi = ctx.chi(ctx.add(1, r))
     chi_r1pu = ctx.chi(ctx.add(ctx.add(r, 1), u))  # chi(r + 1 + u)
     chi_r1mu = ctx.chi(ctx.sub(ctx.add(r, 1), u))  # chi(r + 1 - u)
-
-    def s(*gids: int) -> int:
-        return g_sign_product_sum(su.sign_hist, gids)
+    s = su.product_sum
 
     checks: list[tuple[str, int, int]] = [
         ("g1g2", s(1, 2), -1),

@@ -126,11 +126,11 @@ def _require_scope_for_command(ctx: FieldCtx, command: str, us: list[int]) -> No
     if command not in SCOPE_COMMANDS:
         return
     for u in us:
-        cls = spectrum.classify_u(ctx, u)
-        if not cls.in_theorem_scope:
+        label = charsums.classify_u(ctx, u)
+        if label != charsums.CLASS_U0:
             raise UsageError(
                 f"command {command!r} needs u with chi(u+1) != chi(u-1) outside GF(3); "
-                f"u={ctx.format_element(u)} is in class {cls.label}"
+                f"u={ctx.format_element(u)} is in class {label}"
             )
 
 
@@ -140,10 +140,10 @@ def _require_scope_for_command(ctx: FieldCtx, command: str, us: list[int]) -> No
 
 
 def _spectrum_records(ctx: FieldCtx, u: int, seed: int) -> tuple[list[dict], bool]:
-    cls = spectrum.classify_u(ctx, u)
+    label = charsums.classify_u(ctx, u)
     base = {"n": ctx.n, "modulus": ctx.modulus_str, "u": ctx.format_element(u),
-            "class": cls.label}
-    if cls.in_theorem_scope:
+            "class": label}
+    if label == charsums.CLASS_U0:
         theorem = spectrum.verify_theorem_record(charsums.ScopedU(ctx, u))
         rec = dict(base, epsilon=theorem["epsilon"], gamma3=theorem["gamma3"],
                    gamma4=theorem["gamma4"], omegas=theorem["closed_form"],

@@ -356,14 +356,7 @@ class FieldCtx:
         r = self.pow(a, (self.q + 1) // 4)
         return r if self.chi(r) == 1 else self.neg(r)
 
-    def elements(self) -> range:
-        """All q elements, base-3 counter order: 0, 1, 2, x, x+1, ..."""
-        return range(self.q)
-
     # -- text / coefficient views ---------------------------------------------
-
-    def coeffs(self, a: int) -> tuple[int, ...]:
-        return tuple(_idx_digits(a, self.n))
 
     def element_from_coeffs(self, coeffs: Sequence[int]) -> int:
         if len(coeffs) > self.n:

@@ -3,8 +3,8 @@
 With q = 3^n, the function is f_u(x) = u x^d1 + x^d2 for d1 = (q-1)/2 - 1
 and d2 = q - 2.  For nonzero x, x^d2 = 1/x and x^d1 = chi(x)/x, so
 f_u(x) = (1 + u chi(x))/x.  `f_table` evaluates that shape over the whole
-field with one gather from the antilog table; the scalar `f_eval`, by
-plain exponentiation, is its oracle.
+field with one gather from the antilog table; the tests keep f_u by plain
+exponentiation as its oracle.
 
 Also f_u(c x) = f_u(x)/c for every nonzero square c.  Substituting x -> c x
 in f_u(x + c a) - f_u(x) = b gives delta(c a, b) = delta(a, c b), so the
@@ -24,17 +24,6 @@ from .field import FieldCtx
 DDTRows = tuple[np.ndarray, np.ndarray]  # (delta(1, .), delta(g, .)), see ddt_rows
 
 
-def exponents(ctx: FieldCtx) -> tuple[int, int]:
-    """(d1, d2) = ((q-1)/2 - 1, q - 2)."""
-    return (ctx.q - 1) // 2 - 1, ctx.q - 2
-
-
-def f_eval(ctx: FieldCtx, u: int, x: int) -> int:
-    """u * x^d1 + x^d2 by plain exponentiation (f(0) = 0)."""
-    d1, d2 = exponents(ctx)
-    return ctx.add(ctx.mul(u, ctx.pow(x, d1)), ctx.pow(x, d2))
-
-
 def f_table(ctx: FieldCtx, u: int) -> np.ndarray:
     """f_u over the whole field, alog[log(1/x) + log(1 + u chi(x))]: squares have even
     logs, and the zero sentinel (x = 0, or 1 +- u = 0 for u in GF(3)) reads f = 0."""
@@ -43,13 +32,6 @@ def f_table(ctx: FieldCtx, u: int) -> np.ndarray:
     neglog[0] = 2 * ctx.q - 3
     lead = log[[ctx.add(1, u), ctx.sub(1, u)]]
     return alog[neglog + lead[log & 1]]
-
-
-def derivative(ctx: FieldCtx, u: int, a: int, x: int) -> int:
-    """f_u(x + a) - f_u(x)."""
-    if a == 0:
-        raise ValueError("derivative direction a must be nonzero")
-    return ctx.sub(f_eval(ctx, u, ctx.add(x, a)), f_eval(ctx, u, x))
 
 
 def ddt_row(ctx: FieldCtx, ftab: np.ndarray, a: int) -> np.ndarray:
@@ -80,12 +62,6 @@ class Spectrum:
     def uniformity(self) -> int:
         return len(self.omegas) - 1
 
-    def counting_identities_hold(self, q: int) -> bool:
-        total = (q - 1) * q
-        return (
-            sum(self.omegas) == total
-            and sum(i * w for i, w in enumerate(self.omegas)) == total
-        )
 
 
 def spectrum_bruteforce(ctx: FieldCtx, rows: DDTRows) -> Spectrum:

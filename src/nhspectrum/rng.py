@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .field import FieldCtx
+from .spectrum import u0_nonf3_elements
 
 MASK64 = (1 << 64) - 1
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
@@ -68,6 +69,4 @@ def sample_distinct(pool: Sequence, count: int, seed: int) -> list:
 
 def sample_u0_nonf3(ctx: FieldCtx, count: int, seed: int) -> list[int]:
     """Deterministic sample of in-scope parameters u."""
-    from .spectrum import u0_nonf3_elements
-
     return sample_distinct(u0_nonf3_elements(ctx), count, seed)

@@ -382,11 +382,10 @@ def verify_predictions(su: ScopedU) -> dict:
     """
     ctx = su.ctx
     q = ctx.q
-    zs = np.arange(q)
-    pred_z = _predict(su, zs)
+    pred_z = prediction_by_z(su)
     totals_z = CASE_TABLE[su.sign_key, CASE_COLUMNS.index("total")]
 
-    g_z = ctx.mul_vec(np.int64(ctx.generator), zs)  # z = g b on the row a = g
+    g_z = ctx.mul_vec(np.int64(ctx.generator), np.arange(q))  # z = g b on the row a = g
     rows = ((1, pred_z, totals_z), (ctx.generator, pred_z[g_z], totals_z[g_z]))
     mismatches: list[dict] = []
     for (a, predicted, totals), observed in zip(rows, su.rows):

@@ -1,6 +1,7 @@
 """Closed-form differential spectrum of f_u for chi(u+1) != chi(u-1).
 
-The parameter space splits by the character pattern of (u-1, u, u+1):
+The parameter space splits by the character pattern of (u-1, u, u+1)
+(`charsums.classify_u`):
 
   * U0:  chi(u+1) != chi(u-1); its members outside GF(3) are the theorem's
     domain and give differential uniformity 4,
@@ -15,7 +16,7 @@ For in-scope u the spectrum is a closed function of two character sums,
 
 plus an indicator epsilon marking whether z = 1 +- u contributes a row with
 three solutions.  Both sums are read off the sign-key histogram
-`ScopedU.sign_hist`; the tests check them against the g polynomials
+(`ScopedU.product_sums`); the tests check them against the g polynomials
 multiplied in the field and against the reduced cubic and quintic summed
 by Horner's rule.  Each sum must meet its Weil bound, and all five omega
 values must divide out exactly in integers; any failure is raised as an
@@ -32,44 +33,10 @@ from . import charsums
 from .field import FieldCtx, InconsistencyError
 from .ness import Spectrum, spectrum_bruteforce
 
-CLASS_F3 = "F3"
-CLASS_U0 = "U0_nonF3"
-CLASS_U10 = "U10"
-CLASS_U11 = "U11"
-
-
-@dataclass(frozen=True)
-class UClass:
-    """Character pattern of (u-1, u, u+1) and the resulting parameter class."""
-
-    label: str
-    chi_u: int
-    chi_u_plus_1: int
-    chi_u_minus_1: int
-
-    @property
-    def in_theorem_scope(self) -> bool:
-        return self.label == CLASS_U0
-
-
-def classify_u(ctx: FieldCtx, u: int) -> UClass:
-    """Classify u; members of GF(3) are flagged F3 regardless of pattern."""
-    chi_u = ctx.chi(u)
-    chi_p = ctx.chi(ctx.add(u, 1))
-    chi_m = ctx.chi(ctx.sub(u, 1))
-    if u in (0, 1, 2):
-        label = CLASS_F3
-    elif chi_p != chi_m:
-        label = CLASS_U0
-    elif chi_u != chi_p:
-        label = CLASS_U10
-    else:
-        label = CLASS_U11
-    return UClass(label, chi_u, chi_p, chi_m)
-
 
 def u0_nonf3_elements(ctx: FieldCtx) -> list[int]:
-    """Every in-scope u, in enumeration order (`charsums.in_theorem_scope` over the field)."""
+    """Every u of class `charsums.CLASS_U0`, in enumeration order: the scope rule of
+    `charsums.classify_u` as one mask over the field."""
     mask = ctx.chi_vec(ctx.translate(1)) != ctx.chi_vec(ctx.translate(2))  # u + 1, u - 1
     mask[:3] = False  # GF(3)
     return np.flatnonzero(mask).tolist()
@@ -82,12 +49,12 @@ def u0_nonf3_elements(ctx: FieldCtx) -> list[int]:
 
 def gamma3(su: charsums.ScopedU) -> int:
     """sum_z chi(g1 g4), from the sign-key histogram."""
-    return charsums.g_sign_product_sum(su.sign_hist, (1, 4))
+    return su.product_sum(1, 4)
 
 
 def gamma4(su: charsums.ScopedU) -> int:
     """sum_z chi(g1 g2 g3 g4), from the sign-key histogram."""
-    return charsums.g_sign_product_sum(su.sign_hist, (1, 2, 3, 4))
+    return su.product_sum(1, 2, 3, 4)
 
 
 def epsilon(su: charsums.ScopedU) -> int:
@@ -163,7 +130,7 @@ def verify_theorem_record(su: charsums.ScopedU) -> dict:
     brute = spectrum_bruteforce(ctx, su.rows)
     return {
         "u": ctx.format_element(su.u),
-        "class": CLASS_U0,
+        "class": charsums.CLASS_U0,
         "epsilon": ins.epsilon,
         "gamma3": ins.gamma3,
         "gamma4": ins.gamma4,

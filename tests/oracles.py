@@ -3,22 +3,26 @@
 None of this is library code: each function recomputes by a different
 route what a production function computes, and the tests compare the two.
 
+  * `f_eval` evaluates f_u(x) = u x^d1 + x^d2 by plain exponentiation,
+    the oracle for `ness.f_table`; `derivative` is f_u(x + a) - f_u(x).
   * `ddt_entry_naive` counts x one at a time; `ddt_table` counts every row
     a of the DDT, the oracle for the two rows and the scaling lemma.
+    `counting_identities_hold` checks the two sums every spectrum meets.
   * `g_eval` evaluates one classifier polynomial at one z with the scalar
     ops; `g_values` evaluates it over the whole field with the vector ops.
     Both are oracles for the sign key, which the library builds from the
     zeros of the polynomials instead.
   * `g_product_sum` multiplies the classifier polynomials in the field
-    before taking chi, the oracle for the sums over the sign-key
-    histogram; `gamma3_from_products` and `gamma4_from_products` are the
-    defining forms of the two character sums.
+    before taking chi, the oracle for `ScopedU.product_sums`, the sums
+    over the sign-key histogram; `gamma3_from_products` and
+    `gamma4_from_products` are the defining forms of the two character sums.
   * `char_sum` sums chi of any polynomial by Horner's rule over the field,
     and `quadratic_char_sum` is the degree-2 closed form it is checked
     against; `gamma3_from_cubic` and `gamma4_from_quintic` are the two
     sums in their reduced one-polynomial forms.
   * `table_a_expected` writes the signs of the g family on the five-point
-    set A in closed form, the oracle for `charsums.table_a_chi`.
+    set A in closed form; `table_a_chi` reads the same grid off
+    `ScopedU.sign_key`, and the tests compare the two.
   * `matching_conditions` interprets `SOLUTION_CONDITIONS` rule by rule on
     the signs from `g_eval`, the oracle for `PREDICTION_TABLE`.
   * `smallest_irreducible` searches for the first monic irreducible of
@@ -33,21 +37,39 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from nhspectrum import ness
-from nhspectrum.charsums import G_IDS, ScopedU
+from nhspectrum.charsums import G_IDS, SIGN_PATTERNS, ScopedU, set_a_points
 from nhspectrum.field import FieldCtx, irreducible_witness
 from nhspectrum.solution_census import SOLUTION_CONDITIONS
 
 
 # ---------------------------------------------------------------------------
-# the DDT
+# the function and the DDT
 # ---------------------------------------------------------------------------
+
+
+def exponents(ctx: FieldCtx) -> tuple[int, int]:
+    """(d1, d2) = ((q-1)/2 - 1, q - 2)."""
+    return (ctx.q - 1) // 2 - 1, ctx.q - 2
+
+
+def f_eval(ctx: FieldCtx, u: int, x: int) -> int:
+    """u * x^d1 + x^d2 by plain exponentiation (f(0) = 0)."""
+    d1, d2 = exponents(ctx)
+    return ctx.add(ctx.mul(u, ctx.pow(x, d1)), ctx.pow(x, d2))
+
+
+def derivative(ctx: FieldCtx, u: int, a: int, x: int) -> int:
+    """f_u(x + a) - f_u(x)."""
+    if a == 0:
+        raise ValueError("derivative direction a must be nonzero")
+    return ctx.sub(f_eval(ctx, u, ctx.add(x, a)), f_eval(ctx, u, x))
 
 
 def ddt_entry_naive(ctx: FieldCtx, u: int, a: int, b: int) -> int:
     """Scalar per-x count; the oracle for the vectorised accumulation."""
     if a == 0:
         raise ValueError("DDT rows are indexed by nonzero a")
-    return sum(1 for x in ctx.elements() if ness.derivative(ctx, u, a, x) == b)
+    return sum(1 for x in range(ctx.q) if derivative(ctx, u, a, x) == b)
 
 
 def ddt_table(ctx: FieldCtx, u: int) -> np.ndarray:
@@ -61,6 +83,16 @@ def ddt_table(ctx: FieldCtx, u: int) -> np.ndarray:
     for a in range(1, ctx.q):
         out[a] = ness.ddt_row(ctx, ftab, a)
     return out
+
+
+def counting_identities_hold(spec: ness.Spectrum, q: int) -> bool:
+    """sum omega_i = (q - 1) q pairs (a, b), and sum i omega_i = (q - 1) q
+    solutions x, q for each of the q - 1 nonzero a."""
+    total = (q - 1) * q
+    return (
+        sum(spec.omegas) == total
+        and sum(i * w for i, w in enumerate(spec.omegas)) == total
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -136,8 +168,13 @@ def g_signs(su: ScopedU, z: int) -> tuple[int, ...]:
     return tuple(su.ctx.chi(g_eval(su, gid, z)) for gid in G_IDS)
 
 
+def table_a_chi(su: ScopedU) -> list[list[int]]:
+    """chi(g_i(x)) for x in A (rows) and i = 1..5 (columns), decoded from `ScopedU.sign_key`."""
+    return SIGN_PATTERNS[su.sign_key[list(set_a_points(su))], 1:].tolist()
+
+
 def table_a_expected(su: ScopedU) -> list[list[int]]:
-    """The grid of `charsums.table_a_chi` from its closed-form entries in terms of u and r."""
+    """The grid of `table_a_chi` from its closed-form entries in terms of u and r."""
     ctx, u, r = su.ctx, su.u, su.r
     chi, mul, add, sub, neg = ctx.chi, ctx.mul, ctx.add, ctx.sub, ctx.neg
     u2 = mul(u, u)
@@ -179,7 +216,7 @@ def table_a_expected(su: ScopedU) -> list[list[int]]:
 def g_product_sum(su: ScopedU, gids: Iterable[int]) -> int:
     """Exact sum over z of chi of the product of the selected g polynomials.
 
-    Multiplies the polynomials in the field; the oracle for `g_sign_product_sum`.
+    Multiplies the polynomials in the field; the oracle for `ScopedU.product_sums`.
     """
     gids = tuple(gids)
     if not gids:

@@ -48,7 +48,7 @@ def test_char_sum_matches_scalar_horner(f3):
             if not any(coeffs):
                 coeffs[rng.randrange(degree + 1)] = rng.randrange(1, f3.q)
             expected = 0
-            for z in f3.elements():
+            for z in range(f3.q):
                 value = 0
                 for c in reversed(coeffs):
                     value = f3.add(f3.mul(value, z), c)
@@ -101,11 +101,18 @@ def test_quadratic_closed_form_random_n7(f7):
 # ---------------------------------------------------------------------------
 
 
-def test_scope_excludes_base_field(f3):
+def test_scope_excludes_base_field(f3, f5):
+    """ScopedU raises exactly where `classify_u` is not U0: at every u of
+    GF(3), and at every u of class U10 or U11, for n = 3 and 5."""
     for u in (0, 1, 2):
-        assert not cs.in_theorem_scope(f3, u)
-        with pytest.raises(ValueError, match="outside GF"):
-            cs.ScopedU(f3, u)
+        assert cs.classify_u(f3, u) == cs.CLASS_F3
+    for ctx in (f3, f5):
+        for u in range(ctx.q):
+            if cs.classify_u(ctx, u) == cs.CLASS_U0:
+                assert cs.ScopedU(ctx, u).u == u
+            else:
+                with pytest.raises(ValueError, match="outside GF"):
+                    cs.ScopedU(ctx, u)
 
 
 def test_scope_members_have_square_1_minus_u2(f3, f5):
@@ -164,22 +171,28 @@ def test_sign_matrix_matches_scalar_signs(scope_cases):
         for u in us:
             su = cs.ScopedU(ctx, u)
             assert su.sign_key.shape == (ctx.q,) and su.sign_key.dtype == np.int16
-            expected = np.array([(ctx.chi(z), *oracles.g_signs(su, z)) for z in ctx.elements()])
+            expected = np.array([(ctx.chi(z), *oracles.g_signs(su, z)) for z in range(ctx.q)])
             assert np.array_equal(cs.SIGN_PATTERNS[su.sign_key], expected), (ctx.n, u)
 
 
 def test_sign_matrix_sums_match_field_products(scope_cases):
-    """Every product of the g family, summed over the 243-bin sign-key
-    histogram, equals chi of the polynomials multiplied in the field."""
+    """Every product of the g family, read from `ScopedU.product_sums` (the
+    729-bin sign-key histogram times `SIGN_PRODUCTS`), equals chi of the
+    polynomials multiplied in the field; column m holds g_i for each set bit
+    i - 1 of m, and the empty product, column 0, sums to q."""
+    assert cs.SIGN_PRODUCTS.shape == (len(cs.SIGN_PATTERNS), 32)
+    assert cs.SIGN_PRODUCTS.dtype == np.int8 and not cs.SIGN_PRODUCTS.flags.writeable
     subsets = [gids for k in range(1, 6) for gids in itertools.combinations(cs.G_IDS, k)]
     assert len(subsets) == 31
     for ctx, us in scope_cases:
         for u in us:
             su = cs.ScopedU(ctx, u)
-            hist = su.sign_hist
-            assert hist.shape == (len(cs.SIGN_PATTERNS),) and int(hist.sum()) == ctx.q
+            sums = su.product_sums
+            assert sums.shape == (32,) and int(sums[0]) == ctx.q
             for gids in subsets:
-                assert cs.g_sign_product_sum(hist, gids) == oracles.g_product_sum(su, gids), gids
+                column = sum(2 ** (gid - 1) for gid in gids)
+                assert int(sums[column]) == oracles.g_product_sum(su, gids), gids
+                assert su.product_sum(*gids) == int(sums[column]), gids
 
 
 def test_set_a_contains_all_g_roots(f3):
@@ -191,7 +204,7 @@ def test_set_a_contains_all_g_roots(f3):
         assert len(set(points)) == 5
         for gid in cs.G_IDS:
             zeros = cs.G_ZEROS[gid]
-            roots = {z for z in f3.elements() if oracles.g_eval(su, gid, z) == 0}
+            roots = {z for z in range(f3.q) if oracles.g_eval(su, gid, z) == 0}
             assert roots == {points[k] for k in zeros}, (u, gid, roots, points)
 
 
@@ -210,19 +223,19 @@ def test_phi_never_zero_and_sign_product(f3, f5):
 
 def test_table_a_first_row(f3):
     for u in scope_us(f3):
-        assert cs.table_a_chi(cs.ScopedU(f3, u))[0] == [0, 0, 0, 1, -1]
+        assert oracles.table_a_chi(cs.ScopedU(f3, u))[0] == [0, 0, 0, 1, -1]
 
 
 def test_table_a_matches_symbolic_entries(f3, f5):
     for ctx in (f3, f5):
         for u in scope_us(ctx):
             su = cs.ScopedU(ctx, u)
-            assert cs.table_a_chi(su) == oracles.table_a_expected(su), u
+            assert oracles.table_a_chi(su) == oracles.table_a_expected(su), u
 
 
 def test_table_a_spot_entries(f3):
     for u in scope_us(f3):
-        grid = cs.table_a_chi(cs.ScopedU(f3, u))
+        grid = oracles.table_a_chi(cs.ScopedU(f3, u))
         assert grid[1][0] == -1  # g1 at 1+u
         assert grid[3][3] == 0  # g4 at -1+sqrt(1-u^2)
 
@@ -231,7 +244,7 @@ def test_product_expansion_over_a_vanishes(f3, f5):
     for ctx in (f3, f5):
         for u in scope_us(ctx):
             total = 0
-            for row in cs.table_a_chi(cs.ScopedU(ctx, u)):
+            for row in oracles.table_a_chi(cs.ScopedU(ctx, u)):
                 term = 1
                 for v in row:
                     term *= 1 + v

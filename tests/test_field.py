@@ -26,7 +26,7 @@ from nhspectrum.field import (
 
 
 def _poly_from_index(ctx, a):
-    return list(ctx.coeffs(a))
+    return field._idx_digits(a, ctx.n)
 
 
 def _poly_mul_mod(ctx, pa, pb):
@@ -140,7 +140,7 @@ def test_non_monic_or_wrong_degree_modulus_rejected():
 
 def test_n5_context_size(f5):
     assert f5.q == 243
-    assert len(list(f5.elements())) == 243
+    assert len({f5.format_element(a) for a in range(f5.q)}) == 243
 
 
 def test_smallest_irreducible_has_no_witness():
@@ -221,14 +221,14 @@ def test_mul_monomial_reduction(f3):
 
 
 def test_additive_structure_exhaustive(f3):
-    for a in f3.elements():
+    for a in range(f3.q):
         assert f3.add(a, f3.neg(a)) == 0
         assert f3.add(a, 0) == a
         assert f3.sub(a, a) == 0
 
 
 def test_mul_identity_and_inverses_exhaustive(f3):
-    for a in f3.elements():
+    for a in range(f3.q):
         assert f3.mul(a, 1) == a
         assert f3.mul(a, 0) == 0
         if a:
@@ -331,7 +331,7 @@ def test_chi_multiplicative_exhaustive_n3(f3):
 
 def test_chi_square_count_and_balance(f3, f5):
     for ctx in (f3, f5):
-        values = [ctx.chi(a) for a in ctx.elements()]
+        values = [ctx.chi(a) for a in range(ctx.q)]
         assert values.count(1) == (ctx.q - 1) // 2
         assert values.count(-1) == (ctx.q - 1) // 2
         assert sum(values) == 0
@@ -363,18 +363,21 @@ def test_sqrt_canonical_rejects_nonsquares(f3):
 
 
 def test_elements_enumeration(f3, f5):
+    """range(q) is the field in base-3 counter order: 0, 1, 2 are zero, one
+    and minus one, and every index has its own digit vector."""
     for ctx in (f3, f5):
-        elems = list(ctx.elements())
-        assert elems[0] == 0
-        assert len(elems) == ctx.q
-        assert len(set(elems)) == ctx.q
+        assert ctx.add(1, 2) == 0 and ctx.neg(1) == 2 and ctx.mul(2, 2) == 1
+        digits = {tuple(field._idx_digits(a, ctx.n)) for a in range(ctx.q)}
+        assert len(digits) == ctx.q
+        assert all(ctx.element_from_coeffs(d) == a
+                   for a, d in enumerate(field._idx_digits(a, ctx.n) for a in range(ctx.q)))
 
 
 def test_text_roundtrip(f3):
     a = f3.parse_element("120")
-    assert f3.coeffs(a) == (1, 2, 0)
+    assert field._idx_digits(a, 3) == [1, 2, 0]
     assert f3.format_element(a) == "120"
-    for a in f3.elements():
+    for a in range(f3.q):
         assert f3.parse_element(f3.format_element(a)) == a
 
 
@@ -441,8 +444,8 @@ def test_vector_ops_match_scalar_random_n7(f7):
 
 
 def test_mul_log_path_agrees_with_poly_path(f3):
-    for a in f3.elements():
-        for b in f3.elements():
+    for a in range(f3.q):
+        for b in range(f3.q):
             expected = f3.element_from_coeffs(
                 _poly_mul_mod(f3, _poly_from_index(f3, a), _poly_from_index(f3, b))
             )

@@ -1,0 +1,73 @@
+"""The library holds only what the CLI and the benchmark call.
+
+Every name the package exports, every public module-level function of its
+modules and every public `FieldCtx` method must be read somewhere in
+`src/nhspectrum` or `perfbench` outside its own definition.  A name only
+the tests use belongs in the tests (`tests/oracles.py` for the oracles).
+A string that spells a name does not count as a use.
+"""
+
+import ast
+from pathlib import Path
+
+import nhspectrum
+
+ROOT = Path(__file__).resolve().parent.parent
+LIBRARY = ROOT / "src" / "nhspectrum"
+MODULES = ("field", "ness", "charsums", "spectrum", "solution_census", "rng", "cli")
+
+
+class _Uses(ast.NodeVisitor):
+    """Every Name and Attribute read, except inside a def of that same name."""
+
+    def __init__(self):
+        self.names: set[str] = set()
+        self._defs: list[str] = []
+
+    def _visit_def(self, node):
+        self._defs.append(node.name)
+        self.generic_visit(node)
+        self._defs.pop()
+
+    visit_FunctionDef = visit_AsyncFunctionDef = _visit_def
+
+    def _use(self, name: str, node):
+        if name not in self._defs:
+            self.names.add(name)
+        self.generic_visit(node)
+
+    def visit_Name(self, node):
+        self._use(node.id, node)
+
+    def visit_Attribute(self, node):
+        self._use(node.attr, node)
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _used_names() -> set[str]:
+    uses = _Uses()
+    for path in [*LIBRARY.glob("*.py"), *(ROOT / "perfbench").glob("*.py")]:
+        uses.visit(_tree(path))
+    return uses.names
+
+
+def _public_defs(body) -> set[str]:
+    return {node.name for node in body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+
+
+def test_every_public_name_has_a_caller():
+    checked = {f"__all__: {name}": name for name in nhspectrum.__all__}
+    for module in MODULES:
+        tree = _tree(LIBRARY / f"{module}.py")
+        checked.update({f"{module}.{name}": name for name in _public_defs(tree.body)})
+        if module == "field":
+            cls = next(node for node in tree.body
+                       if isinstance(node, ast.ClassDef) and node.name == "FieldCtx")
+            checked.update({f"FieldCtx.{name}": name for name in _public_defs(cls.body)})
+    assert "FieldCtx.add" in checked and "cli.run" in checked
+    used = _used_names()
+    assert sorted(label for label, name in checked.items() if name not in used) == []

@@ -3,7 +3,7 @@
 import pytest
 
 from nhspectrum.rng import SplitMix64, sample_distinct, sample_u0_nonf3
-from nhspectrum.spectrum import classify_u
+from nhspectrum.charsums import CLASS_U0, classify_u
 
 
 def _reference_stream(seed, count):
@@ -69,5 +69,5 @@ def test_sample_u_in_scope(f5):
     us = sample_u0_nonf3(f5, 10, seed=42)
     assert len(us) == len(set(us)) == 10
     for u in us:
-        assert classify_u(f5, u).in_theorem_scope
+        assert classify_u(f5, u) == CLASS_U0
     assert us == sample_u0_nonf3(f5, 10, seed=42)
