@@ -24,7 +24,7 @@ from .charsums import (
 from .field import FieldCtx, InconsistencyError, ReducibleModulusError, make_context
 from .ness import (
     Spectrum,
-    ddt_rows,
+    ddt_row,
     spectrum_bruteforce,
 )
 from .rng import SplitMix64, sample_u0_nonf3
@@ -56,7 +56,7 @@ __all__ = [
     "census",
     "classify_u",
     "closed_form_inputs",
-    "ddt_rows",
+    "ddt_row",
     "epsilon",
     "gamma3",
     "gamma4",

@@ -26,7 +26,7 @@ g_i is a dot product of the key histogram with one column of
 (`ScopedU.product_sums`), and the census reads the same key.  The tests
 keep the polynomials evaluated over the field as the oracle.  `ScopedU`
 holds one in-scope u (`classify_u` is the scope rule) and everything
-derived from it, each built once.
+derived from it, the DDT row a = 1 among them, each built once.
 """
 
 from __future__ import annotations
@@ -94,8 +94,8 @@ def _chi_translate(ctx: FieldCtx, a: int) -> np.ndarray:
 class ScopedU:
     """One u of class `CLASS_U0`, else construction raises ValueError.
 
-    The other fields are built on first use and kept: one object per u
-    builds each of them at most once.
+    The other fields (r, sign_key, product_sums and the DDT row) are built
+    on first use and kept: one object per u builds each of them at most once.
     """
 
     ctx: FieldCtx
@@ -136,9 +136,9 @@ class ScopedU:
         return int(self.product_sums[sum(1 << (gid - 1) for gid in gids)])
 
     @built_once
-    def rows(self) -> ness.DDTRows:
-        """`ness.ddt_rows`: delta(1, .) and delta(g, .)."""
-        return ness.ddt_rows(self.ctx, self.u)
+    def row(self) -> np.ndarray:
+        """`ness.ddt_row`: delta(1, z) for every z, so delta(a, b) = row[a b]."""
+        return ness.ddt_row(self.ctx, self.u)
 
 
 # ---------------------------------------------------------------------------

@@ -149,22 +149,20 @@ def _spectrum_records(ctx: FieldCtx, u: int, seed: int) -> tuple[list[dict], boo
                    gamma4=theorem["gamma4"], omegas=theorem["closed_form"],
                    source="closed-form", match=theorem["match"])
         return [rec], theorem["match"]
-    brute = ness.spectrum_bruteforce(ctx, ness.ddt_rows(ctx, u))
+    brute = ness.spectrum_bruteforce(ctx, ness.ddt_row(ctx, u))
     rec = dict(base, epsilon=None, gamma3=None, gamma4=None,
                omegas=list(brute.omegas), source="brute-force", match=None)
     return [rec], True
 
 
 def _ddt_records(ctx: FieldCtx, u: int, seed: int) -> tuple[list[dict], bool]:
-    # delta(a, .) is a permutation of row 1 when a is a square, of row g otherwise
-    rows = ness.ddt_rows(ctx, u)
-    width = max(int(row.max()) for row in rows) + 1
-    hist_1, hist_g = ([int(c) for c in np.bincount(row, minlength=width)] for row in rows)
+    # delta(a, .) is the permutation b -> a b of row 1, so every a has its histogram
+    hist = np.bincount(ness.ddt_row(ctx, u)).tolist()
     records = []
     for a in range(1, ctx.q):
         records.append({
             "n": ctx.n, "modulus": ctx.modulus_str, "u": ctx.format_element(u),
-            "a": ctx.format_element(a), "delta_hist": hist_1 if ctx.chi(a) == 1 else hist_g,
+            "a": ctx.format_element(a), "delta_hist": hist,
         })
     return records, True
 

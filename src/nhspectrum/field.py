@@ -20,8 +20,8 @@ finds the generator of a supplied modulus, which trial division checks
 first.  The default field of each n is tabled (`DEFAULT_FIELDS`), so its
 set-up does no search.
 
-The vector kernels (``translate``, ``sub_vec``, ``mul_vec``, ``chi_vec``)
-are gathers from small tables:
+The vector kernels (``translate``, ``sub_vec``, ``chi_vec``) and vector
+products are gathers from small tables:
 
 * Addition works on bit planes (Boothby & Bradshaw, "Bitslicing and the
   Method of Four Russians over larger finite fields", 2009).  Bit i of
@@ -31,10 +31,10 @@ are gathers from small tables:
   adds c to every element and reads ``ones`` and ``twos`` themselves as
   the planes of z.  Subtraction swaps the planes of b, because negation
   swaps them.
-* Multiplication reads ``alog[log[a] + log[b]]``.  Zero has the sentinel
-  log 2q - 3 and the antilog table runs on to 4q - 5 entries, periodic up
-  to index 2q - 4 and zero beyond, so no zero mask and no reduction mod
-  q - 1 is needed.
+* A product reads ``alog[log[a] + log[b]]``, as `ness.f_table` does.  Zero
+  has the sentinel log 2q - 3 and the antilog table runs on to 4q - 5
+  entries, periodic up to index 2q - 4 and zero beyond, so no zero mask and
+  no reduction mod q - 1 is needed.
 * The quadratic character is one int8 table.
 
 The log tables are built in two stages, baby steps and giant steps, with
@@ -516,10 +516,6 @@ class FieldCtx:
         out *= 2
         out += value[(a2 | b2) ^ t]
         return out
-
-    def mul_vec(self, a, b) -> np.ndarray:
-        log, alog = self._log_tables
-        return alog[log[np.asarray(a)] + log[np.asarray(b)]]
 
     def chi_vec(self, a) -> np.ndarray:
         """Quadratic character of every entry, values in {-1, 0, +1}."""

@@ -7,10 +7,12 @@ field with one gather from the antilog table; the tests keep f_u by plain
 exponentiation as its oracle.
 
 Also f_u(c x) = f_u(x)/c for every nonzero square c.  Substituting x -> c x
-in f_u(x + c a) - f_u(x) = b gives delta(c a, b) = delta(a, c b), so the
-rows a = 1 and a = g (the generator, a nonsquare) determine the whole
-DDT.  `ddt_rows` counts those two with the row kernel `ddt_row`; the tests
-count every row into the full q x q table as the oracle for that lemma.
+in f_u(x + c a) - f_u(x) = b gives delta(c a, b) = delta(a, c b).  Any
+function has delta(-a, b) = delta(a, -b) (substitute x -> x - a), and -1
+is a nonsquare for odd n, so delta(a, b) = delta(1, a b) for every a != 0
+and every u: the row a = 1 determines the whole DDT.  `ddt_row` counts
+it; the tests count every row into the full q x q table as the oracle for
+that lemma.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import FieldCtx
-
-DDTRows = tuple[np.ndarray, np.ndarray]  # (delta(1, .), delta(g, .)), see ddt_rows
 
 
 def f_table(ctx: FieldCtx, u: int) -> np.ndarray:
@@ -34,21 +34,10 @@ def f_table(ctx: FieldCtx, u: int) -> np.ndarray:
     return alog[neglog + lead[log & 1]]
 
 
-def ddt_row(ctx: FieldCtx, ftab: np.ndarray, a: int) -> np.ndarray:
-    """delta(a, b) for every b, as one histogram pass over x; ftab is `f_table`."""
-    if a == 0:
-        raise ValueError("DDT rows are indexed by nonzero a")
-    diffs = ctx.sub_vec(ftab[ctx.translate(a)], ftab)
-    return np.bincount(diffs, minlength=ctx.q)
-
-
-def ddt_rows(ctx: FieldCtx, u: int) -> DDTRows:
-    """delta(1, .) and delta(g, .), the two rows that determine the DDT.
-
-    Scaling lemma: a square a reads row 1 at a b, a nonsquare a reads row g at (a/g) b.
-    """
+def ddt_row(ctx: FieldCtx, u: int) -> np.ndarray:
+    """delta(1, z) for every z, one histogram pass over x; delta(a, b) is its entry a b."""
     ftab = f_table(ctx, u)
-    return ddt_row(ctx, ftab, 1), ddt_row(ctx, ftab, ctx.generator)
+    return np.bincount(ctx.sub_vec(ftab[ctx.translate(1)], ftab), minlength=ctx.q)
 
 
 @dataclass(frozen=True)
@@ -63,13 +52,10 @@ class Spectrum:
         return len(self.omegas) - 1
 
 
+def spectrum_bruteforce(ctx: FieldCtx, row: np.ndarray) -> Spectrum:
+    """Differential spectrum from the DDT row a = 1 (`ddt_row`); any u.
 
-def spectrum_bruteforce(ctx: FieldCtx, rows: DDTRows) -> Spectrum:
-    """Differential spectrum from the DDT rows a = 1 and a = g (`ddt_rows`); any u.
-
-    Each of the two rows stands for the (q-1)/2 rows of its square class,
-    each a permutation of it.
+    Every row a is the permutation b -> a b of it, so each of the q - 1
+    rows has its histogram.
     """
-    width = max(int(row.max()) for row in rows) + 1
-    counts = (ctx.q - 1) // 2 * sum(np.bincount(row, minlength=width) for row in rows)
-    return Spectrum(tuple(int(c) for c in counts), source="brute-force")
+    return Spectrum(tuple(int(c) for c in (ctx.q - 1) * np.bincount(row)), source="brute-force")

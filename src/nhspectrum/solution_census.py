@@ -14,7 +14,8 @@ solution).  For in-scope u the resulting count is determined entirely by
 the signs of the five classifier polynomials and of z itself at z = a b,
 which yields a 0..4 prediction without solving anything; this module
 computes both routes and the machinery to compare them against direct
-counting.
+counting.  Direct counting depends on z alone as well: delta(a, b) is the
+DDT row `ScopedU.row` at z (`ness.ddt_row`).
 
 At import, the rules in `SOLUTION_CONDITIONS` compile into
 `PREDICTION_TABLE` and the closed forms of the case counts into
@@ -302,9 +303,8 @@ def census(su: ScopedU, a: int, b: int) -> SolutionCensus:
     """Count solutions every way at once and check the admissible patterns.
 
     ``predicted_total`` is the special-point count plus desired case roots;
-    ``observed_total`` is delta(a, b), read from the two DDT rows `su.rows`
-    through the scaling lemma (`ness.ddt_rows`): row 1 at a b for a square
-    a, row g at (a/g) b otherwise.  The (N1, N_I, N_II + N_III, N_IV) vector
+    ``observed_total`` is delta(a, b), read from the DDT row `su.row` at
+    a b (`ness.ddt_row`).  The (N1, N_I, N_II + N_III, N_IV) vector
     must appear in the admissible table with exactly the predicted total.
     """
     ctx, u = su.ctx, su.u
@@ -317,10 +317,7 @@ def census(su: ScopedU, a: int, b: int) -> SolutionCensus:
         cases = tuple(case_solutions(ctx, u, a, b, cid) for cid in CASE_IDS)
     predicted = n1 + sum(c.count for c in cases)
     z = ctx.mul(a, b)
-    if ctx.chi(a) == 1:
-        observed = int(su.rows[0][z])
-    else:
-        observed = int(su.rows[1][ctx.mul(z, ctx.inv(ctx.generator))])
+    observed = int(su.row[z])
     result = SolutionCensus(
         a=a,
         b=b,
@@ -374,29 +371,22 @@ def verify_predictions(su: ScopedU) -> dict:
 
     Checks, for each pair, that the proposition prediction and the total of
     the case vector both equal delta(a, b), the total being NOT_ADMISSIBLE
-    unless the vector is in the admissible table (`CASE_TABLE`).  Both
-    depend only on z = a b, and so does delta(a, b) within a square class of
-    a (`ness.ddt_rows`), so the pairs with a = 1 and a = g cover every pair.
-    Returns a summary with one mismatch record per failing representative
-    pair.
+    unless the vector is in the admissible table (`CASE_TABLE`).  All three
+    depend only on z = a b (`ness.ddt_row`), so the pairs (1, z) cover every
+    pair.  Returns a summary with one mismatch record per failing z, at
+    (a, b) = (1, z).
     """
     ctx = su.ctx
     q = ctx.q
-    pred_z = prediction_by_z(su)
-    totals_z = CASE_TABLE[su.sign_key, CASE_COLUMNS.index("total")]
-
-    g_z = ctx.mul_vec(np.int64(ctx.generator), np.arange(q))  # z = g b on the row a = g
-    rows = ((1, pred_z, totals_z), (ctx.generator, pred_z[g_z], totals_z[g_z]))
-    mismatches: list[dict] = []
-    for (a, predicted, totals), observed in zip(rows, su.rows):
-        ok = (predicted == observed) & (totals == observed)
-        for b in np.flatnonzero(~ok):
-            mismatches.append(
-                mismatch_record(su, a, int(b), int(predicted[b]), int(observed[b]))
-            )
+    predicted = prediction_by_z(su)
+    totals = CASE_TABLE[su.sign_key, CASE_COLUMNS.index("total")]
+    observed = su.row
+    ok = (predicted == observed) & (totals == observed)
+    mismatches = [mismatch_record(su, 1, int(z), int(predicted[z]), int(observed[z]))
+                  for z in np.flatnonzero(~ok)]
     return {
         "u": ctx.format_element(su.u),
-        "pairs": (q - 1) * q,  # each representative row stands for (q - 1)/2 rows
+        "pairs": (q - 1) * q,  # the row a = 1 stands for all q - 1 rows
         "mismatches": mismatches,
         "ok": not mismatches,
     }

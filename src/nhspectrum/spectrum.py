@@ -127,7 +127,7 @@ def verify_theorem_record(su: charsums.ScopedU) -> dict:
         closed = spectrum_closed_form(ctx, ins)
     except InconsistencyError as exc:
         raise InconsistencyError(f"u={ctx.format_element(su.u)}: {exc}") from exc
-    brute = spectrum_bruteforce(ctx, su.rows)
+    brute = spectrum_bruteforce(ctx, su.row)
     return {
         "u": ctx.format_element(su.u),
         "class": charsums.CLASS_U0,

@@ -6,10 +6,12 @@ route what a production function computes, and the tests compare the two.
   * `f_eval` evaluates f_u(x) = u x^d1 + x^d2 by plain exponentiation,
     the oracle for `ness.f_table`; `derivative` is f_u(x + a) - f_u(x).
   * `ddt_entry_naive` counts x one at a time; `ddt_table` counts every row
-    a of the DDT, the oracle for the two rows and the scaling lemma.
+    a of the DDT, the oracle for `ness.ddt_row` and the lemma
+    delta(a, b) = delta(1, a b).
     `counting_identities_hold` checks the two sums every spectrum meets.
   * `g_eval` evaluates one classifier polynomial at one z with the scalar
-    ops; `g_values` evaluates it over the whole field with the vector ops.
+    ops; `g_values` evaluates it over the whole field with the vector ops
+    and `mul_vec`, a product gathered from the log tables.
     Both are oracles for the sign key, which the library builds from the
     zeros of the polynomials instead.
   * `g_product_sum` multiplies the classifier polynomials in the field
@@ -73,15 +75,15 @@ def ddt_entry_naive(ctx: FieldCtx, u: int, a: int, b: int) -> int:
 
 
 def ddt_table(ctx: FieldCtx, u: int) -> np.ndarray:
-    """(q, q) array of delta(a, b), one `ness.ddt_row` per a; the oracle for `ness.ddt_rows`.
+    """(q, q) array of delta(a, b), one histogram of f_u(x + a) - f_u(x) per a;
+    the oracle for `ness.ddt_row`.
 
     Row a = 0 is filled (delta(0, 0) = q) but is not part of the DDT.
     """
     ftab = ness.f_table(ctx, u)
     out = np.zeros((ctx.q, ctx.q), dtype=np.int64)
-    out[0, 0] = ctx.q
-    for a in range(1, ctx.q):
-        out[a] = ness.ddt_row(ctx, ftab, a)
+    for a in range(ctx.q):
+        out[a] = np.bincount(ctx.sub_vec(ftab[ctx.translate(a)], ftab), minlength=ctx.q)
     return out
 
 
@@ -100,6 +102,13 @@ def counting_identities_hold(spec: ness.Spectrum, q: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def mul_vec(ctx: FieldCtx, a, b) -> np.ndarray:
+    """a b entrywise, alog[log a + log b]: the zero sentinel log lands in the
+    zero tail of the antilog table, so zero needs no mask."""
+    log, alog = ctx._log_tables
+    return alog[log[np.asarray(a)] + log[np.asarray(b)]]
+
+
 def char_sum(ctx: FieldCtx, coeffs: Sequence[int]) -> int:
     """Exact sum of chi(poly(z)) over all z; coeffs lowest degree first.
 
@@ -110,7 +119,7 @@ def char_sum(ctx: FieldCtx, coeffs: Sequence[int]) -> int:
     zs = np.arange(ctx.q, dtype=np.int64)
     acc = np.int64(coeffs[-1])
     for c in reversed(coeffs[:-1]):
-        acc = ctx.mul_vec(acc, zs)
+        acc = mul_vec(ctx, acc, zs)
         if c:
             acc = ctx.translate(c)[acc]
     return int(np.broadcast_to(ctx.chi_vec(acc), zs.shape).sum())
@@ -148,15 +157,16 @@ def g_values(su: ScopedU, gid: int) -> np.ndarray:
     ctx, u = su.ctx, su.u
     z = np.arange(ctx.q, dtype=np.int64)
     if gid == 1:
-        return ctx.mul_vec(np.int64(ctx.neg(ctx.add(u, 1))), z)
+        return mul_vec(ctx, np.int64(ctx.neg(ctx.add(u, 1))), z)
     if gid == 2:
-        return ctx.mul_vec(z, ctx.sub_vec(z, np.int64(ctx.add(1, u))))
+        return mul_vec(ctx, z, ctx.sub_vec(z, np.int64(ctx.add(1, u))))
     if gid == 3:
-        return ctx.mul_vec(z, ctx.sub_vec(z, np.int64(ctx.sub(1, u))))
+        return mul_vec(ctx, z, ctx.sub_vec(z, np.int64(ctx.sub(1, u))))
     if gid == 4:
-        return ctx.translate(ctx.mul(u, u))[ctx.sub_vec(ctx.mul_vec(z, z), z)]
+        return ctx.translate(ctx.mul(u, u))[ctx.sub_vec(mul_vec(ctx, z, z), z)]
     if gid == 5:
-        return ctx.mul_vec(
+        return mul_vec(
+            ctx,
             np.int64(ctx.neg(ctx.add(1, su.r))),
             ctx.sub_vec(ctx.translate(1), np.int64(su.r)),
         )
@@ -223,7 +233,7 @@ def g_product_sum(su: ScopedU, gids: Iterable[int]) -> int:
         raise ValueError("need at least one polynomial id")
     prod = g_values(su, gids[0])
     for gid in gids[1:]:
-        prod = su.ctx.mul_vec(prod, g_values(su, gid))
+        prod = mul_vec(su.ctx, prod, g_values(su, gid))
     return int(su.ctx.chi_vec(prod).sum())
 
 

@@ -19,7 +19,7 @@ from nhspectrum.rng import sample_u0_nonf3
 def _closed_and_brute(ctx, u):
     su = cs.ScopedU(ctx, u)
     closed = sp.spectrum_closed_form(ctx, sp.closed_form_inputs(su))
-    return closed, ness.spectrum_bruteforce(ctx, su.rows)
+    return closed, ness.spectrum_bruteforce(ctx, su.row)
 
 
 def _criterion(num, description, failures):
@@ -144,7 +144,7 @@ def test_criterion_6_class_conditional_uniformity(f3, f5):
         for u in range(ctx.q):
             label = cs.classify_u(ctx, u)
             if label in expected:
-                got = ness.spectrum_bruteforce(ctx, ness.ddt_rows(ctx, u)).uniformity
+                got = ness.spectrum_bruteforce(ctx, ness.ddt_row(ctx, u)).uniformity
                 if got != expected[label]:
                     failures.append((ctx.n, u, label, got))
     _criterion(6, "uniformity is 2 on U11, 3 on U10, 4 on in-scope u at n=3,5",
@@ -159,7 +159,7 @@ def test_criterion_7_structural_invariants(f3, f5, scope3, scope5):
             su = cs.ScopedU(ctx, u)
             ins = sp.closed_form_inputs(su)
             closed = sp.spectrum_closed_form(ctx, ins)
-            brute = ness.spectrum_bruteforce(ctx, su.rows)
+            brute = ness.spectrum_bruteforce(ctx, su.row)
             if not all(oracles.counting_identities_hold(spec, q) for spec in (closed, brute)):
                 failures.append((ctx.n, u, "counting identities"))
             divisibility = (

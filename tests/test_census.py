@@ -396,11 +396,10 @@ def test_exactly_one_condition_and_predictions_sampled_n7(f7):
 
 def test_verify_predictions_reports_a_raised_cell(f3, monkeypatch):
     u = u0_nonf3_elements(f3)[0]
-    row_1, row_g = ness.ddt_rows(f3, u)
     b = 5
-    raised = row_1.copy()
+    raised = ness.ddt_row(f3, u).copy()
     raised[b] += 1
-    monkeypatch.setattr(ness, "ddt_rows", lambda ctx, u: (raised, row_g))
+    monkeypatch.setattr(ness, "ddt_row", lambda ctx, u: raised)
     su = ScopedU(f3, u)
     report = cn.verify_predictions(su)
     assert report["ok"] is False
@@ -411,6 +410,24 @@ def test_verify_predictions_reports_a_raised_cell(f3, monkeypatch):
         oracles.ddt_entry_naive(f3, u, 1, b) + 1,
     )
     assert (rec["a"], rec["b"]) == (f3.format_element(1), f3.format_element(b))
+
+
+def test_verify_predictions_reports_one_record_per_z(f3, monkeypatch):
+    """A wrong count for one sign key gives exactly one record per z with that
+    key, at (a, b) = (1, z): the row a = 1 stands for every a."""
+    u = u0_nonf3_elements(f3)[1]
+    su = ScopedU(f3, u)
+    key = int(np.bincount(su.sign_key[1:]).argmax())  # the commonest key of a nonzero z
+    wrong = cn.PREDICTION_TABLE.copy()
+    wrong[key] = (wrong[key] + 1) % 5
+    monkeypatch.setattr(cn, "PREDICTION_TABLE", wrong)
+    report = cn.verify_predictions(su)
+    zs = np.flatnonzero(su.sign_key == key)
+    assert len(zs) > 1 and report["ok"] is False
+    assert report["mismatches"] == [
+        cn.mismatch_record(su, 1, int(z), int(wrong[key]), oracles.ddt_entry_naive(f3, u, 1, z))
+        for z in zs
+    ]
 
 
 def test_mismatch_record_shape(f3):

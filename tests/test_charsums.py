@@ -125,23 +125,23 @@ def test_scope_members_have_square_1_minus_u2(f3, f5):
 
 
 def test_lazy_fields_build_concurrently(monkeypatch, f5):
-    """Two threads build `rows` for two different u at once.  Each build waits
+    """Two threads build `row` for two different u at once.  Each build waits
     for the other at a barrier, which breaks if a lock shared by all
     instances lets only one build run at a time."""
     barrier = threading.Barrier(2, timeout=5)
-    original = ness.ddt_rows
+    original = ness.ddt_row
 
     def waiting(ctx, u):
         barrier.wait()
         return original(ctx, u)
 
-    monkeypatch.setattr(ness, "ddt_rows", waiting)
+    monkeypatch.setattr(ness, "ddt_row", waiting)
     sus = [cs.ScopedU(f5, u) for u in scope_us(f5)[:2]]
     with ThreadPoolExecutor(max_workers=2) as pool:
-        built = list(pool.map(lambda su: su.rows, sus))
-    for su, rows in zip(sus, built):
-        assert su.rows is rows  # kept, not rebuilt
-        assert all(np.array_equal(a, b) for a, b in zip(rows, original(f5, su.u)))
+        built = list(pool.map(lambda su: su.row, sus))
+    for su, row in zip(sus, built):
+        assert su.row is row  # kept, not rebuilt
+        assert np.array_equal(row, original(f5, su.u))
 
 
 def test_g_eval_examples(f3):

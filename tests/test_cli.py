@@ -207,15 +207,14 @@ def test_scan_combines_everything():
 
 
 def test_scan_fails_on_a_wrong_ddt_row(monkeypatch):
-    true_rows = ness.ddt_rows
+    true_row = ness.ddt_row
 
-    def raised_rows(ctx, u):
-        row_1, row_g = true_rows(ctx, u)
-        row_1 = row_1.copy()
-        row_1[5] += 1
-        return row_1, row_g
+    def raised_row(ctx, u):
+        row = true_row(ctx, u).copy()
+        row[5] += 1
+        return row
 
-    monkeypatch.setattr(ness, "ddt_rows", raised_rows)
+    monkeypatch.setattr(ness, "ddt_row", raised_row)
     status, out, err = _run("scan", u="sample:1:13")
     assert status == 1
     rec, = _json_lines(out)
@@ -302,22 +301,22 @@ def test_jobs_pool_size(monkeypatch, jobs, u, cpus, workers):
 
 
 # Whole-field translates per u: 4 for the sign key (chi(z - 0) is the
-# character table itself), which the census reads as well, and 2 for the
-# DDT rows where the command reads them.
-TRANSLATES_PER_U = {"scan": 6, "verify-theorem": 6, "spectrum": 6, "census": 6,
-                    "verify-lemmas": 4, "verify-propositions": 6}
+# character table itself), which the census reads as well, and 1 for the
+# DDT row where the command reads it.
+TRANSLATES_PER_U = {"scan": 5, "verify-theorem": 5, "spectrum": 5, "census": 5,
+                    "verify-lemmas": 4, "verify-propositions": 5}
 
 
-@pytest.mark.parametrize("command, f_tables_per_u", [
+@pytest.mark.parametrize("command, ddt_rows_per_u", [
     ("scan", 1), ("verify-theorem", 1), ("spectrum", 1), ("census", 1),
     ("verify-lemmas", 0), ("verify-propositions", 1),
 ])
-def test_one_build_per_u(monkeypatch, command, f_tables_per_u):
+def test_one_build_per_u(monkeypatch, command, ddt_rows_per_u):
     """Every scope command builds one sign key per u, runs no Horner pass
-    (no `char_sum` anywhere in the library), builds at most one f table and
-    makes no whole-field translate beyond those it reads (2 more per run
-    for the scope mask); verify-lemmas reads no DDT."""
-    counts = {"sign_key": 0, "char_sum": 0, "f_table": 0, "translate": 0}
+    (no `char_sum` anywhere in the library), counts at most one DDT row
+    from one f table and makes no whole-field translate beyond those it
+    reads (2 more per run for the scope mask); verify-lemmas reads no DDT."""
+    counts = {"sign_key": 0, "char_sum": 0, "ddt_row": 0, "f_table": 0, "translate": 0}
 
     def counted(owner, attr, key):
         original = getattr(owner, attr)
@@ -333,11 +332,13 @@ def test_one_build_per_u(monkeypatch, command, f_tables_per_u):
     for module in (charsums, spectrum, census_mod, ness):
         if hasattr(module, "char_sum"):
             counted(module, "char_sum", "char_sum")
+    counted(ness, "ddt_row", "ddt_row")
     counted(ness, "f_table", "f_table")
     k = 4
     status, out, _ = _run(command, n=5, u=f"sample:{k}:1")
     assert status == 0 and len({rec["u"] for rec in _json_lines(out)}) == k
-    assert counts == {"sign_key": k, "char_sum": 0, "f_table": f_tables_per_u * k,
+    assert counts == {"sign_key": k, "char_sum": 0, "ddt_row": ddt_rows_per_u * k,
+                      "f_table": ddt_rows_per_u * k,
                       "translate": TRANSLATES_PER_U[command] * k + 2}
 
 

@@ -1,5 +1,6 @@
 """Field-layer checks: construction, axioms, character, canonical roots."""
 
+import functools
 import random
 import sys
 import threading
@@ -390,28 +391,22 @@ def test_parse_rejects_garbage(f3):
         f3.parse_element("1201")  # too many digits for n=3
 
 
-def _binary_kernels(ctx):
-    """(name, vector kernel, scalar oracle) for the two binary ops."""
-    return [("sub", ctx.sub_vec, ctx.sub), ("mul", ctx.mul_vec, ctx.mul)]
-
-
 def test_vector_ops_match_scalar_exhaustive_n3(f3):
     q = f3.q
     A = np.repeat(np.arange(q), q)
     B = np.tile(np.arange(q), q)
     elems = np.arange(q)
-    for name, vec, scalar in _binary_kernels(f3):
-        assert vec(A, B).tolist() == [scalar(int(a), int(b)) for a, b in zip(A, B)], name
-        for c in range(q):
-            right = [scalar(a, c) for a in range(q)]
-            left = [scalar(c, a) for a in range(q)]
-            # a scalar on either side: numpy scalar, plain int, 0-d array
-            for const in (np.int64(c), c, np.asarray(c)):
-                assert vec(elems, const).tolist() == right, (name, c)
-                assert vec(const, elems).tolist() == left, (name, c)
-            for a in range(q):
-                out = vec(np.asarray(a), np.asarray(c))
-                assert np.shape(out) == () and int(out) == scalar(a, c), (name, a, c)
+    assert f3.sub_vec(A, B).tolist() == [f3.sub(int(a), int(b)) for a, b in zip(A, B)]
+    for c in range(q):
+        right = [f3.sub(a, c) for a in range(q)]
+        left = [f3.sub(c, a) for a in range(q)]
+        # a scalar on either side: numpy scalar, plain int, 0-d array
+        for const in (np.int64(c), c, np.asarray(c)):
+            assert f3.sub_vec(elems, const).tolist() == right, c
+            assert f3.sub_vec(const, elems).tolist() == left, c
+        for a in range(q):
+            out = f3.sub_vec(np.asarray(a), np.asarray(c))
+            assert np.shape(out) == () and int(out) == f3.sub(a, c), (a, c)
     assert f3.chi_vec(elems).tolist() == [f3.chi(a) for a in range(q)]
     for a in range(q):
         for x in (a, np.int64(a), np.asarray(a)):
@@ -427,9 +422,8 @@ def _check_vector_ops_random(ctx):
     B = rng.integers(0, ctx.q, size=1000)
     A[:3] = B[3:6] = 0  # zero on each side
     pairs = [(int(a), int(b)) for a, b in zip(A, B)]
-    for name, vec, scalar in _binary_kernels(ctx):
-        assert vec(A, B).tolist() == [scalar(a, b) for a, b in pairs], name
-        assert vec(A, np.int64(B[7])).tolist() == [scalar(a, int(B[7])) for a, _ in pairs], name
+    assert ctx.sub_vec(A, B).tolist() == [ctx.sub(a, b) for a, b in pairs]
+    assert ctx.sub_vec(A, np.int64(B[7])).tolist() == [ctx.sub(a, int(B[7])) for a, _ in pairs]
     assert ctx.chi_vec(A).tolist() == [ctx.chi(a) for a, _ in pairs]
     for c in (0, 1, 2, int(B[7]), ctx.q - 1):
         assert ctx.translate(c)[A].tolist() == [ctx.add(a, c) for a, _ in pairs], c
@@ -520,20 +514,23 @@ def test_bit_planes_match_digit_table(n, modulus):
 
 @pytest.mark.parametrize("n", [3, 5, 7, 9, 11])
 def test_mul_vec_zero_sentinel_edges(n):
+    """The oracles' vector product (`oracles.mul_vec`) at zero and at the
+    largest log sum; `g_values` and `char_sum` multiply by z = 0."""
     ctx = make_context(n)
+    mul_vec = functools.partial(oracles.mul_vec, ctx)
     q = ctx.q
     g_last = ctx.pow(ctx.generator, q - 2)  # log q - 2, the largest: logs sum to 2q - 4
     xs = np.array([0, 1, 2, ctx.generator, g_last, q - 1], dtype=np.int64)
     zeros = np.zeros_like(xs)
-    assert not ctx.mul_vec(zeros, xs).any()
-    assert not ctx.mul_vec(xs, zeros).any()
-    assert int(ctx.mul_vec(np.int64(0), np.int64(0))) == 0
-    assert not ctx.mul_vec(np.int64(0), np.arange(q)).any()
+    assert not mul_vec(zeros, xs).any()
+    assert not mul_vec(xs, zeros).any()
+    assert int(mul_vec(np.int64(0), np.int64(0))) == 0
+    assert not mul_vec(np.int64(0), np.arange(q)).any()
     expected = ctx.element_from_coeffs(
         _poly_mul_mod(ctx, _poly_from_index(ctx, g_last), _poly_from_index(ctx, g_last))
     )
-    assert int(ctx.mul_vec(np.int64(g_last), np.int64(g_last))) == expected
-    assert ctx.mul_vec(xs, xs).tolist() == [ctx.mul(int(x), int(x)) for x in xs]
+    assert int(mul_vec(np.int64(g_last), np.int64(g_last))) == expected
+    assert mul_vec(xs, xs).tolist() == [ctx.mul(int(x), int(x)) for x in xs]
 
 
 def test_pair_add_table_consistency(f3):
@@ -563,7 +560,7 @@ FIRST_CALLS = {
     "chi_vec": lambda ctx: ctx.chi_vec(np.arange(ctx.q)),
     "translate": lambda ctx: ctx.translate(5),
     "sub_vec": lambda ctx: ctx.sub_vec(np.arange(ctx.q), np.arange(ctx.q)[::-1]),
-    "mul_vec": lambda ctx: ctx.mul_vec(np.arange(ctx.q), np.int64(7)),
+    "mul_vec": lambda ctx: oracles.mul_vec(ctx, np.arange(ctx.q), np.int64(7)),
 }
 
 
@@ -588,7 +585,7 @@ def test_concurrent_first_touch_builds_identical_tables():
         elems = np.arange(ctx.q)
         results[i] = (ctx.pair_add_table(), ctx.digit_table(), ctx.chi_vec(elems),
                       [ctx.mul(a, 7) for a in range(ctx.q)], ctx.translate(7),
-                      ctx.sub_vec(elems, elems[::-1]), ctx.mul_vec(elems, elems[::-1]))
+                      ctx.sub_vec(elems, elems[::-1]))
 
     workers = [threading.Thread(target=touch, args=(i,), daemon=True) for i in range(4)]
     old_interval = sys.getswitchinterval()
@@ -605,12 +602,11 @@ def test_concurrent_first_touch_builds_identical_tables():
     for other in results[1:]:
         for mine, theirs in zip(other, first):
             assert np.array_equal(mine, theirs)
-    pair, _, _, _, adds, subs, muls = first
+    pair, _, _, _, adds, subs = first
     assert int(pair[5, 7]) == ctx.add(5, 7)
     q = ctx.q
     assert adds.tolist() == [ctx.add(a, 7) for a in range(q)]
     assert subs.tolist() == [ctx.sub(a, q - 1 - a) for a in range(q)]
-    assert muls.tolist() == [ctx.mul(a, q - 1 - a) for a in range(q)]
 
 
 def test_tables_are_read_only(f3):
@@ -626,7 +622,7 @@ def test_production_paths_never_build_the_digit_table():
 
     ctx = make_context(5)
     u = spectrum.u0_nonf3_elements(ctx)[0]
-    ness.ddt_rows(ctx, u)
+    ness.ddt_row(ctx, u)
     spectrum.verify_theorem_record(charsums.ScopedU(ctx, u))
     charsums.section2_identities(charsums.ScopedU(ctx, u))
     assert "_digits" not in ctx.__dict__
@@ -665,12 +661,10 @@ def test_ops_match_oracles_for_any_modulus(modulus, data):
         else:
             assert ctx.chi(a) == 0
         # the kernels against the scalar ops just pinned to the oracles
-        assert int(ctx.mul_vec(a, b)) == expected
         assert int(ctx.translate(b)[a]) == ctx.add(a, b)
         assert int(ctx.sub_vec(a, b)) == ctx.sub(a, b)
         assert int(ctx.chi_vec(a)) == ctx.chi(a)
     elems = np.arange(ctx.q)
     assert ctx.translate(b).tolist() == [ctx.add(x, b) for x in range(ctx.q)]
-    for vec, scalar in ((ctx.sub_vec, ctx.sub), (ctx.mul_vec, ctx.mul)):
-        assert vec(elems, np.int64(b)).tolist() == [scalar(x, b) for x in range(ctx.q)]
+    assert ctx.sub_vec(elems, np.int64(b)).tolist() == [ctx.sub(x, b) for x in range(ctx.q)]
     assert ctx.chi_vec(elems).tolist() == [ctx.chi(x) for x in range(ctx.q)]

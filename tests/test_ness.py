@@ -59,24 +59,26 @@ def test_derivative_rejects_zero_direction(f3):
     with pytest.raises(ValueError):
         oracles.derivative(f3, 5, 0, 1)
     with pytest.raises(ValueError):
-        ness.ddt_row(f3, ness.f_table(f3, 5), 0)
+        oracles.ddt_entry_naive(f3, 5, 0, 1)
 
 
 def test_ddt_row_sums_to_q(f3, f5):
     for ctx, u in ((f3, 7), (f5, 19)):
-        ftab = ness.f_table(ctx, u)
+        assert int(ness.ddt_row(ctx, u).sum()) == ctx.q
+        table = oracles.ddt_table(ctx, u)
         for a in (1, 2, ctx.q - 1):
-            assert int(ness.ddt_row(ctx, ftab, a).sum()) == ctx.q
+            assert int(table[a].sum()) == ctx.q
 
 
 def test_ddt_row_matches_naive_n3(f3):
+    """delta(a, b) read from the row at a b, against the per-x count."""
     rng = random.Random(37)
     for u in (u0_nonf3_elements(f3)[0], 1, 0):
-        ftab = ness.f_table(f3, u)
+        row = ness.ddt_row(f3, u)
         for _ in range(40):
             a = rng.randrange(1, f3.q)
             b = rng.randrange(f3.q)
-            assert int(ness.ddt_row(f3, ftab, a)[b]) == oracles.ddt_entry_naive(f3, u, a, b)
+            assert int(row[f3.mul(a, b)]) == oracles.ddt_entry_naive(f3, u, a, b)
 
 
 def test_ddt_table_matches_naive_rows_n3(f3):
@@ -89,27 +91,18 @@ def test_ddt_table_matches_naive_rows_n3(f3):
 
 def test_ddt_zero_output_column_empty_in_scope(f3):
     for u in u0_nonf3_elements(f3):
-        ftab = ness.f_table(f3, u)
-        for a in range(1, f3.q):
-            assert int(ness.ddt_row(f3, ftab, a)[0]) == 0
+        assert int(ness.ddt_row(f3, u)[0]) == 0
+        assert not oracles.ddt_table(f3, u)[1:, 0].any()
 
 
 def test_special_point_hit_present(f3):
     # b = (1 + u chi(a)) / a picks up the x = 0 solution
     for u in u0_nonf3_elements(f3):
-        ftab = ness.f_table(f3, u)
+        row = ness.ddt_row(f3, u)
         for a in (1, 4, 9):
             chi_a = 1 if f3.chi(a) == 1 else 2
             b = f3.mul(f3.inv(a), f3.add(1, f3.mul(u, chi_a)))
-            assert int(ness.ddt_row(f3, ftab, a)[b]) >= 1
-
-
-def _lemma_index(ctx):
-    """[a, b] -> the column of row 1 (chi(a) = 1) or of row g that holds delta(a, b)."""
-    a = np.arange(ctx.q, dtype=np.int64)
-    square = ctx.chi_vec(a) == 1
-    scale = np.where(square, a, ctx.mul_vec(a, np.int64(ctx.inv(ctx.generator))))
-    return square, ctx.mul_vec(scale[:, None], a[None, :])
+            assert int(row[f3.mul(a, b)]) >= 1
 
 
 def _lemma_us(f3, f5, f7):
@@ -119,32 +112,33 @@ def _lemma_us(f3, f5, f7):
     yield from ((f7, u) for u in rng.sample(range(f7.q), 4))
 
 
-def test_two_rows_expand_to_full_table(f3, f5, f7):
-    """Every u at n = 3 and 5 (GF(3), U10, U11 and U0 alike), 4 seeded u at n = 7.
+def test_one_row_expands_to_full_table(f3, f5, f7):
+    """delta(a, b) = delta(1, a b): every u at n = 3 and 5 (GF(3), U10, U11
+    and U0 alike), 4 seeded u at n = 7.
 
-    The expanded rows must equal the full table, and the two-row spectrum
-    the histogram of the full table.
+    The row read at a b must equal the full table at every (a, b), and the
+    one-row spectrum the histogram of the full table.
     """
-    index = {}
+    products = {}
     for ctx, u in _lemma_us(f3, f5, f7):
-        if ctx.n not in index:
-            index[ctx.n] = _lemma_index(ctx)
-        square, cols = index[ctx.n]
-        rows = ness.ddt_rows(ctx, u)
-        expanded = np.where(square[:, None], rows[0][cols], rows[1][cols])
+        if ctx.n not in products:
+            elems = np.arange(ctx.q)
+            products[ctx.n] = oracles.mul_vec(ctx, elems[:, None], elems[None, :])
+        row = ness.ddt_row(ctx, u)
         table = oracles.ddt_table(ctx, u)
+        expanded = row[products[ctx.n]]
         for a in range(1, ctx.q):
             assert np.array_equal(expanded[a], table[a]), (ctx.n, u, a)
 
         counts = np.bincount(table[1:].ravel())
         last = int(np.flatnonzero(counts)[-1])
         expected = tuple(int(c) for c in counts[: last + 1])
-        assert ness.spectrum_bruteforce(ctx, rows).omegas == expected, (ctx.n, u)
+        assert ness.spectrum_bruteforce(ctx, row).omegas == expected, (ctx.n, u)
 
 
 def test_spectrum_counting_identities_every_u_n3(f3):
     for u in range(f3.q):
-        spec = ness.spectrum_bruteforce(f3, ness.ddt_rows(f3, u))
+        spec = ness.spectrum_bruteforce(f3, ness.ddt_row(f3, u))
         assert oracles.counting_identities_hold(spec, f3.q)
         assert spec.omegas[-1] > 0
 
@@ -152,7 +146,7 @@ def test_spectrum_counting_identities_every_u_n3(f3):
 def test_spectrum_rows_divisible_in_scope(f3, f5):
     for ctx in (f3, f5):
         for u in u0_nonf3_elements(ctx)[:6]:
-            spec = ness.spectrum_bruteforce(ctx, ness.ddt_rows(ctx, u))
+            spec = ness.spectrum_bruteforce(ctx, ness.ddt_row(ctx, u))
             for i, w in enumerate(spec.omegas):
                 if i >= 1:
                     assert w % (ctx.q - 1) == 0
@@ -163,7 +157,7 @@ def test_uniformity_by_class_n3(f3):
     for u in range(f3.q):
         label = classify_u(f3, u)
         if label in expected:
-            uniformity = ness.spectrum_bruteforce(f3, ness.ddt_rows(f3, u)).uniformity
+            uniformity = ness.spectrum_bruteforce(f3, ness.ddt_row(f3, u)).uniformity
             assert uniformity == expected[label], u
 
 
@@ -175,13 +169,13 @@ def test_example_spectrum_reachable_n3(f3):
         su = ScopedU(f3, u)
         ins = closed_form_inputs(su)
         if (ins.epsilon, ins.gamma3, ins.gamma4) == (0, -4, 4):
-            spectra.add(ness.spectrum_bruteforce(f3, su.rows).omegas)
+            spectra.add(ness.spectrum_bruteforce(f3, su.row).omegas)
     assert spectra == {(286, 208, 156, 26, 26)}
 
 
 def test_ddt_table_row_zero_excluded_from_spectrum(f3):
     u = 8
     table = oracles.ddt_table(f3, u)
-    spec = ness.spectrum_bruteforce(f3, ness.ddt_rows(f3, u))
+    spec = ness.spectrum_bruteforce(f3, ness.ddt_row(f3, u))
     counts = np.bincount(table[1:].ravel())
     assert tuple(int(c) for c in counts) == spec.omegas

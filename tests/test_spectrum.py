@@ -156,7 +156,7 @@ def test_epsilon_matches_census_at_special_rows(f3):
 def test_closed_form_matches_bruteforce_n3(f3):
     for u in sp.u0_nonf3_elements(f3):
         closed = closed_form(f3, u)
-        brute = ness.spectrum_bruteforce(f3, ness.ddt_rows(f3, u))
+        brute = ness.spectrum_bruteforce(f3, ness.ddt_row(f3, u))
         assert closed.omegas == brute.omegas
 
 
