@@ -36,6 +36,12 @@ products are gathers from small tables:
   entries, periodic up to index 2q - 4 and zero beyond, so no zero mask and
   no reduction mod q - 1 is needed.
 * The quadratic character is one int8 table.
+* Two more tables follow from the logs: ``_neg_log``, log(1/x) with the
+  zero sentinel, for `ness.f_table`, and ``_chi_rotations``, C[m] =
+  chi(g^m - 1).  As g^k - g^j = g^j (g^(k-j) - 1), chi(z - a) over every
+  z = g^k is chi(a) times a rotation of C (Huber, "Some comments on Zech's
+  logarithms", 1990), so the sign key and the scope mask need no field
+  addition per u.
 
 The log tables are built in two stages, baby steps and giant steps, with
 R = 3^max(0, (n - 5) // 2) giant rows (1 for n <= 5, 81 at n = 13) of
@@ -468,11 +474,26 @@ class FieldCtx:
         return _frozen(log), _frozen(alog)
 
     @built_once
+    def _neg_log(self) -> np.ndarray:
+        """int32 log(1/x) for every x, with the zero sentinel 2q - 3 at x = 0."""
+        neglog = -self._log_tables[0] % (self.q - 1)
+        neglog[0] = 2 * self.q - 3
+        return _frozen(neglog)
+
+    @built_once
     def _chi_table(self) -> np.ndarray:
         """int8 quadratic character of every element (see `chi`)."""
         chi = (1 - 2 * (self._log_tables[0] & 1)).astype(np.int8)
         chi[0] = 0
         return _frozen(chi)
+
+    @built_once
+    def _chi_rotations(self) -> np.ndarray:
+        """int8 C[m] = chi(g**m - 1) for m in 0 .. q - 2, stored twice over
+        (2q - 2 entries), so each rotation of C is a slice: no copy, no mod."""
+        chi_minus_one = self._chi_table[self.translate(2)]
+        table = chi_minus_one[self._log_tables[1][:self.q - 1]]
+        return _frozen(np.concatenate([table, table]))
 
     @built_once
     def _pair_add(self) -> np.ndarray:

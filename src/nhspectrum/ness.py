@@ -28,10 +28,8 @@ def f_table(ctx: FieldCtx, u: int) -> np.ndarray:
     """f_u over the whole field, alog[log(1/x) + log(1 + u chi(x))]: squares have even
     logs, and the zero sentinel (x = 0, or 1 +- u = 0 for u in GF(3)) reads f = 0."""
     log, alog = ctx._log_tables
-    neglog = -log % (ctx.q - 1)
-    neglog[0] = 2 * ctx.q - 3
     lead = log[[ctx.add(1, u), ctx.sub(1, u)]]
-    return alog[neglog + lead[log & 1]]
+    return alog[ctx._neg_log + lead[log & 1]]
 
 
 def ddt_row(ctx: FieldCtx, u: int) -> np.ndarray:

@@ -36,8 +36,17 @@ from .ness import Spectrum, spectrum_bruteforce
 
 def u0_nonf3_elements(ctx: FieldCtx) -> list[int]:
     """Every u of class `charsums.CLASS_U0`, in enumeration order: the scope rule of
-    `charsums.classify_u` as one mask over the field."""
-    mask = ctx.chi_vec(ctx.translate(1)) != ctx.chi_vec(ctx.translate(2))  # u + 1, u - 1
+    `charsums.classify_u` as one mask over the field.
+
+    In log order, with C[m] = chi(g^m - 1) (`FieldCtx._chi_rotations`): at u = g^k,
+    chi(u - 1) = C[k] and chi(u + 1) = -C[k + (q-1)/2], as -1 = g^((q-1)/2).
+    u = 0 takes the last slot, to which the log sentinel 2q - 3 clips.
+    """
+    q, half = ctx.q, (ctx.q - 1) // 2
+    rotations = ctx._chi_rotations
+    mask = np.zeros(q, dtype=bool)  # log order
+    np.not_equal(rotations[:q - 1], -rotations[half:half + q - 1], out=mask[:-1])
+    mask = mask.take(ctx._log_tables[0], mode="clip")
     mask[:3] = False  # GF(3)
     return np.flatnonzero(mask).tolist()
 

@@ -11,6 +11,7 @@ import pytest
 import oracles
 from nhspectrum import charsums as cs
 from nhspectrum import ness
+from nhspectrum.field import DEFAULT_FIELDS, make_context
 from nhspectrum.spectrum import u0_nonf3_elements
 
 
@@ -173,6 +174,24 @@ def test_sign_matrix_matches_scalar_signs(scope_cases):
             assert su.sign_key.shape == (ctx.q,) and su.sign_key.dtype == np.int16
             expected = np.array([(ctx.chi(z), *oracles.g_signs(su, z)) for z in range(ctx.q)])
             assert np.array_equal(cs.SIGN_PATTERNS[su.sign_key], expected), (ctx.n, u)
+
+
+@pytest.mark.parametrize("n, modulus, generator, stride", [
+    (5, "220001", 6, 1), (7, "22200001", 4, 97),
+])
+def test_rotation_tables_hold_for_a_supplied_modulus(n, modulus, generator, stride):
+    """On a supplied modulus, where `_find_generator` picks g, the scope mask and
+    the sign key, both read from rotations of chi(g^m - 1), equal the scalar
+    scope rule at every u and the scalar signs at every z (every in-scope u at
+    n = 5, every stride-th at n = 7)."""
+    ctx = make_context(n, modulus)
+    assert ctx.generator == generator != DEFAULT_FIELDS[n][1]
+    scope = [u for u in range(ctx.q) if cs.classify_u(ctx, u) == cs.CLASS_U0]
+    assert u0_nonf3_elements(ctx) == scope
+    for u in scope[::stride]:
+        su = cs.ScopedU(ctx, u)
+        expected = np.array([(ctx.chi(z), *oracles.g_signs(su, z)) for z in range(ctx.q)])
+        assert np.array_equal(cs.SIGN_PATTERNS[su.sign_key], expected), u
 
 
 def test_sign_matrix_sums_match_field_products(scope_cases):

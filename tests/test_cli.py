@@ -300,11 +300,11 @@ def test_jobs_pool_size(monkeypatch, jobs, u, cpus, workers):
     assert out == _run("spectrum", u=u, jobs=1)[1]
 
 
-# Whole-field translates per u: 4 for the sign key (chi(z - 0) is the
-# character table itself), which the census reads as well, and 1 for the
-# DDT row where the command reads it.
-TRANSLATES_PER_U = {"scan": 5, "verify-theorem": 5, "spectrum": 5, "census": 5,
-                    "verify-lemmas": 4, "verify-propositions": 5}
+# Whole-field translates per u: 1 for the DDT row where the command reads
+# it, and none for the sign key, which reads rotations of the one table
+# chi(g^m - 1) of the field.
+TRANSLATES_PER_U = {"scan": 1, "verify-theorem": 1, "spectrum": 1, "census": 1,
+                    "verify-lemmas": 0, "verify-propositions": 1}
 
 
 @pytest.mark.parametrize("command, ddt_rows_per_u", [
@@ -315,7 +315,8 @@ def test_one_build_per_u(monkeypatch, command, ddt_rows_per_u):
     """Every scope command builds one sign key per u, runs no Horner pass
     (no `char_sum` anywhere in the library), counts at most one DDT row
     from one f table and makes no whole-field translate beyond those it
-    reads (2 more per run for the scope mask); verify-lemmas reads no DDT."""
+    reads (1 more per run, for the table chi(g^m - 1) that the scope mask
+    and the sign key share); verify-lemmas reads no DDT."""
     counts = {"sign_key": 0, "char_sum": 0, "ddt_row": 0, "f_table": 0, "translate": 0}
 
     def counted(owner, attr, key):
@@ -339,7 +340,7 @@ def test_one_build_per_u(monkeypatch, command, ddt_rows_per_u):
     assert status == 0 and len({rec["u"] for rec in _json_lines(out)}) == k
     assert counts == {"sign_key": k, "char_sum": 0, "ddt_row": ddt_rows_per_u * k,
                       "f_table": ddt_rows_per_u * k,
-                      "translate": TRANSLATES_PER_U[command] * k + 2}
+                      "translate": TRANSLATES_PER_U[command] * k + 1}
 
 
 def test_console_entry_point_runs():

@@ -552,6 +552,23 @@ def test_context_determinism():
 # tables: first touch, concurrent first touch, other moduli
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("n, modulus", [
+    (3, None), (5, None), (7, None), (5, _random_irreducible(5, seed=2026)),
+], ids=["n3", "n5", "n7", "n5-random-modulus"])
+def test_derived_log_tables_match_scalar_ops(n, modulus):
+    """`_neg_log` is log(1/x) with the zero sentinel at x = 0, and
+    `_chi_rotations` is C[m] = chi(g^m - 1) for m < q - 1, twice over."""
+    ctx = make_context(n, modulus)
+    q, log = ctx.q, ctx._log_tables[0]
+    neglog, rotations = ctx._neg_log, ctx._chi_rotations
+    assert int(neglog[0]) == 2 * q - 3
+    assert [int(log[ctx.inv(x)]) for x in range(1, q)] == neglog[1:].tolist()
+    assert rotations.dtype == np.int8 and len(rotations) == 2 * q - 2
+    assert rotations[:q - 1].tolist() == [ctx.chi(ctx.sub(ctx.pow(ctx.generator, m), 1))
+                                          for m in range(q - 1)]
+    assert np.array_equal(rotations[q - 1:], rotations[:q - 1])
+
+
 FIRST_CALLS = {
     "pair_add_table": lambda ctx: ctx.pair_add_table(),
     "digit_table": lambda ctx: ctx.digit_table(),
@@ -611,7 +628,7 @@ def test_concurrent_first_touch_builds_identical_tables():
 
 def test_tables_are_read_only(f3):
     tables = (f3.digit_table(), f3.pair_add_table(), *f3._planes, *f3._log_tables,
-              f3._chi_table)
+              f3._chi_table, f3._neg_log, f3._chi_rotations)
     for table in tables:
         with pytest.raises(ValueError):
             table[(1,) * table.ndim] = 0
