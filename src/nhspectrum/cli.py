@@ -94,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
 def resolve_u(ctx: FieldCtx, u_spec: str, seed: int = 0) -> list[int]:
     """Expand a --u selector into a list of element indices."""
     if u_spec == "all":
-        return spectrum.u0_nonf3_elements(ctx)
+        return spectrum.u0_nonf3_elements(ctx).tolist()
     if u_spec.startswith("sample:"):
         parts = u_spec.split(":")
         if len(parts) not in (2, 3):

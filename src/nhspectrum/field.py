@@ -12,16 +12,18 @@ between threads.  Its tables are each built once on first use and are
 read-only afterwards.  A table is a pure function of the modulus, so two
 threads that race to build one build equal arrays and either may be kept;
 that is why `built_once` takes no lock.
-Scalar multiplication, powers, inverses and the quadratic character read the
-discrete-log tables; scalar addition works digit by digit.  The scalar ops
-are the reference the vector kernels are tested against.  Polynomial
-multiplication only builds the matrices the log-table build starts from and
-finds the generator of a supplied modulus, which trial division checks
-first.  The default field of each n is tabled (`DEFAULT_FIELDS`), so its
-set-up does no search.
+Each operation has one implementation, and the scalar ops read the same
+tables as the vector kernels: ``add``, ``sub`` and ``neg`` the bit planes,
+``mul``, ``inv`` and ``pow`` the discrete logs, ``chi`` the character
+table.  The tests check both against independent oracles, digit-wise
+addition and polynomial multiplication.  Polynomial multiplication here
+only builds the matrices the log-table build starts from and finds the
+generator of a supplied modulus, which trial division checks first.  The
+default field of each n is tabled (`DEFAULT_FIELDS`), so its set-up does
+no search.
 
-The vector kernels (``translate``, ``sub_vec``, ``chi_vec``) and vector
-products are gathers from small tables:
+The scalar ops, the vector kernels (``translate``, ``sub_vec``,
+``chi_vec``) and vector products are gathers from small tables:
 
 * Addition works on bit planes (Boothby & Bradshaw, "Bitslicing and the
   Method of Four Russians over larger finite fields", 2009).  Bit i of
@@ -29,8 +31,8 @@ products are gathers from small tables:
   few bitwise operations on uint16 masks, and ``value[m]`` (2^n entries)
   turns the planes of the result back into an index.  ``translate(c)``
   adds c to every element and reads ``ones`` and ``twos`` themselves as
-  the planes of z.  Subtraction swaps the planes of b, because negation
-  swaps them.
+  the planes of z.  Negation swaps the two planes, so subtraction swaps
+  the planes of b.
 * A product reads ``alog[log[a] + log[b]]``, as `ness.f_table` does.  Zero
   has the sentinel log 2q - 3 and the antilog table runs on to 4q - 5
   entries, periodic up to index 2q - 4 and zero beyond, so no zero mask and
@@ -62,8 +64,8 @@ elements, else it raises `InconsistencyError`.  That is enough: if the
 powers of g cover every nonzero residue of GF(3)[x]/(f), then -1 = g^k with
 k >= 1, so g is a unit, every nonzero residue is a unit, f is irreducible
 and g is primitive.  No op reads the (q, n) digit table or the q x q
-pair-add table; they are built only on request (``digit_table``,
-``pair_add_table``), for inspection and benchmarking.
+pair-add table; ``digit_table`` and ``pair_add_table`` build a fresh one on
+each call, for the benchmark's probes, and keep nothing.
 
 Text format for elements and moduli: a compact string of base-3 digits,
 lowest degree first.  ``"120"`` is ``1 + 2x`` in a degree-3 field, and the
@@ -78,10 +80,10 @@ import numpy as np
 
 P = 3
 
-# Table ceiling.  Pairwise sum tables need q*q ints and stay cheap up to this
-# size.  Every other table is O(q) and has no ceiling: at n = 13 the int32
-# log pair takes about 32 MB, the uint16 bit planes 6.4 MB, the int8
-# character 1.6 MB and the int8 digit table 20 MB.
+# Table ceiling.  The pairwise sum table needs q*q ints and stays cheap up to
+# this size.  Every resident table is O(q) and has no ceiling: at n = 13 the
+# int32 log pair takes about 32 MB, `_neg_log` 6.4 MB, the uint16 bit planes
+# 6.4 MB, C 3.2 MB and the int8 character 1.6 MB.
 PAIR_TABLE_MAX_Q = P**7
 
 # The default field per n: (modulus digits, generator).  The modulus is the
@@ -217,8 +219,8 @@ class FieldCtx:
 
     All scalar operations accept and return element indices (ints).  The
     vector kernels operate on numpy index arrays (or scalars, broadcast)
-    and exist for full-field scans; they give bit-identical results to the
-    scalar path.  Sums and products come back as int32 and characters as
+    and exist for full-field scans; they read the same tables as the
+    scalar ops.  Sums and products come back as int32 and characters as
     int8: a sum kernel allocates and writes half the bytes of an int64 one.
     """
 
@@ -237,6 +239,7 @@ class FieldCtx:
             if witness is not None:
                 raise ReducibleModulusError(_poly_str(mod), _poly_str(witness))
         self.modulus: tuple[int, ...] = tuple(mod)
+        self.modulus_str = _poly_str(mod)
 
         self._shifts = self._build_shifts()
         self.generator = generator if modulus is None else self._find_generator()
@@ -299,32 +302,20 @@ class FieldCtx:
     # -- scalar arithmetic ----------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        out = 0
-        m = 1
-        for _ in range(self.n):
-            out += ((a + b) % P) * m
-            a //= P
-            b //= P
-            m *= P
-        return out
+        ones, twos, _ = self._planes
+        return int(self._plane_sum(ones[a], twos[a], ones[b], twos[b]))
 
     def neg(self, a: int) -> int:
-        out = 0
-        m = 1
-        for _ in range(self.n):
-            out += (-a % P) * m
-            a //= P
-            m *= P
-        return out
+        """Negation swaps the digits 1 and 2, so it swaps the two planes of a."""
+        ones, twos, value = self._planes
+        return int(value[twos[a]] + 2 * value[ones[a]])
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        return int(self.sub_vec(a, b))
 
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
         log, alog = self._log_tables
-        return int(alog[(int(log[a]) + int(log[b])) % (self.q - 1)])
+        return int(alog[log[a] + log[b]])
 
     def pow(self, a: int, e: int) -> int:
         """a**e through the discrete logs; 0**0 == 1 by convention."""
@@ -339,17 +330,15 @@ class FieldCtx:
         if a == 0:
             raise ZeroDivisionError("zero has no multiplicative inverse")
         log, alog = self._log_tables
-        return int(alog[-int(log[a]) % (self.q - 1)])
+        return int(alog[self.q - 1 - log[a]])
 
     def chi(self, a: int) -> int:
         """Quadratic character: +1 on nonzero squares, -1 on nonsquares, 0 at 0.
 
         The generator is a nonsquare, so a is a square exactly when its
-        discrete log is even.
+        discrete log is even (`_chi_table`).
         """
-        if a == 0:
-            return 0
-        return 1 - 2 * (int(self._log_tables[0][a]) & 1)
+        return int(self._chi_table[a])
 
     def sqrt_canonical(self, a: int) -> int:
         """The square root r of a with chi(r) == +1.
@@ -386,18 +375,10 @@ class FieldCtx:
             raise ValueError(f"element index out of range: {a}")
         return "".join(str(d) for d in _idx_digits(a, self.n))
 
-    @property
-    def modulus_str(self) -> str:
-        return _poly_str(self.modulus)
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"FieldCtx(n={self.n}, modulus={self.modulus_str!r})"
 
     # -- tables ------------------------------------------------------------------
-
-    @built_once
-    def _digits(self) -> np.ndarray:
-        return _frozen(_digit_rows(self.n))
 
     @built_once
     def _planes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -495,22 +476,17 @@ class FieldCtx:
         table = chi_minus_one[self._log_tables[1][:self.q - 1]]
         return _frozen(np.concatenate([table, table]))
 
-    @built_once
-    def _pair_add(self) -> np.ndarray:
-        dg = self._digits
-        acc = np.zeros((self.q, self.q), dtype=np.int32)
-        for i in range(self.n):
-            col = dg[:, i].astype(np.int32)
-            acc += ((col[:, None] + col[None, :]) % P) * (P**i)
-        return _frozen(acc)
-
     def digit_table(self) -> np.ndarray:
-        """(q, n) int8 array: base-3 digits of every element index."""
-        return self._digits
+        """(q, n) int8 array: base-3 digits of every element index, built per call."""
+        return _frozen(_digit_rows(self.n))
 
     def pair_add_table(self) -> Optional[np.ndarray]:
-        """(q, q) table of element sums, or None above the size ceiling."""
-        return self._pair_add if self.q <= PAIR_TABLE_MAX_Q else None
+        """(q, q) int32 table of element sums, built per call, or None above the
+        size ceiling."""
+        if self.q > PAIR_TABLE_MAX_Q:
+            return None
+        ones, twos, _ = self._planes
+        return _frozen(self._plane_sum(ones[:, None], twos[:, None], ones, twos))
 
     # -- vectorised arithmetic on index arrays ----------------------------------
 
@@ -522,7 +498,6 @@ class FieldCtx:
     def sub_vec(self, a, b) -> np.ndarray:
         """a + (-b): negation swaps the two planes of b."""
         ones, twos, _ = self._planes
-        a, b = np.asarray(a), np.asarray(b)
         return self._plane_sum(ones[a], twos[a], twos[b], ones[b])
 
     def _plane_sum(self, a1, a2, b1, b2) -> np.ndarray:

@@ -43,7 +43,6 @@ class Spectrum:
     """Histogram of DDT values over (a, b) in F* x F, up to the largest hit."""
 
     omegas: tuple[int, ...]
-    source: str
 
     @property
     def uniformity(self) -> int:
@@ -56,4 +55,4 @@ def spectrum_bruteforce(ctx: FieldCtx, row: np.ndarray) -> Spectrum:
     Every row a is the permutation b -> a b of it, so each of the q - 1
     rows has its histogram.
     """
-    return Spectrum(tuple(int(c) for c in (ctx.q - 1) * np.bincount(row)), source="brute-force")
+    return Spectrum(tuple(int(c) for c in (ctx.q - 1) * np.bincount(row)))

@@ -68,5 +68,5 @@ def sample_distinct(pool: Sequence, count: int, seed: int) -> list:
 
 
 def sample_u0_nonf3(ctx: FieldCtx, count: int, seed: int) -> list[int]:
-    """Deterministic sample of in-scope parameters u."""
-    return sample_distinct(u0_nonf3_elements(ctx), count, seed)
+    """Deterministic sample of in-scope parameters u; only the drawn ones become ints."""
+    return [int(u) for u in sample_distinct(u0_nonf3_elements(ctx), count, seed)]

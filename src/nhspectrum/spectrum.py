@@ -34,9 +34,9 @@ from .field import FieldCtx, InconsistencyError
 from .ness import Spectrum, spectrum_bruteforce
 
 
-def u0_nonf3_elements(ctx: FieldCtx) -> list[int]:
-    """Every u of class `charsums.CLASS_U0`, in enumeration order: the scope rule of
-    `charsums.classify_u` as one mask over the field.
+def u0_nonf3_elements(ctx: FieldCtx) -> np.ndarray:
+    """Every u of class `charsums.CLASS_U0`, in enumeration order, as an index
+    array: the scope rule of `charsums.classify_u` as one mask over the field.
 
     In log order, with C[m] = chi(g^m - 1) (`FieldCtx._chi_rotations`): at u = g^k,
     chi(u - 1) = C[k] and chi(u + 1) = -C[k + (q-1)/2], as -1 = g^((q-1)/2).
@@ -48,7 +48,7 @@ def u0_nonf3_elements(ctx: FieldCtx) -> list[int]:
     np.not_equal(rotations[:q - 1], -rotations[half:half + q - 1], out=mask[:-1])
     mask = mask.take(ctx._log_tables[0], mode="clip")
     mask[:3] = False  # GF(3)
-    return np.flatnonzero(mask).tolist()
+    return np.flatnonzero(mask)
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +125,7 @@ def spectrum_closed_form(ctx: FieldCtx, ins: ClosedFormInputs) -> Spectrum:
     w2 = (q - 1) * (-e + _exact_div(q - 7 - g3, 4, "omega2"))
     w3 = (q - 1) * (e + _exact_div(q + 1 + 2 * g3 - g4, 16, "omega3"))
     w4 = (q - 1) * _exact_div(q + 1 + g4, 32, "omega4")
-    return Spectrum((w0, w1, w2, w3, w4), source="closed-form")
+    return Spectrum((w0, w1, w2, w3, w4))
 
 
 def verify_theorem_record(su: charsums.ScopedU) -> dict:

@@ -28,6 +28,11 @@ route what a production function computes, and the tests compare the two.
     `ScopedU.sign_key`, and the tests compare the two.
   * `matching_conditions` interprets `SOLUTION_CONDITIONS` rule by rule on
     the signs from `g_eval`, the oracle for `PREDICTION_TABLE`.
+  * `add`, `neg` and `sub` work digit by digit mod 3 on the base-3 digits
+    of the indices: the addition oracle for the field, whose scalar ops and
+    vector kernels alike read the bit planes.  The multiplication oracle is
+    the schoolbook polynomial product in `test_field.py`, which pins `mul`,
+    `inv`, `chi` and the log tables.
   * `smallest_irreducible` searches for the first monic irreducible of
     degree n by trial division, the oracle for the moduli in
     `field.DEFAULT_FIELDS`.
@@ -319,6 +324,29 @@ def matching_conditions(su: ScopedU, a: int, b: int) -> list[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 # the field
 # ---------------------------------------------------------------------------
+
+
+def add(ctx: FieldCtx, a: int, b: int) -> int:
+    """a + b digit by digit mod 3, on the base-3 digits of the indices."""
+    out, weight = 0, 1
+    for _ in range(ctx.n):
+        out += (a + b) % 3 * weight
+        a, b, weight = a // 3, b // 3, weight * 3
+    return out
+
+
+def neg(ctx: FieldCtx, a: int) -> int:
+    """-a digit by digit mod 3."""
+    out, weight = 0, 1
+    for _ in range(ctx.n):
+        out += -a % 3 * weight
+        a, weight = a // 3, weight * 3
+    return out
+
+
+def sub(ctx: FieldCtx, a: int, b: int) -> int:
+    """a - b as a + (-b), digit by digit."""
+    return add(ctx, a, neg(ctx, b))
 
 
 def smallest_irreducible(n: int) -> tuple[int, ...]:

@@ -1,6 +1,7 @@
 """Field-layer checks: construction, axioms, character, canonical roots."""
 
 import functools
+import io
 import random
 import sys
 import threading
@@ -222,10 +223,15 @@ def test_mul_monomial_reduction(f3):
 
 
 def test_additive_structure_exhaustive(f3):
+    """The plane sums against the digit-wise oracle at every pair."""
     for a in range(f3.q):
         assert f3.add(a, f3.neg(a)) == 0
         assert f3.add(a, 0) == a
         assert f3.sub(a, a) == 0
+        assert f3.neg(a) == oracles.neg(f3, a)
+        for b in range(f3.q):
+            assert f3.add(a, b) == oracles.add(f3, a, b)
+            assert f3.sub(a, b) == oracles.sub(f3, a, b)
 
 
 def test_mul_identity_and_inverses_exhaustive(f3):
@@ -392,28 +398,29 @@ def test_parse_rejects_garbage(f3):
 
 
 def test_vector_ops_match_scalar_exhaustive_n3(f3):
+    """The kernels against the digit-wise addition oracle and scalar chi."""
     q = f3.q
     A = np.repeat(np.arange(q), q)
     B = np.tile(np.arange(q), q)
     elems = np.arange(q)
-    assert f3.sub_vec(A, B).tolist() == [f3.sub(int(a), int(b)) for a, b in zip(A, B)]
+    assert f3.sub_vec(A, B).tolist() == [oracles.sub(f3, a, b) for a, b in zip(A, B)]
     for c in range(q):
-        right = [f3.sub(a, c) for a in range(q)]
-        left = [f3.sub(c, a) for a in range(q)]
+        right = [oracles.sub(f3, a, c) for a in range(q)]
+        left = [oracles.sub(f3, c, a) for a in range(q)]
         # a scalar on either side: numpy scalar, plain int, 0-d array
         for const in (np.int64(c), c, np.asarray(c)):
             assert f3.sub_vec(elems, const).tolist() == right, c
             assert f3.sub_vec(const, elems).tolist() == left, c
         for a in range(q):
             out = f3.sub_vec(np.asarray(a), np.asarray(c))
-            assert np.shape(out) == () and int(out) == f3.sub(a, c), (a, c)
+            assert np.shape(out) == () and int(out) == oracles.sub(f3, a, c), (a, c)
     assert f3.chi_vec(elems).tolist() == [f3.chi(a) for a in range(q)]
     for a in range(q):
         for x in (a, np.int64(a), np.asarray(a)):
             assert np.shape(f3.chi_vec(x)) == () and int(f3.chi_vec(x)) == f3.chi(a)
     for c in range(q):
         for const in (c, np.int64(c)):
-            assert f3.translate(const).tolist() == [f3.add(z, c) for z in range(q)], c
+            assert f3.translate(const).tolist() == [oracles.add(f3, z, c) for z in range(q)], c
 
 
 def _check_vector_ops_random(ctx):
@@ -422,11 +429,16 @@ def _check_vector_ops_random(ctx):
     B = rng.integers(0, ctx.q, size=1000)
     A[:3] = B[3:6] = 0  # zero on each side
     pairs = [(int(a), int(b)) for a, b in zip(A, B)]
-    assert ctx.sub_vec(A, B).tolist() == [ctx.sub(a, b) for a, b in pairs]
-    assert ctx.sub_vec(A, np.int64(B[7])).tolist() == [ctx.sub(a, int(B[7])) for a, _ in pairs]
+    subs = [oracles.sub(ctx, a, b) for a, b in pairs]
+    assert ctx.sub_vec(A, B).tolist() == subs
+    assert [ctx.sub(a, b) for a, b in pairs] == subs
+    assert [ctx.add(a, b) for a, b in pairs] == [oracles.add(ctx, a, b) for a, b in pairs]
+    assert [ctx.neg(a) for a, _ in pairs] == [oracles.neg(ctx, a) for a, _ in pairs]
+    b7 = int(B[7])
+    assert ctx.sub_vec(A, np.int64(b7)).tolist() == [oracles.sub(ctx, a, b7) for a, _ in pairs]
     assert ctx.chi_vec(A).tolist() == [ctx.chi(a) for a, _ in pairs]
-    for c in (0, 1, 2, int(B[7]), ctx.q - 1):
-        assert ctx.translate(c)[A].tolist() == [ctx.add(a, c) for a, _ in pairs], c
+    for c in (0, 1, 2, b7, ctx.q - 1):
+        assert ctx.translate(c)[A].tolist() == [oracles.add(ctx, a, c) for a, _ in pairs], c
 
 
 def test_vector_ops_match_scalar_random_n5(f5):
@@ -535,10 +547,8 @@ def test_mul_vec_zero_sentinel_edges(n):
 
 def test_pair_add_table_consistency(f3):
     pair = f3.pair_add_table()
-    assert pair is not None
-    for a in range(0, f3.q, 5):
-        for b in range(0, f3.q, 3):
-            assert int(pair[a, b]) == f3.add(a, b)
+    assert pair is not None and pair.dtype == np.int32
+    assert pair.tolist() == [[oracles.add(f3, a, b) for b in range(f3.q)] for a in range(f3.q)]
 
 
 def test_context_determinism():
@@ -572,6 +582,9 @@ def test_derived_log_tables_match_scalar_ops(n, modulus):
 FIRST_CALLS = {
     "pair_add_table": lambda ctx: ctx.pair_add_table(),
     "digit_table": lambda ctx: ctx.digit_table(),
+    "add": lambda ctx: ctx.add(5, 7),
+    "sub": lambda ctx: ctx.sub(5, 7),
+    "neg": lambda ctx: ctx.neg(5),
     "chi": lambda ctx: ctx.chi(5),
     "mul": lambda ctx: ctx.mul(5, 7),
     "chi_vec": lambda ctx: ctx.chi_vec(np.arange(ctx.q)),
@@ -602,7 +615,7 @@ def test_concurrent_first_touch_builds_identical_tables():
         elems = np.arange(ctx.q)
         results[i] = (ctx.pair_add_table(), ctx.digit_table(), ctx.chi_vec(elems),
                       [ctx.mul(a, 7) for a in range(ctx.q)], ctx.translate(7),
-                      ctx.sub_vec(elems, elems[::-1]))
+                      ctx.sub_vec(elems, elems[::-1]), [ctx.add(a, 7) for a in range(ctx.q)])
 
     workers = [threading.Thread(target=touch, args=(i,), daemon=True) for i in range(4)]
     old_interval = sys.getswitchinterval()
@@ -619,11 +632,11 @@ def test_concurrent_first_touch_builds_identical_tables():
     for other in results[1:]:
         for mine, theirs in zip(other, first):
             assert np.array_equal(mine, theirs)
-    pair, _, _, _, adds, subs = first
-    assert int(pair[5, 7]) == ctx.add(5, 7)
+    pair, _, _, _, adds, subs, scalar_adds = first
     q = ctx.q
-    assert adds.tolist() == [ctx.add(a, 7) for a in range(q)]
-    assert subs.tolist() == [ctx.sub(a, q - 1 - a) for a in range(q)]
+    expected = [oracles.add(ctx, a, 7) for a in range(q)]
+    assert pair[:, 7].tolist() == adds.tolist() == scalar_adds == expected
+    assert subs.tolist() == [oracles.sub(ctx, a, q - 1 - a) for a in range(q)]
 
 
 def test_tables_are_read_only(f3):
@@ -634,15 +647,19 @@ def test_tables_are_read_only(f3):
             table[(1,) * table.ndim] = 0
 
 
-def test_production_paths_never_build_the_digit_table():
-    from nhspectrum import charsums, ness, spectrum
+def test_production_paths_never_build_the_digit_table(monkeypatch):
+    """Every command runs with `digit_table` and `pair_add_table` raising."""
+    def forbidden(self):
+        raise AssertionError("a production path built a probe-only table")
 
-    ctx = make_context(5)
-    u = spectrum.u0_nonf3_elements(ctx)[0]
-    ness.ddt_row(ctx, u)
-    spectrum.verify_theorem_record(charsums.ScopedU(ctx, u))
-    charsums.section2_identities(charsums.ScopedU(ctx, u))
-    assert "_digits" not in ctx.__dict__
+    monkeypatch.setattr(FieldCtx, "digit_table", forbidden)
+    monkeypatch.setattr(FieldCtx, "pair_add_table", forbidden)
+    for command in cli.COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        config = cli.RunConfig(n=5, modulus=None, u_spec="sample:2:1", command=command,
+                               output_format="json", seed=0, jobs=1)
+        assert cli.run(config, out, err) == 0, (command, err.getvalue())
+        assert out.getvalue()
 
 
 @st.composite
@@ -677,11 +694,13 @@ def test_ops_match_oracles_for_any_modulus(modulus, data):
             assert ctx.chi(a) == (1 if euler == 1 else -1)
         else:
             assert ctx.chi(a) == 0
-        # the kernels against the scalar ops just pinned to the oracles
-        assert int(ctx.translate(b)[a]) == ctx.add(a, b)
-        assert int(ctx.sub_vec(a, b)) == ctx.sub(a, b)
+        # the plane sums, scalar and vector, against the digit-wise oracle
+        assert ctx.add(a, b) == int(ctx.translate(b)[a]) == oracles.add(ctx, a, b)
+        assert ctx.sub(a, b) == int(ctx.sub_vec(a, b)) == oracles.sub(ctx, a, b)
+        assert ctx.neg(a) == oracles.neg(ctx, a)
         assert int(ctx.chi_vec(a)) == ctx.chi(a)
     elems = np.arange(ctx.q)
-    assert ctx.translate(b).tolist() == [ctx.add(x, b) for x in range(ctx.q)]
-    assert ctx.sub_vec(elems, np.int64(b)).tolist() == [ctx.sub(x, b) for x in range(ctx.q)]
+    assert ctx.translate(b).tolist() == [oracles.add(ctx, x, b) for x in range(ctx.q)]
+    assert ctx.sub_vec(elems, np.int64(b)).tolist() == [oracles.sub(ctx, x, b)
+                                                        for x in range(ctx.q)]
     assert ctx.chi_vec(elems).tolist() == [ctx.chi(x) for x in range(ctx.q)]

@@ -4,7 +4,9 @@ Every name the package exports, every public module-level function of its
 modules and every public `FieldCtx` method must be read somewhere in
 `src/nhspectrum` or `perfbench` outside its own definition.  A name only
 the tests use belongs in the tests (`tests/oracles.py` for the oracles).
-A string that spells a name does not count as a use.
+The names only `perfbench` reads are listed in `PERFBENCH_ONLY`, so a new
+one, or a benchmark change that stops probing one, fails the test.  A
+string that spells a name does not count as a use.
 """
 
 import ast
@@ -15,6 +17,9 @@ import nhspectrum
 ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = ROOT / "src" / "nhspectrum"
 MODULES = ("field", "ness", "charsums", "spectrum", "solution_census", "rng", "cli")
+
+# `FieldCtx` methods kept only for the benchmark's field probes.
+PERFBENCH_ONLY = {"digit_table", "pair_add_table", "chi_vec"}
 
 
 class _Uses(ast.NodeVisitor):
@@ -47,9 +52,9 @@ def _tree(path: Path) -> ast.Module:
     return ast.parse(path.read_text(), filename=str(path))
 
 
-def _used_names() -> set[str]:
+def _used_names(directory: Path) -> set[str]:
     uses = _Uses()
-    for path in [*LIBRARY.glob("*.py"), *(ROOT / "perfbench").glob("*.py")]:
+    for path in directory.glob("*.py"):
         uses.visit(_tree(path))
     return uses.names
 
@@ -69,5 +74,9 @@ def test_every_public_name_has_a_caller():
                        if isinstance(node, ast.ClassDef) and node.name == "FieldCtx")
             checked.update({f"FieldCtx.{name}": name for name in _public_defs(cls.body)})
     assert "FieldCtx.add" in checked and "cli.run" in checked
-    used = _used_names()
+    in_library, in_perfbench = _used_names(LIBRARY), _used_names(ROOT / "perfbench")
+    used = in_library | in_perfbench
     assert sorted(label for label, name in checked.items() if name not in used) == []
+    perfbench_only = {name for name in checked.values()
+                      if name in in_perfbench and name not in in_library}
+    assert perfbench_only == PERFBENCH_ONLY

@@ -4,6 +4,7 @@ import pytest
 
 import oracles
 from nhspectrum import charsums as cs
+from nhspectrum import cli
 from nhspectrum import ness
 from nhspectrum import spectrum as sp
 from nhspectrum import solution_census as cn
@@ -22,8 +23,10 @@ def closed_form(ctx, u):
 def test_scope_enumeration_matches_scalar_predicate(f3, f5, f7):
     for ctx in (f3, f5, f7):
         us = sp.u0_nonf3_elements(ctx)
-        assert us == [u for u in range(ctx.q) if cs.classify_u(ctx, u) == cs.CLASS_U0]
-        assert all(type(u) is int for u in us)
+        assert us.tolist() == [u for u in range(ctx.q) if cs.classify_u(ctx, u) == cs.CLASS_U0]
+        # an index array; the u that --u resolves to are ints
+        for spec in ("all", "sample:3:1"):
+            assert all(type(u) is int for u in cli.resolve_u(ctx, spec))
 
 
 def test_classify_base_field_flag(f3):
@@ -216,11 +219,6 @@ def test_closed_form_last_entry_positive(f3, f5):
     for ctx in (f3, f5):
         for u in sp.u0_nonf3_elements(ctx):
             assert closed_form(ctx, u).omegas[4] > 0
-
-
-def test_closed_form_source_label(f3):
-    u = sp.u0_nonf3_elements(f3)[0]
-    assert closed_form(f3, u).source == "closed-form"
 
 
 def test_closed_form_rejects_out_of_scope(f3):
