@@ -87,9 +87,13 @@ def classify_u(ctx: FieldCtx, u: int) -> str:
     return CLASS_U10 if ctx.chi(u) != chi_p else CLASS_U11
 
 
+class OutOfScopeError(ValueError):
+    """A u outside the theorem's scope; the message names u and its class."""
+
+
 @dataclass(frozen=True)
 class ScopedU:
-    """One u of class `CLASS_U0`, else construction raises ValueError.
+    """One u of class `CLASS_U0`, else construction raises `OutOfScopeError`.
 
     The other fields (r, sign_key, product_sums and the DDT row) are built
     on first use and kept: one object per u builds each of them at most once.
@@ -99,9 +103,9 @@ class ScopedU:
     u: int
 
     def __post_init__(self):
-        if classify_u(self.ctx, self.u) != CLASS_U0:
-            raise ValueError(f"u = {self.ctx.format_element(self.u)} needs "
-                             "chi(u+1) != chi(u-1) and u outside GF(3)")
+        if (label := classify_u(self.ctx, self.u)) != CLASS_U0:
+            raise OutOfScopeError("needs u with chi(u+1) != chi(u-1) outside GF(3); "
+                                  f"u={self.ctx.format_element(self.u)} is in class {label}")
 
     @built_once
     def r(self) -> int:

@@ -12,8 +12,11 @@ Commands
   scan                 theorem + lemmas + propositions per u, one row each
 
 Exit status: 0 all requested verifications pass, 1 any verification
-mismatch, 2 usage or configuration error.  Output is deterministic for a
-fixed configuration and seed; records are emitted in parameter order.
+mismatch, 2 usage or configuration error, 141 stdout closed early (as by
+`| head`; the sweep stops there).  Output is deterministic for a fixed
+configuration and seed.  Records go out in parameter order as each u is
+built, so a run stopped by an inconsistency or a kill keeps the records of
+every earlier u.
 
 The --u selector accepts an element digit string ("120"), a generator
 power ("gen^4"), "all" (every u with chi(u+1) != chi(u-1) outside GF(3)),
@@ -25,13 +28,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -48,7 +53,6 @@ COMMANDS = (
     "verify-theorem",
     "scan",
 )
-SCOPE_COMMANDS = {"census", "verify-lemmas", "verify-propositions", "verify-theorem", "scan"}
 
 SPECTRUM_COLUMNS = [
     "n", "modulus", "u", "class", "epsilon", "gamma3", "gamma4",
@@ -57,6 +61,9 @@ SPECTRUM_COLUMNS = [
 
 USAGE_ERROR = 2
 VERIFICATION_ERROR = 1
+
+# The most u a --jobs pool holds at once, so memory stays flat over a sweep.
+POOL_WINDOW = 16
 
 
 @dataclass(frozen=True)
@@ -120,18 +127,6 @@ def resolve_u(ctx: FieldCtx, u_spec: str, seed: int = 0) -> list[int]:
         return [ctx.parse_element(u_spec)]
     except ValueError as exc:
         raise UsageError(f"cannot resolve u spec {u_spec!r}: {exc}") from None
-
-
-def _require_scope_for_command(ctx: FieldCtx, command: str, us: list[int]) -> None:
-    if command not in SCOPE_COMMANDS:
-        return
-    for u in us:
-        label = charsums.classify_u(ctx, u)
-        if label != charsums.CLASS_U0:
-            raise UsageError(
-                f"command {command!r} needs u with chi(u+1) != chi(u-1) outside GF(3); "
-                f"u={ctx.format_element(u)} is in class {label}"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +297,6 @@ def emit(command: str, records: list[dict], output_format: str, out: io.TextIOBa
             out.write(json.dumps(rec, separators=(", ", ": ")) + "\n")
     elif output_format == "csv":
         writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS[command])
         for rec in records:
             row = _to_csv_row(command, rec)
             if row is not None:
@@ -323,6 +317,9 @@ def run(config: RunConfig, out: Optional[io.TextIOBase] = None,
     err = err if err is not None else sys.stderr
     try:
         return _run_checked(config, out, err)
+    except charsums.OutOfScopeError as exc:  # only an explicit u can be out of scope
+        err.write(f"error: command {config.command!r} {exc}\n")
+        return USAGE_ERROR
     except InconsistencyError as exc:  # in set-up (the field certificate) or a builder
         err.write(json.dumps({"status": "inconsistency", "detail": str(exc)}) + "\n")
         return VERIFICATION_ERROR
@@ -334,40 +331,41 @@ def _run_checked(config: RunConfig, out: io.TextIOBase, err: io.TextIOBase) -> i
             raise UsageError(f"--jobs must be at least 1, got {config.jobs}")
         ctx = make_context(config.n, config.modulus)
         us = resolve_u(ctx, config.u_spec, config.seed)
-        _require_scope_for_command(ctx, config.command, us)
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         err.write(f"error: {exc}\n")
         return USAGE_ERROR
 
-    builder = BUILDERS[config.command]
-    workers = min(config.jobs, len(us), os.cpu_count() or 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda u: builder(ctx, u, config.seed), us))
-    else:
-        results = [builder(ctx, u, config.seed) for u in us]
-
-    records: list[dict] = []
-    all_ok = True
-    for recs, ok in results:
-        records.extend(recs)
-        all_ok &= ok
-    emit(config.command, records, config.output_format, out)
+    count, all_ok = 0, True
+    with closing(_built(ctx, us, config)) as built:
+        for recs, ok in built:
+            if not count and config.output_format == "csv":
+                csv.writer(out, lineterminator="\n").writerow(CSV_COLUMNS[config.command])
+            emit(config.command, recs, config.output_format, out)
+            count += len(recs)
+            all_ok &= ok
     if not all_ok:
-        err.write(json.dumps({
-            "status": "fail", "command": config.command, "n": config.n,
-            "records": len(records),
-        }) + "\n")
+        err.write(json.dumps({"status": "fail", "command": config.command, "n": config.n,
+                              "records": count}) + "\n")
         return VERIFICATION_ERROR
     return 0
 
 
+def _built(ctx: FieldCtx, us: list[int],
+           config: RunConfig) -> Iterator[tuple[list[dict], bool]]:
+    """The records of each u in order, with --jobs > 1 from a thread pool given
+    POOL_WINDOW u at a time; closing it cancels the u not yet started."""
+    build = functools.partial(BUILDERS[config.command], ctx, seed=config.seed)
+    workers = min(config.jobs, len(us), os.cpu_count() or 1)
+    if workers < 2:
+        yield from map(build, us)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for start in range(0, len(us), POOL_WINDOW):
+            yield from pool.map(build, us[start:start + POOL_WINDOW])
+
+
 def main(argv: Optional[list[str]] = None) -> None:
-    args = build_parser().parse_args(argv)
-    config = RunConfig(
-        n=args.n, modulus=args.modulus, u_spec=args.u_spec, command=args.command,
-        output_format=args.output_format, seed=args.seed, jobs=args.jobs,
-    )
+    config = RunConfig(**vars(build_parser().parse_args(argv)))
     try:
         status = run(config)
         sys.stdout.flush()

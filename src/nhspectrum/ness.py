@@ -44,10 +44,6 @@ class Spectrum:
 
     omegas: tuple[int, ...]
 
-    @property
-    def uniformity(self) -> int:
-        return len(self.omegas) - 1
-
 
 def spectrum_bruteforce(ctx: FieldCtx, row: np.ndarray) -> Spectrum:
     """Differential spectrum from the DDT row a = 1 (`ddt_row`); any u.

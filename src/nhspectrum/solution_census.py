@@ -248,14 +248,15 @@ def g_signs(su: ScopedU, z: int) -> tuple[int, int, int, int, int]:
     return tuple(SIGN_PATTERNS[su.sign_key[z], 1:].tolist())
 
 
-def _predict(su: ScopedU, zs: np.ndarray) -> np.ndarray:
-    """`PREDICTION_TABLE` at the sign keys of zs; raises InconsistencyError naming
-    u, z and the signs at the first z where not exactly one rule fires."""
+def _predict(su: ScopedU, zs: list[int] | slice) -> np.ndarray:
+    """`PREDICTION_TABLE` at the sign keys of zs, a list or a slice of the z; raises
+    InconsistencyError naming u, z and the signs at the first z where not exactly
+    one rule fires."""
     pred = PREDICTION_TABLE[su.sign_key[zs]]
-    bad = np.flatnonzero(pred < 0)
-    if bad.size:
-        z = int(zs[bad[0]])
-        what = "no condition" if pred[bad[0]] == NO_RULE else "several conditions"
+    if pred.min() < 0:
+        first = int((pred < 0).argmax())
+        z = int(np.arange(su.ctx.q)[zs][first])
+        what = "no condition" if pred[first] == NO_RULE else "several conditions"
         raise InconsistencyError(f"{what} matched at u={su.ctx.format_element(su.u)} "
                                  f"z={su.ctx.format_element(z)} signs={g_signs(su, z)}")
     return pred
@@ -265,7 +266,7 @@ def predict_solution_count(su: ScopedU, a: int, b: int) -> int:
     """N(a, b) from the sign key of z = a b alone; raises if not exactly one rule fires."""
     if a == 0:
         raise ValueError("a must be nonzero")
-    return int(_predict(su, np.array([su.ctx.mul(a, b)]))[0])
+    return int(_predict(su, [su.ctx.mul(a, b)])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +364,7 @@ def prediction_by_z(su: ScopedU) -> np.ndarray:
     One gather from `PREDICTION_TABLE` at the sign keys; raises unless
     exactly one condition fires at every z.
     """
-    return _predict(su, np.arange(su.ctx.q))
+    return _predict(su, slice(None))
 
 
 def verify_predictions(su: ScopedU) -> dict:

@@ -8,7 +8,8 @@ route what a production function computes, and the tests compare the two.
   * `ddt_entry_naive` counts x one at a time; `ddt_table` counts every row
     a of the DDT, the oracle for `ness.ddt_row` and the lemma
     delta(a, b) = delta(1, a b).
-    `counting_identities_hold` checks the two sums every spectrum meets.
+    `counting_identities_hold` checks the two sums every spectrum meets,
+    and `uniformity` reads its largest DDT value.
   * `g_eval` evaluates one classifier polynomial at one z with the scalar
     ops; `g_values` evaluates it over the whole field with the vector ops
     and `mul_vec`, a product gathered from the log tables.
@@ -91,6 +92,11 @@ def ddt_table(ctx: FieldCtx, u: int) -> np.ndarray:
     for a in range(ctx.q):
         out[a] = np.bincount(ctx.sub_vec(ftab[ctx.translate(a)], ftab), minlength=ctx.q)
     return out
+
+
+def uniformity(spec: ness.Spectrum) -> int:
+    """The largest DDT value hit: the last index of the spectrum."""
+    return len(spec.omegas) - 1
 
 
 def counting_identities_hold(spec: ness.Spectrum, q: int) -> bool:

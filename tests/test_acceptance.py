@@ -144,7 +144,7 @@ def test_criterion_6_class_conditional_uniformity(f3, f5):
         for u in range(ctx.q):
             label = cs.classify_u(ctx, u)
             if label in expected:
-                got = ness.spectrum_bruteforce(ctx, ness.ddt_row(ctx, u)).uniformity
+                got = oracles.uniformity(ness.spectrum_bruteforce(ctx, ness.ddt_row(ctx, u)))
                 if got != expected[label]:
                     failures.append((ctx.n, u, label, got))
     _criterion(6, "uniformity is 2 on U11, 3 on U10, 4 on in-scope u at n=3,5",

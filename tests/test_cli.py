@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -27,12 +28,15 @@ def _run(command, n=3, u="all", fmt="json", seed=0, jobs=1, modulus=None):
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def _cli_subprocess(*args):
-    """Run the CLI in a child interpreter that imports the package from `src`."""
+def _cli_argv_env(*args):
+    """The argv and environment of a child interpreter that runs the CLI from `src`."""
     path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
-    return subprocess.run([sys.executable, "-m", "nhspectrum.cli", *args],
-                          capture_output=True, text=True, timeout=120,
-                          env=dict(os.environ, PYTHONPATH=path))
+    return [sys.executable, "-m", "nhspectrum.cli", *args], dict(os.environ, PYTHONPATH=path)
+
+
+def _cli_subprocess(*args):
+    argv, env = _cli_argv_env(*args)
+    return subprocess.run(argv, capture_output=True, text=True, timeout=120, env=env)
 
 
 def _json_lines(text):
@@ -237,6 +241,25 @@ def test_closed_form_divisibility_failure_names_u(monkeypatch):
     assert rec["detail"].startswith(f"u={first}: omega1: ")
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("fmt, lines_per_u", [("json", 1), ("csv", 2), ("text", 1)])
+def test_inconsistency_keeps_the_records_of_earlier_u(monkeypatch, fmt, lines_per_u, jobs):
+    """Records go out as each u is built: a closed form that fails only at the
+    second u leaves the first u's record (and the CSV header) on stdout."""
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    _, whole, _ = _run("verify-theorem", u="all", fmt=fmt)
+    ctx = make_context(3)
+    second = u0_nonf3_elements(ctx)[1]
+    true_gamma3 = spectrum.gamma3
+    monkeypatch.setattr(spectrum, "gamma3", lambda su: -2 if su.u == second else true_gamma3(su))
+    status, out, err = _run("verify-theorem", u="all", fmt=fmt, jobs=jobs)
+    assert status == 1
+    assert out.splitlines() == whole.splitlines()[:lines_per_u]
+    (rec,) = _json_lines(err)
+    assert rec["status"] == "inconsistency"
+    assert rec["detail"].startswith(f"u={ctx.format_element(second)}: omega1: ")
+
+
 def test_set_up_inconsistency_is_a_record(monkeypatch):
     """A tabled generator that fails the log-table certificate stops the run
     in set-up (the scope mask builds the tables): exit 1, one stderr record."""
@@ -300,6 +323,59 @@ def test_jobs_pool_size(monkeypatch, jobs, u, cpus, workers):
     assert out == _run("spectrum", u=u, jobs=1)[1]
 
 
+def test_pool_holds_at_most_a_window_of_u(monkeypatch):
+    """With --jobs > 1 the pool is given POOL_WINDOW u at a time: u submitted
+    and not yet written never outnumber the window, and stdout is unchanged."""
+    counts = {"submitted": 0, "emitted": 0}
+    held = []  # at each submit
+
+    class CountingPool(cli.ThreadPoolExecutor):
+        def submit(self, *args, **kwargs):
+            counts["submitted"] += 1
+            held.append(counts["submitted"] - counts["emitted"])
+            return super().submit(*args, **kwargs)
+
+    true_emit = cli.emit
+
+    def counted_emit(*args):
+        counts["emitted"] += 1
+        true_emit(*args)
+
+    solo = _run("scan", u="all", fmt="csv")
+    monkeypatch.setattr(cli, "POOL_WINDOW", 2)
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr(cli, "emit", counted_emit)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    assert _run("scan", u="all", fmt="csv", jobs=4) == solo
+    assert len(held) == counts["emitted"] == len(u0_nonf3_elements(make_context(3)))
+    assert max(held) == 2
+
+
+def test_closed_stdout_stops_the_sweep_with_status_141():
+    """A reader that stops after one line (`| head -1`) ends the sweep: the
+    broken pipe exits 141 with no traceback.  The whole n = 9 sweep takes
+    about 18 s on a 2-vCPU machine and the stop well under 1 s; a child that
+    is still running after 10 s is killed, and fails the test."""
+    argv, env = _cli_argv_env("--n", "9", "--command", "verify-theorem", "--u", "all")
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True, env=env) as proc:
+        watchdog = threading.Timer(10, proc.kill)
+        watchdog.start()
+        try:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            status = proc.wait()
+        finally:
+            watchdog.cancel()
+        err = proc.stderr.read()
+    assert (status, err) == (141, "")
+    assert json.loads(first)["match"] is True
+
+
+# ``spectrum`` classifies every u itself, to label the out-of-scope ones, and
+# its ScopedU checks the scope again; every scope command classifies once.
+CLASSIFY_PER_U = {"spectrum": 2}
+
 # Whole-field translates per u: 1 for the DDT row where the command reads
 # it, and none for the sign key, which reads rotations of the one table
 # chi(g^m - 1) of the field.
@@ -312,12 +388,14 @@ TRANSLATES_PER_U = {"scan": 1, "verify-theorem": 1, "spectrum": 1, "census": 1,
     ("verify-lemmas", 0), ("verify-propositions", 1),
 ])
 def test_one_build_per_u(monkeypatch, command, ddt_rows_per_u):
-    """Every scope command builds one sign key per u, runs no Horner pass
-    (no `char_sum` anywhere in the library), counts at most one DDT row
-    from one f table and makes no whole-field translate beyond those it
-    reads (1 more per run, for the table chi(g^m - 1) that the scope mask
-    and the sign key share); verify-lemmas reads no DDT."""
-    counts = {"sign_key": 0, "char_sum": 0, "ddt_row": 0, "f_table": 0, "translate": 0}
+    """Every scope command checks the scope once per u (in ScopedU), builds
+    one sign key per u, runs no Horner pass (no `char_sum` anywhere in the
+    library), counts at most one DDT row from one f table and makes no
+    whole-field translate beyond those it reads (1 more per run, for the
+    table chi(g^m - 1) that the scope mask and the sign key share);
+    verify-lemmas reads no DDT."""
+    counts = {"sign_key": 0, "char_sum": 0, "ddt_row": 0, "f_table": 0, "translate": 0,
+              "classify_u": 0}
 
     def counted(owner, attr, key):
         original = getattr(owner, attr)
@@ -335,12 +413,14 @@ def test_one_build_per_u(monkeypatch, command, ddt_rows_per_u):
             counted(module, "char_sum", "char_sum")
     counted(ness, "ddt_row", "ddt_row")
     counted(ness, "f_table", "f_table")
+    counted(charsums, "classify_u", "classify_u")
     k = 4
     status, out, _ = _run(command, n=5, u=f"sample:{k}:1")
     assert status == 0 and len({rec["u"] for rec in _json_lines(out)}) == k
     assert counts == {"sign_key": k, "char_sum": 0, "ddt_row": ddt_rows_per_u * k,
                       "f_table": ddt_rows_per_u * k,
-                      "translate": TRANSLATES_PER_U[command] * k + 1}
+                      "translate": TRANSLATES_PER_U[command] * k + 1,
+                      "classify_u": CLASSIFY_PER_U.get(command, 1) * k}
 
 
 def test_console_entry_point_runs():

@@ -49,6 +49,22 @@ def _poly_mul_mod(ctx, pa, pb):
     return prod[: ctx.n]
 
 
+def _euler_chi(ctx, a):
+    """chi(a) by Euler's criterion: a^((q-1)/2) by square-and-multiply with
+    the schoolbook product, which must be 1 or -1 for a != 0."""
+    if a == 0:
+        return 0
+    power, base, e = [1] + [0] * (ctx.n - 1), _poly_from_index(ctx, a), (ctx.q - 1) // 2
+    while e:
+        if e & 1:
+            power = _poly_mul_mod(ctx, power, base)
+        base = _poly_mul_mod(ctx, base, base)
+        e >>= 1
+    euler = ctx.element_from_coeffs(power)
+    assert euler in (1, 2), (a, euler)
+    return 1 if euler == 1 else -1
+
+
 def _euclid_inverse(ctx, a):
     """Extended Euclid over GF(3)[x]; returns the inverse element index."""
 
@@ -398,7 +414,7 @@ def test_parse_rejects_garbage(f3):
 
 
 def test_vector_ops_match_scalar_exhaustive_n3(f3):
-    """The kernels against the digit-wise addition oracle and scalar chi."""
+    """The kernels against the digit-wise addition oracle and Euler's criterion."""
     q = f3.q
     A = np.repeat(np.arange(q), q)
     B = np.tile(np.arange(q), q)
@@ -414,10 +430,11 @@ def test_vector_ops_match_scalar_exhaustive_n3(f3):
         for a in range(q):
             out = f3.sub_vec(np.asarray(a), np.asarray(c))
             assert np.shape(out) == () and int(out) == oracles.sub(f3, a, c), (a, c)
-    assert f3.chi_vec(elems).tolist() == [f3.chi(a) for a in range(q)]
+    euler = [_euler_chi(f3, a) for a in range(q)]
+    assert f3.chi_vec(elems).tolist() == euler
     for a in range(q):
         for x in (a, np.int64(a), np.asarray(a)):
-            assert np.shape(f3.chi_vec(x)) == () and int(f3.chi_vec(x)) == f3.chi(a)
+            assert np.shape(f3.chi_vec(x)) == () and int(f3.chi_vec(x)) == euler[a]
     for c in range(q):
         for const in (c, np.int64(c)):
             assert f3.translate(const).tolist() == [oracles.add(f3, z, c) for z in range(q)], c
@@ -436,7 +453,7 @@ def _check_vector_ops_random(ctx):
     assert [ctx.neg(a) for a, _ in pairs] == [oracles.neg(ctx, a) for a, _ in pairs]
     b7 = int(B[7])
     assert ctx.sub_vec(A, np.int64(b7)).tolist() == [oracles.sub(ctx, a, b7) for a, _ in pairs]
-    assert ctx.chi_vec(A).tolist() == [ctx.chi(a) for a, _ in pairs]
+    assert ctx.chi_vec(A).tolist() == [_euler_chi(ctx, a) for a, _ in pairs]
     for c in (0, 1, 2, b7, ctx.q - 1):
         assert ctx.translate(c)[A].tolist() == [oracles.add(ctx, a, c) for a, _ in pairs], c
 
@@ -685,22 +702,13 @@ def test_ops_match_oracles_for_any_modulus(modulus, data):
         assert ctx.mul(a, b) == expected
         if a:
             assert ctx.inv(a) == _euclid_inverse(ctx, a)
-            # Euler's criterion by repeated oracle multiplication
-            power = [1] + [0] * (ctx.n - 1)
-            for _ in range((ctx.q - 1) // 2):
-                power = _poly_mul_mod(ctx, power, _poly_from_index(ctx, a))
-            euler = ctx.element_from_coeffs(power)
-            assert euler in (1, 2)
-            assert ctx.chi(a) == (1 if euler == 1 else -1)
-        else:
-            assert ctx.chi(a) == 0
+        assert ctx.chi(a) == int(ctx.chi_vec(a)) == _euler_chi(ctx, a)
         # the plane sums, scalar and vector, against the digit-wise oracle
         assert ctx.add(a, b) == int(ctx.translate(b)[a]) == oracles.add(ctx, a, b)
         assert ctx.sub(a, b) == int(ctx.sub_vec(a, b)) == oracles.sub(ctx, a, b)
         assert ctx.neg(a) == oracles.neg(ctx, a)
-        assert int(ctx.chi_vec(a)) == ctx.chi(a)
     elems = np.arange(ctx.q)
     assert ctx.translate(b).tolist() == [oracles.add(ctx, x, b) for x in range(ctx.q)]
     assert ctx.sub_vec(elems, np.int64(b)).tolist() == [oracles.sub(ctx, x, b)
                                                         for x in range(ctx.q)]
-    assert ctx.chi_vec(elems).tolist() == [ctx.chi(x) for x in range(ctx.q)]
+    assert ctx.chi_vec(elems).tolist() == [_euler_chi(ctx, x) for x in range(ctx.q)]

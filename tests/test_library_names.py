@@ -1,12 +1,12 @@
 """The library holds only what the CLI and the benchmark call.
 
 Every name the package exports, every public module-level function of its
-modules and every public `FieldCtx` method must be read somewhere in
-`src/nhspectrum` or `perfbench` outside its own definition.  A name only
-the tests use belongs in the tests (`tests/oracles.py` for the oracles).
-The names only `perfbench` reads are listed in `PERFBENCH_ONLY`, so a new
-one, or a benchmark change that stops probing one, fails the test.  A
-string that spells a name does not count as a use.
+modules and every public method and property of their classes must be read
+somewhere in `src/nhspectrum` or `perfbench` outside its own definition.
+A name only the tests use belongs in the tests (`tests/oracles.py` for the
+oracles).  The names only `perfbench` reads are listed in `PERFBENCH_ONLY`,
+so a new one, or a benchmark change that stops probing one, fails the test.
+A string that spells a name does not count as a use.
 """
 
 import ast
@@ -69,11 +69,10 @@ def test_every_public_name_has_a_caller():
     for module in MODULES:
         tree = _tree(LIBRARY / f"{module}.py")
         checked.update({f"{module}.{name}": name for name in _public_defs(tree.body)})
-        if module == "field":
-            cls = next(node for node in tree.body
-                       if isinstance(node, ast.ClassDef) and node.name == "FieldCtx")
-            checked.update({f"FieldCtx.{name}": name for name in _public_defs(cls.body)})
-    assert "FieldCtx.add" in checked and "cli.run" in checked
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                checked.update({f"{cls.name}.{name}": name for name in _public_defs(cls.body)})
+    assert {"FieldCtx.add", "ScopedU.sign_key", "SolutionCensus.consistent", "cli.run"} <= set(checked)
     in_library, in_perfbench = _used_names(LIBRARY), _used_names(ROOT / "perfbench")
     used = in_library | in_perfbench
     assert sorted(label for label, name in checked.items() if name not in used) == []

@@ -157,7 +157,7 @@ def test_uniformity_by_class_n3(f3):
     for u in range(f3.q):
         label = classify_u(f3, u)
         if label in expected:
-            uniformity = ness.spectrum_bruteforce(f3, ness.ddt_row(f3, u)).uniformity
+            uniformity = oracles.uniformity(ness.spectrum_bruteforce(f3, ness.ddt_row(f3, u)))
             assert uniformity == expected[label], u
 
 
