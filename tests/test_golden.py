@@ -23,16 +23,25 @@ GOLDEN = Path(__file__).parent / "data" / "golden_stdout.json"
 SETTINGS = ((3, "all", 0), (5, "sample:2:7", 9))
 FORMATS = ("json", "csv", "text")
 
+# The whole scope at n = 7 in json, for each command that runs under a second
+# (`census` and `ddt` take about 40 s there).
+N7_COMMANDS = ("spectrum", "verify-lemmas", "verify-propositions", "verify-theorem", "scan")
+
+# One explicit u of each out-of-scope class at n = 5: F3, U11 and U10.
+OUT_OF_SCOPE_U = ("00000", "01000", "21100")
+
 
 def case_id(command: str, n: int, u_spec: str, seed: int, fmt: str) -> str:
     return f"{command}|n={n}|u={u_spec}|seed={seed}|{fmt}"
 
 
 def cases() -> list[tuple[str, int, str, int, str]]:
-    return [(command, n, u_spec, seed, fmt)
-            for n, u_spec, seed in SETTINGS
-            for command in COMMANDS
-            for fmt in FORMATS]
+    return ([(command, n, u_spec, seed, fmt)
+             for n, u_spec, seed in SETTINGS
+             for command in COMMANDS
+             for fmt in FORMATS]
+            + [(command, 7, "all", 0, "json") for command in N7_COMMANDS]
+            + [("spectrum", 5, u, 0, fmt) for u in OUT_OF_SCOPE_U for fmt in FORMATS])
 
 
 def stdout_digest(command: str, n: int, u_spec: str, seed: int, fmt: str) -> tuple[int, str]:
