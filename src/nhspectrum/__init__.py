@@ -6,8 +6,6 @@ closed form in two character sums.
 """
 
 from .solution_census import (
-    CaseOutcome,
-    SolutionCensus,
     case_solutions,
     census,
     predict_solution_count,
@@ -15,21 +13,15 @@ from .solution_census import (
     verify_predictions,
 )
 from .charsums import (
-    IdentityReport,
     ScopedU,
     classify_u,
     section2_identities,
     set_a_points,
 )
 from .field import FieldCtx, InconsistencyError, ReducibleModulusError, make_context
-from .ness import (
-    Spectrum,
-    ddt_row,
-    spectrum_bruteforce,
-)
+from .ness import ddt_row, spectrum_bruteforce
 from .rng import SplitMix64, sample_u0_nonf3
 from .spectrum import (
-    ClosedFormInputs,
     closed_form_inputs,
     epsilon,
     gamma3,
@@ -42,15 +34,10 @@ from .spectrum import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CaseOutcome",
-    "ClosedFormInputs",
     "FieldCtx",
-    "IdentityReport",
     "InconsistencyError",
     "ReducibleModulusError",
     "ScopedU",
-    "SolutionCensus",
-    "Spectrum",
     "SplitMix64",
     "case_solutions",
     "census",

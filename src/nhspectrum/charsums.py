@@ -88,7 +88,12 @@ def classify_u(ctx: FieldCtx, u: int) -> str:
 
 
 class OutOfScopeError(ValueError):
-    """A u outside the theorem's scope; the message names u and its class."""
+    """A u outside the theorem's scope; the message names u and its class,
+    which `label` holds."""
+
+    def __init__(self, message: str, label: str):
+        super().__init__(message)
+        self.label = label
 
 
 @dataclass(frozen=True)
@@ -105,7 +110,7 @@ class ScopedU:
     def __post_init__(self):
         if (label := classify_u(self.ctx, self.u)) != CLASS_U0:
             raise OutOfScopeError("needs u with chi(u+1) != chi(u-1) outside GF(3); "
-                                  f"u={self.ctx.format_element(self.u)} is in class {label}")
+                                  f"u={self.ctx.format_element(self.u)} is in class {label}", label)
 
     @built_once
     def r(self) -> int:
@@ -178,24 +183,10 @@ def set_a_points(su: ScopedU) -> tuple[int, int, int, int, int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    """One verified character-sum identity: brute-force lhs vs closed-form rhs."""
-
-    name: str
-    lhs: int
-    rhs: int
-
-    @property
-    def passed(self) -> bool:
-        return self.lhs == self.rhs
-
-    def to_json_dict(self) -> dict:
-        return {"identity": self.name, "lhs": self.lhs, "rhs": self.rhs, "pass": self.passed}
-
-
-def section2_identities(su: ScopedU) -> list[IdentityReport]:
-    """All 18 closed-form identities for the g-family character sums.
+def section2_identities(su: ScopedU) -> list[dict]:
+    """All 18 closed-form identities for the g-family character sums, one
+    record {"identity", "lhs", "rhs", "pass"} each: the sum read off the
+    sign-key histogram (lhs) against its closed form (rhs).
 
     Single-product sums come first, then the paired sums whose individual
     values depend on u but whose totals do not (or collapse to one chi).
@@ -226,4 +217,5 @@ def section2_identities(su: ScopedU) -> list[IdentityReport]:
         ("g2g5+g3g4g5", s(2, 5) + s(3, 4, 5), chi_r1pu),
         ("g3g5+g2g4g5", s(3, 5) + s(2, 4, 5), chi_r1mu),
     ]
-    return [IdentityReport(name, lhs, rhs) for name, lhs, rhs in checks]
+    return [{"identity": name, "lhs": lhs, "rhs": rhs, "pass": lhs == rhs}
+            for name, lhs, rhs in checks]

@@ -77,10 +77,6 @@ class RunConfig:
     jobs: int
 
 
-class UsageError(ValueError):
-    pass
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nhspectrum",
@@ -105,28 +101,25 @@ def resolve_u(ctx: FieldCtx, u_spec: str, seed: int = 0) -> list[int]:
     if u_spec.startswith("sample:"):
         parts = u_spec.split(":")
         if len(parts) not in (2, 3):
-            raise UsageError(f"bad sample spec {u_spec!r}; want sample:N or sample:N:seed")
+            raise ValueError(f"bad sample spec {u_spec!r}; want sample:N or sample:N:seed")
         try:
             count = int(parts[1])
             sample_seed = int(parts[2]) if len(parts) == 3 else seed
         except ValueError as exc:
-            raise UsageError(f"bad sample spec {u_spec!r}: {exc}") from None
-        try:
-            return rng.sample_u0_nonf3(ctx, count, sample_seed)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+            raise ValueError(f"bad sample spec {u_spec!r}: {exc}") from None
+        return rng.sample_u0_nonf3(ctx, count, sample_seed)
     if u_spec.startswith("gen^"):
         try:
             k = int(u_spec[4:])
         except ValueError:
-            raise UsageError(f"bad generator power {u_spec!r}") from None
+            raise ValueError(f"bad generator power {u_spec!r}") from None
         if k < 0:
-            raise UsageError("generator power must be nonnegative")
+            raise ValueError("generator power must be nonnegative")
         return [ctx.pow(ctx.generator, k)]
     try:
         return [ctx.parse_element(u_spec)]
     except ValueError as exc:
-        raise UsageError(f"cannot resolve u spec {u_spec!r}: {exc}") from None
+        raise ValueError(f"cannot resolve u spec {u_spec!r}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -134,32 +127,33 @@ def resolve_u(ctx: FieldCtx, u_spec: str, seed: int = 0) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
+def _head(ctx: FieldCtx, u: int) -> dict:
+    """The columns every record starts with."""
+    return {"n": ctx.n, "modulus": ctx.modulus_str, "u": ctx.format_element(u)}
+
+
+def _closed_form_head(ctx: FieldCtx, u: int, theorem: dict) -> dict:
+    """The spectrum columns up to "source", from a `spectrum.verify_theorem_record`."""
+    return {**_head(ctx, u), "class": theorem["class"], "epsilon": theorem["epsilon"],
+            "gamma3": theorem["gamma3"], "gamma4": theorem["gamma4"],
+            "omegas": theorem["closed_form"], "source": "closed-form"}
+
+
 def _spectrum_records(ctx: FieldCtx, u: int, seed: int) -> tuple[list[dict], bool]:
-    label = charsums.classify_u(ctx, u)
-    base = {"n": ctx.n, "modulus": ctx.modulus_str, "u": ctx.format_element(u),
-            "class": label}
-    if label == charsums.CLASS_U0:
-        theorem = spectrum.verify_theorem_record(charsums.ScopedU(ctx, u))
-        rec = dict(base, epsilon=theorem["epsilon"], gamma3=theorem["gamma3"],
-                   gamma4=theorem["gamma4"], omegas=theorem["closed_form"],
-                   source="closed-form", match=theorem["match"])
-        return [rec], theorem["match"]
-    brute = ness.spectrum_bruteforce(ctx, ness.ddt_row(ctx, u))
-    rec = dict(base, epsilon=None, gamma3=None, gamma4=None,
-               omegas=list(brute.omegas), source="brute-force", match=None)
-    return [rec], True
+    try:
+        su = charsums.ScopedU(ctx, u)
+    except charsums.OutOfScopeError as exc:
+        omegas = ness.spectrum_bruteforce(ctx, ness.ddt_row(ctx, u))
+        return [{**_head(ctx, u), "class": exc.label, "epsilon": None, "gamma3": None,
+                 "gamma4": None, "omegas": omegas, "source": "brute-force", "match": None}], True
+    theorem = spectrum.verify_theorem_record(su)
+    return [dict(_closed_form_head(ctx, u, theorem), match=theorem["match"])], theorem["match"]
 
 
 def _ddt_records(ctx: FieldCtx, u: int, seed: int) -> tuple[list[dict], bool]:
     # delta(a, .) is the permutation b -> a b of row 1, so every a has its histogram
-    hist = np.bincount(ness.ddt_row(ctx, u)).tolist()
-    records = []
-    for a in range(1, ctx.q):
-        records.append({
-            "n": ctx.n, "modulus": ctx.modulus_str, "u": ctx.format_element(u),
-            "a": ctx.format_element(a), "delta_hist": hist,
-        })
-    return records, True
+    head, hist = _head(ctx, u), np.bincount(ness.ddt_row(ctx, u)).tolist()
+    return [dict(head, a=ctx.format_element(a), delta_hist=hist) for a in range(1, ctx.q)], True
 
 
 def _census_records(ctx: FieldCtx, u: int, seed: int) -> tuple[list[dict], bool]:
@@ -168,66 +162,43 @@ def _census_records(ctx: FieldCtx, u: int, seed: int) -> tuple[list[dict], bool]
     pair_count = min(200, total_pairs)
     pair_ids = rng.sample_distinct(range(total_pairs), pair_count, seed)
     su = charsums.ScopedU(ctx, u)
+    head = _head(ctx, u)
     records = []
-    ok = True
     for pid in pair_ids:
         a = pid // q + 1
         b = pid % q
         c = census_mod.census(su, a, b)
-        consistent = c.consistent and census_mod.predict_solution_count(su, a, b) == c.observed_total
-        ok &= consistent
-        records.append({
-            "n": ctx.n, "modulus": ctx.modulus_str, "u": ctx.format_element(u),
-            "a": ctx.format_element(a), "b": ctx.format_element(b),
-            "z": ctx.format_element(c.z), "n1": c.n1,
-            "case_i": c.case_counts["I"], "case_ii": c.case_counts["II"],
-            "case_iii": c.case_counts["III"], "case_iv": c.case_counts["IV"],
-            "predicted": c.predicted_total, "observed": c.observed_total,
-            "consistent": consistent,
-        })
-    return records, ok
+        consistent = c["predicted"] == c["observed"] == census_mod.predict_solution_count(su, a, b)
+        records.append({**head, "a": ctx.format_element(a), "b": ctx.format_element(b),
+                        **c, "z": ctx.format_element(c["z"]), "consistent": consistent})
+    return records, all(rec["consistent"] for rec in records)
 
 
 def _lemma_records(ctx: FieldCtx, u: int, seed: int) -> tuple[list[dict], bool]:
     reports = charsums.section2_identities(charsums.ScopedU(ctx, u))
-    records = [
-        dict({"n": ctx.n, "modulus": ctx.modulus_str, "u": ctx.format_element(u)},
-             **rep.to_json_dict())
-        for rep in reports
-    ]
-    return records, all(rep.passed for rep in reports)
+    head = _head(ctx, u)
+    return [{**head, **rep} for rep in reports], all(rep["pass"] for rep in reports)
 
 
 def _proposition_records(ctx: FieldCtx, u: int, seed: int) -> tuple[list[dict], bool]:
     report = census_mod.verify_predictions(charsums.ScopedU(ctx, u))
-    rec = {
-        "n": ctx.n, "modulus": ctx.modulus_str, "u": report["u"],
-        "pairs": report["pairs"], "mismatches": len(report["mismatches"]),
-        "ok": report["ok"],
-    }
-    records = [rec] + report["mismatches"]
-    return records, report["ok"]
+    mismatches = report["mismatches"]
+    return [{**_head(ctx, u), **report, "mismatches": len(mismatches)}, *mismatches], report["ok"]
 
 
 def _theorem_records(ctx: FieldCtx, u: int, seed: int) -> tuple[list[dict], bool]:
-    rec = spectrum.verify_theorem_record(charsums.ScopedU(ctx, u))
-    rec = dict({"n": ctx.n, "modulus": ctx.modulus_str}, **rec)
+    rec = {**_head(ctx, u), **spectrum.verify_theorem_record(charsums.ScopedU(ctx, u))}
     return [rec], rec["match"]
 
 
 def _scan_records(ctx: FieldCtx, u: int, seed: int) -> tuple[list[dict], bool]:
     su = charsums.ScopedU(ctx, u)
     theorem = spectrum.verify_theorem_record(su)
-    lemmas_ok = all(rep.passed for rep in charsums.section2_identities(su))
+    lemmas_ok = all(rep["pass"] for rep in charsums.section2_identities(su))
     props_ok = census_mod.verify_predictions(su)["ok"]
-    match = bool(theorem["match"] and lemmas_ok and props_ok)
-    rec = {
-        "n": ctx.n, "modulus": ctx.modulus_str, "u": theorem["u"],
-        "class": theorem["class"], "epsilon": theorem["epsilon"],
-        "gamma3": theorem["gamma3"], "gamma4": theorem["gamma4"],
-        "omegas": theorem["closed_form"], "source": "closed-form",
-        "lemmas_pass": lemmas_ok, "propositions_pass": props_ok, "match": match,
-    }
+    match = theorem["match"] and lemmas_ok and props_ok
+    rec = dict(_closed_form_head(ctx, u, theorem), lemmas_pass=lemmas_ok,
+               propositions_pass=props_ok, match=match)
     return [rec], match
 
 
@@ -328,7 +299,7 @@ def run(config: RunConfig, out: Optional[io.TextIOBase] = None,
 def _run_checked(config: RunConfig, out: io.TextIOBase, err: io.TextIOBase) -> int:
     try:
         if config.jobs < 1:
-            raise UsageError(f"--jobs must be at least 1, got {config.jobs}")
+            raise ValueError(f"--jobs must be at least 1, got {config.jobs}")
         ctx = make_context(config.n, config.modulus)
         us = resolve_u(ctx, config.u_spec, config.seed)
     except ValueError as exc:

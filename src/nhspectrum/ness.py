@@ -17,8 +17,6 @@ that lemma.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .field import FieldCtx
@@ -38,17 +36,11 @@ def ddt_row(ctx: FieldCtx, u: int) -> np.ndarray:
     return np.bincount(ctx.sub_vec(ftab[ctx.translate(1)], ftab), minlength=ctx.q)
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Histogram of DDT values over (a, b) in F* x F, up to the largest hit."""
-
-    omegas: tuple[int, ...]
-
-
-def spectrum_bruteforce(ctx: FieldCtx, row: np.ndarray) -> Spectrum:
+def spectrum_bruteforce(ctx: FieldCtx, row: np.ndarray) -> list[int]:
     """Differential spectrum from the DDT row a = 1 (`ddt_row`); any u.
 
-    Every row a is the permutation b -> a b of it, so each of the q - 1
-    rows has its histogram.
+    omega_i, for i up to the largest DDT value, counts the (a, b) in F* x F
+    with delta(a, b) = i.  Every row a is the permutation b -> a b of the
+    row a = 1, so each of the q - 1 rows has its histogram.
     """
-    return Spectrum(tuple(int(c) for c in (ctx.q - 1) * np.bincount(row)))
+    return ((ctx.q - 1) * np.bincount(row)).tolist()

@@ -26,8 +26,6 @@ rules and the scalar `census` as the oracles for every entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .charsums import SIGN_PATTERNS, ScopedU
@@ -208,20 +206,9 @@ def case_equation(ctx: FieldCtx, u: int, a: int, b: int, case_id: str) -> tuple[
     return c2, c1, c0
 
 
-@dataclass(frozen=True)
-class CaseOutcome:
-    """Desired solutions of one case quadratic."""
-
-    case_id: str
-    desired: tuple[int, ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.desired)
-
-
-def case_solutions(ctx: FieldCtx, u: int, a: int, b: int, case_id: str) -> CaseOutcome:
-    """Solve the case quadratic, then keep roots whose character signs match.
+def case_solutions(ctx: FieldCtx, u: int, a: int, b: int, case_id: str) -> tuple[int, ...]:
+    """The desired solutions of one case: solve the case quadratic, then keep
+    the roots whose character signs match.
 
     Roots at 0 or -a have a zero character on one side and never match,
     so the special points are excluded automatically.
@@ -232,10 +219,7 @@ def case_solutions(ctx: FieldCtx, u: int, a: int, b: int, case_id: str) -> CaseO
         raise ValueError(f"case_id must be one of {CASE_IDS}, got {case_id!r}")
     tau_a, tau_0 = CASE_TAU[case_id]
     roots = solve_quadratic(ctx, *case_equation(ctx, u, a, b, case_id))
-    desired = tuple(
-        x for x in roots if ctx.chi(ctx.add(x, a)) == tau_a and ctx.chi(x) == tau_0
-    )
-    return CaseOutcome(case_id=case_id, desired=desired)
+    return tuple(x for x in roots if ctx.chi(ctx.add(x, a)) == tau_a and ctx.chi(x) == tau_0)
 
 
 # ---------------------------------------------------------------------------
@@ -274,68 +258,33 @@ def predict_solution_count(su: ScopedU, a: int, b: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SolutionCensus:
-    """Full account of one (a, b): special points, cases, prediction, truth."""
-
-    a: int
-    b: int
-    z: int
-    n1: int
-    cases: tuple[CaseOutcome, ...]
-    predicted_total: int
-    observed_total: int
-
-    @property
-    def case_counts(self) -> dict[str, int]:
-        return {c.case_id: c.count for c in self.cases}
-
-    @property
-    def table_key(self) -> tuple[int, int, int, int]:
-        k = self.case_counts
-        return (self.n1, k["I"], k["II"] + k["III"], k["IV"])
-
-    @property
-    def consistent(self) -> bool:
-        return self.predicted_total == self.observed_total
-
-
-def census(su: ScopedU, a: int, b: int) -> SolutionCensus:
+def census(su: ScopedU, a: int, b: int) -> dict:
     """Count solutions every way at once and check the admissible patterns.
 
-    ``predicted_total`` is the special-point count plus desired case roots;
-    ``observed_total`` is delta(a, b), read from the DDT row `su.row` at
-    a b (`ness.ddt_row`).  The (N1, N_I, N_II + N_III, N_IV) vector
-    must appear in the admissible table with exactly the predicted total.
+    Returns {"z", "n1", "case_i", "case_ii", "case_iii", "case_iv",
+    "predicted", "observed"}: z = a b, the special-point count N1, the
+    number of desired roots of each case, the sum of those five (predicted)
+    and delta(a, b) (observed), read from the DDT row `su.row` at z
+    (`ness.ddt_row`).  The (N1, N_I, N_II + N_III, N_IV) vector must appear
+    in the admissible table with exactly the predicted total.
     """
     ctx, u = su.ctx, su.u
     if a == 0:
         raise ValueError("a must be nonzero")
     n1 = special_point_solutions(ctx, u, a, b)
-    if b == 0:
-        cases = tuple(CaseOutcome(cid, ()) for cid in CASE_IDS)
-    else:
-        cases = tuple(case_solutions(ctx, u, a, b, cid) for cid in CASE_IDS)
-    predicted = n1 + sum(c.count for c in cases)
-    z = ctx.mul(a, b)
-    observed = int(su.row[z])
-    result = SolutionCensus(
-        a=a,
-        b=b,
-        z=z,
-        n1=n1,
-        cases=cases,
-        predicted_total=predicted,
-        observed_total=observed,
-    )
-    expected_total = TABLE_IV_ROWS.get(result.table_key)
-    if expected_total is None or expected_total != predicted:
+    n_i, n_ii, n_iii, n_iv = (len(case_solutions(ctx, u, a, b, cid)) if b else 0
+                              for cid in CASE_IDS)
+    predicted = n1 + n_i + n_ii + n_iii + n_iv
+    table_key = (n1, n_i, n_ii + n_iii, n_iv)
+    if TABLE_IV_ROWS.get(table_key) != predicted:
         raise InconsistencyError(
-            f"case vector {result.table_key} with total {predicted} is not an "
+            f"case vector {table_key} with total {predicted} is not an "
             f"admissible pattern (u={ctx.format_element(u)}, "
             f"a={ctx.format_element(a)}, b={ctx.format_element(b)})"
         )
-    return result
+    z = ctx.mul(a, b)
+    return {"z": z, "n1": n1, "case_i": n_i, "case_ii": n_ii, "case_iii": n_iii,
+            "case_iv": n_iv, "predicted": predicted, "observed": int(su.row[z])}
 
 
 def mismatch_record(su: ScopedU, a: int, b: int, predicted: int, observed: int) -> dict:

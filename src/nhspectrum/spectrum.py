@@ -25,13 +25,11 @@ inconsistency naming u rather than rounded away.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import charsums
 from .field import FieldCtx, InconsistencyError
-from .ness import Spectrum, spectrum_bruteforce
+from .ness import spectrum_bruteforce
 
 
 def u0_nonf3_elements(ctx: FieldCtx) -> np.ndarray:
@@ -79,27 +77,19 @@ def epsilon(su: charsums.ScopedU) -> int:
     return int(ctx.chi(ctx.add(ctx.mul(lead, r), ctx.mul(square, square))) == -1)
 
 
-@dataclass(frozen=True)
-class ClosedFormInputs:
-    """Everything the closed form consumes, for one in-scope u."""
-
-    gamma3: int
-    gamma4: int
-    epsilon: int
-
-
-def closed_form_inputs(su: charsums.ScopedU) -> ClosedFormInputs:
-    """gamma3, gamma4 and epsilon, each sum checked against its Weil bound.
+def closed_form_inputs(su: charsums.ScopedU) -> dict:
+    """{"epsilon", "gamma3", "gamma4"}: everything the closed form consumes,
+    each sum checked against its Weil bound.
 
     g1 g4 is -(u+1) z (z + 1 - r)(z + 1 + r), three distinct zeros, so
     gamma3^2 <= 4q (Hasse); the quintic of gamma4 has the five distinct zeros
     of A (genus 2), so gamma4^2 <= 16q.  Compared in integers, never rounded.
     """
     q = su.ctx.q
-    ins = ClosedFormInputs(gamma3=gamma3(su), gamma4=gamma4(su), epsilon=epsilon(su))
-    for name, value, bound in (("gamma3", ins.gamma3, 4 * q), ("gamma4", ins.gamma4, 16 * q)):
-        if value * value > bound:
-            raise InconsistencyError(f"u={su.ctx.format_element(su.u)}: {name} = {value} "
+    ins = {"epsilon": epsilon(su), "gamma3": gamma3(su), "gamma4": gamma4(su)}
+    for name, bound in (("gamma3", 4 * q), ("gamma4", 16 * q)):
+        if ins[name] ** 2 > bound:
+            raise InconsistencyError(f"u={su.ctx.format_element(su.u)}: {name} = {ins[name]} "
                                      f"breaks its Weil bound {name}^2 <= {bound}")
     return ins
 
@@ -116,16 +106,15 @@ def _exact_div(num: int, den: int, what: str) -> int:
     return quot
 
 
-def spectrum_closed_form(ctx: FieldCtx, ins: ClosedFormInputs) -> Spectrum:
+def spectrum_closed_form(ctx: FieldCtx, epsilon: int, gamma3: int, gamma4: int) -> list[int]:
     """The five-entry spectrum [omega0..omega4] from (epsilon, gamma3, gamma4)."""
-    q = ctx.q
-    e, g3, g4 = ins.epsilon, ins.gamma3, ins.gamma4
+    q, e, g3, g4 = ctx.q, epsilon, gamma3, gamma4
     w0 = (q - 1) * (-1 + e + _exact_div(15 * q - 17 - g4, 32, "omega0"))
     w1 = (q - 1) * (3 - e + _exact_div(3 * q + 3 + 2 * g3 + g4, 16, "omega1"))
     w2 = (q - 1) * (-e + _exact_div(q - 7 - g3, 4, "omega2"))
     w3 = (q - 1) * (e + _exact_div(q + 1 + 2 * g3 - g4, 16, "omega3"))
     w4 = (q - 1) * _exact_div(q + 1 + g4, 32, "omega4")
-    return Spectrum((w0, w1, w2, w3, w4))
+    return [w0, w1, w2, w3, w4]
 
 
 def verify_theorem_record(su: charsums.ScopedU) -> dict:
@@ -133,17 +122,9 @@ def verify_theorem_record(su: charsums.ScopedU) -> dict:
     ctx = su.ctx
     ins = closed_form_inputs(su)
     try:
-        closed = spectrum_closed_form(ctx, ins)
+        closed = spectrum_closed_form(ctx, **ins)
     except InconsistencyError as exc:
         raise InconsistencyError(f"u={ctx.format_element(su.u)}: {exc}") from exc
     brute = spectrum_bruteforce(ctx, su.row)
-    return {
-        "u": ctx.format_element(su.u),
-        "class": charsums.CLASS_U0,
-        "epsilon": ins.epsilon,
-        "gamma3": ins.gamma3,
-        "gamma4": ins.gamma4,
-        "closed_form": list(closed.omegas),
-        "brute_force": list(brute.omegas),
-        "match": list(closed.omegas) == list(brute.omegas),
-    }
+    return {"u": ctx.format_element(su.u), "class": charsums.CLASS_U0, **ins,
+            "closed_form": closed, "brute_force": brute, "match": closed == brute}

@@ -28,7 +28,8 @@ route what a production function computes, and the tests compare the two.
     set A in closed form; `table_a_chi` reads the same grid off
     `ScopedU.sign_key`, and the tests compare the two.
   * `matching_conditions` interprets `SOLUTION_CONDITIONS` rule by rule on
-    the signs from `g_eval`, the oracle for `PREDICTION_TABLE`.
+    the signs from `g_eval`, the oracle for `PREDICTION_TABLE`;
+    `table_key` reads the admissible-table row off a `census` record.
   * `add`, `neg` and `sub` work digit by digit mod 3 on the base-3 digits
     of the indices: the addition oracle for the field, whose scalar ops and
     vector kernels alike read the bit planes.  The multiplication oracle is
@@ -94,18 +95,18 @@ def ddt_table(ctx: FieldCtx, u: int) -> np.ndarray:
     return out
 
 
-def uniformity(spec: ness.Spectrum) -> int:
+def uniformity(omegas: list[int]) -> int:
     """The largest DDT value hit: the last index of the spectrum."""
-    return len(spec.omegas) - 1
+    return len(omegas) - 1
 
 
-def counting_identities_hold(spec: ness.Spectrum, q: int) -> bool:
+def counting_identities_hold(omegas: list[int], q: int) -> bool:
     """sum omega_i = (q - 1) q pairs (a, b), and sum i omega_i = (q - 1) q
     solutions x, q for each of the q - 1 nonzero a."""
     total = (q - 1) * q
     return (
-        sum(spec.omegas) == total
-        and sum(i * w for i, w in enumerate(spec.omegas)) == total
+        sum(omegas) == total
+        and sum(i * w for i, w in enumerate(omegas)) == total
     )
 
 
@@ -325,6 +326,12 @@ def matching_conditions(su: ScopedU, a: int, b: int) -> list[tuple[int, int]]:
         signs=g_signs(su, z),
         chi_z2mu2=ctx.chi(ctx.sub(ctx.mul(z, z), ctx.mul(u, u))),
     )
+
+
+def table_key(c: dict) -> tuple[int, int, int, int]:
+    """The (N1, N_I, N_II + N_III, N_IV) vector of a `census` record: its
+    row of `TABLE_IV_ROWS`."""
+    return (c["n1"], c["case_i"], c["case_ii"] + c["case_iii"], c["case_iv"])
 
 
 # ---------------------------------------------------------------------------

@@ -99,7 +99,7 @@ def test_case_solutions_are_desired_equation_solutions(f3):
         for b in range(1, f3.q, 4):
             for case_id in cn.CASE_IDS:
                 tau_a, tau_0 = cn.CASE_TAU[case_id]
-                for x in cn.case_solutions(f3, u, a, b, case_id).desired:
+                for x in cn.case_solutions(f3, u, a, b, case_id):
                     assert f3.chi(f3.add(x, a)) == tau_a
                     assert f3.chi(x) == tau_0
                     assert oracles.derivative(f3, u, a, x) == b
@@ -113,8 +113,8 @@ def test_case_ii_iii_root_pairing(f3):
                 roots3 = cn.solve_quadratic(f3, *cn.case_equation(f3, u, a, b, "III"))
                 for x in roots2:
                     assert f3.neg(f3.add(x, a)) in roots3
-                desired2 = cn.case_solutions(f3, u, a, b, "II").desired
-                desired3 = cn.case_solutions(f3, u, a, b, "III").desired
+                desired2 = cn.case_solutions(f3, u, a, b, "II")
+                desired3 = cn.case_solutions(f3, u, a, b, "III")
                 for x in desired2:
                     assert f3.neg(f3.add(x, a)) not in desired3
 
@@ -124,7 +124,7 @@ def test_case_bounds(f3):
     for a in range(1, f3.q, 2):
         for b in range(1, f3.q, 2):
             counts = {
-                cid: cn.case_solutions(f3, u, a, b, cid).count for cid in cn.CASE_IDS
+                cid: len(cn.case_solutions(f3, u, a, b, cid)) for cid in cn.CASE_IDS
             }
             assert counts["I"] <= 1
             assert counts["IV"] <= 1
@@ -153,8 +153,8 @@ def test_case_i_iv_sign_conditions(f3):
         for a in range(1, f3.q, 2):
             for b in range(1, f3.q, 3):
                 s = oracles.g_signs(su, f3.mul(a, b))
-                n_i = cn.case_solutions(f3, u, a, b, "I").count
-                n_iv = cn.case_solutions(f3, u, a, b, "IV").count
+                n_i = len(cn.case_solutions(f3, u, a, b, "I"))
+                n_iv = len(cn.case_solutions(f3, u, a, b, "IV"))
                 assert n_i == int(s[0] == 1 and s[1] == 1)
                 assert n_iv == int(s[0] == 1 and s[2] == 1)
 
@@ -169,8 +169,8 @@ def test_case_ii_iii_sum_sign_conditions(f3):
                 s = oracles.g_signs(su, z)
                 chi_z2mu2 = f3.chi(f3.sub(f3.mul(z, z), f3.mul(u, u)))
                 total = (
-                    cn.case_solutions(f3, u, a, b, "II").count
-                    + cn.case_solutions(f3, u, a, b, "III").count
+                    len(cn.case_solutions(f3, u, a, b, "II"))
+                    + len(cn.case_solutions(f3, u, a, b, "III"))
                 )
                 if s[3] == 1 and s[4] == 1:
                     assert total == 2
@@ -186,7 +186,7 @@ def _case_rows(su):
     rows = cn.CASE_TABLE[su.sign_key]
     for z, row in enumerate(rows.tolist()):
         c = cn.census(su, 1, z)
-        assert tuple(row) == (*c.table_key, c.predicted_total), (su.u, z)
+        assert tuple(row) == (*oracles.table_key(c), c["predicted"]), (su.u, z)
     return dict(zip(cn.CASE_COLUMNS, rows.T))
 
 
@@ -225,16 +225,16 @@ def test_census_exhaustive_n3(f3):
             for b in range(f3.q):
                 c = cn.census(su, a, b)
                 predicted = cn.predict_solution_count(su, a, b)
-                assert c.predicted_total == c.observed_total == predicted
-                assert c.observed_total == int(ddt[a, b]) == oracles.ddt_entry_naive(f3, u, a, b)
-                assert c.table_key in cn.TABLE_IV_ROWS
+                assert c["predicted"] == c["observed"] == predicted
+                assert c["observed"] == int(ddt[a, b]) == oracles.ddt_entry_naive(f3, u, a, b)
+                assert oracles.table_key(c) in cn.TABLE_IV_ROWS
 
 
 def test_census_totals_match_case_sum(f3):
     u = u0_nonf3_elements(f3)[0]
     c = cn.census(ScopedU(f3, u), 4, 9)
-    assert c.predicted_total == c.n1 + sum(o.count for o in c.cases)
-    assert c.z == f3.mul(4, 9)
+    assert c["predicted"] == c["n1"] + sum(c[f"case_{i}"] for i in ("i", "ii", "iii", "iv"))
+    assert c["z"] == f3.mul(4, 9)
 
 
 def test_table_iv_rows_are_the_admissible_vectors():
@@ -252,7 +252,7 @@ def test_full_pattern_with_four_solutions_occurs(f3):
         su = ScopedU(f3, u)
         for a in range(1, f3.q):
             for b in range(1, f3.q):
-                seen.add(cn.census(su, a, b).table_key)
+                seen.add(oracles.table_key(cn.census(su, a, b)))
     assert (0, 1, 2, 1) in seen  # the four-solution row
     assert (1, 0, 0, 0) in seen
 

@@ -372,10 +372,6 @@ def test_closed_stdout_stops_the_sweep_with_status_141():
     assert json.loads(first)["match"] is True
 
 
-# ``spectrum`` classifies every u itself, to label the out-of-scope ones, and
-# its ScopedU checks the scope again; every scope command classifies once.
-CLASSIFY_PER_U = {"spectrum": 2}
-
 # Whole-field translates per u: 1 for the DDT row where the command reads
 # it, and none for the sign key, which reads rotations of the one table
 # chi(g^m - 1) of the field.
@@ -420,7 +416,7 @@ def test_one_build_per_u(monkeypatch, command, ddt_rows_per_u):
     assert counts == {"sign_key": k, "char_sum": 0, "ddt_row": ddt_rows_per_u * k,
                       "f_table": ddt_rows_per_u * k,
                       "translate": TRANSLATES_PER_U[command] * k + 1,
-                      "classify_u": CLASSIFY_PER_U.get(command, 1) * k}
+                      "classify_u": k}
 
 
 def test_console_entry_point_runs():
