@@ -8,7 +8,7 @@ closed form in two character sums.
 from .solution_census import (
     case_solutions,
     census,
-    predict_solution_count,
+    prediction_by_z,
     special_point_solutions,
     verify_predictions,
 )
@@ -20,7 +20,7 @@ from .charsums import (
 )
 from .field import FieldCtx, InconsistencyError, ReducibleModulusError, make_context
 from .ness import ddt_row, spectrum_bruteforce
-from .rng import SplitMix64, sample_u0_nonf3
+from .rng import SplitMix64
 from .spectrum import (
     closed_form_inputs,
     epsilon,
@@ -48,8 +48,7 @@ __all__ = [
     "gamma3",
     "gamma4",
     "make_context",
-    "predict_solution_count",
-    "sample_u0_nonf3",
+    "prediction_by_z",
     "section2_identities",
     "set_a_points",
     "special_point_solutions",

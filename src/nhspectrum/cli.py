@@ -16,7 +16,8 @@ mismatch, 2 usage or configuration error, 141 stdout closed early (as by
 `| head`; the sweep stops there).  Output is deterministic for a fixed
 configuration and seed.  Records go out in parameter order as each u is
 built, so a run stopped by an inconsistency or a kill keeps the records of
-every earlier u.
+every earlier u.  This module alone writes u, n and the modulus into them,
+and the a, b and z of `census` and mismatch records as digit strings.
 
 The --u selector accepts an element digit string ("120"), a generator
 power ("gen^4"), "all" (every u with chi(u+1) != chi(u-1) outside GF(3)),
@@ -43,16 +44,6 @@ import numpy as np
 from . import solution_census as census_mod
 from . import charsums, ness, rng, spectrum
 from .field import FieldCtx, InconsistencyError, make_context
-
-COMMANDS = (
-    "spectrum",
-    "ddt",
-    "census",
-    "verify-lemmas",
-    "verify-propositions",
-    "verify-theorem",
-    "scan",
-)
 
 SPECTRUM_COLUMNS = [
     "n", "modulus", "u", "class", "epsilon", "gamma3", "gamma4",
@@ -107,7 +98,8 @@ def resolve_u(ctx: FieldCtx, u_spec: str, seed: int = 0) -> list[int]:
             sample_seed = int(parts[2]) if len(parts) == 3 else seed
         except ValueError as exc:
             raise ValueError(f"bad sample spec {u_spec!r}: {exc}") from None
-        return rng.sample_u0_nonf3(ctx, count, sample_seed)
+        drawn = rng.sample_distinct(spectrum.u0_nonf3_elements(ctx), count, sample_seed)
+        return [int(u) for u in drawn]
     if u_spec.startswith("gen^"):
         try:
             k = int(u_spec[4:])
@@ -130,6 +122,11 @@ def resolve_u(ctx: FieldCtx, u_spec: str, seed: int = 0) -> list[int]:
 def _head(ctx: FieldCtx, u: int) -> dict:
     """The columns every record starts with."""
     return {"n": ctx.n, "modulus": ctx.modulus_str, "u": ctx.format_element(u)}
+
+
+def _format_pair(ctx: FieldCtx, rec: dict) -> dict:
+    """rec with its int a, b and z written as element digit strings, each in its place."""
+    return {**rec, **{key: ctx.format_element(rec[key]) for key in ("a", "b", "z")}}
 
 
 def _closed_form_head(ctx: FieldCtx, u: int, theorem: dict) -> dict:
@@ -162,15 +159,15 @@ def _census_records(ctx: FieldCtx, u: int, seed: int) -> tuple[list[dict], bool]
     pair_count = min(200, total_pairs)
     pair_ids = rng.sample_distinct(range(total_pairs), pair_count, seed)
     su = charsums.ScopedU(ctx, u)
+    prediction = census_mod.prediction_by_z(su)
     head = _head(ctx, u)
     records = []
     for pid in pair_ids:
         a = pid // q + 1
         b = pid % q
         c = census_mod.census(su, a, b)
-        consistent = c["predicted"] == c["observed"] == census_mod.predict_solution_count(su, a, b)
-        records.append({**head, "a": ctx.format_element(a), "b": ctx.format_element(b),
-                        **c, "z": ctx.format_element(c["z"]), "consistent": consistent})
+        consistent = c["predicted"] == c["observed"] == int(prediction[c["z"]])
+        records.append(_format_pair(ctx, {**head, "a": a, "b": b, **c, "consistent": consistent}))
     return records, all(rec["consistent"] for rec in records)
 
 
@@ -182,8 +179,9 @@ def _lemma_records(ctx: FieldCtx, u: int, seed: int) -> tuple[list[dict], bool]:
 
 def _proposition_records(ctx: FieldCtx, u: int, seed: int) -> tuple[list[dict], bool]:
     report = census_mod.verify_predictions(charsums.ScopedU(ctx, u))
-    mismatches = report["mismatches"]
-    return [{**_head(ctx, u), **report, "mismatches": len(mismatches)}, *mismatches], report["ok"]
+    head, mismatches = _head(ctx, u), report["mismatches"]
+    details = [_format_pair(ctx, {"u": head["u"], **m}) for m in mismatches]
+    return [{**head, **report, "mismatches": len(mismatches)}, *details], report["ok"]
 
 
 def _theorem_records(ctx: FieldCtx, u: int, seed: int) -> tuple[list[dict], bool]:
@@ -211,6 +209,8 @@ BUILDERS: dict[str, Callable[[FieldCtx, int, int], tuple[list[dict], bool]]] = {
     "verify-theorem": _theorem_records,
     "scan": _scan_records,
 }
+
+COMMANDS = tuple(BUILDERS)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +241,7 @@ def _csv_cell(value) -> str:
 
 def _to_csv_row(command: str, rec: dict) -> Optional[list[str]]:
     if command == "verify-propositions" and "pairs" not in rec:
-        return None  # mismatch detail records are JSON-only
+        return None  # mismatch detail records have no csv row
     flat = dict(rec)
     if command == "verify-theorem":
         flat["source"] = "closed-form"

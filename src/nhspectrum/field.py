@@ -248,7 +248,7 @@ class FieldCtx:
 
     def _coerce_modulus(self, modulus: PolyLike) -> list[int]:
         if isinstance(modulus, str):
-            digits = [int(ch) for ch in modulus]
+            digits = ["012".find(ch) for ch in modulus]  # -1 for any other character
         else:
             digits = [int(d) for d in modulus]
         if any(d not in (0, 1, 2) for d in digits):

@@ -11,15 +11,13 @@ implementation of the same sweep reproduces the sample:
     output = z xor (z >> 31)
 
 Samples are drawn as output mod len(pool) with duplicates skipped, so a
-fixed (seed, pool) always yields the same subset in the same order.
+fixed (seed, pool) always yields the same subset in the same order.  The
+pool is any sequence: `cli.resolve_u` passes `spectrum.u0_nonf3_elements`.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
-
-from .field import FieldCtx
-from .spectrum import u0_nonf3_elements
 
 MASK64 = (1 << 64) - 1
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
@@ -66,7 +64,3 @@ def sample_distinct(pool: Sequence, count: int, seed: int) -> list:
             chosen.append(item)
     return chosen
 
-
-def sample_u0_nonf3(ctx: FieldCtx, count: int, seed: int) -> list[int]:
-    """Deterministic sample of in-scope parameters u; only the drawn ones become ints."""
-    return [int(u) for u in sample_distinct(u0_nonf3_elements(ctx), count, seed)]

@@ -18,10 +18,11 @@ counting.  Direct counting depends on z alone as well: delta(a, b) is the
 DDT row `ScopedU.row` at z (`ness.ddt_row`).
 
 At import, the rules in `SOLUTION_CONDITIONS` compile into
-`PREDICTION_TABLE` and the closed forms of the case counts into
-`CASE_TABLE`, both indexed by the sign key of z (`ScopedU.sign_key`), so a
-full-field check is two gathers.  The tests keep an interpreter of the
-rules and the scalar `census` as the oracles for every entry.
+`PREDICTION_TABLE`, read only by `prediction_by_z`, and the closed forms of
+the case counts into `CASE_TABLE`, both indexed by the sign key of z
+(`ScopedU.sign_key`), so a full-field check is two gathers.  The tests keep
+an interpreter of the rules and the scalar `census` as the oracles for
+every entry.  Records hold elements as ints and no u: the CLI writes both.
 """
 
 from __future__ import annotations
@@ -223,37 +224,6 @@ def case_solutions(ctx: FieldCtx, u: int, a: int, b: int, case_id: str) -> tuple
 
 
 # ---------------------------------------------------------------------------
-# sign-vector prediction
-# ---------------------------------------------------------------------------
-
-
-def g_signs(su: ScopedU, z: int) -> tuple[int, int, int, int, int]:
-    """(chi(g1(z)), ..., chi(g5(z)))."""
-    return tuple(SIGN_PATTERNS[su.sign_key[z], 1:].tolist())
-
-
-def _predict(su: ScopedU, zs: list[int] | slice) -> np.ndarray:
-    """`PREDICTION_TABLE` at the sign keys of zs, a list or a slice of the z; raises
-    InconsistencyError naming u, z and the signs at the first z where not exactly
-    one rule fires."""
-    pred = PREDICTION_TABLE[su.sign_key[zs]]
-    if pred.min() < 0:
-        first = int((pred < 0).argmax())
-        z = int(np.arange(su.ctx.q)[zs][first])
-        what = "no condition" if pred[first] == NO_RULE else "several conditions"
-        raise InconsistencyError(f"{what} matched at u={su.ctx.format_element(su.u)} "
-                                 f"z={su.ctx.format_element(z)} signs={g_signs(su, z)}")
-    return pred
-
-
-def predict_solution_count(su: ScopedU, a: int, b: int) -> int:
-    """N(a, b) from the sign key of z = a b alone; raises if not exactly one rule fires."""
-    if a == 0:
-        raise ValueError("a must be nonzero")
-    return int(_predict(su, [su.ctx.mul(a, b)])[0])
-
-
-# ---------------------------------------------------------------------------
 # the per-pair census
 # ---------------------------------------------------------------------------
 
@@ -287,33 +257,30 @@ def census(su: ScopedU, a: int, b: int) -> dict:
             "case_iv": n_iv, "predicted": predicted, "observed": int(su.row[z])}
 
 
-def mismatch_record(su: ScopedU, a: int, b: int, predicted: int, observed: int) -> dict:
-    """JSON-ready triage record for a prediction that missed."""
-    ctx = su.ctx
-    z = ctx.mul(a, b)
-    return {
-        "u": ctx.format_element(su.u),
-        "a": ctx.format_element(a),
-        "b": ctx.format_element(b),
-        "z": ctx.format_element(z),
-        "chi_signature": list(g_signs(su, z)),
-        "predicted": predicted,
-        "observed": observed,
-    }
+# ---------------------------------------------------------------------------
+# sign-vector prediction and the full-field check
+# ---------------------------------------------------------------------------
 
 
-# ---------------------------------------------------------------------------
-# vectorised full-field verification
-# ---------------------------------------------------------------------------
+def g_signs(su: ScopedU, z: int) -> tuple[int, int, int, int, int]:
+    """(chi(g1(z)), ..., chi(g5(z)))."""
+    return tuple(SIGN_PATTERNS[su.sign_key[z], 1:].tolist())
 
 
 def prediction_by_z(su: ScopedU) -> np.ndarray:
-    """Predicted N for every z (slot z = 0 covers b = 0 and is 0).
+    """Predicted N(a, b) at every z = a b (slot z = 0 covers b = 0 and is 0).
 
-    One gather from `PREDICTION_TABLE` at the sign keys; raises unless
-    exactly one condition fires at every z.
+    One gather from `PREDICTION_TABLE` at the sign keys; raises
+    InconsistencyError naming u, z and the signs at the first z where not
+    exactly one condition fires.
     """
-    return _predict(su, slice(None))
+    pred = PREDICTION_TABLE[su.sign_key]
+    if pred.min() < 0:
+        z = int((pred < 0).argmax())
+        what = "no condition" if pred[z] == NO_RULE else "several conditions"
+        raise InconsistencyError(f"{what} matched at u={su.ctx.format_element(su.u)} "
+                                 f"z={su.ctx.format_element(z)} signs={g_signs(su, z)}")
+    return pred
 
 
 def verify_predictions(su: ScopedU) -> dict:
@@ -324,18 +291,17 @@ def verify_predictions(su: ScopedU) -> dict:
     unless the vector is in the admissible table (`CASE_TABLE`).  All three
     depend only on z = a b (`ness.ddt_row`), so the pairs (1, z) cover every
     pair.  Returns a summary with one mismatch record per failing z, at
-    (a, b) = (1, z).
+    (a, b) = (1, z), its elements as ints.
     """
-    ctx = su.ctx
-    q = ctx.q
+    q = su.ctx.q
     predicted = prediction_by_z(su)
     totals = CASE_TABLE[su.sign_key, CASE_COLUMNS.index("total")]
     observed = su.row
     ok = (predicted == observed) & (totals == observed)
-    mismatches = [mismatch_record(su, 1, int(z), int(predicted[z]), int(observed[z]))
-                  for z in np.flatnonzero(~ok)]
+    mismatches = [{"a": 1, "b": z, "z": z, "chi_signature": list(g_signs(su, z)),
+                   "predicted": int(predicted[z]), "observed": int(observed[z])}
+                  for z in np.flatnonzero(~ok).tolist()]
     return {
-        "u": ctx.format_element(su.u),
         "pairs": (q - 1) * q,  # the row a = 1 stands for all q - 1 rows
         "mismatches": mismatches,
         "ok": not mismatches,

@@ -126,5 +126,5 @@ def verify_theorem_record(su: charsums.ScopedU) -> dict:
     except InconsistencyError as exc:
         raise InconsistencyError(f"u={ctx.format_element(su.u)}: {exc}") from exc
     brute = spectrum_bruteforce(ctx, su.row)
-    return {"u": ctx.format_element(su.u), "class": charsums.CLASS_U0, **ins,
+    return {"class": charsums.CLASS_U0, **ins,
             "closed_form": closed, "brute_force": brute, "match": closed == brute}

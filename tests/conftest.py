@@ -21,7 +21,7 @@ def f7():
 @pytest.fixture(scope="session")
 def scope_cases(f3, f5, f7):
     """(ctx, us): every in-scope u at n = 3 and 5, and 20 seeded u at n = 7."""
-    from nhspectrum.rng import sample_u0_nonf3
+    from sampling import sample_u0_nonf3
     from nhspectrum.spectrum import u0_nonf3_elements
 
     return [(f3, u0_nonf3_elements(f3)), (f5, u0_nonf3_elements(f5)),

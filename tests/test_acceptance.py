@@ -9,11 +9,11 @@ import random
 import pytest
 
 import oracles
+from sampling import sample_u0_nonf3
 from nhspectrum import charsums as cs
 from nhspectrum import ness
 from nhspectrum import solution_census as cn
 from nhspectrum import spectrum as sp
-from nhspectrum.rng import sample_u0_nonf3
 
 
 def _closed_and_brute(ctx, u):

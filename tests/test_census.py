@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 import oracles
+from sampling import sample_u0_nonf3
 from nhspectrum import solution_census as cn
 from nhspectrum import ness
 from nhspectrum.charsums import SIGN_PATTERNS, ScopedU
 from nhspectrum.field import InconsistencyError
-from nhspectrum.rng import sample_u0_nonf3
 from nhspectrum.spectrum import u0_nonf3_elements
 
 
@@ -221,10 +221,11 @@ def test_census_exhaustive_n3(f3):
     for u in u0_nonf3_elements(f3):
         ddt = oracles.ddt_table(f3, u)
         su = ScopedU(f3, u)
+        prediction = cn.prediction_by_z(su)
         for a in range(1, f3.q):
             for b in range(f3.q):
                 c = cn.census(su, a, b)
-                predicted = cn.predict_solution_count(su, a, b)
+                predicted = int(prediction[f3.mul(a, b)])
                 assert c["predicted"] == c["observed"] == predicted
                 assert c["observed"] == int(ddt[a, b]) == oracles.ddt_entry_naive(f3, u, a, b)
                 assert oracles.table_key(c) in cn.TABLE_IV_ROWS
@@ -260,16 +261,19 @@ def test_full_pattern_with_four_solutions_occurs(f3):
 def test_predict_b_zero_is_zero(f3):
     for u in u0_nonf3_elements(f3):
         su = ScopedU(f3, u)
+        prediction = cn.prediction_by_z(su)
         for a in range(1, f3.q):
-            assert cn.predict_solution_count(su, a, 0) == 0
+            assert int(prediction[f3.mul(a, 0)]) == 0
 
 
 def test_predict_requires_scope_and_nonzero_a(f3):
+    """A prediction needs an in-scope u; the per-pair census it is compared
+    with needs a != 0."""
     with pytest.raises(ValueError):
-        cn.predict_solution_count(ScopedU(f3, 1), 2, 3)
+        cn.prediction_by_z(ScopedU(f3, 1))
     u = u0_nonf3_elements(f3)[0]
     with pytest.raises(ValueError):
-        cn.predict_solution_count(ScopedU(f3, u), 0, 3)
+        cn.census(ScopedU(f3, u), 0, 3)
 
 
 def test_exactly_one_condition_matches_n3(f3):
@@ -348,30 +352,25 @@ def test_prediction_by_z_matches_scalar(f3):
     for u in u0_nonf3_elements(f3):
         su = ScopedU(f3, u)
         pred = cn.prediction_by_z(su)
+        assert pred[0] == 0
         for a in range(1, f3.q):
             for b in range(f3.q):
-                scalar = cn.predict_solution_count(su, a, b)
-                assert int(pred[f3.mul(a, b)] if b else 0) == scalar
                 (hit,) = oracles.matching_conditions(su, a, b)
-                assert hit[0] == scalar
+                assert hit[0] == int(pred[f3.mul(a, b)])
 
 
 def test_prediction_names_the_key_without_a_rule(f3, monkeypatch):
+    """The error names u, the first z with the broken key, and its signs."""
     su = ScopedU(f3, u0_nonf3_elements(f3)[0])
-    z = 7
-    key = int(su.sign_key[z])
+    key = int(su.sign_key[7])
+    z = int(np.flatnonzero(su.sign_key == key)[0])
     table = cn.PREDICTION_TABLE.copy()
     table[key] = cn.NO_RULE
     monkeypatch.setattr(cn, "PREDICTION_TABLE", table)
-    with pytest.raises(InconsistencyError, match="no condition matched") as vector:
+    with pytest.raises(InconsistencyError, match="no condition matched") as exc:
         cn.prediction_by_z(su)
-    with pytest.raises(InconsistencyError, match="no condition matched") as scalar:
-        cn.predict_solution_count(su, 1, z)
-    for exc in (vector, scalar):
-        message = str(exc.value)
-        assert f"u={f3.format_element(su.u)}" in message
-        assert f"signs={cn.g_signs(su, z)}" in message
-    assert f"z={f3.format_element(z)}" in str(scalar.value)
+    assert str(exc.value) == (f"no condition matched at u={f3.format_element(su.u)} "
+                              f"z={f3.format_element(z)} signs={cn.g_signs(su, z)}")
 
 
 def test_verify_predictions_clean_n3(f3):
@@ -405,11 +404,9 @@ def test_verify_predictions_reports_a_raised_cell(f3, monkeypatch):
     assert report["ok"] is False
     assert report["pairs"] == (f3.q - 1) * f3.q
     (rec,) = report["mismatches"]
-    assert rec == cn.mismatch_record(
-        su, 1, b, cn.predict_solution_count(su, 1, b),
-        oracles.ddt_entry_naive(f3, u, 1, b) + 1,
-    )
-    assert (rec["a"], rec["b"]) == (f3.format_element(1), f3.format_element(b))
+    assert rec == {"a": 1, "b": b, "z": b, "chi_signature": list(oracles.g_signs(su, b)),
+                   "predicted": int(cn.prediction_by_z(su)[b]),
+                   "observed": oracles.ddt_entry_naive(f3, u, 1, b) + 1}
 
 
 def test_verify_predictions_reports_one_record_per_z(f3, monkeypatch):
@@ -425,15 +422,22 @@ def test_verify_predictions_reports_one_record_per_z(f3, monkeypatch):
     zs = np.flatnonzero(su.sign_key == key)
     assert len(zs) > 1 and report["ok"] is False
     assert report["mismatches"] == [
-        cn.mismatch_record(su, 1, int(z), int(wrong[key]), oracles.ddt_entry_naive(f3, u, 1, z))
-        for z in zs
+        {"a": 1, "b": z, "z": z, "chi_signature": list(oracles.g_signs(su, z)),
+         "predicted": int(wrong[key]), "observed": oracles.ddt_entry_naive(f3, u, 1, z)}
+        for z in zs.tolist()
     ]
 
 
-def test_mismatch_record_shape(f3):
+def test_mismatch_record_shape(f3, monkeypatch):
+    """A mismatch record holds ints and the five signs, in the order the CLI
+    writes them after u; the CLI alone writes u."""
     u = u0_nonf3_elements(f3)[0]
-    rec = cn.mismatch_record(ScopedU(f3, u), 4, 9, 2, 3)
-    assert set(rec) == {"u", "a", "b", "z", "chi_signature", "predicted", "observed"}
+    raised = ness.ddt_row(f3, u).copy()
+    raised[9] += 1
+    monkeypatch.setattr(ness, "ddt_row", lambda ctx, u: raised)
+    (rec,) = cn.verify_predictions(ScopedU(f3, u))["mismatches"]
+    assert list(rec) == ["a", "b", "z", "chi_signature", "predicted", "observed"]
+    assert all(type(rec[key]) is int for key in ("a", "b", "z", "predicted", "observed"))
     assert len(rec["chi_signature"]) == 5
 
 

@@ -8,6 +8,7 @@ import sys
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nhspectrum import charsums, cli, field, ness, spectrum
@@ -64,6 +65,13 @@ def test_usage_error_even_n():
 def test_usage_error_reducible_modulus():
     status, _, err = _run("spectrum", modulus="0101")
     assert status == 2 and "reducible" in err
+
+
+@pytest.mark.parametrize("modulus", ["12a1", "1-01", "12 1"])
+def test_usage_error_non_digit_modulus_names_it(modulus):
+    status, out, err = _run("spectrum", modulus=modulus)
+    assert (status, out) == (2, "")
+    assert err == f"error: modulus digits must be 0/1/2, got {modulus!r}\n"
 
 
 def test_usage_error_out_of_scope_u_names_class():
@@ -179,6 +187,25 @@ def test_verify_propositions_shape():
         assert rec["pairs"] == 26 * 27
 
 
+def test_verify_propositions_mismatch_lines(monkeypatch):
+    """A wrong DDT cell at z = 5 gives one detail line after the summary, u
+    first and the elements as digit strings; csv writes the summary alone."""
+    ctx = make_context(3)
+    u = int(u0_nonf3_elements(ctx)[0])
+    raised = ness.ddt_row(ctx, u).copy()
+    raised[5] += 1
+    monkeypatch.setattr(ness, "ddt_row", lambda ctx, u: raised)
+    status, out, _ = _run("verify-propositions", u=ctx.format_element(u))
+    summary, detail = _json_lines(out)
+    assert status == 1 and summary["mismatches"] == 1 and summary["ok"] is False
+    assert list(detail) == ["u", "a", "b", "z", "chi_signature", "predicted", "observed"]
+    assert [detail[key] for key in ("u", "a", "b", "z")] == [
+        ctx.format_element(u), ctx.format_element(1), ctx.format_element(5), ctx.format_element(5)]
+    assert detail["observed"] == raised[5]
+    status, out, _ = _run("verify-propositions", u=ctx.format_element(u), fmt="csv")
+    assert status == 1 and len(out.splitlines()) == 2
+
+
 def test_census_records_consistent():
     status, out, _ = _run("census", u="sample:1:3", seed=11)
     assert status == 0
@@ -189,6 +216,22 @@ def test_census_records_consistent():
         + rec["case_ii"] + rec["case_iii"] + rec["case_iv"]
         for rec in records
     )
+
+
+def test_census_reads_the_prediction_at_every_z(monkeypatch):
+    """census reads one prediction vector per u: a sign key without a rule
+    stops the run before the u's records, naming the first z that has it."""
+    ctx = make_context(3)
+    su = charsums.ScopedU(ctx, int(u0_nonf3_elements(ctx)[0]))
+    table = census_mod.PREDICTION_TABLE.copy()
+    table[su.sign_key[7]] = census_mod.NO_RULE
+    monkeypatch.setattr(census_mod, "PREDICTION_TABLE", table)
+    status, out, err = _run("census", u=ctx.format_element(su.u))
+    assert (status, out) == (1, "")
+    z = int(np.flatnonzero(su.sign_key == su.sign_key[7])[0])
+    assert json.loads(err)["detail"] == (f"no condition matched at u={ctx.format_element(su.u)} "
+                                         f"z={ctx.format_element(z)} "
+                                         f"signs={census_mod.g_signs(su, z)}")
 
 
 def test_ddt_rows_sum_to_field_size():

@@ -1,9 +1,10 @@
 """Every record-returning library call returns plain JSON values.
 
 The CLI writes what the checks return, adding only n, modulus and u (and
-formatting a, b and z for ``census``).  So a numpy scalar, which
-``json.dumps`` rejects, or a tuple, which comes back as a list, must not
-reach a record: each one has to survive ``json.loads(json.dumps(x)) == x``.
+formatting a, b and z for ``census`` and the mismatch records).  So a
+numpy scalar, which ``json.dumps`` rejects, or a tuple, which comes back
+as a list, must not reach a record: each one has to survive
+``json.loads(json.dumps(x)) == x``.
 """
 
 import json
@@ -12,6 +13,7 @@ import pytest
 
 from nhspectrum import charsums, ness, rng, solution_census, spectrum
 from nhspectrum.spectrum import u0_nonf3_elements
+from sampling import sample_u0_nonf3
 
 PAIRS_PER_U = 12
 
@@ -38,7 +40,16 @@ def _records(su: charsums.ScopedU) -> dict:
 def test_records_round_trip_through_json(f3, f5, n):
     """Every in-scope u at n = 3, a seeded sample of 8 at n = 5."""
     ctx = {3: f3, 5: f5}[n]
-    us = u0_nonf3_elements(ctx).tolist() if n == 3 else rng.sample_u0_nonf3(ctx, 8, seed=5)
+    us = u0_nonf3_elements(ctx).tolist() if n == 3 else sample_u0_nonf3(ctx, 8, seed=5)
     for u in us:
         for call, value in _records(charsums.ScopedU(ctx, u)).items():
             assert json.loads(json.dumps(value)) == value, (n, u, call)
+
+
+def test_records_carry_no_u(f3):
+    """The CLI is the one writer of u: no library record names it."""
+    for u in u0_nonf3_elements(f3).tolist():
+        records = _records(charsums.ScopedU(f3, u))
+        for call in ("verify_theorem_record", "verify_predictions"):
+            assert "u" not in records[call], (u, call)
+        assert all("u" not in rec for rec in records["census"]), u

@@ -2,7 +2,9 @@
 
 import pytest
 
-from nhspectrum.rng import SplitMix64, sample_distinct, sample_u0_nonf3
+from sampling import sample_u0_nonf3
+from nhspectrum.cli import resolve_u
+from nhspectrum.rng import SplitMix64, sample_distinct
 from nhspectrum.charsums import CLASS_U0, classify_u
 
 
@@ -71,3 +73,5 @@ def test_sample_u_in_scope(f5):
     for u in us:
         assert classify_u(f5, u) == CLASS_U0
     assert us == sample_u0_nonf3(f5, 10, seed=42)
+    drawn = resolve_u(f5, "sample:10:42")  # the CLI draws the same u, as ints
+    assert drawn == us and all(type(u) is int for u in drawn)

@@ -234,8 +234,8 @@ def test_closed_form_rejects_out_of_scope(f3):
 def test_verify_theorem_record_shape(f3):
     u = sp.u0_nonf3_elements(f3)[0]
     rec = sp.verify_theorem_record(cs.ScopedU(f3, u))
-    assert set(rec) == {
-        "u", "class", "epsilon", "gamma3", "gamma4",
+    assert set(rec) == {  # the CLI writes u
+        "class", "epsilon", "gamma3", "gamma4",
         "closed_form", "brute_force", "match",
     }
     assert rec["match"] is True
