@@ -19,9 +19,8 @@ A = {0, 1+u, 1-u, -1+r, -1-r} (`set_a_points`).  Since chi is
 multiplicative (chi(0) = 0), chi(g_i(z)) is chi of the leading coefficient
 times the product of chi(z - a) over the zeros a of g_i.  A sixth sign,
 chi(g0(z)) with g0(z) = z, rides along.  So `ScopedU.sign_key`, the sign
-vector (s0, ..., s5) of each z as one of 729 keys, is read from the
-alternating chi(g^k) and four rotations of the one table chi(g^m - 1) of the
-field (`FieldCtx._chi_rotations`), with no field addition per u.  Every
+vector (s0, ..., s5) of each z as one of 729 keys, is read from the five
+columns chi(z - a) (`FieldCtx.chi_minus`), with no field addition per u.  Every
 character sum of a product of the g_i is a dot product of the key histogram
 with one column of `SIGN_PRODUCTS`, so one matrix-vector product gives all
 32 (`ScopedU.product_sums`), and the census reads the same key.  The tests
@@ -120,29 +119,17 @@ class ScopedU:
     @built_once
     def sign_key(self) -> np.ndarray:
         """int16 per z: the row of `SIGN_PATTERNS` holding chi(g_i(z)), i = 0..5, each
-        chi(lead of g_i) times the product of chi(z - a) over its zeros a.
-
-        Built in log order, z = g^k in slot k and z = 0 in the last slot, to which
-        the log sentinel 2q - 3 clips: chi(g^k) alternates, chi(g^k - g^j) is
-        chi(g^j) times a slice of `FieldCtx._chi_rotations`, and chi(0 - a) = -chi(a)."""
-        ctx, q = self.ctx, self.ctx.q
-        log = ctx._log_tables[0]
-        rotations = ctx._chi_rotations
+        chi(lead of g_i) times the product of chi(z - a) over its zeros a, built in
+        log order from the columns `FieldCtx.chi_minus`."""
+        ctx = self.ctx
         leads = (1, ctx.neg(ctx.add(self.u, 1)), 1, 1, 1, ctx.neg(ctx.add(1, self.r)))
-        points = set_a_points(self)
-        chis = [ctx.chi(a) for a in points]
-        alternation = np.ones(q - 1, dtype=np.int8)
-        alternation[1::2] = -1
-        # chi(z - a) / chi(a) at z = g^k, k < q - 1: C rotated to -j mod (q - 1) for a = g^j
-        cols = [rotations[q - 1 - int(log[a]):][:q - 1] if a else alternation for a in points]
-        key = np.zeros(q, dtype=np.int16)  # Horner in the signs s_i, then the digits s_i + 1
+        cols = [ctx.chi_minus(a) for a in set_a_points(self)]
+        key = np.zeros(ctx.q, dtype=np.int16)  # Horner in the signs s_i, then the digits s_i + 1
         for lead, zeros in zip(leads, G_ZEROS):
             key *= 3
-            sign = ctx.chi(lead) * math.prod(chis[k] or 1 for k in zeros)  # chi(a), a != 0
-            key[:-1] += math.prod((cols[k] for k in zeros), start=sign)
-            key[-1] += ctx.chi(lead) * math.prod(-chis[k] for k in zeros)
+            key += math.prod((cols[k] for k in zeros), start=ctx.chi(lead))
         key += len(SIGN_PATTERNS) // 2  # 111111 in base 3
-        return key.take(log, mode="clip")
+        return ctx.from_log_order(key)
 
     @built_once
     def product_sums(self) -> np.ndarray:

@@ -33,17 +33,17 @@ The scalar ops, the vector kernels (``translate``, ``sub_vec``,
   adds c to every element and reads ``ones`` and ``twos`` themselves as
   the planes of z.  Negation swaps the two planes, so subtraction swaps
   the planes of b.
-* A product reads ``alog[log[a] + log[b]]``, as `ness.f_table` does.  Zero
-  has the sentinel log 2q - 3 and the antilog table runs on to 4q - 5
-  entries, periodic up to index 2q - 4 and zero beyond, so no zero mask and
-  no reduction mod q - 1 is needed.
-* The quadratic character is one int8 table.
-* Two more tables follow from the logs: ``_neg_log``, log(1/x) with the
-  zero sentinel, for `ness.f_table`, and ``_chi_rotations``, C[m] =
-  chi(g^m - 1).  As g^k - g^j = g^j (g^(k-j) - 1), chi(z - a) over every
-  z = g^k is chi(a) times a rotation of C (Huber, "Some comments on Zech's
-  logarithms", 1990), so the sign key and the scope mask need no field
-  addition per u.
+* A product reads ``alog[log[a] + log[b]]``.  Zero has the sentinel log
+  2q - 3 and the antilog table runs on to 4q - 5 entries, periodic up to
+  index 2q - 4 and zero beyond, so no zero mask and no reduction mod q - 1
+  is needed.
+* The quadratic character is one int8 table, and C[m] = chi(g^m - 1) one
+  more (``_chi_rotations``).
+* Three kernels alone know the log order, where slot k holds g^k and zero
+  the last slot: ``from_log_order`` (one clipped gather back to element
+  order), ``chi_minus`` (chi(z - a) as a rotation of C, so the sign key and
+  the scope mask make no field addition per u) and ``scaled_inverse`` (c/x
+  from one reversed stride of the antilog table per parity, `ness.f_table`).
 
 The log tables are built in two stages, baby steps and giant steps, with
 R = 3^max(0, (n - 5) // 2) giant rows (1 for n <= 5, 81 at n = 13) of
@@ -82,8 +82,8 @@ P = 3
 
 # Table ceiling.  The pairwise sum table needs q*q ints and stays cheap up to
 # this size.  Every resident table is O(q) and has no ceiling: at n = 13 the
-# int32 log pair takes about 32 MB, `_neg_log` 6.4 MB, the uint16 bit planes
-# 6.4 MB, C 3.2 MB and the int8 character 1.6 MB.
+# int32 log pair takes about 32 MB, the uint16 bit planes 6.4 MB, C 3.2 MB
+# and the int8 character 1.6 MB.
 PAIR_TABLE_MAX_Q = P**7
 
 # The default field per n: (modulus digits, generator).  The modulus is the
@@ -366,9 +366,10 @@ class FieldCtx:
         return out
 
     def parse_element(self, text: str) -> int:
-        if not text or not text.isdigit():
+        digits = ["012".find(ch) for ch in text]  # -1 for any other character
+        if not digits or -1 in digits:
             raise ValueError(f"element string must be base-3 digits, got {text!r}")
-        return self.element_from_coeffs([int(ch) for ch in text])
+        return self.element_from_coeffs(digits)
 
     def format_element(self, a: int) -> str:
         if not 0 <= a < self.q:
@@ -455,13 +456,6 @@ class FieldCtx:
         return _frozen(log), _frozen(alog)
 
     @built_once
-    def _neg_log(self) -> np.ndarray:
-        """int32 log(1/x) for every x, with the zero sentinel 2q - 3 at x = 0."""
-        neglog = -self._log_tables[0] % (self.q - 1)
-        neglog[0] = 2 * self.q - 3
-        return _frozen(neglog)
-
-    @built_once
     def _chi_table(self) -> np.ndarray:
         """int8 quadratic character of every element (see `chi`)."""
         chi = (1 - 2 * (self._log_tables[0] & 1)).astype(np.int8)
@@ -470,8 +464,7 @@ class FieldCtx:
 
     @built_once
     def _chi_rotations(self) -> np.ndarray:
-        """int8 C[m] = chi(g**m - 1) for m in 0 .. q - 2, stored twice over
-        (2q - 2 entries), so each rotation of C is a slice: no copy, no mod."""
+        """int8 C[m] = chi(g**m - 1), m < q - 1, twice over: a rotation of C is a slice."""
         chi_minus_one = self._chi_table[self.translate(2)]
         table = chi_minus_one[self._log_tables[1][:self.q - 1]]
         return _frozen(np.concatenate([table, table]))
@@ -516,6 +509,40 @@ class FieldCtx:
     def chi_vec(self, a) -> np.ndarray:
         """Quadratic character of every entry, values in {-1, 0, +1}."""
         return self._chi_table[np.asarray(a)]
+
+    # -- log order: slot k holds g**k for k < q - 1, and zero the last slot ------
+
+    def from_log_order(self, vec: np.ndarray) -> np.ndarray:
+        """A log-order vector in element order: the zero sentinel clips to the last slot."""
+        return vec.take(self._log_tables[0], mode="clip")
+
+    def chi_minus(self, a: int) -> np.ndarray:
+        """int8 chi(z - a) for every z, in log order.  As g**k - g**j =
+        g**j (g**(k-j) - 1), for a = g**j it is chi(a) times C rotated by -j
+        (`_chi_rotations`); for a = 0 it alternates +1, -1.  At z = 0 it is -chi(a)."""
+        q, chi_a = self.q, self.chi(a)
+        out = np.empty(q, dtype=np.int8)
+        if a:
+            start = q - 1 - int(self._log_tables[0][a])
+            np.multiply(self._chi_rotations[start:start + q - 1], chi_a, out=out[:-1])
+        else:  # (-1)**k: one int16 fill of the byte pair (1, -1) beats a strided write
+            out[:-1].view(np.int16).fill(np.array([1, -1], dtype=np.int8).view(np.int16)[0])
+        out[-1] = -chi_a
+        return out
+
+    def scaled_inverse(self, c_square: int, c_nonsquare: int) -> np.ndarray:
+        """int32 c/x for every x, c = c_square at squares and c_nonsquare at
+        nonsquares, 0 at x = 0.  In log order c/g**k is alog[log c + q - 1 - k], one
+        reversed stride per parity for k >= 1; slot 0 is c_square itself, as that
+        index reaches the zero tail at log c = q - 2.  A zero c reads the tail."""
+        q = self.q
+        log, alog = self._log_tables
+        out = np.empty(q, dtype=np.int32)
+        out[0], out[-1] = c_square, 0  # x = 1 and x = 0
+        for first, c in ((2, c_square), (1, c_nonsquare)):
+            lead = int(log[c])
+            out[first:-1:2] = alog[lead + q - 1 - first:lead:-2]
+        return self.from_log_order(out)
 
 
 def _digit_rows(k: int) -> np.ndarray:

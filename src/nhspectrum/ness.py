@@ -3,7 +3,7 @@
 With q = 3^n, the function is f_u(x) = u x^d1 + x^d2 for d1 = (q-1)/2 - 1
 and d2 = q - 2.  For nonzero x, x^d2 = 1/x and x^d1 = chi(x)/x, so
 f_u(x) = (1 + u chi(x))/x.  `f_table` evaluates that shape over the whole
-field with one gather from the antilog table; the tests keep f_u by plain
+field with `FieldCtx.scaled_inverse`; the tests keep f_u by plain
 exponentiation as its oracle.
 
 Also f_u(c x) = f_u(x)/c for every nonzero square c.  Substituting x -> c x
@@ -23,11 +23,8 @@ from .field import FieldCtx
 
 
 def f_table(ctx: FieldCtx, u: int) -> np.ndarray:
-    """f_u over the whole field, alog[log(1/x) + log(1 + u chi(x))]: squares have even
-    logs, and the zero sentinel (x = 0, or 1 +- u = 0 for u in GF(3)) reads f = 0."""
-    log, alog = ctx._log_tables
-    lead = log[[ctx.add(1, u), ctx.sub(1, u)]]
-    return alog[ctx._neg_log + lead[log & 1]]
+    """f_u over the whole field: (1 + u)/x at squares, (1 - u)/x at nonsquares, 0 at 0."""
+    return ctx.scaled_inverse(ctx.add(1, u), ctx.sub(1, u))
 
 
 def ddt_row(ctx: FieldCtx, u: int) -> np.ndarray:

@@ -164,16 +164,12 @@ PREDICTION_TABLE, CASE_TABLE = _compile_conditions()
 
 
 def special_point_solutions(ctx: FieldCtx, u: int, a: int, b: int) -> int:
-    """Number of solutions among x in {0, -a}.
-
-    Closed form: 2 when u = 0 and b = 1/a; 1 when u != 0 and
-    b = (1 +- u chi(a)) / a; else 0.
+    """Number of solutions among x in {0, -a}: one for each target
+    b = (1 +- u chi(a)) / a that b equals, so 2 when u = 0 and b = 1/a.
     """
     if a == 0:
         raise ValueError("a must be nonzero")
     inv_a = ctx.inv(a)
-    if u == 0:
-        return 2 if b == inv_a else 0
     chi_a = 1 if ctx.chi(a) == 1 else 2  # chi(a) as the field element +-1
     t_plus = ctx.mul(inv_a, ctx.add(1, ctx.mul(u, chi_a)))
     t_minus = ctx.mul(inv_a, ctx.sub(1, ctx.mul(u, chi_a)))

@@ -34,17 +34,9 @@ from .ness import spectrum_bruteforce
 
 def u0_nonf3_elements(ctx: FieldCtx) -> np.ndarray:
     """Every u of class `charsums.CLASS_U0`, in enumeration order, as an index
-    array: the scope rule of `charsums.classify_u` as one mask over the field.
-
-    In log order, with C[m] = chi(g^m - 1) (`FieldCtx._chi_rotations`): at u = g^k,
-    chi(u - 1) = C[k] and chi(u + 1) = -C[k + (q-1)/2], as -1 = g^((q-1)/2).
-    u = 0 takes the last slot, to which the log sentinel 2q - 3 clips.
-    """
-    q, half = ctx.q, (ctx.q - 1) // 2
-    rotations = ctx._chi_rotations
-    mask = np.zeros(q, dtype=bool)  # log order
-    np.not_equal(rotations[:q - 1], -rotations[half:half + q - 1], out=mask[:-1])
-    mask = mask.take(ctx._log_tables[0], mode="clip")
+    array: the scope rule of `charsums.classify_u` as one mask over the field,
+    chi(u - 1) against chi(u - (-1)) (`FieldCtx.chi_minus`)."""
+    mask = ctx.from_log_order(ctx.chi_minus(1) != ctx.chi_minus(2))
     mask[:3] = False  # GF(3)
     return np.flatnonzero(mask)
 

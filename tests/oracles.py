@@ -14,8 +14,8 @@ route what a production function computes, and the tests compare the two.
     ops; `g_values` evaluates it over the whole field with the vector ops
     and `mul_vec`, a product gathered from the log tables.
     Both are oracles for the sign key, which the library builds from the
-    zeros of the polynomials instead, as rotations of the one table
-    chi(g^m - 1) in log order, with no field addition.
+    zeros of the polynomials instead, from the columns chi(z - a) of
+    `FieldCtx.chi_minus`, with no field addition.
   * `g_product_sum` multiplies the classifier polynomials in the field
     before taking chi, the oracle for `ScopedU.product_sums`, the sums
     over the sign-key histogram; `gamma3_from_products` and

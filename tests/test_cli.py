@@ -144,6 +144,16 @@ def test_resolve_u_forms():
     assert resolve_u(ctx, "sample:5", seed=7) == sampled
 
 
+@pytest.mark.parametrize("u", ["\u0661\u0662\u0660", "\u00b2"])
+def test_u_accepts_only_ascii_base3_digits(u):
+    """Unicode digits (here Arabic-Indic 120 and a superscript 2) are usage errors."""
+    status, out, err = _run("spectrum", u=u)
+    assert (status, out) == (2, "")
+    assert err == (f"error: cannot resolve u spec {u!r}: "
+                   f"element string must be base-3 digits, got {u!r}\n")
+    assert resolve_u(make_context(3), "120") == [7]  # 1 + 2x
+
+
 # ---------------------------------------------------------------------------
 # record shapes per command
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import functools
 import io
+import itertools
 import random
 import sys
 import threading
@@ -583,17 +584,32 @@ def test_context_determinism():
     (3, None), (5, None), (7, None), (5, _random_irreducible(5, seed=2026)),
 ], ids=["n3", "n5", "n7", "n5-random-modulus"])
 def test_derived_log_tables_match_scalar_ops(n, modulus):
-    """`_neg_log` is log(1/x) with the zero sentinel at x = 0, and
-    `_chi_rotations` is C[m] = chi(g^m - 1) for m < q - 1, twice over."""
+    """`_chi_rotations` is C[m] = chi(g^m - 1) for m < q - 1, twice over;
+    `chi_minus(a)` is chi(z - a) in log order, z = 0 last, for every a at
+    n = 3 and for 0, 1, 2 and seeded a above; `scaled_inverse(c1, c2)` is
+    c/x with c = c1 at squares and c2 at nonsquares, c = 0 and the largest
+    log q - 2 among the c tried."""
     ctx = make_context(n, modulus)
-    q, log = ctx.q, ctx._log_tables[0]
-    neglog, rotations = ctx._neg_log, ctx._chi_rotations
-    assert int(neglog[0]) == 2 * q - 3
-    assert [int(log[ctx.inv(x)]) for x in range(1, q)] == neglog[1:].tolist()
+    q, rotations = ctx.q, ctx._chi_rotations
+    powers = [ctx.pow(ctx.generator, k) for k in range(q - 1)]
     assert rotations.dtype == np.int8 and len(rotations) == 2 * q - 2
-    assert rotations[:q - 1].tolist() == [ctx.chi(ctx.sub(ctx.pow(ctx.generator, m), 1))
-                                          for m in range(q - 1)]
+    assert rotations[:q - 1].tolist() == [ctx.chi(ctx.sub(z, 1)) for z in powers]
     assert np.array_equal(rotations[q - 1:], rotations[:q - 1])
+
+    rnd = random.Random(n)
+    points = range(q) if n == 3 else [0, 1, 2, *rnd.sample(range(3, q), 8)]
+    for a in points:
+        column = ctx.chi_minus(a)
+        assert column.dtype == np.int8
+        assert column.tolist() == [ctx.chi(ctx.sub(z, a)) for z in [*powers, 0]], a
+    slot = {z: k for k, z in enumerate(powers)} | {0: q - 1}
+    assert ctx.from_log_order(np.arange(q)).tolist() == [slot[x] for x in range(q)]
+
+    cs = [0, 1, 2, powers[-1], *rnd.sample(range(3, q), 2)]
+    for c1, c2 in itertools.product(cs, repeat=2):
+        expected = [ctx.mul(c1 if ctx.chi(x) == 1 else c2, ctx.inv(x)) if x else 0
+                    for x in range(q)]
+        assert ctx.scaled_inverse(c1, c2).tolist() == expected, (c1, c2)
 
 
 FIRST_CALLS = {
@@ -658,7 +674,7 @@ def test_concurrent_first_touch_builds_identical_tables():
 
 def test_tables_are_read_only(f3):
     tables = (f3.digit_table(), f3.pair_add_table(), *f3._planes, *f3._log_tables,
-              f3._chi_table, f3._neg_log, f3._chi_rotations)
+              f3._chi_table, f3._chi_rotations)
     for table in tables:
         with pytest.raises(ValueError):
             table[(1,) * table.ndim] = 0

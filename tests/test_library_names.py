@@ -7,6 +7,9 @@ A name only the tests use belongs in the tests (`tests/oracles.py` for the
 oracles).  The names only `perfbench` reads are listed in `PERFBENCH_ONLY`,
 so a new one, or a benchmark change that stops probing one, fails the test.
 A string that spells a name does not count as a use.
+
+The field's tables and their layout stay behind `FieldCtx`: no module but
+`field.py` reads a `_`-prefixed attribute of a field context.
 """
 
 import ast
@@ -79,3 +82,24 @@ def test_every_public_name_has_a_caller():
     perfbench_only = {name for name in checked.values()
                       if name in in_perfbench and name not in in_library}
     assert perfbench_only == PERFBENCH_ONLY
+
+
+CONTEXTS = ("ctx", "self.ctx", "su.ctx")
+
+
+def private_context_reads(directory: Path) -> list[str]:
+    """`module:line attribute` for each read of a `_`-prefixed attribute of
+    `ctx`, `self.ctx` or `su.ctx` in the modules of directory but `field.py`."""
+    reads = []
+    for path in sorted(directory.glob("*.py")):
+        if path.name == "field.py":
+            continue
+        for node in ast.walk(_tree(path)):
+            if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                    and ast.unparse(node.value) in CONTEXTS):
+                reads.append(f"{path.stem}:{node.lineno} {node.attr}")
+    return reads
+
+
+def test_only_field_reads_private_context_attributes():
+    assert private_context_reads(LIBRARY) == []

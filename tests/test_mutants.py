@@ -8,7 +8,8 @@ The test asserts that every check fails under the mutant and passes
 without it, so a check that stops looking at the shortcut fails here.  The
 mutants keep, as tests, the kind of scratch-copy mutation that CHANGES.md
 reports for each shortcut (a wrongly compiled proposition table; a DDT row
-read at the wrong a), so that they run on every change.
+read at the wrong a; a rotation or a stride of the log-order kernels one
+step off), so that they run on every change.
 """
 
 import io
@@ -17,14 +18,17 @@ import numpy as np
 import pytest
 
 import oracles
-from nhspectrum import cli, ness
+from nhspectrum import charsums, cli, ness
 from nhspectrum import solution_census as cn
-from nhspectrum.charsums import ScopedU
+from nhspectrum.charsums import SIGN_PATTERNS, ScopedU
+from nhspectrum.field import FieldCtx
 from nhspectrum.spectrum import u0_nonf3_elements
 
 
 def _scope(ctx):
-    return [ScopedU(ctx, u) for u in u0_nonf3_elements(ctx).tolist()]
+    """Every in-scope u by the scalar rule, which no mutant here touches."""
+    return [ScopedU(ctx, u) for u in range(ctx.q)
+            if charsums.classify_u(ctx, u) == charsums.CLASS_U0]
 
 
 # ---------------------------------------------------------------------------
@@ -48,6 +52,27 @@ def row_gives_every_row(ctx) -> bool:
         if any((table[a] != row[oracles.mul_vec(ctx, a, zs)]).any() for a in range(1, ctx.q)):
             return False
     return True
+
+
+def sign_key_matches_g_values(ctx) -> bool:
+    """The signs of `sign_key` equal chi of z and of `g_values` at every z."""
+    zs = np.arange(ctx.q)
+    for su in _scope(ctx):
+        values = np.stack([zs, *(oracles.g_values(su, gid) for gid in charsums.G_IDS)], axis=1)
+        if not np.array_equal(SIGN_PATTERNS[su.sign_key], ctx.chi_vec(values)):
+            return False
+    return True
+
+
+def scope_mask_follows_classify_u(ctx) -> bool:
+    """`u0_nonf3_elements` is the u that `classify_u` labels in scope."""
+    return u0_nonf3_elements(ctx).tolist() == [su.u for su in _scope(ctx)]
+
+
+def f_table_matches_f_eval(ctx) -> bool:
+    """`f_table` equals f_u by plain exponentiation at every x, for every u."""
+    return all(ness.f_table(ctx, u).tolist() == [oracles.f_eval(ctx, u, x) for x in range(ctx.q)]
+               for u in range(ctx.q))
 
 
 def command_passes(command: str):
@@ -91,6 +116,33 @@ def count_row_g(monkeypatch, ctx):
     monkeypatch.setattr(ness, "ddt_row", row_at_generator)
 
 
+def rotate_one_off(monkeypatch, ctx):
+    """`chi_minus` reads C rotated one step too far for every a != 0."""
+    chi_minus = FieldCtx.chi_minus
+
+    def rotated(self, a):
+        column = chi_minus(self, a)
+        if a:
+            column[:-1] = np.roll(column[:-1], -1)
+        return column
+
+    monkeypatch.setattr(FieldCtx, "chi_minus", rotated)
+
+
+def shift_nonsquare_stride(monkeypatch, ctx):
+    """`scaled_inverse` reads the stride of odd logs one step off: c/(g^2 x)
+    in place of c/x at every nonsquare x."""
+    scaled_inverse = FieldCtx.scaled_inverse
+
+    def shifted(self, c_square, c_nonsquare):
+        out = scaled_inverse(self, c_square, c_nonsquare)
+        xs = np.arange(self.q)
+        g_squared_xs = oracles.mul_vec(self, xs, self.pow(self.generator, 2))
+        return np.where(self.chi_vec(xs) == -1, out[g_squared_xs], out)
+
+    monkeypatch.setattr(FieldCtx, "scaled_inverse", shifted)
+
+
 # attribute: (mutant, checks that must catch it)
 MUTANTS = {
     "solution_census.PREDICTION_TABLE": (
@@ -102,6 +154,16 @@ MUTANTS = {
     "ness.ddt_row": (
         count_row_g,
         (row_gives_every_row, command_passes("verify-propositions")),
+    ),
+    # chi(z - g^j) = chi(g^j) C[k - j] at z = g^k: one table read in log order
+    "FieldCtx.chi_minus": (
+        rotate_one_off,
+        (sign_key_matches_g_values, scope_mask_follows_classify_u),
+    ),
+    # c/g^k = alog[log c + q - 1 - k]: one reversed stride per parity
+    "FieldCtx.scaled_inverse": (
+        shift_nonsquare_stride,
+        (f_table_matches_f_eval, command_passes("verify-theorem")),
     ),
 }
 
