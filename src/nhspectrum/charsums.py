@@ -20,7 +20,10 @@ multiplicative (chi(0) = 0), chi(g_i(z)) is chi of the leading coefficient
 times the product of chi(z - a) over the zeros a of g_i.  A sixth sign,
 chi(g0(z)) with g0(z) = z, rides along.  So `ScopedU.sign_key`, the sign
 vector (s0, ..., s5) of each z as one of 729 keys, is read from the five
-columns chi(z - a) (`FieldCtx.chi_minus`), with no field addition per u.  Every
+columns chi(z - a) (`FieldCtx.chi_minus`), with no field addition per u.
+It stays in the log order of those columns (slot `FieldCtx.slot(z)` for
+z), as does the DDT row `ScopedU.row`, so the two are compared slot by
+slot and nothing per u is gathered back to element order.  Every
 character sum of a product of the g_i is a dot product of the key histogram
 with one column of `SIGN_PRODUCTS`, so one matrix-vector product gives all
 32 (`ScopedU.product_sums`), and the census reads the same key.  The tests
@@ -118,9 +121,10 @@ class ScopedU:
 
     @built_once
     def sign_key(self) -> np.ndarray:
-        """int16 per z: the row of `SIGN_PATTERNS` holding chi(g_i(z)), i = 0..5, each
-        chi(lead of g_i) times the product of chi(z - a) over its zeros a, built in
-        log order from the columns `FieldCtx.chi_minus`."""
+        """int16 per z, in log order (slot `FieldCtx.slot(z)`, z = 0 last): the row
+        of `SIGN_PATTERNS` holding chi(g_i(z)), i = 0..5, each chi(lead of g_i)
+        times the product of chi(z - a) over its zeros a, from the columns
+        `FieldCtx.chi_minus`."""
         ctx = self.ctx
         leads = (1, ctx.neg(ctx.add(self.u, 1)), 1, 1, 1, ctx.neg(ctx.add(1, self.r)))
         cols = [ctx.chi_minus(a) for a in set_a_points(self)]
@@ -129,7 +133,7 @@ class ScopedU:
             key *= 3
             key += math.prod((cols[k] for k in zeros), start=ctx.chi(lead))
         key += len(SIGN_PATTERNS) // 2  # 111111 in base 3
-        return ctx.from_log_order(key)
+        return key
 
     @built_once
     def product_sums(self) -> np.ndarray:
@@ -144,7 +148,8 @@ class ScopedU:
 
     @built_once
     def row(self) -> np.ndarray:
-        """`ness.ddt_row`: delta(1, z) for every z, so delta(a, b) = row[a b]."""
+        """`ness.ddt_row`: delta(1, z) for every z in log order, as `sign_key`,
+        so delta(a, b) = row[ctx.slot(a b)]."""
         return ness.ddt_row(self.ctx, self.u)
 
 

@@ -166,7 +166,7 @@ def _census_records(ctx: FieldCtx, u: int, seed: int) -> tuple[list[dict], bool]
         a = pid // q + 1
         b = pid % q
         c = census_mod.census(su, a, b)
-        consistent = c["predicted"] == c["observed"] == int(prediction[c["z"]])
+        consistent = c["predicted"] == c["observed"] == int(prediction[ctx.slot(c["z"])])
         records.append(_format_pair(ctx, {**head, "a": a, "b": b, **c, "consistent": consistent}))
     return records, all(rec["consistent"] for rec in records)
 
@@ -265,7 +265,7 @@ def _format_text(rec: dict) -> str:
 def emit(command: str, records: list[dict], output_format: str, out: io.TextIOBase) -> None:
     if output_format == "json":
         for rec in records:
-            out.write(json.dumps(rec, separators=(", ", ": ")) + "\n")
+            out.write(json.dumps(rec) + "\n")
     elif output_format == "csv":
         writer = csv.writer(out, lineterminator="\n")
         for rec in records:

@@ -16,48 +16,53 @@ Each operation has one implementation, and the scalar ops read the same
 tables as the vector kernels: ``add``, ``sub`` and ``neg`` the bit planes,
 ``mul``, ``inv`` and ``pow`` the discrete logs, ``chi`` the character
 table.  The tests check both against independent oracles, digit-wise
-addition and polynomial multiplication.  Polynomial multiplication here
-only builds the matrices the log-table build starts from and finds the
-generator of a supplied modulus, which trial division checks first.  The
-default field of each n is tabled (`DEFAULT_FIELDS`), so its set-up does
-no search.
+addition and polynomial multiplication.  Here the rows of x^j mod the
+modulus give the multiplication matrices the log-table build starts from,
+and polynomial multiplication only finds the generator of a supplied
+modulus, which trial division checks first.  The default field of each n
+is tabled (`DEFAULT_FIELDS`), so its set-up does no search.
 
-The scalar ops, the vector kernels (``translate``, ``sub_vec``,
-``chi_vec``) and vector products are gathers from small tables:
+The scalar ops, the vector kernels (``sub_vec``, ``chi_vec``) and vector
+products are gathers from small tables:
 
 * Addition works on bit planes (Boothby & Bradshaw, "Bitslicing and the
   Method of Four Russians over larger finite fields", 2009).  Bit i of
   ``ones[a]`` (``twos[a]``) is set when digit i of a is 1 (2), so a sum is a
   few bitwise operations on uint16 masks, and ``value[m]`` (2^n entries)
-  turns the planes of the result back into an index.  ``translate(c)``
-  adds c to every element and reads ``ones`` and ``twos`` themselves as
-  the planes of z.  Negation swaps the two planes, so subtraction swaps
-  the planes of b.
+  turns the planes of the result back into an index.  Negation swaps the
+  two planes, so subtraction swaps the planes of b.
 * A product reads ``alog[log[a] + log[b]]``.  Zero has the sentinel log
   2q - 3 and the antilog table runs on to 4q - 5 entries, periodic up to
   index 2q - 4 and zero beyond, so no zero mask and no reduction mod q - 1
   is needed.
 * The quadratic character is one int8 table, and C[m] = chi(g^m - 1) one
-  more (``_chi_rotations``).
-* Three kernels alone know the log order, where slot k holds g^k and zero
-  the last slot: ``from_log_order`` (one clipped gather back to element
-  order), ``chi_minus`` (chi(z - a) as a rotation of C, so the sign key and
-  the scope mask make no field addition per u) and ``scaled_inverse`` (c/x
-  from one reversed stride of the antilog table per parity, `ness.f_table`).
+  more (``_chi_rotations``).  g^m - 1 differs from g^m in digit 0 alone
+  (``_minus_one``), so C, like the Zech table Z-(m) = log(g^m - 1) of the
+  DDT row, needs no field addition.
+* The per-u vectors live in log order, where slot k holds g^k and zero the
+  last slot (``slot`` and ``element_at`` map one element each way), and
+  two kernels fill them with no field addition per u: ``chi_minus``
+  (chi(z - a) as a rotation of C, for the sign key and the scope mask) and
+  ``difference_row`` (the DDT row from Zech logarithms, Huber, "Some
+  comments on Zech's logarithms", 1990, for `ness.ddt_row`).
+  ``from_log_order``, one clipped gather back to element order, serves the
+  scope mask once per run.
 
 The log tables are built in two stages, baby steps and giant steps, with
-R = 3^max(0, (n - 5) // 2) giant rows (1 for n <= 5, 81 at n = 13) of
-S = ceil((q - 1) / R) powers each:
+S = 3^(ceil(n/2) + 1) baby steps (all q - 1 for n = 3) and R = ceil((q - 1)
+/ S) giant rows (3 at n = 5, 243 at n = 13):
 
 * Baby steps, by doubling.  Multiplication by g^m is a GF(3)-linear map on
   digit vectors, so once the digit rows of g^0 .. g^(m-1) are known, one
   matrix product with the n x n matrix of g^m gives g^m .. g^(2m-1), and
   squaring that matrix gives the matrix of g^(2m).  That is ceil(log2 S)
-  numpy steps for g^0 .. g^(S-1).
-* Giant steps, Four Russians style.  Row i is c = g^S times row i - 1, and
-  with h = ceil(n / 2), c z = c (z mod 3^h) + c x^h (z div 3^h): two index
-  tables of 3^h and 3^(n-h) entries, built once from the matrix of c, and
-  one plane sum per element.
+  numpy steps for g^0 .. g^(S-1).  A digit row costs n^2 int8
+  multiply-adds (about 1.1 ns each) and a giant row one call of a few
+  microseconds, and this S balances the two near their least sum.
+* Giant steps through one table.  Row i is c = g^S times row i - 1, one
+  ``take`` from the table of c z for every z (``_times_table``).  With h =
+  ceil(n / 2), c z = c (z mod 3^h) + c x^h (z div 3^h): two index tables
+  of 3^h and 3^(n-h) entries and one plane sum over their grid.
 
 The build certifies the field: g^0 .. g^(q-2) must be q - 1 distinct nonzero
 elements, else it raises `InconsistencyError`.  That is enough: if the
@@ -82,8 +87,8 @@ P = 3
 
 # Table ceiling.  The pairwise sum table needs q*q ints and stays cheap up to
 # this size.  Every resident table is O(q) and has no ceiling: at n = 13 the
-# int32 log pair takes about 32 MB, the uint16 bit planes 6.4 MB, C 3.2 MB
-# and the int8 character 1.6 MB.
+# int32 log pair takes about 32 MB, the uint16 bit planes 6.4 MB, the Zech
+# tables of the DDT row 16 MB, C 3.2 MB and the int8 character 1.6 MB.
 PAIR_TABLE_MAX_Q = P**7
 
 # The default field per n: (modulus digits, generator).  The modulus is the
@@ -270,12 +275,16 @@ class FieldCtx:
             rows.append([(s + prev[-1] * t) % P for s, t in zip([0] + prev[:-1], top)])
         return np.array(rows, dtype=np.int8)
 
-    def _mul_matrix(self, a: int) -> np.ndarray:
-        """(n, n) int8: row j holds the digits of a * x**j, the digits of a
-        times the rows of x**j .. x**(j + n - 1) in `_shifts`."""
-        # windows[j, col, k] = _shifts[j + k, col]
-        windows = np.lib.stride_tricks.sliding_window_view(self._shifts, self.n, axis=0)
-        return windows @ np.array(_idx_digits(a, self.n), dtype=np.int8) % P
+    @built_once
+    def _windows(self) -> np.ndarray:
+        """(n, n, n) int8: windows[j, col, k] = _shifts[j + k, col], the rows of
+        x**j .. x**(j + n - 1), so windows @ digits(a) holds the digits of a * x**j."""
+        steps = np.arange(self.n)
+        return self._shifts[steps[:, None] + steps].transpose(0, 2, 1)
+
+    def _mul_matrix(self, digits: np.ndarray) -> np.ndarray:
+        """(n, n) int8: row j holds the digits of a * x**j, for a given by its digits."""
+        return self._windows @ digits % P
 
     def _mul_poly(self, a: int, b: int) -> int:
         """a * b: the product polynomial, reduced through the rows of `_shifts`."""
@@ -409,51 +418,60 @@ class FieldCtx:
         steps and certified (see the module docstring).
         """
         q, n = self.q, self.n
-        giant = P**max(0, (n - 5) // 2)
-        baby = -(-(q - 1) // giant)
+        baby = min(P**((n + 1) // 2 + 1), q - 1)
+        giant = -(-(q - 1) // baby)
+        weights = P**np.arange(n, dtype=np.int32)
         powers = np.zeros((baby, n), dtype=np.int8)
         powers[0, 0] = 1
         # row j: the digits of g**m * x**j; its square is the matrix of g**(2m).
         # Entries of an int8 digit-row product are at most 4n = 52 before the mod.
-        mat = self._mul_matrix(self.generator)
+        g_mat = mat = self._mul_matrix(np.array(_idx_digits(self.generator, n), dtype=np.int8))
         m = 1
         while m < baby:
             step = min(m, baby - m)
             block = powers[m:m + step]
             np.matmul(powers[:step], mat, out=block)
             block %= P
-            mat = np.matmul(mat, mat) % P
             m += step
-        blocks = np.empty((giant, baby), dtype=np.int64)
-        blocks[0] = _row_index(powers)
+            if m < baby:
+                mat = np.matmul(mat, mat) % P
+        # the giant rows run on past q - 2 into the periodic part of alog
+        alog = np.zeros(4 * q - 5, dtype=np.int32)
+        blocks = alog[:giant * baby].reshape(giant, baby)
+        np.matmul(powers, weights, out=blocks[0])
         if giant > 1:
-            # c z = c (z mod 3^h) + c x^h (z div 3^h) for c = g**baby: the planes
-            # of both terms come from two small index tables
-            ones, twos, _ = self._planes
-            c_mat = self._mul_matrix(self._mul_poly(int(blocks[0, -1]), self.generator))
-            h = (n + 1) // 2
-            digits = _digit_rows(h)  # n - h <= h: its head holds the high digits too
-            low = _row_index(digits @ c_mat[:h] % P)
-            high = _row_index(digits[:P**(n - h), :n - h] @ c_mat[h:] % P)
-            # int64 planes: their sums index `value` with no conversion
-            low1, low2, high1, high2 = (plane[table].astype(np.int64)
-                                        for table in (low, high) for plane in (ones, twos))
+            times_c = self._times_table(powers[-1] @ g_mat % P)  # c = g**baby
             for i in range(1, giant):
-                z_high = blocks[i - 1] // P**h
-                z_low = blocks[i - 1] - z_high * P**h
-                blocks[i] = self._plane_sum(low1[z_low], low2[z_low], high1[z_high], high2[z_high])
-        cycle = blocks.ravel()[:q - 1]
+                times_c.take(blocks[i - 1], out=blocks[i])
+        cycle = alog[:q - 1]
         log = np.full(q, -1, dtype=np.int32)
-        log[cycle] = np.arange(q - 1, dtype=np.int32)
-        if (log[1:] < 0).any():
+        log[cycle.astype(np.intp)] = np.arange(q - 1, dtype=np.int32)  # intp: no buffered cast
+        if log[1:].min() < 0:
             generator = self.format_element(self.generator)
             raise InconsistencyError(f"modulus {self.modulus_str!r} with generator {generator!r}:"
                                      " the powers of the generator miss a nonzero element")
         log[0] = 2 * q - 3
-        alog = np.zeros(4 * q - 5, dtype=np.int32)
-        alog[:q - 1] = cycle
-        alog[q - 1:2 * q - 3] = cycle[:q - 2]
+        alog[giant * baby:2 * q - 3] = cycle[giant * baby - q + 1:q - 2]
         return _frozen(log), _frozen(alog)
+
+    def _times_table(self, digits: np.ndarray) -> np.ndarray:
+        """int32 c z for every z, c given by its digits: c z = c (z mod 3^h) +
+        c x^h (z div 3^h) as one plane sum over the grid of both indices, from
+        the planes of two small tables, a block of rows at a time (the
+        temporaries of a block stay in cache)."""
+        n, h = self.n, (self.n + 1) // 2
+        weights = P**np.arange(n, dtype=np.int32)
+        c_mat = self._mul_matrix(digits)
+        low_digits = _digit_rows(h)  # n - h <= h: its head holds the high digits too
+        low = low_digits @ c_mat[:h] % P @ weights
+        high = low_digits[:P**(n - h), :n - h] @ c_mat[h:] % P @ weights
+        ones, twos, _ = self._planes
+        low1, low2, high1, high2 = ones[low], twos[low], ones[high, None], twos[high, None]
+        out = np.empty((len(high), len(low)), dtype=np.int32)
+        rows = max(1, 2**15 // len(low))
+        for i in range(0, len(high), rows):
+            out[i:i + rows] = self._plane_sum(high1[i:i + rows], high2[i:i + rows], low1, low2)
+        return out.ravel()
 
     @built_once
     def _chi_table(self) -> np.ndarray:
@@ -465,8 +483,7 @@ class FieldCtx:
     @built_once
     def _chi_rotations(self) -> np.ndarray:
         """int8 C[m] = chi(g**m - 1), m < q - 1, twice over: a rotation of C is a slice."""
-        chi_minus_one = self._chi_table[self.translate(2)]
-        table = chi_minus_one[self._log_tables[1][:self.q - 1]]
+        table = self._chi_table[_minus_one(self._log_tables[1][:self.q - 1])]
         return _frozen(np.concatenate([table, table]))
 
     def digit_table(self) -> np.ndarray:
@@ -482,11 +499,6 @@ class FieldCtx:
         return _frozen(self._plane_sum(ones[:, None], twos[:, None], ones, twos))
 
     # -- vectorised arithmetic on index arrays ----------------------------------
-
-    def translate(self, c: int) -> np.ndarray:
-        """z + c for every element z: the plane tables are the planes of z."""
-        ones, twos, _ = self._planes
-        return self._plane_sum(ones, twos, ones[c], twos[c])
 
     def sub_vec(self, a, b) -> np.ndarray:
         """a + (-b): negation swaps the two planes of b."""
@@ -530,19 +542,107 @@ class FieldCtx:
         out[-1] = -chi_a
         return out
 
-    def scaled_inverse(self, c_square: int, c_nonsquare: int) -> np.ndarray:
-        """int32 c/x for every x, c = c_square at squares and c_nonsquare at
-        nonsquares, 0 at x = 0.  In log order c/g**k is alog[log c + q - 1 - k], one
-        reversed stride per parity for k >= 1; slot 0 is c_square itself, as that
-        index reaches the zero tail at log c = q - 2.  A zero c reads the tail."""
+    def slot(self, z: int) -> int:
+        """The log-order slot of z: log z, and q - 1 for z = 0."""
+        return min(int(self._log_tables[0][z]), self.q - 1)
+
+    def element_at(self, slot: int) -> int:
+        """The element in a log-order slot: g**slot, and 0 in the last slot."""
+        return int(self._log_tables[1][slot]) if slot < self.q - 1 else 0
+
+    @built_once
+    def _zech(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(minus, cross_m, cross_e, same): the tables of `difference_row`.
+
+        With N = q - 1 and h = N / 2, minus[m] = Z-(m) = log(g**m - 1) for m
+        != 0, and 2N at m = 0.  Z+(k) = log(g**k + 1) = h + Z-(k - h), as -1 =
+        g**h, and D(k) = k - Z+(k).  same[p] counts Z-(D(k)) - k over the k
+        with k and Z+(k) both of parity p, with x = 0 (a square) and x = -1
+        (a nonsquare) at 0.  For each k whose parity differs from that of
+        Z+(k), cross_m and cross_e hold (D(k), -k) if k is even and (-D(k), h
+        - Z+(k)) if k is odd, cross_m in [-N, 0): a gather at cross_m + c, c
+        in [0, N), reads minus through a negative index in place of a modulo.
+        A count of same is part of a row of the inverse function 1/x (u = 0),
+        at most 3, so int8 holds it; the rest is int32.
+        """
         q = self.q
+        n_logs, h = q - 1, (q - 1) // 2
         log, alog = self._log_tables
-        out = np.empty(q, dtype=np.int32)
-        out[0], out[-1] = c_square, 0  # x = 1 and x = 0
-        for first, c in ((2, c_square), (1, c_nonsquare)):
-            lead = int(log[c])
-            out[first:-1:2] = alog[lead + q - 1 - first:lead:-2]
-        return self.from_log_order(out)
+        minus = log[_minus_one(alog[:n_logs])]
+        minus[0] = 2 * n_logs
+        diff = np.concatenate([minus[h:], minus[:h]])
+        diff += h
+        _wrap_down(diff, n_logs)  # Z+(k); k = h, x = -1, read the sentinel
+        diff[h] = h
+        np.subtract(np.arange(n_logs, dtype=np.int32), diff, out=diff)  # D(k), in (-N, N)
+        is_cross = (diff & 1).astype(bool)  # k - Z+(k) odd: the parities differ
+        same = np.empty((2, n_logs), dtype=np.int8)
+        for parity in (0, 1):
+            k = np.flatnonzero(~is_cross[parity::2]) * 2 + parity
+            values = minus[diff[k]]
+            values -= k
+            _wrap_up(values, n_logs)
+            if parity:  # x = -1, k = h, where D(h) = 0: f(0) - f(-1) = c_nonsquare
+                values[np.searchsorted(k, h)] = 0
+            same[parity] = np.bincount(values, minlength=n_logs)
+        same[0, 0] += 1  # x = 0: f(1) - f(0) = c_square
+        k = np.flatnonzero(is_cross).astype(np.int32)
+        d, odd = diff[k], k & 1
+        cross_m = odd * d  # D(k) at even k, -D(k) at odd k
+        cross_m *= -2
+        cross_m += d
+        _wrap_up(cross_m, n_logs)
+        cross_m -= n_logs
+        cross_e = d + h  # -k at even k, h - Z+(k) = h - k + D(k) at odd k
+        cross_e *= odd
+        cross_e -= k
+        _wrap_up(cross_e, n_logs)
+        return _frozen(minus), _frozen(cross_m), _frozen(cross_e), _frozen(same)
+
+    def difference_row(self, c_square: int, c_nonsquare: int) -> np.ndarray:
+        """int64 count of x with f(x + 1) - f(x) = z for every z, in log order,
+        for f(x) = c_square / x at squares, c_nonsquare / x at nonsquares, f(0) = 0,
+        c_square and c_nonsquare not both 0.
+
+        For x = g**k, write L = (log c_square, log c_nonsquare) and p0, p1
+        for the parities of k and Z+(k) (see `_zech`).  Then f(x + 1) - f(x) =
+        g**B (g**(A - B) - 1) with B = L[p0] - k and A - B = D(k) + L[p1] -
+        L[p0], so its log is B + Z-(A - B).  Where p0 = p1 that is L[p0] +
+        Z-(D(k)) - k: the histogram same[p0] turned by L[p0].  Where they
+        differ, Z-(-m) = Z-(m) - m + h makes both groups Z-(cross_m + c) +
+        cross_e + L[0] with c = L[1] - L[0]: one gather and one bincount, a
+        zero difference (Z-(0) = 2N) landing past the N bins.  A zero c makes
+        f vanish on one parity class: its same-parity group differs by 0, and
+        the cross groups by -f(x) or f(x + 1), cross_e + L[0] + h or cross_m +
+        cross_e + L[1].
+        """
+        q = self.q
+        n_logs, h = q - 1, (q - 1) // 2
+        minus, cross_m, cross_e, same = self._zech
+        logs = [self.slot(c_square), self.slot(c_nonsquare)]
+        if c_square and c_nonsquare:
+            values = minus[cross_m + (logs[1] - logs[0]) % n_logs]
+            values += cross_e
+            _wrap_down(values, n_logs)
+            turn = logs[0]
+        elif c_square:
+            values, turn = cross_e, (logs[0] + h) % n_logs
+        else:
+            values = cross_m + cross_e
+            _wrap_up(values, n_logs)
+            turn = logs[1]
+        counts = np.bincount(values, minlength=n_logs)
+        row = np.empty(q, dtype=np.int64)
+        row[turn:-1], row[:turn] = counts[:n_logs - turn], counts[n_logs - turn:n_logs]
+        row[-1] = counts[n_logs:].sum()
+        for parity, c in enumerate((c_square, c_nonsquare)):
+            if c:
+                turn = logs[parity]
+                row[turn:-1] += same[parity, :n_logs - turn]
+                row[:turn] += same[parity, n_logs - turn:]
+            else:
+                row[-1] += same[parity].sum()
+        return row
 
 
 def _digit_rows(k: int) -> np.ndarray:
@@ -550,13 +650,27 @@ def _digit_rows(k: int) -> np.ndarray:
     return (np.arange(P**k)[:, None] // P**np.arange(k) % P).astype(np.int8)
 
 
-def _row_index(rows: np.ndarray) -> np.ndarray:
-    """int32 element index of each digit row, by Horner's rule one column at a time."""
-    out = rows[:, -1].astype(np.int32)
-    for i in range(rows.shape[1] - 2, -1, -1):
-        out *= P
-        out += rows[:, i]
+def _minus_one(elements: np.ndarray) -> np.ndarray:
+    """e - 1 for every element e: it differs from e in digit 0 alone, so it is
+    e - 1, or e + 2 where that digit is 0."""
+    low = elements // P
+    low *= P
+    out = elements - 1
+    out += (low == elements) * np.int8(P)
     return out
+
+
+# A ufunc's `where=` runs its inner loop once per run of True, which is slow
+# on a scattered mask; these two add the bool mask times n instead.
+
+def _wrap_up(values: np.ndarray, n: int) -> None:
+    """In place: values in [-n, n) to [0, n)."""
+    values += (values < 0) * np.int32(n)
+
+
+def _wrap_down(values: np.ndarray, n: int) -> None:
+    """In place: n less on every value from n up, so [0, 2n) goes to [0, n)."""
+    values -= (values >= n) * np.int32(n)
 
 
 def _frozen(table: np.ndarray) -> np.ndarray:

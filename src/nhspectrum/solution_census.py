@@ -15,12 +15,13 @@ the signs of the five classifier polynomials and of z itself at z = a b,
 which yields a 0..4 prediction without solving anything; this module
 computes both routes and the machinery to compare them against direct
 counting.  Direct counting depends on z alone as well: delta(a, b) is the
-DDT row `ScopedU.row` at z (`ness.ddt_row`).
+DDT row `ScopedU.row` at the slot of z (`ness.ddt_row`, `FieldCtx.slot`).
 
 At import, the rules in `SOLUTION_CONDITIONS` compile into
 `PREDICTION_TABLE`, read only by `prediction_by_z`, and the closed forms of
 the case counts into `CASE_TABLE`, both indexed by the sign key of z
-(`ScopedU.sign_key`), so a full-field check is two gathers.  The tests keep
+(`ScopedU.sign_key`), so a full-field check is two gathers, in the log
+order of the key and of the DDT row.  The tests keep
 an interpreter of the rules and the scalar `census` as the oracles for
 every entry.  Records hold elements as ints and no u: the CLI writes both.
 """
@@ -230,8 +231,8 @@ def census(su: ScopedU, a: int, b: int) -> dict:
     Returns {"z", "n1", "case_i", "case_ii", "case_iii", "case_iv",
     "predicted", "observed"}: z = a b, the special-point count N1, the
     number of desired roots of each case, the sum of those five (predicted)
-    and delta(a, b) (observed), read from the DDT row `su.row` at z
-    (`ness.ddt_row`).  The (N1, N_I, N_II + N_III, N_IV) vector must appear
+    and delta(a, b) (observed), read from the DDT row `su.row` at the slot
+    of z (`ness.ddt_row`).  The (N1, N_I, N_II + N_III, N_IV) vector must appear
     in the admissible table with exactly the predicted total.
     """
     ctx, u = su.ctx, su.u
@@ -250,7 +251,7 @@ def census(su: ScopedU, a: int, b: int) -> dict:
         )
     z = ctx.mul(a, b)
     return {"z": z, "n1": n1, "case_i": n_i, "case_ii": n_ii, "case_iii": n_iii,
-            "case_iv": n_iv, "predicted": predicted, "observed": int(su.row[z])}
+            "case_iv": n_iv, "predicted": predicted, "observed": int(su.row[ctx.slot(z)])}
 
 
 # ---------------------------------------------------------------------------
@@ -260,22 +261,24 @@ def census(su: ScopedU, a: int, b: int) -> dict:
 
 def g_signs(su: ScopedU, z: int) -> tuple[int, int, int, int, int]:
     """(chi(g1(z)), ..., chi(g5(z)))."""
-    return tuple(SIGN_PATTERNS[su.sign_key[z], 1:].tolist())
+    return tuple(SIGN_PATTERNS[su.sign_key[su.ctx.slot(z)], 1:].tolist())
 
 
 def prediction_by_z(su: ScopedU) -> np.ndarray:
-    """Predicted N(a, b) at every z = a b (slot z = 0 covers b = 0 and is 0).
+    """Predicted N(a, b) at every z = a b, in log order as `ScopedU.sign_key`
+    (the last slot, z = 0, covers b = 0 and is 0).
 
     One gather from `PREDICTION_TABLE` at the sign keys; raises
-    InconsistencyError naming u, z and the signs at the first z where not
+    InconsistencyError naming u, z and the signs at the smallest z where not
     exactly one condition fires.
     """
+    ctx = su.ctx
     pred = PREDICTION_TABLE[su.sign_key]
     if pred.min() < 0:
-        z = int((pred < 0).argmax())
-        what = "no condition" if pred[z] == NO_RULE else "several conditions"
-        raise InconsistencyError(f"{what} matched at u={su.ctx.format_element(su.u)} "
-                                 f"z={su.ctx.format_element(z)} signs={g_signs(su, z)}")
+        z = min(map(ctx.element_at, np.flatnonzero(pred < 0).tolist()))
+        what = "no condition" if pred[ctx.slot(z)] == NO_RULE else "several conditions"
+        raise InconsistencyError(f"{what} matched at u={ctx.format_element(su.u)} "
+                                 f"z={ctx.format_element(z)} signs={g_signs(su, z)}")
     return pred
 
 
@@ -286,19 +289,21 @@ def verify_predictions(su: ScopedU) -> dict:
     the case vector both equal delta(a, b), the total being NOT_ADMISSIBLE
     unless the vector is in the admissible table (`CASE_TABLE`).  All three
     depend only on z = a b (`ness.ddt_row`), so the pairs (1, z) cover every
-    pair.  Returns a summary with one mismatch record per failing z, at
-    (a, b) = (1, z), its elements as ints.
+    pair.  The three vectors share the log order, so they are compared slot
+    by slot.  Returns a summary with one mismatch record per failing z, in
+    increasing z, at (a, b) = (1, z), its elements as ints.
     """
-    q = su.ctx.q
+    ctx = su.ctx
     predicted = prediction_by_z(su)
     totals = CASE_TABLE[su.sign_key, CASE_COLUMNS.index("total")]
     observed = su.row
     ok = (predicted == observed) & (totals == observed)
+    failing = sorted((ctx.element_at(slot), slot) for slot in np.flatnonzero(~ok).tolist())
     mismatches = [{"a": 1, "b": z, "z": z, "chi_signature": list(g_signs(su, z)),
-                   "predicted": int(predicted[z]), "observed": int(observed[z])}
-                  for z in np.flatnonzero(~ok).tolist()]
+                   "predicted": int(predicted[slot]), "observed": int(observed[slot])}
+                  for z, slot in failing]
     return {
-        "pairs": (q - 1) * q,  # the row a = 1 stands for all q - 1 rows
+        "pairs": (ctx.q - 1) * ctx.q,  # the row a = 1 stands for all q - 1 rows
         "mismatches": mismatches,
         "ok": not mismatches,
     }

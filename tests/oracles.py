@@ -3,16 +3,18 @@
 None of this is library code: each function recomputes by a different
 route what a production function computes, and the tests compare the two.
 
-  * `f_eval` evaluates f_u(x) = u x^d1 + x^d2 by plain exponentiation,
-    the oracle for `ness.f_table`; `derivative` is f_u(x + a) - f_u(x).
+  * `f_eval` evaluates f_u(x) = u x^d1 + x^d2 by plain exponentiation;
+    `derivative` is f_u(x + a) - f_u(x).
   * `ddt_entry_naive` counts x one at a time; `ddt_table` counts every row
-    a of the DDT, the oracle for `ness.ddt_row` and the lemma
+    a of the DDT from `f_eval` and the digit-wise adder, the oracle for
+    `ness.ddt_row` (Zech logarithms, in log order) and the lemma
     delta(a, b) = delta(1, a b).
     `counting_identities_hold` checks the two sums every spectrum meets,
     and `uniformity` reads its largest DDT value.
   * `g_eval` evaluates one classifier polynomial at one z with the scalar
-    ops; `g_values` evaluates it over the whole field with the vector ops
-    and `mul_vec`, a product gathered from the log tables.
+    ops; `g_values` evaluates it over the whole field with the vector ops,
+    `translate`, the field's plane sum of every z with one c, and
+    `mul_vec`, a product gathered from the log tables.
     Both are oracles for the sign key, which the library builds from the
     zeros of the polynomials instead, from the columns chi(z - a) of
     `FieldCtx.chi_minus`, with no field addition.
@@ -27,14 +29,17 @@ route what a production function computes, and the tests compare the two.
   * `table_a_expected` writes the signs of the g family on the five-point
     set A in closed form; `table_a_chi` reads the same grid off
     `ScopedU.sign_key`, and the tests compare the two.
+  * `in_element_order` reads a log-order vector (`sign_key`, the DDT row)
+    at every z in element order, through `FieldCtx.slot`.
   * `matching_conditions` interprets `SOLUTION_CONDITIONS` rule by rule on
     the signs from `g_eval`, the oracle for `PREDICTION_TABLE`;
     `table_key` reads the admissible-table row off a `census` record.
   * `add`, `neg` and `sub` work digit by digit mod 3 on the base-3 digits
-    of the indices: the addition oracle for the field, whose scalar ops and
-    vector kernels alike read the bit planes.  The multiplication oracle is
-    the schoolbook polynomial product in `test_field.py`, which pins `mul`,
-    `inv`, `chi` and the log tables.
+    of the indices, and `digitwise` does the same on whole index arrays:
+    the addition oracle for the field, whose scalar ops and vector kernels
+    alike read the bit planes.  `poly_mul_mod`, the schoolbook product of
+    digit lists (`poly_digits`) reduced by long division, is the
+    multiplication oracle, which pins `mul`, `inv`, `chi` and the log tables.
   * `smallest_irreducible` searches for the first monic irreducible of
     degree n by trial division, the oracle for the moduli in
     `field.DEFAULT_FIELDS`.
@@ -42,11 +47,11 @@ route what a production function computes, and the tests compare the two.
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from nhspectrum import ness
 from nhspectrum.charsums import G_IDS, SIGN_PATTERNS, ScopedU, set_a_points
 from nhspectrum.field import FieldCtx, irreducible_witness
 from nhspectrum.solution_census import SOLUTION_CONDITIONS
@@ -83,15 +88,18 @@ def ddt_entry_naive(ctx: FieldCtx, u: int, a: int, b: int) -> int:
 
 
 def ddt_table(ctx: FieldCtx, u: int) -> np.ndarray:
-    """(q, q) array of delta(a, b), one histogram of f_u(x + a) - f_u(x) per a;
-    the oracle for `ness.ddt_row`.
+    """(q, q) array of delta(a, b) in element order, one histogram of
+    f_u(x + a) - f_u(x) per a, with f_u by `f_eval` and the sums digit by
+    digit (`sum_table`); the oracle for `ness.ddt_row`.
 
     Row a = 0 is filled (delta(0, 0) = q) but is not part of the DDT.
     """
-    ftab = ness.f_table(ctx, u)
+    f = np.array([f_eval(ctx, u, x) for x in range(ctx.q)])
+    plus = sum_table(ctx)
+    minus_f = digitwise(ctx, 0, f, -1)
     out = np.zeros((ctx.q, ctx.q), dtype=np.int64)
     for a in range(ctx.q):
-        out[a] = np.bincount(ctx.sub_vec(ftab[ctx.translate(a)], ftab), minlength=ctx.q)
+        out[a] = np.bincount(plus[f[plus[a]], minus_f], minlength=ctx.q)
     return out
 
 
@@ -115,6 +123,13 @@ def counting_identities_hold(omegas: list[int], q: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def translate(ctx: FieldCtx, c: int) -> np.ndarray:
+    """z + c for every element z: the field's plane sum, with the plane
+    tables themselves as the planes of z."""
+    ones, twos, _ = ctx._planes
+    return ctx._plane_sum(ones, twos, ones[c], twos[c])
+
+
 def mul_vec(ctx: FieldCtx, a, b) -> np.ndarray:
     """a b entrywise, alog[log a + log b]: the zero sentinel log lands in the
     zero tail of the antilog table, so zero needs no mask."""
@@ -134,7 +149,7 @@ def char_sum(ctx: FieldCtx, coeffs: Sequence[int]) -> int:
     for c in reversed(coeffs[:-1]):
         acc = mul_vec(ctx, acc, zs)
         if c:
-            acc = ctx.translate(c)[acc]
+            acc = translate(ctx, c)[acc]
     return int(np.broadcast_to(ctx.chi_vec(acc), zs.shape).sum())
 
 
@@ -176,12 +191,12 @@ def g_values(su: ScopedU, gid: int) -> np.ndarray:
     if gid == 3:
         return mul_vec(ctx, z, ctx.sub_vec(z, np.int64(ctx.sub(1, u))))
     if gid == 4:
-        return ctx.translate(ctx.mul(u, u))[ctx.sub_vec(mul_vec(ctx, z, z), z)]
+        return translate(ctx, ctx.mul(u, u))[ctx.sub_vec(mul_vec(ctx, z, z), z)]
     if gid == 5:
         return mul_vec(
             ctx,
             np.int64(ctx.neg(ctx.add(1, su.r))),
-            ctx.sub_vec(ctx.translate(1), np.int64(su.r)),
+            ctx.sub_vec(translate(ctx, 1), np.int64(su.r)),
         )
     raise ValueError(f"gid must be 1..5, got {gid}")
 
@@ -193,7 +208,12 @@ def g_signs(su: ScopedU, z: int) -> tuple[int, ...]:
 
 def table_a_chi(su: ScopedU) -> list[list[int]]:
     """chi(g_i(x)) for x in A (rows) and i = 1..5 (columns), decoded from `ScopedU.sign_key`."""
-    return SIGN_PATTERNS[su.sign_key[list(set_a_points(su))], 1:].tolist()
+    return SIGN_PATTERNS[su.sign_key[[su.ctx.slot(a) for a in set_a_points(su)]], 1:].tolist()
+
+
+def in_element_order(ctx: FieldCtx, vec: np.ndarray) -> np.ndarray:
+    """A log-order vector (slot `FieldCtx.slot(z)` for z) read at z = 0, 1, ..., q - 1."""
+    return vec[[ctx.slot(z) for z in range(ctx.q)]]
 
 
 def table_a_expected(su: ScopedU) -> list[list[int]]:
@@ -360,6 +380,50 @@ def neg(ctx: FieldCtx, a: int) -> int:
 def sub(ctx: FieldCtx, a: int, b: int) -> int:
     """a - b as a + (-b), digit by digit."""
     return add(ctx, a, neg(ctx, b))
+
+
+def digitwise(ctx: FieldCtx, a, b, sign: int = 1) -> np.ndarray:
+    """a + sign b digit by digit mod 3, for index arrays (broadcast) or ints."""
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    out, weight = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64), 1
+    for _ in range(ctx.n):
+        out += (a % 3 + sign * (b % 3)) % 3 * weight
+        a, b, weight = a // 3, b // 3, weight * 3
+    return out
+
+
+@functools.lru_cache(maxsize=2)
+def sum_table(ctx: FieldCtx) -> np.ndarray:
+    """(q, q) int32 x + a at [a, x], digit by digit, built a block of rows at a
+    time; kept for the last two fields (19 MB at n = 7)."""
+    xs = np.arange(ctx.q)
+    out = np.empty((ctx.q, ctx.q), dtype=np.int32)
+    for start in range(0, ctx.q, 243):
+        out[start:start + 243] = digitwise(ctx, xs, xs[start:start + 243, None])
+    return out
+
+
+def poly_digits(ctx: FieldCtx, a: int) -> list[int]:
+    """The n base-3 digits of the index a, lowest degree first."""
+    return [a // 3**i % 3 for i in range(ctx.n)]
+
+
+def poly_mul_mod(ctx: FieldCtx, pa: Sequence[int], pb: Sequence[int]) -> list[int]:
+    """Schoolbook product reduced by long division; independent of FieldCtx.mul."""
+    mod = list(ctx.modulus)
+    prod = [0] * (len(pa) + len(pb) - 1)
+    for i, x in enumerate(pa):
+        for j, y in enumerate(pb):
+            prod[i + j] = (prod[i + j] + x * y) % 3
+    while len(prod) >= len(mod):
+        lead = prod[-1]
+        if lead:
+            shift = len(prod) - len(mod)
+            for k in range(len(mod)):
+                prod[shift + k] = (prod[shift + k] - lead * mod[k]) % 3
+        prod.pop()
+    prod += [0] * (ctx.n - len(prod))
+    return prod[: ctx.n]
 
 
 def smallest_irreducible(n: int) -> tuple[int, ...]:

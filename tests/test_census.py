@@ -183,7 +183,7 @@ def test_case_ii_iii_sum_sign_conditions(f3):
 def _case_rows(su):
     """`CASE_TABLE` at the sign key of every z, by column name; each z is
     also checked against the scalar census of (1, z)."""
-    rows = cn.CASE_TABLE[su.sign_key]
+    rows = cn.CASE_TABLE[oracles.in_element_order(su.ctx, su.sign_key)]
     for z, row in enumerate(rows.tolist()):
         c = cn.census(su, 1, z)
         assert tuple(row) == (*oracles.table_key(c), c["predicted"]), (su.u, z)
@@ -225,7 +225,7 @@ def test_census_exhaustive_n3(f3):
         for a in range(1, f3.q):
             for b in range(f3.q):
                 c = cn.census(su, a, b)
-                predicted = int(prediction[f3.mul(a, b)])
+                predicted = int(prediction[f3.slot(f3.mul(a, b))])
                 assert c["predicted"] == c["observed"] == predicted
                 assert c["observed"] == int(ddt[a, b]) == oracles.ddt_entry_naive(f3, u, a, b)
                 assert oracles.table_key(c) in cn.TABLE_IV_ROWS
@@ -263,7 +263,7 @@ def test_predict_b_zero_is_zero(f3):
         su = ScopedU(f3, u)
         prediction = cn.prediction_by_z(su)
         for a in range(1, f3.q):
-            assert int(prediction[f3.mul(a, 0)]) == 0
+            assert int(prediction[f3.slot(f3.mul(a, 0))]) == 0
 
 
 def test_predict_requires_scope_and_nonzero_a(f3):
@@ -291,7 +291,7 @@ def test_rule_inputs_match_evaluation(scope_cases):
     for ctx, us in scope_cases:
         for u in us:
             su = ScopedU(ctx, u)
-            signs = SIGN_PATTERNS[su.sign_key]
+            signs = SIGN_PATTERNS[oracles.in_element_order(ctx, su.sign_key)]
             derived = cn.rule_inputs(signs.T)
             one_pm_u = (ctx.add(1, u), ctx.sub(1, u))
             assert np.count_nonzero(signs[:, 4] == 0) == 2, (ctx.n, u)
@@ -352,18 +352,18 @@ def test_prediction_by_z_matches_scalar(f3):
     for u in u0_nonf3_elements(f3):
         su = ScopedU(f3, u)
         pred = cn.prediction_by_z(su)
-        assert pred[0] == 0
+        assert pred[f3.slot(0)] == 0
         for a in range(1, f3.q):
             for b in range(f3.q):
                 (hit,) = oracles.matching_conditions(su, a, b)
-                assert hit[0] == int(pred[f3.mul(a, b)])
+                assert hit[0] == int(pred[f3.slot(f3.mul(a, b))])
 
 
 def test_prediction_names_the_key_without_a_rule(f3, monkeypatch):
     """The error names u, the first z with the broken key, and its signs."""
     su = ScopedU(f3, u0_nonf3_elements(f3)[0])
-    key = int(su.sign_key[7])
-    z = int(np.flatnonzero(su.sign_key == key)[0])
+    key = int(su.sign_key[f3.slot(7)])
+    z = int(np.flatnonzero(oracles.in_element_order(f3, su.sign_key) == key)[0])
     table = cn.PREDICTION_TABLE.copy()
     table[key] = cn.NO_RULE
     monkeypatch.setattr(cn, "PREDICTION_TABLE", table)
@@ -397,7 +397,7 @@ def test_verify_predictions_reports_a_raised_cell(f3, monkeypatch):
     u = u0_nonf3_elements(f3)[0]
     b = 5
     raised = ness.ddt_row(f3, u).copy()
-    raised[b] += 1
+    raised[f3.slot(b)] += 1
     monkeypatch.setattr(ness, "ddt_row", lambda ctx, u: raised)
     su = ScopedU(f3, u)
     report = cn.verify_predictions(su)
@@ -405,7 +405,7 @@ def test_verify_predictions_reports_a_raised_cell(f3, monkeypatch):
     assert report["pairs"] == (f3.q - 1) * f3.q
     (rec,) = report["mismatches"]
     assert rec == {"a": 1, "b": b, "z": b, "chi_signature": list(oracles.g_signs(su, b)),
-                   "predicted": int(cn.prediction_by_z(su)[b]),
+                   "predicted": int(cn.prediction_by_z(su)[f3.slot(b)]),
                    "observed": oracles.ddt_entry_naive(f3, u, 1, b) + 1}
 
 
@@ -414,12 +414,13 @@ def test_verify_predictions_reports_one_record_per_z(f3, monkeypatch):
     key, at (a, b) = (1, z): the row a = 1 stands for every a."""
     u = u0_nonf3_elements(f3)[1]
     su = ScopedU(f3, u)
-    key = int(np.bincount(su.sign_key[1:]).argmax())  # the commonest key of a nonzero z
+    keys = oracles.in_element_order(f3, su.sign_key)
+    key = int(np.bincount(keys[1:]).argmax())  # the commonest key of a nonzero z
     wrong = cn.PREDICTION_TABLE.copy()
     wrong[key] = (wrong[key] + 1) % 5
     monkeypatch.setattr(cn, "PREDICTION_TABLE", wrong)
     report = cn.verify_predictions(su)
-    zs = np.flatnonzero(su.sign_key == key)
+    zs = np.flatnonzero(keys == key)
     assert len(zs) > 1 and report["ok"] is False
     assert report["mismatches"] == [
         {"a": 1, "b": z, "z": z, "chi_signature": list(oracles.g_signs(su, z)),
@@ -433,7 +434,7 @@ def test_mismatch_record_shape(f3, monkeypatch):
     writes them after u; the CLI alone writes u."""
     u = u0_nonf3_elements(f3)[0]
     raised = ness.ddt_row(f3, u).copy()
-    raised[9] += 1
+    raised[f3.slot(9)] += 1
     monkeypatch.setattr(ness, "ddt_row", lambda ctx, u: raised)
     (rec,) = cn.verify_predictions(ScopedU(f3, u))["mismatches"]
     assert list(rec) == ["a", "b", "z", "chi_signature", "predicted", "observed"]

@@ -203,7 +203,7 @@ def test_verify_propositions_mismatch_lines(monkeypatch):
     ctx = make_context(3)
     u = int(u0_nonf3_elements(ctx)[0])
     raised = ness.ddt_row(ctx, u).copy()
-    raised[5] += 1
+    raised[ctx.slot(5)] += 1
     monkeypatch.setattr(ness, "ddt_row", lambda ctx, u: raised)
     status, out, _ = _run("verify-propositions", u=ctx.format_element(u))
     summary, detail = _json_lines(out)
@@ -211,7 +211,7 @@ def test_verify_propositions_mismatch_lines(monkeypatch):
     assert list(detail) == ["u", "a", "b", "z", "chi_signature", "predicted", "observed"]
     assert [detail[key] for key in ("u", "a", "b", "z")] == [
         ctx.format_element(u), ctx.format_element(1), ctx.format_element(5), ctx.format_element(5)]
-    assert detail["observed"] == raised[5]
+    assert detail["observed"] == raised[ctx.slot(5)]
     status, out, _ = _run("verify-propositions", u=ctx.format_element(u), fmt="csv")
     assert status == 1 and len(out.splitlines()) == 2
 
@@ -234,11 +234,12 @@ def test_census_reads_the_prediction_at_every_z(monkeypatch):
     ctx = make_context(3)
     su = charsums.ScopedU(ctx, int(u0_nonf3_elements(ctx)[0]))
     table = census_mod.PREDICTION_TABLE.copy()
-    table[su.sign_key[7]] = census_mod.NO_RULE
+    table[su.sign_key[ctx.slot(7)]] = census_mod.NO_RULE
     monkeypatch.setattr(census_mod, "PREDICTION_TABLE", table)
     status, out, err = _run("census", u=ctx.format_element(su.u))
     assert (status, out) == (1, "")
-    z = int(np.flatnonzero(su.sign_key == su.sign_key[7])[0])
+    keys = [int(su.sign_key[ctx.slot(z)]) for z in range(ctx.q)]
+    z = keys.index(keys[7])
     assert json.loads(err)["detail"] == (f"no condition matched at u={ctx.format_element(su.u)} "
                                          f"z={ctx.format_element(z)} "
                                          f"signs={census_mod.g_signs(su, z)}")
@@ -425,13 +426,6 @@ def test_closed_stdout_stops_the_sweep_with_status_141():
     assert json.loads(first)["match"] is True
 
 
-# Whole-field translates per u: 1 for the DDT row where the command reads
-# it, and none for the sign key, which reads rotations of the one table
-# chi(g^m - 1) of the field.
-TRANSLATES_PER_U = {"scan": 1, "verify-theorem": 1, "spectrum": 1, "census": 1,
-                    "verify-lemmas": 0, "verify-propositions": 1}
-
-
 @pytest.mark.parametrize("command, ddt_rows_per_u", [
     ("scan", 1), ("verify-theorem", 1), ("spectrum", 1), ("census", 1),
     ("verify-lemmas", 0), ("verify-propositions", 1),
@@ -439,12 +433,14 @@ TRANSLATES_PER_U = {"scan": 1, "verify-theorem": 1, "spectrum": 1, "census": 1,
 def test_one_build_per_u(monkeypatch, command, ddt_rows_per_u):
     """Every scope command checks the scope once per u (in ScopedU), builds
     one sign key per u, runs no Horner pass (no `char_sum` anywhere in the
-    library), counts at most one DDT row from one f table and makes no
-    whole-field translate beyond those it reads (1 more per run, for the
-    table chi(g^m - 1) that the scope mask and the sign key share);
-    verify-lemmas reads no DDT."""
-    counts = {"sign_key": 0, "char_sum": 0, "ddt_row": 0, "f_table": 0, "translate": 0,
-              "classify_u": 0}
+    library) and counts at most one DDT row per u.  Nothing per u works in
+    element order: g^m - 1 is worked out for every m once per run for the
+    table chi(g^m - 1) that the scope mask and the sign key share, and once
+    more for the Zech tables of the DDT row, which are built once per run
+    and never by verify-lemmas, which reads no DDT; and one gather goes back
+    from log order (the scope mask)."""
+    counts = {"sign_key": 0, "char_sum": 0, "ddt_row": 0, "minus_one": 0,
+              "from_log_order": 0, "zech": 0, "classify_u": 0}
 
     def counted(owner, attr, key):
         original = getattr(owner, attr)
@@ -456,19 +452,20 @@ def test_one_build_per_u(monkeypatch, command, ddt_rows_per_u):
         monkeypatch.setattr(owner, attr, wrapper)
 
     counted(charsums.ScopedU.sign_key, "func", "sign_key")
-    counted(FieldCtx, "translate", "translate")
+    counted(field, "_minus_one", "minus_one")
+    counted(FieldCtx, "from_log_order", "from_log_order")
+    counted(FieldCtx._zech, "func", "zech")
     for module in (charsums, spectrum, census_mod, ness):
         if hasattr(module, "char_sum"):
             counted(module, "char_sum", "char_sum")
     counted(ness, "ddt_row", "ddt_row")
-    counted(ness, "f_table", "f_table")
     counted(charsums, "classify_u", "classify_u")
     k = 4
     status, out, _ = _run(command, n=5, u=f"sample:{k}:1")
     assert status == 0 and len({rec["u"] for rec in _json_lines(out)}) == k
     assert counts == {"sign_key": k, "char_sum": 0, "ddt_row": ddt_rows_per_u * k,
-                      "f_table": ddt_rows_per_u * k,
-                      "translate": TRANSLATES_PER_U[command] * k + 1,
+                      "minus_one": 1 + ddt_rows_per_u, "from_log_order": 1,
+                      "zech": ddt_rows_per_u,
                       "classify_u": k}
 
 

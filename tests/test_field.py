@@ -28,38 +28,16 @@ from nhspectrum.field import (
 # ---------------------------------------------------------------------------
 
 
-def _poly_from_index(ctx, a):
-    return field._idx_digits(a, ctx.n)
-
-
-def _poly_mul_mod(ctx, pa, pb):
-    """Schoolbook product reduced by long division; independent of FieldCtx.mul."""
-    mod = list(ctx.modulus)
-    prod = [0] * (len(pa) + len(pb) - 1)
-    for i, x in enumerate(pa):
-        for j, y in enumerate(pb):
-            prod[i + j] = (prod[i + j] + x * y) % 3
-    while len(prod) >= len(mod):
-        lead = prod[-1]
-        if lead:
-            shift = len(prod) - len(mod)
-            for k in range(len(mod)):
-                prod[shift + k] = (prod[shift + k] - lead * mod[k]) % 3
-        prod.pop()
-    prod += [0] * (ctx.n - len(prod))
-    return prod[: ctx.n]
-
-
 def _euler_chi(ctx, a):
     """chi(a) by Euler's criterion: a^((q-1)/2) by square-and-multiply with
     the schoolbook product, which must be 1 or -1 for a != 0."""
     if a == 0:
         return 0
-    power, base, e = [1] + [0] * (ctx.n - 1), _poly_from_index(ctx, a), (ctx.q - 1) // 2
+    power, base, e = [1] + [0] * (ctx.n - 1), oracles.poly_digits(ctx, a), (ctx.q - 1) // 2
     while e:
         if e & 1:
-            power = _poly_mul_mod(ctx, power, base)
-        base = _poly_mul_mod(ctx, base, base)
+            power = oracles.poly_mul_mod(ctx, power, base)
+        base = oracles.poly_mul_mod(ctx, base, base)
         e >>= 1
     euler = ctx.element_from_coeffs(power)
     assert euler in (1, 2), (a, euler)
@@ -101,7 +79,7 @@ def _euclid_inverse(ctx, a):
         pb = pb + [0] * (width - len(pb))
         return trim([(x - y) % 3 for x, y in zip(pa, pb)])
 
-    r0, r1 = list(ctx.modulus), trim(_poly_from_index(ctx, a))
+    r0, r1 = list(ctx.modulus), trim(oracles.poly_digits(ctx, a))
     s0, s1 = [], [1]
     while r1:
         q, rem = divmod_poly(r0, r1)
@@ -284,7 +262,7 @@ def test_mul_matches_schoolbook_oracle(f5):
         a = rng.randrange(f5.q)
         b = rng.randrange(f5.q)
         expected = f5.element_from_coeffs(
-            _poly_mul_mod(f5, _poly_from_index(f5, a), _poly_from_index(f5, b))
+            oracles.poly_mul_mod(f5, oracles.poly_digits(f5, a), oracles.poly_digits(f5, b))
         )
         assert f5.mul(a, b) == expected
 
@@ -438,7 +416,8 @@ def test_vector_ops_match_scalar_exhaustive_n3(f3):
             assert np.shape(f3.chi_vec(x)) == () and int(f3.chi_vec(x)) == euler[a]
     for c in range(q):
         for const in (c, np.int64(c)):
-            assert f3.translate(const).tolist() == [oracles.add(f3, z, c) for z in range(q)], c
+            assert oracles.translate(f3, const).tolist() == [oracles.add(f3, z, c)
+                                                             for z in range(q)], c
 
 
 def _check_vector_ops_random(ctx):
@@ -456,7 +435,8 @@ def _check_vector_ops_random(ctx):
     assert ctx.sub_vec(A, np.int64(b7)).tolist() == [oracles.sub(ctx, a, b7) for a, _ in pairs]
     assert ctx.chi_vec(A).tolist() == [_euler_chi(ctx, a) for a, _ in pairs]
     for c in (0, 1, 2, b7, ctx.q - 1):
-        assert ctx.translate(c)[A].tolist() == [oracles.add(ctx, a, c) for a, _ in pairs], c
+        sums = [oracles.add(ctx, a, c) for a, _ in pairs]
+        assert oracles.translate(ctx, c)[A].tolist() == sums, c
 
 
 def test_vector_ops_match_scalar_random_n5(f5):
@@ -471,7 +451,7 @@ def test_mul_log_path_agrees_with_poly_path(f3):
     for a in range(f3.q):
         for b in range(f3.q):
             expected = f3.element_from_coeffs(
-                _poly_mul_mod(f3, _poly_from_index(f3, a), _poly_from_index(f3, b))
+                oracles.poly_mul_mod(f3, oracles.poly_digits(f3, a), oracles.poly_digits(f3, b))
             )
             assert f3.mul(a, b) == expected
 
@@ -489,11 +469,12 @@ def _check_log_steps(ctx, ks):
     k < q - 1, then the zero-sentinel layout of both tables."""
     q = ctx.q
     log, alog = ctx._log_tables
-    g = _poly_from_index(ctx, ctx.generator)
+    g = oracles.poly_digits(ctx, ctx.generator)
     assert int(alog[0]) == 1
     for k in ks:
         # k = q - 2 closes the cycle: g * g**(q-2) == 1 == alog[q - 1]
-        step = ctx.element_from_coeffs(_poly_mul_mod(ctx, _poly_from_index(ctx, int(alog[k])), g))
+        digits = oracles.poly_digits(ctx, int(alog[k]))
+        step = ctx.element_from_coeffs(oracles.poly_mul_mod(ctx, digits, g))
         assert step == int(alog[k + 1]), k
     assert int(alog[q - 1]) == 1
     assert np.array_equal(log[alog[:q - 1]], np.arange(q - 1))
@@ -509,7 +490,7 @@ def _check_log_steps(ctx, ks):
     (7, _random_irreducible(7, seed=2024)),
 ], ids=["n3", "n5", "n7", "n9", "n5-random-modulus", "n7-random-modulus"])
 def test_log_tables_by_doubling_match_oracle(n, modulus):
-    """Every step of the cycle: at n = 7 and 9 that spans 3 and 9 giant rows."""
+    """Every step of the cycle: at n = 5, 7 and 9 that spans 3, 9 and 27 giant rows."""
     ctx = make_context(n, modulus)
     _check_log_steps(ctx, range(ctx.q - 1))
 
@@ -517,10 +498,11 @@ def test_log_tables_by_doubling_match_oracle(n, modulus):
 @pytest.mark.parametrize("n", [11, 13])
 def test_log_tables_giant_steps_match_oracle(n):
     """Every block boundary k = i S - 1 of the R giant rows, the wrap at
-    k = q - 2 and 64 seeded k, with R and S worked out here from n."""
+    k = q - 2 and 64 seeded k, with S = 3^(ceil(n/2) + 1) baby steps and
+    R = ceil((q - 1) / S) giant rows worked out here from n."""
     q = 3**n
-    giant = 3**((n - 5) // 2)
-    baby = -(-(q - 1) // giant)
+    baby = 3**((n + 1) // 2 + 1)
+    giant = -(-(q - 1) // baby)
     ks = {i * baby - 1 for i in range(1, giant)} | {q - 2}
     ks |= set(random.Random(n).sample(range(q - 1), 64))
     _check_log_steps(make_context(n), sorted(ks))
@@ -556,9 +538,8 @@ def test_mul_vec_zero_sentinel_edges(n):
     assert not mul_vec(xs, zeros).any()
     assert int(mul_vec(np.int64(0), np.int64(0))) == 0
     assert not mul_vec(np.int64(0), np.arange(q)).any()
-    expected = ctx.element_from_coeffs(
-        _poly_mul_mod(ctx, _poly_from_index(ctx, g_last), _poly_from_index(ctx, g_last))
-    )
+    g_last_digits = oracles.poly_digits(ctx, g_last)
+    expected = ctx.element_from_coeffs(oracles.poly_mul_mod(ctx, g_last_digits, g_last_digits))
     assert int(mul_vec(np.int64(g_last), np.int64(g_last))) == expected
     assert mul_vec(xs, xs).tolist() == [ctx.mul(int(x), int(x)) for x in xs]
 
@@ -586,9 +567,8 @@ def test_context_determinism():
 def test_derived_log_tables_match_scalar_ops(n, modulus):
     """`_chi_rotations` is C[m] = chi(g^m - 1) for m < q - 1, twice over;
     `chi_minus(a)` is chi(z - a) in log order, z = 0 last, for every a at
-    n = 3 and for 0, 1, 2 and seeded a above; `scaled_inverse(c1, c2)` is
-    c/x with c = c1 at squares and c2 at nonsquares, c = 0 and the largest
-    log q - 2 among the c tried."""
+    n = 3 and for 0, 1, 2 and seeded a above; `slot` and `element_at` map
+    every element to its log-order slot and back, as `from_log_order` reads."""
     ctx = make_context(n, modulus)
     q, rotations = ctx.q, ctx._chi_rotations
     powers = [ctx.pow(ctx.generator, k) for k in range(q - 1)]
@@ -604,12 +584,43 @@ def test_derived_log_tables_match_scalar_ops(n, modulus):
         assert column.tolist() == [ctx.chi(ctx.sub(z, a)) for z in [*powers, 0]], a
     slot = {z: k for k, z in enumerate(powers)} | {0: q - 1}
     assert ctx.from_log_order(np.arange(q)).tolist() == [slot[x] for x in range(q)]
+    assert [ctx.slot(x) for x in range(q)] == [slot[x] for x in range(q)]
+    assert [ctx.element_at(k) for k in range(q)] == [*powers, 0]
 
-    cs = [0, 1, 2, powers[-1], *rnd.sample(range(3, q), 2)]
-    for c1, c2 in itertools.product(cs, repeat=2):
-        expected = [ctx.mul(c1 if ctx.chi(x) == 1 else c2, ctx.inv(x)) if x else 0
-                    for x in range(q)]
-        assert ctx.scaled_inverse(c1, c2).tolist() == expected, (c1, c2)
+
+def _difference_counts(ctx, c_square, c_nonsquare):
+    """Count of x with f(x + 1) - f(x) = z, in log order, f(x) = c/x by the
+    scalar ops and the sums digit by digit."""
+    def f(x):
+        return ctx.mul(c_square if ctx.chi(x) == 1 else c_nonsquare, ctx.inv(x)) if x else 0
+
+    counts = [0] * ctx.q
+    for x in range(ctx.q):
+        counts[ctx.slot(oracles.sub(ctx, f(oracles.add(ctx, x, 1)), f(x)))] += 1
+    return counts
+
+
+@pytest.mark.parametrize("n, modulus", [
+    (3, None), (5, None), (7, None), (5, _random_irreducible(5, seed=2027)),
+], ids=["n3", "n5", "n7", "n5-random-modulus"])
+def test_difference_row_matches_scalar_count(n, modulus):
+    """`difference_row(c1, c2)` counts f(x + 1) - f(x) for f(x) = c/x, c = c1
+    at squares and c2 at nonsquares: every pair with one c nonzero at n = 3
+    (c = 0 is the zero-coefficient branch, and c1 = c2 puts x = 0 and x = -1
+    in one slot), and seeded pairs with 0, 1, 2 and the largest log q - 2
+    among the c above."""
+    ctx = make_context(n, modulus)
+    q = ctx.q
+    if n == 3:
+        pairs = [(c1, c2) for c1 in range(q) for c2 in range(q) if c1 or c2]
+    else:
+        rnd = random.Random(n)
+        cs = [0, 1, 2, ctx.pow(ctx.generator, q - 2), *rnd.sample(range(3, q), 3)]
+        pairs = [(c1, c2) for c1 in cs for c2 in cs if c1 or c2]
+    for c1, c2 in pairs:
+        row = ctx.difference_row(c1, c2)
+        assert row.dtype == np.int64
+        assert row.tolist() == _difference_counts(ctx, c1, c2), (c1, c2)
 
 
 FIRST_CALLS = {
@@ -621,7 +632,7 @@ FIRST_CALLS = {
     "chi": lambda ctx: ctx.chi(5),
     "mul": lambda ctx: ctx.mul(5, 7),
     "chi_vec": lambda ctx: ctx.chi_vec(np.arange(ctx.q)),
-    "translate": lambda ctx: ctx.translate(5),
+    "translate": lambda ctx: oracles.translate(ctx, 5),
     "sub_vec": lambda ctx: ctx.sub_vec(np.arange(ctx.q), np.arange(ctx.q)[::-1]),
     "mul_vec": lambda ctx: oracles.mul_vec(ctx, np.arange(ctx.q), np.int64(7)),
 }
@@ -647,7 +658,7 @@ def test_concurrent_first_touch_builds_identical_tables():
         barrier.wait(timeout=10)
         elems = np.arange(ctx.q)
         results[i] = (ctx.pair_add_table(), ctx.digit_table(), ctx.chi_vec(elems),
-                      [ctx.mul(a, 7) for a in range(ctx.q)], ctx.translate(7),
+                      [ctx.mul(a, 7) for a in range(ctx.q)], oracles.translate(ctx, 7),
                       ctx.sub_vec(elems, elems[::-1]), [ctx.add(a, 7) for a in range(ctx.q)])
 
     workers = [threading.Thread(target=touch, args=(i,), daemon=True) for i in range(4)]
@@ -713,18 +724,18 @@ def test_ops_match_oracles_for_any_modulus(modulus, data):
     for _ in range(10):
         a, b = data.draw(elem), data.draw(elem)
         expected = ctx.element_from_coeffs(
-            _poly_mul_mod(ctx, _poly_from_index(ctx, a), _poly_from_index(ctx, b))
+            oracles.poly_mul_mod(ctx, oracles.poly_digits(ctx, a), oracles.poly_digits(ctx, b))
         )
         assert ctx.mul(a, b) == expected
         if a:
             assert ctx.inv(a) == _euclid_inverse(ctx, a)
         assert ctx.chi(a) == int(ctx.chi_vec(a)) == _euler_chi(ctx, a)
         # the plane sums, scalar and vector, against the digit-wise oracle
-        assert ctx.add(a, b) == int(ctx.translate(b)[a]) == oracles.add(ctx, a, b)
+        assert ctx.add(a, b) == int(oracles.translate(ctx, b)[a]) == oracles.add(ctx, a, b)
         assert ctx.sub(a, b) == int(ctx.sub_vec(a, b)) == oracles.sub(ctx, a, b)
         assert ctx.neg(a) == oracles.neg(ctx, a)
     elems = np.arange(ctx.q)
-    assert ctx.translate(b).tolist() == [oracles.add(ctx, x, b) for x in range(ctx.q)]
+    assert oracles.translate(ctx, b).tolist() == [oracles.add(ctx, x, b) for x in range(ctx.q)]
     assert ctx.sub_vec(elems, np.int64(b)).tolist() == [oracles.sub(ctx, x, b)
                                                         for x in range(ctx.q)]
     assert ctx.chi_vec(elems).tolist() == [_euler_chi(ctx, x) for x in range(ctx.q)]

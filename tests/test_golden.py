@@ -30,6 +30,10 @@ N7_COMMANDS = ("spectrum", "verify-lemmas", "verify-propositions", "verify-theor
 # One explicit u of each out-of-scope class at n = 5: F3, U11 and U10.
 OUT_OF_SCOPE_U = ("00000", "01000", "21100")
 
+# u = 1 and u = 2, where 1 - u or 1 + u is 0, so f_u vanishes on the
+# nonsquares or on the squares: the DDT row's zero-coefficient branch.
+ZERO_COEFFICIENT_U = ("10000", "20000")
+
 
 def case_id(command: str, n: int, u_spec: str, seed: int, fmt: str) -> str:
     return f"{command}|n={n}|u={u_spec}|seed={seed}|{fmt}"
@@ -41,7 +45,10 @@ def cases() -> list[tuple[str, int, str, int, str]]:
              for command in COMMANDS
              for fmt in FORMATS]
             + [(command, 7, "all", 0, "json") for command in N7_COMMANDS]
-            + [("spectrum", 5, u, 0, fmt) for u in OUT_OF_SCOPE_U for fmt in FORMATS])
+            + [("spectrum", 5, u, 0, fmt) for u in OUT_OF_SCOPE_U for fmt in FORMATS]
+            + [("spectrum", 5, u, 0, fmt) for u in ZERO_COEFFICIENT_U for fmt in FORMATS]
+            + [("ddt", 5, u, 0, "json") for u in ZERO_COEFFICIENT_U]
+            + [("spectrum", 7, u.ljust(7, "0"), 0, "json") for u in ZERO_COEFFICIENT_U])
 
 
 def stdout_digest(command: str, n: int, u_spec: str, seed: int, fmt: str) -> tuple[int, str]:

@@ -2,26 +2,32 @@
 oracle checks that must catch that mutant.
 
 An entry names the library attribute, installs its mutant with
-``monkeypatch`` and lists its checks.  A check returns True when the library
-agrees with its oracle (`tests/oracles.py`) or when a CLI command passes.
-The test asserts that every check fails under the mutant and passes
-without it, so a check that stops looking at the shortcut fails here.  The
-mutants keep, as tests, the kind of scratch-copy mutation that CHANGES.md
-reports for each shortcut (a wrongly compiled proposition table; a DDT row
-read at the wrong a; a rotation or a stride of the log-order kernels one
-step off), so that they run on every change.
+``monkeypatch`` and lists its checks, run on a fresh field of the entry's
+degree n (a table built once per field must be built under the mutant).  A
+check returns True when the library agrees with its oracle
+(`tests/oracles.py`) or when a CLI command passes.  The test asserts that
+every check fails under the mutant and passes without it, so a check that
+stops looking at the shortcut fails here.  The mutants keep, as tests, the
+kind of scratch-copy mutation that CHANGES.md reports for each shortcut (a
+wrongly compiled proposition table; a DDT row read at the wrong a; a
+rotation one step off; a Zech offset one step off; a branch swapped; a
+giant step one power too far), so that they run on every change.  A
+mutant of a table build rewrites one fragment of the build's source
+(`rewritten`), since the table is a local of that build.
 """
 
+import inspect
 import io
+import textwrap
 
 import numpy as np
 import pytest
 
 import oracles
-from nhspectrum import charsums, cli, ness
+from nhspectrum import charsums, cli, field, ness
 from nhspectrum import solution_census as cn
 from nhspectrum.charsums import SIGN_PATTERNS, ScopedU
-from nhspectrum.field import FieldCtx
+from nhspectrum.field import FieldCtx, InconsistencyError, built_once, make_context
 from nhspectrum.spectrum import u0_nonf3_elements
 
 
@@ -38,20 +44,28 @@ def _scope(ctx):
 
 def predictions_follow_rules(ctx) -> bool:
     """`prediction_by_z` at every z equals the rule interpreter at (1, z)."""
-    return all(cn.prediction_by_z(su).tolist()
+    return all(oracles.in_element_order(ctx, cn.prediction_by_z(su)).tolist()
                == [oracles.matching_conditions(su, 1, z)[0][0] for z in range(ctx.q)]
                for su in _scope(ctx))
 
 
 def row_gives_every_row(ctx) -> bool:
-    """delta(a, b) = ddt_row[a b] for every a != 0 and b, against the
-    counted q x q table."""
+    """delta(a, b) = ddt_row at the slot of a b for every a != 0 and b,
+    against the counted q x q table."""
     zs = np.arange(ctx.q)
     for su in _scope(ctx):
-        row, table = ness.ddt_row(ctx, su.u), oracles.ddt_table(ctx, su.u)
+        row = oracles.in_element_order(ctx, ness.ddt_row(ctx, su.u))
+        table = oracles.ddt_table(ctx, su.u)
         if any((table[a] != row[oracles.mul_vec(ctx, a, zs)]).any() for a in range(1, ctx.q)):
             return False
     return True
+
+
+def zero_coefficient_rows_match_table(ctx) -> bool:
+    """`ddt_row` at u = 1 and u = 2, where f_u vanishes on a parity class,
+    equals the row a = 1 of the counted table."""
+    return all(np.array_equal(oracles.in_element_order(ctx, ness.ddt_row(ctx, u)),
+                              oracles.ddt_table(ctx, u)[1]) for u in (1, 2))
 
 
 def sign_key_matches_g_values(ctx) -> bool:
@@ -59,7 +73,8 @@ def sign_key_matches_g_values(ctx) -> bool:
     zs = np.arange(ctx.q)
     for su in _scope(ctx):
         values = np.stack([zs, *(oracles.g_values(su, gid) for gid in charsums.G_IDS)], axis=1)
-        if not np.array_equal(SIGN_PATTERNS[su.sign_key], ctx.chi_vec(values)):
+        keys = oracles.in_element_order(ctx, su.sign_key)
+        if not np.array_equal(SIGN_PATTERNS[keys], ctx.chi_vec(values)):
             return False
     return True
 
@@ -69,10 +84,16 @@ def scope_mask_follows_classify_u(ctx) -> bool:
     return u0_nonf3_elements(ctx).tolist() == [su.u for su in _scope(ctx)]
 
 
-def f_table_matches_f_eval(ctx) -> bool:
-    """`f_table` equals f_u by plain exponentiation at every x, for every u."""
-    return all(ness.f_table(ctx, u).tolist() == [oracles.f_eval(ctx, u, x) for x in range(ctx.q)]
-               for u in range(ctx.q))
+def antilog_steps_match_polynomials(ctx) -> bool:
+    """The log build certifies the field, and alog[k + 1] = alog[k] g by the
+    schoolbook product at every k < q - 1."""
+    try:
+        alog = ctx._log_tables[1]
+    except InconsistencyError:
+        return False
+    g = oracles.poly_digits(ctx, ctx.generator)
+    return all(oracles.poly_mul_mod(ctx, oracles.poly_digits(ctx, int(alog[k])), g)
+               == oracles.poly_digits(ctx, int(alog[k + 1])) for k in range(ctx.q - 1))
 
 
 def command_passes(command: str):
@@ -94,11 +115,29 @@ def command_passes(command: str):
 # ---------------------------------------------------------------------------
 
 
+def rewritten(owner, name: str, fragment: str, mutant: str):
+    """The mutant that replaces the one `fragment` of the source of
+    owner.name (a function, a method or a `built_once` table) by `mutant`."""
+
+    def mutate(monkeypatch, ctx):
+        attribute = inspect.getattr_static(owner, name)
+        source = textwrap.dedent(inspect.getsource(getattr(attribute, "func", attribute)))
+        assert source.count(fragment) == 1, (name, fragment)
+        namespace = {}
+        exec(source.replace(fragment, mutant), vars(field), namespace)
+        replacement = namespace[name]
+        if isinstance(replacement, built_once):
+            replacement.__set_name__(owner, name)
+        monkeypatch.setattr(owner, name, replacement)
+
+    return mutate
+
+
 def shift_one_prediction(monkeypatch, ctx):
     """`PREDICTION_TABLE` off by one at the commonest sign key of a nonzero z
-    in the scope of ctx, as the compiled table would be if one rule or its
-    compilation were wrong."""
-    keys = np.concatenate([su.sign_key[1:] for su in _scope(ctx)])
+    (every slot but the last) in the scope of ctx, as the compiled table
+    would be if one rule or its compilation were wrong."""
+    keys = np.concatenate([su.sign_key[:-1] for su in _scope(ctx)])
     key = int(np.bincount(keys).argmax())
     wrong = cn.PREDICTION_TABLE.copy()
     wrong[key] = (wrong[key] + 1) % 5
@@ -106,12 +145,14 @@ def shift_one_prediction(monkeypatch, ctx):
 
 
 def count_row_g(monkeypatch, ctx):
-    """`ddt_row` counts the row a = g in place of a = 1."""
+    """`ddt_row` counts the row a = g in place of a = 1: delta(g, b) =
+    delta(1, g b), the row one slot further on."""
+    ddt_row = ness.ddt_row
 
     def row_at_generator(ctx, u):
-        ftab = ness.f_table(ctx, u)
-        return np.bincount(ctx.sub_vec(ftab[ctx.translate(ctx.generator)], ftab),
-                           minlength=ctx.q)
+        row = ddt_row(ctx, u).copy()
+        row[:-1] = np.roll(row[:-1], -1)
+        return row
 
     monkeypatch.setattr(ness, "ddt_row", row_at_generator)
 
@@ -129,52 +170,60 @@ def rotate_one_off(monkeypatch, ctx):
     monkeypatch.setattr(FieldCtx, "chi_minus", rotated)
 
 
-def shift_nonsquare_stride(monkeypatch, ctx):
-    """`scaled_inverse` reads the stride of odd logs one step off: c/(g^2 x)
-    in place of c/x at every nonsquare x."""
-    scaled_inverse = FieldCtx.scaled_inverse
-
-    def shifted(self, c_square, c_nonsquare):
-        out = scaled_inverse(self, c_square, c_nonsquare)
-        xs = np.arange(self.q)
-        g_squared_xs = oracles.mul_vec(self, xs, self.pow(self.generator, 2))
-        return np.where(self.chi_vec(xs) == -1, out[g_squared_xs], out)
-
-    monkeypatch.setattr(FieldCtx, "scaled_inverse", shifted)
-
-
-# attribute: (mutant, checks that must catch it)
+# attribute: (mutant, n, checks that must catch it)
 MUTANTS = {
     "solution_census.PREDICTION_TABLE": (
-        shift_one_prediction,
+        shift_one_prediction, 3,
         (predictions_follow_rules, command_passes("census"),
          command_passes("verify-propositions")),
     ),
     # delta(a, b) = delta(1, a b): one counted row stands for the whole DDT
     "ness.ddt_row": (
-        count_row_g,
+        count_row_g, 3,
         (row_gives_every_row, command_passes("verify-propositions")),
     ),
     # chi(z - g^j) = chi(g^j) C[k - j] at z = g^k: one table read in log order
     "FieldCtx.chi_minus": (
-        rotate_one_off,
+        rotate_one_off, 3,
         (sign_key_matches_g_values, scope_mask_follows_classify_u),
     ),
-    # c/g^k = alog[log c + q - 1 - k]: one reversed stride per parity
-    "FieldCtx.scaled_inverse": (
-        shift_nonsquare_stride,
-        (f_table_matches_f_eval, command_passes("verify-theorem")),
+    # the cross group (k odd, Z+(k) even) reads its offset h - Z+(k) one step off
+    "FieldCtx._zech": (
+        rewritten(FieldCtx, "_zech", "cross_e = d + h", "cross_e = d + h + 1"), 3,
+        (row_gives_every_row, command_passes("verify-theorem")),
+    ),
+    # f vanishes on the nonsquares (u = 1) or on the squares (u = 2): the two
+    # zero-coefficient branches of the row swapped
+    "FieldCtx.difference_row": (
+        rewritten(FieldCtx, "difference_row", "elif c_square:", "elif c_nonsquare:"), 3,
+        (zero_coefficient_rows_match_table,),
+    ),
+    # giant steps multiply by c = g^S: the table built for g^(S + 1); n = 5 is
+    # the smallest field with more than one giant row
+    "FieldCtx._log_tables": (
+        rewritten(FieldCtx, "_log_tables", "powers[-1] @ g_mat % P)",
+                  "powers[-1] @ g_mat % P @ g_mat % P)"), 5,
+        (antilog_steps_match_polynomials,),
+    ),
+    # g^m - 1 from g^m by digit 0, for C and for the Zech tables: +1 in
+    # place of +2 where that digit is 0.  The scope mask cannot see it: it
+    # swaps chi(u - 1) and chi(u + 1) where u and -u have digit 0 equal to 0,
+    # and the mask asks only whether the two differ.
+    "field._minus_one": (
+        rewritten(field, "_minus_one", "np.int8(P)", "np.int8(P - 1)"), 3,
+        (sign_key_matches_g_values, row_gives_every_row),
     ),
 }
 
 
 @pytest.mark.parametrize("attribute, check", [
     pytest.param(attribute, check, id=f"{attribute}-{check.__name__}")
-    for attribute, (_, checks) in MUTANTS.items() for check in checks
+    for attribute, (_, _, checks) in MUTANTS.items() for check in checks
 ])
-def test_mutant_is_caught(f3, monkeypatch, attribute, check):
-    mutate = MUTANTS[attribute][0]
+def test_mutant_is_caught(monkeypatch, attribute, check):
+    mutate, n, _ = MUTANTS[attribute]
     with monkeypatch.context() as patch:
-        mutate(patch, f3)
-        assert not check(f3), f"{check.__name__} misses the mutant of {attribute}"
-    assert check(f3), f"{check.__name__} fails on the library as it is"
+        ctx = make_context(n)
+        mutate(patch, ctx)
+        assert not check(ctx), f"{check.__name__} misses the mutant of {attribute}"
+    assert check(make_context(n)), f"{check.__name__} fails on the library as it is"

@@ -22,19 +22,6 @@ def test_f_at_zero_and_one(f3):
         assert oracles.f_eval(f3, u, 1) == f3.add(u, 1)
 
 
-def test_f_table_matches_scalar(f3, f5, f7):
-    """The one-gather f table equals f_eval by plain exponentiation at every x:
-    every u at n = 3 (GF(3) included, where 1 + u or 1 - u is 0), and u in
-    GF(3) plus seeded u at n = 5 and 7."""
-    rng = random.Random(53)
-    cases = [(f3, range(f3.q))] + [(ctx, [0, 1, 2, *rng.sample(range(3, ctx.q), 4)])
-                                   for ctx in (f5, f7)]
-    for ctx, us in cases:
-        for u in us:
-            expected = [oracles.f_eval(ctx, u, x) for x in range(ctx.q)]
-            assert ness.f_table(ctx, u).tolist() == expected, (ctx.n, u)
-
-
 def test_derivative_endpoints(f3):
     for u in (5, 7):
         for a in range(1, f3.q):
@@ -78,7 +65,7 @@ def test_ddt_row_matches_naive_n3(f3):
         for _ in range(40):
             a = rng.randrange(1, f3.q)
             b = rng.randrange(f3.q)
-            assert int(row[f3.mul(a, b)]) == oracles.ddt_entry_naive(f3, u, a, b)
+            assert int(row[f3.slot(f3.mul(a, b))]) == oracles.ddt_entry_naive(f3, u, a, b)
 
 
 def test_ddt_table_matches_naive_rows_n3(f3):
@@ -91,7 +78,7 @@ def test_ddt_table_matches_naive_rows_n3(f3):
 
 def test_ddt_zero_output_column_empty_in_scope(f3):
     for u in u0_nonf3_elements(f3):
-        assert int(ness.ddt_row(f3, u)[0]) == 0
+        assert int(ness.ddt_row(f3, u)[f3.slot(0)]) == 0
         assert not oracles.ddt_table(f3, u)[1:, 0].any()
 
 
@@ -102,7 +89,7 @@ def test_special_point_hit_present(f3):
         for a in (1, 4, 9):
             chi_a = 1 if f3.chi(a) == 1 else 2
             b = f3.mul(f3.inv(a), f3.add(1, f3.mul(u, chi_a)))
-            assert int(row[f3.mul(a, b)]) >= 1
+            assert int(row[f3.slot(f3.mul(a, b))]) >= 1
 
 
 def _lemma_us(f3, f5, f7):
@@ -126,7 +113,7 @@ def test_one_row_expands_to_full_table(f3, f5, f7):
             products[ctx.n] = oracles.mul_vec(ctx, elems[:, None], elems[None, :])
         row = ness.ddt_row(ctx, u)
         table = oracles.ddt_table(ctx, u)
-        expanded = row[products[ctx.n]]
+        expanded = oracles.in_element_order(ctx, row)[products[ctx.n]]
         for a in range(1, ctx.q):
             assert np.array_equal(expanded[a], table[a]), (ctx.n, u, a)
 

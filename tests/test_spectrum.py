@@ -147,7 +147,7 @@ def test_epsilon_matches_census_at_special_rows(f3):
     for u in sp.u0_nonf3_elements(f3):
         su = cs.ScopedU(f3, u)
         pred = cn.prediction_by_z(su)
-        three_rows = sum(int(pred[z]) == 3 for z in (f3.add(1, u), f3.sub(1, u)))
+        three_rows = sum(int(pred[f3.slot(z)]) == 3 for z in (f3.add(1, u), f3.sub(1, u)))
         assert sp.epsilon(su) == three_rows
 
 
