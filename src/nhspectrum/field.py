@@ -12,25 +12,25 @@ between threads.  Its tables are each built once on first use and are
 read-only afterwards.  A table is a pure function of the modulus, so two
 threads that race to build one build equal arrays and either may be kept;
 that is why `built_once` takes no lock.
-Each operation has one implementation, and the scalar ops read the same
-tables as the vector kernels: ``add``, ``sub`` and ``neg`` the bit planes,
-``mul``, ``inv`` and ``pow`` the discrete logs, ``chi`` the character
-table.  The tests check both against independent oracles, digit-wise
-addition and polynomial multiplication.  Here the rows of x^j mod the
-modulus give the multiplication matrices the log-table build starts from,
-and polynomial multiplication only finds the generator of a supplied
-modulus, which trial division checks first.  The default field of each n
-is tabled (`DEFAULT_FIELDS`), so its set-up does no search.
+Each operation has one implementation: ``add``, ``sub`` and ``neg`` read
+the bit planes, ``mul``, ``inv`` and ``pow`` the discrete logs, ``chi``
+and ``chi_vec`` the character table.  The tests check them against
+independent oracles, digit-wise addition and polynomial multiplication.
+Before the log tables exist, the one product is the n x n multiplication
+matrix, built from the rows of x^j mod the modulus: the log build squares
+the matrix of g, and the generator search of a supplied modulus, which
+trial division checks first, raises the matrix of each candidate to the
+powers (q - 1) / p.  The default field of each n is tabled
+(`DEFAULT_FIELDS`), so its set-up does no search.
 
-The scalar ops, the vector kernels (``sub_vec``, ``chi_vec``) and vector
-products are gathers from small tables:
+The scalar ops and the vector kernels are gathers from small tables:
 
 * Addition works on bit planes (Boothby & Bradshaw, "Bitslicing and the
   Method of Four Russians over larger finite fields", 2009).  Bit i of
   ``ones[a]`` (``twos[a]``) is set when digit i of a is 1 (2), so a sum is a
   few bitwise operations on uint16 masks, and ``value[m]`` (2^n entries)
   turns the planes of the result back into an index.  Negation swaps the
-  two planes, so subtraction swaps the planes of b.
+  two planes, so subtraction swaps the planes of b and -a is 0 - a.
 * A product reads ``alog[log[a] + log[b]]``.  Zero has the sentinel log
   2q - 3 and the antilog table runs on to 4q - 5 entries, periodic up to
   index 2q - 4 and zero beyond, so no zero mask and no reduction mod q - 1
@@ -223,10 +223,9 @@ class FieldCtx:
     """GF(3^n) with a verified irreducible modulus and primitive element.
 
     All scalar operations accept and return element indices (ints).  The
-    vector kernels operate on numpy index arrays (or scalars, broadcast)
-    and exist for full-field scans; they read the same tables as the
-    scalar ops.  Sums and products come back as int32 and characters as
-    int8: a sum kernel allocates and writes half the bytes of an int64 one.
+    vector kernels (``chi_vec`` and the log-order kernels) exist for
+    full-field scans and read the same tables as the scalar ops.
+    Characters come back as int8.
     """
 
     def __init__(self, n: int, modulus: Optional[PolyLike] = None):
@@ -245,8 +244,6 @@ class FieldCtx:
                 raise ReducibleModulusError(_poly_str(mod), _poly_str(witness))
         self.modulus: tuple[int, ...] = tuple(mod)
         self.modulus_str = _poly_str(mod)
-
-        self._shifts = self._build_shifts()
         self.generator = generator if modulus is None else self._find_generator()
 
     # -- construction helpers ------------------------------------------------
@@ -265,46 +262,33 @@ class FieldCtx:
             )
         return digits
 
-    def _build_shifts(self) -> np.ndarray:
-        """(2n - 1, n) int8: the digits of x**0 .. x**(2n - 2) mod the modulus."""
+    @built_once
+    def _windows(self) -> np.ndarray:
+        """(n, n, n) int8: windows[j, col, k] is digit col of x**(j + k) mod the
+        modulus, so windows @ digits(a) holds the digits of a * x**j."""
         n = self.n
         rows = [[int(i == j) for j in range(n)] for i in range(n)]
         top = [(-d) % P for d in self.modulus[:n]]  # x**n
         for _ in range(n - 1):
             prev = rows[-1]  # times x: shift up, fold the carry back in as x**n
             rows.append([(s + prev[-1] * t) % P for s, t in zip([0] + prev[:-1], top)])
-        return np.array(rows, dtype=np.int8)
-
-    @built_once
-    def _windows(self) -> np.ndarray:
-        """(n, n, n) int8: windows[j, col, k] = _shifts[j + k, col], the rows of
-        x**j .. x**(j + n - 1), so windows @ digits(a) holds the digits of a * x**j."""
-        steps = np.arange(self.n)
-        return self._shifts[steps[:, None] + steps].transpose(0, 2, 1)
+        steps = np.arange(n)
+        return np.array(rows, dtype=np.int8)[steps[:, None] + steps].transpose(0, 2, 1)
 
     def _mul_matrix(self, digits: np.ndarray) -> np.ndarray:
-        """(n, n) int8: row j holds the digits of a * x**j, for a given by its digits."""
+        """(n, n) int8: row j holds the digits of a * x**j, for a given by its digits.
+        The matrix of a b is the product of the matrices of a and b."""
         return self._windows @ digits % P
 
-    def _mul_poly(self, a: int, b: int) -> int:
-        """a * b: the product polynomial, reduced through the rows of `_shifts`."""
-        product = np.convolve(_idx_digits(a, self.n), _idx_digits(b, self.n))
-        return int(product @ self._shifts % P @ P**np.arange(self.n))
-
-    def _pow_poly(self, a: int, e: int) -> int:
-        """Square-and-multiply over _mul_poly, for the generator search."""
-        result = 1
-        while e:
-            if e & 1:
-                result = self._mul_poly(result, a)
-            a = self._mul_poly(a, a)
-            e >>= 1
-        return result
-
     def _find_generator(self) -> int:
+        """The smallest primitive element: g with g**((q - 1) / p) != 1 for every
+        prime p dividing q - 1 (Lidl & Niederreiter, Finite Fields), tested on
+        the matrix of g, whose e-th power is the matrix of g**e."""
+        identity = np.eye(self.n, dtype=np.int8)
         cofactors = [(self.q - 1) // p for p in _factorize(self.q - 1)]
         for g in range(2, self.q):
-            if all(self._pow_poly(g, c) != 1 for c in cofactors):
+            g_mat = self._mul_matrix(np.array(_idx_digits(g, self.n), dtype=np.int8))
+            if all(not np.array_equal(_matrix_power(g_mat, c), identity) for c in cofactors):
                 return g
         raise InconsistencyError("no primitive element found")  # unreachable
 
@@ -315,12 +299,12 @@ class FieldCtx:
         return int(self._plane_sum(ones[a], twos[a], ones[b], twos[b]))
 
     def neg(self, a: int) -> int:
-        """Negation swaps the digits 1 and 2, so it swaps the two planes of a."""
-        ones, twos, value = self._planes
-        return int(value[twos[a]] + 2 * value[ones[a]])
+        return self.sub(0, a)
 
     def sub(self, a: int, b: int) -> int:
-        return int(self.sub_vec(a, b))
+        """a + (-b): negation swaps the digits 1 and 2, so it swaps the two planes of b."""
+        ones, twos, _ = self._planes
+        return int(self._plane_sum(ones[a], twos[a], twos[b], ones[b]))
 
     def mul(self, a: int, b: int) -> int:
         log, alog = self._log_tables
@@ -500,11 +484,6 @@ class FieldCtx:
 
     # -- vectorised arithmetic on index arrays ----------------------------------
 
-    def sub_vec(self, a, b) -> np.ndarray:
-        """a + (-b): negation swaps the two planes of b."""
-        ones, twos, _ = self._planes
-        return self._plane_sum(ones[a], twos[a], twos[b], ones[b])
-
     def _plane_sum(self, a1, a2, b1, b2) -> np.ndarray:
         """Element index of the digit-wise sum mod 3 of two plane pairs.
 
@@ -648,6 +627,18 @@ class FieldCtx:
 def _digit_rows(k: int) -> np.ndarray:
     """(3**k, k) int8: the base-3 digits of 0 .. 3**k - 1, least significant first."""
     return (np.arange(P**k)[:, None] // P**np.arange(k) % P).astype(np.int8)
+
+
+def _matrix_power(mat: np.ndarray, e: int) -> np.ndarray:
+    """mat**e mod 3 by square-and-multiply: int8, as in the log build, with
+    entries at most 4n = 52 before each mod."""
+    result = np.eye(len(mat), dtype=np.int8)
+    while e:
+        if e & 1:
+            result = result @ mat % P
+        mat = mat @ mat % P
+        e >>= 1
+    return result
 
 
 def _minus_one(elements: np.ndarray) -> np.ndarray:

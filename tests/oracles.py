@@ -12,9 +12,9 @@ route what a production function computes, and the tests compare the two.
     `counting_identities_hold` checks the two sums every spectrum meets,
     and `uniformity` reads its largest DDT value.
   * `g_eval` evaluates one classifier polynomial at one z with the scalar
-    ops; `g_values` evaluates it over the whole field with the vector ops,
-    `translate`, the field's plane sum of every z with one c, and
-    `mul_vec`, a product gathered from the log tables.
+    ops; `g_values` evaluates it over the whole field with the digit-wise
+    adder (`add`, `neg`, `sub` and `digitwise`, so not on the library's
+    planes) and `mul_vec`, a product gathered from the log tables.
     Both are oracles for the sign key, which the library builds from the
     zeros of the polynomials instead, from the columns chi(z - a) of
     `FieldCtx.chi_minus`, with no field addition.
@@ -22,10 +22,11 @@ route what a production function computes, and the tests compare the two.
     before taking chi, the oracle for `ScopedU.product_sums`, the sums
     over the sign-key histogram; `gamma3_from_products` and
     `gamma4_from_products` are the defining forms of the two character sums.
-  * `char_sum` sums chi of any polynomial by Horner's rule over the field,
-    and `quadratic_char_sum` is the degree-2 closed form it is checked
-    against; `gamma3_from_cubic` and `gamma4_from_quintic` are the two
-    sums in their reduced one-polynomial forms.
+  * `char_sum` sums chi of any polynomial by Horner's rule over the field
+    (a coefficient is added by `translate`, the field's plane sum of every
+    z with one c), and `quadratic_char_sum` is the degree-2 closed form it
+    is checked against; `gamma3_from_cubic` and `gamma4_from_quintic` are
+    the two sums in their reduced one-polynomial forms.
   * `table_a_expected` writes the signs of the g family on the five-point
     set A in closed form; `table_a_chi` reads the same grid off
     `ScopedU.sign_key`, and the tests compare the two.
@@ -33,13 +34,15 @@ route what a production function computes, and the tests compare the two.
     at every z in element order, through `FieldCtx.slot`.
   * `matching_conditions` interprets `SOLUTION_CONDITIONS` rule by rule on
     the signs from `g_eval`, the oracle for `PREDICTION_TABLE`;
-    `table_key` reads the admissible-table row off a `census` record.
+    `case_row` writes the case counts of one sign key (`sign_key_inputs`)
+    in closed form, the oracle for `CASE_TABLE`; `table_key` reads the
+    admissible-table row off a `census` record.
   * `add`, `neg` and `sub` work digit by digit mod 3 on the base-3 digits
     of the indices, and `digitwise` does the same on whole index arrays:
-    the addition oracle for the field, whose scalar ops and vector kernels
-    alike read the bit planes.  `poly_mul_mod`, the schoolbook product of
-    digit lists (`poly_digits`) reduced by long division, is the
-    multiplication oracle, which pins `mul`, `inv`, `chi` and the log tables.
+    the addition oracle for the field, whose scalar ops read the bit
+    planes.  `poly_mul_mod`, the schoolbook product of digit lists
+    (`poly_digits`) reduced by long division, is the multiplication
+    oracle, which pins `mul`, `inv`, `chi` and the log tables.
   * `smallest_irreducible` searches for the first monic irreducible of
     degree n by trial division, the oracle for the moduli in
     `field.DEFAULT_FIELDS`.
@@ -48,13 +51,15 @@ route what a production function computes, and the tests compare the two.
 from __future__ import annotations
 
 import functools
+import itertools
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from nhspectrum.charsums import G_IDS, SIGN_PATTERNS, ScopedU, set_a_points
 from nhspectrum.field import FieldCtx, irreducible_witness
-from nhspectrum.solution_census import SOLUTION_CONDITIONS
+from nhspectrum.solution_census import (NOT_ADMISSIBLE, SOLUTION_CONDITIONS, TABLE_IV_ROWS,
+                                        rule_inputs)
 
 
 # ---------------------------------------------------------------------------
@@ -185,19 +190,16 @@ def g_values(su: ScopedU, gid: int) -> np.ndarray:
     ctx, u = su.ctx, su.u
     z = np.arange(ctx.q, dtype=np.int64)
     if gid == 1:
-        return mul_vec(ctx, np.int64(ctx.neg(ctx.add(u, 1))), z)
+        return mul_vec(ctx, neg(ctx, add(ctx, u, 1)), z)
     if gid == 2:
-        return mul_vec(ctx, z, ctx.sub_vec(z, np.int64(ctx.add(1, u))))
+        return mul_vec(ctx, z, digitwise(ctx, z, add(ctx, 1, u), -1))
     if gid == 3:
-        return mul_vec(ctx, z, ctx.sub_vec(z, np.int64(ctx.sub(1, u))))
+        return mul_vec(ctx, z, digitwise(ctx, z, sub(ctx, 1, u), -1))
     if gid == 4:
-        return translate(ctx, ctx.mul(u, u))[ctx.sub_vec(mul_vec(ctx, z, z), z)]
+        return digitwise(ctx, digitwise(ctx, mul_vec(ctx, z, z), z, -1), ctx.mul(u, u))
     if gid == 5:
-        return mul_vec(
-            ctx,
-            np.int64(ctx.neg(ctx.add(1, su.r))),
-            ctx.sub_vec(translate(ctx, 1), np.int64(su.r)),
-        )
+        return mul_vec(ctx, neg(ctx, add(ctx, 1, su.r)),
+                       digitwise(ctx, digitwise(ctx, z, 1), su.r, -1))
     raise ValueError(f"gid must be 1..5, got {gid}")
 
 
@@ -346,6 +348,27 @@ def matching_conditions(su: ScopedU, a: int, b: int) -> list[tuple[int, int]]:
         signs=g_signs(su, z),
         chi_z2mu2=ctx.chi(ctx.sub(ctx.mul(z, z), ctx.mul(u, u))),
     )
+
+
+def sign_key_inputs():
+    """(key, inputs) for all 3^6 sign keys, the rule inputs derived from the
+    signs (s1, ..., s5) by `rule_inputs`."""
+    for key, signs in enumerate(itertools.product((-1, 0, 1), repeat=6)):
+        derived = {name: value.item() for name, value in rule_inputs(np.array(signs)).items()}
+        yield key, dict(derived, signs=signs[1:])
+
+
+def case_row(*, b_zero: bool, one_pm_u: bool, signs: tuple[int, ...],
+             chi_z2mu2: int) -> list[int]:
+    """(N1, N_I, N_II + N_III, N_IV) by their closed forms in the signs, then
+    the total of that vector in `TABLE_IV_ROWS`, NOT_ADMISSIBLE where it is
+    not a row there; all 0 for b = 0.  The oracle for `CASE_TABLE`."""
+    if b_zero:
+        return [0, 0, 0, 0, 0]
+    s1, s2, s3, s4, s5 = signs
+    n_ii_iii = 2 if s4 == 1 and s5 == 1 else int(s4 == 0 and chi_z2mu2 == 1)
+    vector = (int(one_pm_u), int(s1 == 1 and s2 == 1), n_ii_iii, int(s1 == 1 and s3 == 1))
+    return [*vector, TABLE_IV_ROWS.get(vector, NOT_ADMISSIBLE)]
 
 
 def table_key(c: dict) -> tuple[int, int, int, int]:

@@ -1,6 +1,5 @@
 """Per-pair solution counting: special points, case quadratics, predictions."""
 
-import itertools
 import random
 
 import numpy as np
@@ -303,18 +302,11 @@ def test_rule_inputs_match_evaluation(scope_cases):
                     assert derived["chi_z2mu2"][z] == chi, (ctx.n, u, z)
 
 
-def _table_keys():
-    """(key, inputs) for all 3^6 sign keys, the rule inputs derived from the signs."""
-    for key, signs in enumerate(itertools.product((-1, 0, 1), repeat=6)):
-        derived = {name: value.item() for name, value in cn.rule_inputs(np.array(signs)).items()}
-        yield key, dict(derived, signs=signs[1:])
-
-
 def test_prediction_table_equals_rule_interpreter():
     """Every key: the count where exactly one rule fires, NO_RULE where none
     does and SEVERAL_RULES where more than one does; every key of z = 0 is 0."""
-    assert len(cn.PREDICTION_TABLE) == len(list(_table_keys())) == 729
-    for key, inputs in _table_keys():
+    assert len(cn.PREDICTION_TABLE) == len(list(oracles.sign_key_inputs())) == 729
+    for key, inputs in oracles.sign_key_inputs():
         hits = oracles.fired_conditions(**inputs)
         if len(hits) == 1:
             expected = hits[0][0]
@@ -331,20 +323,10 @@ def test_case_table_matches_closed_forms():
     it is not a row there; every key of z = 0 (b = 0) reads all 0."""
     assert cn.CASE_TABLE.shape == (729, len(cn.CASE_COLUMNS))
     inadmissible = 0
-    for key, inputs in _table_keys():
-        s1, s2, s3, s4, s5 = inputs["signs"]
-        if inputs["b_zero"]:
-            assert cn.CASE_TABLE[key].tolist() == [0, 0, 0, 0, 0], inputs
-            continue
-        if s4 == 1 and s5 == 1:
-            n_ii_iii = 2
-        else:
-            n_ii_iii = int(s4 == 0 and inputs["chi_z2mu2"] == 1)
-        vector = (int(inputs["one_pm_u"]), int(s1 == 1 and s2 == 1), n_ii_iii,
-                  int(s1 == 1 and s3 == 1))
-        total = cn.TABLE_IV_ROWS.get(vector, cn.NOT_ADMISSIBLE)
-        inadmissible += total == cn.NOT_ADMISSIBLE
-        assert cn.CASE_TABLE[key].tolist() == [*vector, total], (inputs, vector)
+    for key, inputs in oracles.sign_key_inputs():
+        row = oracles.case_row(**inputs)
+        inadmissible += row[-1] == cn.NOT_ADMISSIBLE
+        assert cn.CASE_TABLE[key].tolist() == row, inputs
     assert inadmissible > 0
 
 

@@ -159,6 +159,21 @@ def test_default_fields_are_the_searched_fields(n):
         assert np.array_equal(mine, theirs)
 
 
+# (modulus, generator) for seeded irreducible moduli at n = 5, 7 and 9, each g
+# in 3..7 at least once, recorded from a search that multiplied polynomials
+SEARCHED_GENERATORS = [
+    ("100021", 3), ("122201", 4), ("200011", 5), ("201221", 6), ("102221", 7),
+    ("10001111", 3), ("20111101", 4), ("21101221", 5), ("20200211", 6),
+    ("1011201101", 3), ("2221211221", 5), ("2212122221", 6), ("1002000011", 7),
+]
+
+
+@pytest.mark.parametrize("modulus, generator", SEARCHED_GENERATORS)
+def test_searched_generator_is_pinned(modulus, generator):
+    """The matrix-power search returns the recorded smallest primitive element."""
+    assert make_context(len(modulus) - 1, modulus).generator == generator
+
+
 def _patched_generator(monkeypatch, n):
     """A --modulus field (not the tabled one) whose generator search returns 2."""
     monkeypatch.setattr(FieldCtx, "_find_generator", lambda self: 2)
@@ -393,22 +408,16 @@ def test_parse_rejects_garbage(f3):
 
 
 def test_vector_ops_match_scalar_exhaustive_n3(f3):
-    """The kernels against the digit-wise addition oracle and Euler's criterion."""
+    """Scalar sub and the kernels against the digit-wise addition oracle and
+    Euler's criterion."""
     q = f3.q
     A = np.repeat(np.arange(q), q)
     B = np.tile(np.arange(q), q)
     elems = np.arange(q)
-    assert f3.sub_vec(A, B).tolist() == [oracles.sub(f3, a, b) for a, b in zip(A, B)]
-    for c in range(q):
-        right = [oracles.sub(f3, a, c) for a in range(q)]
-        left = [oracles.sub(f3, c, a) for a in range(q)]
-        # a scalar on either side: numpy scalar, plain int, 0-d array
-        for const in (np.int64(c), c, np.asarray(c)):
-            assert f3.sub_vec(elems, const).tolist() == right, c
-            assert f3.sub_vec(const, elems).tolist() == left, c
-        for a in range(q):
-            out = f3.sub_vec(np.asarray(a), np.asarray(c))
-            assert np.shape(out) == () and int(out) == oracles.sub(f3, a, c), (a, c)
+    subs = [oracles.sub(f3, int(a), int(b)) for a, b in zip(A, B)]
+    # scalar sub at every pair, each operand a plain int, numpy scalar or 0-d array
+    for kind in (int, np.int64, np.asarray):
+        assert [f3.sub(kind(a), kind(b)) for a, b in zip(A, B)] == subs, kind
     euler = [_euler_chi(f3, a) for a in range(q)]
     assert f3.chi_vec(elems).tolist() == euler
     for a in range(q):
@@ -426,13 +435,10 @@ def _check_vector_ops_random(ctx):
     B = rng.integers(0, ctx.q, size=1000)
     A[:3] = B[3:6] = 0  # zero on each side
     pairs = [(int(a), int(b)) for a, b in zip(A, B)]
-    subs = [oracles.sub(ctx, a, b) for a, b in pairs]
-    assert ctx.sub_vec(A, B).tolist() == subs
-    assert [ctx.sub(a, b) for a, b in pairs] == subs
+    assert [ctx.sub(a, b) for a, b in pairs] == [oracles.sub(ctx, a, b) for a, b in pairs]
     assert [ctx.add(a, b) for a, b in pairs] == [oracles.add(ctx, a, b) for a, b in pairs]
     assert [ctx.neg(a) for a, _ in pairs] == [oracles.neg(ctx, a) for a, _ in pairs]
     b7 = int(B[7])
-    assert ctx.sub_vec(A, np.int64(b7)).tolist() == [oracles.sub(ctx, a, b7) for a, _ in pairs]
     assert ctx.chi_vec(A).tolist() == [_euler_chi(ctx, a) for a, _ in pairs]
     for c in (0, 1, 2, b7, ctx.q - 1):
         sums = [oracles.add(ctx, a, c) for a, _ in pairs]
@@ -633,7 +639,6 @@ FIRST_CALLS = {
     "mul": lambda ctx: ctx.mul(5, 7),
     "chi_vec": lambda ctx: ctx.chi_vec(np.arange(ctx.q)),
     "translate": lambda ctx: oracles.translate(ctx, 5),
-    "sub_vec": lambda ctx: ctx.sub_vec(np.arange(ctx.q), np.arange(ctx.q)[::-1]),
     "mul_vec": lambda ctx: oracles.mul_vec(ctx, np.arange(ctx.q), np.int64(7)),
 }
 
@@ -659,7 +664,8 @@ def test_concurrent_first_touch_builds_identical_tables():
         elems = np.arange(ctx.q)
         results[i] = (ctx.pair_add_table(), ctx.digit_table(), ctx.chi_vec(elems),
                       [ctx.mul(a, 7) for a in range(ctx.q)], oracles.translate(ctx, 7),
-                      ctx.sub_vec(elems, elems[::-1]), [ctx.add(a, 7) for a in range(ctx.q)])
+                      [ctx.sub(a, ctx.q - 1 - a) for a in range(ctx.q)],
+                      [ctx.add(a, 7) for a in range(ctx.q)])
 
     workers = [threading.Thread(target=touch, args=(i,), daemon=True) for i in range(4)]
     old_interval = sys.getswitchinterval()
@@ -680,7 +686,7 @@ def test_concurrent_first_touch_builds_identical_tables():
     q = ctx.q
     expected = [oracles.add(ctx, a, 7) for a in range(q)]
     assert pair[:, 7].tolist() == adds.tolist() == scalar_adds == expected
-    assert subs.tolist() == [oracles.sub(ctx, a, q - 1 - a) for a in range(q)]
+    assert subs == [oracles.sub(ctx, a, q - 1 - a) for a in range(q)]
 
 
 def test_tables_are_read_only(f3):
@@ -730,12 +736,11 @@ def test_ops_match_oracles_for_any_modulus(modulus, data):
         if a:
             assert ctx.inv(a) == _euclid_inverse(ctx, a)
         assert ctx.chi(a) == int(ctx.chi_vec(a)) == _euler_chi(ctx, a)
-        # the plane sums, scalar and vector, against the digit-wise oracle
+        # the plane sums against the digit-wise oracle
         assert ctx.add(a, b) == int(oracles.translate(ctx, b)[a]) == oracles.add(ctx, a, b)
-        assert ctx.sub(a, b) == int(ctx.sub_vec(a, b)) == oracles.sub(ctx, a, b)
+        assert ctx.sub(a, b) == oracles.sub(ctx, a, b)
         assert ctx.neg(a) == oracles.neg(ctx, a)
     elems = np.arange(ctx.q)
     assert oracles.translate(ctx, b).tolist() == [oracles.add(ctx, x, b) for x in range(ctx.q)]
-    assert ctx.sub_vec(elems, np.int64(b)).tolist() == [oracles.sub(ctx, x, b)
-                                                        for x in range(ctx.q)]
+    assert [ctx.sub(x, b) for x in range(ctx.q)] == [oracles.sub(ctx, x, b) for x in range(ctx.q)]
     assert ctx.chi_vec(elems).tolist() == [_euler_chi(ctx, x) for x in range(ctx.q)]

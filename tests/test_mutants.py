@@ -11,9 +11,11 @@ stops looking at the shortcut fails here.  The mutants keep, as tests, the
 kind of scratch-copy mutation that CHANGES.md reports for each shortcut (a
 wrongly compiled proposition table; a DDT row read at the wrong a; a
 rotation one step off; a Zech offset one step off; a branch swapped; a
-giant step one power too far), so that they run on every change.  A
-mutant of a table build rewrites one fragment of the build's source
-(`rewritten`), since the table is a local of that build.
+giant step one power too far; a prime dropped from the generator search;
+two product columns swapped; a case total off by one; a plane sum one
+term wrong), so that they run on every change.  A mutant of a table build
+rewrites one fragment of the build's source (`rewritten`), since the table
+is a local of that build.
 """
 
 import inspect
@@ -27,7 +29,7 @@ import oracles
 from nhspectrum import charsums, cli, field, ness
 from nhspectrum import solution_census as cn
 from nhspectrum.charsums import SIGN_PATTERNS, ScopedU
-from nhspectrum.field import FieldCtx, InconsistencyError, built_once, make_context
+from nhspectrum.field import DEFAULT_FIELDS, FieldCtx, InconsistencyError, built_once, make_context
 from nhspectrum.spectrum import u0_nonf3_elements
 
 
@@ -96,6 +98,55 @@ def antilog_steps_match_polynomials(ctx) -> bool:
                == oracles.poly_digits(ctx, int(alog[k + 1])) for k in range(ctx.q - 1))
 
 
+def searched_generator_is_tabled(ctx) -> bool:
+    """The search on the tabled modulus of n, passed explicitly, returns the
+    tabled generator."""
+    modulus, generator = DEFAULT_FIELDS[ctx.n]
+    return make_context(ctx.n, modulus).generator == generator
+
+
+def searched_field_certifies(ctx) -> bool:
+    """The first `mul` of the field searched on the tabled modulus of n
+    passes the log build's certificate."""
+    try:
+        make_context(ctx.n, DEFAULT_FIELDS[ctx.n][0]).mul(3, 3)
+    except InconsistencyError:
+        return False
+    return True
+
+
+def product_sums_match_field_products(ctx) -> bool:
+    """Every column of `product_sums` equals chi of the g_i it selects,
+    multiplied in the field (`oracles.g_product_sum`)."""
+    subsets = [[gid for gid in charsums.G_IDS if m >> (gid - 1) & 1] for m in range(32)]
+    return all(int(su.product_sums[m]) == oracles.g_product_sum(su, subsets[m])
+               for su in _scope(ctx) for m in range(1, 32))
+
+
+def case_table_matches_closed_forms(ctx) -> bool:
+    """`CASE_TABLE` at every sign key equals `oracles.case_row`."""
+    return all(cn.CASE_TABLE[key].tolist() == oracles.case_row(**inputs)
+               for key, inputs in oracles.sign_key_inputs())
+
+
+def scalar_adder_matches_digitwise(ctx) -> bool:
+    """Scalar `add`, `sub` and `neg` equal the digit-wise oracle at every pair."""
+    return (all(ctx.neg(a) == oracles.neg(ctx, a) for a in range(ctx.q))
+            and all(ctx.add(a, b) == oracles.add(ctx, a, b)
+                    and ctx.sub(a, b) == oracles.sub(ctx, a, b)
+                    for a in range(ctx.q) for b in range(ctx.q)))
+
+
+def on_field(n: int, check):
+    """`check` run on a fresh field of degree n in place of the entry's field."""
+
+    def run(ctx) -> bool:
+        return check(make_context(n))
+
+    run.__name__ = f"{check.__name__}_n{n}"
+    return run
+
+
 def command_passes(command: str):
     """The check that `command` --u all exits 0; any status but 0 or 1 is an error."""
 
@@ -133,15 +184,35 @@ def rewritten(owner, name: str, fragment: str, mutant: str):
     return mutate
 
 
-def shift_one_prediction(monkeypatch, ctx):
-    """`PREDICTION_TABLE` off by one at the commonest sign key of a nonzero z
-    (every slot but the last) in the scope of ctx, as the compiled table
-    would be if one rule or its compilation were wrong."""
+def _commonest_key(ctx) -> int:
+    """The commonest sign key of a nonzero z (every slot but the last) in the
+    scope of ctx."""
     keys = np.concatenate([su.sign_key[:-1] for su in _scope(ctx)])
-    key = int(np.bincount(keys).argmax())
+    return int(np.bincount(keys).argmax())
+
+
+def shift_one_prediction(monkeypatch, ctx):
+    """`PREDICTION_TABLE` off by one at the commonest sign key, as the compiled
+    table would be if one rule or its compilation were wrong."""
+    key = _commonest_key(ctx)
     wrong = cn.PREDICTION_TABLE.copy()
     wrong[key] = (wrong[key] + 1) % 5
     monkeypatch.setattr(cn, "PREDICTION_TABLE", wrong)
+
+
+def shift_one_total(monkeypatch, ctx):
+    """The `CASE_TABLE` total one too large at the commonest sign key."""
+    wrong = cn.CASE_TABLE.copy()
+    wrong[_commonest_key(ctx), -1] += 1
+    monkeypatch.setattr(cn, "CASE_TABLE", wrong)
+
+
+def swap_gamma3_column(monkeypatch, ctx):
+    """`SIGN_PRODUCTS` columns 9 (g1 g4, the product of gamma3) and 10 (g2 g4)
+    swapped."""
+    wrong = charsums.SIGN_PRODUCTS.copy()
+    wrong[:, [9, 10]] = wrong[:, [10, 9]]
+    monkeypatch.setattr(charsums, "SIGN_PRODUCTS", wrong)
 
 
 def count_row_g(monkeypatch, ctx):
@@ -212,6 +283,32 @@ MUTANTS = {
     "field._minus_one": (
         rewritten(field, "_minus_one", "np.int8(P)", "np.int8(P - 1)"), 3,
         (sign_key_matches_g_values, row_gives_every_row),
+    ),
+    # the generator search tests g**((q - 1) / p) != 1 for every prime p | q - 1:
+    # without p = 2 it takes a square, 3 in place of 5 on the n = 7 modulus
+    "FieldCtx._find_generator": (
+        rewritten(FieldCtx, "_find_generator", "for p in _factorize(self.q - 1)]",
+                  "for p in _factorize(self.q - 1) if p != 2]"), 7,
+        (searched_generator_is_tabled, searched_field_certifies),
+    ),
+    # chi(prod g_i) = prod chi(g_i): one table column per product of the g family
+    "charsums.SIGN_PRODUCTS": (
+        swap_gamma3_column, 3,
+        (product_sums_match_field_products, command_passes("verify-theorem")),
+    ),
+    # the case counts and their total compiled from closed forms in the signs
+    "solution_census.CASE_TABLE": (
+        shift_one_total, 3,
+        (case_table_matches_closed_forms, command_passes("verify-propositions")),
+    ),
+    # the plane sum with b1 dropped from t: wrong where digit i of b is 1 and
+    # that of a is 0 or 1, yet every plane pair stays a valid element.  The
+    # giant steps of the log build are plane sums, and n = 5 is the smallest
+    # field with more than one giant row.
+    "FieldCtx._plane_sum": (
+        rewritten(FieldCtx, "_plane_sum", "t = (a1 | b2) ^ (a2 | b1)\n",
+                  "t = (a1 | b2) ^ a2\n"), 3,
+        (scalar_adder_matches_digitwise, on_field(5, antilog_steps_match_polynomials)),
     ),
 }
 
