@@ -17,25 +17,31 @@ of the g_i reduce the differential spectrum to two character sums.
 Every g_i splits over the field, and its zeros lie in the five-point set
 A = {0, 1+u, 1-u, -1+r, -1-r} (`set_a_points`).  Since chi is
 multiplicative (chi(0) = 0), chi(g_i(z)) is chi of the leading coefficient
-times the product of chi(z - a) over the zeros a of g_i.  A sixth sign,
-chi(g0(z)) with g0(z) = z, rides along.  So `ScopedU.sign_key`, the sign
-vector (s0, ..., s5) of each z as one of 729 keys, is read from the five
-columns chi(z - a) (`FieldCtx.chi_minus`), with no field addition per u.
-It stays in the log order of those columns (slot `FieldCtx.slot(z)` for
-z), as does the DDT row `ScopedU.row`, so the two are compared slot by
-slot and nothing per u is gathered back to element order.  Every
-character sum of a product of the g_i is a dot product of the key histogram
-with one column of `SIGN_PRODUCTS`, so one matrix-vector product gives all
-32 (`ScopedU.product_sums`), and the census reads the same key.  The tests
-keep the polynomials evaluated over the field as the oracle.  `ScopedU`
-holds one in-scope u (`classify_u` is the scope rule) and everything
-derived from it, the DDT row a = 1 among them, each built once.
+times the product of chi(z - a) over the zeros a of g_i.  So every sign
+depends on z only through the five characters chi(z - a), and
+`ScopedU.pattern` stores them as one byte per z, one of 243 patterns read
+from the five columns chi(z - a) (`FieldCtx.chi_minus`), with no field
+addition per u.  Only g1 and g5 have a leading coefficient other than 1,
+so the four values of (chi(-(u+1)), chi(-(1+r))) pick one row of the tables
+compiled at import: `KEY_BY_PATTERN`, the sign key of each pattern, and
+`PATTERN_PRODUCTS`, chi of each product of the g_i at each pattern.  The
+sign key of z is its sign vector (s0, ..., s5) as one of 729 numbers, a
+sixth sign chi(g0(z)) with g0(z) = z riding along; `ScopedU.sign_key`
+reads it off the pattern for the proposition sweep.  Every character sum
+of a product of the g_i is a dot product of the pattern histogram with one
+of the 32 vectors of that row, so one matrix-vector product gives all 32
+(`ScopedU.product_sums`).  The pattern and the key stay in the log order
+of the columns (slot `FieldCtx.slot(z)` for z), as does the DDT row
+`ScopedU.row`, so they are compared slot by slot and nothing per u is
+gathered back to element order.  The tests keep the polynomials evaluated
+over the field as the oracle.  `ScopedU` holds one in-scope u (`classify_u`
+is the scope rule) and everything derived from it, the DDT row a = 1 among
+them, each built once.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +77,40 @@ def _sign_products() -> np.ndarray:
 # sign key k, as chi(x y) = chi(x) chi(y).
 SIGN_PRODUCTS = _sign_products()
 
+# The column of `SIGN_PRODUCTS` of each product, by its g_i in increasing order.
+_COLUMN = {tuple(gid for gid in G_IDS if m >> (gid - 1) & 1): m
+           for m in range(SIGN_PRODUCTS.shape[1])}
+
+# (chi(-(u+1)), chi(-(1+r))), the signs of the leading coefficients of g1 and
+# g5, by row of the pattern tables; g0 and g2..g4 lead with 1.
+LEADS = tuple(itertools.product((1, -1), repeat=2))
+
+
+def _key_by_pattern() -> np.ndarray:
+    """len(LEADS) x 243 int16: row l, column p is the sign key of a z with
+    `ScopedU.pattern` p when g1 and g5 lead with the signs LEADS[l].  s_i is
+    the lead of g_i times the product of chi(z - a) over its zeros a
+    (`G_ZEROS`), each digit of p minus 1."""
+    chars = np.array(list(itertools.product((-1, 0, 1), repeat=5)))[:, ::-1]  # row p, digit i first
+    signs = np.stack([chars[:, zeros].prod(axis=1) for zeros in G_ZEROS], axis=1)
+    leads = np.ones((len(LEADS), 1, len(G_ZEROS)), dtype=signs.dtype)
+    leads[:, 0, [1, 5]] = LEADS
+    keys = ((leads * signs + 1) @ 3 ** np.arange(len(G_ZEROS))[::-1]).astype(np.int16)
+    keys.flags.writeable = False
+    return keys
+
+
+def _pattern_products(sign_products: np.ndarray, key_by_pattern: np.ndarray) -> np.ndarray:
+    """len(LEADS) x 32 x 243 int8: lead row l, column m, pattern p is
+    `SIGN_PRODUCTS` at column m and at the sign key of p in row l."""
+    products = np.ascontiguousarray(sign_products[key_by_pattern].transpose(0, 2, 1))
+    products.flags.writeable = False
+    return products
+
+
+KEY_BY_PATTERN = _key_by_pattern()
+PATTERN_PRODUCTS = _pattern_products(SIGN_PRODUCTS, KEY_BY_PATTERN)
+
 CLASS_F3 = "F3"
 CLASS_U0 = "U0_nonF3"
 CLASS_U10 = "U10"
@@ -102,8 +142,9 @@ class OutOfScopeError(ValueError):
 class ScopedU:
     """One u of class `CLASS_U0`, else construction raises `OutOfScopeError`.
 
-    The other fields (r, sign_key, product_sums and the DDT row) are built
-    on first use and kept: one object per u builds each of them at most once.
+    The other fields (r, pattern, sign_key, product_sums and the DDT row) are
+    built on first use and kept: one object per u builds each of them at most
+    once.
     """
 
     ctx: FieldCtx
@@ -120,35 +161,51 @@ class ScopedU:
         return self.ctx.sqrt_canonical(self.ctx.sub(1, self.ctx.mul(self.u, self.u)))
 
     @built_once
-    def sign_key(self) -> np.ndarray:
-        """int16 per z, in log order (slot `FieldCtx.slot(z)`, z = 0 last): the row
-        of `SIGN_PATTERNS` holding chi(g_i(z)), i = 0..5, each chi(lead of g_i)
-        times the product of chi(z - a) over its zeros a, from the columns
-        `FieldCtx.chi_minus`."""
+    def _lead_row(self) -> int:
+        """The row of `KEY_BY_PATTERN` and `PATTERN_PRODUCTS` of this u: the
+        index in `LEADS` of the signs of the leads of g1 and g5."""
         ctx = self.ctx
-        leads = (1, ctx.neg(ctx.add(self.u, 1)), 1, 1, 1, ctx.neg(ctx.add(1, self.r)))
-        cols = [ctx.chi_minus(a) for a in set_a_points(self)]
-        key = np.zeros(ctx.q, dtype=np.int16)  # Horner in the signs s_i, then the digits s_i + 1
-        for lead, zeros in zip(leads, G_ZEROS):
-            key *= 3
-            key += math.prod((cols[k] for k in zeros), start=ctx.chi(lead))
-        key += len(SIGN_PATTERNS) // 2  # 111111 in base 3
-        return key
+        return LEADS.index((ctx.chi(ctx.neg(ctx.add(self.u, 1))),
+                            ctx.chi(ctx.neg(ctx.add(1, self.r)))))
+
+    @built_once
+    def pattern(self) -> np.ndarray:
+        """uint8 per z, in log order (slot `FieldCtx.slot(z)`, z = 0 last): the
+        sum over i of 3^i (chi(z - a_i) + 1), a_i the points of `set_a_points`,
+        one of 243 patterns.  Horner over the columns `FieldCtx.chi_minus` wraps
+        around mod 256 in uint8, which is exact, as every result is below 243."""
+        ctx = self.ctx
+        *points, last = set_a_points(self)
+        pattern = ctx.chi_minus(last).view(np.uint8)
+        for a in reversed(points):
+            pattern *= 3
+            pattern += ctx.chi_minus(a).view(np.uint8)
+        pattern += 121  # 11111 in base 3
+        return pattern
+
+    @built_once
+    def sign_key(self) -> np.ndarray:
+        """int16 per z, in log order as `pattern`: the row of `SIGN_PATTERNS`
+        holding chi(g_i(z)), i = 0..5, read off the pattern of z through the
+        lead row of u in `KEY_BY_PATTERN`."""
+        return KEY_BY_PATTERN[self._lead_row].take(self.pattern)
 
     @built_once
     def product_sums(self) -> np.ndarray:
         """Sum over z of chi of the product of the g_i selected by m, for each
-        column m of `SIGN_PRODUCTS`: the sign-key histogram (how many z carry
-        each of the 729 keys) times the table; int64, exact."""
-        return np.bincount(self.sign_key, minlength=len(SIGN_PRODUCTS)) @ SIGN_PRODUCTS
+        column m of `SIGN_PRODUCTS`: the lead row of u in `PATTERN_PRODUCTS`
+        times the pattern histogram (how many z carry each of the 243
+        patterns); int64, exact."""
+        products = PATTERN_PRODUCTS[self._lead_row]
+        return products @ np.bincount(self.pattern, minlength=products.shape[1])
 
     def product_sum(self, *gids: int) -> int:
-        """Sum over z of chi(prod of the selected g_i): bit gid - 1 per g_i."""
-        return int(self.product_sums[sum(1 << (gid - 1) for gid in gids)])
+        """Sum over z of chi(prod of the selected g_i), gids in increasing order."""
+        return int(self.product_sums[_COLUMN[gids]])
 
     @built_once
     def row(self) -> np.ndarray:
-        """`ness.ddt_row`: delta(1, z) for every z in log order, as `sign_key`,
+        """`ness.ddt_row`: delta(1, z) for every z in log order, as `pattern`,
         so delta(a, b) = row[ctx.slot(a b)]."""
         return ness.ddt_row(self.ctx, self.u)
 
@@ -178,7 +235,7 @@ def set_a_points(su: ScopedU) -> tuple[int, int, int, int, int]:
 def section2_identities(su: ScopedU) -> list[dict]:
     """All 18 closed-form identities for the g-family character sums, one
     record {"identity", "lhs", "rhs", "pass"} each: the sum read off the
-    sign-key histogram (lhs) against its closed form (rhs).
+    pattern histogram (lhs) against its closed form (rhs).
 
     Single-product sums come first, then the paired sums whose individual
     values depend on u but whose totals do not (or collapse to one chi).

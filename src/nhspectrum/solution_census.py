@@ -18,12 +18,13 @@ counting.  Direct counting depends on z alone as well: delta(a, b) is the
 DDT row `ScopedU.row` at the slot of z (`ness.ddt_row`, `FieldCtx.slot`).
 
 At import, the rules in `SOLUTION_CONDITIONS` compile into
-`PREDICTION_TABLE`, read only by `prediction_by_z`, and the closed forms of
-the case counts into `CASE_TABLE`, both indexed by the sign key of z
-(`ScopedU.sign_key`), so a full-field check is two gathers, in the log
-order of the key and of the DDT row.  The tests keep
-an interpreter of the rules and the scalar `census` as the oracles for
-every entry.  Records hold elements as ints and no u: the CLI writes both.
+`PREDICTION_TABLE`, read per u only by `prediction_by_z`, and the closed
+forms of the case counts into `CASE_TABLE`, both indexed by the sign key of
+z (`ScopedU.sign_key`).  The two compile into `EXPECTED`, the count both
+give where they agree, so the full-field check is one gather at the key and
+one compare with the DDT row, in the log order of both.  The tests keep an
+interpreter of the rules and the scalar `census` as the oracles for every
+entry.  Records hold elements as ints and no u: the CLI writes both.
 """
 
 from __future__ import annotations
@@ -159,6 +160,20 @@ def _compile_conditions() -> tuple[np.ndarray, np.ndarray]:
 PREDICTION_TABLE, CASE_TABLE = _compile_conditions()
 
 
+def _expected(prediction: np.ndarray, cases: np.ndarray) -> np.ndarray:
+    """Per sign key: the prediction where it equals the case total, else -1.
+    A negative entry never equals a DDT entry, and a prediction is negative
+    where not exactly one rule fires, so a z whose entry equals delta(1, z)
+    has one rule, and its prediction and total both equal delta(1, z)."""
+    total = cases[:, CASE_COLUMNS.index("total")]
+    expected = np.where(prediction == total, prediction, -1).astype(np.int8)
+    expected.flags.writeable = False
+    return expected
+
+
+EXPECTED = _expected(PREDICTION_TABLE, CASE_TABLE)
+
+
 # ---------------------------------------------------------------------------
 # direct machinery: special points, case quadratics, desired roots
 # ---------------------------------------------------------------------------
@@ -289,19 +304,21 @@ def verify_predictions(su: ScopedU) -> dict:
     the case vector both equal delta(a, b), the total being NOT_ADMISSIBLE
     unless the vector is in the admissible table (`CASE_TABLE`).  All three
     depend only on z = a b (`ness.ddt_row`), so the pairs (1, z) cover every
-    pair.  The three vectors share the log order, so they are compared slot
-    by slot.  Returns a summary with one mismatch record per failing z, in
+    pair, and one gather from `EXPECTED` at the sign keys, compared with the
+    DDT row slot by slot, checks them all.  Only where that fails is
+    `prediction_by_z` read, which raises as it does where not exactly one
+    rule fires.  Returns a summary with one mismatch record per failing z, in
     increasing z, at (a, b) = (1, z), its elements as ints.
     """
-    ctx = su.ctx
-    predicted = prediction_by_z(su)
-    totals = CASE_TABLE[su.sign_key, CASE_COLUMNS.index("total")]
-    observed = su.row
-    ok = (predicted == observed) & (totals == observed)
-    failing = sorted((ctx.element_at(slot), slot) for slot in np.flatnonzero(~ok).tolist())
-    mismatches = [{"a": 1, "b": z, "z": z, "chi_signature": list(g_signs(su, z)),
-                   "predicted": int(predicted[slot]), "observed": int(observed[slot])}
-                  for z, slot in failing]
+    ctx, observed = su.ctx, su.row
+    ok = EXPECTED.take(su.sign_key) == observed
+    mismatches = []
+    if not ok.all():
+        predicted = prediction_by_z(su)
+        failing = sorted((ctx.element_at(slot), slot) for slot in np.flatnonzero(~ok).tolist())
+        mismatches = [{"a": 1, "b": z, "z": z, "chi_signature": list(g_signs(su, z)),
+                       "predicted": int(predicted[slot]), "observed": int(observed[slot])}
+                      for z, slot in failing]
     return {
         "pairs": (ctx.q - 1) * ctx.q,  # the row a = 1 stands for all q - 1 rows
         "mismatches": mismatches,

@@ -15,7 +15,7 @@ For in-scope u the spectrum is a closed function of two character sums,
          = -chi(u+1) * sum_z chi(z^5 - (u^2+1) z^2 + (u^2-u^4) z),
 
 plus an indicator epsilon marking whether z = 1 +- u contributes a row with
-three solutions.  Both sums are read off the sign-key histogram
+three solutions.  Both sums are read off the pattern histogram
 (`ScopedU.product_sums`); the tests check them against the g polynomials
 multiplied in the field and against the reduced cubic and quintic summed
 by Horner's rule.  Each sum must meet its Weil bound, and all five omega
@@ -47,12 +47,12 @@ def u0_nonf3_elements(ctx: FieldCtx) -> np.ndarray:
 
 
 def gamma3(su: charsums.ScopedU) -> int:
-    """sum_z chi(g1 g4), from the sign-key histogram."""
+    """sum_z chi(g1 g4), from the pattern histogram."""
     return su.product_sum(1, 4)
 
 
 def gamma4(su: charsums.ScopedU) -> int:
-    """sum_z chi(g1 g2 g3 g4), from the sign-key histogram."""
+    """sum_z chi(g1 g2 g3 g4), from the pattern histogram."""
     return su.product_sum(1, 2, 3, 4)
 
 

@@ -45,13 +45,15 @@ route what a production function computes, and the tests compare the two.
     oracle, which pins `mul`, `inv`, `chi` and the log tables.
   * `smallest_irreducible` searches for the first monic irreducible of
     degree n by trial division, the oracle for the moduli in
-    `field.DEFAULT_FIELDS`.
+    `field.DEFAULT_FIELDS`; `random_irreducible` draws a seeded one, for
+    the tests that run on a supplied modulus.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import random
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -447,6 +449,15 @@ def poly_mul_mod(ctx: FieldCtx, pa: Sequence[int], pb: Sequence[int]) -> list[in
         prod.pop()
     prod += [0] * (ctx.n - len(prod))
     return prod[: ctx.n]
+
+
+def random_irreducible(n: int, seed: int) -> list[int]:
+    """A seeded monic irreducible of degree n, digits lowest degree first."""
+    rnd = random.Random(seed)
+    while True:
+        modulus = [rnd.randrange(3) for _ in range(n)] + [1]
+        if irreducible_witness(modulus) is None:
+            return modulus
 
 
 def smallest_irreducible(n: int) -> tuple[int, ...]:

@@ -393,7 +393,8 @@ def test_verify_predictions_reports_a_raised_cell(f3, monkeypatch):
 
 def test_verify_predictions_reports_one_record_per_z(f3, monkeypatch):
     """A wrong count for one sign key gives exactly one record per z with that
-    key, at (a, b) = (1, z): the row a = 1 stands for every a."""
+    key, at (a, b) = (1, z): the row a = 1 stands for every a.  `EXPECTED` is
+    compiled from the wrong table, as the import would compile it."""
     u = u0_nonf3_elements(f3)[1]
     su = ScopedU(f3, u)
     keys = oracles.in_element_order(f3, su.sign_key)
@@ -401,6 +402,7 @@ def test_verify_predictions_reports_one_record_per_z(f3, monkeypatch):
     wrong = cn.PREDICTION_TABLE.copy()
     wrong[key] = (wrong[key] + 1) % 5
     monkeypatch.setattr(cn, "PREDICTION_TABLE", wrong)
+    monkeypatch.setattr(cn, "EXPECTED", cn._expected(wrong, cn.CASE_TABLE))
     report = cn.verify_predictions(su)
     zs = np.flatnonzero(keys == key)
     assert len(zs) > 1 and report["ok"] is False

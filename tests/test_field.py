@@ -177,7 +177,7 @@ def test_searched_generator_is_pinned(modulus, generator):
 def _patched_generator(monkeypatch, n):
     """A --modulus field (not the tabled one) whose generator search returns 2."""
     monkeypatch.setattr(FieldCtx, "_find_generator", lambda self: 2)
-    return make_context(n, _random_irreducible(n, seed=n))
+    return make_context(n, oracles.random_irreducible(n, seed=n))
 
 
 def _patched_table_reducible(monkeypatch, n):
@@ -462,14 +462,6 @@ def test_mul_log_path_agrees_with_poly_path(f3):
             assert f3.mul(a, b) == expected
 
 
-def _random_irreducible(n, seed):
-    rnd = random.Random(seed)
-    while True:
-        modulus = [rnd.randrange(3) for _ in range(n)] + [1]
-        if irreducible_witness(modulus) is None:
-            return modulus
-
-
 def _check_log_steps(ctx, ks):
     """alog[k + 1] == alog[k] * g by the polynomial oracle for every k in ks,
     k < q - 1, then the zero-sentinel layout of both tables."""
@@ -492,8 +484,8 @@ def _check_log_steps(ctx, ks):
 
 
 @pytest.mark.parametrize("n, modulus", [
-    (3, None), (5, None), (7, None), (9, None), (5, _random_irreducible(5, seed=2024)),
-    (7, _random_irreducible(7, seed=2024)),
+    (3, None), (5, None), (7, None), (9, None), (5, oracles.random_irreducible(5, seed=2024)),
+    (7, oracles.random_irreducible(7, seed=2024)),
 ], ids=["n3", "n5", "n7", "n9", "n5-random-modulus", "n7-random-modulus"])
 def test_log_tables_by_doubling_match_oracle(n, modulus):
     """Every step of the cycle: at n = 5, 7 and 9 that spans 3, 9 and 27 giant rows."""
@@ -515,7 +507,7 @@ def test_log_tables_giant_steps_match_oracle(n):
 
 
 @pytest.mark.parametrize("n, modulus", [
-    (3, None), (5, None), (7, None), (5, _random_irreducible(5, seed=2025)),
+    (3, None), (5, None), (7, None), (5, oracles.random_irreducible(5, seed=2025)),
 ], ids=["n3", "n5", "n7", "n5-random-modulus"])
 def test_bit_planes_match_digit_table(n, modulus):
     ctx = make_context(n, modulus)
@@ -568,7 +560,7 @@ def test_context_determinism():
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("n, modulus", [
-    (3, None), (5, None), (7, None), (5, _random_irreducible(5, seed=2026)),
+    (3, None), (5, None), (7, None), (5, oracles.random_irreducible(5, seed=2026)),
 ], ids=["n3", "n5", "n7", "n5-random-modulus"])
 def test_derived_log_tables_match_scalar_ops(n, modulus):
     """`_chi_rotations` is C[m] = chi(g^m - 1) for m < q - 1, twice over;
@@ -607,7 +599,7 @@ def _difference_counts(ctx, c_square, c_nonsquare):
 
 
 @pytest.mark.parametrize("n, modulus", [
-    (3, None), (5, None), (7, None), (5, _random_irreducible(5, seed=2027)),
+    (3, None), (5, None), (7, None), (5, oracles.random_irreducible(5, seed=2027)),
 ], ids=["n3", "n5", "n7", "n5-random-modulus"])
 def test_difference_row_matches_scalar_count(n, modulus):
     """`difference_row(c1, c2)` counts f(x + 1) - f(x) for f(x) = c/x, c = c1

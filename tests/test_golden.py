@@ -34,6 +34,11 @@ OUT_OF_SCOPE_U = ("00000", "01000", "21100")
 # nonsquares or on the squares: the DDT row's zero-coefficient branch.
 ZERO_COEFFICIENT_U = ("10000", "20000")
 
+# A seeded sample at each n >= 9, in json, for the per-u character pass
+# (`scan` at n = 13 takes about 0.4 s).
+LARGE_N_SETTINGS = ((9, "sample:40:3"), (11, "sample:3:1"), (13, "sample:1:1"))
+LARGE_N_COMMANDS = ("scan", "verify-lemmas", "verify-propositions")
+
 
 def case_id(command: str, n: int, u_spec: str, seed: int, fmt: str) -> str:
     return f"{command}|n={n}|u={u_spec}|seed={seed}|{fmt}"
@@ -48,7 +53,9 @@ def cases() -> list[tuple[str, int, str, int, str]]:
             + [("spectrum", 5, u, 0, fmt) for u in OUT_OF_SCOPE_U for fmt in FORMATS]
             + [("spectrum", 5, u, 0, fmt) for u in ZERO_COEFFICIENT_U for fmt in FORMATS]
             + [("ddt", 5, u, 0, "json") for u in ZERO_COEFFICIENT_U]
-            + [("spectrum", 7, u.ljust(7, "0"), 0, "json") for u in ZERO_COEFFICIENT_U])
+            + [("spectrum", 7, u.ljust(7, "0"), 0, "json") for u in ZERO_COEFFICIENT_U]
+            + [(command, n, u_spec, 0, "json")
+               for n, u_spec in LARGE_N_SETTINGS for command in LARGE_N_COMMANDS])
 
 
 def stdout_digest(command: str, n: int, u_spec: str, seed: int, fmt: str) -> tuple[int, str]:

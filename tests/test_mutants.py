@@ -13,9 +13,13 @@ wrongly compiled proposition table; a DDT row read at the wrong a; a
 rotation one step off; a Zech offset one step off; a branch swapped; a
 giant step one power too far; a prime dropped from the generator search;
 two product columns swapped; a case total off by one; a plane sum one
-term wrong), so that they run on every change.  A mutant of a table build
+term wrong; two lead rows of the pattern keys swapped; an expected count
+off by one), so that they run on every change.  A mutant of a table build
 rewrites one fragment of the build's source (`rewritten`), since the table
-is a local of that build.
+is a local of that build.  A mutant of a table that the import compiles
+into another also installs the other compiled from it, as the import would
+(`PATTERN_PRODUCTS` from `SIGN_PRODUCTS` and `KEY_BY_PATTERN`, `EXPECTED`
+from `PREDICTION_TABLE` and `CASE_TABLE`).
 """
 
 import inspect
@@ -129,6 +133,15 @@ def case_table_matches_closed_forms(ctx) -> bool:
                for key, inputs in oracles.sign_key_inputs())
 
 
+def expected_follows_tables(ctx) -> bool:
+    """`EXPECTED` equals `PREDICTION_TABLE` at every key where that equals
+    the `CASE_TABLE` total, and is negative at every other key."""
+    prediction, total = cn.PREDICTION_TABLE, cn.CASE_TABLE[:, cn.CASE_COLUMNS.index("total")]
+    agree = prediction == total
+    return (np.array_equal(cn.EXPECTED[agree], prediction[agree])
+            and bool((cn.EXPECTED[~agree] < 0).all()))
+
+
 def scalar_adder_matches_digitwise(ctx) -> bool:
     """Scalar `add`, `sub` and `neg` equal the digit-wise oracle at every pair."""
     return (all(ctx.neg(a) == oracles.neg(ctx, a) for a in range(ctx.q))
@@ -191,20 +204,45 @@ def _commonest_key(ctx) -> int:
     return int(np.bincount(keys).argmax())
 
 
+def install_census_tables(monkeypatch, prediction, cases):
+    """`PREDICTION_TABLE` and `CASE_TABLE`, and `EXPECTED` compiled from them."""
+    monkeypatch.setattr(cn, "PREDICTION_TABLE", prediction)
+    monkeypatch.setattr(cn, "CASE_TABLE", cases)
+    monkeypatch.setattr(cn, "EXPECTED", cn._expected(prediction, cases))
+
+
+def install_pattern_tables(monkeypatch, sign_products, key_by_pattern):
+    """`SIGN_PRODUCTS` and `KEY_BY_PATTERN`, and `PATTERN_PRODUCTS` compiled
+    from them."""
+    monkeypatch.setattr(charsums, "SIGN_PRODUCTS", sign_products)
+    monkeypatch.setattr(charsums, "KEY_BY_PATTERN", key_by_pattern)
+    monkeypatch.setattr(charsums, "PATTERN_PRODUCTS",
+                        charsums._pattern_products(sign_products, key_by_pattern))
+
+
 def shift_one_prediction(monkeypatch, ctx):
     """`PREDICTION_TABLE` off by one at the commonest sign key, as the compiled
     table would be if one rule or its compilation were wrong."""
     key = _commonest_key(ctx)
     wrong = cn.PREDICTION_TABLE.copy()
     wrong[key] = (wrong[key] + 1) % 5
-    monkeypatch.setattr(cn, "PREDICTION_TABLE", wrong)
+    install_census_tables(monkeypatch, wrong, cn.CASE_TABLE)
 
 
 def shift_one_total(monkeypatch, ctx):
     """The `CASE_TABLE` total one too large at the commonest sign key."""
     wrong = cn.CASE_TABLE.copy()
     wrong[_commonest_key(ctx), -1] += 1
-    monkeypatch.setattr(cn, "CASE_TABLE", wrong)
+    install_census_tables(monkeypatch, cn.PREDICTION_TABLE, wrong)
+
+
+def shift_one_expected(monkeypatch, ctx):
+    """`EXPECTED` off by one at the commonest sign key, as the table would be
+    if its compilation from the other two were wrong."""
+    key = _commonest_key(ctx)
+    wrong = cn.EXPECTED.copy()
+    wrong[key] = (wrong[key] + 1) % 5
+    monkeypatch.setattr(cn, "EXPECTED", wrong)
 
 
 def swap_gamma3_column(monkeypatch, ctx):
@@ -212,7 +250,17 @@ def swap_gamma3_column(monkeypatch, ctx):
     swapped."""
     wrong = charsums.SIGN_PRODUCTS.copy()
     wrong[:, [9, 10]] = wrong[:, [10, 9]]
-    monkeypatch.setattr(charsums, "SIGN_PRODUCTS", wrong)
+    install_pattern_tables(monkeypatch, wrong, charsums.KEY_BY_PATTERN)
+
+
+def swap_lead_rows(monkeypatch, ctx):
+    """`KEY_BY_PATTERN` with the rows of the lead signs (1, -1) and (-1, 1) of
+    g1 and g5 swapped: every in-scope u met so far takes one of these two
+    (all u at n = 3, 5 and 7, samples at n = 9 and 11)."""
+    rows = [charsums.LEADS.index(leads) for leads in ((1, -1), (-1, 1))]
+    wrong = charsums.KEY_BY_PATTERN.copy()
+    wrong[rows] = wrong[rows[::-1]]
+    install_pattern_tables(monkeypatch, charsums.SIGN_PRODUCTS, wrong)
 
 
 def count_row_g(monkeypatch, ctx):
@@ -296,10 +344,21 @@ MUTANTS = {
         swap_gamma3_column, 3,
         (product_sums_match_field_products, command_passes("verify-theorem")),
     ),
+    # the signs depend on z through the five chi(z - a) and on u through the
+    # leads of g1 and g5: one sign key per pattern and lead row
+    "charsums.KEY_BY_PATTERN": (
+        swap_lead_rows, 3,
+        (sign_key_matches_g_values, product_sums_match_field_products),
+    ),
     # the case counts and their total compiled from closed forms in the signs
     "solution_census.CASE_TABLE": (
         shift_one_total, 3,
         (case_table_matches_closed_forms, command_passes("verify-propositions")),
+    ),
+    # the prediction and the case total compared with the DDT in one gather
+    "solution_census.EXPECTED": (
+        shift_one_expected, 3,
+        (expected_follows_tables, command_passes("verify-propositions")),
     ),
     # the plane sum with b1 dropped from t: wrong where digit i of b is 1 and
     # that of a is 0 or 1, yet every plane pair stays a valid element.  The

@@ -1,5 +1,7 @@
 """Parameter classification, the two character sums and the closed form."""
 
+from collections import Counter
+
 import pytest
 
 import oracles
@@ -8,7 +10,7 @@ from nhspectrum import cli
 from nhspectrum import ness
 from nhspectrum import spectrum as sp
 from nhspectrum import solution_census as cn
-from nhspectrum.field import InconsistencyError
+from nhspectrum.field import InconsistencyError, make_context
 
 
 def closed_form(ctx, u):
@@ -240,3 +242,30 @@ def test_verify_theorem_record_shape(f3):
     }
     assert rec["match"] is True
     assert rec["class"] == "U0_nonF3"
+
+
+# ---------------------------------------------------------------------------
+# the distribution over the scope does not depend on the modulus
+# ---------------------------------------------------------------------------
+
+
+def _scope_triples(ctx) -> Counter:
+    """How many in-scope u give each (epsilon, gamma3, gamma4)."""
+    return Counter(tuple(sp.closed_form_inputs(cs.ScopedU(ctx, u)).values())
+                   for u in sp.u0_nonf3_elements(ctx).tolist())
+
+
+@pytest.mark.parametrize("n, modulus, scope, distinct", [
+    (5, "220001", 120, 10), (7, "22200001", 1092, 52),
+])
+def test_scope_triples_do_not_depend_on_the_modulus(n, modulus, scope, distinct):
+    """Two moduli of degree n give isomorphic fields, and the isomorphism keeps
+    chi and maps the scope onto the scope, so the multiset of (epsilon,
+    gamma3, gamma4) over the scope is the same for the tabled modulus, a
+    supplied one and a seeded one."""
+    tabled = _scope_triples(make_context(n))
+    assert sum(tabled.values()) == scope and len(tabled) == distinct
+    seeded = oracles.random_irreducible(n, seed=n)
+    assert len({make_context(n).modulus_str, modulus, "".join(map(str, seeded))}) == 3
+    for other in (modulus, seeded):
+        assert _scope_triples(make_context(n, other)) == tabled, other
