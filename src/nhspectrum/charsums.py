@@ -22,21 +22,20 @@ depends on z only through the five characters chi(z - a), and
 `ScopedU.pattern` stores them as one byte per z, one of 243 patterns read
 from the five columns chi(z - a) (`FieldCtx.chi_minus`), with no field
 addition per u.  Only g1 and g5 have a leading coefficient other than 1,
-so the four values of (chi(-(u+1)), chi(-(1+r))) pick one row of the tables
-compiled at import: `KEY_BY_PATTERN`, the sign key of each pattern, and
-`PATTERN_PRODUCTS`, chi of each product of the g_i at each pattern.  The
-sign key of z is its sign vector (s0, ..., s5) as one of 729 numbers, a
-sixth sign chi(g0(z)) with g0(z) = z riding along; `ScopedU.sign_key`
-reads it off the pattern for the proposition sweep.  Every character sum
-of a product of the g_i is a dot product of the pattern histogram with one
-of the 32 vectors of that row, so one matrix-vector product gives all 32
-(`ScopedU.product_sums`).  The pattern and the key stay in the log order
-of the columns (slot `FieldCtx.slot(z)` for z), as does the DDT row
-`ScopedU.row`, so they are compared slot by slot and nothing per u is
-gathered back to element order.  The tests keep the polynomials evaluated
-over the field as the oracle.  `ScopedU` holds one in-scope u (`classify_u`
-is the scope rule) and everything derived from it, the DDT row a = 1 among
-them, each built once.
+and their signs are -chi(u+1) and chi(u+1), so one bit of u
+(`ScopedU.lead`) and the pattern of z give every sign: `PATTERN_SIGNS`
+holds (s0, ..., s5) for each lead and pattern, a sixth sign chi(g0(z))
+with g0(z) = z riding along, and `PATTERN_PRODUCTS`, compiled from it at
+import, chi of each product of the g_i.  Every character sum of a product
+of the g_i is a dot product of the pattern histogram with one of the 32
+vectors of the lead row of u, so one matrix-vector product gives all 32
+(`ScopedU.product_sums`).  The pattern stays in the log order of the
+columns (slot `FieldCtx.slot(z)` for z), as does the DDT row `ScopedU.row`,
+so they are compared slot by slot and nothing per u is gathered back to
+element order.  The tests keep the polynomials evaluated over the field as
+the oracle.  `ScopedU` holds one in-scope u (`classify_u` is the scope
+rule) and everything derived from it, the DDT row a = 1 among them, each
+built once.
 """
 
 from __future__ import annotations
@@ -55,61 +54,43 @@ G_IDS = (1, 2, 3, 4, 5)
 # g_i is its leading coefficient times the product of (z - a) over them.
 G_ZEROS = ((0,), (0,), (0, 1), (0, 2), (3, 4), (3,))
 
-# Row k is the sign vector (s0, ..., s5), s_i = chi(g_i(z)), with
-# `ScopedU.sign_key` k: the digits s_i + 1 of k in base 3, s0 most
-# significant.  Column i is g_i.
-SIGN_PATTERNS = np.array(list(itertools.product((-1, 0, 1), repeat=6)), dtype=np.int8)
-SIGN_PATTERNS.flags.writeable = False
+
+def _pattern_signs() -> np.ndarray:
+    """2 x 243 x 6 int8: lead l, pattern p holds the signs (s0, ..., s5),
+    s_i = chi(g_i(z)), at a z with `ScopedU.pattern` p for a u with
+    `ScopedU.lead` l.  s_i is the lead of g_i times the product of chi(z - a)
+    over its zeros a (`G_ZEROS`), each digit of p minus 1.  g0 and g2..g4
+    lead with 1, and g1 and g5 with -chi(u+1) and chi(u+1): -1 is a
+    nonsquare, and chi(1+r) = -chi(1+u), as (1+u)(1+r) = -(1+u+r)^2 in
+    characteristic 3 and 1+u+r != 0 for u outside GF(3)."""
+    chars = np.array(list(itertools.product((-1, 0, 1), repeat=5)), dtype=np.int8)[:, ::-1]
+    signs = np.stack([chars[:, zeros].prod(axis=1, dtype=np.int8) for zeros in G_ZEROS], axis=1)
+    leads = np.ones((2, 1, len(G_ZEROS)), dtype=np.int8)
+    leads[:, 0, [1, 5]] = ((-1, 1), (1, -1))
+    signs = leads * signs
+    signs.flags.writeable = False
+    return signs
 
 
-def _sign_products() -> np.ndarray:
-    """729 x 32 int8: column m is the product of the columns g_i of
-    `SIGN_PATTERNS` over the set bits i - 1 of m (column 0 is all ones).
-    Each g_i doubles the columns: the old ones, then the old ones times g_i."""
-    products = np.ones((len(SIGN_PATTERNS), 1), dtype=np.int8)
+def _pattern_products(signs: np.ndarray) -> np.ndarray:
+    """2 x 32 x 243 int8: lead l, column m, pattern p is chi of the product of
+    the g_i over the set bits i - 1 of m (column 0 is all ones), as chi(x y) =
+    chi(x) chi(y).  Each g_i doubles the columns: the old ones, then the old
+    ones times s_i."""
+    products = np.ones((*signs.shape[:2], 1), dtype=np.int8)
     for gid in G_IDS:
-        products = np.hstack([products, products * SIGN_PATTERNS[:, [gid]]])
+        products = np.concatenate([products, products * signs[..., [gid]]], axis=2)
+    products = np.ascontiguousarray(products.transpose(0, 2, 1))
     products.flags.writeable = False
     return products
 
 
-# Row k, column m: chi of the product of the g_i selected by m at a z with
-# sign key k, as chi(x y) = chi(x) chi(y).
-SIGN_PRODUCTS = _sign_products()
+PATTERN_SIGNS = _pattern_signs()
+PATTERN_PRODUCTS = _pattern_products(PATTERN_SIGNS)
 
-# The column of `SIGN_PRODUCTS` of each product, by its g_i in increasing order.
+# The column of `PATTERN_PRODUCTS` of each product, by its g_i in increasing order.
 _COLUMN = {tuple(gid for gid in G_IDS if m >> (gid - 1) & 1): m
-           for m in range(SIGN_PRODUCTS.shape[1])}
-
-# (chi(-(u+1)), chi(-(1+r))), the signs of the leading coefficients of g1 and
-# g5, by row of the pattern tables; g0 and g2..g4 lead with 1.
-LEADS = tuple(itertools.product((1, -1), repeat=2))
-
-
-def _key_by_pattern() -> np.ndarray:
-    """len(LEADS) x 243 int16: row l, column p is the sign key of a z with
-    `ScopedU.pattern` p when g1 and g5 lead with the signs LEADS[l].  s_i is
-    the lead of g_i times the product of chi(z - a) over its zeros a
-    (`G_ZEROS`), each digit of p minus 1."""
-    chars = np.array(list(itertools.product((-1, 0, 1), repeat=5)))[:, ::-1]  # row p, digit i first
-    signs = np.stack([chars[:, zeros].prod(axis=1) for zeros in G_ZEROS], axis=1)
-    leads = np.ones((len(LEADS), 1, len(G_ZEROS)), dtype=signs.dtype)
-    leads[:, 0, [1, 5]] = LEADS
-    keys = ((leads * signs + 1) @ 3 ** np.arange(len(G_ZEROS))[::-1]).astype(np.int16)
-    keys.flags.writeable = False
-    return keys
-
-
-def _pattern_products(sign_products: np.ndarray, key_by_pattern: np.ndarray) -> np.ndarray:
-    """len(LEADS) x 32 x 243 int8: lead row l, column m, pattern p is
-    `SIGN_PRODUCTS` at column m and at the sign key of p in row l."""
-    products = np.ascontiguousarray(sign_products[key_by_pattern].transpose(0, 2, 1))
-    products.flags.writeable = False
-    return products
-
-
-KEY_BY_PATTERN = _key_by_pattern()
-PATTERN_PRODUCTS = _pattern_products(SIGN_PRODUCTS, KEY_BY_PATTERN)
+           for m in range(PATTERN_PRODUCTS.shape[1])}
 
 CLASS_F3 = "F3"
 CLASS_U0 = "U0_nonF3"
@@ -142,7 +123,7 @@ class OutOfScopeError(ValueError):
 class ScopedU:
     """One u of class `CLASS_U0`, else construction raises `OutOfScopeError`.
 
-    The other fields (r, pattern, sign_key, product_sums and the DDT row) are
+    The other fields (r, lead, pattern, product_sums and the DDT row) are
     built on first use and kept: one object per u builds each of them at most
     once.
     """
@@ -161,12 +142,10 @@ class ScopedU:
         return self.ctx.sqrt_canonical(self.ctx.sub(1, self.ctx.mul(self.u, self.u)))
 
     @built_once
-    def _lead_row(self) -> int:
-        """The row of `KEY_BY_PATTERN` and `PATTERN_PRODUCTS` of this u: the
-        index in `LEADS` of the signs of the leads of g1 and g5."""
-        ctx = self.ctx
-        return LEADS.index((ctx.chi(ctx.neg(ctx.add(self.u, 1))),
-                            ctx.chi(ctx.neg(ctx.add(1, self.r)))))
+    def lead(self) -> int:
+        """The lead row of this u in `PATTERN_SIGNS` and `PATTERN_PRODUCTS`: 0
+        where chi(u+1) = 1, else 1."""
+        return int(self.ctx.chi(self.ctx.add(self.u, 1)) == -1)
 
     @built_once
     def pattern(self) -> np.ndarray:
@@ -184,19 +163,12 @@ class ScopedU:
         return pattern
 
     @built_once
-    def sign_key(self) -> np.ndarray:
-        """int16 per z, in log order as `pattern`: the row of `SIGN_PATTERNS`
-        holding chi(g_i(z)), i = 0..5, read off the pattern of z through the
-        lead row of u in `KEY_BY_PATTERN`."""
-        return KEY_BY_PATTERN[self._lead_row].take(self.pattern)
-
-    @built_once
     def product_sums(self) -> np.ndarray:
         """Sum over z of chi of the product of the g_i selected by m, for each
-        column m of `SIGN_PRODUCTS`: the lead row of u in `PATTERN_PRODUCTS`
-        times the pattern histogram (how many z carry each of the 243
-        patterns); int64, exact."""
-        products = PATTERN_PRODUCTS[self._lead_row]
+        column m of `PATTERN_PRODUCTS`: the lead row of u there times the
+        pattern histogram (how many z carry each of the 243 patterns); int64,
+        exact."""
+        products = PATTERN_PRODUCTS[self.lead]
         return products @ np.bincount(self.pattern, minlength=products.shape[1])
 
     def product_sum(self, *gids: int) -> int:

@@ -42,7 +42,7 @@ The scalar ops and the vector kernels are gathers from small tables:
 * The per-u vectors live in log order, where slot k holds g^k and zero the
   last slot (``slot`` and ``element_at`` map one element each way), and
   two kernels fill them with no field addition per u: ``chi_minus``
-  (chi(z - a) as a rotation of C, for the sign key and the scope mask) and
+  (chi(z - a) as a rotation of C, for the pattern and the scope mask) and
   ``difference_row`` (the DDT row from Zech logarithms, Huber, "Some
   comments on Zech's logarithms", 1990, for `ness.ddt_row`).
   ``from_log_order``, one clipped gather back to element order, serves the
@@ -579,9 +579,10 @@ class FieldCtx:
         return _frozen(minus), _frozen(cross_m), _frozen(cross_e), _frozen(same)
 
     def difference_row(self, c_square: int, c_nonsquare: int) -> np.ndarray:
-        """int64 count of x with f(x + 1) - f(x) = z for every z, in log order,
+        """int32 count of x with f(x + 1) - f(x) = z for every z, in log order,
         for f(x) = c_square / x at squares, c_nonsquare / x at nonsquares, f(0) = 0,
-        c_square and c_nonsquare not both 0.
+        c_square and c_nonsquare not both 0.  With one c zero the entry at
+        z = 0 is (q + 1) / 4, too large for int16 from n = 11 on.
 
         For x = g**k, write L = (log c_square, log c_nonsquare) and p0, p1
         for the parities of k and Z+(k) (see `_zech`).  Then f(x + 1) - f(x) =
@@ -611,7 +612,7 @@ class FieldCtx:
             _wrap_up(values, n_logs)
             turn = logs[1]
         counts = np.bincount(values, minlength=n_logs)
-        row = np.empty(q, dtype=np.int64)
+        row = np.empty(q, dtype=np.int32)
         row[turn:-1], row[:turn] = counts[:n_logs - turn], counts[n_logs - turn:n_logs]
         row[-1] = counts[n_logs:].sum()
         for parity, c in enumerate((c_square, c_nonsquare)):

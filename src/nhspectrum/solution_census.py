@@ -19,19 +19,21 @@ DDT row `ScopedU.row` at the slot of z (`ness.ddt_row`, `FieldCtx.slot`).
 
 At import, the rules in `SOLUTION_CONDITIONS` compile into
 `PREDICTION_TABLE`, read per u only by `prediction_by_z`, and the closed
-forms of the case counts into `CASE_TABLE`, both indexed by the sign key of
-z (`ScopedU.sign_key`).  The two compile into `EXPECTED`, the count both
-give where they agree, so the full-field check is one gather at the key and
-one compare with the DDT row, in the log order of both.  The tests keep an
-interpreter of the rules and the scalar `census` as the oracles for every
-entry.  Records hold elements as ints and no u: the CLI writes both.
+forms of the case counts into `CASE_TABLE`, both from the signs in
+`charsums.PATTERN_SIGNS` and indexed as that table is, by the lead of u
+(`ScopedU.lead`) and the pattern of z (`ScopedU.pattern`).  The two compile
+into `EXPECTED`, the count both give where they agree, so the full-field
+check is one gather at the patterns and one compare with the DDT row, in
+the log order of both.  The tests keep an interpreter of the rules and the
+scalar `census` as the oracles for every entry.  Records hold elements as
+ints and no u: the CLI writes both.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .charsums import SIGN_PATTERNS, ScopedU
+from .charsums import PATTERN_SIGNS, ScopedU
 from .field import FieldCtx, InconsistencyError
 
 CASE_IDS = ("I", "II", "III", "IV")
@@ -119,17 +121,19 @@ def rule_inputs(signs) -> dict:
             "chi_z2mu2": np.where(s5 != 0, s5, -s0)}
 
 
-def _compile_conditions() -> tuple[np.ndarray, np.ndarray]:
-    """Per sign key: the count whose single rule fires, else NO_RULE or
-    SEVERAL_RULES; and (N1, N_I, N_II + N_III, N_IV) by their closed forms
-    (all 0 for z = 0, the b = 0 row), then the total in TABLE_IV_ROWS or
-    NOT_ADMISSIBLE.  N1 depends on z alone because u is outside GF(3): the
-    special-point targets are a b = 1 +- u whatever chi(a) is.
+def _compile_conditions(pattern_signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per (lead, pattern), from its signs in `pattern_signs`: the count whose
+    single rule fires, else NO_RULE or SEVERAL_RULES; and (N1, N_I, N_II +
+    N_III, N_IV) by their closed forms (all 0 for z = 0, the b = 0 row), then
+    the total in TABLE_IV_ROWS or NOT_ADMISSIBLE.  N1 depends on z alone
+    because u is outside GF(3): the special-point targets are a b = 1 +- u
+    whatever chi(a) is.
     """
-    signs = SIGN_PATTERNS.T
+    shape = pattern_signs.shape[:-1]
+    signs = pattern_signs.reshape(-1, pattern_signs.shape[-1]).T
     inputs = rule_inputs(signs)
     b_zero, one_pm_u, chi_z2mu2 = inputs["b_zero"], inputs["one_pm_u"], inputs["chi_z2mu2"]
-    pred, fired = np.zeros((2, len(SIGN_PATTERNS)), dtype=np.int8)
+    pred, fired = np.zeros((2, signs.shape[1]), dtype=np.int8)
     for count, conds in SOLUTION_CONDITIONS.items():
         for cond in conds:
             mask = b_zero == cond.get("b_zero", False)
@@ -150,22 +154,24 @@ def _compile_conditions() -> tuple[np.ndarray, np.ndarray]:
     ], axis=1)
     cases[b_zero] = 0
     totals = [TABLE_IV_ROWS.get(tuple(row), NOT_ADMISSIBLE) for row in cases.tolist()]
-    tables = (np.select([fired == 1, fired == 0], [pred, NO_RULE], SEVERAL_RULES).astype(np.int8),
-              np.column_stack([cases, totals]).astype(np.int8))
+    tables = (np.select([fired == 1, fired == 0], [pred, NO_RULE], SEVERAL_RULES)
+              .astype(np.int8).reshape(shape),
+              np.column_stack([cases, totals]).astype(np.int8).reshape(*shape, -1))
     for table in tables:
         table.flags.writeable = False
     return tables
 
 
-PREDICTION_TABLE, CASE_TABLE = _compile_conditions()
+PREDICTION_TABLE, CASE_TABLE = _compile_conditions(PATTERN_SIGNS)
 
 
 def _expected(prediction: np.ndarray, cases: np.ndarray) -> np.ndarray:
-    """Per sign key: the prediction where it equals the case total, else -1.
-    A negative entry never equals a DDT entry, and a prediction is negative
-    where not exactly one rule fires, so a z whose entry equals delta(1, z)
-    has one rule, and its prediction and total both equal delta(1, z)."""
-    total = cases[:, CASE_COLUMNS.index("total")]
+    """Per (lead, pattern): the prediction where it equals the case total,
+    else -1.  A negative entry never equals a DDT entry, and a prediction is
+    negative where not exactly one rule fires, so a z whose entry equals
+    delta(1, z) has one rule, and its prediction and total both equal
+    delta(1, z)."""
+    total = cases[..., CASE_COLUMNS.index("total")]
     expected = np.where(prediction == total, prediction, -1).astype(np.int8)
     expected.flags.writeable = False
     return expected
@@ -276,19 +282,19 @@ def census(su: ScopedU, a: int, b: int) -> dict:
 
 def g_signs(su: ScopedU, z: int) -> tuple[int, int, int, int, int]:
     """(chi(g1(z)), ..., chi(g5(z)))."""
-    return tuple(SIGN_PATTERNS[su.sign_key[su.ctx.slot(z)], 1:].tolist())
+    return tuple(PATTERN_SIGNS[su.lead, su.pattern[su.ctx.slot(z)], 1:].tolist())
 
 
 def prediction_by_z(su: ScopedU) -> np.ndarray:
-    """Predicted N(a, b) at every z = a b, in log order as `ScopedU.sign_key`
+    """Predicted N(a, b) at every z = a b, in log order as `ScopedU.pattern`
     (the last slot, z = 0, covers b = 0 and is 0).
 
-    One gather from `PREDICTION_TABLE` at the sign keys; raises
-    InconsistencyError naming u, z and the signs at the smallest z where not
-    exactly one condition fires.
+    One gather from the lead row of u in `PREDICTION_TABLE` at the patterns;
+    raises InconsistencyError naming u, z and the signs at the smallest z
+    where not exactly one condition fires.
     """
     ctx = su.ctx
-    pred = PREDICTION_TABLE[su.sign_key]
+    pred = PREDICTION_TABLE[su.lead].take(su.pattern)
     if pred.min() < 0:
         z = min(map(ctx.element_at, np.flatnonzero(pred < 0).tolist()))
         what = "no condition" if pred[ctx.slot(z)] == NO_RULE else "several conditions"
@@ -304,14 +310,14 @@ def verify_predictions(su: ScopedU) -> dict:
     the case vector both equal delta(a, b), the total being NOT_ADMISSIBLE
     unless the vector is in the admissible table (`CASE_TABLE`).  All three
     depend only on z = a b (`ness.ddt_row`), so the pairs (1, z) cover every
-    pair, and one gather from `EXPECTED` at the sign keys, compared with the
-    DDT row slot by slot, checks them all.  Only where that fails is
-    `prediction_by_z` read, which raises as it does where not exactly one
-    rule fires.  Returns a summary with one mismatch record per failing z, in
-    increasing z, at (a, b) = (1, z), its elements as ints.
+    pair, and one gather from the lead row of u in `EXPECTED` at the
+    patterns, compared with the DDT row slot by slot, checks them all.  Only
+    where that fails is `prediction_by_z` read, which raises as it does where
+    not exactly one rule fires.  Returns a summary with one mismatch record
+    per failing z, in increasing z, at (a, b) = (1, z), its elements as ints.
     """
     ctx, observed = su.ctx, su.row
-    ok = EXPECTED.take(su.sign_key) == observed
+    ok = EXPECTED[su.lead].take(su.pattern) == observed
     mismatches = []
     if not ok.all():
         predicted = prediction_by_z(su)

@@ -15,12 +15,13 @@ route what a production function computes, and the tests compare the two.
     ops; `g_values` evaluates it over the whole field with the digit-wise
     adder (`add`, `neg`, `sub` and `digitwise`, so not on the library's
     planes) and `mul_vec`, a product gathered from the log tables.
-    Both are oracles for the sign key, which the library builds from the
-    zeros of the polynomials instead, from the columns chi(z - a) of
-    `FieldCtx.chi_minus`, with no field addition.
+    Both are oracles for the signs the library reads off the pattern of z
+    (`signs_by_z`), which it builds from the zeros of the polynomials
+    instead, from the columns chi(z - a) of `FieldCtx.chi_minus`, with no
+    field addition.
   * `g_product_sum` multiplies the classifier polynomials in the field
     before taking chi, the oracle for `ScopedU.product_sums`, the sums
-    over the sign-key histogram; `gamma3_from_products` and
+    over the pattern histogram; `gamma3_from_products` and
     `gamma4_from_products` are the defining forms of the two character sums.
   * `char_sum` sums chi of any polynomial by Horner's rule over the field
     (a coefficient is added by `translate`, the field's plane sum of every
@@ -29,13 +30,16 @@ route what a production function computes, and the tests compare the two.
     the two sums in their reduced one-polynomial forms.
   * `table_a_expected` writes the signs of the g family on the five-point
     set A in closed form; `table_a_chi` reads the same grid off
-    `ScopedU.sign_key`, and the tests compare the two.
-  * `in_element_order` reads a log-order vector (`sign_key`, the DDT row)
+    `ScopedU.pattern`, and the tests compare the two.
+  * `in_element_order` reads a log-order vector (`pattern`, the DDT row)
     at every z in element order, through `FieldCtx.slot`.
+  * `entry_signs` writes the signs of one entry (lead, pattern) of the
+    compiled tables from the factored g family, the oracle for
+    `PATTERN_SIGNS`.
   * `matching_conditions` interprets `SOLUTION_CONDITIONS` rule by rule on
     the signs from `g_eval`, the oracle for `PREDICTION_TABLE`;
-    `case_row` writes the case counts of one sign key (`sign_key_inputs`)
-    in closed form, the oracle for `CASE_TABLE`; `table_key` reads the
+    `case_row` writes the case counts of one entry (`entry_inputs`) in
+    closed form, the oracle for `CASE_TABLE`; `table_key` reads the
     admissible-table row off a `census` record.
   * `add`, `neg` and `sub` work digit by digit mod 3 on the base-3 digits
     of the indices, and `digitwise` does the same on whole index arrays:
@@ -58,7 +62,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from nhspectrum.charsums import G_IDS, SIGN_PATTERNS, ScopedU, set_a_points
+from nhspectrum import charsums
+from nhspectrum.charsums import G_IDS, ScopedU, set_a_points
 from nhspectrum.field import FieldCtx, irreducible_witness
 from nhspectrum.solution_census import (NOT_ADMISSIBLE, SOLUTION_CONDITIONS, TABLE_IV_ROWS,
                                         rule_inputs)
@@ -211,13 +216,19 @@ def g_signs(su: ScopedU, z: int) -> tuple[int, ...]:
 
 
 def table_a_chi(su: ScopedU) -> list[list[int]]:
-    """chi(g_i(x)) for x in A (rows) and i = 1..5 (columns), decoded from `ScopedU.sign_key`."""
-    return SIGN_PATTERNS[su.sign_key[[su.ctx.slot(a) for a in set_a_points(su)]], 1:].tolist()
+    """chi(g_i(x)) for x in A (rows) and i = 1..5 (columns), decoded from `ScopedU.pattern`."""
+    return signs_by_z(su)[list(set_a_points(su)), 1:].tolist()
 
 
 def in_element_order(ctx: FieldCtx, vec: np.ndarray) -> np.ndarray:
     """A log-order vector (slot `FieldCtx.slot(z)` for z) read at z = 0, 1, ..., q - 1."""
     return vec[[ctx.slot(z) for z in range(ctx.q)]]
+
+
+def signs_by_z(su: ScopedU) -> np.ndarray:
+    """(q, 6): (chi(z), chi(g1(z)), ..., chi(g5(z))) as the library reads them
+    at z = 0, 1, ..., q - 1, `PATTERN_SIGNS` at the lead of u and the pattern of z."""
+    return charsums.PATTERN_SIGNS[su.lead][in_element_order(su.ctx, su.pattern)]
 
 
 def table_a_expected(su: ScopedU) -> list[list[int]]:
@@ -352,12 +363,23 @@ def matching_conditions(su: ScopedU, a: int, b: int) -> list[tuple[int, int]]:
     )
 
 
-def sign_key_inputs():
-    """(key, inputs) for all 3^6 sign keys, the rule inputs derived from the
-    signs (s1, ..., s5) by `rule_inputs`."""
-    for key, signs in enumerate(itertools.product((-1, 0, 1), repeat=6)):
+def entry_signs(lead: int, pattern: int) -> tuple[int, ...]:
+    """(s0, ..., s5) at a z with `ScopedU.pattern` pattern, for a u with
+    `ScopedU.lead` lead, from the factored g family.  Digit i of the
+    pattern, less 1, is c_i = chi(z - a_i) for the points a_i of A; chi(u+1)
+    is 1 - 2 lead, and chi(-(1+r)) = chi(u+1) leads g5."""
+    c0, c1, c2, c3, c4 = (pattern // 3**i % 3 - 1 for i in range(5))
+    chi_u1 = 1 - 2 * lead
+    return (c0, -chi_u1 * c0, c0 * c1, c0 * c2, c3 * c4, chi_u1 * c3)
+
+
+def entry_inputs():
+    """((lead, pattern), inputs) for all 2 x 243 entries of the compiled
+    tables, the rule inputs derived from `entry_signs` by `rule_inputs`."""
+    for entry in itertools.product(range(2), range(243)):
+        signs = entry_signs(*entry)
         derived = {name: value.item() for name, value in rule_inputs(np.array(signs)).items()}
-        yield key, dict(derived, signs=signs[1:])
+        yield entry, dict(derived, signs=signs[1:])
 
 
 def case_row(*, b_zero: bool, one_pm_u: bool, signs: tuple[int, ...],

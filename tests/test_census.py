@@ -9,7 +9,7 @@ import oracles
 from sampling import sample_u0_nonf3
 from nhspectrum import solution_census as cn
 from nhspectrum import ness
-from nhspectrum.charsums import SIGN_PATTERNS, ScopedU
+from nhspectrum.charsums import ScopedU
 from nhspectrum.field import InconsistencyError
 from nhspectrum.spectrum import u0_nonf3_elements
 
@@ -180,9 +180,9 @@ def test_case_ii_iii_sum_sign_conditions(f3):
 
 
 def _case_rows(su):
-    """`CASE_TABLE` at the sign key of every z, by column name; each z is
-    also checked against the scalar census of (1, z)."""
-    rows = cn.CASE_TABLE[oracles.in_element_order(su.ctx, su.sign_key)]
+    """`CASE_TABLE` at the lead of u and the pattern of every z, by column
+    name; each z is also checked against the scalar census of (1, z)."""
+    rows = cn.CASE_TABLE[su.lead][oracles.in_element_order(su.ctx, su.pattern)]
     for z, row in enumerate(rows.tolist()):
         c = cn.census(su, 1, z)
         assert tuple(row) == (*oracles.table_key(c), c["predicted"]), (su.u, z)
@@ -285,12 +285,12 @@ def test_exactly_one_condition_matches_n3(f3):
 
 def test_rule_inputs_match_evaluation(scope_cases):
     """At every z, s0 = 0 exactly when z = 0, and the rule inputs derived from
-    the sign key equal their definitions evaluated in the field: b = 0, z in
+    the signs equal their definitions evaluated in the field: b = 0, z in
     {1 +- u} and, at both zeros of g4, chi(z^2 - u^2)."""
     for ctx, us in scope_cases:
         for u in us:
             su = ScopedU(ctx, u)
-            signs = SIGN_PATTERNS[oracles.in_element_order(ctx, su.sign_key)]
+            signs = oracles.signs_by_z(su)
             derived = cn.rule_inputs(signs.T)
             one_pm_u = (ctx.add(1, u), ctx.sub(1, u))
             assert np.count_nonzero(signs[:, 4] == 0) == 2, (ctx.n, u)
@@ -303,30 +303,33 @@ def test_rule_inputs_match_evaluation(scope_cases):
 
 
 def test_prediction_table_equals_rule_interpreter():
-    """Every key: the count where exactly one rule fires, NO_RULE where none
-    does and SEVERAL_RULES where more than one does; every key of z = 0 is 0."""
-    assert len(cn.PREDICTION_TABLE) == len(list(oracles.sign_key_inputs())) == 729
-    for key, inputs in oracles.sign_key_inputs():
+    """Every (lead, pattern): the count where exactly one rule fires, NO_RULE
+    where none does and SEVERAL_RULES where more than one does; every entry
+    of z = 0 is 0."""
+    assert cn.PREDICTION_TABLE.shape == (2, 243)
+    assert len(list(oracles.entry_inputs())) == 486
+    for entry, inputs in oracles.entry_inputs():
         hits = oracles.fired_conditions(**inputs)
         if len(hits) == 1:
             expected = hits[0][0]
         else:
             expected = cn.NO_RULE if not hits else cn.SEVERAL_RULES
-        assert int(cn.PREDICTION_TABLE[key]) == expected, (inputs, hits)
+        assert int(cn.PREDICTION_TABLE[entry]) == expected, (inputs, hits)
         if inputs["b_zero"]:
-            assert cn.PREDICTION_TABLE[key] == 0
+            assert cn.PREDICTION_TABLE[entry] == 0
 
 
 def test_case_table_matches_closed_forms():
-    """Every key: (N1, N_I, N_II + N_III, N_IV) from their closed forms in the
-    signs, and the total of that vector in TABLE_IV_ROWS, NOT_ADMISSIBLE where
-    it is not a row there; every key of z = 0 (b = 0) reads all 0."""
-    assert cn.CASE_TABLE.shape == (729, len(cn.CASE_COLUMNS))
+    """Every (lead, pattern): (N1, N_I, N_II + N_III, N_IV) from their closed
+    forms in the signs, and the total of that vector in TABLE_IV_ROWS,
+    NOT_ADMISSIBLE where it is not a row there; every entry of z = 0 (b = 0)
+    reads all 0."""
+    assert cn.CASE_TABLE.shape == (2, 243, len(cn.CASE_COLUMNS))
     inadmissible = 0
-    for key, inputs in oracles.sign_key_inputs():
+    for entry, inputs in oracles.entry_inputs():
         row = oracles.case_row(**inputs)
         inadmissible += row[-1] == cn.NOT_ADMISSIBLE
-        assert cn.CASE_TABLE[key].tolist() == row, inputs
+        assert cn.CASE_TABLE[entry].tolist() == row, inputs
     assert inadmissible > 0
 
 
@@ -342,12 +345,12 @@ def test_prediction_by_z_matches_scalar(f3):
 
 
 def test_prediction_names_the_key_without_a_rule(f3, monkeypatch):
-    """The error names u, the first z with the broken key, and its signs."""
+    """The error names u, the first z with the broken entry, and its signs."""
     su = ScopedU(f3, u0_nonf3_elements(f3)[0])
-    key = int(su.sign_key[f3.slot(7)])
-    z = int(np.flatnonzero(oracles.in_element_order(f3, su.sign_key) == key)[0])
+    pattern = int(su.pattern[f3.slot(7)])
+    z = int(np.flatnonzero(oracles.in_element_order(f3, su.pattern) == pattern)[0])
     table = cn.PREDICTION_TABLE.copy()
-    table[key] = cn.NO_RULE
+    table[su.lead, pattern] = cn.NO_RULE
     monkeypatch.setattr(cn, "PREDICTION_TABLE", table)
     with pytest.raises(InconsistencyError, match="no condition matched") as exc:
         cn.prediction_by_z(su)
@@ -392,23 +395,24 @@ def test_verify_predictions_reports_a_raised_cell(f3, monkeypatch):
 
 
 def test_verify_predictions_reports_one_record_per_z(f3, monkeypatch):
-    """A wrong count for one sign key gives exactly one record per z with that
-    key, at (a, b) = (1, z): the row a = 1 stands for every a.  `EXPECTED` is
-    compiled from the wrong table, as the import would compile it."""
+    """A wrong count for one (lead, pattern) gives exactly one record per z
+    with that pattern, at (a, b) = (1, z): the row a = 1 stands for every a.
+    `EXPECTED` is compiled from the wrong table, as the import would compile
+    it."""
     u = u0_nonf3_elements(f3)[1]
     su = ScopedU(f3, u)
-    keys = oracles.in_element_order(f3, su.sign_key)
-    key = int(np.bincount(keys[1:]).argmax())  # the commonest key of a nonzero z
+    patterns = oracles.in_element_order(f3, su.pattern)
+    entry = su.lead, int(np.bincount(patterns[1:]).argmax())  # the commonest of a nonzero z
     wrong = cn.PREDICTION_TABLE.copy()
-    wrong[key] = (wrong[key] + 1) % 5
+    wrong[entry] = (wrong[entry] + 1) % 5
     monkeypatch.setattr(cn, "PREDICTION_TABLE", wrong)
     monkeypatch.setattr(cn, "EXPECTED", cn._expected(wrong, cn.CASE_TABLE))
     report = cn.verify_predictions(su)
-    zs = np.flatnonzero(keys == key)
+    zs = np.flatnonzero(patterns == entry[1])
     assert len(zs) > 1 and report["ok"] is False
     assert report["mismatches"] == [
         {"a": 1, "b": z, "z": z, "chi_signature": list(oracles.g_signs(su, z)),
-         "predicted": int(wrong[key]), "observed": oracles.ddt_entry_naive(f3, u, 1, z)}
+         "predicted": int(wrong[entry]), "observed": oracles.ddt_entry_naive(f3, u, 1, z)}
         for z in zs.tolist()
     ]
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import oracles
+from sampling import sample_u0_nonf3
 from nhspectrum import charsums as cs
 from nhspectrum import ness
 from nhspectrum.field import DEFAULT_FIELDS, make_context
@@ -160,21 +161,52 @@ def test_g_values_match_scalar(f5):
         vec = oracles.g_values(su, gid)
         for z in range(0, f5.q, 11):
             assert int(vec[z]) == oracles.g_eval(su, gid, z)
-            assert cs.SIGN_PATTERNS[su.sign_key[f5.slot(z)], gid] == f5.chi(int(vec[z]))
+            assert cs.PATTERN_SIGNS[su.lead, su.pattern[f5.slot(z)], gid] == f5.chi(int(vec[z]))
 
 
 def test_sign_matrix_matches_scalar_signs(scope_cases):
-    """The sign key, built from the zeros of the g family and decoded by
-    `SIGN_PATTERNS` into (chi(z), chi(g1(z)), ..., chi(g5(z))), equals chi of z
+    """`PATTERN_SIGNS` holds the signs of the factored g family at each lead
+    and pattern, and the pattern, built from the zeros of the g family and
+    decoded by it into (chi(z), chi(g1(z)), ..., chi(g5(z))), equals chi of z
     and of every g_i evaluated one z at a time."""
-    assert cs.SIGN_PATTERNS.tolist() == [list(s) for s in itertools.product((-1, 0, 1), repeat=6)]
+    assert cs.PATTERN_SIGNS.shape == (2, 243, 6) and cs.PATTERN_SIGNS.dtype == np.int8
+    assert not cs.PATTERN_SIGNS.flags.writeable
+    for lead, pattern in itertools.product(range(2), range(243)):
+        assert tuple(cs.PATTERN_SIGNS[lead, pattern]) == oracles.entry_signs(lead, pattern)
     for ctx, us in scope_cases:
         for u in us:
             su = cs.ScopedU(ctx, u)
-            assert su.sign_key.shape == (ctx.q,) and su.sign_key.dtype == np.int16
+            assert su.pattern.shape == (ctx.q,) and su.pattern.dtype == np.uint8
             expected = np.array([(ctx.chi(z), *oracles.g_signs(su, z)) for z in range(ctx.q)])
-            keys = oracles.in_element_order(ctx, su.sign_key)
-            assert np.array_equal(cs.SIGN_PATTERNS[keys], expected), (ctx.n, u)
+            assert np.array_equal(oracles.signs_by_z(su), expected), (ctx.n, u)
+
+
+def _assert_lead_identity(su):
+    """chi(1+r) = -chi(1+u) with 1+u+r != 0, and `lead` is 1 exactly where
+    chi(u+1) = -1."""
+    ctx, u, r = su.ctx, su.u, su.r
+    chi_u1 = ctx.chi(ctx.add(1, u))
+    assert ctx.add(ctx.add(1, u), r) != 0, u
+    assert ctx.chi(ctx.add(1, r)) == -chi_u1, u
+    assert su.lead == (chi_u1 == -1), u
+
+
+@pytest.mark.parametrize("n, modulus", [
+    (3, None), (5, None), (7, None), (5, "220001"), (7, "22200001"),
+])
+def test_lead_identity_holds_in_scope(n, modulus):
+    """(1+u)(1+r) = -(1+u+r)^2 in characteristic 3, so the leads of g1 and g5
+    are (-chi(u+1), chi(u+1)): checked at every in-scope u."""
+    ctx = make_context(n, modulus)
+    for u in range(ctx.q):
+        if cs.classify_u(ctx, u) == cs.CLASS_U0:
+            _assert_lead_identity(cs.ScopedU(ctx, u))
+
+
+def test_lead_identity_holds_sampled_n9():
+    ctx = make_context(9)
+    for u in sample_u0_nonf3(ctx, 500, seed=9):
+        _assert_lead_identity(cs.ScopedU(ctx, u))
 
 
 @pytest.mark.parametrize("n, modulus, generator, stride", [
@@ -182,7 +214,7 @@ def test_sign_matrix_matches_scalar_signs(scope_cases):
 ])
 def test_rotation_tables_hold_for_a_supplied_modulus(n, modulus, generator, stride):
     """On a supplied modulus, where `_find_generator` picks g, the scope mask and
-    the sign key, both read from rotations of chi(g^m - 1), equal the scalar
+    the pattern, both read from rotations of chi(g^m - 1), equal the scalar
     scope rule at every u and the scalar signs at every z (every in-scope u at
     n = 5, every stride-th at n = 7)."""
     ctx = make_context(n, modulus)
@@ -192,17 +224,16 @@ def test_rotation_tables_hold_for_a_supplied_modulus(n, modulus, generator, stri
     for u in scope[::stride]:
         su = cs.ScopedU(ctx, u)
         expected = np.array([(ctx.chi(z), *oracles.g_signs(su, z)) for z in range(ctx.q)])
-        keys = oracles.in_element_order(ctx, su.sign_key)
-        assert np.array_equal(cs.SIGN_PATTERNS[keys], expected), u
+        assert np.array_equal(oracles.signs_by_z(su), expected), u
 
 
 def test_sign_matrix_sums_match_field_products(scope_cases):
     """Every product of the g family, read from `ScopedU.product_sums` (the
-    729-bin sign-key histogram times `SIGN_PRODUCTS`), equals chi of the
-    polynomials multiplied in the field; column m holds g_i for each set bit
-    i - 1 of m, and the empty product, column 0, sums to q."""
-    assert cs.SIGN_PRODUCTS.shape == (len(cs.SIGN_PATTERNS), 32)
-    assert cs.SIGN_PRODUCTS.dtype == np.int8 and not cs.SIGN_PRODUCTS.flags.writeable
+    243-bin pattern histogram times the lead row of u in `PATTERN_PRODUCTS`),
+    equals chi of the polynomials multiplied in the field; column m holds g_i
+    for each set bit i - 1 of m, and the empty product, column 0, sums to q."""
+    assert cs.PATTERN_PRODUCTS.shape == (2, 32, 243)
+    assert cs.PATTERN_PRODUCTS.dtype == np.int8 and not cs.PATTERN_PRODUCTS.flags.writeable
     subsets = [gids for k in range(1, 6) for gids in itertools.combinations(cs.G_IDS, k)]
     assert len(subsets) == 31
     for ctx, us in scope_cases:

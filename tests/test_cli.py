@@ -229,17 +229,17 @@ def test_census_records_consistent():
 
 
 def test_census_reads_the_prediction_at_every_z(monkeypatch):
-    """census reads one prediction vector per u: a sign key without a rule
+    """census reads one prediction vector per u: a pattern without a rule
     stops the run before the u's records, naming the first z that has it."""
     ctx = make_context(3)
     su = charsums.ScopedU(ctx, int(u0_nonf3_elements(ctx)[0]))
     table = census_mod.PREDICTION_TABLE.copy()
-    table[su.sign_key[ctx.slot(7)]] = census_mod.NO_RULE
+    table[su.lead, su.pattern[ctx.slot(7)]] = census_mod.NO_RULE
     monkeypatch.setattr(census_mod, "PREDICTION_TABLE", table)
     status, out, err = _run("census", u=ctx.format_element(su.u))
     assert (status, out) == (1, "")
-    keys = [int(su.sign_key[ctx.slot(z)]) for z in range(ctx.q)]
-    z = keys.index(keys[7])
+    patterns = [int(su.pattern[ctx.slot(z)]) for z in range(ctx.q)]
+    z = patterns.index(patterns[7])
     assert json.loads(err)["detail"] == (f"no condition matched at u={ctx.format_element(su.u)} "
                                          f"z={ctx.format_element(z)} "
                                          f"signs={census_mod.g_signs(su, z)}")
@@ -426,11 +426,6 @@ def test_closed_stdout_stops_the_sweep_with_status_141():
     assert json.loads(first)["match"] is True
 
 
-# The commands that read the sign key of every z: the proposition sweep and
-# the census; the character sums read the pattern histogram alone.
-SIGN_KEY_READERS = {"scan", "verify-propositions", "census"}
-
-
 @pytest.mark.parametrize("command, ddt_rows_per_u", [
     ("scan", 1), ("verify-theorem", 1), ("spectrum", 1), ("census", 1),
     ("verify-lemmas", 0), ("verify-propositions", 1),
@@ -438,14 +433,13 @@ SIGN_KEY_READERS = {"scan", "verify-propositions", "census"}
 def test_one_build_per_u(monkeypatch, command, ddt_rows_per_u):
     """Every scope command checks the scope once per u (in ScopedU), builds
     one character pattern per u, runs no Horner pass (no `char_sum` anywhere
-    in the library) and counts at most one DDT row per u.  The sign key is
-    built once per u by the commands that read it and never by the others.
-    Nothing per u works in element order: g^m - 1 is worked out for every m
-    once per run for the table chi(g^m - 1) that the scope mask and the
-    pattern share, and once more for the Zech tables of the DDT row, which
-    are built once per run and never by verify-lemmas, which reads no DDT;
-    and one gather goes back from log order (the scope mask)."""
-    counts = {"pattern": 0, "sign_key": 0, "char_sum": 0, "ddt_row": 0, "minus_one": 0,
+    in the library) and counts at most one DDT row per u.  Nothing per u
+    works in element order: g^m - 1 is worked out for every m once per run
+    for the table chi(g^m - 1) that the scope mask and the pattern share,
+    and once more for the Zech tables of the DDT row, which are built once
+    per run and never by verify-lemmas, which reads no DDT; and one gather
+    goes back from log order (the scope mask)."""
+    counts = {"pattern": 0, "char_sum": 0, "ddt_row": 0, "minus_one": 0,
               "from_log_order": 0, "zech": 0, "classify_u": 0}
 
     def counted(owner, attr, key):
@@ -458,7 +452,6 @@ def test_one_build_per_u(monkeypatch, command, ddt_rows_per_u):
         monkeypatch.setattr(owner, attr, wrapper)
 
     counted(charsums.ScopedU.pattern, "func", "pattern")
-    counted(charsums.ScopedU.sign_key, "func", "sign_key")
     counted(field, "_minus_one", "minus_one")
     counted(FieldCtx, "from_log_order", "from_log_order")
     counted(FieldCtx._zech, "func", "zech")
@@ -470,8 +463,7 @@ def test_one_build_per_u(monkeypatch, command, ddt_rows_per_u):
     k = 4
     status, out, _ = _run(command, n=5, u=f"sample:{k}:1")
     assert status == 0 and len({rec["u"] for rec in _json_lines(out)}) == k
-    assert counts == {"pattern": k, "sign_key": k if command in SIGN_KEY_READERS else 0,
-                      "char_sum": 0, "ddt_row": ddt_rows_per_u * k,
+    assert counts == {"pattern": k, "char_sum": 0, "ddt_row": ddt_rows_per_u * k,
                       "minus_one": 1 + ddt_rows_per_u, "from_log_order": 1,
                       "zech": ddt_rows_per_u,
                       "classify_u": k}

@@ -617,7 +617,7 @@ def test_difference_row_matches_scalar_count(n, modulus):
         pairs = [(c1, c2) for c1 in cs for c2 in cs if c1 or c2]
     for c1, c2 in pairs:
         row = ctx.difference_row(c1, c2)
-        assert row.dtype == np.int64
+        assert row.dtype == np.int32
         assert row.tolist() == _difference_counts(ctx, c1, c2), (c1, c2)
 
 

@@ -6,6 +6,10 @@ that keeps the program's output must keep every digest.  To record the
 file again (only when an output change is intended):
 
     PYTHONPATH=src python tests/test_golden.py > tests/data/golden_stdout.json
+
+The recorder writes nothing and exits non-zero, naming the cases, when a
+case's run status is not 0, so a digest never pins the stdout of a failing
+run.
 """
 
 import hashlib
@@ -74,5 +78,20 @@ def test_stdout_matches_golden(case):
     assert digest == expected
 
 
+def record(case_list) -> dict[str, str]:
+    """The digest of each case; raises SystemExit naming every case whose run
+    status is not 0."""
+    results = {case_id(*c): stdout_digest(*c) for c in case_list}
+    failed = [f"{case} (status {status})" for case, (status, _) in results.items() if status]
+    if failed:
+        raise SystemExit("not recorded, a run failed: " + ", ".join(failed))
+    return {case: digest for case, (_, digest) in results.items()}
+
+
+def test_recorder_refuses_a_failing_run():
+    with pytest.raises(SystemExit, match=r"spectrum\|n=3\|u=nope\|seed=0\|json \(status 2\)"):
+        record([("spectrum", 3, "all", 0, "json"), ("spectrum", 3, "nope", 0, "json")])
+
+
 if __name__ == "__main__":
-    print(json.dumps({case_id(*c): stdout_digest(*c)[1] for c in cases()}, indent=1, sort_keys=True))
+    print(json.dumps(record(cases()), indent=1, sort_keys=True))

@@ -75,7 +75,7 @@ def test_every_public_name_has_a_caller():
         for cls in tree.body:
             if isinstance(cls, ast.ClassDef):
                 checked.update({f"{cls.name}.{name}": name for name in _public_defs(cls.body)})
-    assert {"FieldCtx.add", "ScopedU.sign_key", "ScopedU.product_sum", "cli.run"} <= set(checked)
+    assert {"FieldCtx.add", "ScopedU.pattern", "ScopedU.product_sum", "cli.run"} <= set(checked)
     in_library, in_perfbench = _used_names(LIBRARY), _used_names(ROOT / "perfbench")
     used = in_library | in_perfbench
     assert sorted(label for label, name in checked.items() if name not in used) == []

@@ -13,13 +13,13 @@ wrongly compiled proposition table; a DDT row read at the wrong a; a
 rotation one step off; a Zech offset one step off; a branch swapped; a
 giant step one power too far; a prime dropped from the generator search;
 two product columns swapped; a case total off by one; a plane sum one
-term wrong; two lead rows of the pattern keys swapped; an expected count
-off by one), so that they run on every change.  A mutant of a table build
-rewrites one fragment of the build's source (`rewritten`), since the table
-is a local of that build.  A mutant of a table that the import compiles
+term wrong; the two lead rows of the pattern signs swapped; an expected
+count off by one), so that they run on every change.  A mutant of a table
+build rewrites one fragment of the build's source (`rewritten`), since the
+table is a local of that build.  A mutant of a table that the import compiles
 into another also installs the other compiled from it, as the import would
-(`PATTERN_PRODUCTS` from `SIGN_PRODUCTS` and `KEY_BY_PATTERN`, `EXPECTED`
-from `PREDICTION_TABLE` and `CASE_TABLE`).
+(`PATTERN_PRODUCTS`, `PREDICTION_TABLE` and `CASE_TABLE` from
+`PATTERN_SIGNS`, `EXPECTED` from `PREDICTION_TABLE` and `CASE_TABLE`).
 """
 
 import inspect
@@ -32,7 +32,7 @@ import pytest
 import oracles
 from nhspectrum import charsums, cli, field, ness
 from nhspectrum import solution_census as cn
-from nhspectrum.charsums import SIGN_PATTERNS, ScopedU
+from nhspectrum.charsums import ScopedU
 from nhspectrum.field import DEFAULT_FIELDS, FieldCtx, InconsistencyError, built_once, make_context
 from nhspectrum.spectrum import u0_nonf3_elements
 
@@ -75,12 +75,12 @@ def zero_coefficient_rows_match_table(ctx) -> bool:
 
 
 def sign_key_matches_g_values(ctx) -> bool:
-    """The signs of `sign_key` equal chi of z and of `g_values` at every z."""
+    """The signs decoded from the pattern of z (`oracles.signs_by_z`) equal
+    chi of z and of `g_values` at every z."""
     zs = np.arange(ctx.q)
     for su in _scope(ctx):
         values = np.stack([zs, *(oracles.g_values(su, gid) for gid in charsums.G_IDS)], axis=1)
-        keys = oracles.in_element_order(ctx, su.sign_key)
-        if not np.array_equal(SIGN_PATTERNS[keys], ctx.chi_vec(values)):
+        if not np.array_equal(oracles.signs_by_z(su), ctx.chi_vec(values)):
             return False
     return True
 
@@ -128,15 +128,15 @@ def product_sums_match_field_products(ctx) -> bool:
 
 
 def case_table_matches_closed_forms(ctx) -> bool:
-    """`CASE_TABLE` at every sign key equals `oracles.case_row`."""
-    return all(cn.CASE_TABLE[key].tolist() == oracles.case_row(**inputs)
-               for key, inputs in oracles.sign_key_inputs())
+    """`CASE_TABLE` at every (lead, pattern) equals `oracles.case_row`."""
+    return all(cn.CASE_TABLE[entry].tolist() == oracles.case_row(**inputs)
+               for entry, inputs in oracles.entry_inputs())
 
 
 def expected_follows_tables(ctx) -> bool:
-    """`EXPECTED` equals `PREDICTION_TABLE` at every key where that equals
-    the `CASE_TABLE` total, and is negative at every other key."""
-    prediction, total = cn.PREDICTION_TABLE, cn.CASE_TABLE[:, cn.CASE_COLUMNS.index("total")]
+    """`EXPECTED` equals `PREDICTION_TABLE` at every entry where that equals
+    the `CASE_TABLE` total, and is negative at every other entry."""
+    prediction, total = cn.PREDICTION_TABLE, cn.CASE_TABLE[..., cn.CASE_COLUMNS.index("total")]
     agree = prediction == total
     return (np.array_equal(cn.EXPECTED[agree], prediction[agree])
             and bool((cn.EXPECTED[~agree] < 0).all()))
@@ -197,11 +197,11 @@ def rewritten(owner, name: str, fragment: str, mutant: str):
     return mutate
 
 
-def _commonest_key(ctx) -> int:
-    """The commonest sign key of a nonzero z (every slot but the last) in the
-    scope of ctx."""
-    keys = np.concatenate([su.sign_key[:-1] for su in _scope(ctx)])
-    return int(np.bincount(keys).argmax())
+def _commonest_entry(ctx) -> tuple[int, int]:
+    """The commonest (lead, pattern) of a nonzero z (every slot but the last)
+    in the scope of ctx."""
+    codes = np.concatenate([su.pattern[:-1] + 243 * np.int64(su.lead) for su in _scope(ctx)])
+    return divmod(int(np.bincount(codes).argmax()), 243)
 
 
 def install_census_tables(monkeypatch, prediction, cases):
@@ -211,56 +211,52 @@ def install_census_tables(monkeypatch, prediction, cases):
     monkeypatch.setattr(cn, "EXPECTED", cn._expected(prediction, cases))
 
 
-def install_pattern_tables(monkeypatch, sign_products, key_by_pattern):
-    """`SIGN_PRODUCTS` and `KEY_BY_PATTERN`, and `PATTERN_PRODUCTS` compiled
-    from them."""
-    monkeypatch.setattr(charsums, "SIGN_PRODUCTS", sign_products)
-    monkeypatch.setattr(charsums, "KEY_BY_PATTERN", key_by_pattern)
-    monkeypatch.setattr(charsums, "PATTERN_PRODUCTS",
-                        charsums._pattern_products(sign_products, key_by_pattern))
+def install_pattern_signs(monkeypatch, signs):
+    """`PATTERN_SIGNS`, and `PATTERN_PRODUCTS` and the census tables compiled
+    from it."""
+    for module in (charsums, cn):
+        monkeypatch.setattr(module, "PATTERN_SIGNS", signs)
+    monkeypatch.setattr(charsums, "PATTERN_PRODUCTS", charsums._pattern_products(signs))
+    install_census_tables(monkeypatch, *cn._compile_conditions(signs))
 
 
 def shift_one_prediction(monkeypatch, ctx):
-    """`PREDICTION_TABLE` off by one at the commonest sign key, as the compiled
-    table would be if one rule or its compilation were wrong."""
-    key = _commonest_key(ctx)
+    """`PREDICTION_TABLE` off by one at the commonest (lead, pattern), as the
+    compiled table would be if one rule or its compilation were wrong."""
+    entry = _commonest_entry(ctx)
     wrong = cn.PREDICTION_TABLE.copy()
-    wrong[key] = (wrong[key] + 1) % 5
+    wrong[entry] = (wrong[entry] + 1) % 5
     install_census_tables(monkeypatch, wrong, cn.CASE_TABLE)
 
 
 def shift_one_total(monkeypatch, ctx):
-    """The `CASE_TABLE` total one too large at the commonest sign key."""
+    """The `CASE_TABLE` total one too large at the commonest (lead, pattern)."""
     wrong = cn.CASE_TABLE.copy()
-    wrong[_commonest_key(ctx), -1] += 1
+    wrong[(*_commonest_entry(ctx), -1)] += 1
     install_census_tables(monkeypatch, cn.PREDICTION_TABLE, wrong)
 
 
 def shift_one_expected(monkeypatch, ctx):
-    """`EXPECTED` off by one at the commonest sign key, as the table would be
-    if its compilation from the other two were wrong."""
-    key = _commonest_key(ctx)
+    """`EXPECTED` off by one at the commonest (lead, pattern), as the table
+    would be if its compilation from the other two were wrong."""
+    entry = _commonest_entry(ctx)
     wrong = cn.EXPECTED.copy()
-    wrong[key] = (wrong[key] + 1) % 5
+    wrong[entry] = (wrong[entry] + 1) % 5
     monkeypatch.setattr(cn, "EXPECTED", wrong)
 
 
 def swap_gamma3_column(monkeypatch, ctx):
-    """`SIGN_PRODUCTS` columns 9 (g1 g4, the product of gamma3) and 10 (g2 g4)
-    swapped."""
-    wrong = charsums.SIGN_PRODUCTS.copy()
+    """`PATTERN_PRODUCTS` columns 9 (g1 g4, the product of gamma3) and 10
+    (g2 g4) swapped."""
+    wrong = charsums.PATTERN_PRODUCTS.copy()
     wrong[:, [9, 10]] = wrong[:, [10, 9]]
-    install_pattern_tables(monkeypatch, wrong, charsums.KEY_BY_PATTERN)
+    monkeypatch.setattr(charsums, "PATTERN_PRODUCTS", wrong)
 
 
 def swap_lead_rows(monkeypatch, ctx):
-    """`KEY_BY_PATTERN` with the rows of the lead signs (1, -1) and (-1, 1) of
-    g1 and g5 swapped: every in-scope u met so far takes one of these two
-    (all u at n = 3, 5 and 7, samples at n = 9 and 11)."""
-    rows = [charsums.LEADS.index(leads) for leads in ((1, -1), (-1, 1))]
-    wrong = charsums.KEY_BY_PATTERN.copy()
-    wrong[rows] = wrong[rows[::-1]]
-    install_pattern_tables(monkeypatch, charsums.SIGN_PRODUCTS, wrong)
+    """`PATTERN_SIGNS` with its two lead rows swapped, so that the signs of
+    g1 and g5 are flipped at every u."""
+    install_pattern_signs(monkeypatch, charsums.PATTERN_SIGNS[::-1].copy())
 
 
 def count_row_g(monkeypatch, ctx):
@@ -340,13 +336,13 @@ MUTANTS = {
         (searched_generator_is_tabled, searched_field_certifies),
     ),
     # chi(prod g_i) = prod chi(g_i): one table column per product of the g family
-    "charsums.SIGN_PRODUCTS": (
+    "charsums.PATTERN_PRODUCTS": (
         swap_gamma3_column, 3,
         (product_sums_match_field_products, command_passes("verify-theorem")),
     ),
-    # the signs depend on z through the five chi(z - a) and on u through the
-    # leads of g1 and g5: one sign key per pattern and lead row
-    "charsums.KEY_BY_PATTERN": (
+    # the signs depend on z through the five chi(z - a) and on u through
+    # chi(u+1), the leads of g1 and g5: one sign vector per lead and pattern
+    "charsums.PATTERN_SIGNS": (
         swap_lead_rows, 3,
         (sign_key_matches_g_values, product_sums_match_field_products),
     ),
