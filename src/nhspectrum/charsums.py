@@ -19,9 +19,9 @@ A = {0, 1+u, 1-u, -1+r, -1-r} (`set_a_points`).  Since chi is
 multiplicative (chi(0) = 0), chi(g_i(z)) is chi of the leading coefficient
 times the product of chi(z - a) over the zeros a of g_i.  So every sign
 depends on z only through the five characters chi(z - a), and
-`ScopedU.pattern` stores them as one byte per z, one of 243 patterns read
-from the five columns chi(z - a) (`FieldCtx.chi_minus`), with no field
-addition per u.  Only g1 and g5 have a leading coefficient other than 1,
+`ScopedU.pattern` stores them as one byte per z, one of 243 patterns packed
+by `FieldCtx.chi_pattern` from slices of one table per field, with no
+field addition per u.  Only g1 and g5 have a leading coefficient other than 1,
 and their signs are -chi(u+1) and chi(u+1), so one bit of u
 (`ScopedU.lead`) and the pattern of z give every sign: `PATTERN_SIGNS`
 holds (s0, ..., s5) for each lead and pattern, a sixth sign chi(g0(z))
@@ -29,7 +29,7 @@ with g0(z) = z riding along, and `PATTERN_PRODUCTS`, compiled from it at
 import, chi of each product of the g_i.  Every character sum of a product
 of the g_i is a dot product of the pattern histogram with one of the 32
 vectors of the lead row of u, so one matrix-vector product gives all 32
-(`ScopedU.product_sums`).  The pattern stays in the log order of the
+(`ScopedU.product_sums`, kept as 32 ints).  The pattern stays in the log order of the
 columns (slot `FieldCtx.slot(z)` for z), as does the DDT row `ScopedU.row`,
 so they are compared slot by slot and nothing per u is gathered back to
 element order.  The tests keep the polynomials evaluated over the field as
@@ -151,29 +151,21 @@ class ScopedU:
     def pattern(self) -> np.ndarray:
         """uint8 per z, in log order (slot `FieldCtx.slot(z)`, z = 0 last): the
         sum over i of 3^i (chi(z - a_i) + 1), a_i the points of `set_a_points`,
-        one of 243 patterns.  Horner over the columns `FieldCtx.chi_minus` wraps
-        around mod 256 in uint8, which is exact, as every result is below 243."""
-        ctx = self.ctx
-        *points, last = set_a_points(self)
-        pattern = ctx.chi_minus(last).view(np.uint8)
-        for a in reversed(points):
-            pattern *= 3
-            pattern += ctx.chi_minus(a).view(np.uint8)
-        pattern += 121  # 11111 in base 3
-        return pattern
+        one of 243 patterns (`FieldCtx.chi_pattern`)."""
+        return self.ctx.chi_pattern(set_a_points(self))
 
     @built_once
-    def product_sums(self) -> np.ndarray:
+    def product_sums(self) -> list[int]:
         """Sum over z of chi of the product of the g_i selected by m, for each
         column m of `PATTERN_PRODUCTS`: the lead row of u there times the
-        pattern histogram (how many z carry each of the 243 patterns); int64,
-        exact."""
+        pattern histogram (how many z carry each of the 243 patterns), exact
+        in int64, as 32 ints."""
         products = PATTERN_PRODUCTS[self.lead]
-        return products @ np.bincount(self.pattern, minlength=products.shape[1])
+        return (products @ np.bincount(self.pattern, minlength=products.shape[1])).tolist()
 
     def product_sum(self, *gids: int) -> int:
         """Sum over z of chi(prod of the selected g_i), gids in increasing order."""
-        return int(self.product_sums[_COLUMN[gids]])
+        return self.product_sums[_COLUMN[gids]]
 
     @built_once
     def row(self) -> np.ndarray:

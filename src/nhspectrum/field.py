@@ -35,18 +35,20 @@ The scalar ops and the vector kernels are gathers from small tables:
   2q - 3 and the antilog table runs on to 4q - 5 entries, periodic up to
   index 2q - 4 and zero beyond, so no zero mask and no reduction mod q - 1
   is needed.
-* The quadratic character is one int8 table, and C[m] = chi(g^m - 1) one
-  more (``_chi_rotations``).  g^m - 1 differs from g^m in digit 0 alone
-  (``_minus_one``), so C, like the Zech table Z-(m) = log(g^m - 1) of the
-  DDT row, needs no field addition.
+* The quadratic character is one int8 table.  e - 1 differs from e in
+  digit 0 alone, so a table T in element order read at e - 1 is T as a
+  (q / 3, 3) grid with its columns turned one place (``_neighbour``), and
+  no field addition is needed for C[m] = chi(g^m - 1), kept as the uint8
+  D+ = C + 1 and D- = 1 - C (``_chi_columns``), nor for the Zech table
+  Z-(m) = log(g^m - 1) of the DDT row: each is one gather of a turned
+  table at the antilogs.
 * The per-u vectors live in log order, where slot k holds g^k and zero the
   last slot (``slot`` and ``element_at`` map one element each way), and
-  two kernels fill them with no field addition per u: ``chi_minus``
-  (chi(z - a) as a rotation of C, for the pattern and the scope mask) and
-  ``difference_row`` (the DDT row from Zech logarithms, Huber, "Some
-  comments on Zech's logarithms", 1990, for `ness.ddt_row`).
-  ``from_log_order``, one clipped gather back to element order, serves the
-  scope mask once per run.
+  two kernels fill them with no field addition per u: ``chi_pattern``
+  (the characters chi(z - a) of up to five points packed in base 3, each
+  column a slice of D+ or D-, for the pattern) and ``difference_row`` (the
+  DDT row from Zech logarithms, Huber, "Some comments on Zech's
+  logarithms", 1990, for `ness.ddt_row`).
 
 The log tables are built in two stages, baby steps and giant steps, with
 S = 3^(ceil(n/2) + 1) baby steps (all q - 1 for n = 3) and R = ceil((q - 1)
@@ -88,7 +90,7 @@ P = 3
 # Table ceiling.  The pairwise sum table needs q*q ints and stays cheap up to
 # this size.  Every resident table is O(q) and has no ceiling: at n = 13 the
 # int32 log pair takes about 32 MB, the uint16 bit planes 6.4 MB, the Zech
-# tables of the DDT row 16 MB, C 3.2 MB and the int8 character 1.6 MB.
+# tables of the DDT row 16 MB, D+ and D- 6.4 MB and the int8 character 1.6 MB.
 PAIR_TABLE_MAX_Q = P**7
 
 # The default field per n: (modulus digits, generator).  The modulus is the
@@ -222,10 +224,9 @@ def _factorize(m: int) -> list[int]:
 class FieldCtx:
     """GF(3^n) with a verified irreducible modulus and primitive element.
 
-    All scalar operations accept and return element indices (ints).  The
-    vector kernels (``chi_vec`` and the log-order kernels) exist for
-    full-field scans and read the same tables as the scalar ops.
-    Characters come back as int8.
+    Scalar operations take element indices (ints, numpy ints or 0-d arrays)
+    and return Python ints.  ``chi_table`` and the vector kernels (``chi_vec``
+    and the log-order kernels) serve full-field scans from the same tables.
     """
 
     def __init__(self, n: int, modulus: Optional[PolyLike] = None):
@@ -295,20 +296,22 @@ class FieldCtx:
     # -- scalar arithmetic ----------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        ones, twos, _ = self._planes
-        return int(self._plane_sum(ones[a], twos[a], ones[b], twos[b]))
+        ones, twos, value = self._planes
+        sum1, sum2 = self._plane_sum(ones.item(a), twos.item(a), ones.item(b), twos.item(b))
+        return value.item(sum1) + 2 * value.item(sum2)
 
     def neg(self, a: int) -> int:
         return self.sub(0, a)
 
     def sub(self, a: int, b: int) -> int:
         """a + (-b): negation swaps the digits 1 and 2, so it swaps the two planes of b."""
-        ones, twos, _ = self._planes
-        return int(self._plane_sum(ones[a], twos[a], twos[b], ones[b]))
+        ones, twos, value = self._planes
+        sum1, sum2 = self._plane_sum(ones.item(a), twos.item(a), twos.item(b), ones.item(b))
+        return value.item(sum1) + 2 * value.item(sum2)
 
     def mul(self, a: int, b: int) -> int:
         log, alog = self._log_tables
-        return int(alog[log[a] + log[b]])
+        return alog.item(log.item(a) + log.item(b))
 
     def pow(self, a: int, e: int) -> int:
         """a**e through the discrete logs; 0**0 == 1 by convention."""
@@ -317,21 +320,21 @@ class FieldCtx:
         if a == 0:
             return 1 if e == 0 else 0
         log, alog = self._log_tables
-        return int(alog[(int(log[a]) * e) % (self.q - 1)])
+        return alog.item(log.item(a) * e % (self.q - 1))
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("zero has no multiplicative inverse")
         log, alog = self._log_tables
-        return int(alog[self.q - 1 - log[a]])
+        return alog.item(self.q - 1 - log.item(a))
 
     def chi(self, a: int) -> int:
         """Quadratic character: +1 on nonzero squares, -1 on nonsquares, 0 at 0.
 
         The generator is a nonsquare, so a is a square exactly when its
-        discrete log is even (`_chi_table`).
+        discrete log is even (`chi_table`).
         """
-        return int(self._chi_table[a])
+        return self.chi_table.item(a)
 
     def sqrt_canonical(self, a: int) -> int:
         """The square root r of a with chi(r) == +1.
@@ -449,26 +452,35 @@ class FieldCtx:
         low_digits = _digit_rows(h)  # n - h <= h: its head holds the high digits too
         low = low_digits @ c_mat[:h] % P @ weights
         high = low_digits[:P**(n - h), :n - h] @ c_mat[h:] % P @ weights
-        ones, twos, _ = self._planes
+        ones, twos, value = self._planes
         low1, low2, high1, high2 = ones[low], twos[low], ones[high, None], twos[high, None]
         out = np.empty((len(high), len(low)), dtype=np.int32)
         rows = max(1, 2**15 // len(low))
         for i in range(0, len(high), rows):
-            out[i:i + rows] = self._plane_sum(high1[i:i + rows], high2[i:i + rows], low1, low2)
+            sum1, sum2 = self._plane_sum(high1[i:i + rows], high2[i:i + rows], low1, low2)
+            out[i:i + rows] = value[sum1] + 2 * value[sum2]
         return out.ravel()
 
     @built_once
-    def _chi_table(self) -> np.ndarray:
-        """int8 quadratic character of every element (see `chi`)."""
+    def chi_table(self) -> np.ndarray:
+        """int8 quadratic character of every element, indexed by the element
+        (see `chi`); read-only."""
         chi = (1 - 2 * (self._log_tables[0] & 1)).astype(np.int8)
         chi[0] = 0
         return _frozen(chi)
 
     @built_once
-    def _chi_rotations(self) -> np.ndarray:
-        """int8 C[m] = chi(g**m - 1), m < q - 1, twice over: a rotation of C is a slice."""
-        table = self._chi_table[_minus_one(self._log_tables[1][:self.q - 1])]
-        return _frozen(np.concatenate([table, table]))
+    def _chi_columns(self) -> np.ndarray:
+        """(2, 2q - 2) uint8: the rows D+ = C + 1 and D- = 1 - C, C[m] =
+        chi(g**m - 1) for m < q - 1, each twice over, so that a rotation of C
+        is a slice (see `chi_pattern`)."""
+        q = self.q
+        c = _neighbour(self.chi_table)[self._log_tables[1][:q - 1]]
+        columns = np.empty((2, 2, q - 1), dtype=np.int8)
+        np.add(c, 1, out=columns[0, 0])
+        np.subtract(1, c, out=columns[1, 0])
+        columns[:, 1] = columns[:, 0]
+        return _frozen(columns.view(np.uint8).reshape(2, 2 * q - 2))
 
     def digit_table(self) -> np.ndarray:
         """(q, n) int8 array: base-3 digits of every element index, built per call."""
@@ -479,55 +491,59 @@ class FieldCtx:
         size ceiling."""
         if self.q > PAIR_TABLE_MAX_Q:
             return None
-        ones, twos, _ = self._planes
-        return _frozen(self._plane_sum(ones[:, None], twos[:, None], ones, twos))
+        ones, twos, value = self._planes
+        sum1, sum2 = self._plane_sum(ones[:, None], twos[:, None], ones, twos)
+        return _frozen(value[sum1] + 2 * value[sum2])
 
     # -- vectorised arithmetic on index arrays ----------------------------------
 
-    def _plane_sum(self, a1, a2, b1, b2) -> np.ndarray:
-        """Element index of the digit-wise sum mod 3 of two plane pairs.
+    def _plane_sum(self, a1, a2, b1, b2):
+        """(ones, twos): the planes of the digit-wise sum mod 3 of two plane
+        pairs, ints or arrays; the element is value[ones] + 2 value[twos].
 
         Boothby & Bradshaw (2009): with t = (a1 | b2) ^ (a2 | b1), the sum has
         ones plane (a2 | b2) ^ t and twos plane (a1 | b1) ^ t.
         """
-        value = self._planes[2]
         t = (a1 | b2) ^ (a2 | b1)
-        out = value[(a1 | b1) ^ t]
-        out *= 2
-        out += value[(a2 | b2) ^ t]
-        return out
+        return (a2 | b2) ^ t, (a1 | b1) ^ t
 
     def chi_vec(self, a) -> np.ndarray:
         """Quadratic character of every entry, values in {-1, 0, +1}."""
-        return self._chi_table[np.asarray(a)]
+        return self.chi_table[np.asarray(a)]
 
     # -- log order: slot k holds g**k for k < q - 1, and zero the last slot ------
 
-    def from_log_order(self, vec: np.ndarray) -> np.ndarray:
-        """A log-order vector in element order: the zero sentinel clips to the last slot."""
-        return vec.take(self._log_tables[0], mode="clip")
-
-    def chi_minus(self, a: int) -> np.ndarray:
-        """int8 chi(z - a) for every z, in log order.  As g**k - g**j =
-        g**j (g**(k-j) - 1), for a = g**j it is chi(a) times C rotated by -j
-        (`_chi_rotations`); for a = 0 it alternates +1, -1.  At z = 0 it is -chi(a)."""
-        q, chi_a = self.q, self.chi(a)
-        out = np.empty(q, dtype=np.int8)
-        if a:
-            start = q - 1 - int(self._log_tables[0][a])
-            np.multiply(self._chi_rotations[start:start + q - 1], chi_a, out=out[:-1])
-        else:  # (-1)**k: one int16 fill of the byte pair (1, -1) beats a strided write
-            out[:-1].view(np.int16).fill(np.array([1, -1], dtype=np.int8).view(np.int16)[0])
-        out[-1] = -chi_a
+    def chi_pattern(self, points: Sequence[int]) -> np.ndarray:
+        """uint8 sum over i of 3**i (chi(z - a_i) + 1) for every z, in log
+        order, for at most five points a_i.  As g**k - g**j = g**j (g**(k-j) -
+        1) and chi(g**j) = (-1)**j, for a = g**j the column chi(z - a) + 1 is
+        D+ (j even) or D- (j odd) rotated by -j, a slice of `_chi_columns`;
+        for a = 0 it alternates 2, 0.  At z = 0 it is 1 - chi(a).  Horner's
+        rule runs in place in uint8, exact as every partial sum is below 243."""
+        q, log, columns = self.q, self._log_tables[0], self._chi_columns
+        out = np.zeros(q, dtype=np.uint8)
+        body, zero_slot = out[:-1], 0
+        pairs = body.view(np.uint16)
+        for i, a in enumerate(reversed(points)):
+            if i:
+                body *= 3
+            if a:
+                j = log.item(a)
+                body += columns[j & 1, q - 1 - j:2 * q - 2 - j]
+                zero_slot = 3 * zero_slot + 2 * (j & 1)
+            else:  # one uint16 add of the byte pair (2, 0) beats a strided add
+                pairs += _TWO_ZERO
+                zero_slot = 3 * zero_slot + 1
+        out[-1] = zero_slot
         return out
 
     def slot(self, z: int) -> int:
         """The log-order slot of z: log z, and q - 1 for z = 0."""
-        return min(int(self._log_tables[0][z]), self.q - 1)
+        return min(self._log_tables[0].item(z), self.q - 1)
 
     def element_at(self, slot: int) -> int:
         """The element in a log-order slot: g**slot, and 0 in the last slot."""
-        return int(self._log_tables[1][slot]) if slot < self.q - 1 else 0
+        return self._log_tables[1].item(slot) if slot < self.q - 1 else 0
 
     @built_once
     def _zech(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -547,7 +563,7 @@ class FieldCtx:
         q = self.q
         n_logs, h = q - 1, (q - 1) // 2
         log, alog = self._log_tables
-        minus = log[_minus_one(alog[:n_logs])]
+        minus = _neighbour(log)[alog[:n_logs]]
         minus[0] = 2 * n_logs
         diff = np.concatenate([minus[h:], minus[:h]])
         diff += h
@@ -642,14 +658,19 @@ def _matrix_power(mat: np.ndarray, e: int) -> np.ndarray:
     return result
 
 
-def _minus_one(elements: np.ndarray) -> np.ndarray:
-    """e - 1 for every element e: it differs from e in digit 0 alone, so it is
-    e - 1, or e + 2 where that digit is 0."""
-    low = elements // P
-    low *= P
-    out = elements - 1
-    out += (low == elements) * np.int8(P)
+def _neighbour(table: np.ndarray) -> np.ndarray:
+    """table[e - 1] for every element e of a table in element order: e - 1
+    differs from e in digit 0 alone, so as a (q / 3, 3) grid column d moves to
+    column d + 1 (mod 3), one shift by one place and a copy of column 2 (a
+    fancy index of the grid took 10 to 20 times as long at n = 9)."""
+    out = np.empty_like(table)
+    out[1:] = table[:-1]
+    out[::P] = table[P - 1::P]
     return out
+
+
+# The byte pair (2, 0) as one uint16, in the byte order of the machine.
+_TWO_ZERO = np.frombuffer(bytes([2, 0]), dtype=np.uint16)[0]
 
 
 # A ufunc's `where=` runs its inner loop once per run of True, which is slow

@@ -35,8 +35,14 @@ from .ness import spectrum_bruteforce
 def u0_nonf3_elements(ctx: FieldCtx) -> np.ndarray:
     """Every u of class `charsums.CLASS_U0`, in enumeration order, as an index
     array: the scope rule of `charsums.classify_u` as one mask over the field,
-    chi(u - 1) against chi(u - (-1)) (`FieldCtx.chi_minus`)."""
-    mask = ctx.from_log_order(ctx.chi_minus(1) != ctx.chi_minus(2))
+    chi(u + 1) against chi(u - 1).  u + 1 and u - 1 differ from u in digit 0
+    alone: with chi of every element as a (q / 3, 3) grid, column d of the
+    mask compares the other two columns, d + 1 and d - 1 (mod 3)."""
+    chi = ctx.chi_table.reshape(-1, 3)
+    mask = np.empty(chi.shape, dtype=bool)
+    for d in range(3):
+        np.not_equal(chi[:, (d + 1) % 3], chi[:, (d - 1) % 3], out=mask[:, d])
+    mask = mask.ravel()
     mask[:3] = False  # GF(3)
     return np.flatnonzero(mask)
 

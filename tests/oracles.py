@@ -17,8 +17,8 @@ route what a production function computes, and the tests compare the two.
     planes) and `mul_vec`, a product gathered from the log tables.
     Both are oracles for the signs the library reads off the pattern of z
     (`signs_by_z`), which it builds from the zeros of the polynomials
-    instead, from the columns chi(z - a) of `FieldCtx.chi_minus`, with no
-    field addition.
+    instead, from the characters chi(z - a) packed by
+    `FieldCtx.chi_pattern`, with no field addition.
   * `g_product_sum` multiplies the classifier polynomials in the field
     before taking chi, the oracle for `ScopedU.product_sums`, the sums
     over the pattern histogram; `gamma3_from_products` and
@@ -138,8 +138,9 @@ def counting_identities_hold(omegas: list[int], q: int) -> bool:
 def translate(ctx: FieldCtx, c: int) -> np.ndarray:
     """z + c for every element z: the field's plane sum, with the plane
     tables themselves as the planes of z."""
-    ones, twos, _ = ctx._planes
-    return ctx._plane_sum(ones, twos, ones[c], twos[c])
+    ones, twos, value = ctx._planes
+    sum1, sum2 = ctx._plane_sum(ones, twos, ones[c], twos[c])
+    return value[sum1] + 2 * value[sum2]
 
 
 def mul_vec(ctx: FieldCtx, a, b) -> np.ndarray:

@@ -228,10 +228,11 @@ def test_rotation_tables_hold_for_a_supplied_modulus(n, modulus, generator, stri
 
 
 def test_sign_matrix_sums_match_field_products(scope_cases):
-    """Every product of the g family, read from `ScopedU.product_sums` (the
-    243-bin pattern histogram times the lead row of u in `PATTERN_PRODUCTS`),
-    equals chi of the polynomials multiplied in the field; column m holds g_i
-    for each set bit i - 1 of m, and the empty product, column 0, sums to q."""
+    """Every product of the g family, read from `ScopedU.product_sums` (32
+    Python ints: the 243-bin pattern histogram times the lead row of u in
+    `PATTERN_PRODUCTS`), equals chi of the polynomials multiplied in the
+    field; column m holds g_i for each set bit i - 1 of m, and the empty
+    product, column 0, sums to q."""
     assert cs.PATTERN_PRODUCTS.shape == (2, 32, 243)
     assert cs.PATTERN_PRODUCTS.dtype == np.int8 and not cs.PATTERN_PRODUCTS.flags.writeable
     subsets = [gids for k in range(1, 6) for gids in itertools.combinations(cs.G_IDS, k)]
@@ -240,11 +241,11 @@ def test_sign_matrix_sums_match_field_products(scope_cases):
         for u in us:
             su = cs.ScopedU(ctx, u)
             sums = su.product_sums
-            assert sums.shape == (32,) and int(sums[0]) == ctx.q
+            assert len(sums) == 32 and all(type(s) is int for s in sums) and sums[0] == ctx.q
             for gids in subsets:
                 column = sum(2 ** (gid - 1) for gid in gids)
-                assert int(sums[column]) == oracles.g_product_sum(su, gids), gids
-                assert su.product_sum(*gids) == int(sums[column]), gids
+                assert sums[column] == oracles.g_product_sum(su, gids), gids
+                assert su.product_sum(*gids) == sums[column], gids
 
 
 def test_set_a_contains_all_g_roots(f3):

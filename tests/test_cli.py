@@ -434,13 +434,12 @@ def test_one_build_per_u(monkeypatch, command, ddt_rows_per_u):
     """Every scope command checks the scope once per u (in ScopedU), builds
     one character pattern per u, runs no Horner pass (no `char_sum` anywhere
     in the library) and counts at most one DDT row per u.  Nothing per u
-    works in element order: g^m - 1 is worked out for every m once per run
-    for the table chi(g^m - 1) that the scope mask and the pattern share,
-    and once more for the Zech tables of the DDT row, which are built once
-    per run and never by verify-lemmas, which reads no DDT; and one gather
-    goes back from log order (the scope mask)."""
-    counts = {"pattern": 0, "char_sum": 0, "ddt_row": 0, "minus_one": 0,
-              "from_log_order": 0, "zech": 0, "classify_u": 0}
+    works in element order: a table is read at e - 1 (`field._neighbour`)
+    once per run for the table chi(g^m - 1) of the pattern, and once more
+    for the Zech tables of the DDT row, which are built once per run and
+    never by verify-lemmas, which reads no DDT."""
+    counts = {"pattern": 0, "char_sum": 0, "ddt_row": 0, "neighbour": 0,
+              "zech": 0, "classify_u": 0}
 
     def counted(owner, attr, key):
         original = getattr(owner, attr)
@@ -452,8 +451,7 @@ def test_one_build_per_u(monkeypatch, command, ddt_rows_per_u):
         monkeypatch.setattr(owner, attr, wrapper)
 
     counted(charsums.ScopedU.pattern, "func", "pattern")
-    counted(field, "_minus_one", "minus_one")
-    counted(FieldCtx, "from_log_order", "from_log_order")
+    counted(field, "_neighbour", "neighbour")
     counted(FieldCtx._zech, "func", "zech")
     for module in (charsums, spectrum, census_mod, ness):
         if hasattr(module, "char_sum"):
@@ -464,8 +462,7 @@ def test_one_build_per_u(monkeypatch, command, ddt_rows_per_u):
     status, out, _ = _run(command, n=5, u=f"sample:{k}:1")
     assert status == 0 and len({rec["u"] for rec in _json_lines(out)}) == k
     assert counts == {"pattern": k, "char_sum": 0, "ddt_row": ddt_rows_per_u * k,
-                      "minus_one": 1 + ddt_rows_per_u, "from_log_order": 1,
-                      "zech": ddt_rows_per_u,
+                      "neighbour": 1 + ddt_rows_per_u, "zech": ddt_rows_per_u,
                       "classify_u": k}
 
 

@@ -408,17 +408,41 @@ def test_parse_rejects_garbage(f3):
 
 
 def test_vector_ops_match_scalar_exhaustive_n3(f3):
-    """Scalar sub and the kernels against the digit-wise addition oracle and
-    Euler's criterion."""
+    """The scalar ops against the digit-wise addition oracle, the schoolbook
+    product, extended Euclid and Euler's criterion at every operand, each
+    operand a plain int, numpy scalar or 0-d array and each result a Python
+    int (records go through `json.dumps`, which rejects numpy ints); then
+    the kernels."""
     q = f3.q
-    A = np.repeat(np.arange(q), q)
-    B = np.tile(np.arange(q), q)
     elems = np.arange(q)
-    subs = [oracles.sub(f3, int(a), int(b)) for a, b in zip(A, B)]
-    # scalar sub at every pair, each operand a plain int, numpy scalar or 0-d array
-    for kind in (int, np.int64, np.asarray):
-        assert [f3.sub(kind(a), kind(b)) for a, b in zip(A, B)] == subs, kind
+
+    def schoolbook(a, b):
+        digits = oracles.poly_mul_mod(f3, oracles.poly_digits(f3, a), oracles.poly_digits(f3, b))
+        return f3.element_from_coeffs(digits)
+
+    powers = {a: [1] for a in range(q)}  # a**e for e < 2q, by the schoolbook product
+    for a, row in powers.items():
+        while len(row) < 2 * q:
+            row.append(schoolbook(row[-1], a))
+    slots = {z: k for k, z in enumerate(powers[f3.generator][:q - 1])} | {0: q - 1}
     euler = [_euler_chi(f3, a) for a in range(q)]
+    pairs = [(a, b) for a in range(q) for b in range(q)]
+    cases = {
+        "add": (f3.add, pairs, [oracles.add(f3, a, b) for a, b in pairs]),
+        "sub": (f3.sub, pairs, [oracles.sub(f3, a, b) for a, b in pairs]),
+        "mul": (f3.mul, pairs, [schoolbook(a, b) for a, b in pairs]),
+        "inv": (f3.inv, [(a,) for a in range(1, q)],
+                [_euclid_inverse(f3, a) for a in range(1, q)]),
+        "pow": (f3.pow, [(a, e) for a in range(q) for e in range(2 * q)],
+                [powers[a][e] for a in range(q) for e in range(2 * q)]),
+        "chi": (f3.chi, [(a,) for a in range(q)], euler),
+        "slot": (f3.slot, [(z,) for z in range(q)], [slots[z] for z in range(q)]),
+    }
+    for name, (op, operands, expected) in cases.items():
+        for kind in (int, np.int64, np.asarray):
+            results = [op(*map(kind, args)) for args in operands]
+            assert results == expected, (name, kind)
+            assert all(type(result) is int for result in results), (name, kind)
     assert f3.chi_vec(elems).tolist() == euler
     for a in range(q):
         for x in (a, np.int64(a), np.asarray(a)):
@@ -559,31 +583,75 @@ def test_context_determinism():
 # tables: first touch, concurrent first touch, other moduli
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("n, modulus", [
-    (3, None), (5, None), (7, None), (5, oracles.random_irreducible(5, seed=2026)),
-], ids=["n3", "n5", "n7", "n5-random-modulus"])
+LOG_ORDER_FIELDS = [(3, None), (5, None), (7, None),
+                    (5, oracles.random_irreducible(5, seed=2026))]
+LOG_ORDER_IDS = ["n3", "n5", "n7", "n5-random-modulus"]
+
+
+@pytest.mark.parametrize("n, modulus", LOG_ORDER_FIELDS, ids=LOG_ORDER_IDS)
 def test_derived_log_tables_match_scalar_ops(n, modulus):
-    """`_chi_rotations` is C[m] = chi(g^m - 1) for m < q - 1, twice over;
-    `chi_minus(a)` is chi(z - a) in log order, z = 0 last, for every a at
-    n = 3 and for 0, 1, 2 and seeded a above; `slot` and `element_at` map
-    every element to its log-order slot and back, as `from_log_order` reads."""
+    """`_chi_columns` holds D+ = C + 1 and D- = 1 - C, C[m] = chi(g^m - 1)
+    for m < q - 1, each twice over; `chi_pattern` of one point a is
+    chi(z - a) + 1 in log order, z = 0 last, for every a at n = 3 and for 0,
+    1, 2 and seeded a above; `slot` and `element_at` map every element to
+    its log-order slot and back."""
     ctx = make_context(n, modulus)
-    q, rotations = ctx.q, ctx._chi_rotations
+    q, columns = ctx.q, ctx._chi_columns
     powers = [ctx.pow(ctx.generator, k) for k in range(q - 1)]
-    assert rotations.dtype == np.int8 and len(rotations) == 2 * q - 2
-    assert rotations[:q - 1].tolist() == [ctx.chi(ctx.sub(z, 1)) for z in powers]
-    assert np.array_equal(rotations[q - 1:], rotations[:q - 1])
+    c = [ctx.chi(ctx.sub(z, 1)) for z in powers]
+    assert columns.dtype == np.uint8 and columns.shape == (2, 2 * q - 2)
+    assert columns[0].tolist() == [x + 1 for x in c + c]
+    assert columns[1].tolist() == [1 - x for x in c + c]
 
     rnd = random.Random(n)
     points = range(q) if n == 3 else [0, 1, 2, *rnd.sample(range(3, q), 8)]
     for a in points:
-        column = ctx.chi_minus(a)
-        assert column.dtype == np.int8
-        assert column.tolist() == [ctx.chi(ctx.sub(z, a)) for z in [*powers, 0]], a
+        column = ctx.chi_pattern([a])
+        assert column.dtype == np.uint8
+        assert column.tolist() == [ctx.chi(ctx.sub(z, a)) + 1 for z in [*powers, 0]], a
     slot = {z: k for k, z in enumerate(powers)} | {0: q - 1}
-    assert ctx.from_log_order(np.arange(q)).tolist() == [slot[x] for x in range(q)]
     assert [ctx.slot(x) for x in range(q)] == [slot[x] for x in range(q)]
     assert [ctx.element_at(k) for k in range(q)] == [*powers, 0]
+
+
+@pytest.mark.parametrize("n, modulus", LOG_ORDER_FIELDS, ids=LOG_ORDER_IDS)
+def test_chi_pattern_matches_digitwise_characters(n, modulus):
+    """`chi_pattern(points)` is the sum over i of 3^i (chi(z - a_i) + 1) at
+    every z in log order, z - a_i by the digit-wise oracle: 200 seeded
+    5-tuples and their prefixes at n = 3, 20 5-tuples above, each point drawn
+    from the field or from 0 and the points before it."""
+    ctx = make_context(n, modulus)
+    q = ctx.q
+    zs = [ctx.element_at(k) for k in range(q)]
+    rnd = random.Random(2026 + n + (modulus is not None))
+    tuples = []
+    for _ in range(200 if n == 3 else 20):
+        points = []
+        for _ in range(5):
+            points.append(rnd.randrange(q) if rnd.random() < 0.6 else rnd.choice([0, *points]))
+        tuples.append(points)
+    assert any(0 in points for points in tuples)
+    assert any(len(set(points)) < 5 for points in tuples)
+    if n == 3:
+        tuples += [points[:k] for points in tuples for k in range(1, 5)]
+    digits = {}
+    for points in tuples:
+        for a in points:
+            if a not in digits:
+                digits[a] = [ctx.chi(oracles.sub(ctx, z, a)) + 1 for z in zs]
+        expected = [sum(3**i * digits[a][k] for i, a in enumerate(points)) for k in range(q)]
+        pattern = ctx.chi_pattern(points)
+        assert pattern.dtype == np.uint8 and pattern.tolist() == expected, points
+
+
+@pytest.mark.parametrize("n, modulus", LOG_ORDER_FIELDS, ids=LOG_ORDER_IDS)
+def test_neighbour_reads_minus_one(n, modulus):
+    """`_neighbour`, the columns of a (q / 3, 3) grid turned one place,
+    reads a table in element order at e - 1 by the digit-wise oracle, for
+    every e."""
+    ctx = make_context(n, modulus)
+    expected = [oracles.sub(ctx, e, 1) for e in range(ctx.q)]
+    assert field._neighbour(np.arange(ctx.q)).tolist() == expected
 
 
 def _difference_counts(ctx, c_square, c_nonsquare):
@@ -683,7 +751,7 @@ def test_concurrent_first_touch_builds_identical_tables():
 
 def test_tables_are_read_only(f3):
     tables = (f3.digit_table(), f3.pair_add_table(), *f3._planes, *f3._log_tables,
-              f3._chi_table, f3._chi_rotations)
+              f3.chi_table, f3._chi_columns)
     for table in tables:
         with pytest.raises(ValueError):
             table[(1,) * table.ndim] = 0

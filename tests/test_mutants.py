@@ -34,7 +34,6 @@ from nhspectrum import charsums, cli, field, ness
 from nhspectrum import solution_census as cn
 from nhspectrum.charsums import ScopedU
 from nhspectrum.field import DEFAULT_FIELDS, FieldCtx, InconsistencyError, built_once, make_context
-from nhspectrum.spectrum import u0_nonf3_elements
 
 
 def _scope(ctx):
@@ -57,10 +56,14 @@ def predictions_follow_rules(ctx) -> bool:
 
 def row_gives_every_row(ctx) -> bool:
     """delta(a, b) = ddt_row at the slot of a b for every a != 0 and b,
-    against the counted q x q table."""
+    against the counted q x q table.  A row build that indexes past the end
+    of a table gives no row, which is a mismatch too."""
     zs = np.arange(ctx.q)
     for su in _scope(ctx):
-        row = oracles.in_element_order(ctx, ness.ddt_row(ctx, su.u))
+        try:
+            row = oracles.in_element_order(ctx, ness.ddt_row(ctx, su.u))
+        except IndexError:
+            return False
         table = oracles.ddt_table(ctx, su.u)
         if any((table[a] != row[oracles.mul_vec(ctx, a, zs)]).any() for a in range(1, ctx.q)):
             return False
@@ -83,11 +86,6 @@ def sign_key_matches_g_values(ctx) -> bool:
         if not np.array_equal(oracles.signs_by_z(su), ctx.chi_vec(values)):
             return False
     return True
-
-
-def scope_mask_follows_classify_u(ctx) -> bool:
-    """`u0_nonf3_elements` is the u that `classify_u` labels in scope."""
-    return u0_nonf3_elements(ctx).tolist() == [su.u for su in _scope(ctx)]
 
 
 def antilog_steps_match_polynomials(ctx) -> bool:
@@ -272,19 +270,6 @@ def count_row_g(monkeypatch, ctx):
     monkeypatch.setattr(ness, "ddt_row", row_at_generator)
 
 
-def rotate_one_off(monkeypatch, ctx):
-    """`chi_minus` reads C rotated one step too far for every a != 0."""
-    chi_minus = FieldCtx.chi_minus
-
-    def rotated(self, a):
-        column = chi_minus(self, a)
-        if a:
-            column[:-1] = np.roll(column[:-1], -1)
-        return column
-
-    monkeypatch.setattr(FieldCtx, "chi_minus", rotated)
-
-
 # attribute: (mutant, n, checks that must catch it)
 MUTANTS = {
     "solution_census.PREDICTION_TABLE": (
@@ -297,10 +282,12 @@ MUTANTS = {
         count_row_g, 3,
         (row_gives_every_row, command_passes("verify-propositions")),
     ),
-    # chi(z - g^j) = chi(g^j) C[k - j] at z = g^k: one table read in log order
-    "FieldCtx.chi_minus": (
-        rotate_one_off, 3,
-        (sign_key_matches_g_values, scope_mask_follows_classify_u),
+    # chi(z - g^j) + 1 = D+-[k - j] at z = g^k: one slice per point in log
+    # order, here read one slot off (C[k - j - 1]) for every point a != 0
+    "FieldCtx.chi_pattern": (
+        rewritten(FieldCtx, "chi_pattern", "[j & 1, q - 1 - j:2 * q - 2 - j]",
+                  "[j & 1, q - 2 - j:2 * q - 3 - j]"), 3,
+        (sign_key_matches_g_values, product_sums_match_field_products),
     ),
     # the cross group (k odd, Z+(k) even) reads its offset h - Z+(k) one step off
     "FieldCtx._zech": (
@@ -320,12 +307,12 @@ MUTANTS = {
                   "powers[-1] @ g_mat % P @ g_mat % P)"), 5,
         (antilog_steps_match_polynomials,),
     ),
-    # g^m - 1 from g^m by digit 0, for C and for the Zech tables: +1 in
-    # place of +2 where that digit is 0.  The scope mask cannot see it: it
-    # swaps chi(u - 1) and chi(u + 1) where u and -u have digit 0 equal to 0,
-    # and the mask asks only whether the two differ.
-    "field._minus_one": (
-        rewritten(field, "_minus_one", "np.int8(P)", "np.int8(P - 1)"), 3,
+    # a table read at e - 1 by turning the digit-0 columns, for C and for
+    # the Zech tables: turned the wrong way, so read at e + 1.  Z-(h) then
+    # reads log 0 (-1 + 1 = 0), and the Zech build indexes past its tables.
+    "field._neighbour": (
+        rewritten(field, "_neighbour", "out[1:] = table[:-1]\n    out[::P] = table[P - 1::P]",
+                  "out[:-1] = table[1:]\n    out[P - 1::P] = table[::P]"), 3,
         (sign_key_matches_g_values, row_gives_every_row),
     ),
     # the generator search tests g**((q - 1) / p) != 1 for every prime p | q - 1:
