@@ -186,8 +186,8 @@ def set_a_points(su: ScopedU) -> tuple[int, int, int, int, int]:
         0,
         ctx.add(1, u),
         ctx.sub(1, u),
-        ctx.add(ctx.neg(1), r),
-        ctx.sub(ctx.neg(1), r),
+        ctx.add(2, r),  # the element 2 is -1
+        ctx.sub(2, r),
     )
 
 
@@ -205,9 +205,10 @@ def section2_identities(su: ScopedU) -> list[dict]:
     values depend on u but whose totals do not (or collapse to one chi).
     """
     ctx, u, r = su.ctx, su.u, su.r
-    chi_phi = ctx.chi(ctx.add(1, r))
-    chi_r1pu = ctx.chi(ctx.add(ctx.add(r, 1), u))  # chi(r + 1 + u)
-    chi_r1mu = ctx.chi(ctx.sub(ctx.add(r, 1), u))  # chi(r + 1 - u)
+    r1 = ctx.add(r, 1)
+    chi_phi = ctx.chi(r1)
+    chi_r1pu = ctx.chi(ctx.add(r1, u))  # chi(r + 1 + u)
+    chi_r1mu = ctx.chi(ctx.sub(r1, u))  # chi(r + 1 - u)
     s = su.product_sum
 
     checks: list[tuple[str, int, int]] = [

@@ -326,7 +326,9 @@ def _built(ctx: FieldCtx, us: list[int],
     """The records of each u in order, with --jobs > 1 from a thread pool given
     POOL_WINDOW u at a time; closing it cancels the u not yet started."""
     build = functools.partial(BUILDERS[config.command], ctx, seed=config.seed)
-    workers = min(config.jobs, len(us), os.cpu_count() or 1)
+    workers = min(config.jobs, len(us))
+    if workers > 1:  # the first os.cpu_count() of a process costs tens of microseconds
+        workers = min(workers, os.cpu_count() or 1)
     if workers < 2:
         yield from map(build, us)
         return

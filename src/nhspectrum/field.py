@@ -17,11 +17,12 @@ the bit planes, ``mul``, ``inv`` and ``pow`` the discrete logs, ``chi``
 and ``chi_vec`` the character table.  The tests check them against
 independent oracles, digit-wise addition and polynomial multiplication.
 Before the log tables exist, the one product is the n x n multiplication
-matrix, built from the rows of x^j mod the modulus: the log build squares
-the matrix of g, and the generator search of a supplied modulus, which
-trial division checks first, raises the matrix of each candidate to the
-powers (q - 1) / p.  The default field of each n is tabled
-(`DEFAULT_FIELDS`), so its set-up does no search.
+matrix of a, whose row j, a x^j, is row j - 1 shifted up with its top
+digit folded back in through the modulus: the log build squares the matrix
+of g, and the generator search of a supplied modulus, which trial division
+checks first, raises the matrix of each candidate to the powers (q - 1) / p.
+The default field of each n is tabled (`DEFAULT_FIELDS`), so its set-up
+does no search.
 
 The scalar ops and the vector kernels are gathers from small tables:
 
@@ -41,7 +42,8 @@ The scalar ops and the vector kernels are gathers from small tables:
   no field addition is needed for C[m] = chi(g^m - 1), kept as the uint8
   D+ = C + 1 and D- = 1 - C (``_chi_columns``), nor for the Zech table
   Z-(m) = log(g^m - 1) of the DDT row: each is one gather of a turned
-  table at the antilogs.
+  table at the antilogs.  The x with chi(x) = chi(x + 1) add one int8 row,
+  the same for every u, read off the parities of Z- (``_zech``).
 * The per-u vectors live in log order, where slot k holds g^k and zero the
   last slot (``slot`` and ``element_at`` map one element each way), and
   two kernels fill them with no field addition per u: ``chi_pattern``
@@ -90,7 +92,7 @@ P = 3
 # Table ceiling.  The pairwise sum table needs q*q ints and stays cheap up to
 # this size.  Every resident table is O(q) and has no ceiling: at n = 13 the
 # int32 log pair takes about 32 MB, the uint16 bit planes 6.4 MB, the Zech
-# tables of the DDT row 16 MB, D+ and D- 6.4 MB and the int8 character 1.6 MB.
+# tables of the DDT row 14 MB, D+ and D- 6.4 MB and the int8 character 1.6 MB.
 PAIR_TABLE_MAX_Q = P**7
 
 # The default field per n: (modulus digits, generator).  The modulus is the
@@ -263,23 +265,16 @@ class FieldCtx:
             )
         return digits
 
-    @built_once
-    def _windows(self) -> np.ndarray:
-        """(n, n, n) int8: windows[j, col, k] is digit col of x**(j + k) mod the
-        modulus, so windows @ digits(a) holds the digits of a * x**j."""
-        n = self.n
-        rows = [[int(i == j) for j in range(n)] for i in range(n)]
-        top = [(-d) % P for d in self.modulus[:n]]  # x**n
-        for _ in range(n - 1):
-            prev = rows[-1]  # times x: shift up, fold the carry back in as x**n
+    def _mul_matrix(self, digits: Sequence[int]) -> np.ndarray:
+        """(n, n) int8: row j holds the digits of a * x**j, for a given by its
+        digits, row j - 1 shifted up with its top digit folded back in as x**n =
+        -(the modulus less x**n).  The matrix of a b is the product of those of a and b."""
+        top = [(-d) % P for d in self.modulus[:-1]]
+        rows = [list(digits)]
+        for _ in range(self.n - 1):
+            prev = rows[-1]
             rows.append([(s + prev[-1] * t) % P for s, t in zip([0] + prev[:-1], top)])
-        steps = np.arange(n)
-        return np.array(rows, dtype=np.int8)[steps[:, None] + steps].transpose(0, 2, 1)
-
-    def _mul_matrix(self, digits: np.ndarray) -> np.ndarray:
-        """(n, n) int8: row j holds the digits of a * x**j, for a given by its digits.
-        The matrix of a b is the product of the matrices of a and b."""
-        return self._windows @ digits % P
+        return np.array(rows, dtype=np.int8)
 
     def _find_generator(self) -> int:
         """The smallest primitive element: g with g**((q - 1) / p) != 1 for every
@@ -288,7 +283,7 @@ class FieldCtx:
         identity = np.eye(self.n, dtype=np.int8)
         cofactors = [(self.q - 1) // p for p in _factorize(self.q - 1)]
         for g in range(2, self.q):
-            g_mat = self._mul_matrix(np.array(_idx_digits(g, self.n), dtype=np.int8))
+            g_mat = self._mul_matrix(_idx_digits(g, self.n))
             if all(not np.array_equal(_matrix_power(g_mat, c), identity) for c in cofactors):
                 return g
         raise InconsistencyError("no primitive element found")  # unreachable
@@ -412,7 +407,7 @@ class FieldCtx:
         powers[0, 0] = 1
         # row j: the digits of g**m * x**j; its square is the matrix of g**(2m).
         # Entries of an int8 digit-row product are at most 4n = 52 before the mod.
-        g_mat = mat = self._mul_matrix(np.array(_idx_digits(self.generator, n), dtype=np.int8))
+        g_mat = mat = self._mul_matrix(_idx_digits(self.generator, n))
         m = 1
         while m < baby:
             step = min(m, baby - m)
@@ -427,7 +422,7 @@ class FieldCtx:
         blocks = alog[:giant * baby].reshape(giant, baby)
         np.matmul(powers, weights, out=blocks[0])
         if giant > 1:
-            times_c = self._times_table(powers[-1] @ g_mat % P)  # c = g**baby
+            times_c = self._times_table((powers[-1] @ g_mat % P).tolist())  # c = g**baby
             for i in range(1, giant):
                 times_c.take(blocks[i - 1], out=blocks[i])
         cycle = alog[:q - 1]
@@ -441,7 +436,7 @@ class FieldCtx:
         alog[giant * baby:2 * q - 3] = cycle[giant * baby - q + 1:q - 2]
         return _frozen(log), _frozen(alog)
 
-    def _times_table(self, digits: np.ndarray) -> np.ndarray:
+    def _times_table(self, digits: Sequence[int]) -> np.ndarray:
         """int32 c z for every z, c given by its digits: c z = c (z mod 3^h) +
         c x^h (z div 3^h) as one plane sum over the grid of both indices, from
         the planes of two small tables, a block of rows at a time (the
@@ -551,37 +546,38 @@ class FieldCtx:
 
         With N = q - 1 and h = N / 2, minus[m] = Z-(m) = log(g**m - 1) for m
         != 0, and 2N at m = 0.  Z+(k) = log(g**k + 1) = h + Z-(k - h), as -1 =
-        g**h, and D(k) = k - Z+(k).  same[p] counts Z-(D(k)) - k over the k
-        with k and Z+(k) both of parity p, with x = 0 (a square) and x = -1
-        (a nonsquare) at 0.  For each k whose parity differs from that of
-        Z+(k), cross_m and cross_e hold (D(k), -k) if k is even and (-D(k), h
-        - Z+(k)) if k is odd, cross_m in [-N, 0): a gather at cross_m + c, c
+        g**h, and D(k) = k - Z+(k).  For each k whose parity differs from that
+        of Z+(k), cross_m and cross_e hold (D(k), -k) if k is even and (-D(k),
+        h - Z+(k)) if k is odd, cross_m in [-N, 0): a gather at cross_m + c, c
         in [0, N), reads minus through a negative index in place of a modulo.
-        A count of same is part of a row of the inverse function 1/x (u = 0),
-        at most 3, so int8 holds it; the rest is int32.
+
+        same[v] (int8) counts the x of either parity p with chi(x) = chi(x +
+        1) and f(x + 1) - f(x) = g**(L[p] + v), L[p] = log c_p.  At x, x + 1
+        != 0 that is -c_p / w for w = x (x + 1), so v = h - log w; chi(w) =
+        chi(x) chi(x + 1) = 1 and chi(1 + w) = chi((x - 1)**2) = 1 (x = 1 has
+        chi(2) = -1).  Each such w gives one x per parity: the roots x and -1
+        - x of x**2 + x = w, as chi(-1) = -1 flips both characters.  h is odd,
+        so v is odd exactly when chi(w) = 1, and then g**v (1 + w) = g**v - 1
+        with chi(g**v) = -1: chi(1 + w) = 1 exactly when Z-(v) is odd.  So
+        same[v] = Z-(v) mod 2 at odd v, 0 at even v != 0, and same[0] = 1 for
+        x = 0 (a square) or x = -1 (a nonsquare), where the difference is c_p.
+        It sums to (q + 1) / 4.
         """
         q = self.q
         n_logs, h = q - 1, (q - 1) // 2
         log, alog = self._log_tables
         minus = _neighbour(log)[alog[:n_logs]]
         minus[0] = 2 * n_logs
+        same = np.zeros(n_logs, dtype=np.int8)
+        same[0] = 1
+        same[1::2] = minus[1::2] & 1
         diff = np.concatenate([minus[h:], minus[:h]])
         diff += h
         _wrap_down(diff, n_logs)  # Z+(k); k = h, x = -1, read the sentinel
         diff[h] = h
         np.subtract(np.arange(n_logs, dtype=np.int32), diff, out=diff)  # D(k), in (-N, N)
         is_cross = (diff & 1).astype(bool)  # k - Z+(k) odd: the parities differ
-        same = np.empty((2, n_logs), dtype=np.int8)
-        for parity in (0, 1):
-            k = np.flatnonzero(~is_cross[parity::2]) * 2 + parity
-            values = minus[diff[k]]
-            values -= k
-            _wrap_up(values, n_logs)
-            if parity:  # x = -1, k = h, where D(h) = 0: f(0) - f(-1) = c_nonsquare
-                values[np.searchsorted(k, h)] = 0
-            same[parity] = np.bincount(values, minlength=n_logs)
-        same[0, 0] += 1  # x = 0: f(1) - f(0) = c_square
-        k = np.flatnonzero(is_cross).astype(np.int32)
+        k = np.flatnonzero(is_cross).astype(np.int32)  # bool: 4x faster than on int32
         d, odd = diff[k], k & 1
         cross_m = odd * d  # D(k) at even k, -D(k) at odd k
         cross_m *= -2
@@ -604,13 +600,14 @@ class FieldCtx:
         for the parities of k and Z+(k) (see `_zech`).  Then f(x + 1) - f(x) =
         g**B (g**(A - B) - 1) with B = L[p0] - k and A - B = D(k) + L[p1] -
         L[p0], so its log is B + Z-(A - B).  Where p0 = p1 that is L[p0] +
-        Z-(D(k)) - k: the histogram same[p0] turned by L[p0].  Where they
+        Z-(D(k)) - k, and the x of parity p0 add the one row same turned by
+        L[p0], which `_zech` reads off Z- in closed form.  Where they
         differ, Z-(-m) = Z-(m) - m + h makes both groups Z-(cross_m + c) +
         cross_e + L[0] with c = L[1] - L[0]: one gather and one bincount, a
         zero difference (Z-(0) = 2N) landing past the N bins.  A zero c makes
-        f vanish on one parity class: its same-parity group differs by 0, and
-        the cross groups by -f(x) or f(x + 1), cross_e + L[0] + h or cross_m +
-        cross_e + L[1].
+        f vanish on one parity class: its same-parity x, (q + 1) / 4 of them,
+        differ by 0, and the cross groups by -f(x) or f(x + 1), cross_e + L[0]
+        + h or cross_m + cross_e + L[1].
         """
         q = self.q
         n_logs, h = q - 1, (q - 1) // 2
@@ -631,13 +628,12 @@ class FieldCtx:
         row = np.empty(q, dtype=np.int32)
         row[turn:-1], row[:turn] = counts[:n_logs - turn], counts[n_logs - turn:n_logs]
         row[-1] = counts[n_logs:].sum()
-        for parity, c in enumerate((c_square, c_nonsquare)):
+        for turn, c in zip(logs, (c_square, c_nonsquare)):
             if c:
-                turn = logs[parity]
-                row[turn:-1] += same[parity, :n_logs - turn]
-                row[:turn] += same[parity, n_logs - turn:]
-            else:
-                row[-1] += same[parity].sum()
+                row[turn:-1] += same[:n_logs - turn]
+                row[:turn] += same[n_logs - turn:]
+            else:  # every x of this class differs by 0; same sums to (q + 1) / 4
+                row[-1] += (q + 1) // 4
         return row
 
 

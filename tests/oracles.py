@@ -8,7 +8,10 @@ route what a production function computes, and the tests compare the two.
   * `ddt_entry_naive` counts x one at a time; `ddt_table` counts every row
     a of the DDT from `f_eval` and the digit-wise adder, the oracle for
     `ness.ddt_row` (Zech logarithms, in log order) and the lemma
-    delta(a, b) = delta(1, a b).
+    delta(a, b) = delta(1, a b).  `same_parity_counts` counts the part of
+    the row from the x with chi(x) = chi(x + 1), per parity, from Zech
+    logarithms taken by the digit-wise adder: the oracle for the row
+    `FieldCtx._zech` reads off in closed form.
     `counting_identities_hold` checks the two sums every spectrum meets,
     and `uniformity` reads its largest DDT value.
   * `g_eval` evaluates one classifier polynomial at one z with the scalar
@@ -113,6 +116,31 @@ def ddt_table(ctx: FieldCtx, u: int) -> np.ndarray:
     for a in range(ctx.q):
         out[a] = np.bincount(plus[f[plus[a]], minus_f], minlength=ctx.q)
     return out
+
+
+def same_parity_counts(ctx: FieldCtx) -> np.ndarray:
+    """(2, q - 1) int8: row p counts Z-(D(k)) - k mod q - 1 over the k of
+    parity p with Z+(k) of parity p (`FieldCtx._zech` names the tables),
+    x = 0 (a square) and x = -1 (a nonsquare) at 0.  Z- is read off the
+    log tables at g**m - 1 by the digit-wise adder."""
+    q = ctx.q
+    n_logs, h = q - 1, (q - 1) // 2
+    log, alog = ctx._log_tables
+    minus = log[digitwise(ctx, alog[:n_logs], 1, -1)]
+    minus[0] = 2 * n_logs
+    diff = (np.concatenate([minus[h:], minus[:h]]) + h) % n_logs  # Z+(k)
+    diff[h] = h  # k = h, x = -1: x + 1 = 0
+    diff = np.arange(n_logs) - diff  # D(k), in (-N, N)
+    is_cross = (diff & 1).astype(bool)  # k - Z+(k) odd: the parities differ
+    same = np.empty((2, n_logs), dtype=np.int8)
+    for parity in (0, 1):
+        k = np.flatnonzero(~is_cross[parity::2]) * 2 + parity
+        values = (minus[diff[k]] - k) % n_logs
+        if parity:  # x = -1, k = h, where D(h) = 0: f(0) - f(-1) = c_nonsquare
+            values[np.searchsorted(k, h)] = 0
+        same[parity] = np.bincount(values, minlength=n_logs)
+    same[0, 0] += 1  # x = 0: f(1) - f(0) = c_square
+    return same
 
 
 def uniformity(omegas: list[int]) -> int:

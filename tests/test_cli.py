@@ -377,6 +377,32 @@ def test_jobs_pool_size(monkeypatch, jobs, u, cpus, workers):
     assert out == _run("spectrum", u=u, jobs=1)[1]
 
 
+@pytest.mark.parametrize("jobs, u", [(1, "all"), (8, "gen^1")], ids=["jobs1", "one-u"])
+def test_serial_runs_never_ask_the_cpu_count(monkeypatch, jobs, u):
+    """At --jobs 1, or with one u, no pool can start, so the run does not
+    pay for the first os.cpu_count() of the process."""
+
+    def cpu_count():
+        raise AssertionError("os.cpu_count() called on a serial run")
+
+    monkeypatch.setattr(cli.os, "cpu_count", cpu_count)
+    status, out, _ = _run("spectrum", u=u, jobs=jobs)
+    assert status == 0 and out
+
+
+def test_import_builds_no_field():
+    """Importing the package and the CLI builds no `FieldCtx`, so no table
+    work runs at import time, outside the span a run's timer sees."""
+    code = ("import gc, nhspectrum, nhspectrum.cli\n"
+            "from nhspectrum.field import FieldCtx\n"
+            "print(sum(isinstance(o, FieldCtx) for o in gc.get_objects()))")
+    argv, env = _cli_argv_env()
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"
+
+
 def test_pool_holds_at_most_a_window_of_u(monkeypatch):
     """With --jobs > 1 the pool is given POOL_WINDOW u at a time: u submitted
     and not yet written never outnumber the window, and stdout is unchanged."""

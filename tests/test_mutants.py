@@ -10,11 +10,12 @@ every check fails under the mutant and passes without it, so a check that
 stops looking at the shortcut fails here.  The mutants keep, as tests, the
 kind of scratch-copy mutation that CHANGES.md reports for each shortcut (a
 wrongly compiled proposition table; a DDT row read at the wrong a; a
-rotation one step off; a Zech offset one step off; a branch swapped; a
-giant step one power too far; a prime dropped from the generator search;
-two product columns swapped; a case total off by one; a plane sum one
-term wrong; the two lead rows of the pattern signs swapped; an expected
-count off by one), so that they run on every change.  A mutant of a table
+rotation one step off; a Zech offset one step off; a parity flipped; a
+sign flipped in the fold of x**n; a branch swapped; a giant step one power
+too far; a prime dropped from the generator search; two product columns
+swapped; a case total off by one; a plane sum one term wrong; the two
+lead rows of the pattern signs swapped; an expected count off by one), so
+that they run on every change.  A mutant of a table
 build rewrites one fragment of the build's source (`rewritten`), since the
 table is a local of that build.  A mutant of a table that the import compiles
 into another also installs the other compiled from it, as the import would
@@ -75,6 +76,14 @@ def zero_coefficient_rows_match_table(ctx) -> bool:
     equals the row a = 1 of the counted table."""
     return all(np.array_equal(oracles.in_element_order(ctx, ness.ddt_row(ctx, u)),
                               oracles.ddt_table(ctx, u)[1]) for u in (1, 2))
+
+
+def same_row_matches_counts(ctx) -> bool:
+    """The same-parity row of `_zech` equals both rows counted per parity
+    (`oracles.same_parity_counts`) and sums to (q + 1) / 4."""
+    same = ctx._zech[3]
+    return (np.array_equal(oracles.same_parity_counts(ctx), np.stack([same, same]))
+            and int(same.sum()) == (ctx.q + 1) // 4)
 
 
 def sign_key_matches_g_values(ctx) -> bool:
@@ -294,6 +303,12 @@ MUTANTS = {
         rewritten(FieldCtx, "_zech", "cross_e = d + h", "cross_e = d + h + 1"), 3,
         (row_gives_every_row, command_passes("verify-theorem")),
     ),
+    # the x with chi(x) = chi(x + 1) give same[v] = Z-(v) mod 2 at odd v: read
+    # with the parity flipped, as if chi(g**v) = -1 were left out of the proof
+    "FieldCtx._zech.same": (
+        rewritten(FieldCtx, "_zech", "minus[1::2] & 1", "~minus[1::2] & 1"), 3,
+        (same_row_matches_counts, row_gives_every_row),
+    ),
     # f vanishes on the nonsquares (u = 1) or on the squares (u = 2): the two
     # zero-coefficient branches of the row swapped
     "FieldCtx.difference_row": (
@@ -314,6 +329,12 @@ MUTANTS = {
         rewritten(field, "_neighbour", "out[1:] = table[:-1]\n    out[::P] = table[P - 1::P]",
                   "out[:-1] = table[1:]\n    out[P - 1::P] = table[::P]"), 3,
         (sign_key_matches_g_values, row_gives_every_row),
+    ),
+    # row j + 1 of the matrix of a is row j times x, its top digit folded back
+    # in as x**n = -(the modulus less x**n): folded in with the sign flipped
+    "FieldCtx._mul_matrix": (
+        rewritten(FieldCtx, "_mul_matrix", "top = [(-d) % P", "top = [d % P"), 3,
+        (antilog_steps_match_polynomials,),
     ),
     # the generator search tests g**((q - 1) / p) != 1 for every prime p | q - 1:
     # without p = 2 it takes a square, 3 in place of 5 on the n = 7 modulus

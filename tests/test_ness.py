@@ -9,6 +9,7 @@ import oracles
 from nhspectrum import ness
 from nhspectrum.charsums import ScopedU
 from nhspectrum.charsums import classify_u
+from nhspectrum.field import make_context
 from nhspectrum.spectrum import u0_nonf3_elements
 
 
@@ -55,6 +56,22 @@ def test_ddt_row_sums_to_q(f3, f5):
         table = oracles.ddt_table(ctx, u)
         for a in (1, 2, ctx.q - 1):
             assert int(table[a].sum()) == ctx.q
+
+
+@pytest.mark.parametrize("n, modulus", [
+    *((n, None) for n in (3, 5, 7, 9, 11, 13)),
+    (5, "220001"), (7, "22200001"), (7, oracles.random_irreducible(7, seed=7)),
+], ids=["n3", "n5", "n7", "n9", "n11", "n13", "n5-220001", "n7-22200001", "n7-random-modulus"])
+def test_same_parity_row_equals_its_counts(n, modulus):
+    """The same-parity part of the DDT row, read off the parities of Z- in
+    closed form, equals the two rows counted per parity, and sums to
+    (q + 1) / 4."""
+    ctx = make_context(n, modulus)
+    same = ctx._zech[3]
+    assert same.dtype == np.int8 and same.shape == (ctx.q - 1,)
+    assert not same.flags.writeable
+    assert np.array_equal(oracles.same_parity_counts(ctx), np.stack([same, same]))
+    assert int(same.sum()) == (ctx.q + 1) // 4
 
 
 def test_ddt_row_matches_naive_n3(f3):
