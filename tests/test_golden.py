@@ -38,10 +38,11 @@ OUT_OF_SCOPE_U = ("00000", "01000", "21100")
 # nonsquares or on the squares: the DDT row's zero-coefficient branch.
 ZERO_COEFFICIENT_U = ("10000", "20000")
 
-# A seeded sample at each n >= 9, in json, for the per-u character pass
-# (`scan` at n = 13 takes about 0.4 s).
+# A seeded sample at each n >= 9, in json, for the per-u character pass and
+# the per-pair census (`scan` at n = 13 takes about 0.4 s, `census` at the
+# three settings about 0.8 s together).
 LARGE_N_SETTINGS = ((9, "sample:40:3"), (11, "sample:3:1"), (13, "sample:1:1"))
-LARGE_N_COMMANDS = ("scan", "verify-lemmas", "verify-propositions")
+LARGE_N_COMMANDS = ("scan", "verify-lemmas", "verify-propositions", "census")
 
 
 def case_id(command: str, n: int, u_spec: str, seed: int, fmt: str) -> str:
