@@ -9,7 +9,6 @@ from .solution_census import (
     case_solutions,
     census,
     prediction_by_z,
-    special_point_solutions,
     verify_predictions,
 )
 from .charsums import (
@@ -51,7 +50,6 @@ __all__ = [
     "prediction_by_z",
     "section2_identities",
     "set_a_points",
-    "special_point_solutions",
     "spectrum_bruteforce",
     "spectrum_closed_form",
     "u0_nonf3_elements",

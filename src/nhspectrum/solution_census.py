@@ -10,12 +10,21 @@ the equation becomes the quadratic
 with t_a = chi(x + a) and t_0 = chi(x) frozen to one of the four sign
 patterns (the cases I..IV below).  A root only counts when its actual
 character signs reproduce the pattern that produced it (a "desired"
-solution).  For in-scope u the resulting count is determined entirely by
-the signs of the five classifier polynomials and of z itself at z = a b,
-which yields a 0..4 prediction without solving anything; this module
-computes both routes and the machinery to compare them against direct
-counting.  Direct counting depends on z alone as well: delta(a, b) is the
-DDT row `ScopedU.row` at the slot of z (`ness.ddt_row`, `FieldCtx.slot`).
+solution).  Put x = a y and divide by a: with z = a b the case quadratic is
+
+    z y^2 + (z - u (t_a - t_0)) y + (u t_0 + 1) = 0,
+
+a root y is desired when chi(y + 1) = chi(a) t_a and chi(y) = chi(a) t_0,
+and the special points y in {0, -1} solve the equation exactly when
+z = 1 + u or z = 1 - u.  So a pair enters only through z and chi(a).  The
+discriminants are g2(z) for case I, g3(z) for case IV and g4(z) for cases
+II and III (`charsums`), which is why the case counts are read off the
+signs of the classifier polynomials at z.  For in-scope u the resulting
+count is determined entirely by those signs and that of z itself, which
+yields a 0..4 prediction without solving anything; this module computes
+both routes and the machinery to compare them against direct counting.
+Direct counting depends on z alone as well: delta(a, b) is the DDT row
+`ScopedU.row` at the slot of z (`ness.ddt_row`, `FieldCtx.slot`).
 
 At import, the rules in `SOLUTION_CONDITIONS` compile into
 `PREDICTION_TABLE`, read per u only by `prediction_by_z`, and the closed
@@ -181,21 +190,8 @@ EXPECTED = _expected(PREDICTION_TABLE, CASE_TABLE)
 
 
 # ---------------------------------------------------------------------------
-# direct machinery: special points, case quadratics, desired roots
+# direct machinery: case quadratics in y = x / a, desired roots
 # ---------------------------------------------------------------------------
-
-
-def special_point_solutions(ctx: FieldCtx, u: int, a: int, b: int) -> int:
-    """Number of solutions among x in {0, -a}: one for each target
-    b = (1 +- u chi(a)) / a that b equals, so 2 when u = 0 and b = 1/a.
-    """
-    if a == 0:
-        raise ValueError("a must be nonzero")
-    inv_a = ctx.inv(a)
-    chi_a = 1 if ctx.chi(a) == 1 else 2  # chi(a) as the field element +-1
-    t_plus = ctx.mul(inv_a, ctx.add(1, ctx.mul(u, chi_a)))
-    t_minus = ctx.mul(inv_a, ctx.sub(1, ctx.mul(u, chi_a)))
-    return int(b == t_plus) + int(b == t_minus)
 
 
 def solve_quadratic(ctx: FieldCtx, c2: int, c1: int, c0: int) -> tuple[int, ...]:
@@ -214,31 +210,24 @@ def solve_quadratic(ctx: FieldCtx, c2: int, c1: int, c0: int) -> tuple[int, ...]
     return (x1, x2)
 
 
-def case_equation(ctx: FieldCtx, u: int, a: int, b: int, case_id: str) -> tuple[int, int, int]:
-    """(c2, c1, c0) of the case quadratic for the given sign pattern."""
-    tau_a, tau_0 = CASE_TAU[case_id]
-    t_a = 1 if tau_a == 1 else 2
-    t_0 = 1 if tau_0 == 1 else 2
-    c2 = b
-    c1 = ctx.sub(ctx.mul(a, b), ctx.mul(u, ctx.sub(t_a, t_0)))
-    c0 = ctx.mul(a, ctx.add(ctx.mul(u, t_0), 1))
-    return c2, c1, c0
+def case_solutions(ctx: FieldCtx, u: int, z: int, chi_a: int, case_id: str) -> tuple[int, ...]:
+    """The desired solutions y = x / a of one case at z = a b: the roots of
+    z y^2 + (z - u (t_a - t_0)) y + (1 + u t_0) whose signs match,
+    chi(y + 1) = chi(a) t_a and chi(y) = chi(a) t_0.
 
-
-def case_solutions(ctx: FieldCtx, u: int, a: int, b: int, case_id: str) -> tuple[int, ...]:
-    """The desired solutions of one case: solve the case quadratic, then keep
-    the roots whose character signs match.
-
-    Roots at 0 or -a have a zero character on one side and never match,
+    Roots at 0 or -1 have a zero character on one side and never match,
     so the special points are excluded automatically.
     """
-    if a == 0 or b == 0:
-        raise ValueError("case analysis needs a != 0 and b != 0")
+    if z == 0 or chi_a not in (1, -1):
+        raise ValueError("case analysis needs z != 0 and chi(a) = +-1")
     if case_id not in CASE_IDS:
         raise ValueError(f"case_id must be one of {CASE_IDS}, got {case_id!r}")
     tau_a, tau_0 = CASE_TAU[case_id]
-    roots = solve_quadratic(ctx, *case_equation(ctx, u, a, b, case_id))
-    return tuple(x for x in roots if ctx.chi(ctx.add(x, a)) == tau_a and ctx.chi(x) == tau_0)
+    c1 = ctx.sub(z, ctx.mul(u, (tau_a - tau_0) % 3))  # t_a - t_0 as the element 0, 1 or 2
+    c0 = ctx.add(1, ctx.mul(u, tau_0 % 3))
+    roots = solve_quadratic(ctx, z, c1, c0)
+    want_1, want_0 = chi_a * tau_a, chi_a * tau_0
+    return tuple(y for y in roots if ctx.chi(ctx.add(y, 1)) == want_1 and ctx.chi(y) == want_0)
 
 
 # ---------------------------------------------------------------------------
@@ -253,14 +242,19 @@ def census(su: ScopedU, a: int, b: int) -> dict:
     "predicted", "observed"}: z = a b, the special-point count N1, the
     number of desired roots of each case, the sum of those five (predicted)
     and delta(a, b) (observed), read from the DDT row `su.row` at the slot
-    of z (`ness.ddt_row`).  The (N1, N_I, N_II + N_III, N_IV) vector must appear
-    in the admissible table with exactly the predicted total.
+    of z (`ness.ddt_row`).  The pair enters only through z and chi(a): x = 0
+    and x = -a solve the equation exactly when z = 1 + u chi(a) or
+    z = 1 - u chi(a), so N1 = [z = 1 + u] + [z = 1 - u], and each case is
+    solved in y = x / a (`case_solutions`).  The (N1, N_I, N_II + N_III,
+    N_IV) vector must appear in the admissible table with exactly the
+    predicted total.
     """
     ctx, u = su.ctx, su.u
     if a == 0:
         raise ValueError("a must be nonzero")
-    n1 = special_point_solutions(ctx, u, a, b)
-    n_i, n_ii, n_iii, n_iv = (len(case_solutions(ctx, u, a, b, cid)) if b else 0
+    z, chi_a = ctx.mul(a, b), ctx.chi(a)
+    n1 = (z == ctx.add(1, u)) + (z == ctx.sub(1, u))
+    n_i, n_ii, n_iii, n_iv = (len(case_solutions(ctx, u, z, chi_a, cid)) if z else 0
                               for cid in CASE_IDS)
     predicted = n1 + n_i + n_ii + n_iii + n_iv
     table_key = (n1, n_i, n_ii + n_iii, n_iv)
@@ -270,7 +264,6 @@ def census(su: ScopedU, a: int, b: int) -> dict:
             f"admissible pattern (u={ctx.format_element(u)}, "
             f"a={ctx.format_element(a)}, b={ctx.format_element(b)})"
         )
-    z = ctx.mul(a, b)
     return {"z": z, "n1": n1, "case_i": n_i, "case_ii": n_ii, "case_iii": n_iii,
             "case_iv": n_iv, "predicted": predicted, "observed": int(su.row[ctx.slot(z)])}
 

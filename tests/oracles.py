@@ -13,7 +13,9 @@ route what a production function computes, and the tests compare the two.
     logarithms taken by the digit-wise adder: the oracle for the row
     `FieldCtx._zech` reads off in closed form.
     `counting_identities_hold` checks the two sums every spectrum meets,
-    and `uniformity` reads its largest DDT value.
+    and `uniformity` reads its largest DDT value.  `case_counts` splits
+    the x that solve one pair (a, b) into the special points {0, -a} and
+    the four cases of (chi(x + a), chi(x)): the oracle for `census`.
   * `g_eval` evaluates one classifier polynomial at one z with the scalar
     ops; `g_values` evaluates it over the whole field with the digit-wise
     adder (`add`, `neg`, `sub` and `digitwise`, so not on the library's
@@ -100,6 +102,30 @@ def ddt_entry_naive(ctx: FieldCtx, u: int, a: int, b: int) -> int:
     if a == 0:
         raise ValueError("DDT rows are indexed by nonzero a")
     return sum(1 for x in range(ctx.q) if derivative(ctx, u, a, x) == b)
+
+
+CASE_OF_SIGNS = {(1, 1): "case_i", (1, -1): "case_ii", (-1, 1): "case_iii", (-1, -1): "case_iv"}
+
+
+@functools.lru_cache(maxsize=2)
+def f_values(ctx: FieldCtx, u: int) -> np.ndarray:
+    """f_u at every x in element order, by `f_eval`; kept for the last two u."""
+    return np.array([f_eval(ctx, u, x) for x in range(ctx.q)])
+
+
+def case_counts(ctx: FieldCtx, u: int, a: int, b: int) -> dict[str, int]:
+    """The x with f_u(x + a) - f_u(x) = b, split as `census` splits them:
+    "n1" for x in {0, -a}, else the case of (chi(x + a), chi(x)) in
+    `CASE_OF_SIGNS`.  `derivative` at every x at once, from `f_values` and
+    the digit-wise adder; the oracle for the five counts of `census`."""
+    if a == 0:
+        raise ValueError("derivative direction a must be nonzero")
+    f = f_values(ctx, u)
+    x_plus_a = digitwise(ctx, np.arange(ctx.q), a)
+    counts = dict.fromkeys(("n1", *CASE_OF_SIGNS.values()), 0)
+    for x in np.flatnonzero(digitwise(ctx, f[x_plus_a], f, -1) == b).tolist():
+        counts[CASE_OF_SIGNS.get((ctx.chi(int(x_plus_a[x])), ctx.chi(x)), "n1")] += 1
+    return counts
 
 
 def ddt_table(ctx: FieldCtx, u: int) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Per-pair solution counting: special points, case quadratics, predictions."""
+"""Per-pair solution counting: special points, case quadratics in y = x / a,
+predictions."""
 
 import random
 
@@ -10,55 +11,84 @@ from sampling import sample_u0_nonf3
 from nhspectrum import solution_census as cn
 from nhspectrum import ness
 from nhspectrum.charsums import ScopedU
-from nhspectrum.field import InconsistencyError
+from nhspectrum.field import InconsistencyError, make_context
 from nhspectrum.spectrum import u0_nonf3_elements
 
 
 # ---------------------------------------------------------------------------
-# special points {0, -a}
+# the census against the per-x oracle
 # ---------------------------------------------------------------------------
 
 
-def _special_points_direct(ctx, u, a, b):
-    hits = 0
-    for x in (0, ctx.neg(a)):
-        if oracles.derivative(ctx, u, a, x) == b:
-            hits += 1
-    return hits
+def _five_counts(c):
+    return {key: c[key] for key in ("n1", "case_i", "case_ii", "case_iii", "case_iv")}
+
+
+def test_census_matches_case_counts_n3(f3):
+    """Every pair of every in-scope u: the five counts of `census` equal the
+    x counted and split by their signs (`test_census_exhaustive_n3` ties
+    their total to the scalar DDT entry)."""
+    for u in u0_nonf3_elements(f3):
+        su = ScopedU(f3, u)
+        for a in range(1, f3.q):
+            for b in range(f3.q):
+                counts = oracles.case_counts(f3, u, a, b)
+                assert _five_counts(cn.census(su, a, b)) == counts, (u, a, b)
+
+
+@pytest.mark.parametrize("n, modulus, u_count, seed", [
+    (5, None, 3, 61), (7, None, 2, 67), (7, "22200001", 2, 71),
+], ids=["n5", "n7", "n7-22200001"])
+def test_census_matches_case_counts_sampled(n, modulus, u_count, seed):
+    """200 seeded pairs of a few seeded u, on the default modulus and on a
+    supplied one."""
+    ctx = make_context(n, modulus)
+    rng = random.Random(seed)
+    for u in sample_u0_nonf3(ctx, u_count, seed):
+        su = ScopedU(ctx, u)
+        for _ in range(200):
+            a, b = rng.randrange(1, ctx.q), rng.randrange(ctx.q)
+            assert _five_counts(cn.census(su, a, b)) == oracles.case_counts(ctx, u, a, b), (u, a, b)
+
+
+# ---------------------------------------------------------------------------
+# special points {0, -a}: z = 1 +- u
+# ---------------------------------------------------------------------------
 
 
 def test_special_points_match_direct_check_all_u(f3):
-    rng = random.Random(41)
-    for _ in range(400):
-        u = rng.randrange(f3.q)  # the closed form covers every u
-        a = rng.randrange(1, f3.q)
-        b = rng.randrange(f3.q)
-        assert cn.special_point_solutions(f3, u, a, b) == _special_points_direct(
-            f3, u, a, b
-        )
+    """For every u, not only in scope: x = 0 and x = -a solve the equation
+    exactly when a b = 1 + u chi(a) and a b = 1 - u chi(a), so the count
+    among them is [a b = 1 + u] + [a b = 1 - u], 2 at u = 0 and b = 1/a."""
+    for u in range(f3.q):
+        one_pm_u = (f3.add(1, u), f3.sub(1, u))
+        for a in range(1, f3.q):
+            plus, minus = (f3.add(1, f3.mul(u, sign % 3)) for sign in (f3.chi(a), -f3.chi(a)))
+            for b in range(f3.q):
+                z = f3.mul(a, b)
+                direct = [oracles.derivative(f3, u, a, x) == b for x in (0, f3.neg(a))]
+                assert direct == [z == plus, z == minus], (u, a, b)
+                assert sum(direct) == sum(z == t for t in one_pm_u), (u, a, b)
 
 
 def test_special_points_closed_form_cases(f3):
-    a = 5
-    inv_a = f3.inv(a)
-    assert cn.special_point_solutions(f3, 0, a, inv_a) == 2
+    """For an in-scope u and each a, N1 of `census` is 1 at the two b with
+    a b = 1 + u or a b = 1 - u and 0 at every other b."""
     u = u0_nonf3_elements(f3)[0]
-    chi_a = 1 if f3.chi(a) == 1 else 2
-    b_plus = f3.mul(inv_a, f3.add(1, f3.mul(u, chi_a)))
-    b_minus = f3.mul(inv_a, f3.sub(1, f3.mul(u, chi_a)))
-    assert cn.special_point_solutions(f3, u, a, b_plus) == 1
-    assert cn.special_point_solutions(f3, u, a, b_minus) == 1
-    others = [b for b in range(f3.q) if b not in (b_plus, b_minus)]
-    assert all(cn.special_point_solutions(f3, u, a, b) == 0 for b in others)
+    su = ScopedU(f3, u)
+    for a in (1, 5, 13):
+        targets = {f3.mul(f3.inv(a), t) for t in (f3.add(1, u), f3.sub(1, u))}
+        assert len(targets) == 2
+        assert all(cn.census(su, a, b)["n1"] == (b in targets) for b in range(f3.q)), a
 
 
 def test_special_points_reject_zero_a(f3):
     with pytest.raises(ValueError):
-        cn.special_point_solutions(f3, 5, 0, 1)
+        cn.census(ScopedU(f3, u0_nonf3_elements(f3)[0]), 0, 1)
 
 
 # ---------------------------------------------------------------------------
-# quadratic solving and the four cases
+# quadratic solving and the four cases in y = x / a
 # ---------------------------------------------------------------------------
 
 
@@ -78,52 +108,81 @@ def test_solve_quadratic_against_scan(f3):
         assert len(roots) == len(set(roots))
 
 
+def _y_quadratic(ctx, u, z, case_id):
+    """(c2, c1, c0) = (z, z - u (t_a - t_0), 1 + u t_0) of one case in y."""
+    t_a, t_0 = (t % 3 for t in cn.CASE_TAU[case_id])
+    return z, ctx.sub(z, ctx.mul(u, ctx.sub(t_a, t_0))), ctx.add(1, ctx.mul(u, t_0))
+
+
+def _x_quadratic(ctx, u, a, b, case_id):
+    """(b, a b - u (t_a - t_0), a (1 + u t_0)), the case quadratic in x."""
+    t_a, t_0 = (t % 3 for t in cn.CASE_TAU[case_id])
+    c1 = ctx.sub(ctx.mul(a, b), ctx.mul(u, ctx.sub(t_a, t_0)))
+    return b, c1, ctx.mul(a, ctx.add(1, ctx.mul(u, t_0)))
+
+
+def _value(ctx, coeffs, x):
+    c2, c1, c0 = coeffs
+    return ctx.add(ctx.add(ctx.mul(c2, ctx.mul(x, x)), ctx.mul(c1, x)), c0)
+
+
 def test_case_equations_match_table_forms(f3):
-    # case I: b x^2 + a b x + a(u+1); case IV: b x^2 + a b x - a(u-1)
-    u, a, b = u0_nonf3_elements(f3)[2], 7, 11
-    c2, c1, c0 = cn.case_equation(f3, u, a, b, "I")
-    assert (c2, c1, c0) == (b, f3.mul(a, b), f3.mul(a, f3.add(u, 1)))
-    c2, c1, c0 = cn.case_equation(f3, u, a, b, "IV")
-    assert (c2, c1, c0) == (b, f3.mul(a, b), f3.neg(f3.mul(a, f3.sub(u, 1))))
-    # case II: b x^2 + (u + a b) x - a(u-1); case III: b x^2 - (u - a b) x + a(u+1)
-    c2, c1, c0 = cn.case_equation(f3, u, a, b, "II")
-    assert (c2, c1, c0) == (b, f3.add(u, f3.mul(a, b)), f3.neg(f3.mul(a, f3.sub(u, 1))))
-    c2, c1, c0 = cn.case_equation(f3, u, a, b, "III")
-    assert (c2, c1, c0) == (b, f3.sub(f3.mul(a, b), u), f3.mul(a, f3.add(u, 1)))
+    """The quadratic in y at z = a b is the one in x at x = a y divided by a,
+    and its discriminant c1^2 - c2 c0 (4 = 1) is g2(z) in case I, g3(z) in
+    case IV and g4(z) in cases II and III."""
+    disc_g = {"I": 2, "II": 4, "III": 4, "IV": 3}
+    for u in u0_nonf3_elements(f3)[:3]:
+        su = ScopedU(f3, u)
+        for a in range(1, f3.q, 2):
+            for b in range(1, f3.q, 3):
+                z = f3.mul(a, b)
+                for case_id in cn.CASE_IDS:
+                    y_form = _y_quadratic(f3, u, z, case_id)
+                    x_form = _x_quadratic(f3, u, a, b, case_id)
+                    for y in range(f3.q):
+                        assert (f3.mul(a, _value(f3, y_form, y))
+                                == _value(f3, x_form, f3.mul(a, y))), (u, a, b, case_id, y)
+                    c2, c1, c0 = y_form
+                    disc = f3.sub(f3.mul(c1, c1), f3.mul(c2, c0))
+                    assert disc == oracles.g_eval(su, disc_g[case_id], z), (u, z, case_id)
 
 
 def test_case_solutions_are_desired_equation_solutions(f3):
+    """a times the roots that `case_solutions` keeps at (z, chi(a)) are the
+    x outside {0, -a} that solve the equation with signs (t_a, t_0)."""
     u = u0_nonf3_elements(f3)[0]
     for a in range(1, f3.q, 3):
-        for b in range(1, f3.q, 4):
+        for b in range(1, f3.q, 2):
             for case_id in cn.CASE_IDS:
                 tau_a, tau_0 = cn.CASE_TAU[case_id]
-                for x in cn.case_solutions(f3, u, a, b, case_id):
-                    assert f3.chi(f3.add(x, a)) == tau_a
-                    assert f3.chi(x) == tau_0
-                    assert oracles.derivative(f3, u, a, x) == b
+                desired = {x for x in range(f3.q)
+                           if oracles.derivative(f3, u, a, x) == b
+                           and f3.chi(f3.add(x, a)) == tau_a and f3.chi(x) == tau_0}
+                ys = cn.case_solutions(f3, u, f3.mul(a, b), f3.chi(a), case_id)
+                assert {f3.mul(a, y) for y in ys} == desired, (a, b, case_id)
+                assert len(ys) == len(desired)
 
 
 def test_case_ii_iii_root_pairing(f3):
+    """y solves case II exactly when -1 - y solves case III (x -> -(x + a)
+    in x), and the two are never both desired."""
     for u in u0_nonf3_elements(f3)[:3]:
-        for a in range(1, f3.q):
-            for b in range(1, f3.q):
-                roots2 = cn.solve_quadratic(f3, *cn.case_equation(f3, u, a, b, "II"))
-                roots3 = cn.solve_quadratic(f3, *cn.case_equation(f3, u, a, b, "III"))
-                for x in roots2:
-                    assert f3.neg(f3.add(x, a)) in roots3
-                desired2 = cn.case_solutions(f3, u, a, b, "II")
-                desired3 = cn.case_solutions(f3, u, a, b, "III")
-                for x in desired2:
-                    assert f3.neg(f3.add(x, a)) not in desired3
+        for z in range(1, f3.q):
+            roots2 = cn.solve_quadratic(f3, *_y_quadratic(f3, u, z, "II"))
+            roots3 = cn.solve_quadratic(f3, *_y_quadratic(f3, u, z, "III"))
+            assert sorted(f3.sub(2, y) for y in roots2) == sorted(roots3)  # 2 is -1
+            for chi_a in (1, -1):
+                desired3 = cn.case_solutions(f3, u, z, chi_a, "III")
+                for y in cn.case_solutions(f3, u, z, chi_a, "II"):
+                    assert f3.sub(2, y) not in desired3
 
 
 def test_case_bounds(f3):
     u = u0_nonf3_elements(f3)[1]
-    for a in range(1, f3.q, 2):
-        for b in range(1, f3.q, 2):
+    for z in range(1, f3.q):
+        for chi_a in (1, -1):
             counts = {
-                cid: len(cn.case_solutions(f3, u, a, b, cid)) for cid in cn.CASE_IDS
+                cid: len(cn.case_solutions(f3, u, z, chi_a, cid)) for cid in cn.CASE_IDS
             }
             assert counts["I"] <= 1
             assert counts["IV"] <= 1
@@ -145,38 +204,40 @@ def test_case_rejects_degenerate_inputs(f3):
 # ---------------------------------------------------------------------------
 
 
+def _pairs(f3):
+    """(z, chi(a)) for every other a and every third b != 0."""
+    return [(f3.mul(a, b), f3.chi(a)) for a in range(1, f3.q, 2) for b in range(1, f3.q, 3)]
+
+
 def test_case_i_iv_sign_conditions(f3):
     # N_I = 1 iff s2 = 1 and s1 = 1; N_IV = 1 iff s3 = 1 and s1 = 1
     for u in u0_nonf3_elements(f3):
         su = ScopedU(f3, u)
-        for a in range(1, f3.q, 2):
-            for b in range(1, f3.q, 3):
-                s = oracles.g_signs(su, f3.mul(a, b))
-                n_i = len(cn.case_solutions(f3, u, a, b, "I"))
-                n_iv = len(cn.case_solutions(f3, u, a, b, "IV"))
-                assert n_i == int(s[0] == 1 and s[1] == 1)
-                assert n_iv == int(s[0] == 1 and s[2] == 1)
+        for z, chi_a in _pairs(f3):
+            s = oracles.g_signs(su, z)
+            n_i = len(cn.case_solutions(f3, u, z, chi_a, "I"))
+            n_iv = len(cn.case_solutions(f3, u, z, chi_a, "IV"))
+            assert n_i == int(s[0] == 1 and s[1] == 1)
+            assert n_iv == int(s[0] == 1 and s[2] == 1)
 
 
 def test_case_ii_iii_sum_sign_conditions(f3):
     # N_II + N_III: 2 iff s4 = s5 = 1; 1 iff s4 = 0 and chi(z^2-u^2) = 1; else 0
     for u in u0_nonf3_elements(f3):
         su = ScopedU(f3, u)
-        for a in range(1, f3.q, 2):
-            for b in range(1, f3.q, 3):
-                z = f3.mul(a, b)
-                s = oracles.g_signs(su, z)
-                chi_z2mu2 = f3.chi(f3.sub(f3.mul(z, z), f3.mul(u, u)))
-                total = (
-                    len(cn.case_solutions(f3, u, a, b, "II"))
-                    + len(cn.case_solutions(f3, u, a, b, "III"))
-                )
-                if s[3] == 1 and s[4] == 1:
-                    assert total == 2
-                elif s[3] == 0 and chi_z2mu2 == 1:
-                    assert total == 1
-                else:
-                    assert total == 0
+        for z, chi_a in _pairs(f3):
+            s = oracles.g_signs(su, z)
+            chi_z2mu2 = f3.chi(f3.sub(f3.mul(z, z), f3.mul(u, u)))
+            total = (
+                len(cn.case_solutions(f3, u, z, chi_a, "II"))
+                + len(cn.case_solutions(f3, u, z, chi_a, "III"))
+            )
+            if s[3] == 1 and s[4] == 1:
+                assert total == 2
+            elif s[3] == 0 and chi_z2mu2 == 1:
+                assert total == 1
+            else:
+                assert total == 0
 
 
 def _case_rows(su):

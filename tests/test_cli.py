@@ -245,6 +245,24 @@ def test_census_reads_the_prediction_at_every_z(monkeypatch):
                                          f"signs={census_mod.g_signs(su, z)}")
 
 
+def test_census_names_the_pair_with_an_inadmissible_vector(monkeypatch):
+    """A case vector outside the admissible table stops the run before the
+    u's records, naming u, a and b of the first sampled pair that has it."""
+    _, out, _ = _run("census", u="sample:1:3", seed=11)
+    vector = (0, 0, 2, 0)
+    first = next(rec for rec in _json_lines(out)
+                 if (rec["n1"], rec["case_i"], rec["case_ii"] + rec["case_iii"], rec["case_iv"])
+                 == vector)
+    rows = dict(census_mod.TABLE_IV_ROWS)
+    del rows[vector]
+    monkeypatch.setattr(census_mod, "TABLE_IV_ROWS", rows)
+    status, out, err = _run("census", u="sample:1:3", seed=11)
+    assert (status, out) == (1, "")
+    assert err == json.dumps({"status": "inconsistency", "detail": (
+        f"case vector {vector} with total 2 is not an admissible pattern "
+        f"(u={first['u']}, a={first['a']}, b={first['b']})")}) + "\n"
+
+
 def test_ddt_rows_sum_to_field_size():
     status, out, _ = _run("ddt", u="gen^1")
     assert status == 0

@@ -14,17 +14,20 @@ rotation one step off; a Zech offset one step off; a parity flipped; a
 sign flipped in the fold of x**n; a branch swapped; a giant step one power
 too far; a prime dropped from the generator search; two product columns
 swapped; a case total off by one; a plane sum one term wrong; the two
-lead rows of the pattern signs swapped; an expected count off by one), so
-that they run on every change.  A mutant of a table
-build rewrites one fragment of the build's source (`rewritten`), since the
-table is a local of that build.  A mutant of a table that the import compiles
-into another also installs the other compiled from it, as the import would
+lead rows of the pattern signs swapped; an expected count off by one; a
+character dropped from a root test; a constant term built with the wrong
+sign), so that they run on every change.  A mutant of a function or of a
+table build rewrites one fragment of its source and runs it in the
+function's module (`rewritten`), since a table is a local of its build.  A
+mutant of a table that the import compiles into another also installs the
+other compiled from it, as the import would
 (`PATTERN_PRODUCTS`, `PREDICTION_TABLE` and `CASE_TABLE` from
 `PATTERN_SIGNS`, `EXPECTED` from `PREDICTION_TABLE` and `CASE_TABLE`).
 """
 
 import inspect
 import io
+import random
 import textwrap
 
 import numpy as np
@@ -86,7 +89,25 @@ def same_row_matches_counts(ctx) -> bool:
             and int(same.sum()) == (ctx.q + 1) // 4)
 
 
-def sign_key_matches_g_values(ctx) -> bool:
+def census_matches_case_counts(ctx) -> bool:
+    """The five counts of `census` equal `oracles.case_counts` at 100 seeded
+    pairs of every in-scope u.  A census that raises on an inadmissible case
+    vector gives no counts, which is a mismatch too."""
+    rng = random.Random(5)
+    for su in _scope(ctx):
+        for _ in range(100):
+            a, b = rng.randrange(1, ctx.q), rng.randrange(ctx.q)
+            counts = oracles.case_counts(ctx, su.u, a, b)
+            try:
+                c = cn.census(su, a, b)
+            except InconsistencyError:
+                return False
+            if {key: c[key] for key in counts} != counts:
+                return False
+    return True
+
+
+def pattern_signs_match_g_values(ctx) -> bool:
     """The signs decoded from the pattern of z (`oracles.signs_by_z`) equal
     chi of z and of `g_values` at every z."""
     zs = np.arange(ctx.q)
@@ -192,10 +213,11 @@ def rewritten(owner, name: str, fragment: str, mutant: str):
 
     def mutate(monkeypatch, ctx):
         attribute = inspect.getattr_static(owner, name)
-        source = textwrap.dedent(inspect.getsource(getattr(attribute, "func", attribute)))
+        function = getattr(attribute, "func", attribute)
+        source = textwrap.dedent(inspect.getsource(function))
         assert source.count(fragment) == 1, (name, fragment)
         namespace = {}
-        exec(source.replace(fragment, mutant), vars(field), namespace)
+        exec(source.replace(fragment, mutant), vars(inspect.getmodule(function)), namespace)
         replacement = namespace[name]
         if isinstance(replacement, built_once):
             replacement.__set_name__(owner, name)
@@ -296,7 +318,7 @@ MUTANTS = {
     "FieldCtx.chi_pattern": (
         rewritten(FieldCtx, "chi_pattern", "[j & 1, q - 1 - j:2 * q - 2 - j]",
                   "[j & 1, q - 2 - j:2 * q - 3 - j]"), 3,
-        (sign_key_matches_g_values, product_sums_match_field_products),
+        (pattern_signs_match_g_values, product_sums_match_field_products),
     ),
     # the cross group (k odd, Z+(k) even) reads its offset h - Z+(k) one step off
     "FieldCtx._zech": (
@@ -328,7 +350,7 @@ MUTANTS = {
     "field._neighbour": (
         rewritten(field, "_neighbour", "out[1:] = table[:-1]\n    out[::P] = table[P - 1::P]",
                   "out[:-1] = table[1:]\n    out[P - 1::P] = table[::P]"), 3,
-        (sign_key_matches_g_values, row_gives_every_row),
+        (pattern_signs_match_g_values, row_gives_every_row),
     ),
     # row j + 1 of the matrix of a is row j times x, its top digit folded back
     # in as x**n = -(the modulus less x**n): folded in with the sign flipped
@@ -352,12 +374,27 @@ MUTANTS = {
     # chi(u+1), the leads of g1 and g5: one sign vector per lead and pattern
     "charsums.PATTERN_SIGNS": (
         swap_lead_rows, 3,
-        (sign_key_matches_g_values, product_sums_match_field_products),
+        (pattern_signs_match_g_values, product_sums_match_field_products),
     ),
     # the case counts and their total compiled from closed forms in the signs
     "solution_census.CASE_TABLE": (
         shift_one_total, 3,
         (case_table_matches_closed_forms, command_passes("verify-propositions")),
+    ),
+    # x = a y: a pair enters the case quadratic only through z = a b, and its
+    # root test through chi(a); here chi(a) is dropped from the test.  At
+    # chi(a) = -1 that swaps the counts of cases II and III (y -> -1 - y
+    # maps the roots of one onto the other) and keeps every total, so only
+    # the per-case oracle sees it.
+    "solution_census.case_solutions": (
+        rewritten(cn, "case_solutions", "want_1, want_0 = chi_a * tau_a, chi_a * tau_0",
+                  "want_1, want_0 = tau_a, tau_0"), 3,
+        (census_matches_case_counts,),
+    ),
+    # the constant term 1 + u t_0 built as 1 - u t_0
+    "solution_census.case_solutions.c0": (
+        rewritten(cn, "case_solutions", "c0 = ctx.add(1, ", "c0 = ctx.sub(1, "), 3,
+        (census_matches_case_counts, command_passes("census")),
     ),
     # the prediction and the case total compared with the DDT in one gather
     "solution_census.EXPECTED": (
