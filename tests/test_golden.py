@@ -2,8 +2,14 @@
 
 ``tests/data/golden_stdout.json`` maps each case to the sha256 of the
 stdout that ``cli.run`` wrote for it when the file was recorded.  A change
-that keeps the program's output must keep every digest.  To record the
-file again (only when an output change is intended):
+that keeps the program's output must keep every digest.  To add the cases
+that the file lacks, run before the change that they guard:
+
+    PYTHONPATH=src python tests/test_golden.py --add
+
+That runs only the missing cases and rewrites the file in place with every
+recorded digest as it was.  To record the whole file again (only when an
+output change is intended):
 
     PYTHONPATH=src python tests/test_golden.py > tests/data/golden_stdout.json
 
@@ -15,6 +21,7 @@ run.
 import hashlib
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -44,6 +51,10 @@ ZERO_COEFFICIENT_U = ("10000", "20000")
 LARGE_N_SETTINGS = ((9, "sample:40:3"), (11, "sample:3:1"), (13, "sample:1:1"))
 LARGE_N_COMMANDS = ("scan", "verify-lemmas", "verify-propositions", "census")
 
+# The whole scope at n = 9 in json (about 3 s), the sweep that a per-orbit
+# computation would change.
+N9_WHOLE_SCOPE = ("verify-theorem", 9, "all", 0, "json")
+
 
 def case_id(command: str, n: int, u_spec: str, seed: int, fmt: str) -> str:
     return f"{command}|n={n}|u={u_spec}|seed={seed}|{fmt}"
@@ -60,7 +71,8 @@ def cases() -> list[tuple[str, int, str, int, str]]:
             + [("ddt", 5, u, 0, "json") for u in ZERO_COEFFICIENT_U]
             + [("spectrum", 7, u.ljust(7, "0"), 0, "json") for u in ZERO_COEFFICIENT_U]
             + [(command, n, u_spec, 0, "json")
-               for n, u_spec in LARGE_N_SETTINGS for command in LARGE_N_COMMANDS])
+               for n, u_spec in LARGE_N_SETTINGS for command in LARGE_N_COMMANDS]
+            + [N9_WHOLE_SCOPE])
 
 
 def stdout_digest(command: str, n: int, u_spec: str, seed: int, fmt: str) -> tuple[int, str]:
@@ -89,10 +101,26 @@ def record(case_list) -> dict[str, str]:
     return {case: digest for case, (_, digest) in results.items()}
 
 
+def add_missing(golden: dict[str, str], case_list) -> dict[str, str]:
+    """golden with the digest of each case of case_list that it lacks; a case
+    it has is not run, so no recorded digest changes."""
+    return {**record([c for c in case_list if case_id(*c) not in golden]), **golden}
+
+
+def test_adding_keeps_every_recorded_digest():
+    kept, added = ("spectrum", 3, "all", 0, "json"), ("spectrum", 3, "all", 0, "text")
+    golden = add_missing({case_id(*kept): "kept"}, [kept, added])
+    assert golden == {case_id(*kept): "kept", case_id(*added): stdout_digest(*added)[1]}
+
+
 def test_recorder_refuses_a_failing_run():
     with pytest.raises(SystemExit, match=r"spectrum\|n=3\|u=nope\|seed=0\|json \(status 2\)"):
         record([("spectrum", 3, "all", 0, "json"), ("spectrum", 3, "nope", 0, "json")])
 
 
 if __name__ == "__main__":
-    print(json.dumps(record(cases()), indent=1, sort_keys=True))
+    if sys.argv[1:] == ["--add"]:
+        added = add_missing(json.loads(GOLDEN.read_text()), cases())
+        GOLDEN.write_text(json.dumps(added, indent=1, sort_keys=True) + "\n")
+    else:
+        print(json.dumps(record(cases()), indent=1, sort_keys=True))
