@@ -37,7 +37,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -115,7 +115,7 @@ def resolve_u(ctx: FieldCtx, u_spec: str, seed: int = 0) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# per-command record builders; each returns (records, all_ok)
+# per-command record builders; each returns (records, all_ok), read once
 # ---------------------------------------------------------------------------
 
 
@@ -147,26 +147,33 @@ def _spectrum_records(ctx: FieldCtx, u: int, seed: int) -> tuple[list[dict], boo
     return [dict(_closed_form_head(ctx, u, theorem), match=theorem["match"])], theorem["match"]
 
 
-def _ddt_records(ctx: FieldCtx, u: int, seed: int) -> tuple[list[dict], bool]:
-    # delta(a, .) is the permutation b -> a b of row 1, so every a has its histogram
+def _ddt_records(ctx: FieldCtx, u: int, seed: int) -> tuple[Iterator[dict], bool]:
+    # the row is counted now (under --jobs, in the worker), its q - 1 records as they are
+    # written; delta(a, .) is the permutation b -> a b of row 1, so every a has its histogram
     head, hist = _head(ctx, u), np.bincount(ness.ddt_row(ctx, u)).tolist()
-    return [dict(head, a=ctx.format_element(a), delta_hist=hist) for a in range(1, ctx.q)], True
+    return (dict(head, a=ctx.format_element(a), delta_hist=hist) for a in range(1, ctx.q)), True
 
 
 def _census_records(ctx: FieldCtx, u: int, seed: int) -> tuple[list[dict], bool]:
+    """A pair is consistent when its prediction, the census total and the DDT
+    entry agree, and its (N1, N_I, N_II + N_III, N_IV) is the `CASE_TABLE`
+    entry of z."""
     q = ctx.q
     total_pairs = (q - 1) * q
     pair_count = min(200, total_pairs)
     pair_ids = rng.sample_distinct(range(total_pairs), pair_count, seed)
     su = charsums.ScopedU(ctx, u)
-    prediction = census_mod.prediction_by_z(su)
+    prediction, cases = census_mod.prediction_by_z(su), census_mod.CASE_TABLE[su.lead]
     head = _head(ctx, u)
     records = []
     for pid in pair_ids:
         a = pid // q + 1
         b = pid % q
         c = census_mod.census(su, a, b)
-        consistent = c["predicted"] == c["observed"] == int(prediction[ctx.slot(c["z"])])
+        slot = ctx.slot(c["z"])
+        consistent = (c["predicted"] == c["observed"] == int(prediction[slot])
+                      and cases[su.pattern[slot], :4].tolist()
+                      == [c["n1"], c["case_i"], c["case_ii"] + c["case_iii"], c["case_iv"]])
         records.append(_format_pair(ctx, {**head, "a": a, "b": b, **c, "consistent": consistent}))
     return records, all(rec["consistent"] for rec in records)
 
@@ -200,7 +207,7 @@ def _scan_records(ctx: FieldCtx, u: int, seed: int) -> tuple[list[dict], bool]:
     return [rec], match
 
 
-BUILDERS: dict[str, Callable[[FieldCtx, int, int], tuple[list[dict], bool]]] = {
+BUILDERS: dict[str, Callable[[FieldCtx, int, int], tuple[Iterable[dict], bool]]] = {
     "spectrum": _spectrum_records,
     "ddt": _ddt_records,
     "census": _census_records,
@@ -262,19 +269,21 @@ def _format_text(rec: dict) -> str:
     return "  ".join(parts)
 
 
-def emit(command: str, records: list[dict], output_format: str, out: io.TextIOBase) -> None:
-    if output_format == "json":
-        for rec in records:
-            out.write(json.dumps(rec) + "\n")
-    elif output_format == "csv":
+def emit(command: str, records: Iterable[dict], output_format: str,
+         out: io.TextIOBase) -> int:
+    """Write the records one by one; returns how many there were."""
+    count = 0
+    if output_format == "csv":
         writer = csv.writer(out, lineterminator="\n")
-        for rec in records:
+        for count, rec in enumerate(records, 1):
             row = _to_csv_row(command, rec)
             if row is not None:
                 writer.writerow(row)
     else:
-        for rec in records:
-            out.write(_format_text(rec) + "\n")
+        line = json.dumps if output_format == "json" else _format_text
+        for count, rec in enumerate(records, 1):
+            out.write(line(rec) + "\n")
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +320,7 @@ def _run_checked(config: RunConfig, out: io.TextIOBase, err: io.TextIOBase) -> i
         for recs, ok in built:
             if not count and config.output_format == "csv":
                 csv.writer(out, lineterminator="\n").writerow(CSV_COLUMNS[config.command])
-            emit(config.command, recs, config.output_format, out)
-            count += len(recs)
+            count += emit(config.command, recs, config.output_format, out)
             all_ok &= ok
     if not all_ok:
         err.write(json.dumps({"status": "fail", "command": config.command, "n": config.n,
@@ -322,7 +330,7 @@ def _run_checked(config: RunConfig, out: io.TextIOBase, err: io.TextIOBase) -> i
 
 
 def _built(ctx: FieldCtx, us: list[int],
-           config: RunConfig) -> Iterator[tuple[list[dict], bool]]:
+           config: RunConfig) -> Iterator[tuple[Iterable[dict], bool]]:
     """The records of each u in order, with --jobs > 1 from a thread pool given
     POOL_WINDOW u at a time; closing it cancels the u not yet started."""
     build = functools.partial(BUILDERS[config.command], ctx, seed=config.seed)

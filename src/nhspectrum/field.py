@@ -52,21 +52,24 @@ The scalar ops and the vector kernels are gathers from small tables:
   DDT row from Zech logarithms, Huber, "Some comments on Zech's
   logarithms", 1990, for `ness.ddt_row`).
 
-The log tables are built in two stages, baby steps and giant steps, with
-S = 3^(ceil(n/2) + 1) baby steps (all q - 1 for n = 3) and R = ceil((q - 1)
-/ S) giant rows (3 at n = 5, 243 at n = 13):
+The log tables are built in two stages, baby steps and giant steps, with S
+baby steps, the largest power of two not above 3^(ceil(n/2) + 1), and R =
+ceil((q - 1) / S) giant rows.  S x R is 16 x 2, 64 x 4, 128 x 18, 512 x 39,
+2048 x 87 and 4096 x 390 for n = 3 .. 13, so every n runs both stages:
 
 * Baby steps, by doubling.  Multiplication by g^m is a GF(3)-linear map on
   digit vectors, so once the digit rows of g^0 .. g^(m-1) are known, one
   matrix product with the n x n matrix of g^m gives g^m .. g^(2m-1), and
-  squaring that matrix gives the matrix of g^(2m).  That is ceil(log2 S)
-  numpy steps for g^0 .. g^(S-1).  A digit row costs n^2 int8
-  multiply-adds (about 1.1 ns each) and a giant row one call of a few
-  microseconds, and this S balances the two near their least sum.
+  squaring that matrix gives the matrix of g^(2m).  That is log2 S numpy
+  steps for g^0 .. g^(S-1), each a full doubling, and the last squaring
+  leaves the matrix of g^S.  A digit row costs n^2 int8 multiply-adds
+  (about 1.1 ns each) and a giant row one call of a few microseconds, and
+  this S balances the two near their least sum.
 * Giant steps through one table.  Row i is c = g^S times row i - 1, one
-  ``take`` from the table of c z for every z (``_times_table``).  With h =
-  ceil(n / 2), c z = c (z mod 3^h) + c x^h (z div 3^h): two index tables
-  of 3^h and 3^(n-h) entries and one plane sum over their grid.
+  ``take`` from the table of c z for every z (``_times_table``, from the
+  matrix of c).  With h = ceil(n / 2), c z = c (z mod 3^h) + c x^h (z div
+  3^h): two index tables of 3^h and 3^(n-h) entries and one plane sum over
+  their grid.
 
 The build certifies the field: g^0 .. g^(q-2) must be q - 1 distinct nonzero
 elements, else it raises `InconsistencyError`.  That is enough: if the
@@ -396,35 +399,32 @@ class FieldCtx:
 
         Zero has the sentinel log 2q - 3, and alog has 4q - 5 entries: g**(k
         mod (q - 1)) up to k = 2q - 4 and 0 beyond, so alog[log[a] + log[b]]
-        is a * b for every pair, zero included.  Built by baby and giant
-        steps and certified (see the module docstring).
+        is a * b for every pair, zero included.  Built by S baby steps, whose
+        doubling leaves the matrix of the giant multiplier c = g**S, and R >= 2
+        giant rows, and certified (see the module docstring).
         """
         q, n = self.q, self.n
-        baby = min(P**((n + 1) // 2 + 1), q - 1)
+        baby = 1 << (P**((n + 1) // 2 + 1)).bit_length() - 1
         giant = -(-(q - 1) // baby)
         weights = P**np.arange(n, dtype=np.int32)
         powers = np.zeros((baby, n), dtype=np.int8)
         powers[0, 0] = 1
         # row j: the digits of g**m * x**j; its square is the matrix of g**(2m).
         # Entries of an int8 digit-row product are at most 4n = 52 before the mod.
-        g_mat = mat = self._mul_matrix(_idx_digits(self.generator, n))
+        mat = self._mul_matrix(_idx_digits(self.generator, n))
         m = 1
         while m < baby:
-            step = min(m, baby - m)
-            block = powers[m:m + step]
-            np.matmul(powers[:step], mat, out=block)
-            block %= P
-            m += step
-            if m < baby:
-                mat = np.matmul(mat, mat) % P
-        # the giant rows run on past q - 2 into the periodic part of alog
+            powers[m:2 * m] = powers[:m] @ mat % P
+            mat = mat @ mat % P
+            m *= 2
+        # mat is the matrix of c = g**baby; the giant rows run on past q - 2
+        # into the periodic part of alog
         alog = np.zeros(4 * q - 5, dtype=np.int32)
         blocks = alog[:giant * baby].reshape(giant, baby)
         np.matmul(powers, weights, out=blocks[0])
-        if giant > 1:
-            times_c = self._times_table((powers[-1] @ g_mat % P).tolist())  # c = g**baby
-            for i in range(1, giant):
-                times_c.take(blocks[i - 1], out=blocks[i])
+        times_c = self._times_table(mat, weights)
+        for i in range(1, giant):
+            times_c.take(blocks[i - 1], out=blocks[i])
         cycle = alog[:q - 1]
         log = np.full(q, -1, dtype=np.int32)
         log[cycle.astype(np.intp)] = np.arange(q - 1, dtype=np.int32)  # intp: no buffered cast
@@ -436,14 +436,12 @@ class FieldCtx:
         alog[giant * baby:2 * q - 3] = cycle[giant * baby - q + 1:q - 2]
         return _frozen(log), _frozen(alog)
 
-    def _times_table(self, digits: Sequence[int]) -> np.ndarray:
-        """int32 c z for every z, c given by its digits: c z = c (z mod 3^h) +
-        c x^h (z div 3^h) as one plane sum over the grid of both indices, from
-        the planes of two small tables, a block of rows at a time (the
-        temporaries of a block stay in cache)."""
+    def _times_table(self, c_mat: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """int32 c z for every z, c given by its (n, n) matrix and weights the
+        int32 powers 3**i: c z = c (z mod 3^h) + c x^h (z div 3^h) as one plane
+        sum over the grid of both indices, from the planes of two small tables,
+        a block of rows at a time (the temporaries of a block stay in cache)."""
         n, h = self.n, (self.n + 1) // 2
-        weights = P**np.arange(n, dtype=np.int32)
-        c_mat = self._mul_matrix(digits)
         low_digits = _digit_rows(h)  # n - h <= h: its head holds the high digits too
         low = low_digits @ c_mat[:h] % P @ weights
         high = low_digits[:P**(n - h), :n - h] @ c_mat[h:] % P @ weights

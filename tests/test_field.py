@@ -507,12 +507,22 @@ def _check_log_steps(ctx, ks):
     assert not alog[2 * q - 3:].any()
 
 
+def _baby_giant(n: int) -> tuple[int, int]:
+    """(S, R) of the log build, worked out here from n: S the largest power
+    of two not above 3^(ceil(n/2) + 1) and R = ceil((q - 1) / S)."""
+    baby = 1
+    while 2 * baby <= 3**((n + 1) // 2 + 1):
+        baby *= 2
+    return baby, -(-(3**n - 1) // baby)
+
+
 @pytest.mark.parametrize("n, modulus", [
     (3, None), (5, None), (7, None), (9, None), (5, oracles.random_irreducible(5, seed=2024)),
     (7, oracles.random_irreducible(7, seed=2024)),
 ], ids=["n3", "n5", "n7", "n9", "n5-random-modulus", "n7-random-modulus"])
 def test_log_tables_by_doubling_match_oracle(n, modulus):
-    """Every step of the cycle: at n = 5, 7 and 9 that spans 3, 9 and 27 giant rows."""
+    """Every step of the cycle: at n = 3, 5, 7 and 9 that spans 2, 4, 18 and
+    39 giant rows."""
     ctx = make_context(n, modulus)
     _check_log_steps(ctx, range(ctx.q - 1))
 
@@ -520,14 +530,41 @@ def test_log_tables_by_doubling_match_oracle(n, modulus):
 @pytest.mark.parametrize("n", [11, 13])
 def test_log_tables_giant_steps_match_oracle(n):
     """Every block boundary k = i S - 1 of the R giant rows, the wrap at
-    k = q - 2 and 64 seeded k, with S = 3^(ceil(n/2) + 1) baby steps and
-    R = ceil((q - 1) / S) giant rows worked out here from n."""
+    k = q - 2 and 64 seeded k, with S and R from `_baby_giant`."""
     q = 3**n
-    baby = 3**((n + 1) // 2 + 1)
-    giant = -(-(q - 1) // baby)
+    baby, giant = _baby_giant(n)
     ks = {i * baby - 1 for i in range(1, giant)} | {q - 2}
     ks |= set(random.Random(n).sample(range(q - 1), 64))
     _check_log_steps(make_context(n), sorted(ks))
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13])
+def test_log_build_forms_one_matrix(monkeypatch, n):
+    """A default-field log build forms the multiplication matrix of g alone,
+    and hands the giant steps the matrix of c = g^S that its doubling
+    leaves: row j holds the digits of c x^j by the schoolbook product.
+    Every n has R >= 2 giant rows, so every n runs the giant steps."""
+    baby, giant = _baby_giant(n)
+    assert giant >= 2
+    made, giant_steps = [], []
+    mul_matrix, times_table = FieldCtx._mul_matrix, FieldCtx._times_table
+
+    def counted_mul_matrix(self, digits):
+        made.append(list(digits))
+        return mul_matrix(self, digits)
+
+    def counted_times_table(self, c_mat, weights):
+        giant_steps.append(c_mat.tolist())
+        return times_table(self, c_mat, weights)
+
+    monkeypatch.setattr(FieldCtx, "_mul_matrix", counted_mul_matrix)
+    monkeypatch.setattr(FieldCtx, "_times_table", counted_times_table)
+    ctx = make_context(n)
+    ctx._log_tables
+    c = oracles.poly_digits(ctx, ctx.pow(ctx.generator, baby))
+    assert made == [oracles.poly_digits(ctx, ctx.generator)]
+    assert giant_steps == [[oracles.poly_mul_mod(ctx, c, oracles.poly_digits(ctx, 3**j))
+                            for j in range(n)]]
 
 
 @pytest.mark.parametrize("n, modulus", [

@@ -11,16 +11,16 @@ stops looking at the shortcut fails here.  The mutants keep, as tests, the
 kind of scratch-copy mutation that CHANGES.md reports for each shortcut (a
 wrongly compiled proposition table; a DDT row read at the wrong a; a
 rotation one step off; a Zech offset one step off; a parity flipped; a
-sign flipped in the fold of x**n; a branch swapped; a giant step one power
-too far; a prime dropped from the generator search; two product columns
-swapped; a case total off by one; a plane sum one term wrong; the two
-lead rows of the pattern signs swapped; an expected count off by one; a
-character dropped from a root test; a constant term built with the wrong
-sign), so that they run on every change.  A mutant of a function or of a
-table build rewrites one fragment of its source and runs it in the
-function's module (`rewritten`), since a table is a local of its build.  A
-mutant of a table that the import compiles into another also installs the
-other compiled from it, as the import would
+sign flipped in the fold of x**n; a branch swapped; a giant step one
+squaring too far; a prime dropped from the generator search; two product
+columns swapped; a case total off by one; two case columns swapped; a plane
+sum one term wrong; the two lead rows of the pattern signs swapped; an
+expected count off by one; a character dropped from a root test; a constant
+term built with the wrong sign), so that they run on every change.  A
+mutant of a function or of a table build rewrites one fragment of its
+source and runs it in the function's module (`rewritten`), since a table is
+a local of its build.  A mutant of a table that the import compiles into
+another also installs the other compiled from it, as the import would
 (`PATTERN_PRODUCTS`, `PREDICTION_TABLE` and `CASE_TABLE` from
 `PATTERN_SIGNS`, `EXPECTED` from `PREDICTION_TABLE` and `CASE_TABLE`).
 """
@@ -178,16 +178,6 @@ def scalar_adder_matches_digitwise(ctx) -> bool:
                     for a in range(ctx.q) for b in range(ctx.q)))
 
 
-def on_field(n: int, check):
-    """`check` run on a fresh field of degree n in place of the entry's field."""
-
-    def run(ctx) -> bool:
-        return check(make_context(n))
-
-    run.__name__ = f"{check.__name__}_n{n}"
-    return run
-
-
 def command_passes(command: str):
     """The check that `command` --u all exits 0; any status but 0 or 1 is an error."""
 
@@ -265,6 +255,14 @@ def shift_one_total(monkeypatch, ctx):
     install_census_tables(monkeypatch, cn.PREDICTION_TABLE, wrong)
 
 
+def swap_case_columns(monkeypatch, ctx):
+    """The N_I and N_IV columns of `CASE_TABLE` swapped: every total, and so
+    `EXPECTED`, stays as it is."""
+    wrong = cn.CASE_TABLE.copy()
+    wrong[..., [1, 3]] = wrong[..., [3, 1]]
+    install_census_tables(monkeypatch, cn.PREDICTION_TABLE, wrong)
+
+
 def shift_one_expected(monkeypatch, ctx):
     """`EXPECTED` off by one at the commonest (lead, pattern), as the table
     would be if its compilation from the other two were wrong."""
@@ -337,11 +335,12 @@ MUTANTS = {
         rewritten(FieldCtx, "difference_row", "elif c_square:", "elif c_nonsquare:"), 3,
         (zero_coefficient_rows_match_table,),
     ),
-    # giant steps multiply by c = g^S: the table built for g^(S + 1); n = 5 is
-    # the smallest field with more than one giant row
+    # giant steps multiply by c = g^S, whose matrix the doubling leaves: one
+    # squaring too many builds the table for g^(2S).  Every n has R >= 2
+    # giant rows, so the smallest field runs them.
     "FieldCtx._log_tables": (
-        rewritten(FieldCtx, "_log_tables", "powers[-1] @ g_mat % P)",
-                  "powers[-1] @ g_mat % P @ g_mat % P)"), 5,
+        rewritten(FieldCtx, "_log_tables", "self._times_table(mat, weights)",
+                  "self._times_table(mat @ mat % P, weights)"), 3,
         (antilog_steps_match_polynomials,),
     ),
     # a table read at e - 1 by turning the digit-0 columns, for C and for
@@ -381,6 +380,12 @@ MUTANTS = {
         shift_one_total, 3,
         (case_table_matches_closed_forms, command_passes("verify-propositions")),
     ),
+    # each case count has its own closed form; swapped columns keep every
+    # total, so only the census, which checks each column at z, sees them
+    "solution_census.CASE_TABLE.columns": (
+        swap_case_columns, 3,
+        (case_table_matches_closed_forms, command_passes("census")),
+    ),
     # x = a y: a pair enters the case quadratic only through z = a b, and its
     # root test through chi(a); here chi(a) is dropped from the test.  At
     # chi(a) = -1 that swaps the counts of cases II and III (y -> -1 - y
@@ -403,12 +408,11 @@ MUTANTS = {
     ),
     # the plane sum with b1 dropped from t: wrong where digit i of b is 1 and
     # that of a is 0 or 1, yet every plane pair stays a valid element.  The
-    # giant steps of the log build are plane sums, and n = 5 is the smallest
-    # field with more than one giant row.
+    # giant steps of the log build are plane sums.
     "FieldCtx._plane_sum": (
         rewritten(FieldCtx, "_plane_sum", "t = (a1 | b2) ^ (a2 | b1)\n",
                   "t = (a1 | b2) ^ a2\n"), 3,
-        (scalar_adder_matches_digitwise, on_field(5, antilog_steps_match_polynomials)),
+        (scalar_adder_matches_digitwise, antilog_steps_match_polynomials),
     ),
 }
 
