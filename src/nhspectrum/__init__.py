@@ -6,7 +6,6 @@ closed form in two character sums.
 """
 
 from .solution_census import (
-    case_solutions,
     census,
     prediction_by_z,
     verify_predictions,
@@ -38,7 +37,6 @@ __all__ = [
     "ReducibleModulusError",
     "ScopedU",
     "SplitMix64",
-    "case_solutions",
     "census",
     "classify_u",
     "closed_form_inputs",

@@ -16,13 +16,24 @@ solution).  Put x = a y and divide by a: with z = a b the case quadratic is
 
 a root y is desired when chi(y + 1) = chi(a) t_a and chi(y) = chi(a) t_0,
 and the special points y in {0, -1} solve the equation exactly when
-z = 1 + u or z = 1 - u.  So a pair enters only through z and chi(a).  The
-discriminants are g2(z) for case I, g3(z) for case IV and g4(z) for cases
-II and III (`charsums`), which is why the case counts are read off the
-signs of the classifier polynomials at z.  For in-scope u the resulting
-count is determined entirely by those signs and that of z itself, which
-yields a 0..4 prediction without solving anything; this module computes
-both routes and the machinery to compare them against direct counting.
+z = 1 + u or z = 1 - u.  So a pair enters only through z and chi(a).
+For z != 0 put w = 1 / z: divided by z, the case quadratic is the monic
+
+    y^2 + B y + C,   B = 1 - (t_a - t_0) u w,   C = w + t_0 u w,
+
+and since 4 = 1 and 1/2 = -1 in characteristic 3 its roots are B +- s
+with s^2 = B^2 - C.  That discriminant is
+
+    1 - w - u w       = g2(z) / z^2   in case I,
+    1 - w + u w       = g3(z) / z^2   in case IV,
+    1 - w + (u w)^2   = g4(z) / z^2   in cases II and III alike,
+
+so a pair takes one inverse and at most three square roots, and the case
+counts are read off the signs of the classifier polynomials at z
+(`charsums`).  For in-scope u the resulting count is determined entirely
+by those signs and that of z itself, which yields a 0..4 prediction
+without solving anything; this module computes both routes and the
+machinery to compare them against direct counting.
 Direct counting depends on z alone as well: delta(a, b) is the DDT row
 `ScopedU.row` at the slot of z (`ness.ddt_row`, `FieldCtx.slot`).
 
@@ -45,7 +56,6 @@ import numpy as np
 from .charsums import PATTERN_SIGNS, ScopedU
 from .field import FieldCtx, InconsistencyError
 
-CASE_IDS = ("I", "II", "III", "IV")
 CASE_TAU = {"I": (1, 1), "II": (1, -1), "III": (-1, 1), "IV": (-1, -1)}
 
 # Admissible (N1, N_I, N_II + N_III, N_IV) vectors and their totals.
@@ -190,49 +200,26 @@ EXPECTED = _expected(PREDICTION_TABLE, CASE_TABLE)
 
 
 # ---------------------------------------------------------------------------
-# direct machinery: case quadratics in y = x / a, desired roots
-# ---------------------------------------------------------------------------
-
-
-def solve_quadratic(ctx: FieldCtx, c2: int, c1: int, c0: int) -> tuple[int, ...]:
-    """Roots of c2 x^2 + c1 x + c0 over the field (0, 1 or 2 of them)."""
-    if c2 == 0:
-        raise ValueError("leading coefficient must be nonzero")
-    disc = ctx.sub(ctx.mul(c1, c1), ctx.mul(c2, c0))  # c1^2 - 4 c2 c0, 4 == 1
-    inv_c2 = ctx.inv(c2)
-    if disc == 0:
-        return (ctx.mul(c1, inv_c2),)  # -c1 / (2 c2) and 2 == -1
-    if ctx.chi(disc) == -1:
-        return ()
-    root = ctx.sqrt_canonical(disc)
-    x1 = ctx.mul(ctx.add(c1, root), inv_c2)   # (-c1 + root) / (2 c2)
-    x2 = ctx.mul(ctx.sub(c1, root), inv_c2)
-    return (x1, x2)
-
-
-def case_solutions(ctx: FieldCtx, u: int, z: int, chi_a: int, case_id: str) -> tuple[int, ...]:
-    """The desired solutions y = x / a of one case at z = a b: the roots of
-    z y^2 + (z - u (t_a - t_0)) y + (1 + u t_0) whose signs match,
-    chi(y + 1) = chi(a) t_a and chi(y) = chi(a) t_0.
-
-    Roots at 0 or -1 have a zero character on one side and never match,
-    so the special points are excluded automatically.
-    """
-    if z == 0 or chi_a not in (1, -1):
-        raise ValueError("case analysis needs z != 0 and chi(a) = +-1")
-    if case_id not in CASE_IDS:
-        raise ValueError(f"case_id must be one of {CASE_IDS}, got {case_id!r}")
-    tau_a, tau_0 = CASE_TAU[case_id]
-    c1 = ctx.sub(z, ctx.mul(u, (tau_a - tau_0) % 3))  # t_a - t_0 as the element 0, 1 or 2
-    c0 = ctx.add(1, ctx.mul(u, tau_0 % 3))
-    roots = solve_quadratic(ctx, z, c1, c0)
-    want_1, want_0 = chi_a * tau_a, chi_a * tau_0
-    return tuple(y for y in roots if ctx.chi(ctx.add(y, 1)) == want_1 and ctx.chi(y) == want_0)
-
-
-# ---------------------------------------------------------------------------
 # the per-pair census
 # ---------------------------------------------------------------------------
+
+
+def _square_root(ctx: FieldCtx, disc: int) -> int | None:
+    """A square root of disc, None where disc is not a square."""
+    chi = ctx.chi(disc)
+    if chi == -1:
+        return None
+    return ctx.sqrt_canonical(disc) if chi else 0
+
+
+def _desired_roots(ctx: FieldCtx, b1: int, s: int | None, want_1: int, want_0: int) -> int:
+    """How many roots y = b1 +- s of y^2 + b1 y + c0, s^2 = b1^2 - c0 (s
+    None where that is not a square), have chi(y + 1) = want_1 and
+    chi(y) = want_0."""
+    if s is None:
+        return 0
+    roots = (b1,) if s == 0 else (ctx.add(b1, s), ctx.sub(b1, s))
+    return sum(ctx.chi(y) == want_0 and ctx.chi(ctx.add(y, 1)) == want_1 for y in roots)
 
 
 def census(su: ScopedU, a: int, b: int) -> dict:
@@ -245,7 +232,8 @@ def census(su: ScopedU, a: int, b: int) -> dict:
     of z (`ness.ddt_row`).  The pair enters only through z and chi(a): x = 0
     and x = -a solve the equation exactly when z = 1 + u chi(a) or
     z = 1 - u chi(a), so N1 = [z = 1 + u] + [z = 1 - u], and each case is
-    solved in y = x / a (`case_solutions`).  The (N1, N_I, N_II + N_III,
+    solved in y = x / a in its monic form, with one inverse w = 1 / z and
+    one square root shared by cases II and III.  The (N1, N_I, N_II + N_III,
     N_IV) vector must appear in the admissible table with exactly the
     predicted total.
     """
@@ -254,8 +242,17 @@ def census(su: ScopedU, a: int, b: int) -> dict:
         raise ValueError("a must be nonzero")
     z, chi_a = ctx.mul(a, b), ctx.chi(a)
     n1 = (z == ctx.add(1, u)) + (z == ctx.sub(1, u))
-    n_i, n_ii, n_iii, n_iv = (len(case_solutions(ctx, u, z, chi_a, cid)) if z else 0
-                              for cid in CASE_IDS)
+    n_i = n_ii = n_iii = n_iv = 0
+    if z:
+        w = ctx.inv(z)
+        uw = ctx.mul(u, w)
+        one_w = ctx.sub(1, w)
+        s_ii_iii = _square_root(ctx, ctx.add(one_w, ctx.mul(uw, uw)))
+        monic = ((1, _square_root(ctx, ctx.sub(one_w, uw))),
+                 (ctx.add(1, uw), s_ii_iii), (ctx.sub(1, uw), s_ii_iii),
+                 (1, _square_root(ctx, ctx.add(one_w, uw))))
+        n_i, n_ii, n_iii, n_iv = (_desired_roots(ctx, *coefs, chi_a * t_a, chi_a * t_0)
+                                  for coefs, (t_a, t_0) in zip(monic, CASE_TAU.values()))
     predicted = n1 + n_i + n_ii + n_iii + n_iv
     table_key = (n1, n_i, n_ii + n_iii, n_iv)
     if TABLE_IV_ROWS.get(table_key) != predicted:

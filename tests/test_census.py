@@ -37,8 +37,8 @@ def test_census_matches_case_counts_n3(f3):
 
 
 @pytest.mark.parametrize("n, modulus, u_count, seed", [
-    (5, None, 3, 61), (7, None, 2, 67), (7, "22200001", 2, 71),
-], ids=["n5", "n7", "n7-22200001"])
+    (5, None, 3, 61), (7, None, 2, 67), (7, "22200001", 2, 71), (9, None, 1, 73),
+], ids=["n5", "n7", "n7-22200001", "n9"])
 def test_census_matches_case_counts_sampled(n, modulus, u_count, seed):
     """200 seeded pairs of a few seeded u, on the default modulus and on a
     supplied one."""
@@ -88,24 +88,8 @@ def test_special_points_reject_zero_a(f3):
 
 
 # ---------------------------------------------------------------------------
-# quadratic solving and the four cases in y = x / a
+# the four cases in y = x / a
 # ---------------------------------------------------------------------------
-
-
-def test_solve_quadratic_against_scan(f3):
-    rng = random.Random(43)
-    for _ in range(300):
-        c2 = rng.randrange(1, f3.q)
-        c1 = rng.randrange(f3.q)
-        c0 = rng.randrange(f3.q)
-        roots = cn.solve_quadratic(f3, c2, c1, c0)
-        expected = {
-            x
-            for x in range(f3.q)
-            if f3.add(f3.add(f3.mul(c2, f3.mul(x, x)), f3.mul(c1, x)), c0) == 0
-        }
-        assert set(roots) == expected
-        assert len(roots) == len(set(roots))
 
 
 def _y_quadratic(ctx, u, z, case_id):
@@ -126,17 +110,30 @@ def _value(ctx, coeffs, x):
     return ctx.add(ctx.add(ctx.mul(c2, ctx.mul(x, x)), ctx.mul(c1, x)), c0)
 
 
+def _roots(ctx, coeffs):
+    """The roots of a quadratic, by trying every element."""
+    return [y for y in range(ctx.q) if _value(ctx, coeffs, y) == 0]
+
+
+def _nonsquare(ctx):
+    return next(a for a in range(1, ctx.q) if ctx.chi(a) == -1)
+
+
 def test_case_equations_match_table_forms(f3):
     """The quadratic in y at z = a b is the one in x at x = a y divided by a,
     and its discriminant c1^2 - c2 c0 (4 = 1) is g2(z) in case I, g3(z) in
-    case IV and g4(z) in cases II and III."""
+    case IV and g4(z) in cases II and III.  Divided by z, with w = 1 / z, it
+    is y^2 + B y + C with B = 1 - (t_a - t_0) u w and C = w + t_0 u w, and
+    B^2 - C is that discriminant over z^2."""
     disc_g = {"I": 2, "II": 4, "III": 4, "IV": 3}
     for u in u0_nonf3_elements(f3)[:3]:
         su = ScopedU(f3, u)
         for a in range(1, f3.q, 2):
             for b in range(1, f3.q, 3):
                 z = f3.mul(a, b)
-                for case_id in cn.CASE_IDS:
+                w = f3.inv(z)
+                uw = f3.mul(u, w)
+                for case_id in cn.CASE_TAU:
                     y_form = _y_quadratic(f3, u, z, case_id)
                     x_form = _x_quadratic(f3, u, a, b, case_id)
                     for y in range(f3.q):
@@ -145,58 +142,69 @@ def test_case_equations_match_table_forms(f3):
                     c2, c1, c0 = y_form
                     disc = f3.sub(f3.mul(c1, c1), f3.mul(c2, c0))
                     assert disc == oracles.g_eval(su, disc_g[case_id], z), (u, z, case_id)
+                    t_a, t_0 = (t % 3 for t in cn.CASE_TAU[case_id])
+                    big_b = f3.sub(1, f3.mul(f3.sub(t_a, t_0), uw))
+                    big_c = f3.add(w, f3.mul(t_0, uw))
+                    assert (f3.mul(c1, w), f3.mul(c0, w)) == (big_b, big_c), (u, z, case_id)
+                    assert (f3.sub(f3.mul(big_b, big_b), big_c)
+                            == f3.mul(disc, f3.mul(w, w))), (u, z, case_id)
 
 
 def test_case_solutions_are_desired_equation_solutions(f3):
-    """a times the roots that `case_solutions` keeps at (z, chi(a)) are the
-    x outside {0, -a} that solve the equation with signs (t_a, t_0)."""
+    """Each case count of `census` at (a, b) is the number of x outside
+    {0, -a} that solve the equation with signs (t_a, t_0), found by trying
+    every x with the scalar derivative."""
     u = u0_nonf3_elements(f3)[0]
+    su = ScopedU(f3, u)
     for a in range(1, f3.q, 3):
         for b in range(1, f3.q, 2):
-            for case_id in cn.CASE_IDS:
+            c = cn.census(su, a, b)
+            for case_id in cn.CASE_TAU:
                 tau_a, tau_0 = cn.CASE_TAU[case_id]
-                desired = {x for x in range(f3.q)
+                desired = [x for x in range(f3.q)
                            if oracles.derivative(f3, u, a, x) == b
-                           and f3.chi(f3.add(x, a)) == tau_a and f3.chi(x) == tau_0}
-                ys = cn.case_solutions(f3, u, f3.mul(a, b), f3.chi(a), case_id)
-                assert {f3.mul(a, y) for y in ys} == desired, (a, b, case_id)
-                assert len(ys) == len(desired)
+                           and f3.chi(f3.add(x, a)) == tau_a and f3.chi(x) == tau_0]
+                assert c[f"case_{case_id.lower()}"] == len(desired), (a, b, case_id)
 
 
 def test_case_ii_iii_root_pairing(f3):
     """y solves case II exactly when -1 - y solves case III (x -> -(x + a)
-    in x), and the two are never both desired."""
+    in x), with chi(y + 1) and chi(y) swapped and negated, so the census
+    count of case II at chi(a) is that of case III at -chi(a).  A root has
+    one pair of signs, so it is desired at one chi(a) at most, and the two
+    counts at (a, b) add up to no more than the roots of case II."""
+    ns = _nonsquare(f3)
     for u in u0_nonf3_elements(f3)[:3]:
+        su = ScopedU(f3, u)
         for z in range(1, f3.q):
-            roots2 = cn.solve_quadratic(f3, *_y_quadratic(f3, u, z, "II"))
-            roots3 = cn.solve_quadratic(f3, *_y_quadratic(f3, u, z, "III"))
-            assert sorted(f3.sub(2, y) for y in roots2) == sorted(roots3)  # 2 is -1
-            for chi_a in (1, -1):
-                desired3 = cn.case_solutions(f3, u, z, chi_a, "III")
-                for y in cn.case_solutions(f3, u, z, chi_a, "II"):
-                    assert f3.sub(2, y) not in desired3
+            roots2 = _roots(f3, _y_quadratic(f3, u, z, "II"))
+            roots3 = _roots(f3, _y_quadratic(f3, u, z, "III"))
+            assert sorted(f3.sub(2, y) for y in roots2) == roots3  # 2 is -1
+            square, nonsquare = cn.census(su, 1, z), cn.census(su, ns, f3.mul(f3.inv(ns), z))
+            assert (square["case_ii"], square["case_iii"]) == (nonsquare["case_iii"],
+                                                               nonsquare["case_ii"]), (u, z)
+            assert square["case_ii"] + square["case_iii"] <= len(roots2), (u, z)
 
 
 def test_case_bounds(f3):
     u = u0_nonf3_elements(f3)[1]
-    for z in range(1, f3.q):
-        for chi_a in (1, -1):
-            counts = {
-                cid: len(cn.case_solutions(f3, u, z, chi_a, cid)) for cid in cn.CASE_IDS
-            }
-            assert counts["I"] <= 1
-            assert counts["IV"] <= 1
-            assert counts["II"] + counts["III"] <= 2
+    su = ScopedU(f3, u)
+    for a in range(1, f3.q):
+        for b in range(f3.q):
+            c = cn.census(su, a, b)
+            assert c["case_i"] <= 1 and c["case_iv"] <= 1, (a, b)
+            assert c["case_ii"] + c["case_iii"] <= 2, (a, b)
 
 
 def test_case_rejects_degenerate_inputs(f3):
-    u = u0_nonf3_elements(f3)[0]
+    """a = 0 is no direction and raises; at b = 0 (z = 0) no case
+    quadratic has a desired root."""
+    su = ScopedU(f3, u0_nonf3_elements(f3)[0])
     with pytest.raises(ValueError):
-        cn.case_solutions(f3, u, 0, 1, "I")
-    with pytest.raises(ValueError):
-        cn.case_solutions(f3, u, 1, 0, "I")
-    with pytest.raises(ValueError):
-        cn.case_solutions(f3, u, 1, 1, "V")
+        cn.census(su, 0, 1)
+    for a in range(1, f3.q):
+        c = cn.census(su, a, 0)
+        assert c["z"] == 0 and [c[f"case_{i}"] for i in ("i", "ii", "iii", "iv")] == [0] * 4, a
 
 
 # ---------------------------------------------------------------------------
@@ -205,33 +213,31 @@ def test_case_rejects_degenerate_inputs(f3):
 
 
 def _pairs(f3):
-    """(z, chi(a)) for every other a and every third b != 0."""
-    return [(f3.mul(a, b), f3.chi(a)) for a in range(1, f3.q, 2) for b in range(1, f3.q, 3)]
+    """Every other a and every third b != 0."""
+    return [(a, b) for a in range(1, f3.q, 2) for b in range(1, f3.q, 3)]
 
 
 def test_case_i_iv_sign_conditions(f3):
     # N_I = 1 iff s2 = 1 and s1 = 1; N_IV = 1 iff s3 = 1 and s1 = 1
     for u in u0_nonf3_elements(f3):
         su = ScopedU(f3, u)
-        for z, chi_a in _pairs(f3):
-            s = oracles.g_signs(su, z)
-            n_i = len(cn.case_solutions(f3, u, z, chi_a, "I"))
-            n_iv = len(cn.case_solutions(f3, u, z, chi_a, "IV"))
-            assert n_i == int(s[0] == 1 and s[1] == 1)
-            assert n_iv == int(s[0] == 1 and s[2] == 1)
+        for a, b in _pairs(f3):
+            c = cn.census(su, a, b)
+            s = oracles.g_signs(su, c["z"])
+            assert c["case_i"] == int(s[0] == 1 and s[1] == 1)
+            assert c["case_iv"] == int(s[0] == 1 and s[2] == 1)
 
 
 def test_case_ii_iii_sum_sign_conditions(f3):
     # N_II + N_III: 2 iff s4 = s5 = 1; 1 iff s4 = 0 and chi(z^2-u^2) = 1; else 0
     for u in u0_nonf3_elements(f3):
         su = ScopedU(f3, u)
-        for z, chi_a in _pairs(f3):
+        for a, b in _pairs(f3):
+            c = cn.census(su, a, b)
+            z = c["z"]
             s = oracles.g_signs(su, z)
             chi_z2mu2 = f3.chi(f3.sub(f3.mul(z, z), f3.mul(u, u)))
-            total = (
-                len(cn.case_solutions(f3, u, z, chi_a, "II"))
-                + len(cn.case_solutions(f3, u, z, chi_a, "III"))
-            )
+            total = c["case_ii"] + c["case_iii"]
             if s[3] == 1 and s[4] == 1:
                 assert total == 2
             elif s[3] == 0 and chi_z2mu2 == 1:

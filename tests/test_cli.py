@@ -475,9 +475,11 @@ def test_pool_holds_at_most_a_window_of_u(monkeypatch):
 
 def test_closed_stdout_stops_the_sweep_with_status_141():
     """A reader that stops after one line (`| head -1`) ends the sweep: the
+    closed pipe makes the next write fail, which forces the stop, and the
     broken pipe exits 141 with no traceback.  The whole n = 9 sweep takes
-    about 18 s on a 2-vCPU machine and the stop well under 1 s; a child that
-    is still running after 10 s is killed, and fails the test."""
+    3-5 s on a 2-vCPU machine, under the 10 s watchdog, so the time alone
+    does not tell a stopped sweep from a finished one; a child that is still
+    running after 10 s is killed, and fails the test."""
     argv, env = _cli_argv_env("--n", "9", "--command", "verify-theorem", "--u", "all")
     with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                           text=True, env=env) as proc:
@@ -532,6 +534,40 @@ def test_one_build_per_u(monkeypatch, command, ddt_rows_per_u):
     assert counts == {"pattern": k, "char_sum": 0, "ddt_row": ddt_rows_per_u * k,
                       "neighbour": 1 + ddt_rows_per_u, "zech": ddt_rows_per_u,
                       "classify_u": k}
+
+
+def test_census_takes_one_inverse_per_pair(monkeypatch):
+    """Each census pair with z = a b != 0 takes exactly one scalar `inv`
+    (w = 1 / z) and at most three square roots (the discriminants of case I,
+    case IV and cases II and III together); a pair with z = 0 takes
+    neither."""
+    calls = {"inv": 0, "sqrt_canonical": 0}
+    per_pair = []
+
+    def counted(attr):
+        original = getattr(FieldCtx, attr)
+
+        def wrapper(self, *args):
+            calls[attr] += 1
+            return original(self, *args)
+
+        monkeypatch.setattr(FieldCtx, attr, wrapper)
+
+    census_original = census_mod.census
+
+    def census(su, a, b):
+        before = dict(calls)
+        c = census_original(su, a, b)
+        per_pair.append((c["z"], calls["inv"] - before["inv"],
+                         calls["sqrt_canonical"] - before["sqrt_canonical"]))
+        return c
+
+    for attr in calls:
+        counted(attr)
+    monkeypatch.setattr(census_mod, "census", census)
+    status, out, _ = _run("census", n=5, u="sample:3:1")
+    assert status == 0 and len(per_pair) == len(_json_lines(out)) == 3 * 200
+    assert all(inv == (z != 0) and roots <= 3 * (z != 0) for z, inv, roots in per_pair)
 
 
 def test_console_entry_point_runs():

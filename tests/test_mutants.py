@@ -16,13 +16,14 @@ squaring too far; a prime dropped from the generator search; two product
 columns swapped; a case total off by one; two case columns swapped; a plane
 sum one term wrong; the two lead rows of the pattern signs swapped; an
 expected count off by one; a character dropped from a root test; a constant
-term built with the wrong sign), so that they run on every change.  A
-mutant of a function or of a table build rewrites one fragment of its
-source and runs it in the function's module (`rewritten`), since a table is
-a local of its build.  A mutant of a table that the import compiles into
-another also installs the other compiled from it, as the import would
-(`PATTERN_PRODUCTS`, `PREDICTION_TABLE` and `CASE_TABLE` from
-`PATTERN_SIGNS`, `EXPECTED` from `PREDICTION_TABLE` and `CASE_TABLE`).
+term built with the wrong sign; a case given the root of another case's
+discriminant), so that they run on every change.  A mutant of a function
+or of a table build rewrites one fragment of its source and runs it in the
+function's module (`rewritten`), since a table is a local of its build.
+A mutant of a table that the import compiles into another also installs
+the other compiled from it, as the import would (`PATTERN_PRODUCTS`,
+`PREDICTION_TABLE` and `CASE_TABLE` from `PATTERN_SIGNS`, `EXPECTED` from
+`PREDICTION_TABLE` and `CASE_TABLE`).
 """
 
 import inspect
@@ -391,14 +392,25 @@ MUTANTS = {
     # chi(a) = -1 that swaps the counts of cases II and III (y -> -1 - y
     # maps the roots of one onto the other) and keeps every total, so only
     # the per-case oracle sees it.
-    "solution_census.case_solutions": (
-        rewritten(cn, "case_solutions", "want_1, want_0 = chi_a * tau_a, chi_a * tau_0",
-                  "want_1, want_0 = tau_a, tau_0"), 3,
+    "solution_census.census": (
+        rewritten(cn, "census", "chi_a * t_a, chi_a * t_0", "t_a, t_0"), 3,
         (census_matches_case_counts,),
     ),
-    # the constant term 1 + u t_0 built as 1 - u t_0
-    "solution_census.case_solutions.c0": (
-        rewritten(cn, "case_solutions", "c0 = ctx.add(1, ", "c0 = ctx.sub(1, "), 3,
+    # the monic case I, y^2 + y + (w + u w), with the t_0 u w term of its
+    # constant C built with the wrong sign: discriminant 1 - w + u w
+    "solution_census.census.C": (
+        rewritten(cn, "census", "(1, _square_root(ctx, ctx.sub(one_w, uw)))",
+                  "(1, _square_root(ctx, ctx.add(one_w, uw)))"), 3,
+        (census_matches_case_counts, command_passes("census")),
+    ),
+    # cases II and III share the root s of g4(z) / z^2: here case III takes
+    # the root of the case I discriminant 1 - w - u w instead.  (Case III
+    # built with the B = 1 + u w of case II gives the same counts, so it is
+    # no mutant: its true roots are -1 - y for the roots y of case II, and
+    # the sign test of case III holds at y exactly when it holds at -1 - y.)
+    "solution_census.census.II_III": (
+        rewritten(cn, "census", "(ctx.sub(1, uw), s_ii_iii)",
+                  "(ctx.sub(1, uw), _square_root(ctx, ctx.sub(one_w, uw)))"), 3,
         (census_matches_case_counts, command_passes("census")),
     ),
     # the prediction and the case total compared with the DDT in one gather
