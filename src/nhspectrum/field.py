@@ -32,10 +32,11 @@ The scalar ops and the vector kernels are gathers from small tables:
   few bitwise operations on uint16 masks, and ``value[m]`` (2^n entries)
   turns the planes of the result back into an index.  Negation swaps the
   two planes, so subtraction swaps the planes of b and -a is 0 - a.
-* A product reads ``alog[log[a] + log[b]]``.  Zero has the sentinel log
-  2q - 3 and the antilog table runs on to 4q - 5 entries, periodic up to
-  index 2q - 4 and zero beyond, so no zero mask and no reduction mod q - 1
-  is needed.
+* The log order is one permutation of the field: ``alog[k]`` is g^k for
+  k < q - 1 and zero sits in the last slot, ``alog[q - 1] = 0`` and
+  ``log[0] = q - 1``, so ``log`` and ``alog`` are inverse tables of q
+  entries.  A product of nonzero factors reads ``alog`` at (log a + log b)
+  mod (q - 1), and a zero factor gives zero.
 * The quadratic character is one int8 table.  e - 1 differs from e in
   digit 0 alone, so a table T in element order read at e - 1 is T as a
   (q / 3, 3) grid with its columns turned one place (``_neighbour``), and
@@ -45,7 +46,7 @@ The scalar ops and the vector kernels are gathers from small tables:
   table at the antilogs.  The x with chi(x) = chi(x + 1) add one int8 row,
   the same for every u, read off the parities of Z- (``_zech``).
 * The per-u vectors live in log order, where slot k holds g^k and zero the
-  last slot (``slot`` and ``element_at`` map one element each way), and
+  last slot (``slot`` and ``element_at`` read ``log`` and ``alog``), and
   two kernels fill them with no field addition per u: ``chi_pattern``
   (the characters chi(z - a) of up to five points packed in base 3, each
   column a slice of D+ or D-, for the pattern) and ``difference_row`` (the
@@ -94,8 +95,8 @@ P = 3
 
 # Table ceiling.  The pairwise sum table needs q*q ints and stays cheap up to
 # this size.  Every resident table is O(q) and has no ceiling: at n = 13 the
-# int32 log pair takes about 32 MB, the uint16 bit planes 6.4 MB, the Zech
-# tables of the DDT row 14 MB, D+ and D- 6.4 MB and the int8 character 1.6 MB.
+# int32 log pair takes about 12 MiB, the uint16 bit planes 6.1 MiB, the Zech
+# tables 13.7 MiB, D+ and D- 6.1 MiB and the int8 character 1.5 MiB.
 PAIR_TABLE_MAX_Q = P**7
 
 # The default field per n: (modulus digits, generator).  The modulus is the
@@ -308,8 +309,10 @@ class FieldCtx:
         return value.item(sum1) + 2 * value.item(sum2)
 
     def mul(self, a: int, b: int) -> int:
+        if a == 0 or b == 0:
+            return 0
         log, alog = self._log_tables
-        return alog.item(log.item(a) + log.item(b))
+        return alog.item((log.item(a) + log.item(b)) % (self.q - 1))
 
     def pow(self, a: int, e: int) -> int:
         """a**e through the discrete logs; 0**0 == 1 by convention."""
@@ -324,7 +327,7 @@ class FieldCtx:
         if a == 0:
             raise ZeroDivisionError("zero has no multiplicative inverse")
         log, alog = self._log_tables
-        return alog.item(self.q - 1 - log.item(a))
+        return alog.item(-log.item(a) % (self.q - 1))
 
     def chi(self, a: int) -> int:
         """Quadratic character: +1 on nonzero squares, -1 on nonsquares, 0 at 0.
@@ -395,13 +398,11 @@ class FieldCtx:
 
     @built_once
     def _log_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """(log, alog): log[g**k] == k for nonzero elements, alog[k] == g**k.
-
-        Zero has the sentinel log 2q - 3, and alog has 4q - 5 entries: g**(k
-        mod (q - 1)) up to k = 2q - 4 and 0 beyond, so alog[log[a] + log[b]]
-        is a * b for every pair, zero included.  Built by S baby steps, whose
-        doubling leaves the matrix of the giant multiplier c = g**S, and R >= 2
-        giant rows, and certified (see the module docstring).
+        """(log, alog): inverse int32 tables of q entries, alog[k] == g**k and
+        log[g**k] == k for k < q - 1, and zero in the last slot: alog[q - 1]
+        == 0 and log[0] == q - 1.  Built by S baby steps, whose doubling
+        leaves the matrix of the giant multiplier c = g**S, and R >= 2 giant
+        rows, and certified (see the module docstring).
         """
         q, n = self.q, self.n
         baby = 1 << (P**((n + 1) // 2 + 1)).bit_length() - 1
@@ -417,23 +418,22 @@ class FieldCtx:
             powers[m:2 * m] = powers[:m] @ mat % P
             mat = mat @ mat % P
             m *= 2
-        # mat is the matrix of c = g**baby; the giant rows run on past q - 2
-        # into the periodic part of alog
-        alog = np.zeros(4 * q - 5, dtype=np.int32)
-        blocks = alog[:giant * baby].reshape(giant, baby)
+        # mat is the matrix of c = g**baby; the last giant row runs on past
+        # q - 1 (R S > q - 1, as 4 divides S but not q - 1), and alog keeps
+        # the first q entries
+        blocks = np.empty((giant, baby), dtype=np.int32)
         np.matmul(powers, weights, out=blocks[0])
         times_c = self._times_table(mat, weights)
         for i in range(1, giant):
             times_c.take(blocks[i - 1], out=blocks[i])
-        cycle = alog[:q - 1]
+        alog = blocks.reshape(-1)[:q]
+        alog[-1] = 0
         log = np.full(q, -1, dtype=np.int32)
-        log[cycle.astype(np.intp)] = np.arange(q - 1, dtype=np.int32)  # intp: no buffered cast
-        if log[1:].min() < 0:
+        log[alog.astype(np.intp)] = np.arange(q, dtype=np.int32)  # intp: no buffered cast
+        if log.min() < 0:
             generator = self.format_element(self.generator)
             raise InconsistencyError(f"modulus {self.modulus_str!r} with generator {generator!r}:"
                                      " the powers of the generator miss a nonzero element")
-        log[0] = 2 * q - 3
-        alog[giant * baby:2 * q - 3] = cycle[giant * baby - q + 1:q - 2]
         return _frozen(log), _frozen(alog)
 
     def _times_table(self, c_mat: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -532,11 +532,11 @@ class FieldCtx:
 
     def slot(self, z: int) -> int:
         """The log-order slot of z: log z, and q - 1 for z = 0."""
-        return min(self._log_tables[0].item(z), self.q - 1)
+        return self._log_tables[0].item(z)
 
     def element_at(self, slot: int) -> int:
         """The element in a log-order slot: g**slot, and 0 in the last slot."""
-        return self._log_tables[1].item(slot) if slot < self.q - 1 else 0
+        return self._log_tables[1].item(slot)
 
     @built_once
     def _zech(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -205,11 +205,9 @@ EXPECTED = _expected(PREDICTION_TABLE, CASE_TABLE)
 
 
 def _square_root(ctx: FieldCtx, disc: int) -> int | None:
-    """A square root of disc, None where disc is not a square."""
-    chi = ctx.chi(disc)
-    if chi == -1:
-        return None
-    return ctx.sqrt_canonical(disc) if chi else 0
+    """A square root of disc, disc**((q + 1) / 4) as q = 3 (mod 4), None
+    where disc is not a square.  Either root will do: b1 +- s is one pair."""
+    return None if ctx.chi(disc) == -1 else ctx.pow(disc, (ctx.q + 1) // 4)
 
 
 def _desired_roots(ctx: FieldCtx, b1: int, s: int | None, want_1: int, want_0: int) -> int:

@@ -50,8 +50,9 @@ route what a production function computes, and the tests compare the two.
     of the indices, and `digitwise` does the same on whole index arrays:
     the addition oracle for the field, whose scalar ops read the bit
     planes.  `poly_mul_mod`, the schoolbook product of digit lists
-    (`poly_digits`) reduced by long division, is the multiplication
-    oracle, which pins `mul`, `inv`, `chi` and the log tables.
+    (`poly_digits`) reduced by long division, and `mul`, the same on two
+    indices, are the multiplication oracle, which pins `mul`, `inv`, `chi`
+    and the log tables.
   * `smallest_irreducible` searches for the first monic irreducible of
     degree n by trial division, the oracle for the moduli in
     `field.DEFAULT_FIELDS`; `random_irreducible` draws a seeded one, for
@@ -198,10 +199,12 @@ def translate(ctx: FieldCtx, c: int) -> np.ndarray:
 
 
 def mul_vec(ctx: FieldCtx, a, b) -> np.ndarray:
-    """a b entrywise, alog[log a + log b]: the zero sentinel log lands in the
-    zero tail of the antilog table, so zero needs no mask."""
+    """a b entrywise: alog at (log a + log b) mod (q - 1), and 0 wherever a
+    factor is 0."""
+    a, b = np.asarray(a), np.asarray(b)
     log, alog = ctx._log_tables
-    return alog[log[np.asarray(a)] + log[np.asarray(b)]]
+    product = alog[(log[a] + log[b]) % (ctx.q - 1)]
+    return np.where((a == 0) | (b == 0), 0, product)
 
 
 def char_sum(ctx: FieldCtx, coeffs: Sequence[int]) -> int:
@@ -526,6 +529,11 @@ def poly_mul_mod(ctx: FieldCtx, pa: Sequence[int], pb: Sequence[int]) -> list[in
         prod.pop()
     prod += [0] * (ctx.n - len(prod))
     return prod[: ctx.n]
+
+
+def mul(ctx: FieldCtx, a: int, b: int) -> int:
+    """a b by the schoolbook product of the digits of the indices."""
+    return ctx.element_from_coeffs(poly_mul_mod(ctx, poly_digits(ctx, a), poly_digits(ctx, b)))
 
 
 def random_irreducible(n: int, seed: int) -> list[int]:

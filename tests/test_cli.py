@@ -538,10 +538,10 @@ def test_one_build_per_u(monkeypatch, command, ddt_rows_per_u):
 
 def test_census_takes_one_inverse_per_pair(monkeypatch):
     """Each census pair with z = a b != 0 takes exactly one scalar `inv`
-    (w = 1 / z) and at most three square roots (the discriminants of case I,
-    case IV and cases II and III together); a pair with z = 0 takes
-    neither."""
-    calls = {"inv": 0, "sqrt_canonical": 0}
+    (w = 1 / z) and at most three square roots, each one `pow` (the
+    discriminants of case I, case IV and cases II and III together); a pair
+    with z = 0 takes neither."""
+    calls = {"inv": 0, "pow": 0}
     per_pair = []
 
     def counted(attr):
@@ -559,7 +559,7 @@ def test_census_takes_one_inverse_per_pair(monkeypatch):
         before = dict(calls)
         c = census_original(su, a, b)
         per_pair.append((c["z"], calls["inv"] - before["inv"],
-                         calls["sqrt_canonical"] - before["sqrt_canonical"]))
+                         calls["pow"] - before["pow"]))
         return c
 
     for attr in calls:

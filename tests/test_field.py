@@ -174,6 +174,13 @@ def test_searched_generator_is_pinned(modulus, generator):
     assert make_context(len(modulus) - 1, modulus).generator == generator
 
 
+@pytest.mark.parametrize("modulus", [modulus for modulus, _ in SEARCHED_GENERATORS])
+def test_searched_field_log_order_is_one_permutation(modulus):
+    """On a searched field too, log and alog are inverse tables of q entries
+    with zero in the last slot."""
+    _check_log_layout(make_context(len(modulus) - 1, modulus))
+
+
 def _patched_generator(monkeypatch, n):
     """A --modulus field (not the tabled one) whose generator search returns 2."""
     monkeypatch.setattr(FieldCtx, "_find_generator", lambda self: 2)
@@ -276,10 +283,7 @@ def test_mul_matches_schoolbook_oracle(f5):
     for _ in range(200):
         a = rng.randrange(f5.q)
         b = rng.randrange(f5.q)
-        expected = f5.element_from_coeffs(
-            oracles.poly_mul_mod(f5, oracles.poly_digits(f5, a), oracles.poly_digits(f5, b))
-        )
-        assert f5.mul(a, b) == expected
+        assert f5.mul(a, b) == oracles.mul(f5, a, b)
 
 
 def test_field_axioms_random(f5, f7):
@@ -416,21 +420,17 @@ def test_vector_ops_match_scalar_exhaustive_n3(f3):
     q = f3.q
     elems = np.arange(q)
 
-    def schoolbook(a, b):
-        digits = oracles.poly_mul_mod(f3, oracles.poly_digits(f3, a), oracles.poly_digits(f3, b))
-        return f3.element_from_coeffs(digits)
-
     powers = {a: [1] for a in range(q)}  # a**e for e < 2q, by the schoolbook product
     for a, row in powers.items():
         while len(row) < 2 * q:
-            row.append(schoolbook(row[-1], a))
+            row.append(oracles.mul(f3, row[-1], a))
     slots = {z: k for k, z in enumerate(powers[f3.generator][:q - 1])} | {0: q - 1}
     euler = [_euler_chi(f3, a) for a in range(q)]
     pairs = [(a, b) for a in range(q) for b in range(q)]
     cases = {
         "add": (f3.add, pairs, [oracles.add(f3, a, b) for a, b in pairs]),
         "sub": (f3.sub, pairs, [oracles.sub(f3, a, b) for a, b in pairs]),
-        "mul": (f3.mul, pairs, [schoolbook(a, b) for a, b in pairs]),
+        "mul": (f3.mul, pairs, [oracles.mul(f3, a, b) for a, b in pairs]),
         "inv": (f3.inv, [(a,) for a in range(1, q)],
                 [_euclid_inverse(f3, a) for a in range(1, q)]),
         "pow": (f3.pow, [(a, e) for a in range(q) for e in range(2 * q)],
@@ -480,31 +480,33 @@ def test_vector_ops_match_scalar_random_n7(f7):
 def test_mul_log_path_agrees_with_poly_path(f3):
     for a in range(f3.q):
         for b in range(f3.q):
-            expected = f3.element_from_coeffs(
-                oracles.poly_mul_mod(f3, oracles.poly_digits(f3, a), oracles.poly_digits(f3, b))
-            )
-            assert f3.mul(a, b) == expected
+            assert f3.mul(a, b) == oracles.mul(f3, a, b)
+
+
+def _check_log_layout(ctx):
+    """log and alog are inverse int32 tables of q entries, zero in the last
+    slot: log[0] == q - 1 and alog[q - 1] == 0."""
+    q = ctx.q
+    log, alog = ctx._log_tables
+    assert log.dtype == alog.dtype == np.int32
+    assert len(log) == len(alog) == q and alog.nbytes == 4 * q
+    assert int(log[0]) == q - 1 and int(alog[q - 1]) == 0
+    assert np.array_equal(log[alog], np.arange(q))
 
 
 def _check_log_steps(ctx, ks):
     """alog[k + 1] == alog[k] * g by the polynomial oracle for every k in ks,
-    k < q - 1, then the zero-sentinel layout of both tables."""
+    k < q - 1, the step from k = q - 2 closing the cycle at alog[0] == 1,
+    then the layout of both tables."""
     q = ctx.q
-    log, alog = ctx._log_tables
+    alog = ctx._log_tables[1]
     g = oracles.poly_digits(ctx, ctx.generator)
     assert int(alog[0]) == 1
     for k in ks:
-        # k = q - 2 closes the cycle: g * g**(q-2) == 1 == alog[q - 1]
         digits = oracles.poly_digits(ctx, int(alog[k]))
         step = ctx.element_from_coeffs(oracles.poly_mul_mod(ctx, digits, g))
-        assert step == int(alog[k + 1]), k
-    assert int(alog[q - 1]) == 1
-    assert np.array_equal(log[alog[:q - 1]], np.arange(q - 1))
-    # the zero sentinel: log 0 is 2q - 3, alog repeats up to 2q - 4 and reads 0 beyond
-    assert int(log[0]) == 2 * q - 3
-    assert len(alog) == 4 * q - 5
-    assert np.array_equal(alog[q - 1:2 * q - 3], alog[:q - 2])
-    assert not alog[2 * q - 3:].any()
+        assert step == int(alog[(k + 1) % (q - 1)]), k
+    _check_log_layout(ctx)
 
 
 def _baby_giant(n: int) -> tuple[int, int]:
@@ -584,9 +586,10 @@ def test_bit_planes_match_digit_table(n, modulus):
 
 
 @pytest.mark.parametrize("n", [3, 5, 7, 9, 11])
-def test_mul_vec_zero_sentinel_edges(n):
-    """The oracles' vector product (`oracles.mul_vec`) at zero and at the
-    largest log sum; `g_values` and `char_sum` multiply by z = 0."""
+def test_mul_vec_zero_mask_edges(n):
+    """The oracles' vector product (`oracles.mul_vec`), which masks zero
+    itself, at zero and at the largest log sum; `g_values` and `char_sum`
+    multiply by z = 0."""
     ctx = make_context(n)
     mul_vec = functools.partial(oracles.mul_vec, ctx)
     q = ctx.q
@@ -649,6 +652,21 @@ def test_derived_log_tables_match_scalar_ops(n, modulus):
     slot = {z: k for k, z in enumerate(powers)} | {0: q - 1}
     assert [ctx.slot(x) for x in range(q)] == [slot[x] for x in range(q)]
     assert [ctx.element_at(k) for k in range(q)] == [*powers, 0]
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9])
+def test_slot_and_element_at_are_inverse(n):
+    """`element_at` undoes `slot` over every element and `slot` undoes
+    `element_at` over every slot of range(q); a slot from q on raises, as
+    the log order has no slot past zero's."""
+    ctx = make_context(n)
+    q = ctx.q
+    assert [ctx.element_at(ctx.slot(z)) for z in range(q)] == list(range(q))
+    assert [ctx.slot(ctx.element_at(k)) for k in range(q)] == list(range(q))
+    assert ctx.slot(0) == q - 1 and ctx.element_at(q - 1) == 0
+    for slot in (q, q + 1, 2 * q - 3, 10**9):
+        with pytest.raises(IndexError):
+            ctx.element_at(slot)
 
 
 @pytest.mark.parametrize("n, modulus", LOG_ORDER_FIELDS, ids=LOG_ORDER_IDS)
@@ -826,10 +844,7 @@ def test_ops_match_oracles_for_any_modulus(modulus, data):
     elem = st.integers(0, ctx.q - 1)
     for _ in range(10):
         a, b = data.draw(elem), data.draw(elem)
-        expected = ctx.element_from_coeffs(
-            oracles.poly_mul_mod(ctx, oracles.poly_digits(ctx, a), oracles.poly_digits(ctx, b))
-        )
-        assert ctx.mul(a, b) == expected
+        assert ctx.mul(a, b) == oracles.mul(ctx, a, b)
         if a:
             assert ctx.inv(a) == _euclid_inverse(ctx, a)
         assert ctx.chi(a) == int(ctx.chi_vec(a)) == _euler_chi(ctx, a)

@@ -17,8 +17,9 @@ columns swapped; a case total off by one; two case columns swapped; a plane
 sum one term wrong; the two lead rows of the pattern signs swapped; an
 expected count off by one; a character dropped from a root test; a constant
 term built with the wrong sign; a case given the root of another case's
-discriminant), so that they run on every change.  A mutant of a function
-or of a table build rewrites one fragment of its source and runs it in the
+discriminant; a product without its zero test; an inverse read at q - 1 -
+log a), so that they run on every change.  A mutant of a function or of a
+table build rewrites one fragment of its source and runs it in the
 function's module (`rewritten`), since a table is a local of its build.
 A mutant of a table that the import compiles into another also installs
 the other compiled from it, as the import would (`PATTERN_PRODUCTS`,
@@ -121,14 +122,29 @@ def pattern_signs_match_g_values(ctx) -> bool:
 
 def antilog_steps_match_polynomials(ctx) -> bool:
     """The log build certifies the field, and alog[k + 1] = alog[k] g by the
-    schoolbook product at every k < q - 1."""
+    schoolbook product at every k < q - 1, the last step closing the cycle
+    at alog[0]."""
     try:
         alog = ctx._log_tables[1]
     except InconsistencyError:
         return False
     g = oracles.poly_digits(ctx, ctx.generator)
     return all(oracles.poly_mul_mod(ctx, oracles.poly_digits(ctx, int(alog[k])), g)
-               == oracles.poly_digits(ctx, int(alog[k + 1])) for k in range(ctx.q - 1))
+               == oracles.poly_digits(ctx, int(alog[(k + 1) % (ctx.q - 1)]))
+               for k in range(ctx.q - 1))
+
+
+def scalar_products_match_polynomials(ctx) -> bool:
+    """Scalar `mul` equals the schoolbook product (`oracles.mul`) at every
+    pair, 0 included."""
+    return all(ctx.mul(a, b) == oracles.mul(ctx, a, b)
+               for a in range(ctx.q) for b in range(ctx.q))
+
+
+def inverses_match_polynomials(ctx) -> bool:
+    """a times scalar `inv(a)` is 1 by the schoolbook product at every a != 0,
+    1 included."""
+    return all(oracles.mul(ctx, a, ctx.inv(a)) == 1 for a in range(1, ctx.q))
 
 
 def searched_generator_is_tabled(ctx) -> bool:
@@ -425,6 +441,18 @@ MUTANTS = {
         rewritten(FieldCtx, "_plane_sum", "t = (a1 | b2) ^ (a2 | b1)\n",
                   "t = (a1 | b2) ^ a2\n"), 3,
         (scalar_adder_matches_digitwise, antilog_steps_match_polynomials),
+    ),
+    # zero has the last slot of the log order, log 0 = q - 1 = 0 mod q - 1,
+    # so a product of logs alone reads 0 b as b: the zero test dropped
+    "FieldCtx.mul": (
+        rewritten(FieldCtx, "mul", "if a == 0 or b == 0:", "if False:"), 3,
+        (scalar_products_match_polynomials,),
+    ),
+    # 1 / g^k = g^(-k mod q - 1): read at q - 1 - k, inv(1) lands on the
+    # zero slot alog[q - 1]
+    "FieldCtx.inv": (
+        rewritten(FieldCtx, "inv", "-log.item(a) % (self.q - 1)", "self.q - 1 - log.item(a)"), 3,
+        (inverses_match_polynomials,),
     ),
 }
 
