@@ -13,7 +13,7 @@ read-only afterwards.  A table is a pure function of the modulus, so two
 threads that race to build one build equal arrays and either may be kept;
 that is why `built_once` takes no lock.
 Each operation has one implementation: ``add``, ``sub`` and ``neg`` read
-the bit planes, ``mul``, ``inv`` and ``pow`` the discrete logs, ``chi``
+the Zech table, ``mul``, ``inv`` and ``pow`` the discrete logs, ``chi``
 and ``chi_vec`` the character table.  The tests check them against
 independent oracles, digit-wise addition and polynomial multiplication.
 Before the log tables exist, the one product is the n x n multiplication
@@ -26,32 +26,30 @@ does no search.
 
 The scalar ops and the vector kernels are gathers from small tables:
 
-* Addition works on bit planes (Boothby & Bradshaw, "Bitslicing and the
-  Method of Four Russians over larger finite fields", 2009).  Bit i of
-  ``ones[a]`` (``twos[a]``) is set when digit i of a is 1 (2), so a sum is a
-  few bitwise operations on uint16 masks, and ``value[m]`` (2^n entries)
-  turns the planes of the result back into an index.  Negation swaps the
-  two planes, so subtraction swaps the planes of b and -a is 0 - a.
 * The log order is one permutation of the field: ``alog[k]`` is g^k for
   k < q - 1 and zero sits in the last slot, ``alog[q - 1] = 0`` and
   ``log[0] = q - 1``, so ``log`` and ``alog`` are inverse tables of q
   entries.  A product of nonzero factors reads ``alog`` at (log a + log b)
   mod (q - 1), and a zero factor gives zero.
-* The quadratic character is one int8 table.  e - 1 differs from e in
-  digit 0 alone, so a table T in element order read at e - 1 is T as a
-  (q / 3, 3) grid with its columns turned one place (``_neighbour``), and
-  no field addition is needed for C[m] = chi(g^m - 1), kept as the uint8
-  D+ = C + 1 and D- = 1 - C (``_chi_columns``), nor for the Zech table
-  Z-(m) = log(g^m - 1) of the DDT row: each is one gather of a turned
-  table at the antilogs.  The x with chi(x) = chi(x + 1) add one int8 row,
-  the same for every u, read off the parities of Z- (``_zech``).
+* Addition reads Zech logarithms (Huber, "Some comments on Zech's
+  logarithms", 1990).  With N = q - 1 and h = N / 2, -1 = g^h and the one
+  table Z-(m) = log(g^m - 1) (``_minus``) gives a - b = -a (g^k - 1) =
+  g^(log a + h + Z-(k)) for k = log b - log a, and a + b = a - (-b) takes
+  log b + h in place of log b.  e - 1 differs from e in digit 0 alone, so
+  a table T in element order read at e - 1 is T as a (q / 3, 3) grid with
+  its columns turned one place (``_neighbour``), and Z- is one gather of
+  the turned ``log`` at the antilogs, with no field addition.
+* The quadratic character is one int8 table, and C[m] = chi(g^m - 1) =
+  (-1)^Z-(m) is read off the parities of Z-, kept as the uint8 D+ = C + 1
+  and D- = 1 - C (``_chi_columns``).  The x with chi(x) = chi(x + 1) add
+  one int8 row, the same for every u, read off the same parities
+  (``_zech``).
 * The per-u vectors live in log order, where slot k holds g^k and zero the
   last slot (``slot`` and ``element_at`` read ``log`` and ``alog``), and
   two kernels fill them with no field addition per u: ``chi_pattern``
   (the characters chi(z - a) of up to five points packed in base 3, each
   column a slice of D+ or D-, for the pattern) and ``difference_row`` (the
-  DDT row from Zech logarithms, Huber, "Some comments on Zech's
-  logarithms", 1990, for `ness.ddt_row`).
+  DDT row from the Zech tables, for `ness.ddt_row`).
 
 The log tables are built in two stages, baby steps and giant steps, with S
 baby steps, the largest power of two not above 3^(ceil(n/2) + 1), and R =
@@ -69,8 +67,13 @@ ceil((q - 1) / S) giant rows.  S x R is 16 x 2, 64 x 4, 128 x 18, 512 x 39,
 * Giant steps through one table.  Row i is c = g^S times row i - 1, one
   ``take`` from the table of c z for every z (``_times_table``, from the
   matrix of c).  With h = ceil(n / 2), c z = c (z mod 3^h) + c x^h (z div
-  3^h): two index tables of 3^h and 3^(n-h) entries and one plane sum over
-  their grid.
+  3^h): two index tables of 3^h and 3^(n-h) entries and one digit-wise
+  sum over their grid, on bit planes (Boothby & Bradshaw, "Bitslicing and
+  the Method of Four Russians over larger finite fields", 2009).  Bit i of
+  the ones (twos) plane of z is set when digit i of z is 1 (2), so the sum
+  is a few bitwise operations on uint16 masks (``_plane_sum``), and a
+  table of 2^n entries (``_plane_value``) turns the planes of the result
+  back into an element.
 
 The build certifies the field: g^0 .. g^(q-2) must be q - 1 distinct nonzero
 elements, else it raises `InconsistencyError`.  That is enough: if the
@@ -95,8 +98,8 @@ P = 3
 
 # Table ceiling.  The pairwise sum table needs q*q ints and stays cheap up to
 # this size.  Every resident table is O(q) and has no ceiling: at n = 13 the
-# int32 log pair takes about 12 MiB, the uint16 bit planes 6.1 MiB, the Zech
-# tables 13.7 MiB, D+ and D- 6.1 MiB and the int8 character 1.5 MiB.
+# int32 log pair takes about 12 MiB, the Zech tables 13.7 MiB (Z- alone 6.1
+# MiB), D+ and D- 6.1 MiB and the int8 character 1.5 MiB.
 PAIR_TABLE_MAX_Q = P**7
 
 # The default field per n: (modulus digits, generator).  The modulus is the
@@ -295,18 +298,33 @@ class FieldCtx:
     # -- scalar arithmetic ----------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        ones, twos, value = self._planes
-        sum1, sum2 = self._plane_sum(ones.item(a), twos.item(a), ones.item(b), twos.item(b))
-        return value.item(sum1) + 2 * value.item(sum2)
+        """a - (-b): -b = g**(log b + h), h = (q - 1) / 2 (see `_sub_turned`)."""
+        return self._sub_turned(a, b, (self.q - 1) // 2)
 
     def neg(self, a: int) -> int:
         return self.sub(0, a)
 
     def sub(self, a: int, b: int) -> int:
-        """a + (-b): negation swaps the digits 1 and 2, so it swaps the two planes of b."""
-        ones, twos, value = self._planes
-        sum1, sum2 = self._plane_sum(ones.item(a), twos.item(a), twos.item(b), ones.item(b))
-        return value.item(sum1) + 2 * value.item(sum2)
+        return self._sub_turned(a, b, 0)
+
+    def _sub_turned(self, a: int, b: int, turn: int) -> int:
+        """a - g**turn b by Zech logarithms, N = q - 1 and h = N / 2: b = 0
+        gives a and a = 0 gives g**(log b + turn + h), as -1 = g**h.  Else
+        a - g**turn b = -a (g**k - 1) for k = log b + turn - log a (mod N),
+        which is 0 at k = 0 and g**(log a + h + Z-(k)) otherwise."""
+        log, alog = self._log_tables
+        n_logs = self.q - 1
+        h = n_logs // 2
+        j, k = log.item(a), log.item(b)
+        if k == n_logs:
+            return alog.item(j)
+        k += turn
+        if j == n_logs:
+            return alog.item((k + h) % n_logs)
+        k = (k - j) % n_logs
+        if not k:
+            return 0
+        return alog.item((j + h + self._minus.item(k)) % n_logs)
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -379,24 +397,6 @@ class FieldCtx:
     # -- tables ------------------------------------------------------------------
 
     @built_once
-    def _planes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(ones, twos, value): the bit planes of every element and their inverse.
-
-        ``value[m]`` is the sum of 3**i over the set bits of m, so an element
-        is ``value[ones] + 2 * value[twos]``.  Built by tripling: the elements
-        below 3**(i+1) are those below 3**i with digit i equal to 0, 1 and 2.
-        """
-        ones = np.zeros(1, dtype=np.uint16)
-        twos = np.zeros(1, dtype=np.uint16)
-        value = np.zeros(1, dtype=np.int32)
-        for i in range(self.n):
-            bit = np.uint16(1 << i)
-            ones = np.concatenate([ones, ones | bit, ones])
-            twos = np.concatenate([twos, twos, twos | bit])
-            value = np.concatenate([value, value + P**i])
-        return _frozen(ones), _frozen(twos), _frozen(value)
-
-    @built_once
     def _log_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """(log, alog): inverse int32 tables of q entries, alog[k] == g**k and
         log[g**k] == k for k < q - 1, and zero in the last slot: alog[q - 1]
@@ -420,12 +420,13 @@ class FieldCtx:
             m *= 2
         # mat is the matrix of c = g**baby; the last giant row runs on past
         # q - 1 (R S > q - 1, as 4 divides S but not q - 1), and alog keeps
-        # the first q entries
+        # the first q entries.  Every index is an element, below q, so no take
+        # clips; the default mode, "raise", would write through a buffer.
         blocks = np.empty((giant, baby), dtype=np.int32)
         np.matmul(powers, weights, out=blocks[0])
         times_c = self._times_table(mat, weights)
         for i in range(1, giant):
-            times_c.take(blocks[i - 1], out=blocks[i])
+            times_c.take(blocks[i - 1], out=blocks[i], mode="clip")
         alog = blocks.reshape(-1)[:q]
         alog[-1] = 0
         log = np.full(q, -1, dtype=np.int32)
@@ -440,19 +441,34 @@ class FieldCtx:
         """int32 c z for every z, c given by its (n, n) matrix and weights the
         int32 powers 3**i: c z = c (z mod 3^h) + c x^h (z div 3^h) as one plane
         sum over the grid of both indices, from the planes of two small tables,
-        a block of rows at a time (the temporaries of a block stay in cache)."""
+        a block of rows at a time (the uint16 and int32 temporaries of a block
+        stay in cache).  A plane is below 2**n, so no take clips (see
+        `_log_tables`)."""
         n, h = self.n, (self.n + 1) // 2
         low_digits = _digit_rows(h)  # n - h <= h: its head holds the high digits too
-        low = low_digits @ c_mat[:h] % P @ weights
-        high = low_digits[:P**(n - h), :n - h] @ c_mat[h:] % P @ weights
-        ones, twos, value = self._planes
-        low1, low2, high1, high2 = ones[low], twos[low], ones[high, None], twos[high, None]
-        out = np.empty((len(high), len(low)), dtype=np.int32)
-        rows = max(1, 2**15 // len(low))
-        for i in range(0, len(high), rows):
+        low1, low2 = _digit_planes(low_digits @ c_mat[:h] % P)
+        high1, high2 = _digit_planes(low_digits[:P**(n - h), :n - h] @ c_mat[h:] % P)
+        high1, high2 = high1[:, None], high2[:, None]
+        value = self._plane_value
+        twice = 2 * value
+        out = np.empty((len(high1), len(low1)), dtype=np.int32)
+        rows = max(1, 2**15 // len(low1))
+        for i in range(0, len(high1), rows):
             sum1, sum2 = self._plane_sum(high1[i:i + rows], high2[i:i + rows], low1, low2)
-            out[i:i + rows] = value[sum1] + 2 * value[sum2]
+            block = out[i:i + rows]
+            value.take(sum1, out=block, mode="clip")
+            block += twice.take(sum2, mode="clip")
         return out.ravel()
+
+    @built_once
+    def _plane_value(self) -> np.ndarray:
+        """int32 value[m], the sum of 3**i over the set bits i of m < 2**n: the
+        element with ones plane m and no digit 2 (see `_plane_sum`).  Built by
+        doubling: value[2**i + m] = value[m] + 3**i for m < 2**i."""
+        value = np.zeros(2**self.n, dtype=np.int32)
+        for i in range(self.n):
+            np.add(value[:1 << i], P**i, out=value[1 << i:2 << i])
+        return _frozen(value)
 
     @built_once
     def chi_table(self) -> np.ndarray:
@@ -468,7 +484,8 @@ class FieldCtx:
         chi(g**m - 1) for m < q - 1, each twice over, so that a rotation of C
         is a slice (see `chi_pattern`)."""
         q = self.q
-        c = _neighbour(self.chi_table)[self._log_tables[1][:q - 1]]
+        c = (1 - 2 * (self._minus & 1)).astype(np.int8)  # chi(g**m - 1) = (-1)**Z-(m)
+        c[0] = 0
         columns = np.empty((2, 2, q - 1), dtype=np.int8)
         np.add(c, 1, out=columns[0, 0])
         np.subtract(1, c, out=columns[1, 0])
@@ -484,8 +501,9 @@ class FieldCtx:
         size ceiling."""
         if self.q > PAIR_TABLE_MAX_Q:
             return None
-        ones, twos, value = self._planes
+        ones, twos = _digit_planes(_digit_rows(self.n))
         sum1, sum2 = self._plane_sum(ones[:, None], twos[:, None], ones, twos)
+        value = self._plane_value
         return _frozen(value[sum1] + 2 * value[sum2])
 
     # -- vectorised arithmetic on index arrays ----------------------------------
@@ -532,19 +550,30 @@ class FieldCtx:
 
     def slot(self, z: int) -> int:
         """The log-order slot of z: log z, and q - 1 for z = 0."""
-        return self._log_tables[0].item(z)
+        return self._log_tables[0].item(_checked_index(z))
 
     def element_at(self, slot: int) -> int:
         """The element in a log-order slot: g**slot, and 0 in the last slot."""
-        return self._log_tables[1].item(slot)
+        return self._log_tables[1].item(_checked_index(slot))
+
+    @built_once
+    def _minus(self) -> np.ndarray:
+        """int32 Z-(m) = log(g**m - 1) for 0 < m < N, N = q - 1, and the
+        sentinel Z-(0) = 2N: the turned ``log`` read at g**m (see the module
+        docstring).  The scalar ops, `_chi_columns` and `_zech` share it."""
+        n_logs = self.q - 1
+        log, alog = self._log_tables
+        minus = _neighbour(log).take(alog[:n_logs])
+        minus[0] = 2 * n_logs
+        return _frozen(minus)
 
     @built_once
     def _zech(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(minus, cross_m, cross_e, same): the tables of `difference_row`.
 
-        With N = q - 1 and h = N / 2, minus[m] = Z-(m) = log(g**m - 1) for m
-        != 0, and 2N at m = 0.  Z+(k) = log(g**k + 1) = h + Z-(k - h), as -1 =
-        g**h, and D(k) = k - Z+(k).  For each k whose parity differs from that
+        With N = q - 1 and h = N / 2, minus is `_minus`: Z-(m) = log(g**m -
+        1) for m != 0, and 2N at m = 0.  Z+(k) = log(g**k + 1) = h + Z-(k -
+        h), as -1 = g**h, and D(k) = k - Z+(k).  For each k whose parity differs from that
         of Z+(k), cross_m and cross_e hold (D(k), -k) if k is even and (-D(k),
         h - Z+(k)) if k is odd, cross_m in [-N, 0): a gather at cross_m + c, c
         in [0, N), reads minus through a negative index in place of a modulo.
@@ -563,9 +592,7 @@ class FieldCtx:
         """
         q = self.q
         n_logs, h = q - 1, (q - 1) // 2
-        log, alog = self._log_tables
-        minus = _neighbour(log)[alog[:n_logs]]
-        minus[0] = 2 * n_logs
+        minus = self._minus
         same = np.zeros(n_logs, dtype=np.int8)
         same[0] = 1
         same[1::2] = minus[1::2] & 1
@@ -638,6 +665,21 @@ class FieldCtx:
 def _digit_rows(k: int) -> np.ndarray:
     """(3**k, k) int8: the base-3 digits of 0 .. 3**k - 1, least significant first."""
     return (np.arange(P**k)[:, None] // P**np.arange(k) % P).astype(np.int8)
+
+
+def _digit_planes(digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ones, twos): uint16 bit planes of digit rows, bit i of a row's ones
+    (twos) set when its digit i is 1 (2)."""
+    bits = (1 << np.arange(digits.shape[1])).astype(np.uint16)
+    return (digits == 1) @ bits, (digits == 2) @ bits
+
+
+def _checked_index(i: int) -> int:
+    """i itself, which must not be negative: a table read at -1 would give its
+    last entry."""
+    if i < 0:
+        raise IndexError(f"index {i} is negative")
+    return i
 
 
 def _matrix_power(mat: np.ndarray, e: int) -> np.ndarray:

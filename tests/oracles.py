@@ -18,19 +18,22 @@ route what a production function computes, and the tests compare the two.
     the four cases of (chi(x + a), chi(x)): the oracle for `census`.
   * `g_eval` evaluates one classifier polynomial at one z with the scalar
     ops; `g_values` evaluates it over the whole field with the digit-wise
-    adder (`add`, `neg`, `sub` and `digitwise`, so not on the library's
-    planes) and `mul_vec`, a product gathered from the log tables.
+    adder (`add`, `neg`, `sub` and `digitwise`, so not by the library's
+    Zech table) and `mul_vec`, a product gathered from the log tables.
     Both are oracles for the signs the library reads off the pattern of z
     (`signs_by_z`), which it builds from the zeros of the polynomials
     instead, from the characters chi(z - a) packed by
-    `FieldCtx.chi_pattern`, with no field addition.
+    `FieldCtx.chi_pattern`, with no field addition.  `root` takes the r of
+    u by `pow` and the digit-wise adder, and `points_of_a` the five points
+    of A by the same adder: the oracles for `ScopedU.r` and
+    `set_a_points`, and `g_values` reads r from `root`.
   * `g_product_sum` multiplies the classifier polynomials in the field
     before taking chi, the oracle for `ScopedU.product_sums`, the sums
     over the pattern histogram; `gamma3_from_products` and
     `gamma4_from_products` are the defining forms of the two character sums.
   * `char_sum` sums chi of any polynomial by Horner's rule over the field
-    (a coefficient is added by `translate`, the field's plane sum of every
-    z with one c), and `quadratic_char_sum` is the degree-2 closed form it
+    (a coefficient is added by `translate`, the digit-wise sum of every z
+    with one c), and `quadratic_char_sum` is the degree-2 closed form it
     is checked against; `gamma3_from_cubic` and `gamma4_from_quintic` are
     the two sums in their reduced one-polynomial forms.
   * `table_a_expected` writes the signs of the g family on the five-point
@@ -48,8 +51,8 @@ route what a production function computes, and the tests compare the two.
     admissible-table row off a `census` record.
   * `add`, `neg` and `sub` work digit by digit mod 3 on the base-3 digits
     of the indices, and `digitwise` does the same on whole index arrays:
-    the addition oracle for the field, whose scalar ops read the bit
-    planes.  `poly_mul_mod`, the schoolbook product of digit lists
+    the addition oracle for the field, whose scalar ops read Zech
+    logarithms.  `poly_mul_mod`, the schoolbook product of digit lists
     (`poly_digits`) reduced by long division, and `mul`, the same on two
     indices, are the multiplication oracle, which pins `mul`, `inv`, `chi`
     and the log tables.
@@ -191,11 +194,8 @@ def counting_identities_hold(omegas: list[int], q: int) -> bool:
 
 
 def translate(ctx: FieldCtx, c: int) -> np.ndarray:
-    """z + c for every element z: the field's plane sum, with the plane
-    tables themselves as the planes of z."""
-    ones, twos, value = ctx._planes
-    sum1, sum2 = ctx._plane_sum(ones, twos, ones[c], twos[c])
-    return value[sum1] + 2 * value[sum2]
+    """z + c for every element z, digit by digit (`digitwise`)."""
+    return digitwise(ctx, np.arange(ctx.q), c)
 
 
 def mul_vec(ctx: FieldCtx, a, b) -> np.ndarray:
@@ -250,8 +250,23 @@ def g_eval(su: ScopedU, gid: int, z: int) -> int:
     raise ValueError(f"gid must be 1..5, got {gid}")
 
 
+def root(ctx: FieldCtx, u: int) -> int:
+    """The root r of 1 - u^2 with chi(r) = 1, as `pow` to (q + 1) / 4 and the
+    digit-wise adder give it; the oracle for `ScopedU.r`."""
+    r = ctx.pow(sub(ctx, 1, ctx.mul(u, u)), (ctx.q + 1) // 4)
+    return r if ctx.chi(r) == 1 else neg(ctx, r)
+
+
+def points_of_a(ctx: FieldCtx, u: int) -> tuple[int, int, int, int, int]:
+    """A = (0, 1+u, 1-u, -1+r, -1-r) by the digit-wise adder, r from `root`;
+    the oracle for `set_a_points`."""
+    r = root(ctx, u)
+    return 0, add(ctx, 1, u), sub(ctx, 1, u), sub(ctx, r, 1), neg(ctx, add(ctx, 1, r))
+
+
 def g_values(su: ScopedU, gid: int) -> np.ndarray:
-    """g_gid(z) for every z in the field, as one index array, by the vector ops."""
+    """g_gid(z) for every z in the field, as one index array, by the vector
+    ops at the r of `root`."""
     ctx, u = su.ctx, su.u
     z = np.arange(ctx.q, dtype=np.int64)
     if gid == 1:
@@ -263,8 +278,8 @@ def g_values(su: ScopedU, gid: int) -> np.ndarray:
     if gid == 4:
         return digitwise(ctx, digitwise(ctx, mul_vec(ctx, z, z), z, -1), ctx.mul(u, u))
     if gid == 5:
-        return mul_vec(ctx, neg(ctx, add(ctx, 1, su.r)),
-                       digitwise(ctx, digitwise(ctx, z, 1), su.r, -1))
+        r = root(ctx, u)
+        return mul_vec(ctx, neg(ctx, add(ctx, 1, r)), digitwise(ctx, digitwise(ctx, z, 1), r, -1))
     raise ValueError(f"gid must be 1..5, got {gid}")
 
 

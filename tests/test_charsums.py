@@ -249,12 +249,14 @@ def test_sign_matrix_sums_match_field_products(scope_cases):
 
 
 def test_set_a_contains_all_g_roots(f3):
-    """The five points of A are distinct, and each g_i vanishes exactly on
-    the points `G_ZEROS` lists for it."""
+    """The five points of A are distinct, equal their digit-wise oracle
+    (`oracles.points_of_a`, r by `oracles.root`), and each g_i vanishes
+    exactly on the points `G_ZEROS` lists for it."""
     for u in scope_us(f3):
         su = cs.ScopedU(f3, u)
         points = cs.set_a_points(su)
         assert len(set(points)) == 5
+        assert su.r == oracles.root(f3, u) and points == oracles.points_of_a(f3, u)
         for gid in cs.G_IDS:
             zeros = cs.G_ZEROS[gid]
             roots = {z for z in range(f3.q) if oracles.g_eval(su, gid, z) == 0}

@@ -505,9 +505,10 @@ def test_one_build_per_u(monkeypatch, command, ddt_rows_per_u):
     one character pattern per u, runs no Horner pass (no `char_sum` anywhere
     in the library) and counts at most one DDT row per u.  Nothing per u
     works in element order: a table is read at e - 1 (`field._neighbour`)
-    once per run for the table chi(g^m - 1) of the pattern, and once more
-    for the Zech tables of the DDT row, which are built once per run and
-    never by verify-lemmas, which reads no DDT."""
+    once per run, for Z-(m) = log(g^m - 1), which the scalar adder, the
+    table chi(g^m - 1) of the pattern and the Zech tables of the DDT row
+    share.  The Zech tables are built once per run and never by
+    verify-lemmas, which reads no DDT."""
     counts = {"pattern": 0, "char_sum": 0, "ddt_row": 0, "neighbour": 0,
               "zech": 0, "classify_u": 0}
 
@@ -532,7 +533,7 @@ def test_one_build_per_u(monkeypatch, command, ddt_rows_per_u):
     status, out, _ = _run(command, n=5, u=f"sample:{k}:1")
     assert status == 0 and len({rec["u"] for rec in _json_lines(out)}) == k
     assert counts == {"pattern": k, "char_sum": 0, "ddt_row": ddt_rows_per_u * k,
-                      "neighbour": 1 + ddt_rows_per_u, "zech": ddt_rows_per_u,
+                      "neighbour": 1, "zech": ddt_rows_per_u,
                       "classify_u": k}
 
 

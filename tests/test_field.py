@@ -6,6 +6,7 @@ import itertools
 import random
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -240,7 +241,7 @@ def test_mul_monomial_reduction(f3):
 
 
 def test_additive_structure_exhaustive(f3):
-    """The plane sums against the digit-wise oracle at every pair."""
+    """The Zech sums against the digit-wise oracle at every pair."""
     for a in range(f3.q):
         assert f3.add(a, f3.neg(a)) == 0
         assert f3.add(a, 0) == a
@@ -572,17 +573,22 @@ def test_log_build_forms_one_matrix(monkeypatch, n):
 @pytest.mark.parametrize("n, modulus", [
     (3, None), (5, None), (7, None), (5, oracles.random_irreducible(5, seed=2025)),
 ], ids=["n3", "n5", "n7", "n5-random-modulus"])
-def test_bit_planes_match_digit_table(n, modulus):
+def test_times_table_matches_schoolbook_products(n, modulus):
+    """`_times_table` of the matrix of c is the int32 table of c z by the
+    schoolbook product at every z, for c = 1, 2, the generator, the giant
+    multiplier g^S and seeded c; its plane sums read `_plane_value`, the
+    element of each ones plane."""
     ctx = make_context(n, modulus)
-    ones, twos, value = ctx._planes
-    digits = ctx.digit_table()
-    bits = 1 << np.arange(n)
-    assert ones.dtype == twos.dtype == np.uint16
-    assert np.array_equal(ones, ((digits == 1) * bits).sum(axis=1))
-    assert np.array_equal(twos, ((digits == 2) * bits).sum(axis=1))
-    assert len(value) == 2**n
+    q, value = ctx.q, ctx._plane_value
+    assert value.dtype == np.int32 and len(value) == 2**n
     assert value.tolist() == [sum(3**i for i in range(n) if m >> i & 1) for m in range(2**n)]
-    assert np.array_equal(value[ones] + 2 * value[twos], np.arange(ctx.q))
+    weights = 3**np.arange(n, dtype=np.int32)
+    rnd = random.Random(n)
+    for c in (1, 2, ctx.generator, ctx.pow(ctx.generator, _baby_giant(n)[0]),
+              *rnd.sample(range(3, q), 3)):
+        table = ctx._times_table(ctx._mul_matrix(oracles.poly_digits(ctx, c)), weights)
+        assert table.dtype == np.int32
+        assert table.tolist() == [oracles.mul(ctx, c, z) for z in range(q)], c
 
 
 @pytest.mark.parametrize("n", [3, 5, 7, 9, 11])
@@ -658,7 +664,8 @@ def test_derived_log_tables_match_scalar_ops(n, modulus):
 def test_slot_and_element_at_are_inverse(n):
     """`element_at` undoes `slot` over every element and `slot` undoes
     `element_at` over every slot of range(q); a slot from q on raises, as
-    the log order has no slot past zero's."""
+    the log order has no slot past zero's, and so does a negative argument
+    to either."""
     ctx = make_context(n)
     q = ctx.q
     assert [ctx.element_at(ctx.slot(z)) for z in range(q)] == list(range(q))
@@ -667,6 +674,11 @@ def test_slot_and_element_at_are_inverse(n):
     for slot in (q, q + 1, 2 * q - 3, 10**9):
         with pytest.raises(IndexError):
             ctx.element_at(slot)
+    for index in (-1, -q):
+        with pytest.raises(IndexError):
+            ctx.element_at(index)
+        with pytest.raises(IndexError):
+            ctx.slot(index)
 
 
 @pytest.mark.parametrize("n, modulus", LOG_ORDER_FIELDS, ids=LOG_ORDER_IDS)
@@ -805,11 +817,32 @@ def test_concurrent_first_touch_builds_identical_tables():
 
 
 def test_tables_are_read_only(f3):
-    tables = (f3.digit_table(), f3.pair_add_table(), *f3._planes, *f3._log_tables,
-              f3.chi_table, f3._chi_columns)
+    tables = (f3.digit_table(), f3.pair_add_table(), *f3._log_tables, f3.chi_table,
+              f3._plane_value, f3._minus, f3._chi_columns, *f3._zech)
     for table in tables:
         with pytest.raises(ValueError):
             table[(1,) * table.ndim] = 0
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13])
+def test_setup_builds_only_log_and_character_tables(n):
+    """The set-up of every command, `make_context` and `resolve_u`, keeps
+    the log tables, the character table and the 2^n plane values of the
+    giant steps and nothing else: no Zech table and no bit planes of the
+    whole field.  tracemalloc puts what it keeps at no more than 11.5 q
+    bytes from n = 7 on (8 q for the log pair, q for the character)."""
+    tracemalloc.start()
+    try:
+        ctx = make_context(n)
+        constructed = set(ctx.__dict__)
+        cli.resolve_u(ctx, "sample:2:1")
+        resident = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert set(ctx.__dict__) - constructed == {"_log_tables", "chi_table", "_plane_value"}
+    assert len(ctx._plane_value) == 2**n
+    if n >= 7:
+        assert resident <= 11.5 * ctx.q, resident / ctx.q
 
 
 def test_production_paths_never_build_the_digit_table(monkeypatch):
@@ -848,7 +881,7 @@ def test_ops_match_oracles_for_any_modulus(modulus, data):
         if a:
             assert ctx.inv(a) == _euclid_inverse(ctx, a)
         assert ctx.chi(a) == int(ctx.chi_vec(a)) == _euler_chi(ctx, a)
-        # the plane sums against the digit-wise oracle
+        # the Zech sums against the digit-wise oracle
         assert ctx.add(a, b) == int(oracles.translate(ctx, b)[a]) == oracles.add(ctx, a, b)
         assert ctx.sub(a, b) == oracles.sub(ctx, a, b)
         assert ctx.neg(a) == oracles.neg(ctx, a)

@@ -14,11 +14,12 @@ rotation one step off; a Zech offset one step off; a parity flipped; a
 sign flipped in the fold of x**n; a branch swapped; a giant step one
 squaring too far; a prime dropped from the generator search; two product
 columns swapped; a case total off by one; two case columns swapped; a plane
-sum one term wrong; the two lead rows of the pattern signs swapped; an
-expected count off by one; a character dropped from a root test; a constant
-term built with the wrong sign; a case given the root of another case's
-discriminant; a product without its zero test; an inverse read at q - 1 -
-log a), so that they run on every change.  A mutant of a function or of a
+sum one term wrong; a Zech difference without its -1 or its zero test; the
+parity of Z- flipped in chi(g**m - 1); the two lead rows of the pattern
+signs swapped; an expected count off by one; a character dropped from a
+root test; a constant term built with the wrong sign; a case given the root
+of another case's discriminant; a product without its zero test; an inverse
+read at q - 1 - log a), so that they run on every change.  A mutant of a function or of a
 table build rewrites one fragment of its source and runs it in the
 function's module (`rewritten`), since a table is a local of its build.
 A mutant of a table that the import compiles into another also installs
@@ -43,9 +44,11 @@ from nhspectrum.field import DEFAULT_FIELDS, FieldCtx, InconsistencyError, built
 
 
 def _scope(ctx):
-    """Every in-scope u by the scalar rule, which no mutant here touches."""
-    return [ScopedU(ctx, u) for u in range(ctx.q)
-            if charsums.classify_u(ctx, u) == charsums.CLASS_U0]
+    """Every in-scope u, u outside GF(3) with chi(u + 1) != chi(u - 1), by the
+    digit-wise adder (`oracles.add`, `oracles.sub`): the library's scalar
+    adder shares `_minus` with the kernels that some mutants here break."""
+    return [ScopedU(ctx, u) for u in range(3, ctx.q)
+            if ctx.chi(oracles.add(ctx, u, 1)) != ctx.chi(oracles.sub(ctx, u, 1))]
 
 
 # ---------------------------------------------------------------------------
@@ -110,12 +113,18 @@ def census_matches_case_counts(ctx) -> bool:
 
 
 def pattern_signs_match_g_values(ctx) -> bool:
-    """The signs decoded from the pattern of z (`oracles.signs_by_z`) equal
-    chi of z and of `g_values` at every z."""
+    """`PATTERN_SIGNS` at the lead of u, read at `chi_pattern` of the points
+    of A, equals chi of z and of `g_values` at every z.  The lead and the
+    points come from the digit-wise adder (`oracles.points_of_a`), as r in
+    `g_values` does, so the check sees the pattern kernel and the sign
+    table, not the scalar adder."""
     zs = np.arange(ctx.q)
     for su in _scope(ctx):
+        lead = int(ctx.chi(oracles.add(ctx, su.u, 1)) == -1)
+        pattern = ctx.chi_pattern(oracles.points_of_a(ctx, su.u))
+        signs = charsums.PATTERN_SIGNS[lead][oracles.in_element_order(ctx, pattern)]
         values = np.stack([zs, *(oracles.g_values(su, gid) for gid in charsums.G_IDS)], axis=1)
-        if not np.array_equal(oracles.signs_by_z(su), ctx.chi_vec(values)):
+        if not np.array_equal(signs, ctx.chi_vec(values)):
             return False
     return True
 
@@ -136,9 +145,13 @@ def antilog_steps_match_polynomials(ctx) -> bool:
 
 def scalar_products_match_polynomials(ctx) -> bool:
     """Scalar `mul` equals the schoolbook product (`oracles.mul`) at every
-    pair, 0 included."""
-    return all(ctx.mul(a, b) == oracles.mul(ctx, a, b)
-               for a in range(ctx.q) for b in range(ctx.q))
+    pair, 0 included.  A log build that fails its certificate gives no
+    product, which is a mismatch too."""
+    try:
+        return all(ctx.mul(a, b) == oracles.mul(ctx, a, b)
+                   for a in range(ctx.q) for b in range(ctx.q))
+    except InconsistencyError:
+        return False
 
 
 def inverses_match_polynomials(ctx) -> bool:
@@ -360,9 +373,10 @@ MUTANTS = {
                   "self._times_table(mat @ mat % P, weights)"), 3,
         (antilog_steps_match_polynomials,),
     ),
-    # a table read at e - 1 by turning the digit-0 columns, for C and for
-    # the Zech tables: turned the wrong way, so read at e + 1.  Z-(h) then
-    # reads log 0 (-1 + 1 = 0), and the Zech build indexes past its tables.
+    # a table read at e - 1 by turning the digit-0 columns, for Z-, so for C,
+    # the Zech tables and the scalar adder: turned the wrong way, so read at
+    # e + 1.  Z-(h) then reads log 0 (-1 + 1 = 0), and the Zech build
+    # indexes past its tables.
     "field._neighbour": (
         rewritten(field, "_neighbour", "out[1:] = table[:-1]\n    out[::P] = table[P - 1::P]",
                   "out[:-1] = table[1:]\n    out[P - 1::P] = table[::P]"), 3,
@@ -436,11 +450,31 @@ MUTANTS = {
     ),
     # the plane sum with b1 dropped from t: wrong where digit i of b is 1 and
     # that of a is 0 or 1, yet every plane pair stays a valid element.  The
-    # giant steps of the log build are plane sums.
+    # giant steps of the log build are plane sums, and the scalar sums are
+    # not: Zech addition reads only the inverse tables log and alog, so it
+    # stays right under a wrong log order.
     "FieldCtx._plane_sum": (
         rewritten(FieldCtx, "_plane_sum", "t = (a1 | b2) ^ (a2 | b1)\n",
                   "t = (a1 | b2) ^ a2\n"), 3,
-        (scalar_adder_matches_digitwise, antilog_steps_match_polynomials),
+        (scalar_products_match_polynomials, antilog_steps_match_polynomials),
+    ),
+    # a - b = -a (g**k - 1): without the h term, -1 = g**h, it is a (g**k - 1)
+    "FieldCtx._sub_turned": (
+        rewritten(FieldCtx, "_sub_turned", "(j + h + self._minus.item(k))",
+                  "(j + self._minus.item(k))"), 3,
+        (scalar_adder_matches_digitwise,),
+    ),
+    # a - a has k = 0: without its test it reads the sentinel Z-(0) = 2N
+    "FieldCtx._sub_turned.zero": (
+        rewritten(FieldCtx, "_sub_turned", "if not k:\n        return 0\n    return",
+                  "return"), 3,
+        (scalar_adder_matches_digitwise,),
+    ),
+    # C[m] = chi(g**m - 1) = (-1)**Z-(m): read with the parity flipped
+    "FieldCtx._chi_columns": (
+        rewritten(FieldCtx, "_chi_columns", "1 - 2 * (self._minus & 1)",
+                  "2 * (self._minus & 1) - 1"), 3,
+        (pattern_signs_match_g_values,),
     ),
     # zero has the last slot of the log order, log 0 = q - 1 = 0 mod q - 1,
     # so a product of logs alone reads 0 b as b: the zero test dropped
