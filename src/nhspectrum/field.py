@@ -368,23 +368,13 @@ class FieldCtx:
 
     # -- text / coefficient views ---------------------------------------------
 
-    def element_from_coeffs(self, coeffs: Sequence[int]) -> int:
-        if len(coeffs) > self.n:
-            raise ValueError(f"at most {self.n} coefficients, got {len(coeffs)}")
-        out = 0
-        m = 1
-        for d in coeffs:
-            if d not in (0, 1, 2):
-                raise ValueError(f"coefficients must be 0/1/2, got {d}")
-            out += d * m
-            m *= P
-        return out
-
     def parse_element(self, text: str) -> int:
         digits = ["012".find(ch) for ch in text]  # -1 for any other character
         if not digits or -1 in digits:
             raise ValueError(f"element string must be base-3 digits, got {text!r}")
-        return self.element_from_coeffs(digits)
+        if len(digits) > self.n:
+            raise ValueError(f"at most {self.n} coefficients, got {len(digits)}")
+        return int(text[::-1], P)
 
     def format_element(self, a: int) -> str:
         if not 0 <= a < self.q:

@@ -3,24 +3,30 @@
 None of this is library code: each function recomputes by a different
 route what a production function computes, and the tests compare the two.
 
-  * `f_eval` evaluates f_u(x) = u x^d1 + x^d2 by plain exponentiation;
-    `derivative` is f_u(x + a) - f_u(x).
-  * `ddt_entry_naive` counts x one at a time; `ddt_table` counts every row
-    a of the DDT from `f_eval` and the digit-wise adder, the oracle for
-    `ness.ddt_row` (Zech logarithms, in log order) and the lemma
-    delta(a, b) = delta(1, a b).  `same_parity_counts` counts the part of
-    the row from the x with chi(x) = chi(x + 1), per parity, from Zech
-    logarithms taken by the digit-wise adder: the oracle for the row
-    `FieldCtx._zech` reads off in closed form.
+  * The oracles' own field arithmetic works on (..., n) int8 arrays of
+    base-3 digits (`digits`, `value`) and reads only `n`, `q` and `modulus`
+    of a field: `digitwise` adds index arrays digit by digit mod 3,
+    `poly_mul_mod` is the schoolbook product reduced by the modulus and
+    `frobenius` the n x n matrix of x -> x^3.  `add`, `neg`, `sub` and
+    `mul` are one-element calls of them.
+  * `f_values` evaluates f_u(x) = u x^d1 + x^d2 at every x at once: as d1 =
+    3 + 9 + ... + 3^(n - 1), `powers` takes x^d1 as n - 2 products of the
+    conjugates x^(3^i), chi(x) = x^d1 x and x^d2 = x^d1 chi(x), shared by
+    every u, so each u costs one product.  `row_by_polynomials` counts
+    f_u(x + 1) - f_u(x), the oracle for `ness.ddt_row` up to n = 11;
+    `derivative`, `ddt_entry_naive` and `ddt_table` (every row a, for the
+    lemma delta(a, b) = delta(1, a b)) read the same f_u.
+    `same_parity_counts` counts the part of the row from the x with chi(x)
+    = chi(x + 1), per parity, from Zech logarithms taken by the digit-wise
+    adder: the oracle for the row `FieldCtx._zech` reads off in closed form.
     `counting_identities_hold` checks the two sums every spectrum meets,
     and `uniformity` reads its largest DDT value.  `case_counts` splits
     the x that solve one pair (a, b) into the special points {0, -a} and
     the four cases of (chi(x + a), chi(x)): the oracle for `census`.
   * `g_eval` evaluates one classifier polynomial at one z with the scalar
     ops; `g_values` evaluates it over the whole field with the digit-wise
-    adder (`add`, `neg`, `sub` and `digitwise`, so not by the library's
-    Zech table) and `mul_vec`, a product gathered from the log tables.
-    Both are oracles for the signs the library reads off the pattern of z
+    adder and `mul_vec`, a product gathered from the log tables.  Both are
+    oracles for the signs the library reads off the pattern of z
     (`signs_by_z`), which it builds from the zeros of the polynomials
     instead, from the characters chi(z - a) packed by
     `FieldCtx.chi_pattern`, with no field addition.  `root` takes the r of
@@ -31,11 +37,10 @@ route what a production function computes, and the tests compare the two.
     before taking chi, the oracle for `ScopedU.product_sums`, the sums
     over the pattern histogram; `gamma3_from_products` and
     `gamma4_from_products` are the defining forms of the two character sums.
-  * `char_sum` sums chi of any polynomial by Horner's rule over the field
-    (a coefficient is added by `translate`, the digit-wise sum of every z
-    with one c), and `quadratic_char_sum` is the degree-2 closed form it
-    is checked against; `gamma3_from_cubic` and `gamma4_from_quintic` are
-    the two sums in their reduced one-polynomial forms.
+  * `char_sum` sums chi of any polynomial by Horner's rule over the field,
+    and `quadratic_char_sum` is the degree-2 closed form it is checked
+    against; `gamma3_from_cubic` and `gamma4_from_quintic` are the two sums
+    in their reduced one-polynomial forms.
   * `table_a_expected` writes the signs of the g family on the five-point
     set A in closed form; `table_a_chi` reads the same grid off
     `ScopedU.pattern`, and the tests compare the two.
@@ -49,17 +54,9 @@ route what a production function computes, and the tests compare the two.
     `case_row` writes the case counts of one entry (`entry_inputs`) in
     closed form, the oracle for `CASE_TABLE`; `table_key` reads the
     admissible-table row off a `census` record.
-  * `add`, `neg` and `sub` work digit by digit mod 3 on the base-3 digits
-    of the indices, and `digitwise` does the same on whole index arrays:
-    the addition oracle for the field, whose scalar ops read Zech
-    logarithms.  `poly_mul_mod`, the schoolbook product of digit lists
-    (`poly_digits`) reduced by long division, and `mul`, the same on two
-    indices, are the multiplication oracle, which pins `mul`, `inv`, `chi`
-    and the log tables.
   * `smallest_irreducible` searches for the first monic irreducible of
     degree n by trial division, the oracle for the moduli in
-    `field.DEFAULT_FIELDS`; `random_irreducible` draws a seeded one, for
-    the tests that run on a supplied modulus.
+    `field.DEFAULT_FIELDS`; `random_irreducible` draws a seeded one.
 """
 
 from __future__ import annotations
@@ -83,63 +80,85 @@ from nhspectrum.solution_census import (NOT_ADMISSIBLE, SOLUTION_CONDITIONS, TAB
 # ---------------------------------------------------------------------------
 
 
-def exponents(ctx: FieldCtx) -> tuple[int, int]:
-    """(d1, d2) = ((q-1)/2 - 1, q - 2)."""
-    return (ctx.q - 1) // 2 - 1, ctx.q - 2
+_POWERS: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
 
-def f_eval(ctx: FieldCtx, u: int, x: int) -> int:
-    """u * x^d1 + x^d2 by plain exponentiation (f(0) = 0)."""
-    d1, d2 = exponents(ctx)
-    return ctx.add(ctx.mul(u, ctx.pow(x, d1)), ctx.pow(x, d2))
+def powers(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x^d1, x^d2, chi(x)) at every x in element order, two (q, n) digit
+    arrays and int8, kept per (n, modulus).  x^d1 is the product of the
+    conjugates x^(3^i), 0 < i < n, each the one before read through x -> x^3
+    (`frobenius`); chi(x) = x^d1 x is the norm x^((q - 1) / 2) (Lidl &
+    Niederreiter, Finite Fields), and x^d2 = (x^d1)^2 x = x^d1 chi(x)."""
+    key = ctx.n, tuple(ctx.modulus)
+    if key not in _POWERS:
+        x = digits(ctx, np.arange(ctx.q))
+        cube = value(x @ frobenius(ctx) % 3)
+        conjugate, d1 = cube, x[cube]
+        for _ in range(ctx.n - 2):
+            conjugate = cube[conjugate]
+            d1 = poly_mul_mod(ctx, d1, x[conjugate])
+        chi = np.array([0, 1, -1], dtype=np.int8)[value(poly_mul_mod(ctx, d1, x))]
+        _POWERS[key] = d1, d1 * chi[:, None] % 3, chi
+    return _POWERS[key]
 
 
-def derivative(ctx: FieldCtx, u: int, a: int, x: int) -> int:
-    """f_u(x + a) - f_u(x)."""
+@functools.lru_cache(maxsize=2)
+def f_values(ctx: FieldCtx, u: int) -> np.ndarray:
+    """f_u(x) = u x^d1 + x^d2 at every x in element order, one product by u
+    on the shared `powers` (f(0) = 0); kept for the last two u."""
+    d1, d2, _ = powers(ctx)
+    return value((poly_mul_mod(ctx, digits(ctx, u), d1) + d2) % 3)
+
+
+def difference_counts(ctx: FieldCtx, f: np.ndarray) -> np.ndarray:
+    """The count of x with f(x + 1) - f(x) = z for every z, f given at every
+    x and the counts in element order.  x + 1 differs from x in digit 0
+    alone, so f(x + 1) is f as a (q / 3, 3) grid with its columns turned."""
+    turned = f.reshape(-1, 3)[:, [1, 2, 0]].ravel()
+    return np.bincount(digitwise(ctx, turned, f, -1), minlength=ctx.q)
+
+
+def row_by_polynomials(ctx: FieldCtx, u: int) -> np.ndarray:
+    """delta(1, z) for every z in element order, counted from `f_values`:
+    the oracle for `ness.ddt_row` at every n."""
+    return difference_counts(ctx, f_values(ctx, u))
+
+
+def derivative(ctx: FieldCtx, u: int, a: int, x) -> np.ndarray:
+    """f_u(x + a) - f_u(x), for an element x or an index array of them."""
     if a == 0:
         raise ValueError("derivative direction a must be nonzero")
-    return ctx.sub(f_eval(ctx, u, ctx.add(x, a)), f_eval(ctx, u, x))
+    f = f_values(ctx, u)
+    return digitwise(ctx, f[digitwise(ctx, x, a)], f[x], -1)
 
 
 def ddt_entry_naive(ctx: FieldCtx, u: int, a: int, b: int) -> int:
-    """Scalar per-x count; the oracle for the vectorised accumulation."""
+    """delta(a, b), counted over every x; the oracle for the row's entries."""
     if a == 0:
         raise ValueError("DDT rows are indexed by nonzero a")
-    return sum(1 for x in range(ctx.q) if derivative(ctx, u, a, x) == b)
+    return int(np.count_nonzero(derivative(ctx, u, a, np.arange(ctx.q)) == b))
 
 
 CASE_OF_SIGNS = {(1, 1): "case_i", (1, -1): "case_ii", (-1, 1): "case_iii", (-1, -1): "case_iv"}
 
 
-@functools.lru_cache(maxsize=2)
-def f_values(ctx: FieldCtx, u: int) -> np.ndarray:
-    """f_u at every x in element order, by `f_eval`; kept for the last two u."""
-    return np.array([f_eval(ctx, u, x) for x in range(ctx.q)])
-
-
 def case_counts(ctx: FieldCtx, u: int, a: int, b: int) -> dict[str, int]:
     """The x with f_u(x + a) - f_u(x) = b, split as `census` splits them:
     "n1" for x in {0, -a}, else the case of (chi(x + a), chi(x)) in
-    `CASE_OF_SIGNS`.  `derivative` at every x at once, from `f_values` and
-    the digit-wise adder; the oracle for the five counts of `census`."""
-    if a == 0:
-        raise ValueError("derivative direction a must be nonzero")
-    f = f_values(ctx, u)
-    x_plus_a = digitwise(ctx, np.arange(ctx.q), a)
+    `CASE_OF_SIGNS`, chi from `powers`; the oracle for the five counts of
+    `census`."""
+    chi = powers(ctx)[2]
     counts = dict.fromkeys(("n1", *CASE_OF_SIGNS.values()), 0)
-    for x in np.flatnonzero(digitwise(ctx, f[x_plus_a], f, -1) == b).tolist():
-        counts[CASE_OF_SIGNS.get((ctx.chi(int(x_plus_a[x])), ctx.chi(x)), "n1")] += 1
+    for x in np.flatnonzero(derivative(ctx, u, a, np.arange(ctx.q)) == b).tolist():
+        counts[CASE_OF_SIGNS.get((int(chi[add(ctx, x, a)]), int(chi[x])), "n1")] += 1
     return counts
 
 
 def ddt_table(ctx: FieldCtx, u: int) -> np.ndarray:
     """(q, q) array of delta(a, b) in element order, one histogram of
-    f_u(x + a) - f_u(x) per a, with f_u by `f_eval` and the sums digit by
-    digit (`sum_table`); the oracle for `ness.ddt_row`.
-
-    Row a = 0 is filled (delta(0, 0) = q) but is not part of the DDT.
-    """
-    f = np.array([f_eval(ctx, u, x) for x in range(ctx.q)])
+    f_u(x + a) - f_u(x) per a, from `f_values` and `sum_table`.  Row a = 0
+    is filled (delta(0, 0) = q) but is not part of the DDT."""
+    f = f_values(ctx, u)
     plus = sum_table(ctx)
     minus_f = digitwise(ctx, 0, f, -1)
     out = np.zeros((ctx.q, ctx.q), dtype=np.int64)
@@ -182,20 +201,12 @@ def counting_identities_hold(omegas: list[int], q: int) -> bool:
     """sum omega_i = (q - 1) q pairs (a, b), and sum i omega_i = (q - 1) q
     solutions x, q for each of the q - 1 nonzero a."""
     total = (q - 1) * q
-    return (
-        sum(omegas) == total
-        and sum(i * w for i, w in enumerate(omegas)) == total
-    )
+    return sum(omegas) == total and sum(i * w for i, w in enumerate(omegas)) == total
 
 
 # ---------------------------------------------------------------------------
 # character sums
 # ---------------------------------------------------------------------------
-
-
-def translate(ctx: FieldCtx, c: int) -> np.ndarray:
-    """z + c for every element z, digit by digit (`digitwise`)."""
-    return digitwise(ctx, np.arange(ctx.q), c)
 
 
 def mul_vec(ctx: FieldCtx, a, b) -> np.ndarray:
@@ -208,10 +219,8 @@ def mul_vec(ctx: FieldCtx, a, b) -> np.ndarray:
 
 
 def char_sum(ctx: FieldCtx, coeffs: Sequence[int]) -> int:
-    """Exact sum of chi(poly(z)) over all z; coeffs lowest degree first.
-
-    Horner's rule from the scalar leading coefficient; zero coefficients add nothing.
-    """
+    """Exact sum of chi(poly(z)) over all z; coeffs lowest degree first, by
+    Horner's rule from the scalar leading coefficient, each sum digit-wise."""
     if not any(coeffs):
         raise ValueError("character sum of the zero polynomial is not defined")
     zs = np.arange(ctx.q, dtype=np.int64)
@@ -219,7 +228,7 @@ def char_sum(ctx: FieldCtx, coeffs: Sequence[int]) -> int:
     for c in reversed(coeffs[:-1]):
         acc = mul_vec(ctx, acc, zs)
         if c:
-            acc = translate(ctx, c)[acc]
+            acc = digitwise(ctx, acc, c)
     return int(np.broadcast_to(ctx.chi_vec(acc), zs.shape).sum())
 
 
@@ -313,34 +322,11 @@ def table_a_expected(su: ScopedU) -> list[list[int]]:
     chi_u2pu = chi(add(u2, u))      # chi(u^2 + u)
     chi_umu2 = chi(sub(u, u2))      # chi(u - u^2)
     row_0 = [0, 0, 0, 1, -1]
-    row_1pu = [
-        -1,
-        0,
-        -chi_u2pu,
-        chi_umu2,
-        -chi(add(mul(up1, r), mul(um1, um1))),
-    ]
-    row_1mu = [
-        -1,
-        chi_umu2,
-        0,
-        -chi_u2pu,
-        -chi(add(mul(sub(1, u), r), mul(up1, up1))),
-    ]
-    row_m1pr = [
-        -1,
-        -chi(u) * chi(add(sub(u, 1), r)),
-        chi(u) * chi(add(neg(add(1, u)), r)),
-        0,
-        0,
-    ]
-    row_m1mr = [
-        -1,
-        chi(u) * chi(add(sub(1, u), r)),
-        -chi(u) * chi(add(add(1, u), r)),
-        0,
-        chi(sub(sub(u2, 1), r)),
-    ]
+    row_1pu = [-1, 0, -chi_u2pu, chi_umu2, -chi(add(mul(up1, r), mul(um1, um1)))]
+    row_1mu = [-1, chi_umu2, 0, -chi_u2pu, -chi(add(mul(sub(1, u), r), mul(up1, up1)))]
+    row_m1pr = [-1, -chi(u) * chi(add(sub(u, 1), r)), chi(u) * chi(add(neg(add(1, u)), r)), 0, 0]
+    row_m1mr = [-1, chi(u) * chi(add(sub(1, u), r)), -chi(u) * chi(add(add(1, u), r)), 0,
+                chi(sub(sub(u2, 1), r))]
     return [row_0, row_1pu, row_1mu, row_m1pr, row_m1mr]
 
 
@@ -479,37 +465,73 @@ def table_key(c: dict) -> tuple[int, int, int, int]:
 # ---------------------------------------------------------------------------
 
 
-def add(ctx: FieldCtx, a: int, b: int) -> int:
-    """a + b digit by digit mod 3, on the base-3 digits of the indices."""
-    out, weight = 0, 1
-    for _ in range(ctx.n):
-        out += (a + b) % 3 * weight
-        a, b, weight = a // 3, b // 3, weight * 3
-    return out
+def digits(ctx: FieldCtx, a) -> np.ndarray:
+    """(..., n) int8: the base-3 digits of an index or index array,
+    lowest degree first."""
+    return (np.asarray(a, dtype=np.int64)[..., None] // 3**np.arange(ctx.n) % 3).astype(np.int8)
 
 
-def neg(ctx: FieldCtx, a: int) -> int:
-    """-a digit by digit mod 3."""
-    out, weight = 0, 1
-    for _ in range(ctx.n):
-        out += -a % 3 * weight
-        a, weight = a // 3, weight * 3
-    return out
-
-
-def sub(ctx: FieldCtx, a: int, b: int) -> int:
-    """a - b as a + (-b), digit by digit."""
-    return add(ctx, a, neg(ctx, b))
+def value(d) -> np.ndarray:
+    """The index of each row of base-3 digits, lowest degree first."""
+    d = np.asarray(d, dtype=np.int64)
+    return d @ 3**np.arange(d.shape[-1])
 
 
 def digitwise(ctx: FieldCtx, a, b, sign: int = 1) -> np.ndarray:
-    """a + sign b digit by digit mod 3, for index arrays (broadcast) or ints."""
-    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
-    out, weight = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64), 1
+    """a + sign b digit by digit mod 3, for index arrays (broadcast) or ints;
+    int32, as every index is below 3^13."""
+    a, b = np.asarray(a, dtype=np.int32), np.asarray(b, dtype=np.int32)
+    out, weight = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int32), 1
     for _ in range(ctx.n):
         out += (a % 3 + sign * (b % 3)) % 3 * weight
         a, b, weight = a // 3, b // 3, weight * 3
     return out
+
+
+def poly_mul_mod(ctx: FieldCtx, a, b) -> np.ndarray:
+    """a b for (..., n) digit arrays (broadcast): the schoolbook product of
+    the digit columns, reduced by long division by the monic modulus.  A
+    product digit sums at most n terms below 5 before its mod, and the
+    division takes at most n - 1 terms below 5 off a digit, so int8 is exact
+    for every n up to 13."""
+    n, modulus = ctx.n, ctx.modulus
+    a, b = (np.moveaxis(np.asarray(v, dtype=np.int8), -1, 0) for v in (a, b))
+    prod = np.zeros((2 * n - 1, *np.broadcast_shapes(a.shape[1:], b.shape[1:])), dtype=np.int8)
+    for i, j in itertools.product(range(n), repeat=2):
+        prod[i + j] += a[i] * b[j]
+    prod %= 3
+    for k in range(2 * n - 2, n - 1, -1):  # x^k = -x^(k - n) (modulus - x^n)
+        lead = prod[k] % 3
+        for i, m in enumerate(modulus[:-1]):
+            if m:
+                prod[k - n + i] -= m * lead
+    return np.moveaxis(prod[:n] % 3, 0, -1)
+
+
+def frobenius(ctx: FieldCtx) -> np.ndarray:
+    """(n, n) int8 matrix of the GF(3)-linear map x -> x^3: row j holds the
+    digits of (x^j)^3, by `poly_mul_mod`."""
+    monomials = np.eye(ctx.n, dtype=np.int8)
+    return poly_mul_mod(ctx, poly_mul_mod(ctx, monomials, monomials), monomials)
+
+
+def mul(ctx: FieldCtx, a, b) -> np.ndarray:
+    """a b for indices or index arrays (broadcast), by `poly_mul_mod` on
+    their digits."""
+    return value(poly_mul_mod(ctx, digits(ctx, a), digits(ctx, b)))
+
+
+def add(ctx: FieldCtx, a: int, b: int) -> int:
+    """a + b, one element of `digitwise`, as are `neg` and `sub`."""
+    return int(digitwise(ctx, a, b))
+
+
+def neg(ctx: FieldCtx, a: int) -> int:
+    return int(digitwise(ctx, 0, a, -1))
+
+
+def sub(ctx: FieldCtx, a: int, b: int) -> int:
+    return int(digitwise(ctx, a, b, -1))
 
 
 @functools.lru_cache(maxsize=2)
@@ -521,34 +543,6 @@ def sum_table(ctx: FieldCtx) -> np.ndarray:
     for start in range(0, ctx.q, 243):
         out[start:start + 243] = digitwise(ctx, xs, xs[start:start + 243, None])
     return out
-
-
-def poly_digits(ctx: FieldCtx, a: int) -> list[int]:
-    """The n base-3 digits of the index a, lowest degree first."""
-    return [a // 3**i % 3 for i in range(ctx.n)]
-
-
-def poly_mul_mod(ctx: FieldCtx, pa: Sequence[int], pb: Sequence[int]) -> list[int]:
-    """Schoolbook product reduced by long division; independent of FieldCtx.mul."""
-    mod = list(ctx.modulus)
-    prod = [0] * (len(pa) + len(pb) - 1)
-    for i, x in enumerate(pa):
-        for j, y in enumerate(pb):
-            prod[i + j] = (prod[i + j] + x * y) % 3
-    while len(prod) >= len(mod):
-        lead = prod[-1]
-        if lead:
-            shift = len(prod) - len(mod)
-            for k in range(len(mod)):
-                prod[shift + k] = (prod[shift + k] - lead * mod[k]) % 3
-        prod.pop()
-    prod += [0] * (ctx.n - len(prod))
-    return prod[: ctx.n]
-
-
-def mul(ctx: FieldCtx, a: int, b: int) -> int:
-    """a b by the schoolbook product of the digits of the indices."""
-    return ctx.element_from_coeffs(poly_mul_mod(ctx, poly_digits(ctx, a), poly_digits(ctx, b)))
 
 
 def random_irreducible(n: int, seed: int) -> list[int]:

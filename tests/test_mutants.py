@@ -10,7 +10,8 @@ every check fails under the mutant and passes without it, so a check that
 stops looking at the shortcut fails here.  The mutants keep, as tests, the
 kind of scratch-copy mutation that CHANGES.md reports for each shortcut (a
 wrongly compiled proposition table; a DDT row read at the wrong a; a
-rotation one step off; a Zech offset one step off; a parity flipped; a
+rotation one step off; a Zech offset one step off; the cross half of the
+row turned one slot, run at n = 9; a parity flipped; a
 sign flipped in the fold of x**n; a branch swapped; a giant step one
 squaring too far; a prime dropped from the generator search; two product
 columns swapped; a case total off by one; two case columns swapped; a plane
@@ -41,6 +42,7 @@ from nhspectrum import charsums, cli, field, ness
 from nhspectrum import solution_census as cn
 from nhspectrum.charsums import ScopedU
 from nhspectrum.field import DEFAULT_FIELDS, FieldCtx, InconsistencyError, built_once, make_context
+from sampling import sample_u0_nonf3
 
 
 def _scope(ctx):
@@ -84,6 +86,15 @@ def zero_coefficient_rows_match_table(ctx) -> bool:
     equals the row a = 1 of the counted table."""
     return all(np.array_equal(oracles.in_element_order(ctx, ness.ddt_row(ctx, u)),
                               oracles.ddt_table(ctx, u)[1]) for u in (1, 2))
+
+
+def ddt_row_matches_polynomials(ctx) -> bool:
+    """`ddt_row` at u = 0, 1, 2 and two seeded in-scope u, read in element
+    order, equals the row counted from f_u by polynomial arithmetic
+    (`oracles.row_by_polynomials`), with no closed form in between."""
+    return all(np.array_equal(oracles.in_element_order(ctx, ness.ddt_row(ctx, u)),
+                              oracles.row_by_polynomials(ctx, u))
+               for u in (0, 1, 2, *sample_u0_nonf3(ctx, 2, seed=ctx.n)))
 
 
 def same_row_matches_counts(ctx) -> bool:
@@ -137,19 +148,18 @@ def antilog_steps_match_polynomials(ctx) -> bool:
         alog = ctx._log_tables[1]
     except InconsistencyError:
         return False
-    g = oracles.poly_digits(ctx, ctx.generator)
-    return all(oracles.poly_mul_mod(ctx, oracles.poly_digits(ctx, int(alog[k])), g)
-               == oracles.poly_digits(ctx, int(alog[(k + 1) % (ctx.q - 1)]))
-               for k in range(ctx.q - 1))
+    ks = np.arange(ctx.q - 1)
+    return np.array_equal(oracles.mul(ctx, alog[ks], ctx.generator), alog[(ks + 1) % (ctx.q - 1)])
 
 
 def scalar_products_match_polynomials(ctx) -> bool:
     """Scalar `mul` equals the schoolbook product (`oracles.mul`) at every
     pair, 0 included.  A log build that fails its certificate gives no
     product, which is a mismatch too."""
+    zs = np.arange(ctx.q)
     try:
-        return all(ctx.mul(a, b) == oracles.mul(ctx, a, b)
-                   for a in range(ctx.q) for b in range(ctx.q))
+        return ([[ctx.mul(a, b) for b in range(ctx.q)] for a in range(ctx.q)]
+                == oracles.mul(ctx, zs[:, None], zs).tolist())
     except InconsistencyError:
         return False
 
@@ -157,7 +167,8 @@ def scalar_products_match_polynomials(ctx) -> bool:
 def inverses_match_polynomials(ctx) -> bool:
     """a times scalar `inv(a)` is 1 by the schoolbook product at every a != 0,
     1 included."""
-    return all(oracles.mul(ctx, a, ctx.inv(a)) == 1 for a in range(1, ctx.q))
+    zs = np.arange(1, ctx.q)
+    return bool((oracles.mul(ctx, zs, [ctx.inv(a) for a in zs]) == 1).all())
 
 
 def searched_generator_is_tabled(ctx) -> bool:
@@ -202,10 +213,12 @@ def expected_follows_tables(ctx) -> bool:
 
 def scalar_adder_matches_digitwise(ctx) -> bool:
     """Scalar `add`, `sub` and `neg` equal the digit-wise oracle at every pair."""
-    return (all(ctx.neg(a) == oracles.neg(ctx, a) for a in range(ctx.q))
-            and all(ctx.add(a, b) == oracles.add(ctx, a, b)
-                    and ctx.sub(a, b) == oracles.sub(ctx, a, b)
-                    for a in range(ctx.q) for b in range(ctx.q)))
+    zs = np.arange(ctx.q)
+    return ([ctx.neg(a) for a in range(ctx.q)] == oracles.digitwise(ctx, 0, zs, -1).tolist()
+            and [[ctx.add(a, b) for b in range(ctx.q)] for a in range(ctx.q)]
+            == oracles.digitwise(ctx, zs[:, None], zs).tolist()
+            and [[ctx.sub(a, b) for b in range(ctx.q)] for a in range(ctx.q)]
+            == oracles.digitwise(ctx, zs[:, None], zs, -1).tolist())
 
 
 def command_passes(command: str):
@@ -352,6 +365,12 @@ MUTANTS = {
     "FieldCtx._zech": (
         rewritten(FieldCtx, "_zech", "cross_e = d + h", "cross_e = d + h + 1"), 3,
         (row_gives_every_row, command_passes("verify-theorem")),
+    ),
+    # every cross x, whose parity differs from that of x + 1, has its
+    # difference one slot further on: the cross half of the row turned by one
+    "FieldCtx._zech.cross": (
+        rewritten(FieldCtx, "_zech", "cross_e -= k", "cross_e -= k - 1"), 9,
+        (ddt_row_matches_polynomials,),
     ),
     # the x with chi(x) = chi(x + 1) give same[v] = Z-(v) mod 2 at odd v: read
     # with the parity flipped, as if chi(g**v) = -1 were left out of the proof
@@ -502,3 +521,14 @@ def test_mutant_is_caught(monkeypatch, attribute, check):
         mutate(patch, ctx)
         assert not check(ctx), f"{check.__name__} misses the mutant of {attribute}"
     assert check(make_context(n)), f"{check.__name__} fails on the library as it is"
+
+
+def test_cross_mutant_changes_the_n11_row(monkeypatch):
+    """The mutant of the cross half of `_zech` shows in the n = 11 row too:
+    it differs from the row counted from f_u at an in-scope u."""
+    mutate, _, _ = MUTANTS["FieldCtx._zech.cross"]
+    ctx = make_context(11)
+    mutate(monkeypatch, ctx)
+    (u,) = sample_u0_nonf3(ctx, 1, seed=11)
+    row = oracles.in_element_order(ctx, ness.ddt_row(ctx, u))
+    assert not np.array_equal(row, oracles.row_by_polynomials(ctx, u))

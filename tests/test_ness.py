@@ -1,5 +1,6 @@
 """Function evaluation, DDT accumulation and the brute-force spectrum."""
 
+import collections
 import random
 
 import numpy as np
@@ -7,29 +8,33 @@ import pytest
 
 import oracles
 from nhspectrum import ness
-from nhspectrum.charsums import ScopedU
-from nhspectrum.charsums import classify_u
+from nhspectrum.charsums import CLASS_U10, CLASS_U11, ScopedU, classify_u
 from nhspectrum.field import make_context
 from nhspectrum.spectrum import u0_nonf3_elements
+from sampling import sample_u0_nonf3
 
 
 def test_exponents_n3(f3):
-    assert oracles.exponents(f3) == (12, 25)
+    """d1 = 3 + 9 = 12 and d2 = 2 d1 + 1 = 25 = q - 2: the shared powers of
+    the oracles are x^12 and x^25 at every x by `pow`, and chi(x) = x^13."""
+    d1, d2, chi = oracles.powers(f3)
+    assert oracles.value(d1).tolist() == [f3.pow(x, 12) for x in range(f3.q)]
+    assert oracles.value(d2).tolist() == [f3.pow(x, 25) for x in range(f3.q)]
+    assert chi.tolist() == [f3.chi(x) for x in range(f3.q)]
 
 
 def test_f_at_zero_and_one(f3):
     for u in range(f3.q):
-        assert oracles.f_eval(f3, u, 0) == 0
-        assert oracles.f_eval(f3, u, 1) == f3.add(u, 1)
+        assert oracles.f_values(f3, u)[0] == 0
+        assert oracles.f_values(f3, u)[1] == f3.add(u, 1)
 
 
 def test_derivative_endpoints(f3):
     for u in (5, 7):
+        f = oracles.f_values(f3, u)
         for a in range(1, f3.q):
-            assert oracles.derivative(f3, u, a, 0) == oracles.f_eval(f3, u, a)
-            assert oracles.derivative(f3, u, a, f3.neg(a)) == f3.neg(
-                oracles.f_eval(f3, u, f3.neg(a))
-            )
+            assert oracles.derivative(f3, u, a, 0) == f[a]
+            assert oracles.derivative(f3, u, a, f3.neg(a)) == f3.neg(f[f3.neg(a)])
 
 
 def test_derivative_reflection(f3):
@@ -75,7 +80,7 @@ def test_same_parity_row_equals_its_counts(n, modulus):
 
 
 def test_ddt_row_matches_naive_n3(f3):
-    """delta(a, b) read from the row at a b, against the per-x count."""
+    """delta(a, b) read from the row at a b, against the count over every x."""
     rng = random.Random(37)
     for u in (u0_nonf3_elements(f3)[0], 1, 0):
         row = ness.ddt_row(f3, u)
@@ -83,6 +88,54 @@ def test_ddt_row_matches_naive_n3(f3):
             a = rng.randrange(1, f3.q)
             b = rng.randrange(f3.q)
             assert int(row[f3.slot(f3.mul(a, b))]) == oracles.ddt_entry_naive(f3, u, a, b)
+
+
+def _row_us(ctx, seed):
+    """u = 0, 1, 2, two seeded in-scope u and the first U10 and U11 u of a
+    seeded draw."""
+    first = {}
+    for u in random.Random(seed).sample(range(3, ctx.q), min(64, ctx.q - 3)):
+        first.setdefault(classify_u(ctx, u), u)
+    return [0, 1, 2, *sample_u0_nonf3(ctx, 2, seed), first[CLASS_U10], first[CLASS_U11]]
+
+
+@pytest.mark.parametrize("n, modulus", [
+    *((n, None) for n in (3, 5, 7, 9, 11)), (9, oracles.random_irreducible(9, seed=9)),
+], ids=["n3", "n5", "n7", "n9", "n11", "n9-random-modulus"])
+def test_ddt_row_matches_polynomials(n, modulus):
+    """`ddt_row`, read in element order, is the row counted from f_u by the
+    oracles' polynomial arithmetic: at the u of `_row_us` up to n = 9, and
+    at one in-scope u at n = 11."""
+    ctx = make_context(n, modulus)
+    for u in sample_u0_nonf3(ctx, 1, seed=n) if n == 11 else _row_us(ctx, seed=n):
+        row = oracles.in_element_order(ctx, ness.ddt_row(ctx, u))
+        assert np.array_equal(row, oracles.row_by_polynomials(ctx, u)), u
+
+
+Bare = collections.namedtuple("Bare", "n q modulus")
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_polynomial_oracles_read_only_the_modulus(n):
+    """The f_u and DDT oracles and the arithmetic under them give the same
+    arrays on a record of n, q and the modulus alone as on the field: they
+    read no library op or table.  The shared powers are rebuilt from the
+    record first."""
+    ctx = make_context(n)
+    bare = Bare(ctx.n, ctx.q, ctx.modulus)
+    built = oracles.powers(ctx)
+    del oracles._POWERS[n, ctx.modulus]
+    for mine, theirs in zip(oracles.powers(bare), built):
+        assert np.array_equal(mine, theirs)
+    u, a, b = sample_u0_nonf3(ctx, 1, seed=n)[0], 5, 7
+    for oracle, args in [(oracles.frobenius, ()), (oracles.sum_table, ()),
+                         (oracles.f_values, (u,)), (oracles.row_by_polynomials, (u,)),
+                         (oracles.ddt_table, (u,)), (oracles.derivative, (u, a, np.arange(ctx.q))),
+                         (oracles.mul, (np.arange(ctx.q), a)), (oracles.add, (a, b))]:
+        assert np.array_equal(oracle(bare, *args), oracle(ctx, *args)), oracle.__name__
+    for b in range(ctx.q):
+        assert oracles.case_counts(bare, u, a, b) == oracles.case_counts(ctx, u, a, b)
+        assert oracles.ddt_entry_naive(bare, u, a, b) == oracles.ddt_entry_naive(ctx, u, a, b)
 
 
 def test_ddt_table_matches_naive_rows_n3(f3):
