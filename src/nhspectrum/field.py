@@ -90,7 +90,7 @@ default degree-3 modulus ``x^3 + 2x + 1`` prints as ``"1201"``.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -114,8 +114,6 @@ DEFAULT_FIELDS: dict[int, tuple[str, int]] = {
     11: ("201000000001", 5),
     13: ("12000000000001", 3),
 }
-
-PolyLike = Union[str, Sequence[int]]
 
 
 class ReducibleModulusError(ValueError):
@@ -238,7 +236,7 @@ class FieldCtx:
     and the log-order kernels) serve full-field scans from the same tables.
     """
 
-    def __init__(self, n: int, modulus: Optional[PolyLike] = None):
+    def __init__(self, n: int, modulus: Optional[str] = None):
         if n % 2 == 0:
             raise ValueError(f"n must be odd, got {n}")
         if not 3 <= n <= 13:
@@ -258,12 +256,11 @@ class FieldCtx:
 
     # -- construction helpers ------------------------------------------------
 
-    def _coerce_modulus(self, modulus: PolyLike) -> list[int]:
-        if isinstance(modulus, str):
-            digits = ["012".find(ch) for ch in modulus]  # -1 for any other character
-        else:
-            digits = [int(d) for d in modulus]
-        if any(d not in (0, 1, 2) for d in digits):
+    def _coerce_modulus(self, modulus: str) -> list[int]:
+        """The digits of a monic modulus of degree n, given as a string of
+        base-3 digits, lowest degree first (the text format of the CLI)."""
+        digits = ["012".find(ch) for ch in modulus]  # -1 for any other character
+        if -1 in digits:
             raise ValueError(f"modulus digits must be 0/1/2, got {modulus!r}")
         if len(digits) != self.n + 1 or digits[-1] != 1:
             raise ValueError(
@@ -355,16 +352,15 @@ class FieldCtx:
         """
         return self.chi_table.item(a)
 
-    def sqrt_canonical(self, a: int) -> int:
-        """The square root r of a with chi(r) == +1.
+    def sqrt_canonical(self, a: int) -> Optional[int]:
+        """r = a**((q + 1) / 4), the square root of a with chi(r) == +1 (0 at
+        0), or None where a is a nonsquare.
 
-        Unique because chi(-1) == -1 for odd n.  Since q = 3 (mod 4),
-        a**((q+1)/4) is a root whenever a is a square.
+        As q = 3 (mod 4), r**2 = a a**((q - 1) / 2) = a chi(a) = a and chi(r)
+        = chi(a)**((q + 1) / 4) = 1 at every nonzero square a; the root is
+        unique, as the other one, -r, has chi(-1) = -1 for odd n.
         """
-        if self.chi(a) != 1:
-            raise ValueError(f"sqrt_canonical needs a nonzero square, got chi={self.chi(a)}")
-        r = self.pow(a, (self.q + 1) // 4)
-        return r if self.chi(r) == 1 else self.neg(r)
+        return None if self.chi(a) == -1 else self.pow(a, (self.q + 1) // 4)
 
     # -- text / coefficient views ---------------------------------------------
 
@@ -619,26 +615,27 @@ class FieldCtx:
         L[p0], which `_zech` reads off Z- in closed form.  Where they
         differ, Z-(-m) = Z-(m) - m + h makes both groups Z-(cross_m + c) +
         cross_e + L[0] with c = L[1] - L[0]: one gather and one bincount, a
-        zero difference (Z-(0) = 2N) landing past the N bins.  A zero c makes
-        f vanish on one parity class: its same-parity x, (q + 1) / 4 of them,
-        differ by 0, and the cross groups by -f(x) or f(x + 1), cross_e + L[0]
-        + h or cross_m + cross_e + L[1].
+        zero difference (Z-(0) = 2N) landing past the N bins.  The row is
+        symmetric in the two c, as the f with them swapped is x -> -f(-x)
+        (chi(-1) = -1; f_{-u}(-x) = -f_u(x)), whose difference at x is that
+        of f at -1 - x, so a zero c_square is swapped into c_nonsquare.
+        Then f vanishes on the nonsquares: their same-parity x, (q + 1) / 4
+        of them, differ by 0, and each cross x by -f(x) or f(x + 1), the
+        one at a square, at the log cross_e + L[0] + h.
         """
         q = self.q
         n_logs, h = q - 1, (q - 1) // 2
         minus, cross_m, cross_e, same = self._zech
+        if not c_square:
+            c_square, c_nonsquare = c_nonsquare, c_square
         logs = [self.slot(c_square), self.slot(c_nonsquare)]
-        if c_square and c_nonsquare:
+        if c_nonsquare:
             values = minus[cross_m + (logs[1] - logs[0]) % n_logs]
             values += cross_e
             _wrap_down(values, n_logs)
             turn = logs[0]
-        elif c_square:
-            values, turn = cross_e, (logs[0] + h) % n_logs
         else:
-            values = cross_m + cross_e
-            _wrap_up(values, n_logs)
-            turn = logs[1]
+            values, turn = cross_e, (logs[0] + h) % n_logs
         counts = np.bincount(values, minlength=n_logs)
         row = np.empty(q, dtype=np.int32)
         row[turn:-1], row[:turn] = counts[:n_logs - turn], counts[n_logs - turn:n_logs]
@@ -717,6 +714,7 @@ def _frozen(table: np.ndarray) -> np.ndarray:
     return table
 
 
-def make_context(n: int, modulus: Optional[PolyLike] = None) -> FieldCtx:
-    """Build GF(3^n); the default modulus and generator come from `DEFAULT_FIELDS`."""
+def make_context(n: int, modulus: Optional[str] = None) -> FieldCtx:
+    """Build GF(3^n) on a modulus given as a digit string, lowest degree first;
+    the default modulus and generator come from `DEFAULT_FIELDS`."""
     return FieldCtx(n, modulus)

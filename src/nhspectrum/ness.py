@@ -5,8 +5,9 @@ and d2 = q - 2.  For nonzero x, x^d2 = 1/x and x^d1 = chi(x)/x, so
 f_u(x) = (1 + u chi(x))/x: (1 + u)/x at squares and (1 - u)/x at
 nonsquares.  `ddt_row` counts f_u(x + 1) - f_u(x) in that shape with
 `FieldCtx.difference_row`, from Zech logarithms, and returns it in log
-order; the tests count every row from f_u by plain exponentiation as its
-oracle.
+order; the tests count the row from f_u evaluated by polynomial arithmetic
+on digit arrays, x^d1 as the product of the conjugates x^(3^i), as its
+oracle (`oracles.row_by_polynomials`).
 
 Also f_u(c x) = f_u(x)/c for every nonzero square c.  Substituting x -> c x
 in f_u(x + c a) - f_u(x) = b gives delta(c a, b) = delta(a, c b).  Any

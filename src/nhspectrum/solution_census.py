@@ -204,16 +204,11 @@ EXPECTED = _expected(PREDICTION_TABLE, CASE_TABLE)
 # ---------------------------------------------------------------------------
 
 
-def _square_root(ctx: FieldCtx, disc: int) -> int | None:
-    """A square root of disc, disc**((q + 1) / 4) as q = 3 (mod 4), None
-    where disc is not a square.  Either root will do: b1 +- s is one pair."""
-    return None if ctx.chi(disc) == -1 else ctx.pow(disc, (ctx.q + 1) // 4)
-
-
 def _desired_roots(ctx: FieldCtx, b1: int, s: int | None, want_1: int, want_0: int) -> int:
     """How many roots y = b1 +- s of y^2 + b1 y + c0, s^2 = b1^2 - c0 (s
     None where that is not a square), have chi(y + 1) = want_1 and
-    chi(y) = want_0."""
+    chi(y) = want_0.  Either root s will do, as b1 +- s is one pair; the
+    census takes `FieldCtx.sqrt_canonical`."""
     if s is None:
         return 0
     roots = (b1,) if s == 0 else (ctx.add(b1, s), ctx.sub(b1, s))
@@ -245,10 +240,10 @@ def census(su: ScopedU, a: int, b: int) -> dict:
         w = ctx.inv(z)
         uw = ctx.mul(u, w)
         one_w = ctx.sub(1, w)
-        s_ii_iii = _square_root(ctx, ctx.add(one_w, ctx.mul(uw, uw)))
-        monic = ((1, _square_root(ctx, ctx.sub(one_w, uw))),
+        s_ii_iii = ctx.sqrt_canonical(ctx.add(one_w, ctx.mul(uw, uw)))
+        monic = ((1, ctx.sqrt_canonical(ctx.sub(one_w, uw))),
                  (ctx.add(1, uw), s_ii_iii), (ctx.sub(1, uw), s_ii_iii),
-                 (1, _square_root(ctx, ctx.add(one_w, uw))))
+                 (1, ctx.sqrt_canonical(ctx.add(one_w, uw))))
         n_i, n_ii, n_iii, n_iv = (_desired_roots(ctx, *coefs, chi_a * t_a, chi_a * t_0)
                                   for coefs, (t_a, t_0) in zip(monic, CASE_TAU.values()))
     predicted = n1 + n_i + n_ii + n_iii + n_iv

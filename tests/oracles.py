@@ -29,10 +29,12 @@ route what a production function computes, and the tests compare the two.
     oracles for the signs the library reads off the pattern of z
     (`signs_by_z`), which it builds from the zeros of the polynomials
     instead, from the characters chi(z - a) packed by
-    `FieldCtx.chi_pattern`, with no field addition.  `root` takes the r of
-    u by `pow` and the digit-wise adder, and `points_of_a` the five points
-    of A by the same adder: the oracles for `ScopedU.r` and
-    `set_a_points`, and `g_values` reads r from `root`.
+    `FieldCtx.chi_pattern`, with no field addition.  `square_root` raises
+    a to (q + 1) / 4 by square-and-multiply on its digits and asserts that
+    the root is a square by the norm, the oracle for
+    `FieldCtx.sqrt_canonical`; `root` takes the r of u by it, and
+    `points_of_a` the five points of A by the digit-wise adder: the oracles
+    for `ScopedU.r` and `set_a_points`, and `g_values` reads r from `root`.
   * `g_product_sum` multiplies the classifier polynomials in the field
     before taking chi, the oracle for `ScopedU.product_sums`, the sums
     over the pattern histogram; `gamma3_from_products` and
@@ -45,7 +47,8 @@ route what a production function computes, and the tests compare the two.
     set A in closed form; `table_a_chi` reads the same grid off
     `ScopedU.pattern`, and the tests compare the two.
   * `in_element_order` reads a log-order vector (`pattern`, the DDT row)
-    at every z in element order, through `FieldCtx.slot`.
+    at every z in element order, in one gather at the log table that
+    `FieldCtx.slot` reads.
   * `entry_signs` writes the signs of one entry (lead, pattern) of the
     compiled tables from the factored g family, the oracle for
     `PATTERN_SIGNS`.
@@ -259,11 +262,31 @@ def g_eval(su: ScopedU, gid: int, z: int) -> int:
     raise ValueError(f"gid must be 1..5, got {gid}")
 
 
+def square_root(ctx: FieldCtx, a) -> np.ndarray:
+    """a**((q + 1) / 4) for an element or an index array, by square-and-multiply
+    with `poly_mul_mod` on its digits: the root r of a with chi(r) = 1 at a
+    nonzero square a, and 0 at 0.  chi(r) = 1 is asserted, not branched on,
+    with chi the norm of `powers`, the product of the conjugates.  The oracle
+    for `FieldCtx.sqrt_canonical`."""
+    a, e = np.asarray(a), (ctx.q + 1) // 4
+    base, result = digits(ctx, a), digits(ctx, np.ones_like(a))
+    while e:
+        if e & 1:
+            result = poly_mul_mod(ctx, result, base)
+        base = poly_mul_mod(ctx, base, base)
+        e >>= 1
+    r = value(result)
+    chi = powers(ctx)[2]
+    assert np.all((chi[a] != 1) | (chi[r] == 1)), "a root of a square with chi = -1"
+    return r
+
+
+@functools.lru_cache(maxsize=2)
 def root(ctx: FieldCtx, u: int) -> int:
-    """The root r of 1 - u^2 with chi(r) = 1, as `pow` to (q + 1) / 4 and the
-    digit-wise adder give it; the oracle for `ScopedU.r`."""
-    r = ctx.pow(sub(ctx, 1, ctx.mul(u, u)), (ctx.q + 1) // 4)
-    return r if ctx.chi(r) == 1 else neg(ctx, r)
+    """The root r of 1 - u^2 with chi(r) = 1 (`square_root`), 1 - u^2 by the
+    schoolbook product and the digit-wise adder; the oracle for `ScopedU.r`,
+    kept for the last two u (`g_values` reads it once per product)."""
+    return int(square_root(ctx, sub(ctx, 1, mul(ctx, u, u))))
 
 
 def points_of_a(ctx: FieldCtx, u: int) -> tuple[int, int, int, int, int]:
@@ -303,8 +326,9 @@ def table_a_chi(su: ScopedU) -> list[list[int]]:
 
 
 def in_element_order(ctx: FieldCtx, vec: np.ndarray) -> np.ndarray:
-    """A log-order vector (slot `FieldCtx.slot(z)` for z) read at z = 0, 1, ..., q - 1."""
-    return vec[[ctx.slot(z) for z in range(ctx.q)]]
+    """A log-order vector (slot `FieldCtx.slot(z)` for z) read at z = 0, 1, ..., q - 1:
+    one gather at the log table, which holds the slot of every z."""
+    return vec[ctx._log_tables[0]]
 
 
 def signs_by_z(su: ScopedU) -> np.ndarray:
@@ -545,13 +569,14 @@ def sum_table(ctx: FieldCtx) -> np.ndarray:
     return out
 
 
-def random_irreducible(n: int, seed: int) -> list[int]:
-    """A seeded monic irreducible of degree n, digits lowest degree first."""
+def random_irreducible(n: int, seed: int) -> str:
+    """A seeded monic irreducible of degree n, as a digit string, lowest
+    degree first."""
     rnd = random.Random(seed)
     while True:
         modulus = [rnd.randrange(3) for _ in range(n)] + [1]
         if irreducible_witness(modulus) is None:
-            return modulus
+            return "".join(map(str, modulus))
 
 
 def smallest_irreducible(n: int) -> tuple[int, ...]:

@@ -105,7 +105,7 @@ def test_x_cubed_plus_x_rejected_with_root_factor():
 
 
 def test_reducible_modulus_rejected_with_factor():
-    bad = [1, 1, 1, 0, 0, 1]  # x^5 + x^2 + x + 1, vanishes at x = 2
+    bad = "111001"  # x^5 + x^2 + x + 1, vanishes at x = 2
     with pytest.raises(ReducibleModulusError):
         make_context(5, bad)
 
@@ -349,24 +349,27 @@ def test_chi_square_count_and_balance(f3, f5):
         assert sum(values) == 0
 
 
-def test_sqrt_canonical_all_squares_n3(f3):
-    for a in range(1, f3.q):
-        if f3.chi(a) == 1:
-            r = f3.sqrt_canonical(a)
-            assert f3.mul(r, r) == a
-            assert f3.chi(r) == 1
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_sqrt_canonical_matches_root_oracle(n):
+    """At every square and at 0, the root of `oracles.square_root`, whose
+    square is the element by the schoolbook product (chi by the norm)."""
+    ctx = make_context(n)
+    zs = np.arange(ctx.q)
+    roots, has_root = oracles.square_root(ctx, zs), oracles.powers(ctx)[2] != -1
+    assert roots[0] == 0
+    assert np.array_equal(oracles.mul(ctx, roots, roots)[has_root], zs[has_root])
+    assert [ctx.sqrt_canonical(a) for a in zs[has_root].tolist()] == roots[has_root].tolist()
 
 
 def test_sqrt_canonical_of_one(f5):
     assert f5.sqrt_canonical(1) == 1
 
 
-def test_sqrt_canonical_rejects_nonsquares(f3):
-    with pytest.raises(ValueError):
-        f3.sqrt_canonical(0)
-    nonsquare = next(a for a in range(1, f3.q) if f3.chi(a) == -1)
-    with pytest.raises(ValueError):
-        f3.sqrt_canonical(nonsquare)
+def test_sqrt_canonical_rejects_nonsquares(f3, f5, f7):
+    """None at every nonsquare, chi by the norm, and at no other element."""
+    for ctx in (f3, f5, f7):
+        nonsquares = oracles.powers(ctx)[2] == -1
+        assert [ctx.sqrt_canonical(a) is None for a in range(ctx.q)] == nonsquares.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -852,16 +855,15 @@ def test_production_paths_never_build_the_digit_table(monkeypatch):
 def irreducible_moduli(draw):
     n = draw(st.sampled_from((3, 5)))
     low = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
-    modulus = low + [1]
-    assume(irreducible_witness(modulus) is None)
-    return modulus
+    assume(irreducible_witness(low + [1]) is None)
+    return "".join(map(str, low + [1]))
 
 
 @given(modulus=irreducible_moduli(), data=st.data())
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
 def test_ops_match_oracles_for_any_modulus(modulus, data):
     ctx = make_context(len(modulus) - 1, modulus)
-    assert ctx.modulus == tuple(modulus)
+    assert ctx.modulus_str == modulus
     elem = st.integers(0, ctx.q - 1)
     for _ in range(10):
         a, b = data.draw(elem), data.draw(elem)

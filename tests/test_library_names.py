@@ -6,7 +6,10 @@ somewhere in `src/nhspectrum` or `perfbench` outside its own definition.
 A name only the tests use belongs in the tests (`tests/oracles.py` for the
 oracles).  The names only `perfbench` reads are listed in `PERFBENCH_ONLY`,
 so a new one, or a benchmark change that stops probing one, fails the test.
-A string that spells a name does not count as a use.
+A string that spells a name does not count as a use.  Each `_`-prefixed
+function and method of the modules (dunder methods aside) must likewise be
+read in `src/nhspectrum` outside its own definition: a private helper that
+loses its last caller goes with it.
 
 The field's tables and their layout stay behind `FieldCtx`: no module but
 `field.py` reads a `_`-prefixed attribute of a field context.
@@ -62,19 +65,29 @@ def _used_names(directory: Path) -> set[str]:
     return uses.names
 
 
-def _public_defs(body) -> set[str]:
-    return {node.name for node in body
-            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+def _defs(body, private: bool) -> set[str]:
+    """The `_`-prefixed (private) or the other functions defined in body;
+    dunder methods are neither."""
+    return {node.name for node in body if isinstance(node, ast.FunctionDef)
+            and node.name.startswith("_") == private and not node.name.endswith("__")}
+
+
+def _library_defs(private: bool) -> dict[str, str]:
+    """`module.name` or `Class.name` to name, for the functions and methods
+    of the modules that `_defs` selects."""
+    checked = {}
+    for module in MODULES:
+        tree = _tree(LIBRARY / f"{module}.py")
+        checked.update({f"{module}.{name}": name for name in _defs(tree.body, private)})
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                checked.update({f"{cls.name}.{name}": name for name in _defs(cls.body, private)})
+    return checked
 
 
 def test_every_public_name_has_a_caller():
     checked = {f"__all__: {name}": name for name in nhspectrum.__all__}
-    for module in MODULES:
-        tree = _tree(LIBRARY / f"{module}.py")
-        checked.update({f"{module}.{name}": name for name in _public_defs(tree.body)})
-        for cls in tree.body:
-            if isinstance(cls, ast.ClassDef):
-                checked.update({f"{cls.name}.{name}": name for name in _public_defs(cls.body)})
+    checked.update(_library_defs(private=False))
     assert {"FieldCtx.add", "ScopedU.pattern", "ScopedU.product_sum", "cli.run"} <= set(checked)
     in_library, in_perfbench = _used_names(LIBRARY), _used_names(ROOT / "perfbench")
     used = in_library | in_perfbench
@@ -82,6 +95,13 @@ def test_every_public_name_has_a_caller():
     perfbench_only = {name for name in checked.values()
                       if name in in_perfbench and name not in in_library}
     assert perfbench_only == PERFBENCH_ONLY
+
+
+def test_every_private_helper_has_a_caller():
+    checked = _library_defs(private=True)
+    assert {"field._neighbour", "FieldCtx._zech", "solution_census._desired_roots"} <= set(checked)
+    used = _used_names(LIBRARY)
+    assert sorted(label for label, name in checked.items() if name not in used) == []
 
 
 CONTEXTS = ("ctx", "self.ctx", "su.ctx")

@@ -12,7 +12,8 @@ kind of scratch-copy mutation that CHANGES.md reports for each shortcut (a
 wrongly compiled proposition table; a DDT row read at the wrong a; a
 rotation one step off; a Zech offset one step off; the cross half of the
 row turned one slot, run at n = 9; a parity flipped; a
-sign flipped in the fold of x**n; a branch swapped; a giant step one
+sign flipped in the fold of x**n; the zero-coefficient turn without its
+h; the coefficient swap dropped; the other square root, -r; a giant step one
 squaring too far; a prime dropped from the generator search; two product
 columns swapped; a case total off by one; two case columns swapped; a plane
 sum one term wrong; a Zech difference without its -1 or its zero test; the
@@ -95,6 +96,18 @@ def ddt_row_matches_polynomials(ctx) -> bool:
     return all(np.array_equal(oracles.in_element_order(ctx, ness.ddt_row(ctx, u)),
                               oracles.row_by_polynomials(ctx, u))
                for u in (0, 1, 2, *sample_u0_nonf3(ctx, 2, seed=ctx.n)))
+
+
+def square_roots_match_polynomials(ctx) -> bool:
+    """`sqrt_canonical` at every element that is not a nonsquare equals the
+    root a**((q + 1) / 4) of `oracles.square_root`."""
+    roots = oracles.square_root(ctx, np.arange(ctx.q)).tolist()
+    return all(ctx.sqrt_canonical(a) == roots[a] for a in range(ctx.q) if ctx.chi(a) != -1)
+
+
+def scoped_roots_match_polynomials(ctx) -> bool:
+    """`ScopedU.r` equals `oracles.root` at every in-scope u."""
+    return all(su.r == oracles.root(ctx, su.u) for su in _scope(ctx))
 
 
 def same_row_matches_counts(ctx) -> bool:
@@ -378,11 +391,25 @@ MUTANTS = {
         rewritten(FieldCtx, "_zech", "minus[1::2] & 1", "~minus[1::2] & 1"), 3,
         (same_row_matches_counts, row_gives_every_row),
     ),
-    # f vanishes on the nonsquares (u = 1) or on the squares (u = 2): the two
-    # zero-coefficient branches of the row swapped
+    # f vanishes on the nonsquares (u = 1, and u = 2 once swapped): each cross
+    # x differs by -f(x) or f(x + 1), here without the h of -1 = g**h
     "FieldCtx.difference_row": (
-        rewritten(FieldCtx, "difference_row", "elif c_square:", "elif c_nonsquare:"), 3,
+        rewritten(FieldCtx, "difference_row", "(logs[0] + h) % n_logs", "logs[0]"), 3,
         (zero_coefficient_rows_match_table,),
+    ),
+    # the row is symmetric in its two coefficients (f_{-u}(-x) = -f_u(x)), so
+    # a zero c_square is swapped into c_nonsquare: here it is not
+    "FieldCtx.difference_row.swap": (
+        rewritten(FieldCtx, "difference_row", "if not c_square:", "if False:"), 3,
+        (zero_coefficient_rows_match_table, ddt_row_matches_polynomials),
+    ),
+    # a**((q + 1) / 4) is the root with chi = 1, as q = 3 (mod 4): here the
+    # other root, -r
+    "FieldCtx.sqrt_canonical": (
+        rewritten(FieldCtx, "sqrt_canonical", "else self.pow(a, (self.q + 1) // 4)",
+                  "else self.neg(self.pow(a, (self.q + 1) // 4))"), 3,
+        (square_roots_match_polynomials, scoped_roots_match_polynomials,
+         command_passes("verify-lemmas")),
     ),
     # giant steps multiply by c = g^S, whose matrix the doubling leaves: one
     # squaring too many builds the table for g^(2S).  Every n has R >= 2
@@ -448,8 +475,8 @@ MUTANTS = {
     # the monic case I, y^2 + y + (w + u w), with the t_0 u w term of its
     # constant C built with the wrong sign: discriminant 1 - w + u w
     "solution_census.census.C": (
-        rewritten(cn, "census", "(1, _square_root(ctx, ctx.sub(one_w, uw)))",
-                  "(1, _square_root(ctx, ctx.add(one_w, uw)))"), 3,
+        rewritten(cn, "census", "(1, ctx.sqrt_canonical(ctx.sub(one_w, uw)))",
+                  "(1, ctx.sqrt_canonical(ctx.add(one_w, uw)))"), 3,
         (census_matches_case_counts, command_passes("census")),
     ),
     # cases II and III share the root s of g4(z) / z^2: here case III takes
@@ -459,7 +486,7 @@ MUTANTS = {
     # the sign test of case III holds at y exactly when it holds at -1 - y.)
     "solution_census.census.II_III": (
         rewritten(cn, "census", "(ctx.sub(1, uw), s_ii_iii)",
-                  "(ctx.sub(1, uw), _square_root(ctx, ctx.sub(one_w, uw)))"), 3,
+                  "(ctx.sub(1, uw), ctx.sqrt_canonical(ctx.sub(one_w, uw)))"), 3,
         (census_matches_case_counts, command_passes("census")),
     ),
     # the prediction and the case total compared with the DDT in one gather

@@ -266,6 +266,6 @@ def test_scope_triples_do_not_depend_on_the_modulus(n, modulus, scope, distinct)
     tabled = _scope_triples(make_context(n))
     assert sum(tabled.values()) == scope and len(tabled) == distinct
     seeded = oracles.random_irreducible(n, seed=n)
-    assert len({make_context(n).modulus_str, modulus, "".join(map(str, seeded))}) == 3
+    assert len({make_context(n).modulus_str, modulus, seeded}) == 3
     for other in (modulus, seeded):
         assert _scope_triples(make_context(n, other)) == tabled, other
