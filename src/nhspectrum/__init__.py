@@ -14,7 +14,6 @@ from .charsums import (
     ScopedU,
     classify_u,
     section2_identities,
-    set_a_points,
 )
 from .field import FieldCtx, InconsistencyError, ReducibleModulusError, make_context
 from .ness import ddt_row, spectrum_bruteforce
@@ -47,7 +46,6 @@ __all__ = [
     "make_context",
     "prediction_by_z",
     "section2_identities",
-    "set_a_points",
     "spectrum_bruteforce",
     "spectrum_closed_form",
     "u0_nonf3_elements",

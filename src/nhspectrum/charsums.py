@@ -15,7 +15,8 @@ equation of the Ness-Helleseth function at (a, b); sums of chi over products
 of the g_i reduce the differential spectrum to two character sums.
 
 Every g_i splits over the field, and its zeros lie in the five-point set
-A = {0, 1+u, 1-u, -1+r, -1-r} (`set_a_points`).  Since chi is
+A = {0, 1+u, 1-u, -1+r, -1-r} (`ScopedU.points`, the one writer of 1 +- u,
+which `spectrum.epsilon` and the census read too).  Since chi is
 multiplicative (chi(0) = 0), chi(g_i(z)) is chi of the leading coefficient
 times the product of chi(z - a) over the zeros a of g_i.  So every sign
 depends on z only through the five characters chi(z - a), and
@@ -35,7 +36,8 @@ so they are compared slot by slot and nothing per u is gathered back to
 element order.  The tests keep the polynomials evaluated over the field as
 the oracle.  `ScopedU` holds one in-scope u (`classify_u` is the scope
 rule) and everything derived from it, the DDT row a = 1 among them, each
-built once.
+built once; the scope rule reads the characters of u and u +- 1 off the
+character table, with no field addition.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from .field import FieldCtx, built_once
 
 G_IDS = (1, 2, 3, 4, 5)
 
-# The zeros of g0(z) = z and g1..g5 as positions in `set_a_points`; each
+# The zeros of g0(z) = z and g1..g5 as positions in `ScopedU.points`; each
 # g_i is its leading coefficient times the product of (z - a) over them.
 G_ZEROS = ((0,), (0,), (0, 1), (0, 2), (3, 4), (3,))
 
@@ -99,15 +101,21 @@ CLASS_U11 = "U11"
 
 
 def classify_u(ctx: FieldCtx, u: int) -> str:
-    """The class label of u, from the character pattern of (u-1, u, u+1);
-    members of GF(3) are labelled F3 regardless of pattern.  The theorem's
-    scope is `CLASS_U0`: u outside GF(3) and chi(u+1) != chi(u-1)."""
-    if u in (0, 1, 2):
+    """The class label of u in range(q), from chi of (u-1, u, u+1); members
+    of GF(3) are labelled F3 regardless.  The theorem's scope is `CLASS_U0`:
+    u outside GF(3) and chi(u+1) != chi(u-1).  As u +- 1 differ from u in
+    digit 0 alone, the three are the row of u in the (q / 3, 3) grid of chi
+    that `spectrum.u0_nonf3_elements` compares column by column."""
+    if not 0 <= u < ctx.q:
+        raise ValueError(f"element index out of range: {u}")
+    if u < 3:
         return CLASS_F3
-    chi_p = ctx.chi(ctx.add(u, 1))
-    if chi_p != ctx.chi(ctx.sub(u, 1)):
+    row, d = divmod(u, 3)
+    chi = ctx.chi_table.reshape(-1, 3)[row]
+    chi_p = chi.item((d + 1) % 3)
+    if chi_p != chi.item((d - 1) % 3):
         return CLASS_U0
-    return CLASS_U10 if ctx.chi(u) != chi_p else CLASS_U11
+    return CLASS_U10 if chi.item(d) != chi_p else CLASS_U11
 
 
 class OutOfScopeError(ValueError):
@@ -123,9 +131,9 @@ class OutOfScopeError(ValueError):
 class ScopedU:
     """One u of class `CLASS_U0`, else construction raises `OutOfScopeError`.
 
-    The other fields (r, lead, pattern, product_sums and the DDT row) are
-    built on first use and kept: one object per u builds each of them at most
-    once.
+    The other fields (r, points, lead, pattern, product_sums and the DDT
+    row) are built on first use and kept: one object per u builds each of
+    them at most once.
     """
 
     ctx: FieldCtx
@@ -142,17 +150,23 @@ class ScopedU:
         return self.ctx.sqrt_canonical(self.ctx.sub(1, self.ctx.mul(self.u, self.u)))
 
     @built_once
+    def points(self) -> tuple[int, int, int, int, int]:
+        """A = (0, 1+u, 1-u, -1+r, -1-r): all zeros of the g family (`G_ZEROS`)."""
+        ctx, u, r = self.ctx, self.u, self.r
+        return 0, ctx.add(1, u), ctx.sub(1, u), ctx.add(2, r), ctx.sub(2, r)  # 2 is -1
+
+    @built_once
     def lead(self) -> int:
         """The lead row of this u in `PATTERN_SIGNS` and `PATTERN_PRODUCTS`: 0
-        where chi(u+1) = 1, else 1."""
-        return int(self.ctx.chi(self.ctx.add(self.u, 1)) == -1)
+        where chi(1+u) = 1, else 1."""
+        return int(self.ctx.chi(self.points[1]) == -1)
 
     @built_once
     def pattern(self) -> np.ndarray:
         """uint8 per z, in log order (slot `FieldCtx.slot(z)`, z = 0 last): the
-        sum over i of 3^i (chi(z - a_i) + 1), a_i the points of `set_a_points`,
-        one of 243 patterns (`FieldCtx.chi_pattern`)."""
-        return self.ctx.chi_pattern(set_a_points(self))
+        sum over i of 3^i (chi(z - a_i) + 1), a_i the i-th of `points`, one of
+        243 patterns (`FieldCtx.chi_pattern`)."""
+        return self.ctx.chi_pattern(self.points)
 
     @built_once
     def product_sums(self) -> list[int]:
@@ -175,23 +189,6 @@ class ScopedU:
 
 
 # ---------------------------------------------------------------------------
-# the five-point set A
-# ---------------------------------------------------------------------------
-
-
-def set_a_points(su: ScopedU) -> tuple[int, int, int, int, int]:
-    """A = {0, 1+u, 1-u, -1+r, -1-r}: all zeros of the g family."""
-    ctx, u, r = su.ctx, su.u, su.r
-    return (
-        0,
-        ctx.add(1, u),
-        ctx.sub(1, u),
-        ctx.add(2, r),  # the element 2 is -1
-        ctx.sub(2, r),
-    )
-
-
-# ---------------------------------------------------------------------------
 # the identity suite
 # ---------------------------------------------------------------------------
 
@@ -204,11 +201,10 @@ def section2_identities(su: ScopedU) -> list[dict]:
     Single-product sums come first, then the paired sums whose individual
     values depend on u but whose totals do not (or collapse to one chi).
     """
-    ctx, u, r = su.ctx, su.u, su.r
-    r1 = ctx.add(r, 1)
-    chi_phi = ctx.chi(r1)
-    chi_r1pu = ctx.chi(ctx.add(r1, u))  # chi(r + 1 + u)
-    chi_r1mu = ctx.chi(ctx.sub(r1, u))  # chi(r + 1 - u)
+    ctx, r, (_, one_pu, one_mu, _, _) = su.ctx, su.r, su.points
+    chi_phi = ctx.chi(ctx.add(r, 1))
+    chi_r1pu = ctx.chi(ctx.add(r, one_pu))  # chi(r + 1 + u)
+    chi_r1mu = ctx.chi(ctx.add(r, one_mu))  # chi(r + 1 - u)
     s = su.product_sum
 
     checks: list[tuple[str, int, int]] = [

@@ -12,8 +12,8 @@ between threads.  Its tables are each built once on first use and are
 read-only afterwards.  A table is a pure function of the modulus, so two
 threads that race to build one build equal arrays and either may be kept;
 that is why `built_once` takes no lock.
-Each operation has one implementation: ``add``, ``sub`` and ``neg`` read
-the Zech table, ``mul``, ``inv`` and ``pow`` the discrete logs, ``chi``
+Each operation has one implementation: ``add`` and ``sub`` read the Zech
+table, ``mul``, ``inv`` and ``pow`` the discrete logs, ``chi``
 and ``chi_vec`` the character table.  The tests check them against
 independent oracles, digit-wise addition and polynomial multiplication.
 Before the log tables exist, the one product is the n x n multiplication
@@ -297,9 +297,6 @@ class FieldCtx:
     def add(self, a: int, b: int) -> int:
         """a - (-b): -b = g**(log b + h), h = (q - 1) / 2 (see `_sub_turned`)."""
         return self._sub_turned(a, b, (self.q - 1) // 2)
-
-    def neg(self, a: int) -> int:
-        return self.sub(0, a)
 
     def sub(self, a: int, b: int) -> int:
         return self._sub_turned(a, b, 0)

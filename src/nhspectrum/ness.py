@@ -27,7 +27,9 @@ from .field import FieldCtx
 def ddt_row(ctx: FieldCtx, u: int) -> np.ndarray:
     """delta(1, z) for every z, in log order (slot `FieldCtx.slot(z)`, z = 0
     last): the differences f_u(x + 1) - f_u(x) counted from Zech logarithms
-    by `FieldCtx.difference_row`.  delta(a, b) is its entry at the slot of a b."""
+    by `FieldCtx.difference_row`.  delta(a, b) is its entry at the slot of a b.
+    It takes any u, for the out-of-scope `spectrum` records too, so it forms
+    1 + u and 1 - u itself rather than read `ScopedU.points`."""
     return ctx.difference_row(ctx.add(1, u), ctx.sub(1, u))
 
 

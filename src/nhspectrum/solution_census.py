@@ -224,17 +224,17 @@ def census(su: ScopedU, a: int, b: int) -> dict:
     and delta(a, b) (observed), read from the DDT row `su.row` at the slot
     of z (`ness.ddt_row`).  The pair enters only through z and chi(a): x = 0
     and x = -a solve the equation exactly when z = 1 + u chi(a) or
-    z = 1 - u chi(a), so N1 = [z = 1 + u] + [z = 1 - u], and each case is
-    solved in y = x / a in its monic form, with one inverse w = 1 / z and
-    one square root shared by cases II and III.  The (N1, N_I, N_II + N_III,
-    N_IV) vector must appear in the admissible table with exactly the
-    predicted total.
+    z = 1 - u chi(a), so N1 = [z = 1 + u] + [z = 1 - u], both points read
+    from `ScopedU.points`, and each case is solved in y = x / a in its
+    monic form, with one inverse w = 1 / z and one square root shared by
+    cases II and III.  The (N1, N_I, N_II + N_III, N_IV) vector must appear
+    in the admissible table with exactly the predicted total.
     """
     ctx, u = su.ctx, su.u
-    if a == 0:
-        raise ValueError("a must be nonzero")
+    if not (0 < a < ctx.q and 0 <= b < ctx.q):
+        raise ValueError(f"needs 0 < a < q and 0 <= b < q, got a={a}, b={b}")
     z, chi_a = ctx.mul(a, b), ctx.chi(a)
-    n1 = (z == ctx.add(1, u)) + (z == ctx.sub(1, u))
+    n1 = su.points[1:3].count(z)
     n_i = n_ii = n_iii = n_iv = 0
     if z:
         w = ctx.inv(z)

@@ -66,12 +66,12 @@ def epsilon(su: charsums.ScopedU) -> int:
     """1 when z = 1+u (resp. 1-u) carries three solutions, else 0.
 
     That happens exactly when chi(u) sides with chi(u+1) and
-    chi((u+1) r + (u-1)^2) = -1, or chi(u) sides with chi(u-1) and
-    chi((1-u) r + (u+1)^2) = -1, with r the canonical root of 1 - u^2.
+    chi((1+u) r + (u-1)^2) = -1, or chi(u) sides with chi(u-1) and
+    chi((1-u) r + (u+1)^2) = -1, with r the canonical root of 1 - u^2.  As
+    (u-1)^2 = (1-u)^2, both tests read only 1 +- u, from `ScopedU.points`.
     """
-    ctx, u, r = su.ctx, su.u, su.r
-    up1, um1 = ctx.add(u, 1), ctx.sub(u, 1)
-    lead, square = (up1, um1) if ctx.chi(u) == ctx.chi(up1) else (ctx.neg(um1), up1)
+    ctx, r, (_, one_pu, one_mu, _, _) = su.ctx, su.r, su.points
+    lead, square = (one_pu, one_mu) if ctx.chi(su.u) == ctx.chi(one_pu) else (one_mu, one_pu)
     return int(ctx.chi(ctx.add(ctx.mul(lead, r), ctx.mul(square, square))) == -1)
 
 

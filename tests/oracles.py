@@ -13,7 +13,9 @@ route what a production function computes, and the tests compare the two.
     3 + 9 + ... + 3^(n - 1), `powers` takes x^d1 as n - 2 products of the
     conjugates x^(3^i), chi(x) = x^d1 x and x^d2 = x^d1 chi(x), shared by
     every u, so each u costs one product.  `row_by_polynomials` counts
-    f_u(x + 1) - f_u(x), the oracle for `ness.ddt_row` up to n = 11;
+    f_u(x + 1) - f_u(x), the oracle for `ness.ddt_row` up to n = 11, and
+    `case_rows_by_polynomials` splits it by the case of x, the oracle for
+    the columns of `CASE_TABLE` at every z;
     `derivative`, `ddt_entry_naive` and `ddt_table` (every row a, for the
     lemma delta(a, b) = delta(1, a b)) read the same f_u.
     `same_parity_counts` counts the part of the row from the x with chi(x)
@@ -34,7 +36,7 @@ route what a production function computes, and the tests compare the two.
     the root is a square by the norm, the oracle for
     `FieldCtx.sqrt_canonical`; `root` takes the r of u by it, and
     `points_of_a` the five points of A by the digit-wise adder: the oracles
-    for `ScopedU.r` and `set_a_points`, and `g_values` reads r from `root`.
+    for `ScopedU.r` and `ScopedU.points`, and `g_values` reads r from `root`.
   * `g_product_sum` multiplies the classifier polynomials in the field
     before taking chi, the oracle for `ScopedU.product_sums`, the sums
     over the pattern histogram; `gamma3_from_products` and
@@ -72,7 +74,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from nhspectrum import charsums
-from nhspectrum.charsums import G_IDS, ScopedU, set_a_points
+from nhspectrum.charsums import G_IDS, ScopedU
 from nhspectrum.field import FieldCtx, irreducible_witness
 from nhspectrum.solution_census import (NOT_ADMISSIBLE, SOLUTION_CONDITIONS, TABLE_IV_ROWS,
                                         rule_inputs)
@@ -113,18 +115,41 @@ def f_values(ctx: FieldCtx, u: int) -> np.ndarray:
     return value((poly_mul_mod(ctx, digits(ctx, u), d1) + d2) % 3)
 
 
+def plus_one(v: np.ndarray) -> np.ndarray:
+    """v(x + 1) at every x, v given at every x in element order.  x + 1
+    differs from x in digit 0 alone, so it is v as a (q / 3, 3) grid with its
+    columns turned."""
+    return v.reshape(-1, 3)[:, [1, 2, 0]].ravel()
+
+
 def difference_counts(ctx: FieldCtx, f: np.ndarray) -> np.ndarray:
     """The count of x with f(x + 1) - f(x) = z for every z, f given at every
-    x and the counts in element order.  x + 1 differs from x in digit 0
-    alone, so f(x + 1) is f as a (q / 3, 3) grid with its columns turned."""
-    turned = f.reshape(-1, 3)[:, [1, 2, 0]].ravel()
-    return np.bincount(digitwise(ctx, turned, f, -1), minlength=ctx.q)
+    x and the counts in element order."""
+    return np.bincount(digitwise(ctx, plus_one(f), f, -1), minlength=ctx.q)
 
 
 def row_by_polynomials(ctx: FieldCtx, u: int) -> np.ndarray:
     """delta(1, z) for every z in element order, counted from `f_values`:
     the oracle for `ness.ddt_row` at every n."""
     return difference_counts(ctx, f_values(ctx, u))
+
+
+def case_rows_by_polynomials(ctx: FieldCtx, u: int) -> np.ndarray:
+    """(5, q): `row_by_polynomials` split as `census` splits the x at a = 1,
+    from the same f_u and the norm chi of `powers`: row 0 counts x in
+    {0, -1}, rows 1 to 4 the x of cases I to IV, (chi(x + 1), chi(x)) in
+    `CASE_OF_SIGNS` order.  The five rows sum to the row."""
+    f, chi = f_values(ctx, u), powers(ctx)[2]
+    t_1, t_0 = plus_one(chi), chi
+    case = np.where(t_1 * t_0 == 0, 0, 1 + 2 * (t_1 == -1) + (t_0 == -1))
+    diff = digitwise(ctx, plus_one(f), f, -1)
+    return np.bincount(case * ctx.q + diff, minlength=5 * ctx.q).reshape(5, ctx.q)
+
+
+def case_columns(rows: np.ndarray) -> np.ndarray:
+    """(q, 4): (N1, N_I, N_II + N_III, N_IV) at every z from the five
+    `case_rows_by_polynomials`, the columns of `CASE_TABLE` but the total."""
+    return np.stack([rows[0], rows[1], rows[2] + rows[3], rows[4]], axis=1)
 
 
 def derivative(ctx: FieldCtx, u: int, a: int, x) -> np.ndarray:
@@ -250,7 +275,7 @@ def g_eval(su: ScopedU, gid: int, z: int) -> int:
     """g_gid(z) by scalar field ops."""
     ctx, u = su.ctx, su.u
     if gid == 1:
-        return ctx.mul(ctx.neg(ctx.add(u, 1)), z)
+        return ctx.mul(ctx.sub(0, ctx.add(u, 1)), z)
     if gid == 2:
         return ctx.mul(z, ctx.sub(z, ctx.add(1, u)))
     if gid == 3:
@@ -258,7 +283,7 @@ def g_eval(su: ScopedU, gid: int, z: int) -> int:
     if gid == 4:
         return ctx.add(ctx.sub(ctx.mul(z, z), z), ctx.mul(u, u))
     if gid == 5:
-        return ctx.mul(ctx.neg(ctx.add(1, su.r)), ctx.sub(ctx.add(z, 1), su.r))
+        return ctx.mul(ctx.sub(0, ctx.add(1, su.r)), ctx.sub(ctx.add(z, 1), su.r))
     raise ValueError(f"gid must be 1..5, got {gid}")
 
 
@@ -291,7 +316,7 @@ def root(ctx: FieldCtx, u: int) -> int:
 
 def points_of_a(ctx: FieldCtx, u: int) -> tuple[int, int, int, int, int]:
     """A = (0, 1+u, 1-u, -1+r, -1-r) by the digit-wise adder, r from `root`;
-    the oracle for `set_a_points`."""
+    the oracle for `ScopedU.points`."""
     r = root(ctx, u)
     return 0, add(ctx, 1, u), sub(ctx, 1, u), sub(ctx, r, 1), neg(ctx, add(ctx, 1, r))
 
@@ -322,7 +347,7 @@ def g_signs(su: ScopedU, z: int) -> tuple[int, ...]:
 
 def table_a_chi(su: ScopedU) -> list[list[int]]:
     """chi(g_i(x)) for x in A (rows) and i = 1..5 (columns), decoded from `ScopedU.pattern`."""
-    return signs_by_z(su)[list(set_a_points(su)), 1:].tolist()
+    return signs_by_z(su)[list(su.points), 1:].tolist()
 
 
 def in_element_order(ctx: FieldCtx, vec: np.ndarray) -> np.ndarray:
@@ -340,7 +365,7 @@ def signs_by_z(su: ScopedU) -> np.ndarray:
 def table_a_expected(su: ScopedU) -> list[list[int]]:
     """The grid of `table_a_chi` from its closed-form entries in terms of u and r."""
     ctx, u, r = su.ctx, su.u, su.r
-    chi, mul, add, sub, neg = ctx.chi, ctx.mul, ctx.add, ctx.sub, ctx.neg
+    chi, mul, add, sub, neg = ctx.chi, ctx.mul, ctx.add, ctx.sub, functools.partial(ctx.sub, 0)
     u2 = mul(u, u)
     up1, um1 = add(u, 1), sub(u, 1)
     chi_u2pu = chi(add(u2, u))      # chi(u^2 + u)
@@ -382,7 +407,7 @@ def gamma3_from_cubic(su: ScopedU) -> int:
     """-chi(u+1) * sum_z chi(z^3 - z^2 + u^2 z), as g1 g4 = -(u+1) times the cubic."""
     ctx, u = su.ctx, su.u
     u2 = ctx.mul(u, u)
-    return -ctx.chi(ctx.add(u, 1)) * char_sum(ctx, [0, u2, ctx.neg(1), 1])
+    return -ctx.chi(ctx.add(u, 1)) * char_sum(ctx, [0, u2, ctx.sub(0, 1), 1])
 
 
 def gamma4_from_quintic(su: ScopedU) -> int:
@@ -391,7 +416,7 @@ def gamma4_from_quintic(su: ScopedU) -> int:
     ctx, u = su.ctx, su.u
     u2 = ctx.mul(u, u)
     u4 = ctx.mul(u2, u2)
-    coeffs = [0, ctx.sub(u2, u4), ctx.neg(ctx.add(u2, 1)), 0, 0, 1]
+    coeffs = [0, ctx.sub(u2, u4), ctx.sub(0, ctx.add(u2, 1)), 0, 0, 1]
     return -ctx.chi(ctx.add(u, 1)) * char_sum(ctx, coeffs)
 
 

@@ -184,7 +184,7 @@ def test_criterion_8_field_layer_properties(f3, f5, f7):
     failures = []
     for ctx in (f3, f5, f7):
         rng = random.Random(ctx.n)
-        if ctx.chi(ctx.neg(1)) != -1:
+        if ctx.chi(ctx.sub(0, 1)) != -1:
             failures.append((ctx.n, "chi(-1)"))
         for _ in range(1000):
             a = rng.randrange(1, ctx.q)

@@ -64,7 +64,7 @@ def test_special_points_match_direct_check_all_u(f3):
         one_pm_u = (f3.add(1, u), f3.sub(1, u))
         for a in range(1, f3.q):
             plus, minus = (f3.add(1, f3.mul(u, sign % 3)) for sign in (f3.chi(a), -f3.chi(a)))
-            ends = oracles.derivative(f3, u, a, [0, f3.neg(a)]).tolist()
+            ends = oracles.derivative(f3, u, a, [0, f3.sub(0, a)]).tolist()
             for b in range(f3.q):
                 z = f3.mul(a, b)
                 direct = [end == b for end in ends]
@@ -86,6 +86,15 @@ def test_special_points_closed_form_cases(f3):
 def test_special_points_reject_zero_a(f3):
     with pytest.raises(ValueError):
         cn.census(ScopedU(f3, u0_nonf3_elements(f3)[0]), 0, 1)
+
+
+def test_census_rejects_pairs_outside_the_field(f5):
+    """a and b must be elements, a nonzero: a negative one would be read from
+    the end of the log table, and one from q on past it."""
+    su = ScopedU(f5, u0_nonf3_elements(f5)[0])
+    for a, b in ((-1, 1), (f5.q, 1), (1, -1), (1, f5.q), (1, f5.q + 3)):
+        with pytest.raises(ValueError, match="0 < a < q"):
+            cn.census(su, a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -117,6 +117,24 @@ def test_scope_excludes_base_field(f3, f5):
                     cs.ScopedU(ctx, u)
 
 
+def test_classify_u_rejects_elements_outside_the_field(f5):
+    """u outside range(q) is no element: at -5 numpy would read the character
+    table from its end, and from q on past it."""
+    for u in (-5, -1, f5.q, f5.q + 3):
+        with pytest.raises(ValueError, match="out of range"):
+            cs.classify_u(f5, u)
+
+
+def test_scoped_u_rejects_elements_outside_the_field(f5):
+    """ScopedU(ctx, -1) would otherwise read its characters at q - 1 and
+    report the closed form of that element; an index from q on is refused
+    by the same check, not by an IndexError, and neither is out of scope."""
+    for u in (-1, f5.q, f5.q + 3):
+        with pytest.raises(ValueError, match="out of range") as info:
+            cs.ScopedU(f5, u)
+        assert not isinstance(info.value, cs.OutOfScopeError), u
+
+
 def test_scope_members_have_square_1_minus_u2(f3, f5):
     for ctx in (f3, f5):
         for u in scope_us(ctx):
@@ -254,7 +272,7 @@ def test_set_a_contains_all_g_roots(f3):
     exactly on the points `G_ZEROS` lists for it."""
     for u in scope_us(f3):
         su = cs.ScopedU(f3, u)
-        points = cs.set_a_points(su)
+        points = su.points
         assert len(set(points)) == 5
         assert su.r == oracles.root(f3, u) and points == oracles.points_of_a(f3, u)
         for gid in cs.G_IDS:

@@ -537,12 +537,35 @@ def test_one_build_per_u(monkeypatch, command, ddt_rows_per_u):
                       "classify_u": k}
 
 
+@pytest.mark.parametrize("command, n, sums_per_u", [("scan", 7, 11), ("verify-lemmas", 9, 8)])
+def test_scalar_sums_per_u(monkeypatch, command, n, sums_per_u):
+    """The scope rule reads the character table and makes no field addition,
+    and each element of u is formed once, in `ScopedU.points`: per u, one
+    scalar sum (`FieldCtx._sub_turned`) for r, four for the points and
+    three for the identity suite, and in `scan` two for `ness.ddt_row` and
+    one for `epsilon`."""
+    calls = []
+    original = FieldCtx._sub_turned
+
+    def counted(self, *args):
+        calls.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(FieldCtx, "_sub_turned", counted)
+    k = 6
+    status, out, _ = _run(command, n=n, u=f"sample:{k}:1")
+    assert status == 0 and len({rec["u"] for rec in _json_lines(out)}) == k
+    assert len(calls) <= sums_per_u * k
+
+
 def test_census_takes_one_inverse_per_pair(monkeypatch):
     """Each census pair with z = a b != 0 takes exactly one scalar `inv`
     (w = 1 / z) and at most three square roots, each one `pow` (the
     discriminants of case I, case IV and cases II and III together); a pair
-    with z = 0 takes neither."""
-    calls = {"inv": 0, "pow": 0}
+    with z = 0 takes neither.  N1 compares z with the points 1 +- u of
+    `ScopedU.points`, so the pairs take at most 12 scalar sums
+    (`FieldCtx._sub_turned`) each on average."""
+    calls = {"inv": 0, "pow": 0, "_sub_turned": 0}
     per_pair = []
 
     def counted(attr):
@@ -559,8 +582,8 @@ def test_census_takes_one_inverse_per_pair(monkeypatch):
     def census(su, a, b):
         before = dict(calls)
         c = census_original(su, a, b)
-        per_pair.append((c["z"], calls["inv"] - before["inv"],
-                         calls["pow"] - before["pow"]))
+        per_pair.append((c["z"], calls["inv"] - before["inv"], calls["pow"] - before["pow"],
+                         calls["_sub_turned"] - before["_sub_turned"]))
         return c
 
     for attr in calls:
@@ -568,7 +591,8 @@ def test_census_takes_one_inverse_per_pair(monkeypatch):
     monkeypatch.setattr(census_mod, "census", census)
     status, out, _ = _run("census", n=5, u="sample:3:1")
     assert status == 0 and len(per_pair) == len(_json_lines(out)) == 3 * 200
-    assert all(inv == (z != 0) and roots <= 3 * (z != 0) for z, inv, roots in per_pair)
+    assert all(inv == (z != 0) and roots <= 3 * (z != 0) for z, inv, roots, _ in per_pair)
+    assert sum(sums for *_, sums in per_pair) <= 12 * len(per_pair)
 
 
 def test_console_entry_point_runs():

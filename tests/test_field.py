@@ -233,10 +233,10 @@ def test_mul_monomial_reduction(f3):
 def test_additive_structure_exhaustive(f3):
     """The Zech sums against the digit-wise oracle at every pair."""
     for a in range(f3.q):
-        assert f3.add(a, f3.neg(a)) == 0
+        assert f3.add(a, f3.sub(0, a)) == 0
         assert f3.add(a, 0) == a
         assert f3.sub(a, a) == 0
-        assert f3.neg(a) == oracles.neg(f3, a)
+        assert f3.sub(0, a) == oracles.neg(f3, a)
         for b in range(f3.q):
             assert f3.add(a, b) == oracles.add(f3, a, b)
             assert f3.sub(a, b) == oracles.sub(f3, a, b)
@@ -328,7 +328,7 @@ def test_chi_basics(f3, f5, f7):
     for ctx in (f3, f5, f7):
         assert ctx.chi(0) == 0
         assert ctx.chi(1) == 1
-        assert ctx.chi(ctx.neg(1)) == -1  # n odd
+        assert ctx.chi(ctx.sub(0, 1)) == -1  # n odd
         rng = random.Random(17)
         for _ in range(50):
             a = rng.randrange(1, ctx.q)
@@ -381,7 +381,7 @@ def test_elements_enumeration(f3, f5):
     """range(q) is the field in base-3 counter order: 0, 1, 2 are zero, one
     and minus one, and every index has its own digit vector."""
     for ctx in (f3, f5):
-        assert ctx.add(1, 2) == 0 and ctx.neg(1) == 2 and ctx.mul(2, 2) == 1
+        assert ctx.add(1, 2) == 0 and ctx.sub(0, 1) == 2 and ctx.mul(2, 2) == 1
         digits = {tuple(field._idx_digits(a, ctx.n)) for a in range(ctx.q)}
         assert len(digits) == ctx.q
         assert all(oracles.value(d) == a
@@ -457,7 +457,7 @@ def _check_vector_ops_random(ctx):
     pairs = [(int(a), int(b)) for a, b in zip(A, B)]
     assert [ctx.sub(a, b) for a, b in pairs] == oracles.digitwise(ctx, A, B, -1).tolist()
     assert [ctx.add(a, b) for a, b in pairs] == oracles.digitwise(ctx, A, B).tolist()
-    assert [ctx.neg(a) for a, _ in pairs] == oracles.digitwise(ctx, 0, A, -1).tolist()
+    assert [ctx.sub(0, a) for a, _ in pairs] == oracles.digitwise(ctx, 0, A, -1).tolist()
     b7 = int(B[7])
     assert ctx.chi_vec(A).tolist() == _norm_chi(ctx)[A].tolist()
     for c in (0, 1, 2, b7, ctx.q - 1):
@@ -751,7 +751,6 @@ FIRST_CALLS = {
     "digit_table": lambda ctx: ctx.digit_table(),
     "add": lambda ctx: ctx.add(5, 7),
     "sub": lambda ctx: ctx.sub(5, 7),
-    "neg": lambda ctx: ctx.neg(5),
     "chi": lambda ctx: ctx.chi(5),
     "mul": lambda ctx: ctx.mul(5, 7),
     "chi_vec": lambda ctx: ctx.chi_vec(np.arange(ctx.q)),
@@ -874,7 +873,7 @@ def test_ops_match_oracles_for_any_modulus(modulus, data):
         # the Zech sums against the digit-wise oracle
         assert ctx.add(a, b) == oracles.add(ctx, a, b)
         assert ctx.sub(a, b) == oracles.sub(ctx, a, b)
-        assert ctx.neg(a) == oracles.neg(ctx, a)
+        assert ctx.sub(0, a) == oracles.neg(ctx, a)
     elems = np.arange(ctx.q)
     assert [ctx.add(x, b) for x in range(ctx.q)] == oracles.digitwise(ctx, elems, b).tolist()
     assert [ctx.sub(x, b) for x in range(ctx.q)] == oracles.digitwise(ctx, elems, b, -1).tolist()

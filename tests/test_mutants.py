@@ -209,6 +209,16 @@ def product_sums_match_field_products(ctx) -> bool:
                for su in _scope(ctx) for m in range(1, 32))
 
 
+def case_rows_match_polynomials(ctx) -> bool:
+    """`CASE_TABLE` at the lead of u and the pattern of z, but the total,
+    equals the case rows counted from f_u (`oracles.case_rows_by_polynomials`)
+    at every z, for every in-scope u."""
+    return all(np.array_equal(
+        oracles.case_columns(oracles.case_rows_by_polynomials(ctx, su.u)),
+        cn.CASE_TABLE[su.lead][oracles.in_element_order(ctx, su.pattern), :4])
+        for su in _scope(ctx))
+
+
 def case_table_matches_closed_forms(ctx) -> bool:
     """`CASE_TABLE` at every (lead, pattern) equals `oracles.case_row`."""
     return all(cn.CASE_TABLE[entry].tolist() == oracles.case_row(**inputs)
@@ -225,9 +235,9 @@ def expected_follows_tables(ctx) -> bool:
 
 
 def scalar_adder_matches_digitwise(ctx) -> bool:
-    """Scalar `add`, `sub` and `neg` equal the digit-wise oracle at every pair."""
+    """Scalar `add` and `sub`, and `sub` from 0, equal the digit-wise oracle at every pair."""
     zs = np.arange(ctx.q)
-    return ([ctx.neg(a) for a in range(ctx.q)] == oracles.digitwise(ctx, 0, zs, -1).tolist()
+    return ([ctx.sub(0, a) for a in range(ctx.q)] == oracles.digitwise(ctx, 0, zs, -1).tolist()
             and [[ctx.add(a, b) for b in range(ctx.q)] for a in range(ctx.q)]
             == oracles.digitwise(ctx, zs[:, None], zs).tolist()
             and [[ctx.sub(a, b) for b in range(ctx.q)] for a in range(ctx.q)]
@@ -407,7 +417,7 @@ MUTANTS = {
     # other root, -r
     "FieldCtx.sqrt_canonical": (
         rewritten(FieldCtx, "sqrt_canonical", "else self.pow(a, (self.q + 1) // 4)",
-                  "else self.neg(self.pow(a, (self.q + 1) // 4))"), 3,
+                  "else self.sub(0, self.pow(a, (self.q + 1) // 4))"), 3,
         (square_roots_match_polynomials, scoped_roots_match_polynomials,
          command_passes("verify-lemmas")),
     ),
@@ -461,7 +471,7 @@ MUTANTS = {
     # total, so only the census, which checks each column at z, sees them
     "solution_census.CASE_TABLE.columns": (
         swap_case_columns, 3,
-        (case_table_matches_closed_forms, command_passes("census")),
+        (case_table_matches_closed_forms, case_rows_match_polynomials, command_passes("census")),
     ),
     # x = a y: a pair enters the case quadratic only through z = a b, and its
     # root test through chi(a); here chi(a) is dropped from the test.  At

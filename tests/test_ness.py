@@ -8,8 +8,9 @@ import pytest
 
 import oracles
 from nhspectrum import ness
-from nhspectrum.charsums import CLASS_U10, CLASS_U11, ScopedU, classify_u
+from nhspectrum.charsums import CLASS_U0, CLASS_U10, CLASS_U11, ScopedU, classify_u
 from nhspectrum.field import make_context
+from nhspectrum.solution_census import CASE_TABLE
 from nhspectrum.spectrum import u0_nonf3_elements
 from sampling import sample_u0_nonf3
 
@@ -34,7 +35,7 @@ def test_derivative_endpoints(f3):
         f = oracles.f_values(f3, u)
         for a in range(1, f3.q):
             assert oracles.derivative(f3, u, a, 0) == f[a]
-            assert oracles.derivative(f3, u, a, f3.neg(a)) == f3.neg(f[f3.neg(a)])
+            assert oracles.derivative(f3, u, a, f3.sub(0, a)) == f3.sub(0, f[f3.sub(0, a)])
 
 
 def test_derivative_reflection(f3):
@@ -44,7 +45,7 @@ def test_derivative_reflection(f3):
         a = rng.randrange(1, f3.q)
         x = rng.randrange(f3.q)
         lhs = oracles.derivative(f3, u, a, x)
-        rhs = f3.neg(oracles.derivative(f3, u, f3.neg(a), f3.add(x, a)))
+        rhs = f3.sub(0, oracles.derivative(f3, u, f3.sub(0, a), f3.add(x, a)))
         assert lhs == rhs
 
 
@@ -110,6 +111,24 @@ def test_ddt_row_matches_polynomials(n, modulus):
     for u in sample_u0_nonf3(ctx, 1, seed=n) if n == 11 else _row_us(ctx, seed=n):
         row = oracles.in_element_order(ctx, ness.ddt_row(ctx, u))
         assert np.array_equal(row, oracles.row_by_polynomials(ctx, u)), u
+
+
+@pytest.mark.parametrize("n, modulus", [
+    *((n, None) for n in (3, 5, 7, 9, 11)), (9, oracles.random_irreducible(9, seed=9)),
+], ids=["n3", "n5", "n7", "n9", "n11", "n9-random-modulus"])
+def test_case_rows_match_case_table(n, modulus):
+    """The five case rows at a = 1 counted from f_u sum to the row at every z,
+    and their (N1, N_I, N_II + N_III, N_IV) is the `CASE_TABLE` entry of u's
+    lead at the pattern of z: at the in-scope u of
+    `test_ddt_row_matches_polynomials`."""
+    ctx = make_context(n, modulus)
+    us = sample_u0_nonf3(ctx, 1, seed=n) if n == 11 else _row_us(ctx, seed=n)
+    for u in [u for u in us if classify_u(ctx, u) == CLASS_U0]:
+        su = ScopedU(ctx, u)
+        rows = oracles.case_rows_by_polynomials(ctx, u)
+        assert np.array_equal(rows.sum(axis=0), oracles.row_by_polynomials(ctx, u)), u
+        table = CASE_TABLE[su.lead][oracles.in_element_order(ctx, su.pattern), :4]
+        assert np.array_equal(oracles.case_columns(rows), table), u
 
 
 Bare = collections.namedtuple("Bare", "n q modulus")
