@@ -18,11 +18,12 @@ and ``chi_vec`` the character table.  The tests check them against
 independent oracles, digit-wise addition and polynomial multiplication.
 Before the log tables exist, the one product is the n x n multiplication
 matrix of a, whose row j, a x^j, is row j - 1 shifted up with its top
-digit folded back in through the modulus: the log build squares the matrix
-of g, and the generator search of a supplied modulus, which trial division
-checks first, raises the matrix of each candidate to the powers (q - 1) / p.
-The default field of each n is tabled (`DEFAULT_FIELDS`), so its set-up
-does no search.
+digit folded back in through the modulus, and the log build squares the
+matrix of g.  One rule decides primitivity, the certificate of that build
+(below).  The default field of each n is tabled (`DEFAULT_FIELDS`), so its
+set-up does no search; a supplied modulus, which trial division checks
+first, takes the first of g = 3, 4, ... whose build passes the
+certificate, and keeps that build as its log tables.
 
 The scalar ops and the vector kernels are gathers from small tables:
 
@@ -76,12 +77,13 @@ ceil((q - 1) / S) giant rows.  S x R is 16 x 2, 64 x 4, 128 x 18, 512 x 39,
   back into an element.
 
 The build certifies the field: g^0 .. g^(q-2) must be q - 1 distinct nonzero
-elements, else it raises `InconsistencyError`.  That is enough: if the
-powers of g cover every nonzero residue of GF(3)[x]/(f), then -1 = g^k with
-k >= 1, so g is a unit, every nonzero residue is a unit, f is irreducible
-and g is primitive.  No op reads the (q, n) digit table or the q x q
-pair-add table; ``digit_table`` and ``pair_add_table`` build a fresh one on
-each call, for the benchmark's probes, and keep nothing.
+elements, else it gives no tables, and the tabled generator raises
+`InconsistencyError` where a search moves on to the next g.  That is
+enough: if the powers of g cover every nonzero residue of GF(3)[x]/(f),
+then -1 = g^k with k >= 1, so g is a unit, every nonzero residue is a unit,
+f is irreducible and g is primitive.  No op reads the (q, n) digit table or
+the q x q pair-add table; ``digit_table`` and ``pair_add_table`` build a
+fresh one on each call, for the benchmark's probes, and keep nothing.
 
 Text format for elements and moduli: a compact string of base-3 digits,
 lowest degree first.  ``"120"`` is ``1 + 2x`` in a degree-3 field, and the
@@ -208,21 +210,6 @@ def irreducible_witness(poly: Sequence[int]) -> Optional[list[int]]:
     return None
 
 
-def _factorize(m: int) -> list[int]:
-    """Prime factors of m (distinct), trial division."""
-    out = []
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            out.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        out.append(m)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # field context
 # ---------------------------------------------------------------------------
@@ -232,8 +219,9 @@ class FieldCtx:
     """GF(3^n) with a verified irreducible modulus and primitive element.
 
     Scalar operations take element indices (ints, numpy ints or 0-d arrays)
-    and return Python ints.  ``chi_table`` and the vector kernels (``chi_vec``
-    and the log-order kernels) serve full-field scans from the same tables.
+    and return Python ints; a negative index raises IndexError.
+    ``chi_table`` and the vector kernels (``chi_vec`` and the log-order
+    kernels) serve full-field scans from the same tables.
     """
 
     def __init__(self, n: int, modulus: Optional[str] = None):
@@ -281,14 +269,13 @@ class FieldCtx:
         return np.array(rows, dtype=np.int8)
 
     def _find_generator(self) -> int:
-        """The smallest primitive element: g with g**((q - 1) / p) != 1 for every
-        prime p dividing q - 1 (Lidl & Niederreiter, Finite Fields), tested on
-        the matrix of g, whose e-th power is the matrix of g**e."""
-        identity = np.eye(self.n, dtype=np.int8)
-        cofactors = [(self.q - 1) // p for p in _factorize(self.q - 1)]
-        for g in range(2, self.q):
-            g_mat = self._mul_matrix(_idx_digits(g, self.n))
-            if all(not np.array_equal(_matrix_power(g_mat, c), identity) for c in cofactors):
+        """The smallest primitive element, whose log build the field keeps as
+        its `_log_tables`: 0, 1 and 2 = -1 are never primitive, and g = 3, 4,
+        ... is primitive exactly when its build passes the certificate."""
+        for g in range(P, self.q):
+            tables = self._log_build(g)
+            if tables is not None:
+                self.__dict__["_log_tables"] = tables
                 return g
         raise InconsistencyError("no primitive element found")  # unreachable
 
@@ -309,7 +296,7 @@ class FieldCtx:
         log, alog = self._log_tables
         n_logs = self.q - 1
         h = n_logs // 2
-        j, k = log.item(a), log.item(b)
+        j, k = log.item(_checked_index(a)), log.item(_checked_index(b))
         if k == n_logs:
             return alog.item(j)
         k += turn
@@ -321,7 +308,8 @@ class FieldCtx:
         return alog.item((j + h + self._minus.item(k)) % n_logs)
 
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
+        if a <= 0 or b <= 0:  # a zero factor gives zero; a negative one is no element
+            _checked_index(min(a, b))
             return 0
         log, alog = self._log_tables
         return alog.item((log.item(a) + log.item(b)) % (self.q - 1))
@@ -333,13 +321,13 @@ class FieldCtx:
         if a == 0:
             return 1 if e == 0 else 0
         log, alog = self._log_tables
-        return alog.item(log.item(a) * e % (self.q - 1))
+        return alog.item(log.item(_checked_index(a)) * e % (self.q - 1))
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("zero has no multiplicative inverse")
         log, alog = self._log_tables
-        return alog.item(-log.item(a) % (self.q - 1))
+        return alog.item(-log.item(_checked_index(a)) % (self.q - 1))
 
     def chi(self, a: int) -> int:
         """Quadratic character: +1 on nonzero squares, -1 on nonsquares, 0 at 0.
@@ -347,7 +335,7 @@ class FieldCtx:
         The generator is a nonsquare, so a is a square exactly when its
         discrete log is even (`chi_table`).
         """
-        return self.chi_table.item(a)
+        return self.chi_table.item(_checked_index(a))
 
     def sqrt_canonical(self, a: int) -> Optional[int]:
         """r = a**((q + 1) / 4), the square root of a with chi(r) == +1 (0 at
@@ -381,11 +369,21 @@ class FieldCtx:
 
     @built_once
     def _log_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """The certified `_log_build` of the generator."""
+        tables = self._log_build(self.generator)
+        if tables is None:
+            generator = self.format_element(self.generator)
+            raise InconsistencyError(f"modulus {self.modulus_str!r} with generator {generator!r}:"
+                                     " the powers of the generator miss a nonzero element")
+        return tables
+
+    def _log_build(self, generator: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
         """(log, alog): inverse int32 tables of q entries, alog[k] == g**k and
         log[g**k] == k for k < q - 1, and zero in the last slot: alog[q - 1]
-        == 0 and log[0] == q - 1.  Built by S baby steps, whose doubling
-        leaves the matrix of the giant multiplier c = g**S, and R >= 2 giant
-        rows, and certified (see the module docstring).
+        == 0 and log[0] == q - 1, for g = generator.  Built by S baby steps,
+        whose doubling leaves the matrix of the giant multiplier c = g**S,
+        and R >= 2 giant rows.  None where the powers of g miss a nonzero
+        element: the certificate (see the module docstring).
         """
         q, n = self.q, self.n
         baby = 1 << (P**((n + 1) // 2 + 1)).bit_length() - 1
@@ -395,7 +393,7 @@ class FieldCtx:
         powers[0, 0] = 1
         # row j: the digits of g**m * x**j; its square is the matrix of g**(2m).
         # Entries of an int8 digit-row product are at most 4n = 52 before the mod.
-        mat = self._mul_matrix(_idx_digits(self.generator, n))
+        mat = self._mul_matrix(_idx_digits(generator, n))
         m = 1
         while m < baby:
             powers[m:2 * m] = powers[:m] @ mat % P
@@ -414,11 +412,7 @@ class FieldCtx:
         alog[-1] = 0
         log = np.full(q, -1, dtype=np.int32)
         log[alog.astype(np.intp)] = np.arange(q, dtype=np.int32)  # intp: no buffered cast
-        if log.min() < 0:
-            generator = self.format_element(self.generator)
-            raise InconsistencyError(f"modulus {self.modulus_str!r} with generator {generator!r}:"
-                                     " the powers of the generator miss a nonzero element")
-        return _frozen(log), _frozen(alog)
+        return None if log.min() < 0 else (_frozen(log), _frozen(alog))
 
     def _times_table(self, c_mat: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """int32 c z for every z, c given by its (n, n) matrix and weights the
@@ -509,11 +503,14 @@ class FieldCtx:
 
     def chi_pattern(self, points: Sequence[int]) -> np.ndarray:
         """uint8 sum over i of 3**i (chi(z - a_i) + 1) for every z, in log
-        order, for at most five points a_i.  As g**k - g**j = g**j (g**(k-j) -
-        1) and chi(g**j) = (-1)**j, for a = g**j the column chi(z - a) + 1 is
-        D+ (j even) or D- (j odd) rotated by -j, a slice of `_chi_columns`;
-        for a = 0 it alternates 2, 0.  At z = 0 it is 1 - chi(a).  Horner's
-        rule runs in place in uint8, exact as every partial sum is below 243."""
+        order, for at most five points a_i, none negative (else ValueError).
+        As g**k - g**j = g**j (g**(k-j) - 1) and chi(g**j) = (-1)**j, for a =
+        g**j the column chi(z - a) + 1 is D+ (j even) or D- (j odd) rotated
+        by -j, a slice of `_chi_columns`; for a = 0 it alternates 2, 0.  At z
+        = 0 it is 1 - chi(a).  Horner's rule runs in place in uint8, exact as
+        every partial sum is below 243."""
+        if len(points) > 5 or min(points, default=0) < 0:
+            raise ValueError(f"needs at most five elements, got {list(points)}")
         q, log, columns = self.q, self._log_tables[0], self._chi_columns
         out = np.zeros(q, dtype=np.uint8)
         body, zero_slot = out[:-1], 0
@@ -601,8 +598,9 @@ class FieldCtx:
     def difference_row(self, c_square: int, c_nonsquare: int) -> np.ndarray:
         """int32 count of x with f(x + 1) - f(x) = z for every z, in log order,
         for f(x) = c_square / x at squares, c_nonsquare / x at nonsquares, f(0) = 0,
-        c_square and c_nonsquare not both 0.  With one c zero the entry at
-        z = 0 is (q + 1) / 4, too large for int16 from n = 11 on.
+        c_square and c_nonsquare not both 0 (else ValueError).  With one c
+        zero the entry at z = 0 is (q + 1) / 4, too large for int16 from n =
+        11 on.
 
         For x = g**k, write L = (log c_square, log c_nonsquare) and p0, p1
         for the parities of k and Z+(k) (see `_zech`).  Then f(x + 1) - f(x) =
@@ -622,6 +620,8 @@ class FieldCtx:
         """
         q = self.q
         n_logs, h = q - 1, (q - 1) // 2
+        if not (c_square or c_nonsquare):
+            raise ValueError("c_square and c_nonsquare are both 0")
         minus, cross_m, cross_e, same = self._zech
         if not c_square:
             c_square, c_nonsquare = c_nonsquare, c_square
@@ -664,18 +664,6 @@ def _checked_index(i: int) -> int:
     if i < 0:
         raise IndexError(f"index {i} is negative")
     return i
-
-
-def _matrix_power(mat: np.ndarray, e: int) -> np.ndarray:
-    """mat**e mod 3 by square-and-multiply: int8, as in the log build, with
-    entries at most 4n = 52 before each mod."""
-    result = np.eye(len(mat), dtype=np.int8)
-    while e:
-        if e & 1:
-            result = result @ mat % P
-        mat = mat @ mat % P
-        e >>= 1
-    return result
 
 
 def _neighbour(table: np.ndarray) -> np.ndarray:

@@ -208,11 +208,14 @@ def _desired_roots(ctx: FieldCtx, b1: int, s: int | None, want_1: int, want_0: i
     """How many roots y = b1 +- s of y^2 + b1 y + c0, s^2 = b1^2 - c0 (s
     None where that is not a square), have chi(y + 1) = want_1 and
     chi(y) = want_0.  Either root s will do, as b1 +- s is one pair; the
-    census takes `FieldCtx.sqrt_canonical`."""
+    census takes `FieldCtx.sqrt_canonical`.  y + 1 differs from y in digit 0
+    alone, so chi(y + 1) is read from the row of y in the chi grid, as
+    `charsums.classify_u` reads chi(u +- 1)."""
     if s is None:
         return 0
     roots = (b1,) if s == 0 else (ctx.add(b1, s), ctx.sub(b1, s))
-    return sum(ctx.chi(y) == want_0 and ctx.chi(ctx.add(y, 1)) == want_1 for y in roots)
+    grid = ctx.chi_table.reshape(-1, 3)
+    return sum(ctx.chi(y) == want_0 and grid.item(y // 3, (y + 1) % 3) == want_1 for y in roots)
 
 
 def census(su: ScopedU, a: int, b: int) -> dict:

@@ -15,7 +15,7 @@ import pytest
 from nhspectrum import charsums, cli, field, ness, spectrum
 from nhspectrum import solution_census as census_mod
 from nhspectrum.cli import RunConfig, SPECTRUM_COLUMNS, resolve_u, run
-from nhspectrum.field import FieldCtx, make_context
+from nhspectrum.field import DEFAULT_FIELDS, FieldCtx, make_context
 from nhspectrum.spectrum import u0_nonf3_elements
 
 
@@ -563,8 +563,9 @@ def test_census_takes_one_inverse_per_pair(monkeypatch):
     (w = 1 / z) and at most three square roots, each one `pow` (the
     discriminants of case I, case IV and cases II and III together); a pair
     with z = 0 takes neither.  N1 compares z with the points 1 +- u of
-    `ScopedU.points`, so the pairs take at most 12 scalar sums
-    (`FieldCtx._sub_turned`) each on average."""
+    `ScopedU.points` and each root test reads chi(y + 1) from the chi grid,
+    so the pairs take at most 10 scalar sums (`FieldCtx._sub_turned`) each
+    on average."""
     calls = {"inv": 0, "pow": 0, "_sub_turned": 0}
     per_pair = []
 
@@ -592,7 +593,18 @@ def test_census_takes_one_inverse_per_pair(monkeypatch):
     status, out, _ = _run("census", n=5, u="sample:3:1")
     assert status == 0 and len(per_pair) == len(_json_lines(out)) == 3 * 200
     assert all(inv == (z != 0) and roots <= 3 * (z != 0) for z, inv, roots, _ in per_pair)
-    assert sum(sums for *_, sums in per_pair) <= 12 * len(per_pair)
+    assert sum(sums for *_, sums in per_pair) <= 10 * len(per_pair)
+
+
+def test_supplied_tabled_modulus_prints_the_tabled_field():
+    """The n = 11 modulus passed explicitly takes its generator, 5, from the
+    search, which rejects the builds of 3 and 4, and prints what the tabled
+    field prints, byte for byte."""
+    modulus = DEFAULT_FIELDS[11][0]
+    assert modulus == "201000000001"
+    tabled = _run("verify-lemmas", n=11, u="sample:1:1")
+    assert tabled[0] == 0 and tabled[1]
+    assert _run("verify-lemmas", n=11, u="sample:1:1", modulus=modulus) == tabled
 
 
 def test_console_entry_point_runs():

@@ -161,8 +161,28 @@ SEARCHED_GENERATORS = [
 
 @pytest.mark.parametrize("modulus, generator", SEARCHED_GENERATORS)
 def test_searched_generator_is_pinned(modulus, generator):
-    """The matrix-power search returns the recorded smallest primitive element."""
+    """The search, the first g = 3, 4, ... whose log build passes the
+    certificate, returns the recorded smallest primitive element."""
     assert make_context(len(modulus) - 1, modulus).generator == generator
+
+
+@pytest.mark.parametrize("modulus, generator", SEARCHED_GENERATORS)
+def test_search_keeps_the_certified_build(monkeypatch, modulus, generator):
+    """Construction runs the log build once for each candidate 3 .. g, g - 2
+    times, and keeps the build of g as the log tables: the first `mul`
+    builds none."""
+    builds = []
+    log_build = FieldCtx._log_build
+
+    def counted(self, g):
+        builds.append(g)
+        return log_build(self, g)
+
+    monkeypatch.setattr(FieldCtx, "_log_build", counted)
+    ctx = make_context(len(modulus) - 1, modulus)
+    assert builds == list(range(3, generator + 1))
+    ctx.mul(3, 3)
+    assert len(builds) == generator - 2
 
 
 @pytest.mark.parametrize("modulus", [modulus for modulus, _ in SEARCHED_GENERATORS])
@@ -744,6 +764,41 @@ def test_difference_row_matches_scalar_count(n, modulus):
         row = ctx.difference_row(c1, c2)
         assert row.dtype == np.int32
         assert np.array_equal(row[slots], _difference_counts(ctx, c1, c2)), (c1, c2)
+
+
+NEGATIVE_OPERANDS = [
+    ("chi", (-1,)), ("mul", (-1, 3)), ("mul", (3, -1)), ("mul", (0, -1)), ("add", (-1, 1)),
+    ("add", (1, -1)), ("sub", (-1, 1)), ("sub", (1, -1)), ("inv", (-1,)), ("pow", (-1, 2)),
+    ("pow", (-1, 0)), ("sqrt_canonical", (-4,)),
+]
+
+
+@pytest.mark.parametrize("op, args", NEGATIVE_OPERANDS,
+                         ids=[f"{op}({','.join(map(str, args))})" for op, args in NEGATIVE_OPERANDS])
+def test_scalar_ops_refuse_a_negative_element(f3, op, args):
+    """A negative int is no element: each scalar op raises IndexError, as
+    `slot` does, where a table read at -1 would give its last entry
+    (chi(-1) would be chi(26) at n = 3)."""
+    with pytest.raises(IndexError, match="is negative"):
+        getattr(f3, op)(*args)
+
+
+@pytest.mark.parametrize("points", [
+    [1, 9, 15, 13, 20, 12], [0, 5, 7, 11, 13, 17], [-1],
+], ids=["six-even-logs", "six-with-zero", "negative"])
+def test_chi_pattern_refuses_points_past_its_range(f3, points):
+    """`chi_pattern` packs at most five characters in uint8 and reads a point
+    by its log: six points of even log, g^0, g^2, ..., g^10, would wrap mod
+    256 (710 at most), six points with 0 among them would put 493 in the
+    uint8 slot of z = 0, and -1 would read the log of 26."""
+    with pytest.raises(ValueError):
+        f3.chi_pattern(points)
+
+
+def test_difference_row_refuses_two_zero_coefficients(f3):
+    """f = 0 has no DDT row to count: both coefficients 0 raise."""
+    with pytest.raises(ValueError):
+        f3.difference_row(0, 0)
 
 
 FIRST_CALLS = {

@@ -14,12 +14,13 @@ rotation one step off; a Zech offset one step off; the cross half of the
 row turned one slot, run at n = 9; a parity flipped; a
 sign flipped in the fold of x**n; the zero-coefficient turn without its
 h; the coefficient swap dropped; the other square root, -r; a giant step one
-squaring too far; a prime dropped from the generator search; two product
-columns swapped; a case total off by one; two case columns swapped; a plane
-sum one term wrong; a Zech difference without its -1 or its zero test; the
-parity of Z- flipped in chi(g**m - 1); the two lead rows of the pattern
-signs swapped; an expected count off by one; a character dropped from a
-root test; a constant term built with the wrong sign; a case given the root
+squaring too far; the first generator candidate taken without its
+certificate; two product columns swapped; a case total off by one; two case
+columns swapped; a plane sum one term wrong; a Zech difference without its
+-1 or its zero test; the parity of Z- flipped in chi(g**m - 1); the two
+lead rows of the pattern signs swapped; an expected count off by one; a
+character dropped from a root test; chi(y + 1) read one column off in the
+chi grid; a constant term built with the wrong sign; a case given the root
 of another case's discriminant; a product without its zero test; an inverse
 read at q - 1 - log a), so that they run on every change.  A mutant of a function or of a
 table build rewrites one fragment of its source and runs it in the
@@ -424,8 +425,8 @@ MUTANTS = {
     # giant steps multiply by c = g^S, whose matrix the doubling leaves: one
     # squaring too many builds the table for g^(2S).  Every n has R >= 2
     # giant rows, so the smallest field runs them.
-    "FieldCtx._log_tables": (
-        rewritten(FieldCtx, "_log_tables", "self._times_table(mat, weights)",
+    "FieldCtx._log_build": (
+        rewritten(FieldCtx, "_log_build", "self._times_table(mat, weights)",
                   "self._times_table(mat @ mat % P, weights)"), 3,
         (antilog_steps_match_polynomials,),
     ),
@@ -444,11 +445,13 @@ MUTANTS = {
         rewritten(FieldCtx, "_mul_matrix", "top = [(-d) % P", "top = [d % P"), 3,
         (antilog_steps_match_polynomials,),
     ),
-    # the generator search tests g**((q - 1) / p) != 1 for every prime p | q - 1:
-    # without p = 2 it takes a square, 3 in place of 5 on the n = 7 modulus
+    # the generator search takes the first g = 3, 4, ... whose log build passes
+    # the certificate: here the first candidate, without it, 3 in place of 5
+    # on the n = 7 modulus, and the field builds the tables of 3 on first use
     "FieldCtx._find_generator": (
-        rewritten(FieldCtx, "_find_generator", "for p in _factorize(self.q - 1)]",
-                  "for p in _factorize(self.q - 1) if p != 2]"), 7,
+        rewritten(FieldCtx, "_find_generator",
+                  'if tables is not None:\n            self.__dict__["_log_tables"] = tables\n',
+                  "if True:\n"), 7,
         (searched_generator_is_tabled, searched_field_certifies),
     ),
     # chi(prod g_i) = prod chi(g_i): one table column per product of the g family
@@ -499,6 +502,12 @@ MUTANTS = {
                   "(ctx.sub(1, uw), ctx.sqrt_canonical(ctx.sub(one_w, uw)))"), 3,
         (census_matches_case_counts, command_passes("census")),
     ),
+    # y + 1 differs from y in digit 0 alone, so chi(y + 1) is column (y + 1)
+    # mod 3 of the row of y in the chi grid: here column (y - 1) mod 3, chi(y - 1)
+    "solution_census._desired_roots": (
+        rewritten(cn, "_desired_roots", "(y + 1) % 3", "(y - 1) % 3"), 3,
+        (census_matches_case_counts,),
+    ),
     # the prediction and the case total compared with the DDT in one gather
     "solution_census.EXPECTED": (
         shift_one_expected, 3,
@@ -535,13 +544,14 @@ MUTANTS = {
     # zero has the last slot of the log order, log 0 = q - 1 = 0 mod q - 1,
     # so a product of logs alone reads 0 b as b: the zero test dropped
     "FieldCtx.mul": (
-        rewritten(FieldCtx, "mul", "if a == 0 or b == 0:", "if False:"), 3,
+        rewritten(FieldCtx, "mul", "if a <= 0 or b <= 0:", "if False:"), 3,
         (scalar_products_match_polynomials,),
     ),
     # 1 / g^k = g^(-k mod q - 1): read at q - 1 - k, inv(1) lands on the
     # zero slot alog[q - 1]
     "FieldCtx.inv": (
-        rewritten(FieldCtx, "inv", "-log.item(a) % (self.q - 1)", "self.q - 1 - log.item(a)"), 3,
+        rewritten(FieldCtx, "inv", "-log.item(_checked_index(a)) % (self.q - 1)",
+                  "self.q - 1 - log.item(_checked_index(a))"), 3,
         (inverses_match_polynomials,),
     ),
 }
